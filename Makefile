@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-engine bench-compare bench-guard stat-smoke fuzz-smoke fuzz-native soak soak-smoke load-bench load-shard-smoke verify-smoke crash-smoke wire-bench wire-smoke trace-smoke
+.PHONY: check vet build test race bench bench-check bench-engine bench-compare bench-guard stat-smoke fuzz-smoke fuzz-native soak soak-smoke load-bench load-shard-smoke verify-smoke crash-smoke wire-bench wire-smoke trace-smoke
 
 # check is the tier-1 gate: vet, build, full tests, and a short
 # race-detector pass over the concurrency-bearing packages.
@@ -20,6 +20,13 @@ race:
 
 bench:
 	$(GO) test -bench . -benchmem ./...
+
+# bench-check compiles and tests the repository benchmark (bench/, a
+# module of its own that `go build ./...` at the root does not reach)
+# against the current code: a change to an API the benchmark imports
+# fails here, not in the driver.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-engine reruns the engine-heavy benchmarks (event loop, timer
 # churn, fuzz-campaign batch, table pipeline) and folds them into the
@@ -85,7 +92,7 @@ stat-smoke:
 trace-smoke:
 	$(GO) test -count=1 -run 'TestGoldenTrace|TestCmdTraceErrors' ./cmd/lintime/
 	$(GO) test -race -count=1 -run 'TestAttributionIdentityAllBackends|TestTracingDoesNotPerturbExecution' ./internal/harness/
-	$(GO) test -race -count=1 -run 'TestServerTracing|TestBatchResidencyTraced|TestCollector|TestRingWrapOrder|TestRingPartiallyEvictedSpan' ./internal/serve/ ./internal/rtnet/ ./internal/obs/
+	$(GO) test -race -count=1 -run 'TestServerTracing|TestSpanLifecycle|TestCollector|TestRingWrapOrder|TestRingPartiallyEvictedSpan' ./internal/serve/ ./internal/rtnet/ ./internal/obs/
 	$(GO) run ./cmd/lintime load -n 3 -clients 4 -duration 3s -trace 64 -seed 1 -require-slo
 	$(GO) run ./cmd/lintime trace -backend quorum -ops 3 -o /tmp/trace-smoke.json
 	@echo "trace-smoke: goldens, race-hardened tracing tests, and live traced load OK"

@@ -39,7 +39,7 @@
 // least the given ops/sec floor. The CI gate over `lintime load -o
 // BENCH_serve.json`. Passing a comma-separated list of summaries
 // validates each and prints a side-by-side comparison table — the
-// intended way to diff codec or batch-window variants:
+// intended way to diff codec or pipeline variants:
 //
 //	benchjson -serve BENCH_json.json,BENCH_binary.json
 package main
@@ -246,7 +246,7 @@ func guardServe(led *serve.Summary, minOps float64) int {
 }
 
 // serveDiff prints a side-by-side comparison of load summaries — one
-// column per summary — so codec or batch-window variants read as a
+// column per summary — so codec or pipeline variants read as a
 // table instead of two JSON files. Columns are labeled by codec when the
 // summaries disagree on it, by file name otherwise.
 func serveDiff(w io.Writer, paths []string, sums []*serve.Summary) {
@@ -282,7 +282,6 @@ func serveDiff(w io.Writer, paths []string, sums []*serve.Summary) {
 		return fmt.Sprintf("%.2f", s.OpsPerSec)
 	})
 	row("total ops", func(s *serve.Summary) string { return fmt.Sprint(s.TotalOps) })
-	row("batch window", func(s *serve.Summary) string { return fmt.Sprint(s.Config.BatchTicks) })
 	row("pipeline", func(s *serve.Summary) string {
 		if s.Config.Pipeline == 0 {
 			return "1"

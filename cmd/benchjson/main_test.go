@@ -134,7 +134,6 @@ func TestServeDiff(t *testing.T) {
 	b := serveSummary(0, -1)
 	b.Config.Codec = "binary"
 	b.Config.Pipeline = 8
-	b.Config.BatchTicks = 1
 	b.OpsPerSec = 1900.25
 	b.TotalOps = 19000
 
@@ -145,7 +144,7 @@ func TestServeDiff(t *testing.T) {
 		"json", "binary", // codec column labels
 		"400.50", "1900.25",
 		"total ops", "4000", "19000",
-		"pipeline", "batch window",
+		"pipeline",
 		"AOP p99 (slo)", "50 (68)",
 	} {
 		if !strings.Contains(out, want) {

@@ -131,7 +131,6 @@ func cmdServe(args []string) error {
 	seed := fs.Int64("seed", 1, "master seed (delay draws, offset assignment)")
 	queueDepth := fs.Int("queue-depth", 64, "per-replica request queue bound (backpressure)")
 	inboxDepth := fs.Int("inbox-depth", rtnet.DefaultInboxDepth, "per-process rtnet inbox bound (overflow is a typed cluster failure)")
-	batchWindow := fs.Int("batch-window", 0, "broadcast coalescing window in ticks (0 = one tick when u ≥ 2, -1 = off; must be ≤ u/2)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight operations")
 	shards := fs.Int("shards", 1, "shard count: >1 serves named objects hash-routed across independent clusters")
 	shardX := fs.String("shard-x", "", "per-shard X overrides, comma-separated ticks (requires -shards entries)")
@@ -166,7 +165,6 @@ func cmdServe(args []string) error {
 	baseCfg := serve.Config{
 		Params: p, Backend: *backend, TypeName: *typeName, Tick: *tick,
 		Offsets: *offsets, Seed: *seed, QueueDepth: *queueDepth, InboxDepth: *inboxDepth,
-		BatchWindow: *batchWindow,
 	}
 
 	// The M=1 case stays on the single-object server: same wire behavior,
@@ -415,7 +413,6 @@ func cmdLoad(args []string) error {
 	addr := fs.String("addr", "", "drive a remote `lintime serve` at this address (model flags must match the server)")
 	codec := fs.String("codec", serve.CodecJSON, "wire codec for -addr runs: json (legacy) or binary (negotiated fast path)")
 	pipeline := fs.Int("pipeline", 1, "operations each client keeps in flight (k > 1 fills the replicas' slots; multiset of issued ops stays deterministic)")
-	batchWindow := fs.Int("batch-window", 0, "in-process cluster broadcast coalescing window in ticks (0 = one tick when u ≥ 2, -1 = off; must be ≤ u/2)")
 	tick := fs.Duration("tick", time.Millisecond, "tick duration of the driven cluster")
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets for the in-process cluster")
 	simMode := fs.Bool("sim", false, "run the workload on the virtual-time engine instead (deterministic, tick-exact; clients = n, requires -ops)")
@@ -595,10 +592,7 @@ func cmdLoad(args []string) error {
 		sum.Config.Codec = c.Codec()
 	case *shards > 1:
 		ss, err := serve.NewShardSet(serve.ShardSetConfig{
-			Config: serve.Config{
-				Params: p, TypeName: *typeName, Tick: *tick, Offsets: *offsets, Seed: *seed,
-				BatchWindow: *batchWindow,
-			},
+			Config: serve.Config{Params: p, TypeName: *typeName, Tick: *tick, Offsets: *offsets, Seed: *seed},
 			Shards: *shards, ShardX: sx,
 		})
 		if err != nil {
@@ -629,7 +623,6 @@ func cmdLoad(args []string) error {
 			return err
 		}
 		sum.Config.Mode = "inproc"
-		sum.Config.BatchTicks = ss.Config().ResolvedBatchWindow()
 		if *checkObjects {
 			rep := ss.CheckPerObject(0)
 			fmt.Fprintf(os.Stderr, "lintime load: per-object check: %d objects, %d ops, %d routing violations, %d non-linearizable\n",
@@ -642,7 +635,6 @@ func cmdLoad(args []string) error {
 	default:
 		s, err := serve.New(serve.Config{
 			Params: p, Backend: *backend, TypeName: *typeName, Tick: *tick, Offsets: *offsets, Seed: *seed,
-			BatchWindow: *batchWindow,
 		})
 		if err != nil {
 			return err
@@ -687,7 +679,6 @@ func cmdLoad(args []string) error {
 			return err
 		}
 		sum.Config.Mode = "inproc"
-		sum.Config.BatchTicks = s.Config().ResolvedBatchWindow()
 	}
 
 	b, err := json.MarshalIndent(sum, "", "  ")

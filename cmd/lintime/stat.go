@@ -172,32 +172,12 @@ func renderStat(w io.Writer, prev, cur obs.Snapshot, elapsed time.Duration) {
 		sumByBase(cur.Counters, "rtnet_messages_delivered_total"), rate("rtnet_messages_delivered_total"),
 		sumByBase(cur.Counters, "rtnet_timer_fires_total"), maxByBase(cur.Gauges, "rtnet_inbox_depth_max"),
 		sumByBase(cur.Counters, "rtnet_inbox_overflows_total"), overflowNote)
-	// Wire-protocol line: per-codec connection counts from negotiation,
-	// plus the broadcast coalescing histogram. Only endpoints that have
-	// accepted a connection or flushed a batch emit it.
+	// Wire-protocol line: per-codec connection counts from negotiation.
+	// Only endpoints that have accepted a connection emit it.
 	connJSON := sumByBaseLabel(cur.Counters, "serve_connections_total", "codec", "json")
 	connBinary := sumByBaseLabel(cur.Counters, "serve_connections_total", "codec", "binary")
-	var batch obs.HistSummary
-	for name, h := range cur.Hists {
-		if b, _ := obs.SplitName(name); b != "serve_batch_size" {
-			continue
-		}
-		// Percentiles cannot be merged exactly across shards; report the
-		// worst shard's, which is the conservative read for batching.
-		batch.Count += h.Count
-		if h.P50 > batch.P50 {
-			batch.P50 = h.P50
-		}
-		if h.P99 > batch.P99 {
-			batch.P99 = h.P99
-		}
-		if h.Max > batch.Max {
-			batch.Max = h.Max
-		}
-	}
-	if connJSON+connBinary > 0 || batch.Count > 0 {
-		fmt.Fprintf(w, "wire    conns json %d  binary %d  batches %d  size p50 %d  p99 %d  max %d\n",
-			connJSON, connBinary, batch.Count, batch.P50, batch.P99, batch.Max)
+	if connJSON+connBinary > 0 {
+		fmt.Fprintf(w, "wire    conns json %d  binary %d\n", connJSON, connBinary)
 	}
 	phases := sumByBase(cur.Counters, "quorum_phase_total")
 	crashes := sumByBase(cur.Counters, "crashes_injected")

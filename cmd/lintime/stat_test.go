@@ -176,25 +176,21 @@ func TestRenderStatSharded(t *testing.T) {
 }
 
 func TestRenderStatWireLine(t *testing.T) {
-	// No connections, no batches → the wire line stays out of the frame.
+	// No connections → the wire line stays out of the frame.
 	var sb strings.Builder
 	renderStat(&sb, obs.Snapshot{}, statSnapshot(t, 41), time.Second)
 	if strings.Contains(sb.String(), "wire") {
 		t.Fatalf("idle wire line rendered:\n%s", sb.String())
 	}
 
-	// Codec counts fold across shards; batch percentiles report the worst
-	// shard (merged percentiles would be fiction).
+	// Codec counts fold across shards.
 	snap := statSnapshot(t, 41)
 	snap.Counters[`serve_connections_total{codec="json"}`] = 2
 	snap.Counters[`serve_connections_total{shard="0",codec="json"}`] = 1
 	snap.Counters[`serve_connections_total{shard="1",codec="binary"}`] = 4
-	snap.Hists = map[string]obs.HistSummary{}
-	snap.Hists[`serve_batch_size{shard="0"}`] = obs.HistSummary{Count: 10, P50: 2, P99: 5, Max: 6}
-	snap.Hists[`serve_batch_size{shard="1"}`] = obs.HistSummary{Count: 5, P50: 3, P99: 4, Max: 8}
 	sb.Reset()
 	renderStat(&sb, snap, snap, time.Second)
-	if !strings.Contains(sb.String(), "wire    conns json 3  binary 4  batches 15  size p50 3  p99 5  max 8") {
+	if !strings.Contains(sb.String(), "wire    conns json 3  binary 4\n") {
 		t.Fatalf("wire line missing or wrong:\n%s", sb.String())
 	}
 }

@@ -1,11 +1,11 @@
-// realtime: the same Algorithm 1 replicas running live on goroutines and
-// channels instead of the virtual-time simulator.
+// realtime: the same Algorithm 1 replicas, on the same event engine,
+// running live on the wall clock instead of in virtual time.
 //
-// Three replicas of a shared queue run as goroutines; message delays are
-// real sleeps drawn from [d-u, d] ticks (1 tick = 1ms here) and local
+// Three replicas of a shared queue run in one cluster; message delays are
+// real waits drawn from [d-u, d] ticks (1 tick = 1ms here) and local
 // clocks carry constant offsets within ε. The printed latencies are wall
-// clock and approximate the virtual-time formulas up to goroutine
-// scheduling jitter.
+// clock and approximate the virtual-time formulas up to the host's timer
+// lateness.
 //
 //	go run ./examples/realtime
 package main
@@ -56,7 +56,7 @@ func main() {
 	show(2, adt.OpDequeue, nil)
 	show(0, adt.OpPeek, nil)
 
-	fmt.Println("\nsame Replica type as the simulator — only the substrate changed")
+	fmt.Println("\nsame Replica type and event engine as the simulator — only the clock changed")
 }
 
 func theory(p simtime.Params, op string) simtime.Duration {

@@ -71,8 +71,8 @@ type SpanEvent struct {
 }
 
 // Tracer observes operation lifecycles. Implementations must be safe for
-// concurrent use: the real-time substrate records from every process
-// loop.
+// concurrent use: a live cluster records from its scheduler goroutine
+// while the serving layer reads.
 //
 // Attribution leans on the model's one-pending-operation-per-process
 // rule: OpStart makes span the process's current span, and the substrate

@@ -135,11 +135,11 @@ func (c Config) less(a, b Tag) bool {
 // retransmitTag re-arms a phase's request broadcast.
 type retransmitTag struct{ seq int64 }
 
-// traceSource is the optional Context extension both substrates
-// implement: it exposes the installed tracer so the replica can record
+// traceSource is the optional Context extension the engine's Context
+// implements: it exposes the installed tracer so the replica can record
 // its quorum phases as child spans of the operation. Asserting here —
 // instead of widening sim.Context — keeps the Node/Context contract
-// substrate-neutral and other backends tracer-oblivious.
+// minimal and other backends tracer-oblivious.
 type traceSource interface{ Tracer() obs.Tracer }
 
 // tracerFor returns the causal tracer reachable through ctx, or nil when
@@ -159,7 +159,7 @@ func tracerFor(ctx sim.Context) obs.CausalTracer {
 
 // phaseSpan derives the deterministic child-span id of one phase of one
 // operation: bitwise NOT of (seqID·2 + phase−1). Operation SeqIDs are
-// non-negative on both substrates, so phase spans are unique negative
+// non-negative on both clocks, so phase spans are unique negative
 // values that can never collide with a root span.
 func phaseSpan(seqID int64, phase int) int64 {
 	return ^(seqID*2 + int64(phase-1))

@@ -39,7 +39,7 @@ func newQuorumCluster(t *testing.T, n int, depth int) *Cluster {
 func TestCrashQuorumMajorityKeepsServing(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newQuorumCluster(t, 3, 0)
-	m := NewMetrics(reg, c.Params())
+	m := NewMetrics(reg, rtParams(3))
 	c.SetMetrics(m)
 	c.Start()
 	defer c.Stop()
@@ -79,17 +79,17 @@ func TestCrashQuorumMajorityKeepsServing(t *testing.T) {
 }
 
 // TestCrashedInboxDrainsWithoutOverflow is the misattribution
-// regression: a crashed process's inbox keeps receiving quorum traffic
-// (live writers broadcast to every replica, dead or not), and with a
-// tiny inbox those deliveries would overflow and fail the whole cluster
-// with an InboxOverflowError blamed on a process that is merely dead.
-// The crashed loop must drain them instead, recording each as a dropped
-// delivery in metrics and trace.
+// regression: a crashed process keeps receiving quorum traffic (live
+// writers broadcast to every replica, dead or not), and with a tiny
+// backlog bound those deliveries must not fail the whole cluster with an
+// InboxOverflowError blamed on a process that is merely dead. The engine
+// consumes them instead, recording each as a dropped delivery in metrics
+// and trace.
 func TestCrashedInboxDrainsWithoutOverflow(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(4096)
 	c := newQuorumCluster(t, 3, 2)
-	m := NewMetrics(reg, c.Params())
+	m := NewMetrics(reg, rtParams(3))
 	c.SetMetrics(m)
 	c.SetTracer(ring)
 	c.Start()
@@ -143,9 +143,10 @@ func (slowTimerNode) OnMessage(sim.Context, sim.ProcID, any) {}
 func (slowTimerNode) OnTimer(sim.Context, any)               {}
 
 // TestCrashCancelsTimers is the timer-leak regression: timers are
-// attributed to their registering process, Crash cancels exactly that
-// process's entries, and a handler racing with the crash cannot
-// re-register one.
+// attributed to their registering process and Crash cancels exactly that
+// process's entries. (A handler can no longer race with the crash and
+// re-register one: handlers and Crash are serialized, and a crashed
+// process takes no step.)
 func TestCrashCancelsTimers(t *testing.T) {
 	p := rtParams(2)
 	nodes := []sim.Node{slowTimerNode{}, slowTimerNode{}}
@@ -165,17 +166,12 @@ func TestCrashCancelsTimers(t *testing.T) {
 	if got := c.timerCount(); got != 1 {
 		t.Errorf("timerCount = %d after crashing p1, want 1 (p0's timer must survive)", got)
 	}
-	// A handler that was mid-flight when the crash landed would call
-	// SetTimer on the crashed process; the registration must be refused,
-	// not leaked.
-	x := &rtCtx{c: c, proc: 1}
-	id := x.SetTimer(1<<20, nil)
-	if got := c.timerCount(); got != 1 {
-		t.Errorf("timerCount = %d after post-crash SetTimer, want 1 (registration must be refused)", got)
+	if _, err := c.Call(1, "noop", nil); !errors.Is(err, ErrCrashed) {
+		t.Errorf("Call at the crashed process returned %v, want ErrCrashed", err)
 	}
-	x.CancelTimer(id) // canceling the unarmed id is a no-op
-	if got := c.timerCount(); got != 1 {
-		t.Errorf("timerCount = %d after canceling unarmed id, want 1", got)
+	mustCall(t, c, 0, "noop", nil)
+	if got := c.timerCount(); got != 2 {
+		t.Errorf("timerCount = %d after another op at p0, want 2", got)
 	}
 }
 

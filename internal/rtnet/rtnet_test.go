@@ -250,8 +250,8 @@ func TestInboxOverflowTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.InboxDepth(); got != 1 {
-		t.Fatalf("InboxDepth() = %d, want 1", got)
+	if got := c.depth; got != 1 {
+		t.Fatalf("inbox depth = %d, want 1", got)
 	}
 	if _, err := c.Invoke(0, adt.OpEnqueue, 1); err != nil {
 		t.Fatalf("first invoke: %v", err)
@@ -279,8 +279,8 @@ func TestInboxOverflowTypedError(t *testing.T) {
 // TestDefaultInboxDepth pins the lifted default.
 func TestDefaultInboxDepth(t *testing.T) {
 	c, _ := newQueueCluster(t, 2)
-	if got := c.InboxDepth(); got != DefaultInboxDepth {
-		t.Fatalf("InboxDepth() = %d, want %d", got, DefaultInboxDepth)
+	if got := c.depth; got != DefaultInboxDepth {
+		t.Fatalf("inbox depth = %d, want %d", got, DefaultInboxDepth)
 	}
 	if DefaultInboxDepth != 1024 {
 		t.Fatalf("DefaultInboxDepth = %d, want the historical 1024", DefaultInboxDepth)

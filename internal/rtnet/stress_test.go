@@ -14,8 +14,7 @@ import (
 )
 
 // TestDrainCompletesPending: Drain must let every in-flight invocation
-// respond before stopping the node goroutines, and be idempotent with
-// Stop.
+// respond before stopping the scheduler, and be idempotent with Stop.
 func TestDrainCompletesPending(t *testing.T) {
 	c, _ := newQueueCluster(t, 3)
 	c.Start()
@@ -65,7 +64,7 @@ func TestDrainTimeout(t *testing.T) {
 // independent of how the other processes are scheduled.
 func TestSendRngDerivation(t *testing.T) {
 	c, _ := newQueueCluster(t, 3)
-	for i, rng := range c.sendRngs {
+	for i, rng := range c.net.rngs {
 		want := rand.New(rand.NewSource(harness.DeriveSeed(99, fmt.Sprintf("rtnet/send/p%d", i))))
 		for k := 0; k < 8; k++ {
 			if got, exp := rng.Int63(), want.Int63(); got != exp {

@@ -131,9 +131,6 @@ type SummaryConfig struct {
 	// Pipeline echoes LoadConfig.Pipeline when above the default 1, so
 	// single-op-in-flight summaries (and their goldens) are unchanged.
 	Pipeline int `json:"pipeline,omitempty"`
-	// BatchTicks echoes the target's resolved broadcast coalescing window
-	// (Config.ResolvedBatchWindow); 0 — coalescing off — is omitted.
-	BatchTicks int `json:"batch_ticks,omitempty"`
 	// Codec names the wire codec of a TCP run ("json" or "binary");
 	// in-process and simulated runs omit it.
 	Codec string `json:"codec,omitempty"`

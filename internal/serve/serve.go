@@ -15,8 +15,8 @@
 //
 // Shutdown is a graceful drain: listeners close first (no new
 // connections), then new calls are refused, then every in-flight
-// operation completes, then the cluster drains and its node goroutines
-// exit, and finally open connections are torn down. Nothing is dropped.
+// operation completes, then the cluster drains and its scheduler
+// exits, and finally open connections are torn down. Nothing is dropped.
 package serve
 
 import (
@@ -65,14 +65,6 @@ type Config struct {
 	// rtnet.DefaultInboxDepth). An overflow is a cluster failure surfaced
 	// through Call/Drain errors, never a silent stall.
 	InboxDepth int
-	// BatchWindow is the broadcast coalescing window in ticks: messages a
-	// replica sends to the same peer within the window share one delivery
-	// event while keeping every per-message delay inside the admissible
-	// [d-u, d] envelope (see rtnet.Params.BatchWindow). 0 selects the
-	// default — one tick, when the model's uncertainty allows it (u >= 2)
-	// — and -1 disables coalescing. Explicit windows must satisfy
-	// w <= u/2 or New fails.
-	BatchWindow int
 	// DataType, when non-nil, overrides TypeName with an explicit data
 	// type instance. The shard-set uses it to serve a keyed family
 	// (adt.Keyed) that has no registry name.
@@ -187,8 +179,7 @@ func New(cfg Config) (*Server, error) {
 			cfg.Backend, harness.AlgCore, harness.AlgQuorum)
 	}
 	cluster, err := rtnet.NewCluster(
-		rtnet.Params{Params: cfg.Params, InboxDepth: cfg.InboxDepth,
-			BatchWindow: simtime.Duration(cfg.ResolvedBatchWindow())},
+		rtnet.Params{Params: cfg.Params, InboxDepth: cfg.InboxDepth},
 		cfg.Tick, offsets, nodes, harness.DeriveSeed(cfg.Seed, "serve/net"))
 	if err != nil {
 		return nil, err
@@ -211,20 +202,6 @@ func New(cfg Config) (*Server, error) {
 	s.fe.init(s.handleRequest, s.isDraining, spec.OpNames(basis))
 	s.wireMetrics()
 	return s, nil
-}
-
-// ResolvedBatchWindow reports the broadcast coalescing window (in ticks)
-// the configuration selects: the explicit window, the one-tick default
-// when BatchWindow is 0 and u >= 2, or 0 (coalescing off).
-func (cfg Config) ResolvedBatchWindow() int {
-	switch {
-	case cfg.BatchWindow > 0:
-		return cfg.BatchWindow
-	case cfg.BatchWindow == 0 && cfg.Params.U >= 2:
-		return 1
-	default:
-		return 0
-	}
 }
 
 func (s *Server) isDraining() bool {
@@ -307,21 +284,23 @@ func (s *Server) CallTraced(op string, arg any, parent int64) (rtnet.Response, e
 	s.obsm.inflight.Add(1)
 	defer s.obsm.inflight.Add(-1)
 	defer s.inflight.Done()
-	// Round-robin over live replicas: the counter advances once per call
-	// and the scan walks forward from it, so crashed replicas drop out of
-	// rotation without perturbing the spread over the survivors.
-	at := int(s.next.Add(1) - 1)
-	proc := -1
-	for k := 0; k < len(s.queues); k++ {
-		if i := (at + k) % len(s.queues); !s.dead[i].Load() {
-			proc = i
-			break
+	// Round-robin over the live replicas: the counter advances once per
+	// call and indexes the survivors, so crashed replicas drop out of
+	// rotation and the rest share their calls evenly. (Walking forward to
+	// the next live slot would hand a dead replica's share to its
+	// successor alone.)
+	var buf [16]int
+	live := buf[:0]
+	for i := range s.dead {
+		if !s.dead[i].Load() {
+			live = append(live, i)
 		}
 	}
-	if proc < 0 {
+	if len(live) == 0 {
 		s.obsm.errors.Inc()
 		return rtnet.Response{}, ErrAllCrashed
 	}
+	proc := live[int(s.next.Add(1)-1)%len(live)]
 	out := make(chan result, 1)
 	s.queues[proc] <- call{op: op, arg: arg, parent: parent, out: out}
 	r := <-out

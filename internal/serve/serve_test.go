@@ -287,3 +287,61 @@ func TestNewValidation(t *testing.T) {
 		t.Error("unknown offsets should error")
 	}
 }
+
+// TestRoutingSpreadsOverLiveReplicas pins the router's spread: with every
+// replica alive call i lands on replica i mod n, and once replicas 3 and
+// 4 of 5 are crashed the three survivors share the calls evenly — the
+// dead replicas' turns must not all fall to the next live one. Accessors
+// answer from a local timer, so they keep completing under Algorithm 1
+// with peers down.
+func TestRoutingSpreadsOverLiveReplicas(t *testing.T) {
+	cfg := testConfig(5)
+	cfg.Tick = 20 * time.Microsecond
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain(30 * time.Second)
+	for i := 0; i < 10; i++ {
+		r, err := s.Call(adt.OpPeek, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(r.Proc) != i%5 {
+			t.Fatalf("all alive: call %d served by replica %d, want %d", i, r.Proc, i%5)
+		}
+	}
+	s.Crash(3)
+	s.Crash(4)
+	var mu sync.Mutex
+	served := make([]int, 5)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				r, err := s.Call(adt.OpPeek, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				served[r.Proc]++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, n := range served {
+		want := 0
+		if i < 3 {
+			want = 100
+		}
+		if n < want-1 || n > want+1 {
+			t.Errorf("replicas 3, 4 dead: 300 calls landed %v, want 100 ± 1 on each survivor and none on the dead", served)
+			break
+		}
+	}
+}

@@ -37,10 +37,11 @@ type event struct {
 
 	// span is the tracing span (operation SeqID) the event is attributed
 	// to: the sender's pending operation for deliveries, the registering
-	// process's pending operation for timers. Only stamped while a tracer
-	// is installed; -1 (or the zero value on untraced runs) means
-	// unattributed. sent is the send tick of a traced delivery, for
-	// causal delivery accounting.
+	// process's pending operation for timers, and for invocations the
+	// causal parent the new operation's root span points back to. Only
+	// stamped while a tracer is installed; -1 (or the zero value on
+	// untraced runs) means unattributed. sent is the send tick of a
+	// delivery, for delivery-latency accounting.
 	span int64
 	sent simtime.Time
 }
@@ -64,9 +65,8 @@ func (k eventKind) rank() int {
 }
 
 // eventBefore is the engine's total event order: (time, kind rank, seq).
-// It is exactly the order the original container/heap implementation
-// used, so run outputs are unchanged; the ordering-equivalence property
-// test in engine_order_test.go pins the two against each other.
+// The property test in engine_order_test.go pins it against a
+// container/heap oracle.
 func eventBefore(a, b *event) bool {
 	if a.time != b.time {
 		return a.time < b.time
@@ -77,14 +77,12 @@ func eventBefore(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a value-typed 4-ary min-heap over eventBefore. Compared
-// with the previous []*event + container/heap queue it removes the
-// per-event heap allocation, the any-interface boxing on every push/pop,
-// and half the tree depth (a 4-ary sift touches up to three more
-// comparisons per level but half as many cache lines, which wins on the
-// engine's pop-heavy usage). The backing array is retained across
-// Engine.Reset, so a reused engine schedules events with zero
-// steady-state allocation.
+// eventQueue is a value-typed 4-ary min-heap over eventBefore: no
+// per-event allocation, no interface boxing, and half the depth of a
+// binary heap (a 4-ary sift does up to three more comparisons per level
+// over half as many cache lines, which wins on the engine's pop-heavy
+// usage). The backing array is retained across Engine.Reset, so a reused
+// engine schedules events with zero steady-state allocation.
 type eventQueue struct {
 	items []event
 }
@@ -165,8 +163,12 @@ const (
 	// running step hash, not the Steps slice).
 	TraceOps
 	// TraceOff additionally skips message records (Trace.Msgs); only Ops
-	// are kept, the minimum for responses to be observable at all.
+	// are kept.
 	TraceOff
+	// TraceNone keeps nothing: a completed operation is handed to
+	// OnRespond and forgotten, so a run of unbounded length (a live
+	// cluster) holds constant memory.
+	TraceNone
 )
 
 // fnvOffset/fnvPrime are the FNV-1a 64-bit parameters; the engine
@@ -178,32 +180,50 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// Engine drives a deterministic simulation of n nodes. Events at the same
-// real time are processed in scheduling order, so runs are fully
+// openOp is the operation pending at one process (the model allows one).
+type openOp struct {
+	rec   OpRecord
+	index int // position in trace.Ops, -1 when operations are not retained
+	open  bool
+}
+
+// Engine is the one event core both clocks run on: a deterministic
+// scheduler of the model's three event kinds over n nodes. Events at the
+// same instant are processed deliveries first, then timers, then
+// invocations, and in scheduling order within a kind, so runs are fully
 // reproducible.
 //
+// Two drivers feed it. RunUntil is the virtual clock: it jumps to each
+// event's own time. Step is the wall clock (internal/rtnet): the caller
+// sleeps until Next and passes the time it measured on waking. The
+// engine's timeline counts unit steps per virtual tick — 1 under
+// RunUntil, the tick's length in nanoseconds on the wall clock, so no
+// wait is rounded to a tick boundary — and everything a node, a tracer or
+// a metric sees is converted back to ticks.
+//
 // An Engine may be reused across runs via Reset, which retains the event
-// queue's backing array, the bookkeeping maps, and trace-capacity hints —
-// the allocation profile of a reused engine is a handful of slice headers
-// per run instead of a heap node per event.
+// queue's backing array, the bookkeeping slices, and trace-capacity hints
+// — the allocation profile of a reused engine is a handful of slice
+// headers per run instead of a heap node per event.
 type Engine struct {
 	params  simtime.Params
 	offsets []simtime.Duration
 	net     Network
 	nodes   []Node
 
-	now      simtime.Time
+	unit     simtime.Duration // timeline steps per tick
+	now      simtime.Time     // timeline instant of the event being dispatched
+	tick     simtime.Time     // now in ticks
 	queue    eventQueue
 	ctxs     []engineCtx // one reusable Context per process
 	seq      int64
-	timerSeq int64
 	opSeq    int64
 	msgCount int64
-	canceled map[TimerID]bool
-	pending  map[ProcID]int64 // pending op SeqID per process
-	opIndex  map[int64]int    // SeqID → index into trace.Ops
-	crashes  []simtime.Time   // per-proc crash times (empty = no faults)
-	drops    map[int64]bool   // send ordinals lost in transit
+	timerSeq int64
+	timers   map[TimerID]struct{} // registered and neither fired nor canceled
+	ops      []openOp             // per process
+	crashes  []simtime.Time       // per-proc crash instants on the timeline (empty = no faults)
+	drops    map[int64]bool       // send ordinals lost in transit
 	trace    *Trace
 	started  bool
 	level    TraceLevel
@@ -211,9 +231,8 @@ type Engine struct {
 
 	// metrics, when non-nil, receives live engine counters; tracer, when
 	// enabled, receives span waypoints. Both default off: the hot loop
-	// pays one predictable nil/bool branch per event, keeping the
-	// TraceOff path inside the PR 4 allocation and latency budget
-	// (guarded by `make bench-compare` against BENCH_engine.json).
+	// pays one predictable nil/bool branch per event (`make bench-guard`
+	// holds it to BENCH_engine.json).
 	metrics *EngineMetrics
 	tracer  obs.Tracer
 	tracing bool
@@ -231,19 +250,15 @@ type Engine struct {
 	// or after the current time) — this is how closed-loop workloads run.
 	OnRespond func(rec OpRecord)
 
-	// MaxSteps bounds the number of processed events as a runaway guard.
+	// MaxSteps bounds the number of events one RunUntil call processes, as
+	// a runaway guard.
 	MaxSteps int
 }
 
 // NewEngine builds an engine. offsets must have one entry per node and
 // respect the skew bound ε; net provides message delays.
 func NewEngine(params simtime.Params, offsets []simtime.Duration, net Network, nodes []Node) (*Engine, error) {
-	eng := &Engine{
-		canceled: map[TimerID]bool{},
-		pending:  map[ProcID]int64{},
-		opIndex:  map[int64]int{},
-		MaxSteps: 10_000_000,
-	}
+	eng := &Engine{timers: map[TimerID]struct{}{}}
 	if err := eng.Reset(params, offsets, net, nodes); err != nil {
 		return nil, err
 	}
@@ -251,12 +266,13 @@ func NewEngine(params simtime.Params, offsets []simtime.Duration, net Network, n
 }
 
 // Reset rearms the engine for a fresh run with the given configuration,
-// retaining the event queue's backing array, the bookkeeping maps, the
+// retaining the event queue's backing array, the bookkeeping slices, the
 // per-process contexts, and capacity hints for the trace slices (which
 // are preallocated to the previous run's sizes). The trace returned by
 // the previous run is NOT recycled — it remains valid after Reset, so
 // results that escaped to callers are never corrupted by engine reuse.
-// OnRespond is cleared; MaxSteps and the trace level are retained.
+// OnRespond is cleared and the timeline returns to one step per tick;
+// MaxSteps and the trace level are retained.
 func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Network, nodes []Node) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -274,19 +290,19 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	e.offsets = append(e.offsets[:0], offsets...)
 	e.net = net
 	e.nodes = nodes
-	e.now = 0
+	e.unit, e.now, e.tick = 1, 0, 0
 	e.queue.reset()
 	if cap(e.ctxs) < params.N {
 		e.ctxs = make([]engineCtx, params.N)
+		e.ops = make([]openOp, params.N)
 	}
-	e.ctxs = e.ctxs[:params.N]
+	e.ctxs, e.ops = e.ctxs[:params.N], e.ops[:params.N]
 	for p := range e.ctxs {
 		e.ctxs[p] = engineCtx{eng: e, proc: ProcID(p)}
+		e.ops[p] = openOp{}
 	}
 	e.seq, e.timerSeq, e.opSeq, e.msgCount = 0, 0, 0, 0
-	clear(e.canceled)
-	clear(e.pending)
-	clear(e.opIndex)
+	clear(e.timers)
 	e.crashes = e.crashes[:0]
 	clear(e.drops)
 	// Preallocate the fresh trace to the previous run's high-water sizes:
@@ -305,12 +321,8 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	}
 	e.started = false
 	e.stepSig = fnvOffset
-	e.OnRespond = nil
-	e.metrics = nil
-	e.tracer = nil
-	e.tracing = false
-	e.causal = nil
-	e.handling = -1
+	e.OnRespond, e.metrics, e.handling = nil, nil, -1
+	e.SetTracer(nil)
 	if e.MaxSteps == 0 {
 		e.MaxSteps = 10_000_000
 	}
@@ -326,12 +338,43 @@ func (e *Engine) SetTraceLevel(level TraceLevel) {
 	e.level = level
 }
 
-// EngineMetrics is the live-counter sink an engine reports into: events
-// dispatched and the scheduled-queue high-water mark. Instruments are
-// shared obs primitives, so several engines may aggregate into one set.
+// SetTickUnit sets how many timeline steps make one virtual tick (default
+// 1). The wall clock passes the tick's length in nanoseconds: Step and
+// Next then speak nanoseconds since the run began, while nodes, tracers,
+// metrics and operation records keep seeing ticks. Must be called before
+// anything is scheduled.
+func (e *Engine) SetTickUnit(unit simtime.Duration) {
+	if e.started || e.queue.len() > 0 || unit < 1 {
+		panic("sim: SetTickUnit needs a positive unit and an engine nothing was scheduled on")
+	}
+	e.unit = unit
+}
+
+// ticks converts a timeline instant to virtual ticks.
+func (e *Engine) ticks(t simtime.Time) simtime.Time {
+	if e.unit == 1 {
+		return t
+	}
+	return t / simtime.Time(e.unit)
+}
+
+// EngineMetrics is the live-counter sink an engine reports into. Every
+// field is optional. Instruments are shared obs primitives, so several
+// engines may aggregate into one set.
 type EngineMetrics struct {
-	Events   *obs.Counter // events dispatched (after canceled-timer skips)
-	QueueMax *obs.Max     // event-queue length high-water mark
+	Events     *obs.Counter // events dispatched (after canceled-timer and crash skips)
+	QueueMax   *obs.Max     // event-queue length high-water mark
+	Delivered  *obs.Counter // messages handed to a node
+	TimerFires *obs.Counter // timer events handed to a node
+	MsgLatency *obs.Hist    // observed delivery delay in ticks, against the [d-u, d] envelope
+	Crashes    *obs.Counter // processes crashed, by fault plan or by Crash
+	CrashDrops *obs.Counter // deliveries discarded because the receiver had crashed
+}
+
+func inc(c *obs.Counter) {
+	if c != nil {
+		c.Inc()
+	}
 }
 
 // SetMetrics installs the engine's metric sink (nil disables, the
@@ -355,8 +398,8 @@ func (e *Engine) SetTracer(t obs.Tracer) {
 // Params returns the engine's model parameters.
 func (e *Engine) Params() simtime.Params { return e.params }
 
-// Now returns the current real time.
-func (e *Engine) Now() simtime.Time { return e.now }
+// Now returns the current real time in ticks.
+func (e *Engine) Now() simtime.Time { return e.tick }
 
 // Trace returns the (live) trace of the run.
 func (e *Engine) Trace() *Trace { return e.trace }
@@ -372,41 +415,66 @@ func (e *Engine) StepSignature() uint64 { return e.stepSig }
 // (including canceled timers that have not yet been skipped).
 func (e *Engine) QueueLen() int { return e.queue.len() }
 
+// Timers returns the number of timers registered and neither fired nor
+// canceled.
+func (e *Engine) Timers() int { return len(e.timers) }
+
 // push schedules an event.
 func (e *Engine) push(ev event) {
 	ev.seq = e.seq
 	e.seq++
 	e.queue.push(ev)
-	if e.metrics != nil {
+	if e.metrics != nil && e.metrics.QueueMax != nil {
 		e.metrics.QueueMax.Observe(int64(e.queue.len()))
 	}
 }
 
 // InvokeAt schedules an operation invocation at process p at the given
-// real time (which must not be in the past) and returns its SeqID.
+// instant of the timeline (which must not be in the past) and returns its
+// SeqID.
 func (e *Engine) InvokeAt(p ProcID, at simtime.Time, op string, arg any) int64 {
+	return e.InvokeAtTraced(p, at, op, arg, -1)
+}
+
+// InvokeAtTraced is InvokeAt carrying a causal parent span: the
+// client-side span (propagated over the wire protocols) the new
+// operation's root span points back to. Ignored unless the installed
+// tracer is an obs.CausalTracer; -1 makes a local root.
+func (e *Engine) InvokeAtTraced(p ProcID, at simtime.Time, op string, arg any, parent int64) int64 {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: invocation at %v is in the past (now %v)", at, e.now))
 	}
 	seqID := e.opSeq
 	e.opSeq++
-	e.push(event{time: at, kind: evInvoke, proc: p, inv: Invocation{SeqID: seqID, Op: op, Arg: arg}})
+	e.push(event{time: at, kind: evInvoke, proc: p, inv: Invocation{SeqID: seqID, Op: op, Arg: arg}, span: parent})
 	return seqID
 }
 
-// setTimer schedules a timer event at an absolute real time. The timer is
-// attributed to the registering process's pending operation (if any): the
-// stabilization waits of Algorithm 1 are set while handling that
-// operation's invoke or its messages.
-func (e *Engine) setTimer(p ProcID, at simtime.Time, tag any) TimerID {
+// setTimer schedules a timer event after the given number of ticks. The
+// timer is attributed to the registering process's pending operation (if
+// any): the stabilization waits of Algorithm 1 are set while handling
+// that operation's invoke or its messages.
+func (e *Engine) setTimer(p ProcID, after simtime.Duration, tag any) TimerID {
 	id := TimerID(e.timerSeq)
 	e.timerSeq++
+	e.timers[id] = struct{}{}
 	span := int64(-1)
 	if e.tracing {
 		span = e.spanFor(p)
 	}
-	e.push(event{time: at, kind: evTimer, proc: p, timerID: id, tag: tag, span: span})
+	e.push(event{time: e.now.Add(after * e.unit), kind: evTimer, proc: p, timerID: id, tag: tag, span: span})
 	return id
+}
+
+// cancelTimer disarms a timer; its event is skipped when it surfaces.
+// Canceling a timer that already fired or was already canceled finds no
+// entry and leaves none.
+func (e *Engine) cancelTimer(id TimerID) { delete(e.timers, id) }
+
+// armed reports whether a queued timer event is still to fire.
+func (e *Engine) armed(ev *event) bool {
+	_, ok := e.timers[ev.timerID]
+	return ok
 }
 
 // spanFor resolves the span a send or timer registration should be
@@ -420,72 +488,68 @@ func (e *Engine) spanFor(p ProcID) int64 {
 	return e.tracer.CurrentSpan(int32(p))
 }
 
-func (e *Engine) cancelTimer(id TimerID) { e.canceled[id] = true }
-
 // send schedules message delivery per the network's delay. A send whose
 // ordinal is in the fault plan's drop set is recorded (Dropped, never
 // received) but no delivery is scheduled and the network is never asked
 // for a delay — dropped ordinals consume their slot in the global
 // message count, so explicit delay vectors stay index-aligned.
 func (e *Engine) send(from, to ProcID, payload any) {
-	if len(e.drops) > 0 && e.drops[e.msgCount] {
-		e.msgCount++
-		if e.level <= TraceOps {
-			e.trace.Msgs = append(e.trace.Msgs, MsgRecord{
-				ID:       e.msgCount,
-				From:     from,
-				To:       to,
-				SendTime: e.now,
-				RecvTime: simtime.Infinity,
-				Payload:  payload,
-				Dropped:  true,
-			})
+	dropped := len(e.drops) > 0 && e.drops[e.msgCount]
+	var delay simtime.Duration
+	recv := simtime.Infinity
+	if !dropped {
+		delay = e.net.Delay(from, to, e.tick, e.msgCount)
+		if delay < e.params.MinDelay() || delay > e.params.D {
+			panic(fmt.Sprintf("sim: network produced delay %v outside [%v, %v]",
+				delay, e.params.MinDelay(), e.params.D))
 		}
-		return
-	}
-	delay := e.net.Delay(from, to, e.now, e.msgCount)
-	if delay < e.params.MinDelay() || delay > e.params.D {
-		panic(fmt.Sprintf("sim: network produced delay %v outside [%v, %v]",
-			delay, e.params.MinDelay(), e.params.D))
+		recv = e.tick.Add(delay)
 	}
 	e.msgCount++
-	recv := e.now.Add(delay)
 	msgIndex := -1
 	if e.level <= TraceOps {
-		e.trace.Msgs = append(e.trace.Msgs, MsgRecord{
-			ID:       e.msgCount,
-			From:     from,
-			To:       to,
-			SendTime: e.now,
-			RecvTime: recv,
-			Payload:  payload,
-		})
-		msgIndex = len(e.trace.Msgs) - 1
+		msgIndex = len(e.trace.Msgs)
+		e.trace.Msgs = append(e.trace.Msgs, MsgRecord{ID: e.msgCount, From: from, To: to,
+			SendTime: e.tick, RecvTime: recv, Payload: payload, Dropped: dropped})
+	}
+	if dropped {
+		return
 	}
 	span := int64(-1)
 	if e.tracing {
 		span = e.spanFor(from)
-		e.tracer.Event(span, obs.StageBroadcast, int32(from), int64(e.now))
+		e.tracer.Event(span, obs.StageBroadcast, int32(from), int64(e.tick))
 	}
-	e.push(event{time: recv, kind: evDeliver, proc: to, from: from, payload: payload,
-		msgIndex: msgIndex, span: span, sent: e.now})
+	e.push(event{time: e.now.Add(delay * e.unit), kind: evDeliver, proc: to, from: from, payload: payload,
+		msgIndex: msgIndex, span: span, sent: e.tick})
 }
 
 // respond records the response for a pending invocation.
 func (e *Engine) respond(p ProcID, seqID int64, ret any) {
-	pendingSeq, ok := e.pending[p]
-	if !ok || pendingSeq != seqID {
+	o := &e.ops[p]
+	if !o.open || o.rec.SeqID != seqID {
 		panic(fmt.Sprintf("sim: p%d responded to op %d which is not pending", p, seqID))
 	}
-	delete(e.pending, p)
-	idx := e.opIndex[seqID]
-	e.trace.Ops[idx].Ret = ret
-	e.trace.Ops[idx].RespondTime = e.now
+	o.open = false
+	o.rec.Ret, o.rec.RespondTime = ret, e.tick
+	if o.index >= 0 {
+		e.trace.Ops[o.index] = o.rec
+	}
 	if e.tracing {
-		e.tracer.OpEnd(int32(p), seqID, int64(e.now))
+		e.tracer.OpEnd(int32(p), seqID, int64(e.tick))
 	}
 	if e.OnRespond != nil {
-		e.OnRespond(e.trace.Ops[idx])
+		e.OnRespond(o.rec)
+	}
+}
+
+// begin runs every node's Init once, before the first event.
+func (e *Engine) begin() {
+	if !e.started {
+		e.started = true
+		for p := range e.nodes {
+			e.nodes[p].Init(&e.ctxs[p])
+		}
 	}
 }
 
@@ -493,95 +557,162 @@ func (e *Engine) respond(p ProcID, seqID int64, ret any) {
 // returns the trace.
 func (e *Engine) Run() *Trace { return e.RunUntil(simtime.Infinity) }
 
-// RunUntil processes events with time ≤ limit and returns the trace.
+// RunUntil is the virtual clock: it processes events with time ≤ limit,
+// each at its own scheduled instant, and returns the trace.
 func (e *Engine) RunUntil(limit simtime.Time) *Trace {
-	if !e.started {
-		e.started = true
-		for p := range e.nodes {
-			e.nodes[p].Init(&e.ctxs[p])
-		}
-	}
+	e.begin()
 	steps := 0
 	for e.queue.len() > 0 && e.queue.peek().time <= limit {
 		ev := e.queue.pop()
-		if ev.kind == evTimer && e.canceled[ev.timerID] {
-			delete(e.canceled, ev.timerID)
-			continue
+		if e.dispatch(&ev, ev.time) {
+			if steps++; steps > e.MaxSteps {
+				panic(fmt.Sprintf("sim: exceeded MaxSteps=%d (runaway algorithm?)", e.MaxSteps))
+			}
 		}
-		if e.crashedAt(ev.proc, ev.time) {
-			// Crash-stop: the process takes no step. A suppressed
-			// delivery is marked Dropped (its scheduled RecvTime is kept
-			// as the drop instant); suppressed timers and invocations
-			// vanish — in particular a suppressed invocation leaves NO
-			// OpRecord, because an operation the process never started
-			// must not be linearizable as pending.
-			if ev.kind == evDeliver && ev.msgIndex >= 0 {
-				e.trace.Msgs[ev.msgIndex].Dropped = true
-			}
-			continue
-		}
-		if ev.time < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.time
-		steps++
-		if steps > e.MaxSteps {
-			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d (runaway algorithm?)", e.MaxSteps))
-		}
-		e.stepSig = (e.stepSig ^ uint64(byte(ev.kind))) * fnvPrime
-		e.stepSig = (e.stepSig ^ uint64(byte(ev.proc))) * fnvPrime
-		if e.metrics != nil {
-			e.metrics.Events.Inc()
-		}
-		ctx := &e.ctxs[ev.proc]
-		switch ev.kind {
-		case evInvoke:
-			if prev, busy := e.pending[ev.proc]; busy {
-				panic(fmt.Sprintf("sim: p%d invoked op %d while op %d pending (user constraint violated)",
-					ev.proc, ev.inv.SeqID, prev))
-			}
-			e.pending[ev.proc] = ev.inv.SeqID
-			e.opIndex[ev.inv.SeqID] = len(e.trace.Ops)
-			e.trace.Ops = append(e.trace.Ops, OpRecord{
-				Proc:        ev.proc,
-				SeqID:       ev.inv.SeqID,
-				Op:          ev.inv.Op,
-				Arg:         ev.inv.Arg,
-				InvokeTime:  e.now,
-				RespondTime: simtime.Infinity,
-			})
-			if e.level == TraceFull {
-				e.trace.Steps = append(e.trace.Steps, StepRecord{Proc: ev.proc, Time: e.now, Kind: StepInvoke})
-			}
-			if e.tracing {
-				e.handling = ev.inv.SeqID
-				e.tracer.OpStart(int32(ev.proc), ev.inv.SeqID, ev.inv.Op, int64(e.now))
-			}
-			e.nodes[ev.proc].OnInvoke(ctx, ev.inv)
-		case evDeliver:
-			if e.level == TraceFull {
-				e.trace.Steps = append(e.trace.Steps, StepRecord{Proc: ev.proc, Time: e.now, Kind: StepDeliver})
-			}
-			if e.tracing {
-				e.handling = ev.span
-				if e.causal != nil {
-					e.causal.Deliver(ev.span, int32(ev.proc), int64(e.now), int64(ev.sent), 0)
-				} else {
-					e.tracer.Event(ev.span, obs.StageDeliver, int32(ev.proc), int64(e.now))
-				}
-			}
-			e.nodes[ev.proc].OnMessage(ctx, ev.from, ev.payload)
-		case evTimer:
-			if e.level == TraceFull {
-				e.trace.Steps = append(e.trace.Steps, StepRecord{Proc: ev.proc, Time: e.now, Kind: StepTimer})
-			}
-			if e.tracing {
-				e.handling = ev.span
-				e.tracer.Event(ev.span, obs.StageTimer, int32(ev.proc), int64(e.now))
-			}
-			e.nodes[ev.proc].OnTimer(ctx, ev.tag)
-		}
-		e.handling = -1
 	}
 	return e.trace
+}
+
+// Next reports the instant and process of the earliest scheduled event,
+// or simtime.Infinity when nothing is scheduled. Canceled timers at the
+// head of the queue are discarded first, so a wall clock sleeping until
+// Next never wakes for one.
+func (e *Engine) Next() (simtime.Time, ProcID) {
+	for e.queue.len() > 0 {
+		ev := e.queue.peek()
+		if ev.kind != evTimer || e.armed(ev) {
+			return ev.time, ev.proc
+		}
+		e.queue.pop()
+	}
+	return simtime.Infinity, -1
+}
+
+// Step is the wall clock: it processes the earliest scheduled event at
+// the instant now the caller measured, which is at or after the event's
+// own (the caller slept until Next; waking late is the host's lateness,
+// and the run records it rather than the schedule). It reports whether a
+// node handled the event. Events are taken in the same (time, kind, seq)
+// order as under RunUntil, whatever instant they are dispatched at.
+func (e *Engine) Step(now simtime.Time) bool {
+	e.begin()
+	ev := e.queue.pop()
+	return e.dispatch(&ev, now)
+}
+
+// Due returns how many events are scheduled for process p at or before
+// now and not yet processed (canceled timers excluded): the backlog a
+// wall clock has fallen behind by. It scans the queue, which on a live
+// cluster holds a few events per operation in flight.
+func (e *Engine) Due(p ProcID, now simtime.Time) int {
+	n := 0
+	for i := range e.queue.items {
+		if ev := &e.queue.items[i]; ev.proc == p && ev.time <= now && (ev.kind != evTimer || e.armed(ev)) {
+			n++
+		}
+	}
+	return n
+}
+
+// dispatch hands one popped event to its node at instant now and reports
+// whether the node took a step (canceled timers and events at a crashed
+// process take none).
+func (e *Engine) dispatch(ev *event, now simtime.Time) bool {
+	if ev.kind == evTimer {
+		if !e.armed(ev) {
+			return false
+		}
+		delete(e.timers, ev.timerID)
+	}
+	if e.crashedAt(ev.proc, now) {
+		// Crash-stop: the process takes no step. A suppressed delivery is
+		// marked Dropped (its scheduled RecvTime is kept as the drop
+		// instant); suppressed timers and invocations vanish — in
+		// particular a suppressed invocation leaves NO OpRecord, because an
+		// operation the process never started must not be linearizable as
+		// pending.
+		if ev.kind == evDeliver {
+			if ev.msgIndex >= 0 {
+				e.trace.Msgs[ev.msgIndex].Dropped = true
+			}
+			if e.metrics != nil {
+				inc(e.metrics.CrashDrops)
+			}
+			if e.tracing {
+				e.tracer.Event(ev.span, obs.StageDropped, int32(ev.proc), int64(e.ticks(now)))
+			}
+		}
+		return false
+	}
+	if now < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now, e.tick = now, e.ticks(now)
+	e.stepSig = (e.stepSig ^ uint64(byte(ev.kind))) * fnvPrime
+	e.stepSig = (e.stepSig ^ uint64(byte(ev.proc))) * fnvPrime
+	if m := e.metrics; m != nil {
+		inc(m.Events)
+		if ev.kind == evTimer {
+			inc(m.TimerFires)
+		} else if ev.kind == evDeliver {
+			inc(m.Delivered)
+			if m.MsgLatency != nil {
+				m.MsgLatency.Add(int64(e.tick.Sub(ev.sent)))
+			}
+		}
+	}
+	if e.level == TraceFull {
+		// StepKind numbers the three event kinds as eventKind does.
+		e.trace.Steps = append(e.trace.Steps, StepRecord{Proc: ev.proc, Time: e.tick, Kind: StepKind(ev.kind)})
+	}
+	ctx := &e.ctxs[ev.proc]
+	switch ev.kind {
+	case evInvoke:
+		o := &e.ops[ev.proc]
+		if o.open {
+			panic(fmt.Sprintf("sim: p%d invoked op %d while op %d pending (user constraint violated)",
+				ev.proc, ev.inv.SeqID, o.rec.SeqID))
+		}
+		// The operation begins when it was invoked: on the wall clock that
+		// is the instant the caller measured, before this dispatch.
+		*o = openOp{open: true, index: -1, rec: OpRecord{
+			Proc:        ev.proc,
+			SeqID:       ev.inv.SeqID,
+			Op:          ev.inv.Op,
+			Arg:         ev.inv.Arg,
+			InvokeTime:  e.ticks(ev.time),
+			RespondTime: simtime.Infinity,
+		}}
+		if e.level <= TraceOff {
+			o.index = len(e.trace.Ops)
+			e.trace.Ops = append(e.trace.Ops, o.rec)
+		}
+		if e.tracing {
+			e.handling = ev.inv.SeqID
+			if e.causal != nil {
+				e.causal.OpStartCtx(int32(ev.proc), ev.inv.SeqID, ev.span, ev.inv.Op, int64(e.tick))
+			} else {
+				e.tracer.OpStart(int32(ev.proc), ev.inv.SeqID, ev.inv.Op, int64(e.tick))
+			}
+		}
+		e.nodes[ev.proc].OnInvoke(ctx, ev.inv)
+	case evDeliver:
+		if e.tracing {
+			e.handling = ev.span
+			if e.causal != nil {
+				e.causal.Deliver(ev.span, int32(ev.proc), int64(e.tick), int64(ev.sent), 0)
+			} else {
+				e.tracer.Event(ev.span, obs.StageDeliver, int32(ev.proc), int64(e.tick))
+			}
+		}
+		e.nodes[ev.proc].OnMessage(ctx, ev.from, ev.payload)
+	case evTimer:
+		if e.tracing {
+			e.handling = ev.span
+			e.tracer.Event(ev.span, obs.StageTimer, int32(ev.proc), int64(e.tick))
+		}
+		e.nodes[ev.proc].OnTimer(ctx, ev.tag)
+	}
+	e.handling = -1
+	return true
 }

@@ -49,9 +49,13 @@ func TestResetNoStateLeak(t *testing.T) {
 		if n := reused.QueueLen(); n != 0 {
 			t.Fatalf("%s: %d events still queued", stage, n)
 		}
-		if len(reused.canceled) != 0 || len(reused.pending) != 0 {
-			t.Fatalf("%s: canceled=%d pending=%d, want empty", stage,
-				len(reused.canceled), len(reused.pending))
+		if reused.Timers() != 0 {
+			t.Fatalf("%s: %d timers still registered", stage, reused.Timers())
+		}
+		for p, o := range reused.ops {
+			if o.open {
+				t.Fatalf("%s: op %d still pending at p%d", stage, o.rec.SeqID, p)
+			}
 		}
 	}
 	checkDrained("after first run")
@@ -66,8 +70,8 @@ func TestResetNoStateLeak(t *testing.T) {
 		t.Fatalf("trace not empty after Reset: %d/%d/%d",
 			len(got.Steps), len(got.Msgs), len(got.Ops))
 	}
-	if len(reused.opIndex) != 0 {
-		t.Fatalf("opIndex has %d stale entries after Reset", len(reused.opIndex))
+	if reused.Timers() != 0 {
+		t.Fatalf("timer table has %d stale entries after Reset", reused.Timers())
 	}
 	if reused.OnRespond != nil {
 		t.Fatal("OnRespond survived Reset")

@@ -7,6 +7,8 @@ import (
 	"lintime/internal/simtime"
 )
 
+// crashesInjected counts crashes on engines that have no metric sink of
+// their own (harness, fuzzer and model-checker runs).
 var crashesInjected = obs.Default.Counter("crashes_injected")
 
 // FaultPlan describes the fault axes of one run: per-process crash times
@@ -62,7 +64,13 @@ func (e *Engine) SetFaults(f FaultPlan) error {
 			return fmt.Errorf("sim: drop index %d is negative", ix)
 		}
 	}
-	e.crashes = append(e.crashes[:0], f.Crashes...)
+	e.crashes = e.crashes[:0]
+	for _, c := range f.Crashes {
+		if c != simtime.Infinity {
+			c *= simtime.Time(e.unit)
+		}
+		e.crashes = append(e.crashes, c)
+	}
 	if e.drops == nil {
 		e.drops = make(map[int64]bool, len(f.Drops))
 	}
@@ -71,12 +79,48 @@ func (e *Engine) SetFaults(f FaultPlan) error {
 	}
 	e.trace.Crashes = append([]simtime.Time(nil), f.Crashes...)
 	e.trace.Drops = append([]int64(nil), f.Drops...)
-	crashesInjected.Add(int64(f.NumCrashed()))
+	e.countCrashes(f.NumCrashed())
 	return nil
 }
 
-// crashedAt reports whether process p has crashed by real time t under
-// the installed fault plan.
+// countCrashes is the one place injected crashes are counted, planned or
+// live.
+func (e *Engine) countCrashes(n int) {
+	c := crashesInjected
+	if e.metrics != nil && e.metrics.Crashes != nil {
+		c = e.metrics.Crashes
+	}
+	c.Add(int64(n))
+}
+
+// Crash stops process p at the current instant, mid-run: the same
+// crash-stop a FaultPlan schedules ahead of time. From here on p takes no
+// step — deliveries to it are dropped, its invocations vanish — and its
+// timers are canceled. The crash lands on an event boundary; whatever the
+// process sent before is already in flight. Crashing a crashed process is
+// a no-op.
+func (e *Engine) Crash(p ProcID) {
+	if e.Crashed(p) {
+		return
+	}
+	for len(e.crashes) < e.params.N {
+		e.crashes = append(e.crashes, simtime.Infinity)
+		e.trace.Crashes = append(e.trace.Crashes, simtime.Infinity)
+	}
+	e.crashes[p], e.trace.Crashes[p] = e.now, e.tick
+	for i := range e.queue.items {
+		if ev := &e.queue.items[i]; ev.kind == evTimer && ev.proc == p {
+			e.cancelTimer(ev.timerID)
+		}
+	}
+	e.countCrashes(1)
+}
+
+// Crashed reports whether process p has crashed by now.
+func (e *Engine) Crashed(p ProcID) bool { return e.crashedAt(p, e.now) }
+
+// crashedAt reports whether process p has crashed by instant t of the
+// timeline.
 func (e *Engine) crashedAt(p ProcID, t simtime.Time) bool {
 	return len(e.crashes) > 0 && e.crashes[p] != simtime.Infinity && t >= e.crashes[p]
 }

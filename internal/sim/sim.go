@@ -51,10 +51,9 @@ type Node interface {
 }
 
 // Context gives a node access to its environment during one event. It is
-// only valid for the duration of the handler call. The virtual-time
-// engine in this package and the real-time goroutine transport in
-// internal/rtnet both implement it, so the same Node runs on either
-// substrate.
+// only valid for the duration of the handler call. The engine implements
+// it once for both clocks — virtual time here, wall time in
+// internal/rtnet — so the same Node runs on either.
 type Context interface {
 	// ID returns the process id of this node.
 	ID() ProcID
@@ -86,7 +85,7 @@ type Context interface {
 	Respond(seqID int64, ret any)
 }
 
-// engineCtx is the virtual-time engine's Context.
+// engineCtx is the engine's Context.
 type engineCtx struct {
 	eng  *Engine
 	proc ProcID
@@ -96,25 +95,25 @@ func (c *engineCtx) ID() ProcID { return c.proc }
 
 func (c *engineCtx) N() int { return len(c.eng.nodes) }
 
-func (c *engineCtx) Now() simtime.Time { return c.eng.now }
+func (c *engineCtx) Now() simtime.Time { return c.eng.tick }
 
 func (c *engineCtx) LocalTime() simtime.Time {
-	return c.eng.now.Add(c.eng.offsets[c.proc])
+	return c.eng.tick.Add(c.eng.offsets[c.proc])
 }
 
 func (c *engineCtx) SetTimer(after simtime.Duration, tag any) TimerID {
 	if after < 0 {
 		panic(fmt.Sprintf("sim: negative timer duration %v at p%d", after, c.proc))
 	}
-	return c.eng.setTimer(c.proc, c.eng.now.Add(after), tag)
+	return c.eng.setTimer(c.proc, after, tag)
 }
 
 func (c *engineCtx) SetTimerAtLocal(localTime simtime.Time, tag any) TimerID {
-	real := localTime.Add(-c.eng.offsets[c.proc])
-	if real < c.eng.now {
+	after := localTime.Sub(c.LocalTime())
+	if after < 0 {
 		panic(fmt.Sprintf("sim: timer in the past (local %v) at p%d", localTime, c.proc))
 	}
-	return c.eng.setTimer(c.proc, real, tag)
+	return c.eng.setTimer(c.proc, after, tag)
 }
 
 func (c *engineCtx) CancelTimer(id TimerID) { c.eng.cancelTimer(id) }
