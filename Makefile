@@ -98,8 +98,8 @@ trace-smoke:
 	@echo "trace-smoke: goldens, race-hardened tracing tests, and live traced load OK"
 
 # fuzz-smoke runs a deterministic adversarial-schedule campaign: the full
-# mutant kill matrix (every seeded bug must die, the control must stay
-# clean) plus a clean sweep of the corrected algorithm.
+# mutant kill matrix (the command exits nonzero when the control row is
+# flagged) plus a clean sweep of the corrected algorithm.
 fuzz-smoke:
 	$(GO) run ./cmd/lintime fuzz -budget 200 -seed 1 -mutant all
 	$(GO) run ./cmd/lintime fuzz -budget 500 -seed 1

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lintime/internal/adversary"
+	"lintime/internal/bmc"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -291,6 +294,65 @@ func TestCmdFuzzErrors(t *testing.T) {
 	}
 	if err := cmdFuzz([]string{"-strategies", "bogus", "-budget", "1"}); err == nil {
 		t.Error("unknown strategy should error")
+	}
+	// A backend without seeded mutants has no kill matrix: refused up
+	// front, before the control row's budget is spent.
+	err := cmdFuzz([]string{"-backend", "central", "-mutant", "all", "-budget", "50"})
+	if want := "harness: backend central has no seeded mutants (core, quorum have)"; err == nil || err.Error() != want {
+		t.Errorf("fuzz -backend central -mutant all = %v, want %q", err, want)
+	}
+}
+
+// TestCmdVerifyErrors is TestCmdFuzzErrors' twin for the model checker.
+func TestCmdVerifyErrors(t *testing.T) {
+	if err := cmdVerify([]string{"-mutant", "bogus"}); err == nil {
+		t.Error("unknown mutant should error")
+	}
+	if err := cmdVerify([]string{"-backend", "core-paper"}); err == nil {
+		t.Error("a backend without a message-count model should error")
+	}
+	err := cmdVerify([]string{"-backend", "sequencer", "-mutant", "all"})
+	if want := "harness: backend sequencer has no seeded mutants (core, quorum have)"; err == nil || err.Error() != want {
+		t.Errorf("verify -backend sequencer -mutant all = %v, want %q", err, want)
+	}
+}
+
+// TestKillMatrixControlGate pins the gate both matrix commands end on: a
+// matrix whose control row is flagged fails the command, after printing
+// it, with an error naming the violation kind; surviving mutants do not.
+func TestKillMatrixControlGate(t *testing.T) {
+	defer func(f func(adversary.Options) ([]adversary.KillEntry, error), v func(bmc.Config) ([]bmc.KillEntry, error)) {
+		fuzzKillMatrix, verifyKillMatrix = f, v
+	}(fuzzKillMatrix, verifyKillMatrix)
+	control := false
+	fuzzKillMatrix = func(adversary.Options) ([]adversary.KillEntry, error) {
+		return []adversary.KillEntry{
+			{Mutant: "correct", Killed: control, Kind: adversary.KindDiverged, Schedules: 1},
+			{Mutant: "mop-zero", Schedules: 64}, // survived
+		}, nil
+	}
+	verifyKillMatrix = func(bmc.Config) ([]bmc.KillEntry, error) {
+		return []bmc.KillEntry{
+			{Mutant: "correct", Killed: control, Kind: adversary.KindNonLinearizable, Runs: 1},
+			{Mutant: "aop-no-eps", Runs: 64}, // survived
+		}, nil
+	}
+	run := func(cmd func([]string) error) (err error) {
+		captureStdout(t, func() error { err = cmd([]string{"-mutant", "all"}); return nil })
+		return err
+	}
+	if err := run(cmdFuzz); err != nil {
+		t.Errorf("fuzz: clean control, surviving mutant: %v", err)
+	}
+	if err := run(cmdVerify); err != nil {
+		t.Errorf("verify: clean control, surviving mutant: %v", err)
+	}
+	control = true
+	if err := run(cmdFuzz); err == nil || !strings.Contains(err.Error(), "control row") || !strings.Contains(err.Error(), adversary.KindDiverged) {
+		t.Errorf("fuzz: killed control: %v", err)
+	}
+	if err := run(cmdVerify); err == nil || !strings.Contains(err.Error(), "control row") || !strings.Contains(err.Error(), adversary.KindNonLinearizable) {
+		t.Errorf("verify: killed control: %v", err)
 	}
 }
 

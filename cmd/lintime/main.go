@@ -28,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,9 +46,9 @@ import (
 	"lintime/internal/histio"
 	"lintime/internal/lowerbound"
 	"lintime/internal/obs"
-	"lintime/internal/quorum"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
+	"lintime/internal/spec"
 )
 
 func main() {
@@ -150,16 +149,10 @@ func paramFlags(fs *flag.FlagSet) func() (simtime.Params, error) {
 	return paramFlagsWith(fs, 5, int64(2*simtime.Quantum))
 }
 
-// paramFlagsDefault registers the shared model-parameter flags with a
-// chosen default for d; the real-time commands (serve, load) use a small
-// d so wall-clock latencies stay in the tens of milliseconds.
-func paramFlagsDefault(fs *flag.FlagSet, defaultD int64) func() (simtime.Params, error) {
-	return paramFlagsWith(fs, 5, defaultD)
-}
-
 // paramFlagsWith registers the shared model-parameter flags with chosen
 // defaults for n and d; the exhaustive commands (verify) default to a
-// tiny n because their spaces grow exponentially in it.
+// tiny n because their spaces grow exponentially in it, the real-time
+// ones (serve, load) to a small d.
 func paramFlagsWith(fs *flag.FlagSet, defaultN int, defaultD int64) func() (simtime.Params, error) {
 	n := fs.Int("n", defaultN, "number of processes")
 	d := fs.Int64("d", defaultD, "maximum message delay d")
@@ -424,9 +417,7 @@ func cmdLowerbound(args []string) error {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	getParams := paramFlags(fs)
-	typeName := fs.String("type", "queue", "data type ("+strings.Join(adt.Names(), ", ")+")")
-	alg := fs.String("alg", harness.AlgCore, "algorithm ("+strings.Join(harness.Algorithms(), ", ")+")")
+	getTarget := backendFlags(fs, paramFlags(fs))
 	network := fs.String("net", harness.NetUniform, "network (uniform, uniform-min, random, adversarial)")
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets (zero, spread, alternating, random)")
 	ops := fs.Int("ops", 10, "operations per process")
@@ -438,12 +429,12 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := getParams()
+	p, backend, dt, err := getTarget()
 	if err != nil {
 		return err
 	}
 	res, err := harness.Run(
-		harness.Config{Params: p, TypeName: *typeName, Algorithm: *alg,
+		harness.Config{Params: p, TypeName: dt.Name(), Algorithm: backend.Name,
 			Network: *network, Offsets: *offsets, Seed: *seed},
 		harness.Workload{OpsPerProc: *ops, MaxGap: p.D / 2, Seed: *seed})
 	if err != nil {
@@ -464,7 +455,7 @@ func cmdRun(args []string) error {
 			return err
 		}
 		defer f.Close()
-		if err := histio.WriteTrace(f, *typeName, res.Trace); err != nil {
+		if err := histio.WriteTrace(f, dt.Name(), res.Trace); err != nil {
 			return err
 		}
 		fmt.Printf("  history written to %s\n", *dump)
@@ -495,49 +486,58 @@ func cmdSweep(args []string) error {
 	return nil
 }
 
-// quorumMutantNames lists the quorum backend's seeded-bug registry for
-// flag help text.
-func quorumMutantNames() []string {
-	names := make([]string, 0, len(quorum.Mutants()))
-	for _, m := range quorum.Mutants() {
-		names = append(names, m.Name)
+// backendFlags registers -backend and -type, which every command that
+// picks a protocol shares, with help text generated from the harness
+// table. The resolver adds the table entry and the data type (the
+// backend's own when -type is not given) to getParams' model parameters.
+func backendFlags(fs *flag.FlagSet, getParams func() (simtime.Params, error)) func() (simtime.Params, *harness.Backend, spec.DataType, error) {
+	def, _ := harness.Lookup("")
+	typeDefault := "default " + def.DefaultType
+	for _, name := range harness.Algorithms() {
+		if b, _ := harness.Lookup(name); b.DefaultType != def.DefaultType {
+			typeDefault += ", -backend " + name + ": " + b.DefaultType
+		}
 	}
-	return names
+	backend := fs.String("backend", def.Name, "replicated protocol ("+strings.Join(harness.Algorithms(), ", ")+")")
+	typeName := fs.String("type", "", "data type ("+strings.Join(adt.Names(), ", ")+"; "+typeDefault+")")
+	return func() (simtime.Params, *harness.Backend, spec.DataType, error) {
+		p, err := getParams()
+		if err != nil {
+			return p, nil, nil, err
+		}
+		b, err := harness.Lookup(*backend)
+		if err != nil {
+			return p, nil, nil, err
+		}
+		if *typeName == "" {
+			*typeName = b.DefaultType
+		}
+		dt, err := adt.Lookup(*typeName)
+		return p, b, dt, err
+	}
 }
 
-// applyBackendDefaults adjusts flag defaults that depend on the chosen
-// backend. The quorum backend serves exactly the register type, so -type
-// follows unless the user pinned it; its strong sweep is off by default
-// because ABD's prefix-violating futures are a documented property, not
-// a bug to report. Explicitly set flags always win.
-func applyBackendDefaults(fs *flag.FlagSet, backend string, typeName *string, strong *bool) {
-	if backend != harness.AlgQuorum {
-		return
-	}
-	typeSet, strongSet := false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "type":
-			typeSet = true
-		case "strong":
-			strongSet = true
+// mutantFlag registers -mutant, listing each backend's seeded bugs.
+func mutantFlag(fs *flag.FlagSet, matrix string) *string {
+	var lists []string
+	for _, name := range harness.Algorithms() {
+		if b, _ := harness.Lookup(name); len(b.Mutants) > 0 {
+			lists = append(lists, name+": "+strings.Join(b.MutantNames(), ", "))
 		}
-	})
-	if !typeSet {
-		*typeName = "register"
 	}
-	if !strongSet && strong != nil {
-		*strong = false
-	}
+	return fs.String("mutant", "", "seeded bug of the chosen backend ("+strings.Join(lists, "; ")+"); 'all' runs "+matrix)
 }
+
+// The matrix builders, as variables so a test can substitute a matrix
+// whose control row is flagged: such a matrix fails its command once the
+// outputs are flushed. Surviving mutants do not — a small space may
+// legitimately hold no counterexample for one.
+var fuzzKillMatrix, verifyKillMatrix = adversary.KillMatrix, bmc.KillMatrix
 
 func cmdFuzz(args []string) error {
 	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
-	getParams := paramFlags(fs)
-	typeName := fs.String("type", "queue", "data type ("+strings.Join(adt.Names(), ", ")+"; -backend quorum defaults to register)")
-	alg := fs.String("alg", harness.AlgCore, "algorithm ("+strings.Join(harness.Algorithms(), ", ")+")")
-	backendF := fs.String("backend", "", "alias for -alg (wins when both are set)")
-	mutant := fs.String("mutant", "", "seeded bug to hunt ("+strings.Join(adversary.MutantNames(), ", ")+"); 'all' runs the kill matrix")
+	getTarget := backendFlags(fs, paramFlags(fs))
+	mutant := mutantFlag(fs, "the kill matrix")
 	strong := fs.Bool("strong", false, "hunt schedules that are linearizable in every future but not strongly linearizable")
 	budget := fs.Int("budget", 1000, "schedules to explore (per target)")
 	seed := fs.Int64("seed", 1, "master seed for schedule generation")
@@ -550,15 +550,7 @@ func cmdFuzz(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *backendF != "" {
-		*alg = *backendF
-	}
-	applyBackendDefaults(fs, *alg, typeName, nil)
-	p, err := getParams()
-	if err != nil {
-		return err
-	}
-	dt, err := adt.Lookup(*typeName)
+	p, backend, dt, err := getTarget()
 	if err != nil {
 		return err
 	}
@@ -582,7 +574,7 @@ func cmdFuzz(args []string) error {
 	opts := adversary.Options{
 		Params:     p,
 		DT:         dt,
-		Target:     adversary.Target{Algorithm: *alg, Mutant: *mutant},
+		Target:     adversary.Target{Algorithm: backend.Name, Mutant: *mutant},
 		Seed:       *seed,
 		Budget:     *budget,
 		Strategies: strats,
@@ -590,7 +582,9 @@ func cmdFuzz(args []string) error {
 		Shrink:     !*noShrink,
 	}
 	runner := &adversary.Runner{Params: p, DT: dt, Target: opts.Target}
-	if *strong {
+	var gate error
+	switch {
+	case *strong:
 		if *mutant == "all" {
 			return fmt.Errorf("fuzz: -strong hunts one target at a time; pick a -mutant or none")
 		}
@@ -604,15 +598,10 @@ func cmdFuzz(args []string) error {
 		if err := adversary.WriteStrongReport(os.Stdout, runner, srep); err != nil {
 			return err
 		}
-		if err := flushObs(); err != nil {
-			return err
-		}
-		return stopProfile()
-	}
-	if *mutant == "all" {
+	case *mutant == "all":
 		opts.Target.Mutant = ""
 		runner.Target.Mutant = ""
-		entries, err := adversary.KillMatrix(opts)
+		entries, err := fuzzKillMatrix(opts)
 		if err != nil {
 			return err
 		}
@@ -621,33 +610,34 @@ func cmdFuzz(args []string) error {
 		if err := adversary.WriteKillMatrix(os.Stdout, runner, entries); err != nil {
 			return err
 		}
-		if err := flushObs(); err != nil {
+		if e := entries[0]; e.Killed {
+			gate = fmt.Errorf("fuzz: the control row (the correct protocol) was killed: %s", e.Kind)
+		}
+	default:
+		opts.StopEarly = *mutant != ""
+		rep, err := adversary.Fuzz(opts)
+		if err != nil {
 			return err
 		}
-		return stopProfile()
-	}
-	opts.StopEarly = *mutant != ""
-	rep, err := adversary.Fuzz(opts)
-	if err != nil {
-		return err
-	}
-	if err := adversary.WriteReport(os.Stdout, runner, rep); err != nil {
-		return err
+		if err := adversary.WriteReport(os.Stdout, runner, rep); err != nil {
+			return err
+		}
 	}
 	if err := flushObs(); err != nil {
 		return err
 	}
-	return stopProfile()
+	if err := stopProfile(); err != nil {
+		return err
+	}
+	return gate
 }
 
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	getParams := paramFlagsWith(fs, 2, int64(2*simtime.Quantum))
-	backend := fs.String("backend", harness.AlgCore, "backend to verify (core, central, sequencer, quorum)")
-	typeName := fs.String("type", "queue", "data type ("+strings.Join(adt.Names(), ", ")+"; -backend quorum defaults to register)")
-	mutant := fs.String("mutant", "", "seeded bug to check (core: "+strings.Join(adversary.MutantNames(), ", ")+"; quorum: "+strings.Join(quorumMutantNames(), ", ")+"); 'all' runs the exhaustive kill matrix")
+	getTarget := backendFlags(fs, paramFlagsWith(fs, 2, int64(2*simtime.Quantum)))
+	mutant := mutantFlag(fs, "the exhaustive kill matrix")
 	maxOps := fs.Int("ops", 3, "max planned operations per schedule (the space grows exponentially)")
-	strong := fs.Bool("strong", true, "also sweep each context's futures for strong linearizability (-backend quorum defaults off: ABD admits prefix-violating futures by design)")
+	strong := fs.Bool("strong", true, "also sweep each context's futures for strong linearizability (defaults off for a backend whose futures violate prefixes by design)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable report as JSON")
 	stopEarly := fs.Bool("stop-early", false, "stop at the first chunk containing a violation")
 	parallel := parallelFlag(fs)
@@ -657,14 +647,14 @@ func cmdVerify(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	applyBackendDefaults(fs, *backend, typeName, strong)
-	p, err := getParams()
+	p, backend, dt, err := getTarget()
 	if err != nil {
 		return err
 	}
-	dt, err := adt.Lookup(*typeName)
-	if err != nil {
-		return err
+	strongSet := false
+	fs.Visit(func(f *flag.Flag) { strongSet = strongSet || f.Name == "strong" })
+	if !strongSet {
+		*strong = !backend.NoStrongSweep
 	}
 	stopProfile, err := startProfile()
 	if err != nil {
@@ -682,28 +672,21 @@ func cmdVerify(args []string) error {
 	cfg := bmc.Config{
 		Params:    p,
 		DT:        dt,
-		Target:    adversary.Target{Algorithm: *backend, Mutant: *mutant},
+		Target:    adversary.Target{Algorithm: backend.Name, Mutant: *mutant},
 		MaxOps:    *maxOps,
 		Strong:    *strong,
 		StopEarly: *stopEarly,
 		Parallel:  *parallel,
 	}
-	emitJSON := func(v any) error {
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s\n", data)
-		return nil
-	}
+	var gate error
 	if *mutant == "all" {
 		cfg.Target.Mutant = ""
-		entries, err := bmc.KillMatrix(cfg)
+		entries, err := verifyKillMatrix(cfg)
 		if err != nil {
 			return err
 		}
 		if *jsonOut {
-			if err := emitJSON(entries); err != nil {
+			if err := writeJSON(entries); err != nil {
 				return err
 			}
 		} else {
@@ -713,29 +696,32 @@ func cmdVerify(args []string) error {
 				return err
 			}
 		}
-		if err := flushObs(); err != nil {
-			return err
-		}
-		return stopProfile()
-	}
-	rep, err := bmc.Verify(cfg)
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		if err := emitJSON(rep); err != nil {
-			return err
+		if e := entries[0]; e.Killed {
+			gate = fmt.Errorf("verify: the control row (the correct protocol) was killed: %s", e.Kind)
 		}
 	} else {
-		runner := &adversary.Runner{Params: p, DT: dt, Target: cfg.Target}
-		if err := bmc.WriteReport(os.Stdout, runner, rep); err != nil {
+		rep, err := bmc.Verify(cfg)
+		if err != nil {
 			return err
+		}
+		if *jsonOut {
+			if err := writeJSON(rep); err != nil {
+				return err
+			}
+		} else {
+			runner := &adversary.Runner{Params: p, DT: dt, Target: cfg.Target}
+			if err := bmc.WriteReport(os.Stdout, runner, rep); err != nil {
+				return err
+			}
 		}
 	}
 	if err := flushObs(); err != nil {
 		return err
 	}
-	return stopProfile()
+	if err := stopProfile(); err != nil {
+		return err
+	}
+	return gate
 }
 
 func cmdSync(args []string) error {

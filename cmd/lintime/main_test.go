@@ -60,8 +60,8 @@ func TestCmdRunAndDump(t *testing.T) {
 	if _, err := os.Stat(dump); err != nil {
 		t.Errorf("dump file missing: %v", err)
 	}
-	if err := cmdRun([]string{"-alg", "bogus"}); err == nil {
-		t.Error("unknown algorithm should error")
+	if err := cmdRun([]string{"-backend", "bogus"}); err == nil {
+		t.Error("unknown backend should error")
 	}
 }
 

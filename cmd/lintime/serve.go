@@ -13,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"lintime/internal/adt"
 	"lintime/internal/classify"
 	"lintime/internal/harness"
 	"lintime/internal/obs"
@@ -23,13 +22,10 @@ import (
 	"lintime/internal/simtime"
 )
 
-// serveParamFlags registers the model-parameter flags with real-time
-// defaults: the serving layer runs on a wall clock, so d defaults to 40
-// ticks (40ms at the default 1ms tick) instead of the simulator's
-// 2·Quantum, which would make every operation take multiple seconds.
-func serveParamFlags(fs *flag.FlagSet) func() (simtime.Params, error) {
-	return paramFlagsDefault(fs, 40)
-}
+// serveD is d's default for the real-time commands (serve, load): they run
+// on a wall clock, so 40 ticks (40ms at the default 1ms tick), not the
+// simulator's 2·Quantum, which would make every operation take seconds.
+const serveD = 40
 
 // serveEcho is the stable JSON rendering of a resolved serving
 // configuration, printed by `lintime serve -dry-run` and pinned by a
@@ -37,8 +33,8 @@ func serveParamFlags(fs *flag.FlagSet) func() (simtime.Params, error) {
 // encoding/json.
 type serveEcho struct {
 	Type string `json:"type"`
-	// Backend is set only for non-default protocols (quorum): the core
-	// default stays omitted so historical echoes are unchanged.
+	// Backend is set only for a non-default protocol: the core default
+	// stays omitted so historical echoes are unchanged.
 	Backend     string            `json:"backend,omitempty"`
 	Addr        string            `json:"addr"`
 	N           int               `json:"n"`
@@ -72,8 +68,8 @@ func buildServeEcho(s *serve.Server, addr string, tick time.Duration) serveEcho 
 		formulas[class.String()] = int64(s.Formula(class))
 	}
 	backend := cfg.Backend
-	if backend == harness.AlgCore {
-		backend = ""
+	if def, _ := harness.Lookup(""); backend == def.Name {
+		backend = "" // the default protocol stays omitted
 	}
 	inboxDepth := cfg.InboxDepth
 	if inboxDepth == 0 {
@@ -122,9 +118,7 @@ func writeJSON(v any) error {
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	getParams := serveParamFlags(fs)
-	backend := fs.String("backend", harness.AlgCore, "replicated protocol (core = Algorithm 1, quorum = ABD crash-tolerant register)")
-	typeName := fs.String("type", "queue", "data type to serve ("+strings.Join(adt.Names(), ", ")+")")
+	getTarget := backendFlags(fs, paramFlagsWith(fs, 5, serveD))
 	addr := fs.String("addr", "127.0.0.1:8377", "TCP listen address")
 	tick := fs.Duration("tick", time.Millisecond, "wall-clock duration of one virtual tick")
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets (zero, spread, alternating, random)")
@@ -144,16 +138,12 @@ func cmdServe(args []string) error {
 	if *traceN < 0 {
 		return fmt.Errorf("serve: -trace must be ≥ 0, got %d", *traceN)
 	}
-	p, err := getParams()
+	p, backend, dt, err := getTarget()
 	if err != nil {
 		return err
 	}
-	applyBackendDefaults(fs, *backend, typeName, nil)
 	if *shards < 1 {
 		return fmt.Errorf("serve: -shards must be ≥ 1, got %d", *shards)
-	}
-	if *shards > 1 && *backend == harness.AlgQuorum {
-		return fmt.Errorf("serve: the quorum backend has no sharded mode (it serves one register)")
 	}
 	sx, err := parseShardX(*shardX, *shards)
 	if err != nil {
@@ -163,7 +153,7 @@ func cmdServe(args []string) error {
 		p.X = sx[0]
 	}
 	baseCfg := serve.Config{
-		Params: p, Backend: *backend, TypeName: *typeName, Tick: *tick,
+		Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick,
 		Offsets: *offsets, Seed: *seed, QueueDepth: *queueDepth, InboxDepth: *inboxDepth,
 	}
 
@@ -188,7 +178,7 @@ func cmdServe(args []string) error {
 			serve: s.Serve, drain: s.Drain, start: s.Start,
 			stats: func() any { return s.Stats() }, obs: s.ObsHandler(),
 			banner: fmt.Sprintf("lintime serve: %s cluster (n=%d d=%v u=%v ε=%v X=%v)",
-				*typeName, p.N, p.D, p.U, p.Epsilon, p.X),
+				dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X),
 			addr: *addr, tick: *tick, drainTimeout: *drainTimeout, startMetrics: startMetrics,
 			flushObs: flushObs,
 		})
@@ -212,7 +202,7 @@ func cmdServe(args []string) error {
 		serve: ss.Serve, drain: ss.Drain, start: ss.Start,
 		stats: func() any { return ss.Stats() }, obs: ss.ObsHandler(),
 		banner: fmt.Sprintf("lintime serve: %d×%s shards (n=%d d=%v u=%v ε=%v base X=%v)",
-			*shards, *typeName, p.N, p.D, p.U, p.Epsilon, p.X),
+			*shards, dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X),
 		addr: *addr, tick: *tick, drainTimeout: *drainTimeout, startMetrics: startMetrics,
 		flushObs: flushObs,
 	})
@@ -401,10 +391,8 @@ func loadKeys(n int) []string {
 
 func cmdLoad(args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
-	getParams := serveParamFlags(fs)
-	backend := fs.String("backend", harness.AlgCore, "replicated protocol (core = Algorithm 1, quorum = ABD crash-tolerant register)")
+	getTarget := backendFlags(fs, paramFlagsWith(fs, 5, serveD))
 	crashFlag := fs.String("crash", "", "crash schedule for the in-process cluster, e.g. 2@3s (comma-separated proc@delay; minority only)")
-	typeName := fs.String("type", "queue", "data type ("+strings.Join(adt.Names(), ", ")+")")
 	clients := fs.Int("clients", 8, "closed-loop client count")
 	duration := fs.Duration("duration", 5*time.Second, "run length (ignored when -ops is set)")
 	ops := fs.Int("ops", 0, "operations per client (0 = run for -duration)")
@@ -431,16 +419,14 @@ func cmdLoad(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := getParams()
+	p, backend, dt, err := getTarget()
 	if err != nil {
 		return err
 	}
-	applyBackendDefaults(fs, *backend, typeName, nil)
+	if backend.Bound == nil {
+		return fmt.Errorf("load: backend %s declares no latency bound to judge against", backend.Name)
+	}
 	mix, err := parseMix(*mixFlag)
-	if err != nil {
-		return err
-	}
-	dt, err := adt.Lookup(*typeName)
 	if err != nil {
 		return err
 	}
@@ -453,15 +439,6 @@ func cmdLoad(args []string) error {
 	}
 	if *shards < 1 {
 		return fmt.Errorf("load: -shards must be ≥ 1, got %d", *shards)
-	}
-	if *shards > 1 && *backend == harness.AlgQuorum {
-		return fmt.Errorf("load: the quorum backend has no sharded mode (it serves one register)")
-	}
-	// The quorum protocol's bound is two majority round trips — 4d flat,
-	// for every class; nil keeps Algorithm 1's per-class formulas.
-	var formula func(classify.Class) simtime.Duration
-	if *backend == harness.AlgQuorum {
-		formula = func(classify.Class) simtime.Duration { return serve.QuorumFormulaTicks(p) }
 	}
 	sx, err := parseShardX(*shardX, *shards)
 	if err != nil {
@@ -545,7 +522,7 @@ func cmdLoad(args []string) error {
 		if flushObs, err = startObsOut(obs.Default); err != nil {
 			return err
 		}
-		hcfg := harness.Config{Params: p, TypeName: *typeName, Algorithm: *backend,
+		hcfg := harness.Config{Params: p, TypeName: dt.Name(), Algorithm: backend.Name,
 			Network: harness.NetRandom, Offsets: *offsets, Seed: *seed,
 			Trace: sim.TraceOps}
 		if *traceN > 0 {
@@ -557,15 +534,12 @@ func cmdLoad(args []string) error {
 			return err
 		}
 		echo := serve.SummaryConfig{
-			Type: *typeName, Mode: "sim", Clients: p.N, OpsPerClient: *ops,
+			Type: dt.Name(), Mode: "sim", Clients: p.N, OpsPerClient: *ops,
 			Mix: serve.FormatMix(mix), Seed: *seed,
 			N: p.N, D: int64(p.D), U: int64(p.U), Epsilon: int64(p.Epsilon), X: int64(p.X),
 		}
-		if formula != nil {
-			sum = serve.SummarizeWith(formula, 0, harness.ClassesFor(dt), res.Trace.Ops, echo)
-		} else {
-			sum = serve.Summarize(p, 0, harness.ClassesFor(dt), res.Trace.Ops, echo)
-		}
+		sum = serve.Summarize(func(class classify.Class) simtime.Duration { return backend.Bound(p, class) },
+			0, harness.ClassesFor(dt), res.Trace.Ops, echo)
 	case *addr != "":
 		c, err := serve.DialCodec(*addr, *codec)
 		if err != nil {
@@ -582,7 +556,7 @@ func cmdLoad(args []string) error {
 		}
 		sum, err = serve.RunLoad(c, dt, p, *tick, serve.LoadConfig{
 			Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
-			Stop: stopCh, Keys: keys, Zipf: *zipf, ShardParams: shardParams, Formula: formula,
+			Stop: stopCh, Keys: keys, Zipf: *zipf, ShardParams: shardParams, Backend: backend.Name,
 			Pipeline: *pipeline,
 		})
 		if err != nil {
@@ -592,7 +566,7 @@ func cmdLoad(args []string) error {
 		sum.Config.Codec = c.Codec()
 	case *shards > 1:
 		ss, err := serve.NewShardSet(serve.ShardSetConfig{
-			Config: serve.Config{Params: p, TypeName: *typeName, Tick: *tick, Offsets: *offsets, Seed: *seed},
+			Config: serve.Config{Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick, Offsets: *offsets, Seed: *seed},
 			Shards: *shards, ShardX: sx,
 		})
 		if err != nil {
@@ -613,7 +587,7 @@ func cmdLoad(args []string) error {
 		ss.Start()
 		sum, err = serve.RunLoad(ss, dt, p, *tick, serve.LoadConfig{
 			Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
-			Stop: stopCh, Keys: keys, Zipf: *zipf, ShardParams: ss.ShardParams(),
+			Stop: stopCh, Keys: keys, Zipf: *zipf, ShardParams: ss.ShardParams(), Backend: backend.Name,
 			Pipeline: *pipeline,
 		})
 		if drainErr := ss.Drain(*drainTimeout); drainErr != nil && err == nil {
@@ -634,7 +608,7 @@ func cmdLoad(args []string) error {
 		}
 	default:
 		s, err := serve.New(serve.Config{
-			Params: p, Backend: *backend, TypeName: *typeName, Tick: *tick, Offsets: *offsets, Seed: *seed,
+			Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick, Offsets: *offsets, Seed: *seed,
 		})
 		if err != nil {
 			return err
@@ -666,7 +640,7 @@ func cmdLoad(args []string) error {
 		}
 		sum, err = serve.RunLoad(s, dt, p, *tick, serve.LoadConfig{
 			Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
-			Stop: stopCh, Keys: keys, Zipf: *zipf, Formula: formula,
+			Stop: stopCh, Keys: keys, Zipf: *zipf, Backend: backend.Name,
 			Pipeline: *pipeline,
 		})
 		for _, t := range timers {

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"text/tabwriter"
 
-	"lintime/internal/adt"
 	"lintime/internal/harness"
 	"lintime/internal/obs"
 )
@@ -26,9 +24,7 @@ import (
 // function of the flags, which the trace-smoke golden test pins.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	getParams := paramFlags(fs)
-	typeName := fs.String("type", "queue", "data type ("+strings.Join(adt.Names(), ", ")+"; -backend quorum defaults to register)")
-	backend := fs.String("backend", harness.AlgCore, "algorithm ("+strings.Join(harness.Algorithms(), ", ")+")")
+	getTarget := backendFlags(fs, paramFlags(fs))
 	network := fs.String("net", harness.NetUniform, "network (uniform, uniform-min, random, adversarial)")
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets (zero, spread, alternating, random)")
 	ops := fs.Int("ops", 5, "operations per process")
@@ -38,18 +34,13 @@ func cmdTrace(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	applyBackendDefaults(fs, *backend, typeName, nil)
-	p, err := getParams()
-	if err != nil {
-		return err
-	}
-	dt, err := adt.Lookup(*typeName)
+	p, backend, dt, err := getTarget()
 	if err != nil {
 		return err
 	}
 	coll := obs.NewCollector(*keep)
 	if _, err := harness.Run(
-		harness.Config{Params: p, TypeName: *typeName, Algorithm: *backend,
+		harness.Config{Params: p, TypeName: dt.Name(), Algorithm: backend.Name,
 			Network: *network, Offsets: *offsets, Seed: *seed, Tracer: coll},
 		harness.Workload{OpsPerProc: *ops, MaxGap: p.D / 2, Seed: *seed}); err != nil {
 		return err
@@ -84,7 +75,7 @@ func cmdTrace(args []string) error {
 	}
 
 	fmt.Printf("lintime trace: %s on %s (n=%d d=%v u=%v eps=%v X=%v, seed %d)\n",
-		dt.Name(), *backend, p.N, p.D, p.U, p.Epsilon, p.X, *seed)
+		dt.Name(), backend.Name, p.N, p.D, p.U, p.Epsilon, p.X, *seed)
 	fmt.Printf("%d causal trees retained, %d events dropped\n\n", len(trees), coll.Dropped())
 	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "class\tterm\tcount\tp50\tp99\tmin\tmax\ttotal")

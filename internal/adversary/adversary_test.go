@@ -31,8 +31,12 @@ func TestKillMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(Mutants())+1 {
-		t.Fatalf("got %d entries, want %d", len(entries), len(Mutants())+1)
+	core, err := harness.Lookup(harness.AlgCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(core.Mutants) + 1; len(entries) != want {
+		t.Fatalf("got %d entries, want %d", len(entries), want)
 	}
 	for _, e := range entries {
 		if e.Mutant == "correct" {
@@ -252,31 +256,6 @@ func TestScheduleValidate(t *testing.T) {
 		if err := s.Validate(p, dt); err == nil {
 			t.Errorf("%s: expected validation error", tc.name)
 		}
-	}
-}
-
-// TestLookupMutant covers the registry lookups.
-func TestLookupMutant(t *testing.T) {
-	for _, name := range MutantNames() {
-		m, err := LookupMutant(name)
-		if err != nil {
-			t.Errorf("lookup %s: %v", name, err)
-		}
-		if m.Name != name {
-			t.Errorf("lookup %s returned %s", name, m.Name)
-		}
-	}
-	for _, name := range []string{"", "none"} {
-		m, err := LookupMutant(name)
-		if err != nil {
-			t.Fatalf("lookup %q: %v", name, err)
-		}
-		if m.Name != Correct {
-			t.Errorf("lookup %q returned %q, want the corrected algorithm", name, m.Name)
-		}
-	}
-	if _, err := LookupMutant("no-such-mutant"); err == nil {
-		t.Error("expected error for unknown mutant")
 	}
 }
 

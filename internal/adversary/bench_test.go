@@ -34,13 +34,19 @@ func BenchmarkFuzzCampaign(b *testing.B) {
 // BenchmarkRunnerRun measures one schedule execution end to end (engine
 // run + admissibility + linearizability check), the unit of work every
 // strategy pays per candidate.
-func BenchmarkRunnerRun(b *testing.B) {
+func BenchmarkRunnerRun(b *testing.B) { benchRunnerRun(b, Target{}) }
+
+// BenchmarkRunnerRunMutant is BenchmarkRunnerRun against a seeded mutant:
+// the target is resolved once per Runner, so it costs the same.
+func BenchmarkRunnerRunMutant(b *testing.B) { benchRunnerRun(b, Target{Mutant: "exec-no-eps"}) }
+
+func benchRunnerRun(b *testing.B, target Target) {
 	p := simtime.DefaultParams(3)
 	dt, err := adt.Lookup("queue")
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := &Runner{Params: p, DT: dt}
+	r := &Runner{Params: p, DT: dt, Target: target}
 	cand := randomCandidate(p, opsFor(dt), 1, "bench", 0, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

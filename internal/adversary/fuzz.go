@@ -8,7 +8,6 @@ import (
 
 	"lintime/internal/harness"
 	"lintime/internal/obs"
-	"lintime/internal/quorum"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
@@ -92,7 +91,14 @@ func Fuzz(opts Options) (*Report, error) {
 	// delivery). Against reliable targets the default strategy set drops
 	// faultcorner silently — so existing campaigns are byte-identical —
 	// while requesting it explicitly is an error.
-	faults := opts.Target.SupportsFaults()
+	// The campaign never reads Steps: coverage signatures come from the
+	// engine's incremental hash, so the runner skips recording them.
+	runner := &Runner{Params: p, DT: opts.DT, Target: opts.Target, CheckWorkers: opts.CheckWorkers,
+		Trace: sim.TraceOps}
+	if err := runner.resolve(); err != nil {
+		return nil, err
+	}
+	faults := runner.backend.Faults
 	explicit := len(opts.Strategies) > 0
 	requested := opts.Strategies
 	if !explicit {
@@ -127,10 +133,6 @@ func Fuzz(opts Options) (*Report, error) {
 		corners = faultCorners(p, ops)
 	}
 	boundary := newBoundarySource(p, ops)
-	// The campaign never reads Steps: coverage signatures come from the
-	// engine's incremental hash, so the runner skips recording them.
-	runner := &Runner{Params: p, DT: opts.DT, Target: opts.Target, CheckWorkers: opts.CheckWorkers,
-		Trace: sim.TraceOps}
 
 	rep := &Report{Target: opts.Target, ByStrategy: map[string]int{}}
 	seen := map[uint64]bool{}
@@ -252,22 +254,21 @@ type KillEntry struct {
 	ShrunkKind string
 }
 
-// KillMatrix fuzzes every seeded mutant (plus the correct algorithm as a
-// control) with the given per-mutant budget and reports which died. The
-// control row has Mutant == "correct" and must never be killed.
+// KillMatrix fuzzes every seeded mutant of the target's backend (plus the
+// correct protocol as a control) with the given per-mutant budget and
+// reports which died. The control row comes first, has Mutant ==
+// "correct" and must never be killed.
 func KillMatrix(opts Options) ([]KillEntry, error) {
-	targets := []Mutant{{Name: Correct}}
-	controlDesc := "corrected Algorithm 1 (control)"
-	if opts.Target.Algorithm == harness.AlgQuorum {
-		controlDesc = "correct ABD quorum register (control)"
-		for _, m := range quorum.Mutants() {
-			targets = append(targets, Mutant{Name: m.Name, Desc: m.Desc})
-		}
-	} else {
-		targets = append(targets, Mutants()...)
+	backend, err := harness.Lookup(opts.Target.Algorithm)
+	if err != nil {
+		return nil, err
 	}
-	entries := make([]KillEntry, 0, len(targets))
-	for _, m := range targets {
+	rows, err := backend.MatrixRows()
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]KillEntry, 0, len(rows))
+	for _, m := range rows {
 		o := opts
 		o.Target = Target{Algorithm: opts.Target.Algorithm, Mutant: m.Name}
 		o.StopEarly = true
@@ -281,9 +282,8 @@ func KillMatrix(opts Options) ([]KillEntry, error) {
 			Killed:    len(rep.Violations) > 0,
 			Schedules: rep.Schedules,
 		}
-		if e.Mutant == Correct {
+		if e.Mutant == "" {
 			e.Mutant = "correct"
-			e.Desc = controlDesc
 		}
 		if e.Killed {
 			mutantKills.Inc()

@@ -81,6 +81,9 @@ func WriteKillMatrix(w io.Writer, r *Runner, entries []KillEntry) error {
 		fmt.Fprintf(w, "\n--- %s minimal counterexample (%s) ---\n", e.Mutant, e.ShrunkKind)
 		fmt.Fprint(w, e.Shrunk.String())
 		target := Target{Algorithm: r.Target.Algorithm, Mutant: e.Mutant}
+		if e.Mutant == "correct" { // a killed control replays on the correct protocol
+			target.Mutant = ""
+		}
 		rr := &Runner{Params: r.Params, DT: r.DT, Target: target, CheckWorkers: r.CheckWorkers}
 		if err := writeDiagram(w, rr, *e.Shrunk); err != nil {
 			return err

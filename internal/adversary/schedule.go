@@ -25,11 +25,8 @@ import (
 	"strings"
 	"sync"
 
-	"lintime/internal/core"
-	"lintime/internal/folklore"
 	"lintime/internal/harness"
 	"lintime/internal/lincheck"
-	"lintime/internal/quorum"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
@@ -288,19 +285,12 @@ func signatureFromTrace(tr *sim.Trace) uint64 {
 	return h.Sum64()
 }
 
-// Target selects the implementation under test: one of the harness
-// algorithm names, plus an optional seeded mutant — from the core
-// Mutants registry for the core algorithm, from internal/quorum's
-// registry for the quorum backend.
+// Target selects the implementation under test: a backend of the harness
+// table plus, optionally, one of that backend's seeded mutants.
 type Target struct {
-	Algorithm string // harness.AlgCore (default ""), AlgCentral, AlgSequencer, AlgQuorum
-	Mutant    string // core and quorum only; "" = the correct protocol
+	Algorithm string // harness backend name ("" = harness.AlgCore)
+	Mutant    string // "" = the correct protocol
 }
-
-// SupportsFaults reports whether the target tolerates the crash/drop
-// schedule axes. Algorithm 1 and the folklore baselines assume reliable
-// processes and channels; only the quorum backend accepts faults.
-func (t Target) SupportsFaults() bool { return t.Algorithm == harness.AlgQuorum }
 
 // String renders the target for reports.
 func (t Target) String() string {
@@ -312,49 +302,6 @@ func (t Target) String() string {
 		return alg
 	}
 	return alg + "+" + t.Mutant
-}
-
-// buildNodes constructs the replicas for the target.
-func (t Target) buildNodes(p simtime.Params, dt spec.DataType) ([]sim.Node, []*core.Replica, error) {
-	switch t.Algorithm {
-	case harness.AlgCore, "":
-		m, err := LookupMutant(t.Mutant)
-		if err != nil {
-			return nil, nil, err
-		}
-		classes := harness.ClassesFor(dt)
-		timers := m.Timers(p)
-		replicas := make([]*core.Replica, p.N)
-		nodes := make([]sim.Node, p.N)
-		for i := range nodes {
-			replicas[i] = core.NewReplica(dt, classes, timers)
-			replicas[i].LiteralAOPDrain = m.LiteralDrain
-			nodes[i] = replicas[i]
-		}
-		return nodes, replicas, nil
-	case harness.AlgCentral:
-		if t.Mutant != "" {
-			return nil, nil, fmt.Errorf("adversary: mutants apply only to the core algorithm")
-		}
-		return folklore.NewCentralNodes(p.N, dt), nil, nil
-	case harness.AlgSequencer:
-		if t.Mutant != "" {
-			return nil, nil, fmt.Errorf("adversary: mutants apply only to the core algorithm")
-		}
-		return folklore.NewSequencerNodes(p.N, dt), nil, nil
-	case harness.AlgQuorum:
-		cfg, err := quorum.ConfigFor(quorum.DefaultConfig(p), t.Mutant)
-		if err != nil {
-			return nil, nil, err
-		}
-		// No fingerprints: quorum replicas legitimately diverge when an
-		// update reached only a partial quorum, so convergence is not a
-		// checkable property of this backend.
-		nodes, err := harness.QuorumNodes(p, dt, cfg)
-		return nodes, nil, err
-	default:
-		return nil, nil, fmt.Errorf("adversary: unknown algorithm %q", t.Algorithm)
-	}
 }
 
 // Runner executes schedules against one target and checks the traces.
@@ -377,20 +324,31 @@ type Runner struct {
 	// survive, so a steady-state schedule run allocates only its outcome.
 	engines sync.Pool
 
-	// opNames caches the data type's operation names for validation.
-	opsOnce sync.Once
-	opNames map[string]struct{}
+	// The target is resolved against the harness table once, on first use:
+	// classification, the mutant lookup and the type check are paid per
+	// Runner, never per schedule.
+	resolveOnce sync.Once
+	resolveErr  error
+	backend     *harness.Backend
+	build       func() []sim.Node
+	opNames     map[string]struct{} // the data type's operations, for validation
 }
 
-// hasOp reports whether the target data type declares the operation,
-// against a name set built once per Runner.
-func (r *Runner) hasOp(op string) bool {
-	r.opsOnce.Do(func() {
+func (r *Runner) resolve() error {
+	r.resolveOnce.Do(func() {
 		r.opNames = make(map[string]struct{})
 		for _, info := range r.DT.Ops() {
 			r.opNames[info.Name] = struct{}{}
 		}
+		if r.backend, r.resolveErr = harness.Lookup(r.Target.Algorithm); r.resolveErr == nil {
+			r.build, r.resolveErr = r.backend.Builder(r.Params, r.DT, r.Target.Mutant)
+		}
 	})
+	return r.resolveErr
+}
+
+// hasOp reports whether the target data type declares the operation.
+func (r *Runner) hasOp(op string) bool {
 	_, ok := r.opNames[op]
 	return ok
 }
@@ -426,17 +384,18 @@ func (r *Runner) RunRule(offsets []simtime.Duration, plans [][]PlannedOp, net si
 }
 
 func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
+	if err := r.resolve(); err != nil {
+		return nil, err
+	}
 	if err := s.validate(r.Params, r.DT.Name(), r.hasOp); err != nil {
 		return nil, err
 	}
-	if s.HasFaults() && !r.Target.SupportsFaults() {
-		return nil, fmt.Errorf("adversary: target %s assumes reliable processes and channels; crash/drop axes require the quorum backend", r.Target)
+	if s.HasFaults() && !r.backend.Faults {
+		return nil, fmt.Errorf("adversary: target %s assumes reliable processes and channels; crash/drop axes require a fault-tolerant backend", r.Target)
 	}
-	nodes, replicas, err := r.Target.buildNodes(r.Params, r.DT)
-	if err != nil {
-		return nil, err
-	}
+	nodes := r.build()
 	var eng *sim.Engine
+	var err error
 	if pooled, ok := r.engines.Get().(*sim.Engine); ok {
 		eng = pooled
 		if err := eng.Reset(r.Params, s.Offsets, net, nodes); err != nil {
@@ -493,8 +452,6 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 		sig:        sig,
 		hasSig:     true,
 	}
-	for _, rep := range replicas {
-		out.Fingerprints = append(out.Fingerprints, rep.StateFingerprint())
-	}
+	out.Fingerprints = r.backend.Fingerprints(nodes)
 	return out, nil
 }

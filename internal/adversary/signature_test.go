@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"lintime/internal/adt"
+	"lintime/internal/harness"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
+	"lintime/internal/spec"
 )
 
 // TestCachedSignatureMatchesTraceOracle pins the incremental signature
@@ -46,5 +48,85 @@ func TestCachedSignatureMatchesTraceOracle(t *testing.T) {
 			t.Fatalf("cand %d: TraceOps signature %x != full-trace oracle %x",
 				i, outOps.Signature(), oracle)
 		}
+	}
+}
+
+// TestPinnedSignatures drives one fixed two-op schedule through every
+// backend the kill matrices and sweeps target — the control and, where
+// the table declares any, one mutant — and compares the run against
+// constants recorded before the backends moved into the harness table
+// (commit 6071e61). A builder that changes a protocol's behaviour, or a
+// mutant that stops being applied, shifts the event order and fails here.
+func TestPinnedSignatures(t *testing.T) {
+	p := simtime.DefaultParams(3)
+	queue, register := spec.DataType(adt.NewQueue()), spec.DataType(adt.NewRegister(0))
+	onQueue := [2]PlannedOp{{Op: "enqueue", Arg: 1}, {Op: "peek", Gap: p.X / 2}}
+	onRegister := [2]PlannedOp{{Op: "write", Arg: 1}, {Op: "read", Gap: p.X / 2}}
+	cases := []struct {
+		target    Target
+		dt        spec.DataType
+		ops       [2]PlannedOp
+		sig       uint64
+		msgs      int
+		violation string
+		fps       int
+	}{
+		{Target{Algorithm: harness.AlgCore}, queue, onQueue, 0x60de1a40bb3723db, 2, "", 3},
+		{Target{Algorithm: harness.AlgCore, Mutant: "mop-zero"}, queue, onQueue, 0x6259409cf9a321ef, 2, KindNonLinearizable, 3},
+		{Target{Algorithm: harness.AlgCentral}, queue, onQueue, 0x588c2acaaf81478f, 4, "", 0},
+		{Target{Algorithm: harness.AlgSequencer}, queue, onQueue, 0xa7bfa9f6451d61df, 6, "", 0},
+		{Target{Algorithm: harness.AlgQuorum}, register, onRegister, 0xefcd90cd6fafb020, 16, "", 0},
+		{Target{Algorithm: harness.AlgQuorum, Mutant: "skip-writeback"}, register, onRegister, 0x7bbabc80edcb2709, 12, "", 0},
+	}
+	for _, tc := range cases {
+		r := &Runner{Params: p, DT: tc.dt, Target: tc.target}
+		out, err := r.Run(Schedule{
+			Offsets: []simtime.Duration{0, p.Epsilon, 0},
+			Plans:   [][]PlannedOp{nil, {tc.ops[0]}, {tc.ops[1]}},
+			Delays:  []simtime.Duration{p.D, p.MinDelay(), p.D, p.MinDelay()},
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.target, err)
+			continue
+		}
+		if got := out.Signature(); got != tc.sig {
+			t.Errorf("%s: signature %#x, recorded %#x", tc.target, got, tc.sig)
+		}
+		if got := len(out.Trace.Msgs); got != tc.msgs {
+			t.Errorf("%s: %d messages, recorded %d", tc.target, got, tc.msgs)
+		}
+		if got := out.Violation(); got != tc.violation {
+			t.Errorf("%s: violation %q, recorded %q", tc.target, got, tc.violation)
+		}
+		if got := len(out.Fingerprints); got != tc.fps {
+			t.Errorf("%s: %d fingerprints, recorded %d", tc.target, got, tc.fps)
+		}
+	}
+}
+
+// TestRunnerResolvesTargetOnce pins the hot-loop contract: a Runner pays
+// for classification, the mutant lookup and the type check on first use,
+// so a schedule against a mutated target allocates no more than one
+// against the correct protocol.
+func TestRunnerResolvesTargetOnce(t *testing.T) {
+	p := simtime.DefaultParams(3)
+	dt, err := adt.Lookup("queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := randomCandidate(p, opsFor(dt), 1, "bench", 0, false).sched
+	allocs := func(target Target) float64 {
+		r := &Runner{Params: p, DT: dt, Target: target, Trace: sim.TraceOps}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := r.Run(sched); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// exec-no-eps leaves this schedule's event count unchanged, so the
+	// two runs differ only in what resolving the target costs.
+	correct, mutated := allocs(Target{}), allocs(Target{Mutant: "exec-no-eps"})
+	if mutated > correct {
+		t.Errorf("mutated target: %.0f allocs/run, correct target %.0f", mutated, correct)
 	}
 }

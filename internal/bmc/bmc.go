@@ -109,14 +109,13 @@ const maxStoredViolations = 4
 type Config struct {
 	Params simtime.Params
 	DT     spec.DataType
-	// Target selects the backend (core, central, sequencer, or quorum;
-	// mutants apply to core and quorum). Each backend has its own
-	// message-count model sizing the delay axis — see the package doc.
+	// Target selects a backend of the harness table that has a message-
+	// count model here (see opMsgs), plus optionally one of its mutants.
 	Target adversary.Target
 	// MaxOps caps the total planned operations per schedule (default 2).
 	MaxOps int
 	// Drops lists send ordinals lost in transit in every schedule of the
-	// space (quorum targets only). See the package doc for the weakened
+	// space (fault-tolerant targets only). See the package doc for the weakened
 	// exhaustiveness claim of a drop-augmented space.
 	Drops []int64
 	// Strong folds each context's futures into a strongcheck tree and
@@ -166,8 +165,9 @@ type placement struct {
 // Space is the enumerated schedule space of one Config.
 type Space struct {
 	cfg        Config
+	backend    *harness.Backend
 	classes    map[string]classify.Class
-	qcfg       quorum.Config
+	qcfg       quorum.Config // read by the quorum message model only
 	plans      []plan
 	offsets    [][]simtime.Duration
 	placements []placement
@@ -184,24 +184,21 @@ func NewSpace(cfg Config) (*Space, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Space{cfg: cfg, classes: harness.ClassesFor(cfg.DT)}
-	switch cfg.Target.Algorithm {
-	case "", harness.AlgCore:
-	case harness.AlgCentral, harness.AlgSequencer:
-		if cfg.Target.Mutant != "" {
-			return nil, fmt.Errorf("bmc: target %q has no mutant registry", cfg.Target.Algorithm)
-		}
-	case harness.AlgQuorum:
-		qcfg, err := quorum.ConfigFor(quorum.DefaultConfig(p), cfg.Target.Mutant)
-		if err != nil {
-			return nil, err
-		}
-		s.qcfg = qcfg
-	default:
-		return nil, fmt.Errorf("bmc: unsupported target algorithm %q (have core, central, sequencer, quorum)", cfg.Target.Algorithm)
+	backend, err := harness.Lookup(cfg.Target.Algorithm)
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Drops) > 0 && cfg.Target.Algorithm != harness.AlgQuorum {
-		return nil, fmt.Errorf("bmc: drop augmentation applies only to the quorum target (have %s)", cfg.Target)
+	// Resolving the builder checks the mutant and the data type up front.
+	if _, err := backend.Builder(p, cfg.DT, cfg.Target.Mutant); err != nil {
+		return nil, err
+	}
+	if len(cfg.Drops) > 0 && !backend.Faults {
+		return nil, fmt.Errorf("bmc: drop augmentation needs a fault-tolerant target (have %s)", cfg.Target)
+	}
+	s := &Space{cfg: cfg, backend: backend, classes: harness.ClassesFor(cfg.DT)}
+	s.qcfg, _ = harness.QuorumConfig(p, cfg.Target.Mutant) // the mutant was checked above
+	if s.startTimes() == nil {
+		return nil, fmt.Errorf("bmc: no message-count model for backend %q", backend.Name)
 	}
 	if s.cfg.MaxOps <= 0 {
 		s.cfg.MaxOps = 2
@@ -217,23 +214,14 @@ func NewSpace(cfg Config) (*Space, error) {
 	return s, nil
 }
 
-// clockFree reports whether the target protocol never reads a local
-// clock, making the offset axis behaviorally inert.
-func (s *Space) clockFree() bool {
-	switch s.cfg.Target.Algorithm {
-	case harness.AlgCentral, harness.AlgSequencer, harness.AlgQuorum:
-		return true
-	}
-	return false
-}
-
-// opMsgs is the per-target message-count model: the messages one
-// operation contributes when invoked at proc with `crashed` processes
-// down from time zero. See the package doc for each model's derivation.
+// opMsgs is bmc's own message-count model of each protocol, keyed by
+// backend name: the messages one operation contributes when invoked at
+// proc with `crashed` processes down from time zero. See the package doc
+// for each model's derivation.
 func (s *Space) opMsgs(proc int, opName string, crashed int) int {
 	n := s.cfg.Params.N
-	switch s.cfg.Target.Algorithm {
-	case "", harness.AlgCore:
+	switch s.backend.Name {
+	case harness.AlgCore:
 		if s.classes[opName] == classify.PureAccessor {
 			return 0
 		}
@@ -260,7 +248,7 @@ func (s *Space) opMsgs(proc int, opName string, crashed int) int {
 		}
 		return phases * ((n - 1) + (n - 1 - crashed))
 	}
-	panic(fmt.Sprintf("bmc: no message model for target %q", s.cfg.Target.Algorithm))
+	panic(fmt.Sprintf("bmc: no message model for target %q", s.backend.Name))
 }
 
 // planMsgs is the modeled message count of one plan under one crash
@@ -291,21 +279,24 @@ func windowStart(p simtime.Params) simtime.Duration {
 func probeGap(p simtime.Params) simtime.Duration { return 5 * p.D }
 
 // startTimes returns the first-op start instants the plan axis
-// enumerates, deduplicated ascending. Clock-driven targets (core) use
-// the accessor-window midpoint; clock-free targets use instants defined
-// by the message bounds themselves: (d-u)/2 sits before any time-zero
-// message can have arrived, and 2(d-u)+d (quorum only) lands just past
-// the latest arrival of a minimum-delay write's propagate phase.
+// enumerates, deduplicated ascending, or nil for a backend bmc has no
+// model of. Clock-driven targets (core) use the accessor-window midpoint;
+// clock-free targets use instants defined by the message bounds
+// themselves: (d-u)/2 sits before any time-zero message can have arrived,
+// and 2(d-u)+d (quorum only) lands just past the latest arrival of a
+// minimum-delay write's propagate phase.
 func (s *Space) startTimes() []simtime.Duration {
 	p := s.cfg.Params
 	var raw []simtime.Duration
-	switch s.cfg.Target.Algorithm {
+	switch s.backend.Name {
+	case harness.AlgCore:
+		raw = []simtime.Duration{0, windowStart(p)}
 	case harness.AlgCentral, harness.AlgSequencer:
 		raw = []simtime.Duration{0, p.MinDelay() / 2}
 	case harness.AlgQuorum:
 		raw = []simtime.Duration{0, p.MinDelay() / 2, 2*p.MinDelay() + p.D}
 	default:
-		raw = []simtime.Duration{0, windowStart(p)}
+		return nil
 	}
 	starts := raw[:1]
 	for _, t := range raw[1:] {
@@ -368,7 +359,7 @@ func (s *Space) enumeratePlans() {
 
 func (s *Space) enumerateOffsets() {
 	p := s.cfg.Params
-	if p.Epsilon == 0 || s.clockFree() {
+	if p.Epsilon == 0 || s.backend.ClockFree {
 		s.offsets = [][]simtime.Duration{make([]simtime.Duration, p.N)}
 		return
 	}
@@ -387,11 +378,11 @@ func (s *Space) enumerateOffsets() {
 }
 
 // enumeratePlacements builds the crash axis: the fault-free placement
-// always, plus — for the quorum target — every minority subset of
+// always, plus — for fault-tolerant targets — every minority subset of
 // processes crashed from time zero, by ascending crash count then mask.
 func (s *Space) enumeratePlacements() {
 	s.placements = []placement{{}}
-	if s.cfg.Target.Algorithm != harness.AlgQuorum {
+	if !s.backend.Faults {
 		return
 	}
 	p := s.cfg.Params

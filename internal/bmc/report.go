@@ -9,7 +9,6 @@ import (
 	"lintime/internal/diagram"
 	"lintime/internal/harness"
 	"lintime/internal/obs"
-	"lintime/internal/quorum"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 )
@@ -101,20 +100,31 @@ type KillEntry struct {
 	Space string `json:"space,omitempty"`
 }
 
-// KillMatrix sweeps every seeded mutant (and the corrected algorithm as
-// a control) over the same bounded space, stopping each sweep at the
-// first violating chunk. A mutant that survives has no counterexample
-// anywhere in the space — a far stronger statement than a fuzzing miss.
-// Quorum targets dispatch to the ABD mutant registry, where some rows
-// run as targeted certificates instead — see quorumKillMatrix.
+// KillMatrix sweeps every seeded mutant of the target's backend (and the
+// correct protocol as a control, first) over the same bounded space,
+// stopping each sweep at the first violating chunk. A mutant that
+// survives has no counterexample anywhere in the space — a far stronger
+// statement than a fuzzing miss. A mutant that provably cannot die in the
+// shared space runs its targeted certificate instead (quorumCertificates).
 func KillMatrix(cfg Config) ([]KillEntry, error) {
-	if cfg.Target.Algorithm == harness.AlgQuorum {
-		return quorumKillMatrix(cfg)
+	backend, err := harness.Lookup(cfg.Target.Algorithm)
+	if err != nil {
+		return nil, err
 	}
-	targets := []adversary.Mutant{{Name: adversary.Correct}}
-	targets = append(targets, adversary.Mutants()...)
-	entries := make([]KillEntry, 0, len(targets))
-	for _, m := range targets {
+	rows, err := backend.MatrixRows()
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]KillEntry, 0, len(rows))
+	for _, m := range rows {
+		if cert, ok := quorumCertificates[m.Name]; ok {
+			e, err := runQuorumCert(cfg, m, cert)
+			if err != nil {
+				return nil, err
+			}
+			entries = append(entries, e)
+			continue
+		}
 		c := cfg
 		c.Target = adversary.Target{Algorithm: cfg.Target.Algorithm, Mutant: m.Name}
 		c.StopEarly = true
@@ -124,9 +134,8 @@ func KillMatrix(cfg Config) ([]KillEntry, error) {
 			return nil, err
 		}
 		e := KillEntry{Mutant: m.Name, Desc: m.Desc, Killed: !rep.OK, Runs: rep.Runs}
-		if e.Mutant == adversary.Correct {
+		if e.Mutant == "" {
 			e.Mutant = "correct"
-			e.Desc = "corrected Algorithm 1 (control)"
 		}
 		if e.Killed {
 			killsTotal.Inc()
@@ -173,7 +182,7 @@ func certOp(name string, gap simtime.Duration) adversary.PlannedOp {
 	return adversary.PlannedOp{Op: name, Gap: gap}
 }
 
-// quorumCertificates maps mutant name to its targeted certificate.
+// quorumCertificates maps a quorum mutant's name to its targeted certificate.
 var quorumCertificates = map[string]quorumCert{
 	// A write commits at {writer, p1} while the propagate to the reader
 	// is lost; the sub-majority read at the reader then answers from its
@@ -224,11 +233,11 @@ var quorumCertificates = map[string]quorumCert{
 // Codes run in descending order — the minimum-delay interleavings, where
 // quorum counterexamples concentrate, come first — and stop at the first
 // violation.
-func runQuorumCert(cfg Config, m quorum.Mutant, cert quorumCert) (KillEntry, error) {
+func runQuorumCert(cfg Config, m harness.Mutant, cert quorumCert) (KillEntry, error) {
 	p := simtime.Params{N: cert.n, D: cfg.Params.D, U: cfg.Params.U}
 	c := Config{
 		Params: p, DT: cfg.DT,
-		Target:       adversary.Target{Algorithm: harness.AlgQuorum, Mutant: m.Name},
+		Target:       adversary.Target{Algorithm: cfg.Target.Algorithm, Mutant: m.Name},
 		MaxOps:       cert.maxOps,
 		Drops:        cert.drops,
 		CheckWorkers: cfg.CheckWorkers,
@@ -266,43 +275,6 @@ func runQuorumCert(cfg Config, m quorum.Mutant, cert quorumCert) (KillEntry, err
 		}
 	}
 	return e, nil
-}
-
-// quorumKillMatrix is the ABD kill matrix: the control and in-space
-// killable mutants sweep the shared space (StopEarly), the rest run
-// their targeted certificates.
-func quorumKillMatrix(cfg Config) ([]KillEntry, error) {
-	rows := append([]quorum.Mutant{{Name: quorum.Correct}}, quorum.Mutants()...)
-	entries := make([]KillEntry, 0, len(rows))
-	for _, m := range rows {
-		if cert, ok := quorumCertificates[m.Name]; ok && m.Name != quorum.Correct {
-			e, err := runQuorumCert(cfg, m, cert)
-			if err != nil {
-				return nil, err
-			}
-			entries = append(entries, e)
-			continue
-		}
-		c := cfg
-		c.Target = adversary.Target{Algorithm: harness.AlgQuorum, Mutant: m.Name}
-		c.StopEarly = true
-		c.Strong = false
-		rep, err := Verify(c)
-		if err != nil {
-			return nil, err
-		}
-		e := KillEntry{Mutant: m.Name, Desc: m.Desc, Killed: !rep.OK, Runs: rep.Runs}
-		if m.Name == quorum.Correct {
-			e.Mutant = "correct"
-			e.Desc = "correct ABD quorum register (control)"
-		}
-		if e.Killed {
-			killsTotal.Inc()
-			e.Kind = rep.Violations[0].Kind
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
 }
 
 // WriteKillMatrix renders the exhaustive kill matrix as deterministic

@@ -1,0 +1,266 @@
+package harness
+
+import (
+	"fmt"
+	"strings"
+
+	"lintime/internal/adt"
+	"lintime/internal/classify"
+	"lintime/internal/core"
+	"lintime/internal/folklore"
+	"lintime/internal/quorum"
+	"lintime/internal/sim"
+	"lintime/internal/simtime"
+	"lintime/internal/spec"
+)
+
+// Backend names, in table order.
+const (
+	AlgCore       = "core"        // Algorithm 1 with corrected timers
+	AlgCorePaper  = "core-paper"  // ablation: the paper's literal timers
+	AlgCoreAllOOP = "core-alloop" // ablation: classification disabled
+	AlgCentral    = "central"     // folklore centralized
+	AlgSequencer  = "sequencer"   // folklore total-order broadcast
+	AlgQuorum     = "quorum"      // ABD crash-tolerant majority-quorum register
+)
+
+// Mutant is one seeded bug: a backend with a single safeguard removed.
+// The kill matrices assert that schedule exploration rediscovers each and
+// never flags the control. (A mutant whose weakened wait the parameters
+// do not exercise — a dropped +ε at ε = 0 — is genuinely correct there.)
+type Mutant struct {
+	Name, Desc   string
+	timers       func(*core.Timers, simtime.Params) // core: the wait it breaks
+	literalDrain bool                               // core: the paper's literal accessor drain
+	weaken       func(*quorum.Config)               // quorum: the knob it loosens
+}
+
+// resolver checks (p, dt) against a protocol once and returns a
+// constructor of fresh replica sets; the zero Mutant is the control.
+type resolver func(simtime.Params, spec.DataType, Mutant) (func() []sim.Node, error)
+
+// Backend is one row of the protocol table: everything the repo knows
+// about a replicated protocol apart from its state machine.
+type Backend struct {
+	Name          string
+	Desc          string // the correct protocol; the kill matrices' control row appends " (control)"
+	DefaultType   string // the data type served when none is asked for
+	Faults        bool   // tolerates crashes and message loss, so the crash/drop schedule axes apply
+	ClockFree     bool   // reads no local clock, so clock offsets are inert
+	NoStrongSweep bool   // prefix-violating futures by design: `verify` sweeps for them only when asked
+	// Converges: replicas end in one state, readable as a fingerprint (not
+	// central's clients; not quorum's, where an update may legitimately
+	// reach only a partial quorum).
+	Converges bool
+	// Bound is the worst-case latency of an operation of the class, in
+	// ticks; nil means not servable (no formula to judge latencies against).
+	Bound   func(simtime.Params, classify.Class) simtime.Duration
+	Mutants []Mutant // the seeded bugs, in kill-matrix row order
+	resolve resolver
+}
+
+var backends = []Backend{
+	{Name: AlgCore, Desc: "corrected Algorithm 1", DefaultType: "queue", Converges: true, Bound: CoreBound,
+		Mutants: []Mutant{
+			{Name: "aop-no-eps", Desc: "pure-accessor wait d-X without the +ε correction (paper's literal bound; EXPERIMENTS.md Finding 1)",
+				timers: paperTimers},
+			{Name: "literal-drain", Desc: "paper's d-X wait plus the literal drain that permanently commits the accessor's view (replicas diverge)",
+				timers: paperTimers, literalDrain: true},
+			{Name: "exec-no-eps", Desc: "execute stabilization wait u instead of u+ε (skewed concurrent mutators commit in different orders)",
+				timers: func(t *core.Timers, p simtime.Params) { t.ExecuteWait = p.U }},
+			{Name: "addself-zero", Desc: "d-u self-delay removed (a mixed op executes before a completed remote mutator arrives)",
+				timers: func(t *core.Timers, _ simtime.Params) { t.AddSelf = 0 }},
+			{Name: "mop-zero", Desc: "pure mutators respond immediately instead of after X+ε (a later op on a lagging clock gets a smaller timestamp)",
+				timers: func(t *core.Timers, _ simtime.Params) { t.MOPRespond = 0 }},
+		},
+		resolve: resolveCore(ClassesFor, nil)},
+	{Name: AlgCorePaper, Desc: "Algorithm 1 with the paper's literal timers", DefaultType: "queue", Converges: true,
+		resolve: resolveCore(ClassesFor, paperTimers)},
+	{Name: AlgCoreAllOOP, Desc: "Algorithm 1 with every operation classed mixed", DefaultType: "queue", Converges: true,
+		resolve: resolveCore(func(spec.DataType) map[string]classify.Class { return nil }, nil)},
+	{Name: AlgCentral, Desc: "folklore centralized server", DefaultType: "queue", ClockFree: true,
+		resolve: resolveFolklore(folklore.NewCentralNodes)},
+	{Name: AlgSequencer, Desc: "folklore sequencer total-order broadcast", DefaultType: "queue", ClockFree: true,
+		resolve: resolveFolklore(folklore.NewSequencerNodes)},
+	{Name: AlgQuorum, Desc: "correct ABD quorum register", DefaultType: "register",
+		Faults: true, ClockFree: true, NoStrongSweep: true, Bound: QuorumBound,
+		Mutants: []Mutant{
+			{Name: "crash-threshold", Desc: "every phase waits for 1 ack: tolerates crash counts over the minority threshold, at the cost of quorum intersection",
+				weaken: func(c *quorum.Config) { c.ReadQuorum, c.WriteQuorum = 1, 1 }},
+			{Name: "skip-writeback", Desc: "reads respond after the query phase without writing back",
+				weaken: func(c *quorum.Config) { c.SkipWriteBack = true }},
+			{Name: "stale-tiebreak", Desc: "tags compared by timestamp only; ties keep the incumbent",
+				weaken: func(c *quorum.Config) { c.TSOnlyTieBreak = true }},
+			{Name: "sub-majority-read", Desc: "read query phase waits for 1 ack instead of a majority",
+				weaken: func(c *quorum.Config) { c.ReadQuorum = 1 }},
+		},
+		resolve: resolveQuorum},
+}
+
+// CoreBound is Algorithm 1's worst-case latency per operation class under
+// the corrected timers: |AOP| = d−X+ε, |MOP| = X+ε, |OOP| = d+ε.
+func CoreBound(p simtime.Params, class classify.Class) simtime.Duration {
+	switch class {
+	case classify.PureAccessor:
+		return p.D - p.X + p.Epsilon
+	case classify.PureMutator:
+		return p.X + p.Epsilon
+	default:
+		return p.D + p.Epsilon
+	}
+}
+
+// QuorumBound is the ABD register's worst-case latency: a query phase and
+// a propagate phase, each one majority round trip bounded by 2d, whatever
+// the class. (The protocol reads no clocks, so ε and X never appear.)
+func QuorumBound(p simtime.Params, _ classify.Class) simtime.Duration { return 4 * p.D }
+
+// paperTimers reinstates Algorithm 1's literal durations: the one value
+// behind both the core-paper ablation and the aop-no-eps mutant.
+func paperTimers(t *core.Timers, p simtime.Params) { *t = core.PaperTimers(p) }
+
+// resolveCore builds Algorithm 1 replicas over a class map, with the
+// corrected timers edited first by the variant, then by the mutant.
+func resolveCore(classesOf func(spec.DataType) map[string]classify.Class, variant func(*core.Timers, simtime.Params)) resolver {
+	return func(p simtime.Params, dt spec.DataType, m Mutant) (func() []sim.Node, error) {
+		classes, timers := classesOf(dt), core.DefaultTimers(p)
+		if variant != nil {
+			variant(&timers, p)
+		}
+		if m.timers != nil {
+			m.timers(&timers, p)
+		}
+		return func() []sim.Node {
+			nodes := core.NewReplicas(p.N, dt, classes, timers)
+			for _, n := range nodes {
+				n.(*core.Replica).LiteralAOPDrain = m.literalDrain
+			}
+			return nodes
+		}, nil
+	}
+}
+
+func resolveFolklore(build func(int, spec.DataType) []sim.Node) resolver {
+	return func(p simtime.Params, dt spec.DataType, _ Mutant) (func() []sim.Node, error) {
+		return func() []sim.Node { return build(p.N, dt) }, nil
+	}
+}
+
+// resolveQuorum builds ABD replicas; the protocol serves exactly the
+// register type, whose initial value is what reading its initial state
+// returns.
+func resolveQuorum(p simtime.Params, dt spec.DataType, m Mutant) (func() []sim.Node, error) {
+	if dt.Name() != adt.NewRegister(0).Name() {
+		return nil, fmt.Errorf("harness: the quorum backend serves the register type, not %q", dt.Name())
+	}
+	v, _ := dt.Initial().Apply(quorum.OpRead, nil)
+	initial, ok := v.(int)
+	if !ok {
+		return nil, fmt.Errorf("harness: register initial read returned %T, want int", v)
+	}
+	cfg := quorumConfig(p, m)
+	return func() []sim.Node { return quorum.NewReplicas(p.N, initial, cfg) }, nil
+}
+
+func quorumConfig(p simtime.Params, m Mutant) quorum.Config {
+	cfg := quorum.DefaultConfig(p)
+	if m.weaken != nil {
+		m.weaken(&cfg)
+	}
+	return cfg
+}
+
+// QuorumConfig returns the protocol configuration the quorum backend
+// builds the named mutant with — the one fact bmc's message-count model
+// needs about a mutant (skip-writeback halves a read's phases).
+func QuorumConfig(p simtime.Params, mutant string) (quorum.Config, error) {
+	b, _ := Lookup(AlgQuorum)
+	m, err := b.mutant(mutant)
+	return quorumConfig(p, m), err
+}
+
+// Lookup resolves a backend by name; the empty name selects the first
+// entry, Algorithm 1.
+func Lookup(name string) (*Backend, error) {
+	for i := range backends {
+		if name == "" || name == backends[i].Name {
+			return &backends[i], nil
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown backend %q (have %s)", name, strings.Join(Algorithms(), ", "))
+}
+
+// Algorithms lists the backend names in table order.
+func Algorithms() []string { return backendNames(func(*Backend) bool { return true }) }
+
+func backendNames(keep func(*Backend) bool) []string {
+	var names []string
+	for i := range backends {
+		if keep(&backends[i]) {
+			names = append(names, backends[i].Name)
+		}
+	}
+	return names
+}
+
+// MutantNames lists the backend's seeded bugs in declared order.
+func (b *Backend) MutantNames() []string {
+	names := make([]string, len(b.Mutants))
+	for i, m := range b.Mutants {
+		names[i] = m.Name
+	}
+	return names
+}
+
+// MatrixRows returns the backend's kill-matrix rows: the control (empty
+// Name) first, then every seeded mutant. A backend without mutants has no
+// matrix, and says which backends do.
+func (b *Backend) MatrixRows() ([]Mutant, error) {
+	if len(b.Mutants) == 0 {
+		return nil, fmt.Errorf("harness: backend %s has no seeded mutants (%s have)", b.Name,
+			strings.Join(backendNames(func(o *Backend) bool { return len(o.Mutants) > 0 }), ", "))
+	}
+	return append([]Mutant{{Desc: b.Desc + " (control)"}}, b.Mutants...), nil
+}
+
+// mutant resolves one of the backend's own seeded bugs; "" and "none"
+// select the correct protocol (the zero Mutant).
+func (b *Backend) mutant(name string) (Mutant, error) {
+	if name == "" || name == "none" {
+		return Mutant{}, nil
+	}
+	for _, m := range b.Mutants {
+		if m.Name == name {
+			return m, nil
+		}
+	}
+	if _, err := b.MatrixRows(); err != nil {
+		return Mutant{}, err
+	}
+	return Mutant{}, fmt.Errorf("harness: unknown %s mutant %q (have %s)", b.Name, name, strings.Join(b.MutantNames(), ", "))
+}
+
+// Builder validates (p, dt, mutant) once and returns a constructor of
+// fresh replica sets, so a campaign of many schedules against one target
+// pays the classification, the mutant lookup and the type check once.
+// The constructor is safe for concurrent use.
+func (b *Backend) Builder(p simtime.Params, dt spec.DataType, mutant string) (func() []sim.Node, error) {
+	m, err := b.mutant(mutant)
+	if err != nil {
+		return nil, err
+	}
+	return b.resolve(p, dt, m)
+}
+
+// Fingerprints returns the built nodes' object states, or nil where the
+// protocol has no convergence property to check.
+func (b *Backend) Fingerprints(nodes []sim.Node) []string {
+	if !b.Converges {
+		return nil
+	}
+	fps := make([]string, len(nodes))
+	for i, n := range nodes {
+		fps[i] = n.(interface{ StateFingerprint() string }).StateFingerprint()
+	}
+	return fps
+}

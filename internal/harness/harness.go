@@ -12,30 +12,12 @@ import (
 
 	"lintime/internal/adt"
 	"lintime/internal/classify"
-	"lintime/internal/core"
-	"lintime/internal/folklore"
 	"lintime/internal/lincheck"
 	"lintime/internal/obs"
-	"lintime/internal/quorum"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
-
-// Algorithm names accepted by Config.
-const (
-	AlgCore       = "core"        // Algorithm 1 with corrected timers
-	AlgCorePaper  = "core-paper"  // Algorithm 1 with the paper's literal timers
-	AlgCoreAllOOP = "core-alloop" // ablation: classification disabled
-	AlgCentral    = "central"     // folklore centralized
-	AlgSequencer  = "sequencer"   // folklore total-order broadcast
-	AlgQuorum     = "quorum"      // ABD crash-tolerant majority-quorum register
-)
-
-// Algorithms lists the accepted algorithm names.
-func Algorithms() []string {
-	return []string{AlgCore, AlgCorePaper, AlgCoreAllOOP, AlgCentral, AlgSequencer, AlgQuorum}
-}
 
 // Network names accepted by Config.
 const (
@@ -57,7 +39,7 @@ const (
 type Config struct {
 	Params    simtime.Params
 	TypeName  string
-	Algorithm string
+	Algorithm string // a backend name from the table in backend.go ("" = core)
 	Network   string
 	Offsets   string
 	Seed      int64
@@ -123,7 +105,7 @@ type Result struct {
 	Config       Config
 	Trace        *sim.Trace
 	Stats        map[string]*LatencyStats
-	Fingerprints []string // per-replica object state (core algorithms only)
+	Fingerprints []string // per-replica object state (backends that converge only)
 }
 
 // MessageCount returns the total number of messages the algorithm sent.
@@ -192,7 +174,14 @@ var (
 
 // ClassesFor returns (cached) operation classes for a data type. Safe for
 // concurrent use; the returned map must be treated as read-only.
+//
+// A keyed family is classified by its basis type: the wrapper keeps every
+// operation's name and algebraic class (a lifted mutator still mutates
+// only its key's substate, a lifted accessor still never mutates).
 func ClassesFor(dt spec.DataType) map[string]classify.Class {
+	if k, ok := dt.(*adt.Keyed); ok {
+		dt = k.Basis()
+	}
 	classesMu.Lock()
 	defer classesMu.Unlock()
 	if c, ok := classesCache[dt.Name()]; ok {
@@ -201,53 +190,6 @@ func ClassesFor(dt spec.DataType) map[string]classify.Class {
 	c := classify.Classify(dt, classify.DefaultConfig()).Classes()
 	classesCache[dt.Name()] = c
 	return c
-}
-
-// buildNodes constructs the algorithm replicas for a configuration.
-func buildNodes(cfg Config, dt spec.DataType) ([]sim.Node, []*core.Replica, error) {
-	n := cfg.Params.N
-	switch cfg.Algorithm {
-	case AlgCore, AlgCorePaper, AlgCoreAllOOP:
-		classes := ClassesFor(dt)
-		timers := core.DefaultTimers(cfg.Params)
-		if cfg.Algorithm == AlgCorePaper {
-			timers = core.PaperTimers(cfg.Params)
-		}
-		if cfg.Algorithm == AlgCoreAllOOP {
-			classes = map[string]classify.Class{} // everything defaults to Mixed
-		}
-		replicas := make([]*core.Replica, n)
-		nodes := make([]sim.Node, n)
-		for i := range nodes {
-			replicas[i] = core.NewReplica(dt, classes, timers)
-			nodes[i] = replicas[i]
-		}
-		return nodes, replicas, nil
-	case AlgCentral:
-		return folklore.NewCentralNodes(n, dt), nil, nil
-	case AlgSequencer:
-		return folklore.NewSequencerNodes(n, dt), nil, nil
-	case AlgQuorum:
-		nodes, err := QuorumNodes(cfg.Params, dt, quorum.DefaultConfig(cfg.Params))
-		return nodes, nil, err
-	default:
-		return nil, nil, fmt.Errorf("harness: unknown algorithm %q (have %v)", cfg.Algorithm, Algorithms())
-	}
-}
-
-// QuorumNodes builds the ABD quorum-register replicas for a
-// configuration. The quorum backend serves exactly the register data
-// type: its initial value is recovered by reading the initial state.
-func QuorumNodes(p simtime.Params, dt spec.DataType, cfg quorum.Config) ([]sim.Node, error) {
-	if dt.Name() != adt.NewRegister(0).Name() {
-		return nil, fmt.Errorf("harness: the quorum backend serves the register type, not %q", dt.Name())
-	}
-	v, _ := dt.Initial().Apply(quorum.OpRead, nil)
-	initial, ok := v.(int)
-	if !ok {
-		return nil, fmt.Errorf("harness: register initial read returned %T, want int", v)
-	}
-	return quorum.NewReplicas(p.N, initial, cfg), nil
 }
 
 // buildNetwork constructs the delay model.
@@ -308,10 +250,15 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes, replicas, err := buildNodes(cfg, dt)
+	backend, err := Lookup(cfg.Algorithm)
 	if err != nil {
 		return nil, err
 	}
+	build, err := backend.Builder(cfg.Params, dt, "")
+	if err != nil {
+		return nil, err
+	}
+	nodes := build()
 	net, err := buildNetwork(cfg)
 	if err != nil {
 		return nil, err
@@ -381,9 +328,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		}
 		st.add(op.Latency())
 	}
-	for _, r := range replicas {
-		res.Fingerprints = append(res.Fingerprints, r.StateFingerprint())
-	}
+	res.Fingerprints = backend.Fingerprints(nodes)
 	runsTotal.Inc()
 	return res, nil
 }

@@ -244,35 +244,6 @@ func TestStaleTieBreakDiverges(t *testing.T) {
 	}
 }
 
-// TestMutantRegistry pins the registry's shape: four mutants, stable
-// order, lookup round-trips, and the correct config untouched.
-func TestMutantRegistry(t *testing.T) {
-	ms := Mutants()
-	want := []string{"crash-threshold", "skip-writeback", "stale-tiebreak", "sub-majority-read"}
-	if len(ms) != len(want) {
-		t.Fatalf("%d mutants, want %d", len(ms), len(want))
-	}
-	for i, m := range ms {
-		if m.Name != want[i] {
-			t.Errorf("mutant[%d] = %q, want %q", i, m.Name, want[i])
-		}
-		if _, err := LookupMutant(m.Name); err != nil {
-			t.Errorf("LookupMutant(%q): %v", m.Name, err)
-		}
-	}
-	p := params(2)
-	base := DefaultConfig(p)
-	if cfg, err := ConfigFor(base, Correct); err != nil || cfg != base {
-		t.Errorf("ConfigFor(correct) = %+v, %v; want base config", cfg, err)
-	}
-	if cfg, err := ConfigFor(base, "crash-threshold"); err != nil || cfg.ReadQuorum != 1 || cfg.WriteQuorum != 1 {
-		t.Errorf("ConfigFor(crash-threshold) = %+v, %v", cfg, err)
-	}
-	if _, err := LookupMutant("bogus"); err == nil {
-		t.Error("LookupMutant(bogus) succeeded")
-	}
-}
-
 // TestQuorumOverThresholdStalls pins the flip side of availability: with
 // a majority crashed the correct protocol cannot terminate (it keeps
 // retransmitting); the crash-threshold mutant terminates and is exactly

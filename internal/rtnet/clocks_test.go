@@ -10,7 +10,6 @@ import (
 	"lintime/internal/adt"
 	"lintime/internal/classify"
 	"lintime/internal/core"
-	"lintime/internal/harness"
 	"lintime/internal/obs"
 	"lintime/internal/quorum"
 	"lintime/internal/sim"
@@ -254,7 +253,7 @@ func TestClocksAgreeQuorumCrash(t *testing.T) {
 		offsets: sim.ZeroOffsets(3),
 		net:     sim.SequenceNetwork{Delays: delays, Default: 20},
 		nodes: func() []sim.Node {
-			nodes, err := harness.QuorumNodes(p, adt.NewRegister(0), quorum.DefaultConfig(p))
+			nodes, err := quorumNodes(p)
 			if err != nil {
 				t.Fatal(err)
 			}

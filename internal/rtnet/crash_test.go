@@ -10,8 +10,23 @@ import (
 	"lintime/internal/obs"
 	"lintime/internal/quorum"
 	"lintime/internal/sim"
+	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
+
+// quorumNodes builds the correct ABD replicas the way every consumer
+// does: through the harness backend table.
+func quorumNodes(p simtime.Params) ([]sim.Node, error) {
+	b, err := harness.Lookup(harness.AlgQuorum)
+	if err != nil {
+		return nil, err
+	}
+	build, err := b.Builder(p, adt.NewRegister(0), "")
+	if err != nil {
+		return nil, err
+	}
+	return build(), nil
+}
 
 // newQuorumCluster builds an rtnet cluster running the ABD quorum
 // register — the backend whose whole point is surviving the crashes this
@@ -20,8 +35,7 @@ func newQuorumCluster(t *testing.T, n int, depth int) *Cluster {
 	t.Helper()
 	p := rtParams(n)
 	p.Epsilon, p.X = 0, 0 // the quorum protocol reads no clocks
-	dt := adt.NewRegister(0)
-	nodes, err := harness.QuorumNodes(p, dt, quorum.DefaultConfig(p))
+	nodes, err := quorumNodes(p)
 	if err != nil {
 		t.Fatal(err)
 	}

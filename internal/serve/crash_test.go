@@ -8,7 +8,6 @@ import (
 	"lintime/internal/classify"
 	"lintime/internal/harness"
 	"lintime/internal/quorum"
-	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
 
@@ -131,7 +130,7 @@ func TestRunLoadQuorumCrashMidRun(t *testing.T) {
 			{Op: quorum.OpWrite, Weight: 1},
 			{Op: quorum.OpRead, Weight: 1},
 		},
-		Formula: func(classify.Class) simtime.Duration { return QuorumFormulaTicks(p) },
+		Backend: harness.AlgQuorum,
 	})
 	if err != nil {
 		t.Fatal(err)

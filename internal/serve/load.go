@@ -66,34 +66,21 @@ type LoadConfig struct {
 	// ShardFor(key, len(ShardParams)) and adds per-shard class reports
 	// (each against its own shard's X) to the summary.
 	ShardParams []simtime.Params
-	// Formula, when non-nil, overrides the per-class latency bound the
-	// summary judges against — the quorum backend passes its
-	// class-independent 4d here. Nil keeps Algorithm 1's FormulaTicks.
-	// Ignored in sharded runs (those judge against the worst shard).
-	Formula func(classify.Class) simtime.Duration
+	// Backend names the protocol the target runs (empty = Algorithm 1);
+	// the summary judges each class against that backend's latency bound.
+	Backend string
 }
 
 // FormulaTicks returns Algorithm 1's worst-case latency for an operation
-// class under the corrected timers: |AOP| = d−X+ε, |MOP| = X+ε,
-// |OOP| = d+ε (in virtual ticks).
+// class, in virtual ticks: the core backend's declared bound.
 func FormulaTicks(p simtime.Params, class classify.Class) simtime.Duration {
-	switch class {
-	case classify.PureAccessor:
-		return p.D - p.X + p.Epsilon
-	case classify.PureMutator:
-		return p.X + p.Epsilon
-	default:
-		return p.D + p.Epsilon
-	}
+	return harness.CoreBound(p, class)
 }
 
 // QuorumFormulaTicks returns the ABD quorum register's worst-case
-// latency: every operation — read or write — runs a query phase and a
-// propagate phase, and each phase is one majority round trip bounded by
-// 2d, so the bound is 4d regardless of operation class. (The protocol
-// reads no clocks, so ε and X never appear.)
+// latency, 4d whatever the class: the quorum backend's declared bound.
 func QuorumFormulaTicks(p simtime.Params) simtime.Duration {
-	return 4 * p.D
+	return harness.QuorumBound(p, classify.Mixed)
 }
 
 // JitterBudget converts the scheduling-jitter allowance (a wall-clock
@@ -217,6 +204,10 @@ func RunLoad(target Caller, dt spec.DataType, p simtime.Params, tick time.Durati
 	}
 	if cfg.OpsPerClient <= 0 && cfg.Duration <= 0 {
 		return nil, fmt.Errorf("serve: load needs a duration or an op count")
+	}
+	backend, err := lookupServable(cfg.Backend)
+	if err != nil {
+		return nil, err
 	}
 	picks, err := harness.ExpandMix(dt, cfg.Mix)
 	if err != nil {
@@ -358,26 +349,24 @@ func RunLoad(target Caller, dt spec.DataType, p simtime.Params, tick time.Durati
 	if pipeline > 1 {
 		echo.Pipeline = pipeline
 	}
-	var sum *Summary
-	if len(cfg.ShardParams) > 0 {
-		// The aggregate rows of a sharded run are judged against the
-		// worst case over the shards' formulas: each shard may run its
-		// own X, so the fleet-wide bound for a class is the laxest
-		// shard's bound.
-		sum = summarize(func(class classify.Class) simtime.Duration {
-			worst := FormulaTicks(cfg.ShardParams[0], class)
-			for _, sp := range cfg.ShardParams[1:] {
-				if f := FormulaTicks(sp, class); f > worst {
-					worst = f
-				}
+	// The aggregate rows are judged against the worst case over the
+	// clusters' bounds: each shard may run its own X, so the fleet-wide
+	// bound for a class is the laxest shard's (a single cluster's is its own).
+	clusters := cfg.ShardParams
+	if len(clusters) == 0 {
+		clusters = []simtime.Params{p}
+	}
+	sum := Summarize(func(class classify.Class) simtime.Duration {
+		worst := backend.Bound(clusters[0], class)
+		for _, sp := range clusters[1:] {
+			if f := backend.Bound(sp, class); f > worst {
+				worst = f
 			}
-			return worst
-		}, tick, classes, ops, echo)
+		}
+		return worst
+	}, tick, classes, ops, echo)
+	if len(cfg.ShardParams) > 0 {
 		sum.PerShard = ShardSummaries(cfg.ShardParams, tick, classes, ops)
-	} else if cfg.Formula != nil {
-		sum = summarize(cfg.Formula, tick, classes, ops, echo)
-	} else {
-		sum = Summarize(p, tick, classes, ops, echo)
 	}
 	for _, u := range unavail {
 		sum.Unavailable += u
@@ -415,7 +404,7 @@ func ShardSummaries(shardParams []simtime.Params, tick time.Duration,
 	out := make([]ShardReport, shards)
 	for i := range out {
 		p := shardParams[i]
-		s := summarize(func(class classify.Class) simtime.Duration {
+		s := Summarize(func(class classify.Class) simtime.Duration {
 			return FormulaTicks(p, class)
 		}, tick, classes, byShard[i], SummaryConfig{})
 		out[i] = ShardReport{
@@ -427,28 +416,12 @@ func ShardSummaries(shardParams []simtime.Params, tick time.Duration,
 }
 
 // Summarize aggregates completed operations into the load summary:
-// per-operation and per-class quantiles, against the class formulas and
-// the jitter budget for the given tick. The virtual-time path
+// per-operation and per-class quantiles, each class against bound(class)
+// and the jitter budget for the given tick. The virtual-time path
 // (lintime load -sim) feeds trace operations through the same code, so
 // real and simulated runs produce identical documents up to latency
 // values.
-func Summarize(p simtime.Params, tick time.Duration, classes map[string]classify.Class,
-	ops []sim.OpRecord, echo SummaryConfig) *Summary {
-	return summarize(func(class classify.Class) simtime.Duration {
-		return FormulaTicks(p, class)
-	}, tick, classes, ops, echo)
-}
-
-// SummarizeWith is Summarize with an explicit class→formula mapping —
-// the quorum backend judges every class against its flat 4d bound.
-func SummarizeWith(formula func(classify.Class) simtime.Duration, tick time.Duration,
-	classes map[string]classify.Class, ops []sim.OpRecord, echo SummaryConfig) *Summary {
-	return summarize(formula, tick, classes, ops, echo)
-}
-
-// summarize is Summarize with the class→formula mapping abstracted, so
-// sharded aggregates can judge against the worst case over shards.
-func summarize(formula func(classify.Class) simtime.Duration, tick time.Duration,
+func Summarize(bound func(classify.Class) simtime.Duration, tick time.Duration,
 	classes map[string]classify.Class, ops []sim.OpRecord, echo SummaryConfig) *Summary {
 	perClass := map[classify.Class]*histio.Histogram{}
 	perOp := map[string]*histio.Histogram{}
@@ -484,7 +457,7 @@ func summarize(formula func(classify.Class) simtime.Duration, tick time.Duration
 	}
 	for class, h := range perClass {
 		q := h.Summary()
-		f := formula(class)
+		f := bound(class)
 		sum.PerClass[class.String()] = ClassReport{
 			Latency:      q,
 			FormulaTicks: int64(f),

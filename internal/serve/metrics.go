@@ -71,8 +71,8 @@ func (s *Server) wireMetrics() {
 		// The paper's worst-case bound and the SLO line (bound + jitter
 		// budget) emit as gauges so a scraper — `lintime stat` — can
 		// verdict p99 against them without knowing the model parameters.
-		reg.Gauge(name("serve_latency_formula_ticks" + label)).Set(int64(s.formula(class)))
-		reg.Gauge(name("serve_latency_slo_ticks" + label)).Set(int64(s.formula(class) + budget))
+		reg.Gauge(name("serve_latency_formula_ticks" + label)).Set(int64(s.Formula(class)))
+		reg.Gauge(name("serve_latency_slo_ticks" + label)).Set(int64(s.Formula(class) + budget))
 	}
 	s.obsm = m
 

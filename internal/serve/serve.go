@@ -28,11 +28,9 @@ import (
 
 	"lintime/internal/adt"
 	"lintime/internal/classify"
-	"lintime/internal/core"
 	"lintime/internal/harness"
 	"lintime/internal/histio"
 	"lintime/internal/obs"
-	"lintime/internal/quorum"
 	"lintime/internal/rtnet"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
@@ -48,13 +46,11 @@ var ErrAllCrashed = errors.New("serve: all replicas crashed")
 // Config describes one served cluster.
 type Config struct {
 	Params simtime.Params
-	// Backend selects the replicated protocol: harness.AlgCore (or empty)
-	// serves Algorithm 1; harness.AlgQuorum serves the ABD crash-tolerant
-	// majority-quorum register (TypeName then defaults to register, the
-	// only type the quorum protocol implements, and Crash becomes
-	// survivable for any minority).
+	// Backend names the replicated protocol: any harness backend that
+	// declares a latency bound (empty = Algorithm 1).
+	// Under a fault-tolerant one Crash is survivable for any minority.
 	Backend  string
-	TypeName string        // data type to serve (default queue)
+	TypeName string        // data type to serve (default: the backend's)
 	Tick     time.Duration // wall-clock duration of one virtual tick (default 1ms)
 	Offsets  string        // harness offset assignment name (default zero)
 	Seed     int64         // master seed; sub-streams are derived per use
@@ -95,7 +91,7 @@ type Server struct {
 	classes map[string]classify.Class
 	offsets []simtime.Duration
 	cluster *rtnet.Cluster
-	formula func(classify.Class) simtime.Duration
+	bound   func(simtime.Params, classify.Class) simtime.Duration
 
 	queues  []chan call
 	dead    []atomic.Bool // replicas removed from routing by Crash
@@ -127,11 +123,12 @@ type Server struct {
 // New builds a server for the configuration. Call Start before Call or
 // Serve.
 func New(cfg Config) (*Server, error) {
+	backend, err := lookupServable(cfg.Backend)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.TypeName == "" {
-		cfg.TypeName = "queue"
-		if cfg.Backend == harness.AlgQuorum {
-			cfg.TypeName = "register"
-		}
+		cfg.TypeName = backend.DefaultType
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Millisecond
@@ -141,7 +138,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	dt := cfg.DataType
 	if dt == nil {
-		var err error
 		dt, err = adt.Lookup(cfg.TypeName)
 		if err != nil {
 			return nil, err
@@ -150,37 +146,18 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	// The keyed wrapper preserves every operation's algebraic class (a
-	// lifted mutator still mutates only its key's substate, a lifted
-	// accessor still never mutates), so classification runs on the basis
-	// type — cheaper, and identical op names make the classes line up.
-	basis := dt
-	if k, ok := dt.(*adt.Keyed); ok {
-		basis = k.Basis()
-	}
-	classes := harness.ClassesFor(basis)
+	classes := harness.ClassesFor(dt)
 	offsets, err := harness.Offsets(cfg.Offsets, cfg.Params, harness.DeriveSeed(cfg.Seed, "serve/offsets"))
 	if err != nil {
 		return nil, err
 	}
-	var nodes []sim.Node
-	formula := func(class classify.Class) simtime.Duration { return FormulaTicks(cfg.Params, class) }
-	switch cfg.Backend {
-	case "", harness.AlgCore:
-		nodes = core.NewReplicas(cfg.Params.N, dt, classes, core.DefaultTimers(cfg.Params))
-	case harness.AlgQuorum:
-		nodes, err = harness.QuorumNodes(cfg.Params, dt, quorum.DefaultConfig(cfg.Params))
-		if err != nil {
-			return nil, err
-		}
-		formula = func(classify.Class) simtime.Duration { return QuorumFormulaTicks(cfg.Params) }
-	default:
-		return nil, fmt.Errorf("serve: unsupported backend %q (have %s, %s)",
-			cfg.Backend, harness.AlgCore, harness.AlgQuorum)
+	build, err := backend.Builder(cfg.Params, dt, "")
+	if err != nil {
+		return nil, err
 	}
 	cluster, err := rtnet.NewCluster(
 		rtnet.Params{Params: cfg.Params, InboxDepth: cfg.InboxDepth},
-		cfg.Tick, offsets, nodes, harness.DeriveSeed(cfg.Seed, "serve/net"))
+		cfg.Tick, offsets, build(), harness.DeriveSeed(cfg.Seed, "serve/net"))
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +168,7 @@ func New(cfg Config) (*Server, error) {
 		classes: classes,
 		offsets: offsets,
 		cluster: cluster,
-		formula: formula,
+		bound:   backend.Bound,
 		queues:  make([]chan call, cfg.Params.N),
 		dead:    make([]atomic.Bool, cfg.Params.N),
 		rec:     newRecorder(),
@@ -199,7 +176,7 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.queues {
 		s.queues[i] = make(chan call, cfg.QueueDepth)
 	}
-	s.fe.init(s.handleRequest, s.isDraining, spec.OpNames(basis))
+	s.fe.init(s.handleRequest, s.isDraining, spec.OpNames(dt)) // a keyed family keeps its basis type's names
 	s.wireMetrics()
 	return s, nil
 }
@@ -330,9 +307,23 @@ func (s *Server) Crashed(i int) bool {
 }
 
 // Formula returns the worst-case latency bound the server judges the
-// class against: Algorithm 1's per-class formulas, or the quorum
-// backend's class-independent 4d.
-func (s *Server) Formula(class classify.Class) simtime.Duration { return s.formula(class) }
+// class against: its backend's bound at the served parameters.
+func (s *Server) Formula(class classify.Class) simtime.Duration {
+	return s.bound(s.cfg.Params, class)
+}
+
+// lookupServable resolves a backend the serving layer can judge: one that
+// declares a latency bound.
+func lookupServable(name string) (*harness.Backend, error) {
+	b, err := harness.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if b.Bound == nil {
+		return nil, fmt.Errorf("serve: backend %q declares no latency bound to serve against", b.Name)
+	}
+	return b, nil
+}
 
 // Drain gracefully shuts the server down: close listeners, refuse new
 // calls, wait for every in-flight operation to respond, stop the routing
