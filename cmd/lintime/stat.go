@@ -168,9 +168,18 @@ func renderStat(w io.Writer, prev, cur obs.Snapshot, elapsed time.Duration) {
 	if sumByBase(cur.Counters, "rtnet_inbox_overflows_total") > 0 {
 		overflowNote = fmt.Sprintf(" (last p%d)", maxByBase(cur.Gauges, "rtnet_inbox_overflow_last_proc"))
 	}
-	fmt.Fprintf(w, "rtnet   delivered %d (%s)  timers %d  inbox max %d  overflows %d%s\n",
+	// Dispatch lateness: the worst shard's quantiles, since every cluster
+	// has to keep its own u/2 scheduling margin.
+	var lateP50, lateP99 int64
+	for name, h := range cur.Hists {
+		if b, _ := obs.SplitName(name); b == "rtnet_wake_late_us" {
+			lateP50, lateP99 = max(lateP50, h.P50), max(lateP99, h.P99)
+		}
+	}
+	fmt.Fprintf(w, "rtnet   delivered %d (%s)  timers %d  wake late p50 %dus p99 %dus  inbox max %d  overflows %d%s\n",
 		sumByBase(cur.Counters, "rtnet_messages_delivered_total"), rate("rtnet_messages_delivered_total"),
-		sumByBase(cur.Counters, "rtnet_timer_fires_total"), maxByBase(cur.Gauges, "rtnet_inbox_depth_max"),
+		sumByBase(cur.Counters, "rtnet_timer_fires_total"), lateP50, lateP99,
+		maxByBase(cur.Gauges, "rtnet_inbox_depth_max"),
 		sumByBase(cur.Counters, "rtnet_inbox_overflows_total"), overflowNote)
 	// Wire-protocol line: per-codec connection counts from negotiation.
 	// Only endpoints that have accepted a connection emit it.

@@ -21,6 +21,13 @@ func statSnapshot(t *testing.T, aopP99 int64) obs.Snapshot {
 	r.Gauge("serve_inflight_ops").Set(3)
 	r.Gauge("serve_drain_state").Set(0)
 	r.Max("rtnet_inbox_depth_max").Observe(6)
+	// Two shard clusters' lateness: the frame shows the worse of each quantile.
+	for shard, late := range [][]int64{{90, 110, 240}, {70, 130, 180}} {
+		h := r.Hist(obs.WithLabel("rtnet_wake_late_us", "shard", fmt.Sprint(shard)), 0)
+		for _, us := range late {
+			h.Add(us)
+		}
+	}
 	for class, p99 := range map[string]int64{"AOP": aopP99, "MOP": 30, "OOP": 55} {
 		h := r.Hist(`serve_latency_ticks{class="`+class+`"}`, 256)
 		h.Add(p99 / 2)
@@ -56,6 +63,7 @@ func TestRenderStatFrame(t *testing.T) {
 		"inflight 3",
 		"state serving",
 		"rtnet   delivered 80",
+		"wake late p50 130us p99 240us",
 		"inbox max 6",
 		"overflows 0",
 		"AOP", "MOP", "OOP",

@@ -1,8 +1,11 @@
 // Package rtnet runs the same algorithm nodes as the virtual-time
 // simulator in *real time*. A Cluster is a wall-clock shell around one
-// sim.Engine: a single scheduler goroutine sleeps on one time.Timer until
-// the engine's next event is due, dispatches it at the instant it
-// measured on waking, and is woken early when an invocation arrives.
+// sim.Engine: a single scheduler goroutine sleeps until the engine's next
+// event is due and dispatches it at the instant it measured on waking. On
+// Linux the sleep is a futex wait with a nanosecond timeout
+// (sleep_linux.go), elsewhere a time.Timer (sleep_other.go); the build tag
+// alone chooses. An invocation is dispatched by its own caller, which
+// wakes the scheduler only when that moved the next deadline forward.
 // Message delays are real waits drawn from [d-u, d] virtual ticks, timers
 // are real waits, and local clocks are wall-clock readings plus a
 // constant per-process offset. Scheduling, crash suppression, tracing and
@@ -13,8 +16,8 @@
 // same core.Replica values run here, with latencies that approximate the
 // tick-exact virtual-time values up to scheduling jitter. The tick
 // duration scales virtual ticks to wall time; choose it large enough that
-// the host's timer lateness stays well below one u (a millisecond-scale
-// tick on an unloaded machine).
+// the dispatch lateness the cluster measures (rtnet_wake_late_us: on Linux
+// ≈ 0.1 ms of hrtimer slack plus a thread wake-up) stays below u/2 ticks.
 package rtnet
 
 import (
@@ -122,15 +125,16 @@ type Cluster struct {
 	classes map[string]classify.Class // read-only after Start
 	metrics *Metrics
 
-	wake chan struct{} // cap 1: the schedule changed or the cluster stopped
-	done chan struct{} // closed when the scheduler goroutine has exited
+	sleep sleeper       // the scheduler's interruptible sleep: wait and poke
+	done  chan struct{} // closed when the scheduler goroutine has exited
 
 	// mu guards the engine and everything below. Node handlers run under
 	// it (the engine is single-threaded), as do Inspect callbacks; neither
 	// may call back into the Cluster.
 	mu           sync.Mutex
 	eng          *sim.Engine
-	start        time.Time // zero until Start
+	start        time.Time    // zero until Start; not written after it
+	sleepUntil   simtime.Time // the deadline the scheduler last went to sleep toward
 	stopped      bool
 	err          error // first failure (inbox overflow); sticky
 	overflows    int64
@@ -139,13 +143,14 @@ type Cluster struct {
 }
 
 // Metrics is the substrate's instrumentation hook set: the engine's
-// counters plus the two the wall clock adds. All fields it sets must be
+// counters plus the three the wall clock adds. All fields it sets must be
 // non-nil when installed (use NewMetrics); a nil *Metrics (the default)
 // disables instrumentation.
 type Metrics struct {
 	sim.EngineMetrics
 	Overflows *obs.Counter // inbox overflows (any value > 0 means the run failed)
 	InboxMax  *obs.Max     // high-water mark of any process's backlog, observed at dispatch
+	WakeLate  *obs.Hist    // µs from an event's deadline to its dispatch (0 for an invocation its caller dispatched)
 }
 
 // NewMetrics builds the substrate's instrument set on a registry. The
@@ -175,6 +180,7 @@ func NewMetrics(reg *obs.Registry, p simtime.Params, labels ...string) *Metrics 
 		},
 		Overflows: reg.Counter(name("rtnet_inbox_overflows_total")),
 		InboxMax:  reg.Max(name("rtnet_inbox_depth_max")),
+		WakeLate:  reg.Hist(name("rtnet_wake_late_us"), 0),
 	}
 }
 
@@ -217,7 +223,7 @@ func NewCluster(p Params, tick time.Duration, offsets []simtime.Duration, nodes 
 		offsets:      append([]simtime.Duration(nil), offsets...),
 		nodes:        nodes,
 		net:          net,
-		wake:         make(chan struct{}, 1),
+		sleep:        newSleeper(),
 		done:         make(chan struct{}),
 		eng:          eng,
 		overflowProc: -1,
@@ -257,7 +263,7 @@ func (c *Cluster) Start() {
 }
 
 // elapsed returns the nanoseconds since Start (0 before it): the
-// engine's timeline. Called under mu.
+// engine's timeline.
 func (c *Cluster) elapsed() simtime.Time {
 	if c.start.IsZero() {
 		return 0
@@ -265,39 +271,44 @@ func (c *Cluster) elapsed() simtime.Time {
 	return simtime.Time(time.Since(c.start))
 }
 
-// run is the scheduler: dispatch what is due, otherwise sleep until the
-// next event's deadline (forever when nothing is scheduled) or until the
-// schedule changes. A tick left in sleep.C by a wait that a wake cut short
-// costs one extra pass, so the timer is never drained.
+// run is the scheduler: dispatch what is due, then sleep until the next
+// event's deadline (forever when nothing is scheduled) or until poked.
 func (c *Cluster) run() {
 	defer close(c.done)
-	sleep := time.NewTimer(0)
-	defer sleep.Stop()
 	for {
 		c.mu.Lock()
-		if c.stopped {
-			c.mu.Unlock()
+		next := c.dispatchDue()
+		c.sleepUntil = next
+		stopped := c.stopped
+		c.mu.Unlock()
+		if stopped {
 			return
 		}
-		now := c.elapsed()
-		next, proc := c.eng.Next()
-		if next <= now {
-			c.step(proc, now)
-			c.mu.Unlock()
-			continue
-		}
-		c.mu.Unlock()
-		sleep.Reset(time.Duration(next - now))
-		select {
-		case <-sleep.C:
-		case <-c.wake:
-		}
+		c.wait(next)
 	}
 }
 
-// step dispatches the engine's next event, due at proc, at the measured
-// instant now — after holding the process's backlog against the bound.
-func (c *Cluster) step(proc sim.ProcID, now simtime.Time) {
+// dispatchDue dispatches every event that is due, each at the instant
+// measured just before it, and returns the deadline of the next one
+// (simtime.Infinity when nothing is scheduled). The scheduler and every
+// invoker run it; mu, which they hold, is what serializes the engine.
+func (c *Cluster) dispatchDue() simtime.Time {
+	for {
+		next, proc := c.eng.Next()
+		now := c.elapsed()
+		if next > now || c.stopped {
+			return next
+		}
+		c.step(proc, now, next)
+	}
+}
+
+// step dispatches the engine's next event, due at proc since deadline, at the
+// measured instant now — after holding the process's backlog against the bound.
+func (c *Cluster) step(proc sim.ProcID, now, deadline simtime.Time) {
+	if c.metrics != nil {
+		c.metrics.WakeLate.Add(int64(now-deadline) / int64(time.Microsecond))
+	}
 	if !c.eng.Crashed(proc) {
 		backlog := c.eng.Due(proc, now)
 		if c.metrics != nil {
@@ -351,14 +362,6 @@ func (c *Cluster) halt() {
 		delete(c.pending, seqID)
 	}
 	c.poke()
-}
-
-// poke wakes the scheduler if it is asleep.
-func (c *Cluster) poke() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 }
 
 // Err returns the first failure the cluster recorded (an
@@ -469,7 +472,12 @@ func (c *Cluster) InvokeTraced(proc sim.ProcID, op string, arg any, parent int64
 	}
 	done := make(chan Response, 1)
 	c.pending[c.eng.InvokeAtTraced(proc, now, op, arg, parent)] = pendingCall{proc: proc, done: done}
-	c.poke()
+	// The caller holds mu, so it dispatches the invocation (and whatever
+	// else is due) itself, and wakes the scheduler only if a handler
+	// scheduled something before the deadline it is sleeping toward.
+	if !c.start.IsZero() && c.dispatchDue() < c.sleepUntil {
+		c.poke()
+	}
 	return done, nil
 }
 

@@ -99,6 +99,15 @@ func TestClusterMetrics(t *testing.T) {
 	if got := m.InboxMax.Value(); got < 1 {
 		t.Fatalf("inbox high-water: got %d, want >= 1", got)
 	}
+	// One lateness sample per dispatched event: the two invocations, every
+	// delivery, every timer fire.
+	late := m.WakeLate.Summary()
+	if want := 2 + m.Delivered.Value() + m.TimerFires.Value(); late.Count != want {
+		t.Fatalf("wake-lateness samples %d, want %d (one per dispatched event)", late.Count, want)
+	}
+	if late.Max > int64(p.U/2)*int64(tick/time.Microsecond) {
+		t.Fatalf("an event was dispatched %d us late on an idle cluster: past the u/2 margin", late.Max)
+	}
 }
 
 // TestOverflowCountersAndLastProc pins satellite telemetry for the
