@@ -32,13 +32,15 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-engine reruns the engine-heavy benchmarks (event loop, timer
-# churn, fuzz-campaign batch, table pipeline) and folds them into the
-# "after" side of BENCH_engine.json; the checked-in "before" side is the
-# pre-optimization baseline (pointer-heap engine, no reuse), so the
+# churn, fuzz-campaign batch, linearizability checker, table pipeline) and
+# folds them into the "after" side of BENCH_engine.json; the checked-in
+# "before" side is the pre-optimization baseline (pointer-heap engine, no
+# reuse; for the checker, the per-history string-keyed search), so the
 # delta_pct section always reads against that fixed reference.
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn' -benchmem ./internal/sim/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
 	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaign|BenchmarkRunnerRun' -benchmem ./internal/adversary/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
+	$(GO) test -run xxx -bench 'BenchmarkCheck' -benchmem ./internal/lincheck/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
 	$(GO) test -run xxx -bench 'BenchmarkAllTables/parallel=4' -benchmem . | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
 
 # bench-compare is the determinism smoke for the zero-allocation engine:
@@ -62,12 +64,17 @@ bench-compare:
 # round-trip line pins the tracing-off codec floor the same way — an
 # untraced binary request must stay byte-identical and allocation-flat
 # (2 allocs/op) no matter how much the tracing subsystem grows; the
-# looser -pct absorbs sub-200ns wall jitter on shared CI runners.
+# looser -pct absorbs sub-200ns wall jitter on shared CI runners. The
+# RunnerRun line holds what one schedule allocates end to end (engine run,
+# admissibility, pooled linearizability checker) at the recorded floor;
+# its ns/op, ≈ 10 µs of mixed work, only has to stay within half again.
 bench-guard:
 	$(GO) test -run xxx -bench BenchmarkEngineEvents -benchmem -benchtime 2s ./internal/sim/ | \
 		$(GO) run ./cmd/benchjson -guard -pct 5 -o BENCH_engine.json
 	$(GO) test -run xxx -bench 'BenchmarkWireBinary' -benchmem -benchtime 2s ./internal/serve/ | \
 		$(GO) run ./cmd/benchjson -guard -pct 25 -o BENCH_engine.json
+	$(GO) test -run xxx -bench 'BenchmarkRunnerRun' -benchmem -benchtime 2s ./internal/adversary/ | \
+		$(GO) run ./cmd/benchjson -guard -pct 50 -o BENCH_engine.json
 
 # stat-smoke boots a live load run with the observability endpoint on,
 # reads it back with `lintime stat -once -require-slo` (nonzero exit on

@@ -12,6 +12,7 @@ package adt
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -68,6 +69,21 @@ func intArgs(n int) []spec.Value {
 		args[i] = i
 	}
 	return args
+}
+
+// intsFingerprint renders prefix followed by the comma-separated decimal
+// items: the canonical fingerprint of every list-shaped state, built in
+// one buffer without fmt (the linearizability checker fingerprints every
+// distinct state it reaches).
+func intsFingerprint(prefix string, items []int) string {
+	buf := append(make([]byte, 0, 64), prefix...)
+	for i, v := range items {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(v), 10)
+	}
+	return string(buf)
 }
 
 // copyInts clones an int slice.

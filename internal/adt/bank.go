@@ -1,7 +1,7 @@
 package adt
 
 import (
-	"fmt"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -70,4 +70,4 @@ func (s bankState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s bankState) Fingerprint() string { return fmt.Sprintf("bank:%d", s.balance) }
+func (s bankState) Fingerprint() string { return "bank:" + strconv.Itoa(s.balance) }

@@ -1,7 +1,7 @@
 package adt
 
 import (
-	"fmt"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -62,4 +62,4 @@ func (s counterState) Apply(op string, arg spec.Value) (spec.Value, spec.State) 
 	}
 }
 
-func (s counterState) Fingerprint() string { return fmt.Sprintf("ctr:%d", s.value) }
+func (s counterState) Fingerprint() string { return "ctr:" + strconv.Itoa(s.value) }

@@ -1,11 +1,6 @@
 package adt
 
-import (
-	"fmt"
-	"strings"
-
-	"lintime/internal/spec"
-)
+import "lintime/internal/spec"
 
 // Deque operation names.
 const (
@@ -89,10 +84,4 @@ func (s dequeState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s dequeState) Fingerprint() string {
-	parts := make([]string, len(s.items))
-	for i, v := range s.items {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return "deque:" + strings.Join(parts, ",")
-}
+func (s dequeState) Fingerprint() string { return intsFingerprint("deque:", s.items) }

@@ -1,9 +1,8 @@
 package adt
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -134,9 +133,13 @@ func (s dictState) Fingerprint() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	parts := make([]string, len(keys))
+	buf := append(make([]byte, 0, 64), "dict:"...)
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, s.bindings[k])
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(append(buf, k...), '=')
+		buf = strconv.AppendInt(buf, int64(s.bindings[k]), 10)
 	}
-	return "dict:" + strings.Join(parts, ",")
+	return string(buf)
 }

@@ -3,7 +3,7 @@ package adt
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -158,14 +158,13 @@ func (s keyedState) Fingerprint() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("keyed{")
+	buf := append(make([]byte, 0, 64), "keyed{"...)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(' ')
+			buf = append(buf, ' ')
 		}
-		fmt.Fprintf(&b, "%q=%s", k, s.objs[k].Fingerprint())
+		buf = append(strconv.AppendQuote(buf, k), '=')
+		buf = append(buf, s.objs[k].Fingerprint()...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(buf, '}'))
 }

@@ -1,11 +1,6 @@
 package adt
 
-import (
-	"fmt"
-	"strings"
-
-	"lintime/internal/spec"
-)
+import "lintime/internal/spec"
 
 // Log operation names.
 const (
@@ -84,10 +79,4 @@ func (s logState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s logState) Fingerprint() string {
-	parts := make([]string, len(s.entries))
-	for i, v := range s.entries {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return "log:" + strings.Join(parts, ",")
-}
+func (s logState) Fingerprint() string { return intsFingerprint("log:", s.entries) }

@@ -1,7 +1,7 @@
 package adt
 
 import (
-	"fmt"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -66,4 +66,4 @@ func (s maxRegState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s maxRegState) Fingerprint() string { return fmt.Sprintf("max:%d", s.value) }
+func (s maxRegState) Fingerprint() string { return "max:" + strconv.Itoa(s.value) }

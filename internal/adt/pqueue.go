@@ -1,9 +1,7 @@
 package adt
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"lintime/internal/spec"
 )
@@ -80,10 +78,4 @@ func (s pqState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s pqState) Fingerprint() string {
-	parts := make([]string, len(s.keys))
-	for i, v := range s.keys {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return "pq:" + strings.Join(parts, ",")
-}
+func (s pqState) Fingerprint() string { return intsFingerprint("pq:", s.keys) }

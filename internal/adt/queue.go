@@ -1,11 +1,6 @@
 package adt
 
-import (
-	"fmt"
-	"strings"
-
-	"lintime/internal/spec"
-)
+import "lintime/internal/spec"
 
 // Queue operation names.
 const (
@@ -75,14 +70,4 @@ func (s queueState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s queueState) Fingerprint() string {
-	var b strings.Builder
-	b.WriteString("queue:")
-	for i, v := range s.items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return b.String()
-}
+func (s queueState) Fingerprint() string { return intsFingerprint("queue:", s.items) }

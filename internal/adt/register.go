@@ -2,6 +2,7 @@ package adt
 
 import (
 	"fmt"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -58,7 +59,7 @@ func (s registerState) Apply(op string, arg spec.Value) (spec.Value, spec.State)
 	}
 }
 
-func (s registerState) Fingerprint() string { return fmt.Sprintf("reg:%d", s.value) }
+func (s registerState) Fingerprint() string { return "reg:" + strconv.Itoa(s.value) }
 
 // errValue is the total-function response to a malformed invocation: the
 // instance returns an error marker and leaves the state unchanged, so

@@ -1,7 +1,7 @@
 package adt
 
 import (
-	"fmt"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -70,4 +70,4 @@ func (s rmwState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s rmwState) Fingerprint() string { return fmt.Sprintf("rmw:%d", s.value) }
+func (s rmwState) Fingerprint() string { return "rmw:" + strconv.Itoa(s.value) }

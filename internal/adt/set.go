@@ -1,9 +1,7 @@
 package adt
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"lintime/internal/spec"
 )
@@ -104,9 +102,5 @@ func (s setState) Fingerprint() string {
 		vals = append(vals, v)
 	}
 	sort.Ints(vals)
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return "set:" + strings.Join(parts, ",")
+	return intsFingerprint("set:", vals)
 }

@@ -1,11 +1,6 @@
 package adt
 
-import (
-	"fmt"
-	"strings"
-
-	"lintime/internal/spec"
-)
+import "lintime/internal/spec"
 
 // Stack operation names.
 const (
@@ -73,14 +68,4 @@ func (s stackState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s stackState) Fingerprint() string {
-	var b strings.Builder
-	b.WriteString("stack:")
-	for i, v := range s.items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return b.String()
-}
+func (s stackState) Fingerprint() string { return intsFingerprint("stack:", s.items) }

@@ -1,8 +1,8 @@
 package adt
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"lintime/internal/spec"
@@ -165,7 +165,7 @@ func (s treeState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 func (s treeState) Fingerprint() string {
 	edges := make([]string, 0, len(s.parent))
 	for c, p := range s.parent {
-		edges = append(edges, fmt.Sprintf("%d<%d", c, p))
+		edges = append(edges, strconv.Itoa(c)+"<"+strconv.Itoa(p))
 	}
 	sort.Strings(edges)
 	return "tree:" + strings.Join(edges, ",")

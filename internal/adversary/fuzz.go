@@ -51,8 +51,6 @@ type Options struct {
 	StopEarly bool
 	// Shrink reduces each reported violation to a minimal schedule.
 	Shrink bool
-	// CheckWorkers is passed through to the linearizability checker.
-	CheckWorkers int
 }
 
 // Violation is one schedule that broke a checked property.
@@ -93,8 +91,7 @@ func Fuzz(opts Options) (*Report, error) {
 	// while requesting it explicitly is an error.
 	// The campaign never reads Steps: coverage signatures come from the
 	// engine's incremental hash, so the runner skips recording them.
-	runner := &Runner{Params: p, DT: opts.DT, Target: opts.Target, CheckWorkers: opts.CheckWorkers,
-		Trace: sim.TraceOps}
+	runner := &Runner{Params: p, DT: opts.DT, Target: opts.Target, Trace: sim.TraceOps}
 	if err := runner.resolve(); err != nil {
 		return nil, err
 	}

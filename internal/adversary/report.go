@@ -84,7 +84,7 @@ func WriteKillMatrix(w io.Writer, r *Runner, entries []KillEntry) error {
 		if e.Mutant == "correct" { // a killed control replays on the correct protocol
 			target.Mutant = ""
 		}
-		rr := &Runner{Params: r.Params, DT: r.DT, Target: target, CheckWorkers: r.CheckWorkers}
+		rr := &Runner{Params: r.Params, DT: r.DT, Target: target}
 		if err := writeDiagram(w, rr, *e.Shrunk); err != nil {
 			return err
 		}

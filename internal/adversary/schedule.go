@@ -305,14 +305,12 @@ func (t Target) String() string {
 }
 
 // Runner executes schedules against one target and checks the traces.
-// A Runner must not be copied after first use (it embeds an engine pool)
-// and is safe for concurrent use by the fuzz campaign's workers.
+// A Runner must not be copied after first use (it embeds its pools) and is
+// safe for concurrent use by the fuzz campaign's workers.
 type Runner struct {
 	Params simtime.Params
 	DT     spec.DataType
 	Target Target
-	// CheckWorkers is passed to lincheck.CheckTraceParallel (default 2).
-	CheckWorkers int
 	// Trace selects the engine's recording level (default sim.TraceFull).
 	// Throughput campaigns run at sim.TraceOps: signatures come from the
 	// engine's incremental step hash, so Steps is never read. Replays that
@@ -323,6 +321,10 @@ type Runner struct {
 	// queue's backing array, bookkeeping maps, and trace-capacity hints
 	// survive, so a steady-state schedule run allocates only its outcome.
 	engines sync.Pool
+	// checkers recycles one linearizability checker per worker the same
+	// way: a Checker is single-threaded, and the transitions of the data
+	// type it has cached serve every later history of this Runner.
+	checkers sync.Pool
 
 	// The target is resolved against the harness table once, on first use:
 	// classification, the mutant lookup and the type check are paid per
@@ -431,10 +433,6 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 	if err := tr.CheckAdmissible(); err != nil {
 		return nil, fmt.Errorf("adversary: generated inadmissible run: %w", err)
 	}
-	workers := r.CheckWorkers
-	if workers == 0 {
-		workers = 2
-	}
 	// Continue the engine's incremental step hash over the message records,
 	// reproducing signatureFromTrace byte for byte without needing Steps.
 	sig := eng.StepSignature()
@@ -442,9 +440,14 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 		sig = (sig ^ uint64(byte(m.From))) * fnvPrime
 		sig = (sig ^ uint64(byte(m.To))) * fnvPrime
 	}
+	checker, ok := r.checkers.Get().(*lincheck.Checker)
+	if !ok {
+		checker = lincheck.NewChecker(r.DT)
+	}
+	defer r.checkers.Put(checker)
 	out := &Outcome{
 		Trace: tr,
-		Check: lincheck.CheckTraceParallel(r.DT, tr, workers),
+		Check: checker.CheckTrace(tr),
 		// Crash-aware completeness: an op pending at a crashed invoker is
 		// legitimate; at a live process it is a liveness violation. On
 		// fault-free runs this is exactly CheckComplete.

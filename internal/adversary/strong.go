@@ -38,8 +38,6 @@ type StrongOptions struct {
 	// Shrink reduces each violating pair to a minimal base schedule that
 	// still admits a violating fork.
 	Shrink bool
-	// CheckWorkers is passed through to the linearizability checker.
-	CheckWorkers int
 }
 
 // ForkViolation is a pair of admissible executions proving the target is
@@ -134,8 +132,7 @@ func StrongHunt(opts StrongOptions) (*StrongReport, error) {
 	corners := strongCorners(p, ops)
 	// Fork replays feed the prefix tree with invocation/response records
 	// only, so step recording stays off; diagrams replay at TraceFull.
-	runner := &Runner{Params: p, DT: opts.DT, Target: opts.Target, CheckWorkers: opts.CheckWorkers,
-		Trace: sim.TraceOps}
+	runner := &Runner{Params: p, DT: opts.DT, Target: opts.Target, Trace: sim.TraceOps}
 	strategies := []string{StratBoundary, StratRandom}
 
 	rep := &StrongReport{Target: opts.Target}
@@ -452,7 +449,7 @@ func WriteStrongReport(w io.Writer, r *Runner, rep *StrongReport) error {
 // writeStrongPair replays both futures at full trace level, reports the
 // first diverging response, and renders the two diagrams.
 func writeStrongPair(w io.Writer, r *Runner, base Schedule, forkIdx int, forkDelay simtime.Duration) error {
-	rr := &Runner{Params: r.Params, DT: r.DT, Target: r.Target, CheckWorkers: r.CheckWorkers}
+	rr := &Runner{Params: r.Params, DT: r.DT, Target: r.Target}
 	baseOut, err := rr.Run(base)
 	if err != nil {
 		return err

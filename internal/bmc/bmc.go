@@ -76,6 +76,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"strconv"
 
 	"lintime/internal/adversary"
 	"lintime/internal/classify"
@@ -125,8 +126,6 @@ type Config struct {
 	StopEarly bool
 	// Parallel is the worker count (harness semantics: <1 = GOMAXPROCS).
 	Parallel int
-	// CheckWorkers is passed through to the linearizability checker.
-	CheckWorkers int
 }
 
 // Smoke returns the CI-sized configuration: n=2, three operations,
@@ -524,8 +523,7 @@ func Verify(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	runner := &adversary.Runner{
-		Params: cfg.Params, DT: cfg.DT, Target: cfg.Target,
-		CheckWorkers: cfg.CheckWorkers, Trace: sim.TraceOps,
+		Params: cfg.Params, DT: cfg.DT, Target: cfg.Target, Trace: sim.TraceOps,
 	}
 	rep := &Report{
 		Target:         cfg.Target.String(),
@@ -678,10 +676,20 @@ func (s *Space) checkContext(runner *adversary.Runner, ctx int) (contextResult, 
 }
 
 // historyFingerprint hashes a completed history's observable content.
+// The bytes hashed are "proc·name·arg·invoke·respond·ret;" per operation
+// (values as spec.FormatValue renders them) under 64-bit FNV-1a.
 func historyFingerprint(history []lincheck.Op) uint64 {
-	h := fnv.New64a()
+	buf := make([]byte, 0, 256)
 	for _, op := range history {
-		fmt.Fprintf(h, "%d·%s·%s·%d·%d·%s;", op.Proc, op.Name, spec.FormatValue(op.Arg), op.Invoke, op.Respond, spec.FormatValue(op.Ret))
+		buf = strconv.AppendInt(buf, int64(op.Proc), 10)
+		buf = append(append(buf, "·"...), op.Name...)
+		buf = append(append(buf, "·"...), spec.FormatValue(op.Arg)...)
+		buf = strconv.AppendInt(append(buf, "·"...), int64(op.Invoke), 10)
+		buf = strconv.AppendInt(append(buf, "·"...), int64(op.Respond), 10)
+		buf = append(append(buf, "·"...), spec.FormatValue(op.Ret)...)
+		buf = append(buf, ';')
 	}
+	h := fnv.New64a()
+	h.Write(buf)
 	return h.Sum64()
 }

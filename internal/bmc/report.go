@@ -237,10 +237,9 @@ func runQuorumCert(cfg Config, m harness.Mutant, cert quorumCert) (KillEntry, er
 	p := simtime.Params{N: cert.n, D: cfg.Params.D, U: cfg.Params.U}
 	c := Config{
 		Params: p, DT: cfg.DT,
-		Target:       adversary.Target{Algorithm: cfg.Target.Algorithm, Mutant: m.Name},
-		MaxOps:       cert.maxOps,
-		Drops:        cert.drops,
-		CheckWorkers: cfg.CheckWorkers,
+		Target: adversary.Target{Algorithm: cfg.Target.Algorithm, Mutant: m.Name},
+		MaxOps: cert.maxOps,
+		Drops:  cert.drops,
 	}
 	sp, err := NewSpace(c)
 	if err != nil {
@@ -251,8 +250,7 @@ func runQuorumCert(cfg Config, m harness.Mutant, cert quorumCert) (KillEntry, er
 		return KillEntry{}, fmt.Errorf("bmc: certificate context for mutant %q is not in its enumerated space", m.Name)
 	}
 	runner := &adversary.Runner{
-		Params: p, DT: cfg.DT, Target: c.Target,
-		CheckWorkers: cfg.CheckWorkers, Trace: sim.TraceOps,
+		Params: p, DT: cfg.DT, Target: c.Target, Trace: sim.TraceOps,
 	}
 	base, msgs := sp.context(ctx)
 	e := KillEntry{Mutant: m.Name, Desc: m.Desc, Space: cert.space}

@@ -1,6 +1,7 @@
 package lincheck
 
 import (
+	"reflect"
 	"testing"
 
 	"lintime/internal/adt"
@@ -62,8 +63,11 @@ func refCheck(dt spec.DataType, history []Op) bool {
 	return rec(dt.Initial(), completed)
 }
 
-// FuzzCheck cross-checks the production checker (sequential and parallel)
-// against the brute-force reference on randomly generated histories.
+// FuzzCheck cross-checks the production checker against the brute-force
+// reference on randomly generated histories. ONE Checker lives across all
+// inputs, so a stale or poisoned cross-history table shows up as a Result
+// that differs from a fresh Checker's; the sequential and parallel
+// wrappers must reach the reference's verdict too.
 func FuzzCheck(f *testing.F) {
 	// A linearizable overlap, an illegal return, a pending enqueue that
 	// must be linearized for a later dequeue, and a real-time violation.
@@ -71,12 +75,17 @@ func FuzzCheck(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 1, 2, 0, 5, 3})
 	f.Add([]byte{0, 3, 0, 7, 1, 0, 8, 12})
 	f.Add([]byte{2, 0, 0, 1, 0, 1, 4, 2, 1, 0, 9, 14})
+	dt := adt.NewQueue()
+	longLived := NewChecker(dt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dt := adt.NewQueue()
 		history := DecodeFuzzHistory(data)
 		want := refCheck(dt, history)
-		if got := Check(dt, history); got.Linearizable != want {
-			t.Fatalf("Check = %v, reference = %v\nhistory: %+v", got.Linearizable, want, history)
+		fresh := Check(dt, history)
+		if fresh.Linearizable != want {
+			t.Fatalf("Check = %v, reference = %v\nhistory: %+v", fresh.Linearizable, want, history)
+		}
+		if got := longLived.Check(history); !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("long-lived Checker = %+v, fresh Checker = %+v\nhistory: %+v", got, fresh, history)
 		}
 		if got := CheckParallel(dt, history, 4); got.Linearizable != want {
 			t.Fatalf("CheckParallel = %v, reference = %v\nhistory: %+v", got.Linearizable, want, history)

@@ -6,21 +6,36 @@
 // instances.
 //
 // The checker is a Wing–Gong style depth-first search over linearization
-// prefixes, memoized on (set of linearized ops, object state fingerprint)
-// so equivalent prefixes are explored once. The search runs on an
-// explicit stack (no recursion), and the memo key is a fixed-width taken
-// bitmap with the state fingerprint appended, assembled in a reused
-// scratch buffer — the key allocates only when a failed state is
-// inserted, never on lookup. Pending invocations (from chopped run
-// fragments) may take effect with any legal response or be dropped, per
-// the standard completion rule. CheckParallel additionally splits the
-// top-level branches of the search across worker goroutines for large
-// independent histories.
+// prefixes on an explicit stack, memoized on (set of linearized ops, object
+// state) so equivalent prefixes are explored once. Pending invocations
+// (from chopped run fragments) may take effect with any legal response or
+// be dropped, per the standard completion rule.
+//
+// The search runs over integers. A Checker is bound to one data type and
+// keeps, across all the histories it checks, the states it has reached
+// (canonical fingerprint → dense id) and the transitions it has taken
+// ((state id, kind) → (next id, ret), a kind being a distinct (Name, Arg)),
+// so spec.State.Apply and Fingerprint run once per distinct pair. The
+// specification is a deterministic state machine with canonical
+// fingerprints, so the table memoises a pure function: it never changes a
+// verdict, a witness or an Explored count, only who computes it. Per
+// history, the taken set is a bitmap and the failed-state memo is keyed on
+// (bitmap, state id), with no string to build while the history fits one
+// 64-bit word.
+//
+// Check, CheckTrace and CheckParallel build a Checker for one history; a
+// caller with many histories of one type (adversary.Runner) keeps one per
+// worker.
 package lincheck
 
 import (
-	"sort"
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
@@ -49,7 +64,10 @@ func (o Op) Pending() bool { return o.Respond == simtime.Infinity }
 // FromTrace extracts the checker's history from a simulation trace,
 // including pending invocations.
 func FromTrace(tr *sim.Trace) []Op {
-	ops := make([]Op, 0, len(tr.Ops))
+	return appendTrace(make([]Op, 0, len(tr.Ops)), tr)
+}
+
+func appendTrace(ops []Op, tr *sim.Trace) []Op {
 	for i, rec := range tr.Ops {
 		ops = append(ops, Op{
 			ID:      i,
@@ -73,171 +91,275 @@ type Result struct {
 	Explored int
 }
 
-// sortOps returns a copy of the history in deterministic exploration
-// order: by invocation time, ties by ID.
-func sortOps(history []Op) []Op {
-	ops := append([]Op(nil), history...)
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].Invoke != ops[j].Invoke {
-			return ops[i].Invoke < ops[j].Invoke
-		}
-		return ops[i].ID < ops[j].ID
-	})
-	return ops
-}
-
 // Check decides whether the history is linearizable with respect to dt.
 func Check(dt spec.DataType, history []Op) Result {
-	ops := sortOps(history)
-	c := newChecker(dt, ops)
-	lin, ok := c.search(dt.Initial(), completedLeftInit(ops))
-	if !ok {
-		return Result{Linearizable: false, Explored: c.visited}
-	}
-	return Result{Linearizable: true, Linearization: lin, Explored: c.visited}
+	return NewChecker(dt).Check(history)
 }
 
 // CheckTrace is shorthand for Check(dt, FromTrace(tr)).
 func CheckTrace(dt spec.DataType, tr *sim.Trace) Result {
-	return Check(dt, FromTrace(tr))
+	return NewChecker(dt).CheckTrace(tr)
 }
 
-type checker struct {
-	dt      spec.DataType
-	ops     []Op
-	taken   []bool
-	memo    map[string]struct{} // key → known-failed
-	keyBuf  []byte              // scratch for memo keys; reused across states
+// maxStates bounds the tables a Checker carries from one history to the
+// next: past it they are dropped before the next check and rebuilt on
+// demand.
+const maxStates = 1 << 16
+
+// Checker checks histories of one data type, keeping its interned states
+// and cached transitions across calls. It is single-threaded: pool it,
+// never share it.
+type Checker struct {
+	dt spec.DataType
+
+	// Tables that outlive a check.
+	states []spec.State     // state id → state; id 0 is dt.Initial()
+	ids    map[string]int32 // canonical fingerprint → state id
+	kinds  map[kindKey]int32
+	edges  map[uint64]edge // state id<<32 | kind → transition
+
+	// The compiled history and the search's scratch, reused between checks.
+	ops     []Op     // exploration order: by invocation time, ties by ID
+	kind    []int32  // kind[i] is the kind of ops[i]
+	taken   []uint64 // bitmap over ops: linearized on the current path
+	stack   []frame
+	memo    map[memoKey]struct{} // (taken set, state) known to be dead ends
+	keyBuf  []byte               // scratch for memoKey.rest
 	visited int
 }
 
-func newChecker(dt spec.DataType, ops []Op) *checker {
-	return &checker{
-		dt:     dt,
-		ops:    ops,
-		taken:  make([]bool, len(ops)),
-		memo:   map[string]struct{}{},
-		keyBuf: make([]byte, 0, (len(ops)+7)/8+32),
-	}
+// kindKey identifies an invocation. arg is the operation's argument, or,
+// when that cannot be a map key (a slice, a map, a struct holding one),
+// its type and Go-syntax rendering as a formattedArg — a type of its own,
+// so it never equals a string argument.
+type kindKey struct {
+	name string
+	arg  spec.Value
 }
 
-// buildKey assembles the memo key for the current taken set and the given
-// state fingerprint into the reused scratch buffer: a fixed-width bitmap
-// of taken ops with the fingerprint appended (no separator needed — the
-// bitmap width is constant for a history).
-func (c *checker) buildKey(fp string) []byte {
-	nb := (len(c.taken) + 7) / 8
-	buf := c.keyBuf[:0]
-	for i := 0; i < nb; i++ {
-		buf = append(buf, 0)
+type formattedArg string
+
+// edge is one cached transition of the sequential specification.
+type edge struct {
+	next int32
+	ret  spec.Value
+}
+
+// memoKey is a taken set and a state. rest holds the bitmap's words past
+// the first and is empty — nothing to build, nothing to allocate — for the
+// histories of at most 64 operations the verification pipeline produces.
+type memoKey struct {
+	taken0 uint64
+	state  int32
+	rest   string
+}
+
+// NewChecker returns a Checker for histories of dt.
+func NewChecker(dt spec.DataType) *Checker {
+	c := &Checker{dt: dt, memo: map[memoKey]struct{}{}}
+	c.resetTables()
+	return c
+}
+
+// resetTables drops the cross-history tables, the states they hold
+// included, and starts over from the initial state.
+func (c *Checker) resetTables() {
+	c.states = nil
+	c.ids = map[string]int32{}
+	c.kinds = map[kindKey]int32{}
+	c.edges = map[uint64]edge{}
+	c.intern(c.dt.Initial())
+}
+
+// Check decides whether the history is linearizable.
+func (c *Checker) Check(history []Op) Result {
+	c.ops = append(c.ops[:0], history...)
+	lin, ok := c.search(0, c.compile())
+	return Result{Linearizable: ok, Linearization: lin, Explored: c.visited}
+}
+
+// CheckTrace is Check over the trace's operations, pending ones included.
+func (c *Checker) CheckTrace(tr *sim.Trace) Result {
+	c.ops = appendTrace(c.ops[:0], tr)
+	lin, ok := c.search(0, c.compile())
+	return Result{Linearizable: ok, Linearization: lin, Explored: c.visited}
+}
+
+// compile puts c.ops in exploration order, resolves every op's kind and
+// readies the scratch for a search. It returns the number of completed
+// ops, which a linearization must contain.
+func (c *Checker) compile() (completed int) {
+	if len(c.states) > maxStates || len(c.kinds) > maxStates || len(c.edges) > 8*maxStates {
+		c.resetTables()
 	}
-	for i, t := range c.taken {
-		if t {
-			buf[i/8] |= 1 << (i % 8)
+	slices.SortFunc(c.ops, func(a, b Op) int {
+		if a.Invoke != b.Invoke {
+			return cmp.Compare(a.Invoke, b.Invoke)
 		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	c.kind = c.kind[:0]
+	for i := range c.ops {
+		op := &c.ops[i]
+		if !op.Pending() {
+			completed++
+		}
+		key := kindKey{op.Name, op.Arg}
+		if !mapKeyable(op.Arg) {
+			key.arg = formattedArg(fmt.Sprintf("%T %#v", op.Arg, op.Arg))
+		}
+		k, ok := c.kinds[key]
+		if !ok {
+			k = int32(len(c.kinds))
+			c.kinds[key] = k
+		}
+		c.kind = append(c.kind, k)
 	}
-	buf = append(buf, fp...)
-	c.keyBuf = buf[:0]
-	return buf
+	words := max(1, (len(c.ops)+63)/64)
+	c.taken = slices.Grow(c.taken[:0], words)[:words]
+	clear(c.taken)
+	clear(c.memo)
+	c.visited = 0
+	return completed
+}
+
+// mapKeyable reports whether v can be hashed without panicking. The usual
+// arguments are answered without reflection, which would make them escape.
+func mapKeyable(v spec.Value) bool {
+	switch v.(type) {
+	case nil, int, string, bool:
+		return true
+	}
+	return reflect.ValueOf(v).Comparable()
+}
+
+// intern returns the id of the state, assigning the next one to a
+// fingerprint not met before.
+func (c *Checker) intern(st spec.State) int32 {
+	fp := st.Fingerprint()
+	id, ok := c.ids[fp]
+	if !ok {
+		id = int32(len(c.states))
+		c.states = append(c.states, st)
+		c.ids[fp] = id
+	}
+	return id
+}
+
+// step applies ops[i] in the given state: the only place the sequential
+// specification runs, once per distinct (state, kind).
+func (c *Checker) step(state int32, i int) edge {
+	key := uint64(state)<<32 | uint64(c.kind[i])
+	e, ok := c.edges[key]
+	if !ok {
+		ret, next := c.states[state].Apply(c.ops[i].Name, c.ops[i].Arg)
+		e = edge{next: c.intern(next), ret: ret}
+		c.edges[key] = e
+	}
+	return e
+}
+
+func (c *Checker) isTaken(i int) bool { return c.taken[i>>6]>>(i&63)&1 != 0 }
+func (c *Checker) take(i int)         { c.taken[i>>6] |= 1 << (i & 63) }
+func (c *Checker) untake(i int)       { c.taken[i>>6] &^= 1 << (i & 63) }
+
+// restKey renders the bitmap's words past the first into the reused
+// scratch buffer; indexing the memo by string(restKey()) does not allocate.
+func (c *Checker) restKey() []byte {
+	c.keyBuf = c.keyBuf[:0]
+	for _, w := range c.taken[1:] {
+		c.keyBuf = binary.LittleEndian.AppendUint64(c.keyBuf, w)
+	}
+	return c.keyBuf
 }
 
 // knownFailed reports whether the current (taken set, state) was already
-// proven a dead end. The map lookup through string(buf) does not allocate.
-func (c *checker) knownFailed(fp string) bool {
-	buf := c.buildKey(fp)
-	_, bad := c.memo[string(buf)]
+// proven a dead end.
+func (c *Checker) knownFailed(state int32) bool {
+	_, bad := c.memo[memoKey{c.taken[0], state, string(c.restKey())}]
 	return bad
 }
 
-// markFailed records the current (taken set, state) as a dead end. This is
-// the only place a key escapes into the map (one allocation per failed
-// state).
-func (c *checker) markFailed(fp string) {
-	c.memo[string(c.buildKey(fp))] = struct{}{}
+// markFailed records the current (taken set, state) as a dead end.
+func (c *Checker) markFailed(state int32) {
+	c.memo[memoKey{c.taken[0], state, string(c.restKey())}] = struct{}{}
 }
 
 // frame is one level of the explicit search stack: a reached state plus
 // the iteration cursor over its untried extension candidates.
 type frame struct {
-	state spec.State
-	fp    string // state.Fingerprint(), computed once per frame
+	state int32
+	via   int32 // op index taken to enter this frame (-1 at the root)
+	next  int32 // next candidate op index to try
+	left  int32 // completed ops still to linearize
 	// minRespond is the earliest response among ops untaken at frame
 	// entry: any op invoked after it cannot be linearized next.
 	minRespond simtime.Time
-	next       int // next candidate op index to try
-	left       int // completed ops still to linearize
-	via        int // op index taken to enter this frame (-1 at the root)
 	viaRet     spec.Value
 }
 
-func (c *checker) newFrame(st spec.State, fp string, left, via int, viaRet spec.Value) frame {
+func (c *Checker) newFrame(state int32, left, via int, viaRet spec.Value) frame {
 	minRespond := simtime.Infinity
-	for i, t := range c.taken {
-		if !t && c.ops[i].Respond < minRespond {
-			minRespond = c.ops[i].Respond
+	for i := range c.ops {
+		if r := c.ops[i].Respond; r < minRespond && !c.isTaken(i) {
+			minRespond = r
 		}
 	}
-	return frame{state: st, fp: fp, minRespond: minRespond, left: left, via: via, viaRet: viaRet}
+	return frame{state: state, via: int32(via), left: int32(left), minRespond: minRespond, viaRet: viaRet}
 }
 
-// search tries to linearize the remaining ops from the given state using
-// an explicit stack, and returns a witness permutation in linearization
-// order. The caller's taken set must reflect ops already linearized.
-func (c *checker) search(state spec.State, completedLeft int) ([]spec.Instance, bool) {
+// search tries to linearize the untaken ops from the given state using an
+// explicit stack, and returns a witness permutation in linearization
+// order. The taken set must reflect ops already linearized; left counts
+// the completed ops among the rest.
+func (c *Checker) search(state int32, left int) ([]spec.Instance, bool) {
 	c.visited++
-	if completedLeft == 0 {
+	if left == 0 {
 		// All completed ops linearized; pending ops may be dropped.
 		return nil, true
 	}
-	rootFP := state.Fingerprint()
-	if c.knownFailed(rootFP) {
-		return nil, false
-	}
-	stack := make([]frame, 1, len(c.ops)+1)
-	stack[0] = c.newFrame(state, rootFP, completedLeft, -1, nil)
+	stack := append(c.stack[:0], c.newFrame(state, left, -1, nil))
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		descended := false
-		for f.next < len(c.ops) {
-			i := f.next
+		for int(f.next) < len(c.ops) {
+			i := int(f.next)
 			f.next++
-			if c.taken[i] {
+			op := &c.ops[i]
+			if op.Invoke > f.minRespond {
+				// Some untaken op responded before this one was invoked,
+				// and before every later one: ops are in invocation order.
+				f.next = int32(len(c.ops))
+				break
+			}
+			if c.isTaken(i) {
 				continue
 			}
-			op := c.ops[i]
-			if op.Invoke > f.minRespond {
-				continue // some untaken op responded before this one was invoked
-			}
-			ret, next := f.state.Apply(op.Name, op.Arg)
-			if !op.Pending() && !spec.ValuesEqual(ret, op.Ret) {
-				continue // recorded response would be illegal here
-			}
-			left := f.left
+			e := c.step(f.state, i)
+			left := int(f.left)
 			if !op.Pending() {
+				if !spec.ValuesEqual(e.ret, op.Ret) {
+					continue // recorded response would be illegal here
+				}
 				left--
 			}
-			c.taken[i] = true
 			c.visited++
 			if left == 0 {
 				// Success: the stack path plus this op is a witness.
 				lin := make([]spec.Instance, 0, len(stack))
 				for _, fr := range stack[1:] {
-					o := c.ops[fr.via]
+					o := &c.ops[fr.via]
 					lin = append(lin, spec.Instance{Op: o.Name, Arg: o.Arg, Ret: fr.viaRet})
 				}
-				lin = append(lin, spec.Instance{Op: op.Name, Arg: op.Arg, Ret: ret})
-				for _, fr := range stack[1:] {
-					c.taken[fr.via] = false
-				}
-				c.taken[i] = false
-				return lin, true
+				c.stack = stack[:0]
+				return append(lin, spec.Instance{Op: op.Name, Arg: op.Arg, Ret: e.ret}), true
 			}
-			fp := next.Fingerprint()
-			if c.knownFailed(fp) {
-				c.taken[i] = false
+			c.take(i)
+			if c.knownFailed(e.next) {
+				c.untake(i)
 				continue
 			}
-			stack = append(stack, c.newFrame(next, fp, left, i, ret))
+			stack = append(stack, c.newFrame(e.next, left, i, e.ret))
 			descended = true
 			break
 		}
@@ -245,104 +367,96 @@ func (c *checker) search(state spec.State, completedLeft int) ([]spec.Instance, 
 			continue
 		}
 		// All extensions exhausted: record the dead end and backtrack.
-		c.markFailed(f.fp)
+		c.markFailed(f.state)
 		if f.via >= 0 {
-			c.taken[f.via] = false
+			c.untake(int(f.via))
 		}
 		stack = stack[:len(stack)-1]
 	}
+	c.stack = stack
 	return nil, false
 }
 
-// completedLeftInit computes the initial count of completed ops.
-func completedLeftInit(ops []Op) int {
-	n := 0
-	for _, op := range ops {
-		if !op.Pending() {
-			n++
-		}
-	}
-	return n
-}
-
-// CheckParallel decides linearizability like Check, splitting the search
-// frontier at the root: each viable first choice of the linearization is
-// explored by an independent worker (with its own memo table), and workers
-// run at most `workers` at a time. The result is deterministic — the
-// witness comes from the lowest-indexed successful branch — and identical
-// to Check's verdict. With workers < 2 or trivially small histories it
-// falls back to the sequential search.
+// CheckParallel decides linearizability like Check, for callers that hold
+// one long history: it splits the search frontier at the root, and each
+// viable first choice of the linearization is explored from a clean memo
+// by one of at most `workers` goroutines, each with a Checker of its own.
+// The result is deterministic — the witness comes from the lowest-indexed
+// successful branch, Explored sums every branch — and the verdict is
+// Check's. With workers < 2 or trivially small histories it is the
+// sequential search.
 func CheckParallel(dt spec.DataType, history []Op, workers int) Result {
-	ops := sortOps(history)
-	completedLeft := completedLeftInit(ops)
-	if workers < 2 || completedLeft == 0 || len(ops) < 2 {
+	if workers < 2 || len(history) < 2 {
 		return Check(dt, history)
 	}
-	// Enumerate the viable first steps exactly as the sequential search
-	// would at its root frame.
-	minRespond := simtime.Infinity
-	for _, op := range ops {
-		if op.Respond < minRespond {
-			minRespond = op.Respond
-		}
+	root := NewChecker(dt)
+	root.ops = append(root.ops, history...)
+	completed := root.compile()
+	if completed == 0 {
+		return root.Check(history) // all pending: nothing to split
 	}
-	initial := dt.Initial()
-	type branch struct {
-		idx  int
-		ret  spec.Value
-		next spec.State
-		left int
-	}
-	var branches []branch
-	for i, op := range ops {
+	// The viable first steps, exactly as the sequential search would try
+	// them at its root frame.
+	var firsts []int
+	minRespond := root.newFrame(0, completed, -1, nil).minRespond
+	for i := range root.ops {
+		op := &root.ops[i]
 		if op.Invoke > minRespond {
-			continue
+			break
 		}
-		ret, next := initial.Apply(op.Name, op.Arg)
-		if !op.Pending() && !spec.ValuesEqual(ret, op.Ret) {
-			continue
+		if op.Pending() || spec.ValuesEqual(root.step(0, i).ret, op.Ret) {
+			firsts = append(firsts, i)
 		}
-		left := completedLeft
-		if !op.Pending() {
-			left--
-		}
-		branches = append(branches, branch{idx: i, ret: ret, next: next, left: left})
 	}
-	type outcome struct {
-		lin     []spec.Instance
-		ok      bool
-		visited int
-	}
-	outcomes := make([]outcome, len(branches))
-	sem := make(chan struct{}, workers)
+	outcomes := make([]Result, len(firsts))
+	var claimed atomic.Int64
 	var wg sync.WaitGroup
-	for bi := range branches {
+	for w := 0; w < min(workers, len(firsts)); w++ {
 		wg.Add(1)
-		go func(bi int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			br := branches[bi]
-			c := newChecker(dt, ops)
-			c.taken[br.idx] = true
-			lin, ok := c.search(br.next, br.left)
-			if ok {
-				first := ops[br.idx]
-				lin = append([]spec.Instance{{Op: first.Name, Arg: first.Arg, Ret: br.ret}}, lin...)
+			// A search only reads the compiled history, so the workers
+			// share the root's; tables, bitmap and memo are their own.
+			c := NewChecker(dt)
+			c.ops, c.kind, c.taken = root.ops, root.kind, make([]uint64, len(root.taken))
+			for {
+				b := int(claimed.Add(1)) - 1
+				if b >= len(firsts) {
+					return
+				}
+				outcomes[b] = c.checkAfter(firsts[b], completed)
 			}
-			outcomes[bi] = outcome{lin: lin, ok: ok, visited: c.visited + 1}
-		}(bi)
+		}()
 	}
 	wg.Wait()
 	res := Result{}
 	for _, o := range outcomes {
-		res.Explored += o.visited
-		if o.ok && !res.Linearizable {
+		res.Explored += o.Explored
+		if o.Linearizable && !res.Linearizable {
 			res.Linearizable = true
-			res.Linearization = o.lin
+			res.Linearization = o.Linearization
 		}
 	}
 	return res
+}
+
+// checkAfter searches the compiled history with ops[first] linearized
+// first, from a clean memo; completed is compile's count.
+func (c *Checker) checkAfter(first, completed int) Result {
+	clear(c.taken)
+	clear(c.memo)
+	c.visited = 0
+	op := &c.ops[first]
+	e := c.step(0, first)
+	if !op.Pending() {
+		completed--
+	}
+	c.take(first)
+	lin, ok := c.search(e.next, completed)
+	if ok {
+		lin = append([]spec.Instance{{Op: op.Name, Arg: op.Arg, Ret: e.ret}}, lin...)
+	}
+	return Result{Linearizable: ok, Linearization: lin, Explored: c.visited + 1}
 }
 
 // CheckTraceParallel is shorthand for CheckParallel(dt, FromTrace(tr), workers).

@@ -2,6 +2,7 @@ package lincheck
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lintime/internal/adt"
@@ -40,6 +41,16 @@ func TestCheckParallelMatchesCheck(t *testing.T) {
 			if par.Linearizable != seq.Linearizable {
 				t.Errorf("seed %d workers %d: parallel %v != sequential %v",
 					seed, workers, par.Linearizable, seq.Linearizable)
+			}
+			// Below two workers it IS the sequential search; above, every
+			// root branch is searched from a clean memo, as before the
+			// Checker, so Explored is a function of the history alone.
+			want := seq
+			if workers >= 2 {
+				want = oldCheckParallel(dt, h, workers)
+			}
+			if !reflect.DeepEqual(par, want) {
+				t.Errorf("seed %d workers %d: %+v, want %+v", seed, workers, par, want)
 			}
 		}
 	}
@@ -113,5 +124,22 @@ func BenchmarkCheckQueueHistory(b *testing.B) {
 		if !Check(dt, h).Linearizable {
 			b.Fatal("history must linearize")
 		}
+	}
+}
+
+// BenchmarkCheckerReuse is the verification pipeline's use of the checker:
+// a stream of fuzz-sized queue histories through one Checker.
+func BenchmarkCheckerReuse(b *testing.B) {
+	dt := adt.NewQueue()
+	rng := rand.New(rand.NewSource(1))
+	stream := make([][]Op, 1024)
+	for i := range stream {
+		stream[i] = fuzzSizedHistory(rng, dt, 7)
+	}
+	c := NewChecker(dt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Check(stream[i%len(stream)])
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -38,10 +39,17 @@ func ValuesEqual(a, b Value) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// FormatValue renders a value compactly for fingerprints and traces.
+// FormatValue renders a value compactly for fingerprints and traces. The
+// shapes histories are made of (⊥, ints, strings) render as %v would,
+// without fmt: history hashing formats two values per operation.
 func FormatValue(v Value) string {
-	if v == nil {
+	switch x := v.(type) {
+	case nil:
 		return "⊥"
+	case int:
+		return strconv.Itoa(x)
+	case string:
+		return x
 	}
 	return fmt.Sprintf("%v", v)
 }
