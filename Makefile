@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-check bench-engine bench-compare bench-guard stat-smoke fuzz-smoke fuzz-native soak soak-smoke load-bench load-shard-smoke verify-smoke crash-smoke wire-bench wire-smoke trace-smoke
+.PHONY: check vet build test race bench bench-check bench-compare stat-smoke fuzz-smoke fuzz-native soak soak-smoke load-shard-smoke verify-smoke crash-smoke wire-smoke trace-smoke loc
 
 # check is the tier-1 gate: vet, build, full tests, and a short
 # race-detector pass over the concurrency-bearing packages.
@@ -31,18 +31,6 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-engine reruns the engine-heavy benchmarks (event loop, timer
-# churn, fuzz-campaign batch, linearizability checker, table pipeline) and
-# folds them into the "after" side of BENCH_engine.json; the checked-in
-# "before" side is the pre-optimization baseline (pointer-heap engine, no
-# reuse; for the checker, the per-history string-keyed search), so the
-# delta_pct section always reads against that fixed reference.
-bench-engine:
-	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn' -benchmem ./internal/sim/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
-	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaign|BenchmarkRunnerRun' -benchmem ./internal/adversary/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
-	$(GO) test -run xxx -bench 'BenchmarkCheck' -benchmem ./internal/lincheck/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
-	$(GO) test -run xxx -bench 'BenchmarkAllTables/parallel=4' -benchmem . | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
-
 # bench-compare is the determinism smoke for the zero-allocation engine:
 # a short run of the engine benchmarks (they must still pass), then tables
 # and fuzz outputs re-generated at different parallelism levels and
@@ -58,28 +46,10 @@ bench-compare:
 	cmp /tmp/bench-compare-fuzz-p1.txt /tmp/bench-compare-fuzz-p8.txt
 	@echo "bench-compare: outputs byte-identical across parallelism levels"
 
-# bench-guard asserts the instrumented-but-disabled engine stays on the
-# zero-overhead budget recorded in BENCH_engine.json: ns/op within 5% of
-# the ledger's after side, and allocs/op not increasing at all. The wire
-# round-trip line pins the tracing-off codec floor the same way — an
-# untraced binary request must stay byte-identical and allocation-flat
-# (2 allocs/op) no matter how much the tracing subsystem grows; the
-# looser -pct absorbs sub-200ns wall jitter on shared CI runners. The
-# RunnerRun line holds what one schedule allocates end to end (engine run,
-# admissibility, pooled linearizability checker) at the recorded floor;
-# its ns/op, ≈ 10 µs of mixed work, only has to stay within half again.
-bench-guard:
-	$(GO) test -run xxx -bench BenchmarkEngineEvents -benchmem -benchtime 2s ./internal/sim/ | \
-		$(GO) run ./cmd/benchjson -guard -pct 5 -o BENCH_engine.json
-	$(GO) test -run xxx -bench 'BenchmarkWireBinary' -benchmem -benchtime 2s ./internal/serve/ | \
-		$(GO) run ./cmd/benchjson -guard -pct 25 -o BENCH_engine.json
-	$(GO) test -run xxx -bench 'BenchmarkRunnerRun' -benchmem -benchtime 2s ./internal/adversary/ | \
-		$(GO) run ./cmd/benchjson -guard -pct 50 -o BENCH_engine.json
-
 # stat-smoke boots a live load run with the observability endpoint on,
 # reads it back with `lintime stat -once -require-slo` (nonzero exit on
 # an SLO violation), scrapes /metrics for the labelled latency family,
-# and folds the final JSONL snapshot into a throwaway ledger.
+# and requires the final JSONL snapshot (-obs-out) to have been written.
 stat-smoke:
 	$(GO) build -o /tmp/lintime-stat-smoke ./cmd/lintime
 	/tmp/lintime-stat-smoke load -n 3 -clients 4 -duration 6s -seed 1 \
@@ -90,8 +60,8 @@ stat-smoke:
 	/tmp/lintime-stat-smoke stat -addr 127.0.0.1:9173 -once -require-slo && \
 	wget -qO- http://127.0.0.1:9173/metrics | grep -q 'serve_latency_ticks{class="MOP"' && \
 	wait $$LOAD_PID
-	$(GO) run ./cmd/benchjson -snapshots /tmp/stat-smoke.jsonl -set after -o /tmp/stat-smoke-ledger.json
-	@echo "stat-smoke: live endpoint, stat verdict, and snapshot fold OK"
+	test -s /tmp/stat-smoke.jsonl
+	@echo "stat-smoke: live endpoint, stat verdict, and final snapshot OK"
 
 # trace-smoke is CI's causal-tracing gate: the deterministic `lintime
 # trace` goldens (the command itself fails unless every tree's terms sum
@@ -125,40 +95,20 @@ soak-smoke:
 soak:
 	$(GO) test -race -count=1 -run TestSoakClosedLoop ./internal/serve/ -soak 30s -v -timeout 300s
 
-# load-bench drives the closed-loop load generator against an in-process
-# sharded deployment (4 shards, 32 named objects, 8 clients each keeping
-# 8 ops in flight) and records per-class and per-shard latency quantiles
-# next to the paper's formulas; -require-slo fails if any class's p99 —
-# on any shard — exceeds its formula plus the scheduling-jitter budget,
-# and -check-objects verifies routing and per-object linearizability.
-# The benchjson serve guard then re-validates the written ledger,
-# including the throughput floor (5× the pre-pipelining 173 ops/sec
-# baseline; the pipelined run lands around 1400-1500). Keys are uniform
-# on purpose: pipelining multiplies the per-key concurrency, and a
-# zipf hot key would both concentrate that on one shard and leave long
-# runs of concurrent enqueues order-ambiguous, sending the per-object
-# linearizability check into exponential backtracking. The mix is
-# dequeue-balanced for the same reason (bounded queues).
-load-bench:
-	$(GO) run ./cmd/lintime load -n 5 -clients 8 -duration 10s -tick 250us \
-		-pipeline 8 -shards 4 -keys 32 -check-objects \
-		-mix "enqueue=2,dequeue=2,peek=1" -seed 1 -require-slo -o BENCH_serve.json
-	$(GO) run ./cmd/benchjson -serve BENCH_serve.json -min-ops 870
-
 # load-shard-smoke is CI's sharded serving gate: a short zipfian keyed
 # run across 4 in-process shard clusters with heterogeneous per-shard X,
-# the per-shard SLO check, per-object linearizability verification, and
-# the benchjson serve guard over the emitted summary. Also runs the
-# race-hardened sharded soak (drain under load, routing invariant,
-# phase-segmented per-object checks) and the shard goldens.
+# the per-shard SLO check (-require-slo: the command fails unless every
+# class meets its budget, in aggregate and on every shard) and per-object
+# linearizability verification. Also runs the race-hardened sharded soak
+# (drain under load, routing invariant, phase-segmented per-object
+# checks) and the shard goldens.
 load-shard-smoke:
 	$(GO) test -race -count=1 -run 'TestSoakSharded|TestShardDrainUnderLoad|TestMisroutedWriteCaught' ./internal/serve/ -soak 5s -v
 	$(GO) test -count=1 -run 'TestGoldenServeDryRunSharded|TestShardForPinned' ./cmd/lintime/ ./internal/serve/
 	$(GO) run ./cmd/lintime load -n 3 -clients 6 -duration 6s \
 		-shards 4 -shard-x 5,10,15,20 -keys 32 -zipf 1.3 -check-objects \
 		-mix "enqueue=2,dequeue=2,peek=1" -seed 1 -require-slo -o /tmp/load-shard-smoke.json
-	$(GO) run ./cmd/benchjson -serve /tmp/load-shard-smoke.json
-	@echo "load-shard-smoke: sharded SLO, per-object checks, and serve guard OK"
+	@echo "load-shard-smoke: sharded SLO and per-object checks OK"
 
 # fuzz-native runs the Go native fuzzers briefly against their checked-in
 # corpora (coverage-guided; not deterministic — a finder, not a gate).
@@ -169,25 +119,16 @@ fuzz-native:
 	$(GO) test -fuzz FuzzQuorum -fuzztime 20s ./internal/adversary/
 	$(GO) test -fuzz FuzzFrame -fuzztime 20s ./internal/serve/
 
-# wire-bench measures the two codecs' encode+decode round-trips side by
-# side (request and response, JSON vs binary) and folds the numbers into
-# the after side of BENCH_engine.json.
-wire-bench:
-	$(GO) test -run xxx -bench 'BenchmarkWire' -benchmem ./internal/serve/ | \
-		$(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
-
 # wire-smoke is CI's wire-protocol gate: the mixed-protocol soak (one
 # JSON and one binary client pipelining keyed ops against one sharded
 # router under the race detector, with per-object linearizability
-# checks), the codec round-trip and oversize/negotiation regressions,
-# the FuzzFrame seed-corpus replay against the JSON reference oracle,
-# and the benchjson serve guard over the checked-in load ledger with
-# the pipelined throughput floor.
+# checks), the codec round-trip, oversize/negotiation and allocation-floor
+# regressions, and the FuzzFrame seed-corpus replay against the JSON
+# reference oracle.
 wire-smoke:
 	$(GO) test -race -count=1 -run 'TestMixedProtocolShardedLoad|TestBinaryClientRoundTrip|TestLegacyJSONRawFrames|TestBinaryVersionRejected|TestOversized' ./internal/serve/ -v
 	$(GO) test -count=1 -run 'FuzzFrame|TestWire' ./internal/serve/
-	$(GO) run ./cmd/benchjson -serve BENCH_serve.json -min-ops 870
-	@echo "wire-smoke: mixed-protocol soak, codec regressions, fuzz corpus, and throughput floor OK"
+	@echo "wire-smoke: mixed-protocol soak, codec regressions, and fuzz corpus OK"
 
 # crash-smoke is CI's crash-tolerance gate: the rtnet crash regressions
 # and serve crash tests under the race detector, the FuzzQuorum seed
@@ -215,3 +156,8 @@ verify-smoke:
 	$(GO) run ./cmd/lintime verify
 	$(GO) run ./cmd/lintime verify -mutant all
 	$(GO) test -count=1 -run 'TestGoldenVerify|TestGoldenFuzzStrong' ./cmd/lintime/
+
+# loc prints the number the ROADMAP's "net non-test LOC should fall" aim
+# tracks: non-test Go lines outside the benchmark module.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l

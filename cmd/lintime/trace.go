@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"text/tabwriter"
 
 	"lintime/internal/harness"
@@ -85,14 +84,20 @@ func cmdTrace(args []string) error {
 			if len(vs) == 0 {
 				continue
 			}
-			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-			var total int64
+			lo, hi, total := vs[0], vs[0], int64(0)
 			for _, v := range vs {
+				lo, hi = min(lo, v), max(hi, v)
 				total += v
 			}
+			// skew_adjust is signed and obs.Hist is not: histogram each
+			// sample's distance from the minimum, sized to hold them all.
+			h := obs.NewHist(int(hi-lo) + 1)
+			for _, v := range vs {
+				h.Add(v - lo)
+			}
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
-				class, term.String(), len(vs), pctile(vs, 50), pctile(vs, 99),
-				vs[0], vs[len(vs)-1], total)
+				class, term.String(), len(vs), lo+h.Quantile(0.50), lo+h.Quantile(0.99),
+				lo, hi, total)
 		}
 	}
 	tw.Flush()
@@ -117,14 +122,4 @@ func cmdTrace(args []string) error {
 		return fmt.Errorf("trace: %d of %d trees violate the attribution identity", attributed-exact, attributed)
 	}
 	return nil
-}
-
-// pctile returns the p-th percentile of a sorted sample by the
-// nearest-rank method (the convention histio uses).
-func pctile(sorted []int64, p int) int64 {
-	idx := (len(sorted)*p + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	return sorted[idx-1]
 }

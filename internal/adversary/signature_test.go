@@ -113,7 +113,7 @@ var raceEnabled bool
 // TestRunnerResolvesTargetOnce pins the hot-loop contract: a Runner pays
 // for classification, the mutant lookup and the type check on first use,
 // so a schedule against a mutated target allocates no more than one
-// against the correct protocol.
+// against the correct protocol — and that one no more than recorded.
 func TestRunnerResolvesTargetOnce(t *testing.T) {
 	p := simtime.DefaultParams(3)
 	dt, err := adt.Lookup("queue")
@@ -145,6 +145,14 @@ func TestRunnerResolvesTargetOnce(t *testing.T) {
 	correct, mutated := allocs(Target{}), allocs(Target{Mutant: "exec-no-eps"})
 	if mutated > correct {
 		t.Errorf("mutated target: %.0f allocs/run, correct target %.0f", mutated, correct)
+	}
+	// What one schedule allocates end to end — engine run, admissibility,
+	// pooled linearizability checker — at the floor PR 15 recorded:
+	// BenchmarkRunnerRun's 67 allocs/op is a rounded mean that includes
+	// the pools' refills after a collection; AllocsPerRun rounds down, to
+	// the 66 every run pays.
+	if correct > 66 {
+		t.Errorf("correct target: %.0f allocs/run, recorded floor 66", correct)
 	}
 }
 

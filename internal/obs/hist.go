@@ -14,8 +14,8 @@ const DefaultHistLimit = 4096
 // Hist is a fixed-bucket concurrent latency histogram with one bucket per
 // integer value in [0, limit): recorded values below the limit have an
 // exact distribution, so p50/p95/p99 are exact order statistics — the
-// same nearest-rank convention as internal/histio, against which the
-// tests pin this implementation. Values ≥ limit land in a single
+// repository's one nearest-rank quantile implementation, pinned by the
+// tests against a sort-based oracle. Values ≥ limit land in a single
 // overflow bucket and quantiles that fall there report the exact
 // observed maximum (an upper bound for any rank inside the tail).
 // Negative values clamp to 0.
@@ -101,8 +101,7 @@ func (h *Hist) Max() int64 {
 	return h.max.Load()
 }
 
-// Mean returns the average sample rounded toward zero (0 when empty),
-// matching internal/histio's convention.
+// Mean returns the average sample rounded toward zero (0 when empty).
 func (h *Hist) Mean() int64 {
 	n := int64(h.count.Load())
 	if n == 0 {
@@ -153,8 +152,8 @@ func (h *Hist) Quantile(q float64) int64 {
 }
 
 // HistSummary is the JSON-ready quantile set of a histogram. Field names
-// match internal/histio.Quantiles so load summaries and live snapshots
-// read identically.
+// match serve.Quantiles so load summaries and live snapshots read
+// identically.
 type HistSummary struct {
 	Count int64 `json:"count"`
 	Min   int64 `json:"min"`

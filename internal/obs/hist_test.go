@@ -1,37 +1,80 @@
 package obs_test
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
-	"lintime/internal/histio"
 	"lintime/internal/obs"
-	"lintime/internal/simtime"
 )
 
-// TestHistMatchesHistio cross-checks the fixed-bucket histogram against
-// the exact-sample histio implementation — the repo's quantile
-// convention — for in-range integer samples. With one bucket per tick
-// value there is no binning error, so every summary field must agree
-// exactly.
-func TestHistMatchesHistio(t *testing.T) {
-	const limit = 256
-	rng := rand.New(rand.NewSource(1))
-	h := obs.NewHist(limit)
-	oracle := &histio.Histogram{}
-	for i := 0; i < 10_000; i++ {
-		v := rng.Int63n(limit)
-		h.Add(v)
-		oracle.Add(simtime.Duration(v))
+// sortedQuantile is the oracle for the repo's quantile convention,
+// computed the slow way: sort, then take the nearest rank — the smallest
+// sample such that at least ⌈q·n⌉ samples are ≤ it.
+func sortedQuantile(samples []int64, q float64) int64 {
+	s := append([]int64(nil), samples...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	rank := int(math.Ceil(q * float64(len(s))))
+	if rank < 1 {
+		rank = 1
 	}
-	got := h.Summary()
-	want := oracle.Summary()
-	if got.Count != int64(want.Count) || got.Min != want.Min || got.Max != want.Max ||
-		got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 ||
-		got.Mean != want.Mean {
-		t.Fatalf("summary mismatch:\n got %+v\nwant count=%d min=%d p50=%d p95=%d p99=%d max=%d mean=%d",
-			got, want.Count, want.Min, want.P50, want.P95, want.P99, want.Max, want.Mean)
+	return s[rank-1]
+}
+
+// TestHistMatchesHistio pins the fixed-bucket histogram to the exact
+// nearest-rank convention (first implemented by internal/histio's sorted
+// sample list, hence the name, now by the sort-based oracle above): with
+// one bucket per tick value there is no binning error, so every quantile
+// and the truncated mean must agree exactly.
+func TestHistMatchesHistio(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	uniform := func(n int, below int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = rng.Int63n(below)
+		}
+		return out
+	}
+	descending := make([]int64, 100) // 100, 99, …, 1: inserted unsorted
+	for i := range descending {
+		descending[i] = int64(100 - i)
+	}
+	for _, tc := range []struct {
+		name    string
+		limit   int
+		samples []int64
+	}{
+		{"uniform-256", 256, uniform(10_000, 256)},
+		{"uniform-10000", 10_000, uniform(1000, 10_000)},
+		{"1-to-100", 101, descending},
+		{"single", 64, []int64{42}},
+	} {
+		h := obs.NewHist(tc.limit)
+		var sum int64
+		for _, v := range tc.samples {
+			h.Add(v)
+			sum += v
+		}
+		for _, q := range []float64{0, 0.01, 0.1, 0.5, 0.501, 0.9, 0.95, 0.99, 0.999, 1} {
+			if got, want := h.Quantile(q), sortedQuantile(tc.samples, q); got != want {
+				t.Errorf("%s: Quantile(%v) = %d, want %d", tc.name, q, got, want)
+			}
+		}
+		s := h.Summary()
+		if s.Count != int64(len(tc.samples)) || s.Sum != sum || s.Mean != sum/int64(len(tc.samples)) ||
+			s.Min != sortedQuantile(tc.samples, 0) || s.Max != sortedQuantile(tc.samples, 1) ||
+			s.P50 != h.Quantile(0.5) || s.P95 != h.Quantile(0.95) || s.P99 != h.Quantile(0.99) {
+			t.Errorf("%s: summary %+v disagrees with the samples", tc.name, s)
+		}
+	}
+	// The oracle itself, against a hand-computed case: 1..100 has p50=50,
+	// p95=95, p99=99, ⌈0.501·100⌉ = 51, and mean 50.5 truncated to 50.
+	for q, want := range map[float64]int64{0: 1, 0.01: 1, 0.5: 50, 0.501: 51, 0.95: 95, 0.99: 99, 1: 100} {
+		if got := sortedQuantile(descending, q); got != want {
+			t.Errorf("oracle: 1..100 Quantile(%v) = %d, want %d", q, got, want)
+		}
 	}
 }
 

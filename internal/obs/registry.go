@@ -212,29 +212,6 @@ func TakeSnapshot(regs ...*Registry) Snapshot {
 	return merged
 }
 
-// Flatten renders the snapshot as a benchjson ledger side: metric name →
-// {submetric → value}. Counters and gauges flatten to {"value": v};
-// histograms to their summary fields. `cmd/benchjson -snapshots` folds
-// the last line of a JSONL snapshot file through this shape into a
-// ledger.
-func (s Snapshot) Flatten() map[string]map[string]float64 {
-	out := map[string]map[string]float64{}
-	for k, v := range s.Counters {
-		out[k] = map[string]float64{"value": float64(v)}
-	}
-	for k, v := range s.Gauges {
-		out[k] = map[string]float64{"value": float64(v)}
-	}
-	for k, h := range s.Hists {
-		out[k] = map[string]float64{
-			"count": float64(h.Count), "min": float64(h.Min), "p50": float64(h.P50),
-			"p95": float64(h.P95), "p99": float64(h.P99), "max": float64(h.Max),
-			"mean": float64(h.Mean), "sum": float64(h.Sum),
-		}
-	}
-	return out
-}
-
 // SplitName separates an inline label set from a metric name:
 // `lat{class="AOP"}` → ("lat", `class="AOP"`). Names without labels
 // return an empty label string.

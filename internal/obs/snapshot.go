@@ -11,9 +11,7 @@ import (
 // one Snapshot document per line, stamped with wall-clock milliseconds so
 // post-processing can turn counter deltas into rates. Close writes one
 // final snapshot — the flush `lintime load` relies on for SIGINT-shortened
-// runs — then closes the file. The last line of a snapshot file is
-// ledger-compatible: `cmd/benchjson -snapshots` folds it (via
-// Snapshot.Flatten) into a BENCH-style JSON ledger.
+// runs — then closes the file.
 type SnapshotWriter struct {
 	f        *os.File
 	regs     []*Registry

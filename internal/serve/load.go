@@ -10,7 +10,6 @@ import (
 	"lintime/internal/adt"
 	"lintime/internal/classify"
 	"lintime/internal/harness"
-	"lintime/internal/histio"
 	"lintime/internal/rtnet"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
@@ -129,9 +128,9 @@ type SummaryConfig struct {
 
 // ClassReport compares one class's measured latencies to its formula.
 type ClassReport struct {
-	Latency      histio.Quantiles `json:"latency_ticks"`
-	FormulaTicks int64            `json:"formula_ticks"`
-	BudgetTicks  int64            `json:"jitter_budget_ticks"`
+	Latency      Quantiles `json:"latency_ticks"`
+	FormulaTicks int64     `json:"formula_ticks"`
+	BudgetTicks  int64     `json:"jitter_budget_ticks"`
 	// WithinBudget reports p99 ≤ formula + budget — the latency SLO the
 	// serving layer is continuously tested against. (Latencies may fall
 	// below the formula: the formulas are worst cases, and a mixed
@@ -151,7 +150,7 @@ type ShardReport struct {
 	PerClass map[string]ClassReport `json:"per_class"`
 }
 
-// Summary is the JSON document a load run emits (BENCH_serve.json).
+// Summary is the JSON document a load run emits (`lintime load -o`).
 type Summary struct {
 	Config   SummaryConfig `json:"config"`
 	TotalOps int           `json:"total_ops"`
@@ -168,11 +167,11 @@ type Summary struct {
 	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 	// OpsPerSec is TotalOps over the measured window (wall-clock runs
 	// only; virtual-time summaries omit both fields).
-	OpsPerSec float64                     `json:"ops_per_sec,omitempty"`
-	OpCounts  map[string]int              `json:"op_counts"`
-	PerClass  map[string]ClassReport      `json:"per_class"`
-	PerShard  []ShardReport               `json:"per_shard,omitempty"`
-	PerOp     map[string]histio.Quantiles `json:"per_op"`
+	OpsPerSec float64                `json:"ops_per_sec,omitempty"`
+	OpCounts  map[string]int         `json:"op_counts"`
+	PerClass  map[string]ClassReport `json:"per_class"`
+	PerShard  []ShardReport          `json:"per_shard,omitempty"`
+	PerOp     map[string]Quantiles   `json:"per_op"`
 }
 
 // SLOMet reports whether every class met its latency budget — in
@@ -423,40 +422,15 @@ func ShardSummaries(shardParams []simtime.Params, tick time.Duration,
 // values.
 func Summarize(bound func(classify.Class) simtime.Duration, tick time.Duration,
 	classes map[string]classify.Class, ops []sim.OpRecord, echo SummaryConfig) *Summary {
-	perClass := map[classify.Class]*histio.Histogram{}
-	perOp := map[string]*histio.Histogram{}
-	counts := map[string]int{}
-	for _, op := range ops {
-		if op.Pending() {
-			continue
-		}
-		class, ok := classes[op.Op]
-		if !ok {
-			class = classify.Mixed
-		}
-		h := perClass[class]
-		if h == nil {
-			h = &histio.Histogram{}
-			perClass[class] = h
-		}
-		h.Add(op.Latency())
-		ho := perOp[op.Op]
-		if ho == nil {
-			ho = &histio.Histogram{}
-			perOp[op.Op] = ho
-		}
-		ho.Add(op.Latency())
-		counts[op.Op]++
-	}
+	perClass, perOp := foldLatencies(classes, ops)
 	budget := JitterBudget(tick)
 	sum := &Summary{
 		Config:   echo,
-		OpCounts: counts,
-		PerClass: map[string]ClassReport{},
-		PerOp:    map[string]histio.Quantiles{},
+		OpCounts: make(map[string]int, len(perOp)),
+		PerClass: make(map[string]ClassReport, len(perClass)),
+		PerOp:    perOp,
 	}
-	for class, h := range perClass {
-		q := h.Summary()
+	for class, q := range perClass {
 		f := bound(class)
 		sum.PerClass[class.String()] = ClassReport{
 			Latency:      q,
@@ -466,8 +440,8 @@ func Summarize(bound func(classify.Class) simtime.Duration, tick time.Duration,
 		}
 		sum.TotalOps += q.Count
 	}
-	for op, h := range perOp {
-		sum.PerOp[op] = h.Summary()
+	for op, q := range perOp {
+		sum.OpCounts[op] = q.Count
 	}
 	return sum
 }

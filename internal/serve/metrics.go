@@ -97,9 +97,9 @@ func (s *Server) wireMetrics() {
 	}
 }
 
-// observe streams one completed operation into the obs histograms
-// (alongside the exact histio recorder, which remains the source of
-// truth for Stats and summaries).
+// observe streams one completed operation into the live /metrics
+// histograms. Stats and the load summaries do not read them: they fold
+// the recorder's operation list, which is exact at any latency.
 func (m *serveMetrics) observe(class classify.Class, latencyTicks int64) {
 	h := m.perClass[class]
 	if h == nil {

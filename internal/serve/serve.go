@@ -1,10 +1,12 @@
 // Package serve is the client-facing serving layer over the real-time
 // substrate: it boots an n-replica rtnet cluster running Algorithm 1,
 // routes invocations to replicas while preserving the model's
-// one-pending-operation-per-process rule, streams every completed
-// operation into per-class (AOP/MOP/OOP) and per-operation latency
-// histograms, and exposes both an in-process call path (tests, the load
-// generator) and a length-prefixed JSON protocol over TCP (see proto.go).
+// one-pending-operation-per-process rule, records every completed
+// operation once (Stats and the load summaries fold that record list into
+// per-class AOP/MOP/OOP and per-operation latency quantiles on demand;
+// /metrics streams its own live histograms), and exposes both an
+// in-process call path (tests, the load generator) and a length-prefixed
+// JSON protocol over TCP (see proto.go).
 //
 // Routing: requests are spread round-robin over the replicas, and a
 // per-replica worker serializes them so each process has at most one
@@ -29,7 +31,6 @@ import (
 	"lintime/internal/adt"
 	"lintime/internal/classify"
 	"lintime/internal/harness"
-	"lintime/internal/histio"
 	"lintime/internal/obs"
 	"lintime/internal/rtnet"
 	"lintime/internal/sim"
@@ -171,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 		bound:   backend.Bound,
 		queues:  make([]chan call, cfg.Params.N),
 		dead:    make([]atomic.Bool, cfg.Params.N),
-		rec:     newRecorder(),
+		rec:     &recorder{},
 	}
 	for i := range s.queues {
 		s.queues[i] = make(chan call, cfg.QueueDepth)
@@ -381,11 +382,19 @@ func (s *Server) drain(timeout time.Duration) error {
 // Stats returns the latency accounting accumulated so far, including
 // inbox-overflow accounting when any overflow occurred.
 func (s *Server) Stats() Stats {
-	st := s.rec.snapshot()
-	if n := s.cluster.Overflows(); n > 0 {
-		st.Overflow = &OverflowInfo{Count: n, LastProc: s.cluster.LastOverflowProc()}
-	}
+	st := statsOf(s.classes, s.rec.ops())
+	st.Overflow = s.overflow()
 	return st
+}
+
+// overflow reports the cluster's inbox-overflow accounting, nil when no
+// overflow occurred.
+func (s *Server) overflow() *OverflowInfo {
+	n := s.cluster.Overflows()
+	if n == 0 {
+		return nil
+	}
+	return &OverflowInfo{Count: n, LastProc: s.cluster.LastOverflowProc()}
 }
 
 // Trace assembles the recorded operations into a sim.Trace for the
@@ -400,11 +409,24 @@ func (s *Server) Trace() *sim.Trace {
 	}
 }
 
+// Quantiles is the JSON-ready summary of a latency distribution, in
+// virtual ticks: nearest-rank order statistics and the mean rounded
+// toward zero.
+type Quantiles struct {
+	Count int   `json:"count"`
+	Min   int64 `json:"min"`
+	P50   int64 `json:"p50"`
+	P95   int64 `json:"p95"`
+	P99   int64 `json:"p99"`
+	Max   int64 `json:"max"`
+	Mean  int64 `json:"mean"`
+}
+
 // Stats is the JSON-ready latency accounting of a server or load run.
 type Stats struct {
-	Ops      int                         `json:"ops"`
-	PerClass map[string]histio.Quantiles `json:"per_class"`
-	PerOp    map[string]histio.Quantiles `json:"per_op"`
+	Ops      int                  `json:"ops"`
+	PerClass map[string]Quantiles `json:"per_class"`
+	PerOp    map[string]Quantiles `json:"per_op"`
 	// Overflow is set only when the cluster recorded an inbox overflow —
 	// nil keeps healthy-run documents (and their goldens) unchanged.
 	Overflow *OverflowInfo `json:"inbox_overflow,omitempty"`
@@ -417,19 +439,69 @@ type OverflowInfo struct {
 	LastProc int32 `json:"last_proc"`
 }
 
-// recorder accumulates completed operations and their latency histograms.
+// foldLatencies is the one place operation records become latency
+// quantiles: completed operations grouped by class (classes[op], Mixed
+// when the map has no entry) and by operation name; pending ones are
+// skipped. Every sample is in hand, so the histograms are sized past the
+// largest one and the quantiles are exact order statistics for any input.
+func foldLatencies(classes map[string]classify.Class, ops []sim.OpRecord) (map[classify.Class]Quantiles, map[string]Quantiles) {
+	limit := 1
+	for _, op := range ops {
+		if !op.Pending() && int(op.Latency()) >= limit {
+			limit = int(op.Latency()) + 1
+		}
+	}
+	classHists := map[classify.Class]*obs.Hist{}
+	opHists := map[string]*obs.Hist{}
+	for _, op := range ops {
+		if op.Pending() {
+			continue
+		}
+		class, ok := classes[op.Op]
+		if !ok {
+			class = classify.Mixed
+		}
+		lat := int64(op.Latency())
+		observe(classHists, class, limit, lat)
+		observe(opHists, op.Op, limit, lat)
+	}
+	return quantilesOf(classHists), quantilesOf(opHists)
+}
+
+// observe adds one sample to key k's histogram, created on first use.
+func observe[K comparable](hists map[K]*obs.Hist, k K, limit int, v int64) {
+	h := hists[k]
+	if h == nil {
+		h = obs.NewHist(limit)
+		hists[k] = h
+	}
+	h.Add(v)
+}
+
+func quantilesOf[K comparable](hists map[K]*obs.Hist) map[K]Quantiles {
+	out := make(map[K]Quantiles, len(hists))
+	for k, h := range hists {
+		s := h.Summary()
+		out[k] = Quantiles{Count: int(s.Count), Min: s.Min, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max, Mean: s.Mean}
+	}
+	return out
+}
+
+// statsOf renders the fold as a Stats document.
+func statsOf(classes map[string]classify.Class, ops []sim.OpRecord) Stats {
+	perClass, perOp := foldLatencies(classes, ops)
+	st := Stats{PerClass: make(map[string]Quantiles, len(perClass)), PerOp: perOp}
+	for class, q := range perClass {
+		st.PerClass[class.String()] = q
+		st.Ops += q.Count
+	}
+	return st
+}
+
+// recorder accumulates completed operations, in completion order.
 type recorder struct {
 	mu       sync.Mutex
 	recorded []sim.OpRecord
-	perClass map[classify.Class]*histio.Histogram
-	perOp    map[string]*histio.Histogram
-}
-
-func newRecorder() *recorder {
-	return &recorder{
-		perClass: map[classify.Class]*histio.Histogram{},
-		perOp:    map[string]*histio.Histogram{},
-	}
 }
 
 func (r *recorder) record(resp rtnet.Response) {
@@ -439,40 +511,10 @@ func (r *recorder) record(resp rtnet.Response) {
 		Proc: resp.Proc, SeqID: resp.Seq, Op: resp.Op, Arg: resp.Arg, Ret: resp.Ret,
 		InvokeTime: resp.Invoke, RespondTime: resp.Respond,
 	})
-	lat := resp.Latency()
-	h := r.perClass[resp.Class]
-	if h == nil {
-		h = &histio.Histogram{}
-		r.perClass[resp.Class] = h
-	}
-	h.Add(lat)
-	ho := r.perOp[resp.Op]
-	if ho == nil {
-		ho = &histio.Histogram{}
-		r.perOp[resp.Op] = ho
-	}
-	ho.Add(lat)
 }
 
 func (r *recorder) ops() []sim.OpRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]sim.OpRecord(nil), r.recorded...)
-}
-
-func (r *recorder) snapshot() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := Stats{
-		Ops:      len(r.recorded),
-		PerClass: map[string]histio.Quantiles{},
-		PerOp:    map[string]histio.Quantiles{},
-	}
-	for class, h := range r.perClass {
-		st.PerClass[class.String()] = h.Summary()
-	}
-	for op, h := range r.perOp {
-		st.PerOp[op] = h.Summary()
-	}
-	return st
 }

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"math"
+	"math/rand"
 	"net"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +14,9 @@ import (
 	"lintime/internal/classify"
 	"lintime/internal/harness"
 	"lintime/internal/lincheck"
+	"lintime/internal/obs"
 	"lintime/internal/rtnet"
+	"lintime/internal/sim"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
@@ -112,6 +118,27 @@ func TestServerConcurrentCallsLinearizable(t *testing.T) {
 	const clients, opsEach = 6, 5
 	var mu sync.Mutex
 	var history []lincheck.Op
+	// Stats folds a copy of the record list while the workers below keep
+	// appending to it (run under -race in `make race`): the counts it
+	// reports can only grow.
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		last := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := s.Stats()
+			if st.Ops < last {
+				t.Errorf("Stats().Ops went from %d to %d", last, st.Ops)
+			}
+			last = st.Ops
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		c := c
@@ -143,6 +170,11 @@ func TestServerConcurrentCallsLinearizable(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-polled
+	if st := s.Stats(); st.Ops != clients*opsEach {
+		t.Errorf("Stats().Ops = %d after the run, want %d", st.Ops, clients*opsEach)
+	}
 	dt, _ := adt.Lookup("queue")
 	if !lincheck.Check(dt, history).Linearizable {
 		t.Errorf("served history not linearizable (%d ops)", len(history))
@@ -342,6 +374,100 @@ func TestRoutingSpreadsOverLiveReplicas(t *testing.T) {
 		if n < want-1 || n > want+1 {
 			t.Errorf("replicas 3, 4 dead: 300 calls landed %v, want 100 ± 1 on each survivor and none on the dead", served)
 			break
+		}
+	}
+}
+
+// sortedQuantiles is the oracle for the latency fold, computed the slow
+// way: sort, then take nearest ranks (the smallest sample such that at
+// least ⌈q·n⌉ samples are ≤ it) and the mean rounded toward zero.
+func sortedQuantiles(lat []int64) Quantiles {
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	rank := func(q float64) int64 { return lat[max(int(math.Ceil(q*float64(len(lat)))), 1)-1] }
+	var sum int64
+	for _, v := range lat {
+		sum += v
+	}
+	return Quantiles{Count: len(lat), Min: lat[0], P50: rank(0.50), P95: rank(0.95), P99: rank(0.99),
+		Max: lat[len(lat)-1], Mean: sum / int64(len(lat))}
+}
+
+// TestLatencyFoldOneAnswer feeds one record set — latencies far past
+// obs.DefaultHistLimit, a pending operation, an operation the class map
+// does not know — to every consumer of the fold: Server.Stats, a
+// one-shard ShardSet.Stats and Summarize must report the same quantiles
+// per class and per operation, and those must be exactly what sorting
+// the completed latencies gives.
+func TestLatencyFoldOneAnswer(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	opNames := []string{adt.OpEnqueue, adt.OpPeek, adt.OpDequeue, "mystery"}
+	dt, _ := adt.Lookup("queue")
+	classes := harness.ClassesFor(dt)
+	var ops []sim.OpRecord
+	wantClass, wantOp := map[string][]int64{}, map[string][]int64{}
+	for i := 0; i < 2000; i++ {
+		op := opNames[rng.Intn(len(opNames))]
+		lat := rng.Int63n(60)
+		if i%7 == 0 {
+			lat = obs.DefaultHistLimit + rng.Int63n(100_000) // past the default exact range
+		}
+		inv := simtime.Time(rng.Int63n(1 << 20))
+		ops = append(ops, sim.OpRecord{Proc: 0, SeqID: int64(i), Op: op, InvokeTime: inv, RespondTime: inv.Add(simtime.Duration(lat))})
+		class, ok := classes[op]
+		if !ok {
+			class = classify.Mixed
+		}
+		wantClass[class.String()] = append(wantClass[class.String()], lat)
+		wantOp[op] = append(wantOp[op], lat)
+	}
+	pending := sim.OpRecord{SeqID: 2000, Op: adt.OpPeek, InvokeTime: 5, RespondTime: simtime.Infinity}
+
+	s, err := New(testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(time.Second)
+	s.rec.recorded = ops // a server records completed operations only
+	ss, err := NewShardSet(testShardConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Drain(time.Second)
+	ss.shards[0].rec.recorded = ops
+	sum := Summarize(func(classify.Class) simtime.Duration { return 0 }, 0, classes,
+		append([]sim.OpRecord{pending}, ops...), SummaryConfig{})
+
+	sumClass := map[string]Quantiles{}
+	for class, rep := range sum.PerClass {
+		sumClass[class] = rep.Latency
+	}
+	if sum.TotalOps != len(ops) {
+		t.Errorf("Summarize counted %d ops, want %d (the pending one skipped)", sum.TotalOps, len(ops))
+	}
+	wantPerClass, wantPerOp := map[string]Quantiles{}, map[string]Quantiles{}
+	for class, lat := range wantClass {
+		wantPerClass[class] = sortedQuantiles(lat)
+	}
+	for op, lat := range wantOp {
+		wantPerOp[op] = sortedQuantiles(lat)
+		if sum.OpCounts[op] != len(lat) {
+			t.Errorf("Summarize op_counts[%s] = %d, want %d", op, sum.OpCounts[op], len(lat))
+		}
+	}
+	st, sst := s.Stats(), ss.Stats()
+	for _, got := range []struct {
+		who             string
+		perClass, perOp map[string]Quantiles
+	}{
+		{"Server.Stats", st.PerClass, st.PerOp},
+		{"ShardSet.Stats", sst.PerClass, sst.PerOp},
+		{"Summarize", sumClass, sum.PerOp},
+	} {
+		if !reflect.DeepEqual(got.perClass, wantPerClass) {
+			t.Errorf("%s per class:\n got %+v\nwant %+v", got.who, got.perClass, wantPerClass)
+		}
+		if !reflect.DeepEqual(got.perOp, wantPerOp) {
+			t.Errorf("%s per op:\n got %+v\nwant %+v", got.who, got.perOp, wantPerOp)
 		}
 	}
 }

@@ -34,9 +34,7 @@ import (
 	"time"
 
 	"lintime/internal/adt"
-	"lintime/internal/classify"
 	"lintime/internal/harness"
-	"lintime/internal/histio"
 	"lintime/internal/lincheck"
 	"lintime/internal/obs"
 	"lintime/internal/rtnet"
@@ -331,53 +329,23 @@ func (ss *ShardSet) drain(timeout time.Duration) error {
 	return err
 }
 
-// Stats aggregates latency accounting across all shards.
+// Stats aggregates latency accounting across all shards: the quantiles
+// are folded from the merged record lists, so they are exact for the
+// whole deployment.
 func (ss *ShardSet) Stats() Stats {
-	agg := newRecorder()
+	var ops []sim.OpRecord
 	var overflow *OverflowInfo
 	for _, s := range ss.shards {
-		for _, op := range s.rec.ops() {
-			agg.recorded = append(agg.recorded, op)
-		}
-		st := s.Stats()
-		if st.Overflow != nil {
+		ops = append(ops, s.rec.ops()...)
+		if o := s.overflow(); o != nil {
 			if overflow == nil {
 				overflow = &OverflowInfo{}
 			}
-			overflow.Count += st.Overflow.Count
-			overflow.LastProc = st.Overflow.LastProc
+			overflow.Count += o.Count
+			overflow.LastProc = o.LastProc
 		}
 	}
-	// Rebuild histograms from the merged records for exact quantiles.
-	classes := harness.ClassesFor(ss.inner)
-	st := Stats{PerClass: map[string]histio.Quantiles{}, PerOp: map[string]histio.Quantiles{}}
-	perClass := map[classify.Class]*histio.Histogram{}
-	perOp := map[string]*histio.Histogram{}
-	for _, op := range agg.recorded {
-		class, ok := classes[op.Op]
-		if !ok {
-			class = classify.Mixed
-		}
-		h := perClass[class]
-		if h == nil {
-			h = &histio.Histogram{}
-			perClass[class] = h
-		}
-		h.Add(op.Latency())
-		ho := perOp[op.Op]
-		if ho == nil {
-			ho = &histio.Histogram{}
-			perOp[op.Op] = ho
-		}
-		ho.Add(op.Latency())
-	}
-	st.Ops = len(agg.recorded)
-	for class, h := range perClass {
-		st.PerClass[class.String()] = h.Summary()
-	}
-	for op, h := range perOp {
-		st.PerOp[op] = h.Summary()
-	}
+	st := statsOf(harness.ClassesFor(ss.inner), ops)
 	st.Overflow = overflow
 	return st
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -444,24 +445,83 @@ func TestOversizedClientRequest(t *testing.T) {
 
 var benchSink any
 
-// Codec micro-benchmarks for `make wire-bench`: one request and one
-// response frame through each codec's full encode+decode path.
+// binaryRequestRoundTrip and binaryResponseRoundTrip push one untraced
+// frame through the binary codec's full encode+decode path on a pooled
+// buffer: what the codec micro-benchmarks time and TestWireBinaryAllocs
+// counts.
+func binaryRequestRoundTrip(id int64, opNames []string) error {
+	bp := frameOut()
+	defer frameIn(bp)
+	buf, err := appendRequest(*bp, id, 0, "user:42", 12345, 0)
+	if err != nil {
+		return err
+	}
+	*bp = buf
+	req, err := parseRequest(buf[4:], opNames)
+	benchSink = req.arg
+	return err
+}
+
+func binaryResponseRoundTrip(in response) error {
+	bp := frameOut()
+	defer frameIn(bp)
+	buf, err := appendResponse(*bp, in)
+	if err != nil {
+		return err
+	}
+	*bp = buf
+	out, err := parseResponse(buf[4:])
+	benchSink = out.ret
+	return err
+}
+
+var benchResponse = response{id: 7, ret: "user:42", class: classify.Mixed, shard: 3, invoke: 812, respond: 844}
+
+// raceEnabled is set by race_test.go, which only a -race build compiles.
+var raceEnabled bool
+
+// TestWireBinaryAllocs pins the tracing-off codec floor: an untraced
+// binary request or response round-trip allocates at most twice (the
+// decoded key or string and the boxed value), however much the tracing
+// subsystem around it grows.
+func TestWireBinaryAllocs(t *testing.T) {
+	allocs := func(roundTrip func() error) float64 {
+		run := func() {
+			if err := roundTrip(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !raceEnabled {
+			return testing.AllocsPerRun(100, run)
+		}
+		// Under the race detector sync.Pool drops a quarter of its Puts at
+		// random (a dropped frame buffer is allocated again), so only the
+		// cheapest single run is comparable there.
+		best := math.Inf(1)
+		for i := 0; i < 20; i++ {
+			best = min(best, testing.AllocsPerRun(1, run))
+		}
+		return best
+	}
+	opNames := []string{"enqueue", "dequeue", "peek"}
+	if got := allocs(func() error { return binaryRequestRoundTrip(7, opNames) }); got > 2 {
+		t.Errorf("binary request round-trip: %.0f allocs, recorded floor 2", got)
+	}
+	if got := allocs(func() error { return binaryResponseRoundTrip(benchResponse) }); got > 2 {
+		t.Errorf("binary response round-trip: %.0f allocs, recorded floor 2", got)
+	}
+}
+
+// Codec micro-benchmarks: one request and one response frame through each
+// codec's full encode+decode path
+// (go test -run xxx -bench BenchmarkWire -benchmem ./internal/serve/).
 func BenchmarkWireBinaryRequest(b *testing.B) {
 	opNames := []string{"enqueue", "dequeue", "peek"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bp := frameOut()
-		buf, err := appendRequest(*bp, int64(i), 0, "user:42", 12345, 0)
-		if err != nil {
+		if err := binaryRequestRoundTrip(int64(i), opNames); err != nil {
 			b.Fatal(err)
 		}
-		*bp = buf
-		req, err := parseRequest(buf[4:], opNames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = req.arg
-		frameIn(bp)
 	}
 }
 
@@ -489,21 +549,11 @@ func BenchmarkWireJSONRequest(b *testing.B) {
 }
 
 func BenchmarkWireBinaryResponse(b *testing.B) {
-	in := response{id: 7, ret: "user:42", class: classify.Mixed, shard: 3, invoke: 812, respond: 844}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bp := frameOut()
-		buf, err := appendResponse(*bp, in)
-		if err != nil {
+		if err := binaryResponseRoundTrip(benchResponse); err != nil {
 			b.Fatal(err)
 		}
-		*bp = buf
-		out, err := parseResponse(buf[4:])
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = out.ret
-		frameIn(bp)
 	}
 }
 

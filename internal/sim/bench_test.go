@@ -6,8 +6,10 @@ import (
 	"lintime/internal/simtime"
 )
 
-// pingChain bounces a message around the ring count times, then responds.
+// pingChain bounces a message around the ring hops times (1000 when
+// unset), then responds.
 type pingChain struct {
+	hops       int
 	remaining  int
 	pending    int64
 	hasPending bool
@@ -17,7 +19,9 @@ func (n *pingChain) Init(Context) {}
 func (n *pingChain) OnInvoke(ctx Context, inv Invocation) {
 	n.pending = inv.SeqID
 	n.hasPending = true
-	n.remaining = 1000
+	if n.remaining = n.hops; n.remaining == 0 {
+		n.remaining = 1000
+	}
 	ctx.Send((ctx.ID()+1)%ProcID(ctx.N()), "ring")
 }
 func (n *pingChain) OnMessage(ctx Context, from ProcID, payload any) {

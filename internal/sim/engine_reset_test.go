@@ -2,6 +2,7 @@ package sim
 
 import (
 	"hash/fnv"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -233,4 +234,51 @@ func TestSetTraceLevelAfterStartPanics(t *testing.T) {
 		}
 	}()
 	eng.SetTraceLevel(TraceOps)
+}
+
+// TestEngineEventsAllocateNothing pins the engine's hot loop: on a reused
+// engine, warmed up so the queue and the trace slices have their sizes,
+// a run costs a fixed handful of allocations (the fresh trace Reset hands
+// out) however many events it processes — send, deliver, trace append and
+// queue push/pop allocate nothing per event, with metrics and tracing off.
+func TestEngineEventsAllocateNothing(t *testing.T) {
+	p := simtime.Params{N: 8, D: 100, U: 40, Epsilon: 30, X: 20}
+	offs, net := ZeroOffsets(p.N), UniformNetwork{D: p.D}
+	perRun := func(hops int) float64 {
+		nodes := make([]Node, p.N)
+		for j := range nodes {
+			nodes[j] = &pingChain{hops: hops}
+		}
+		eng, err := NewEngine(p, offs, net, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if err := eng.Reset(p, offs, net, nodes); err != nil {
+				t.Fatal(err)
+			}
+			eng.InvokeAt(0, 0, "ring", nil)
+			if err := eng.Run().CheckComplete(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A garbage collection that falls inside a run (and, under -race,
+		// the detector's bookkeeping) allocates now and then: the cheapest
+		// single run is the engine's own cost. AllocsPerRun's warm-up call
+		// sizes the trace hints.
+		best := math.Inf(1)
+		for i := 0; i < 10; i++ {
+			best = min(best, testing.AllocsPerRun(1, run))
+		}
+		return best
+	}
+	short, long := perRun(250), perRun(1000)
+	if long != short {
+		t.Errorf("%.0f allocs for a 1000-event run, %.0f for a 250-event one: %.4f per event, want 0",
+			long, short, (long-short)/750)
+	}
+	// The fixed part: the Trace, its offsets copy and its three slices.
+	if short > 5 {
+		t.Errorf("%.0f allocs per reused-engine run, recorded 5", short)
+	}
 }

@@ -203,7 +203,9 @@ func (p Params) MinDelay() Duration { return p.D - p.U }
 
 // OptimalEpsilon returns the best achievable clock synchronization skew
 // for n processes with delay uncertainty u, namely (1-1/n)·u [Lundelius &
-// Lynch 1984]. The result is exact when u is divisible by n.
+// Lynch 1984]. The result is exact when u is divisible by n; for u < n the
+// integer u/n is 0 and the result is u (no skew below one tick is
+// representable).
 func OptimalEpsilon(n int, u Duration) Duration {
 	if n <= 0 {
 		return 0

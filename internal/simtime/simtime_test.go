@@ -190,6 +190,9 @@ func TestOptimalEpsilon(t *testing.T) {
 		{1, 100, 0},
 		{0, 100, 0},
 		{10, Quantum, Quantum - Quantum/10},
+		// u < n: integer u/n is 0, so the result is u itself — no skew
+		// below one tick is representable.
+		{2, 1, 1},
 	}
 	for _, c := range cases {
 		if got := OptimalEpsilon(c.n, c.u); got != c.want {
@@ -199,10 +202,11 @@ func TestOptimalEpsilon(t *testing.T) {
 }
 
 func TestOptimalEpsilonBelowU(t *testing.T) {
-	// ε = (1-1/n)u < u for all n ≥ 1, u > 0.
+	// ε = (1-1/n)u < u for all n ≥ 1, u ≥ n (below n the integer division
+	// makes ε = u; TestOptimalEpsilon pins that row).
 	f := func(n uint8, u uint16) bool {
 		nn := int(n%16) + 1
-		uu := Duration(u) + 1
+		uu := Duration(u) + Duration(nn)
 		eps := OptimalEpsilon(nn, uu)
 		return eps < uu && eps >= 0
 	}

@@ -5,21 +5,21 @@
 // prefix of G implies f(H) a prefix of f(G). Equivalently, linearization
 // points must be chosen online, without knowledge of the future.
 //
-// Two entry points:
+// Two entry points, one search (Tree.Check's solve):
 //
 //   - CheckStrong examines one history: it decides whether a linearization
 //     can be chosen consistently across all prefixes of that history's
 //     event sequence (a monotone chain L(H_0) ⊑ L(H_1) ⊑ … with each
-//     L(H_t) a valid linearization of the prefix H_t), and returns the
-//     commit points as a witness. For a single, fully known history this
-//     is provably equivalent in verdict to plain linearizability — a
-//     linearization respecting real-time order can always be realized by
-//     commit points inside each operation's interval, and vice versa —
-//     so CheckStrong ⇒ lincheck.Check by construction (the package tests
-//     pin the equivalence over the FuzzCheck corpus). Its value is the
-//     commit-point witness and that it is the building block of:
+//     L(H_t) a valid linearization of the prefix H_t). For a single, fully
+//     known history this is provably equivalent in verdict to plain
+//     linearizability — a linearization respecting real-time order can
+//     always be realized by commit points inside each operation's
+//     interval, and vice versa — so CheckStrong ⇒ lincheck.Check by
+//     construction (the package tests pin the equivalence over the
+//     FuzzCheck corpus and against a brute-force commit-point reference).
+//     It is a one-branch tree handed to:
 //
-//   - CheckStrongTree examines a prefix tree of histories — several
+//   - Tree.Check examines a prefix tree of histories — several
 //     executions of one implementation that share observable prefixes and
 //     then diverge (the divergence is the adversary's move: a late message
 //     delivered earlier, an extra invocation). Here prefix preservation
@@ -27,9 +27,12 @@
 //     into *every* branch. The classic queue counterexample — a completed
 //     enqueue and a concurrent read whose return reveals a different order
 //     in each branch — is linearizable branch by branch yet admits no
-//     consistent choice, and CheckStrongTree rejects it. This is the
+//     consistent choice, and Tree.Check rejects it. This is the
 //     per-configuration analogue of the forward-simulation
 //     characterization of strong linearizability.
+//
+// Both return the verdict and the search cost only: no caller reads a
+// commit-point witness, so none is extracted.
 //
 // The search mirrors internal/lincheck's discipline: explicit work on a
 // recursion over tree nodes with a failed-state memo keyed by a compact
@@ -50,17 +53,8 @@ import (
 type Result struct {
 	// Strong reports whether a prefix-consistent linearization choice
 	// exists (for CheckStrong: across all prefixes of the one history;
-	// for CheckStrongTree: across every branch of the tree).
+	// for Tree.Check: across every branch of the tree).
 	Strong bool
-	// Linearization is a witness commit sequence when Strong is true and
-	// the check ran over a single history. For trees it is the commit
-	// sequence of the first (leftmost) branch.
-	Linearization []spec.Instance
-	// Points gives, for each instance of Linearization, the number of
-	// history events (invocations and responses in time order) processed
-	// before that instance was committed: its linearization point sits
-	// between the Points[i]-th and the next event.
-	Points []int
 	// Explored counts visited search states, as a cost metric.
 	Explored int
 }
@@ -108,21 +102,11 @@ func eventSeq(ops []lincheck.Op) []event {
 }
 
 // CheckStrong decides whether a linearization of the history can be chosen
-// consistently across all of its prefixes, and returns commit points as a
-// witness. See the package comment for the precise semantics (and for why
-// the verdict coincides with plain linearizability on a single history).
+// consistently across all of its prefixes. See the package comment for the
+// precise semantics (and for why the verdict coincides with plain
+// linearizability on a single history).
 func CheckStrong(dt spec.DataType, history []lincheck.Op) Result {
 	t := NewTree()
 	t.Add(history)
 	return t.Check(dt)
 }
-
-// CheckStrongTrace is shorthand for CheckStrong over lincheck.FromTrace.
-func CheckStrongTrace(dt spec.DataType, tr TraceHistory) Result {
-	return CheckStrong(dt, tr.Ops())
-}
-
-// TraceHistory abstracts the trace type to avoid an import cycle knot in
-// callers that already hold []lincheck.Op; sim traces convert via
-// lincheck.FromTrace.
-type TraceHistory interface{ Ops() []lincheck.Op }

@@ -127,8 +127,7 @@ func (n *treeNode) findChild(key string) *treeNode {
 }
 
 // insertChild keeps children in sorted key order so exploration (and
-// therefore Explored counts and witnesses) is independent of insertion
-// order.
+// therefore the Explored count) is independent of insertion order.
 func (n *treeNode) insertChild(c *treeNode) {
 	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].key >= c.key })
 	n.children = append(n.children, nil)
@@ -136,24 +135,15 @@ func (n *treeNode) insertChild(c *treeNode) {
 	n.children[i] = c
 }
 
-// CheckStrongTree decides whether the histories of the tree admit a
+// Check decides whether the histories of the tree admit a
 // prefix-preserving linearization: one assignment of commit points such
 // that every branch's commit sequence is a legal linearization and
 // branches sharing a prefix share its commits. See the package comment.
-func CheckStrongTree(dt spec.DataType, t *Tree) Result {
-	return t.Check(dt)
-}
-
-// Check runs the strong-linearizability search over the tree.
 func (t *Tree) Check(dt spec.DataType) Result {
 	c := newTChecker(t)
 	init := dt.Initial()
 	ok := c.solve(t.root, init, init.Fingerprint())
-	res := Result{Strong: ok, Explored: c.visited}
-	if ok {
-		res.Linearization, res.Points = t.witnessFirstBranch(dt)
-	}
-	return res
+	return Result{Strong: ok, Explored: c.visited}
 }
 
 // tchecker is the DFS state of one tree check, mirroring lincheck's
@@ -277,74 +267,4 @@ func (c *tchecker) tryEvent(n *treeNode, st spec.State, fp string) bool {
 		}
 	}
 	return true
-}
-
-// witnessFirstBranch extracts a commit-point witness for the leftmost
-// branch of the tree: a strong-linearizability witness for that single
-// history (the whole-tree verdict guarantees one exists; the extraction
-// reruns the search on the linear path recording commits). Points[i]
-// counts the events processed before the i-th commit.
-func (t *Tree) witnessFirstBranch(dt spec.DataType) ([]spec.Instance, []int) {
-	var events []event
-	for n := t.root; len(n.children) > 0; n = n.children[0] {
-		events = append(events, n.children[0].ev)
-	}
-	c := newTChecker(t)
-	var lin []spec.Instance
-	var points []int
-	init := dt.Initial()
-	if !c.linear(events, 0, init, init.Fingerprint(), &lin, &points) {
-		return nil, nil
-	}
-	return lin, points
-}
-
-// linear is the single-path variant of solve over a flat event slice,
-// recording each commit and the number of events processed before it.
-func (c *tchecker) linear(events []event, idx int, st spec.State, fp string, lin *[]spec.Instance, points *[]int) bool {
-	node := &treeNode{id: idx} // memo identity: position in the path
-	if c.knownFailed(node, fp) {
-		return false
-	}
-	if idx == len(events) {
-		return true
-	}
-	ev := events[idx]
-	ok := func() bool {
-		switch ev.kind {
-		case evInvoke:
-			c.invoked[ev.op] = true
-			defer func() { c.invoked[ev.op] = false }()
-		case evRespond:
-			if !c.taken[ev.op] || !spec.ValuesEqual(c.retOf[ev.op], ev.ret) {
-				return false
-			}
-		}
-		return c.linear(events, idx+1, st, fp, lin, points)
-	}()
-	if ok {
-		return true
-	}
-	for i := range c.tree.ops {
-		if c.taken[i] || !c.invoked[i] {
-			continue
-		}
-		op := c.tree.ops[i]
-		ret, next := st.Apply(op.name, op.arg)
-		c.taken[i] = true
-		c.retOf[i] = ret
-		*lin = append(*lin, spec.Instance{Op: op.name, Arg: op.arg, Ret: ret})
-		*points = append(*points, idx)
-		if c.linear(events, idx, next, next.Fingerprint(), lin, points) {
-			c.taken[i] = false
-			c.retOf[i] = nil
-			return true
-		}
-		*lin = (*lin)[:len(*lin)-1]
-		*points = (*points)[:len(*points)-1]
-		c.taken[i] = false
-		c.retOf[i] = nil
-	}
-	c.markFailed(node, fp)
-	return false
 }
