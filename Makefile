@@ -72,7 +72,7 @@ stat-smoke:
 trace-smoke:
 	$(GO) test -count=1 -run 'TestGoldenTrace|TestCmdTraceErrors' ./cmd/lintime/
 	$(GO) test -race -count=1 -run 'TestAttributionIdentityAllBackends|TestTracingDoesNotPerturbExecution' ./internal/harness/
-	$(GO) test -race -count=1 -run 'TestServerTracing|TestSpanLifecycle|TestCollector|TestRingWrapOrder|TestRingPartiallyEvictedSpan' ./internal/serve/ ./internal/rtnet/ ./internal/obs/
+	$(GO) test -race -count=1 -run 'TestServerTracing|TestSpanLifecycle|TestCollector' ./internal/serve/ ./internal/rtnet/ ./internal/obs/
 	$(GO) run ./cmd/lintime load -n 3 -clients 4 -duration 3s -trace 64 -seed 1 -require-slo
 	$(GO) run ./cmd/lintime trace -backend quorum -ops 3 -o /tmp/trace-smoke.json
 	@echo "trace-smoke: goldens, race-hardened tracing tests, and live traced load OK"
@@ -119,16 +119,16 @@ fuzz-native:
 	$(GO) test -fuzz FuzzQuorum -fuzztime 20s ./internal/adversary/
 	$(GO) test -fuzz FuzzFrame -fuzztime 20s ./internal/serve/
 
-# wire-smoke is CI's wire-protocol gate: the mixed-protocol soak (one
-# JSON and one binary client pipelining keyed ops against one sharded
-# router under the race detector, with per-object linearizability
-# checks), the codec round-trip, oversize/negotiation and allocation-floor
-# regressions, and the FuzzFrame seed-corpus replay against the JSON
-# reference oracle.
+# wire-smoke is CI's wire-protocol gate: the two-client soak (two TCP
+# clients pipelining keyed ops against one sharded router under the race
+# detector, with per-object linearizability checks), the codec
+# round-trip, the hello-refusal (wrong version, legacy JSON client),
+# oversize and allocation-floor regressions, and the FuzzFrame
+# seed-corpus replay against the JSON value reference.
 wire-smoke:
-	$(GO) test -race -count=1 -run 'TestMixedProtocolShardedLoad|TestBinaryClientRoundTrip|TestLegacyJSONRawFrames|TestBinaryVersionRejected|TestOversized' ./internal/serve/ -v
+	$(GO) test -race -count=1 -run 'TestMixedProtocolShardedLoad|TestBinaryClientRoundTrip|TestBinaryVersionRejected|TestOversized' ./internal/serve/ -v
 	$(GO) test -count=1 -run 'FuzzFrame|TestWire' ./internal/serve/
-	@echo "wire-smoke: mixed-protocol soak, codec regressions, and fuzz corpus OK"
+	@echo "wire-smoke: two-client soak, codec regressions, and fuzz corpus OK"
 
 # crash-smoke is CI's crash-tolerance gate: the rtnet crash regressions
 # and serve crash tests under the race detector, the FuzzQuorum seed

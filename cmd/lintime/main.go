@@ -545,8 +545,7 @@ func cmdFuzz(args []string) error {
 	noShrink := fs.Bool("no-shrink", false, "report raw violating schedules without delta-debugging them")
 	parallel := parallelFlag(fs)
 	startProfile := profileFlags(fs)
-	startMetrics := metricsAddrFlag(fs)
-	startObsOut := obsOutFlags(fs)
+	startObs := obsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -558,15 +557,11 @@ func cmdFuzz(args []string) error {
 	if err != nil {
 		return err
 	}
-	stopMetrics, err := startMetrics(obs.Handler(obs.Default))
+	ob, err := startObs(obs.Handler(obs.Default), []*obs.Registry{obs.Default}, 0, nil)
 	if err != nil {
 		return err
 	}
-	defer stopMetrics()
-	flushObs, err := startObsOut(obs.Default)
-	if err != nil {
-		return err
-	}
+	defer ob.stop()
 	var strats []string
 	if *strategies != "" {
 		strats = strings.Split(*strategies, ",")
@@ -623,7 +618,7 @@ func cmdFuzz(args []string) error {
 			return err
 		}
 	}
-	if err := flushObs(); err != nil {
+	if err := ob.flush(); err != nil {
 		return err
 	}
 	if err := stopProfile(); err != nil {
@@ -642,8 +637,7 @@ func cmdVerify(args []string) error {
 	stopEarly := fs.Bool("stop-early", false, "stop at the first chunk containing a violation")
 	parallel := parallelFlag(fs)
 	startProfile := profileFlags(fs)
-	startMetrics := metricsAddrFlag(fs)
-	startObsOut := obsOutFlags(fs)
+	startObs := obsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -660,15 +654,11 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	stopMetrics, err := startMetrics(obs.Handler(obs.Default))
+	ob, err := startObs(obs.Handler(obs.Default), []*obs.Registry{obs.Default}, 0, nil)
 	if err != nil {
 		return err
 	}
-	defer stopMetrics()
-	flushObs, err := startObsOut(obs.Default)
-	if err != nil {
-		return err
-	}
+	defer ob.stop()
 	cfg := bmc.Config{
 		Params:    p,
 		DT:        dt,
@@ -715,7 +705,7 @@ func cmdVerify(args []string) error {
 			}
 		}
 	}
-	if err := flushObs(); err != nil {
+	if err := ob.flush(); err != nil {
 		return err
 	}
 	if err := stopProfile(); err != nil {

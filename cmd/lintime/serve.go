@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -130,8 +129,7 @@ func cmdServe(args []string) error {
 	shardX := fs.String("shard-x", "", "per-shard X overrides, comma-separated ticks (requires -shards entries)")
 	dryRun := fs.Bool("dry-run", false, "print the resolved serving configuration as JSON and exit")
 	traceN := fs.Int("trace", 0, "causal flight recorder: retain the last N complete operation trees per cluster and export trace_term_ticks attribution histograms on /metrics")
-	startMetrics := metricsAddrFlag(fs)
-	startObsOut := obsOutFlags(fs)
+	startObs := obsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -167,20 +165,18 @@ func cmdServe(args []string) error {
 		if *dryRun {
 			return writeJSON(buildServeEcho(s, *addr, *tick))
 		}
-		if *traceN > 0 {
-			s.SetTracer(obs.NewCollector(*traceN))
-		}
-		flushObs, err := startObsOut(s.Registry(), obs.Default)
+		ob, err := startObs(s.ObsHandler(), []*obs.Registry{s.Registry(), obs.Default}, *traceN,
+			func(newColl func() *obs.Collector) { s.SetTracer(newColl()) })
 		if err != nil {
 			return err
 		}
+		defer ob.stop()
 		return runServer(serverRun{
 			serve: s.Serve, drain: s.Drain, start: s.Start,
-			stats: func() any { return s.Stats() }, obs: s.ObsHandler(),
+			stats: func() any { return s.Stats() },
 			banner: fmt.Sprintf("lintime serve: %s cluster (n=%d d=%v u=%v ε=%v X=%v)",
 				dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X),
-			addr: *addr, tick: *tick, drainTimeout: *drainTimeout, startMetrics: startMetrics,
-			flushObs: flushObs,
+			addr: *addr, tick: *tick, drainTimeout: *drainTimeout, flushObs: ob.flush,
 		})
 	}
 
@@ -191,20 +187,18 @@ func cmdServe(args []string) error {
 	if *dryRun {
 		return writeJSON(buildShardSetEcho(ss, *addr, *tick))
 	}
-	if *traceN > 0 {
-		ss.SetTracers(func(int) obs.Tracer { return obs.NewCollector(*traceN) })
-	}
-	flushObs, err := startObsOut(append(ss.Registries(), obs.Default)...)
+	ob, err := startObs(ss.ObsHandler(), append(ss.Registries(), obs.Default), *traceN,
+		func(newColl func() *obs.Collector) { ss.SetTracers(func(int) *obs.Collector { return newColl() }) })
 	if err != nil {
 		return err
 	}
+	defer ob.stop()
 	return runServer(serverRun{
 		serve: ss.Serve, drain: ss.Drain, start: ss.Start,
-		stats: func() any { return ss.Stats() }, obs: ss.ObsHandler(),
+		stats: func() any { return ss.Stats() },
 		banner: fmt.Sprintf("lintime serve: %d×%s shards (n=%d d=%v u=%v ε=%v base X=%v)",
 			*shards, dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X),
-		addr: *addr, tick: *tick, drainTimeout: *drainTimeout, startMetrics: startMetrics,
-		flushObs: flushObs,
+		addr: *addr, tick: *tick, drainTimeout: *drainTimeout, flushObs: ob.flush,
 	})
 }
 
@@ -215,14 +209,12 @@ type serverRun struct {
 	drain        func(time.Duration) error
 	start        func()
 	stats        func() any
-	obs          http.Handler
 	banner       string
 	addr         string
 	tick         time.Duration
 	drainTimeout time.Duration
-	startMetrics func(http.Handler) (func(), error)
 	// flushObs writes the final -obs-out snapshot; runs after the drain
-	// on both the SIGINT and the SIGTERM shutdown paths (nil = off).
+	// on both the SIGINT and the SIGTERM shutdown paths.
 	flushObs func() error
 }
 
@@ -231,11 +223,6 @@ func runServer(r serverRun) error {
 	if err != nil {
 		return err
 	}
-	stopMetrics, err := r.startMetrics(r.obs)
-	if err != nil {
-		return err
-	}
-	defer stopMetrics()
 	r.start()
 	fmt.Fprintf(os.Stderr, "%s on %s, tick %v\n", r.banner, ln.Addr(), r.tick)
 
@@ -262,10 +249,8 @@ func runServer(r serverRun) error {
 	if err := writeJSON(r.stats()); err != nil && serveErr == nil {
 		serveErr = err
 	}
-	if r.flushObs != nil {
-		if err := r.flushObs(); err != nil && serveErr == nil {
-			serveErr = err
-		}
+	if err := r.flushObs(); err != nil && serveErr == nil {
+		serveErr = err
 	}
 	return serveErr
 }
@@ -399,7 +384,6 @@ func cmdLoad(args []string) error {
 	mixFlag := fs.String("mix", "", "op mix, e.g. enqueue=2,dequeue=1,peek=1 (default uniform)")
 	seed := fs.Int64("seed", 1, "master seed; per-client streams are derived")
 	addr := fs.String("addr", "", "drive a remote `lintime serve` at this address (model flags must match the server)")
-	codec := fs.String("codec", serve.CodecJSON, "wire codec for -addr runs: json (legacy) or binary (negotiated fast path)")
 	pipeline := fs.Int("pipeline", 1, "operations each client keeps in flight (k > 1 fills the replicas' slots; multiset of issued ops stays deterministic)")
 	tick := fs.Duration("tick", time.Millisecond, "tick duration of the driven cluster")
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets for the in-process cluster")
@@ -414,8 +398,7 @@ func cmdLoad(args []string) error {
 	checkObjects := fs.Bool("check-objects", false, "after an in-process sharded run, verify routing and per-object linearizability; exit nonzero on violation")
 	traceN := fs.Int("trace", 0, "causal flight recorder: retain the last N complete operation trees per cluster and export trace_term_ticks attribution histograms; on SLO violation the trees dump as Chrome trace JSON (-trace-out)")
 	traceOut := fs.String("trace-out", "lintime-trace-dump.json", "flight-recorder dump path for -trace (written on SLO violation)")
-	startMetrics := metricsAddrFlag(fs)
-	startObsOut := obsOutFlags(fs)
+	startObs := obsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -465,9 +448,6 @@ func cmdLoad(args []string) error {
 	if *simMode && *pipeline > 1 {
 		return fmt.Errorf("load: -sim has no pipelined mode (the virtual-time engine keeps one op pending per process)")
 	}
-	if *addr == "" && *codec != serve.CodecJSON && *codec != "" {
-		return fmt.Errorf("load: -codec applies to -addr runs (in-process runs skip the wire entirely)")
-	}
 	keys := loadKeys(*keyCount)
 	// Client-side shard attribution for the summary: the in-process path
 	// replaces this with the deployment's exact parameters below.
@@ -499,35 +479,23 @@ func cmdLoad(args []string) error {
 		close(stopCh)
 	}()
 
-	flushObs := func() error { return nil }
-	// The causal flight recorder: one collector per in-process cluster
-	// (shard clusters number spans independently), merged at dump time.
-	var traceColls []*obs.Collector
-	newTraceColl := func() *obs.Collector {
-		c := obs.NewCollector(*traceN)
-		traceColls = append(traceColls, c)
-		return c
-	}
+	// ob.colls is the causal flight recorder: one collector per in-process
+	// cluster, merged at dump time.
+	var ob obsRun
 	var sum *serve.Summary
 	switch {
 	case *simMode:
 		if *ops <= 0 {
 			return fmt.Errorf("load: -sim needs -ops (virtual time has no wall-clock duration)")
 		}
-		stopMetrics, err := startMetrics(obs.Handler(obs.Default))
-		if err != nil {
-			return err
-		}
-		defer stopMetrics()
-		if flushObs, err = startObsOut(obs.Default); err != nil {
-			return err
-		}
 		hcfg := harness.Config{Params: p, TypeName: dt.Name(), Algorithm: backend.Name,
 			Network: harness.NetRandom, Offsets: *offsets, Seed: *seed,
 			Trace: sim.TraceOps}
-		if *traceN > 0 {
-			hcfg.Tracer = newTraceColl()
+		if ob, err = startObs(obs.Handler(obs.Default), []*obs.Registry{obs.Default}, *traceN,
+			func(newColl func() *obs.Collector) { hcfg.Tracer = newColl() }); err != nil {
+			return err
 		}
+		defer ob.stop()
 		res, err := harness.Run(hcfg,
 			harness.Workload{OpsPerProc: *ops, MaxGap: p.D / 2, Seed: *seed, Mix: mix})
 		if err != nil {
@@ -541,19 +509,15 @@ func cmdLoad(args []string) error {
 		sum = serve.Summarize(func(class classify.Class) simtime.Duration { return backend.Bound(p, class) },
 			0, harness.ClassesFor(dt), res.Trace.Ops, echo)
 	case *addr != "":
-		c, err := serve.DialCodec(*addr, *codec)
+		c, err := serve.Dial(*addr)
 		if err != nil {
 			return err
 		}
 		defer c.Close()
-		stopMetrics, err := startMetrics(obs.Handler(obs.Default))
-		if err != nil {
+		if ob, err = startObs(obs.Handler(obs.Default), []*obs.Registry{obs.Default}, 0, nil); err != nil {
 			return err
 		}
-		defer stopMetrics()
-		if flushObs, err = startObsOut(obs.Default); err != nil {
-			return err
-		}
+		defer ob.stop()
 		sum, err = serve.RunLoad(c, dt, p, *tick, serve.LoadConfig{
 			Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
 			Stop: stopCh, Keys: keys, Zipf: *zipf, ShardParams: shardParams, Backend: backend.Name,
@@ -563,7 +527,6 @@ func cmdLoad(args []string) error {
 			return err
 		}
 		sum.Config.Mode = "tcp"
-		sum.Config.Codec = c.Codec()
 	case *shards > 1:
 		ss, err := serve.NewShardSet(serve.ShardSetConfig{
 			Config: serve.Config{Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick, Offsets: *offsets, Seed: *seed},
@@ -572,18 +535,11 @@ func cmdLoad(args []string) error {
 		if err != nil {
 			return err
 		}
-		stopMetrics, err := startMetrics(ss.ObsHandler())
-		if err != nil {
+		if ob, err = startObs(ss.ObsHandler(), append(ss.Registries(), obs.Default), *traceN,
+			func(newColl func() *obs.Collector) { ss.SetTracers(func(int) *obs.Collector { return newColl() }) }); err != nil {
 			return err
 		}
-		defer stopMetrics()
-		regs := append(ss.Registries(), obs.Default)
-		if flushObs, err = startObsOut(regs...); err != nil {
-			return err
-		}
-		if *traceN > 0 {
-			ss.SetTracers(func(int) obs.Tracer { return newTraceColl() })
-		}
+		defer ob.stop()
 		ss.Start()
 		sum, err = serve.RunLoad(ss, dt, p, *tick, serve.LoadConfig{
 			Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
@@ -613,17 +569,11 @@ func cmdLoad(args []string) error {
 		if err != nil {
 			return err
 		}
-		stopMetrics, err := startMetrics(s.ObsHandler())
-		if err != nil {
+		if ob, err = startObs(s.ObsHandler(), []*obs.Registry{s.Registry(), obs.Default}, *traceN,
+			func(newColl func() *obs.Collector) { s.SetTracer(newColl()) }); err != nil {
 			return err
 		}
-		defer stopMetrics()
-		if flushObs, err = startObsOut(s.Registry(), obs.Default); err != nil {
-			return err
-		}
-		if *traceN > 0 {
-			s.SetTracer(newTraceColl())
-		}
+		defer ob.stop()
 		s.Start()
 		// Scheduled fault injection: each entry crashes its process
 		// mid-run; the router drops it from rotation and (on the quorum
@@ -668,15 +618,15 @@ func cmdLoad(args []string) error {
 		fmt.Println(string(b))
 	}
 	// Final snapshot flush (also the path a signal-shortened run takes).
-	if err := flushObs(); err != nil {
+	if err := ob.flush(); err != nil {
 		return err
 	}
 	// Flight-recorder dump: on an SLO violation the last N complete
 	// causal trees — the operations whose latency the violation is made
 	// of — land as a Chrome trace for post-mortem attribution.
-	if len(traceColls) > 0 && !sum.SLOMet() {
+	if len(ob.colls) > 0 && !sum.SLOMet() {
 		var trees []*obs.Tree
-		for _, c := range traceColls {
+		for _, c := range ob.colls {
 			trees = append(trees, c.Trees()...)
 		}
 		f, err := os.Create(*traceOut)

@@ -106,19 +106,6 @@ func sumByBase(m map[string]int64, base string) int64 {
 	return total
 }
 
-// sumByBaseLabel totals a metric over its label variants, keeping only
-// the series whose given label matches want — e.g. summing
-// serve_connections_total{codec="json"} across shards.
-func sumByBaseLabel(m map[string]int64, base, label, want string) int64 {
-	var total int64
-	for name, v := range m {
-		if b, _ := obs.SplitName(name); b == base && obs.Label(name, label) == want {
-			total += v
-		}
-	}
-	return total
-}
-
 // maxByBase is sumByBase for high-water marks.
 func maxByBase(m map[string]int64, base string) int64 {
 	var max int64
@@ -181,12 +168,10 @@ func renderStat(w io.Writer, prev, cur obs.Snapshot, elapsed time.Duration) {
 		sumByBase(cur.Counters, "rtnet_timer_fires_total"), lateP50, lateP99,
 		maxByBase(cur.Gauges, "rtnet_inbox_depth_max"),
 		sumByBase(cur.Counters, "rtnet_inbox_overflows_total"), overflowNote)
-	// Wire-protocol line: per-codec connection counts from negotiation.
+	// Wire-protocol line: accepted TCP connections, folded across shards.
 	// Only endpoints that have accepted a connection emit it.
-	connJSON := sumByBaseLabel(cur.Counters, "serve_connections_total", "codec", "json")
-	connBinary := sumByBaseLabel(cur.Counters, "serve_connections_total", "codec", "binary")
-	if connJSON+connBinary > 0 {
-		fmt.Fprintf(w, "wire    conns json %d  binary %d\n", connJSON, connBinary)
+	if conns := sumByBase(cur.Counters, "serve_connections_total"); conns > 0 {
+		fmt.Fprintf(w, "wire    conns %d\n", conns)
 	}
 	phases := sumByBase(cur.Counters, "quorum_phase_total")
 	crashes := sumByBase(cur.Counters, "crashes_injected")
@@ -350,43 +335,56 @@ func cmdStat(args []string) error {
 	}
 }
 
-// metricsAddrFlag registers -metrics-addr and returns a starter: when the
-// flag is set the starter boots the observability HTTP endpoint (metrics,
-// expvar, pprof) on that address and returns a shutdown func.
-func metricsAddrFlag(fs *flag.FlagSet) func(h http.Handler) (func(), error) {
-	addr := fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /debug/vars and /debug/pprof/ on this address (empty = off)")
-	return func(h http.Handler) (func(), error) {
-		if *addr == "" {
-			return func() {}, nil
-		}
-		srv := &http.Server{Addr: *addr, Handler: h}
-		errCh := make(chan error, 1)
-		go func() { errCh <- srv.ListenAndServe() }()
-		// Surface immediate bind failures instead of dying silently later.
-		select {
-		case err := <-errCh:
-			return nil, fmt.Errorf("metrics endpoint: %w", err)
-		case <-time.After(50 * time.Millisecond):
-		}
-		fmt.Fprintf(os.Stderr, "lintime: observability endpoint on http://%s (try `lintime stat -addr %s`)\n", *addr, *addr)
-		return func() { srv.Close() }, nil
-	}
+// obsRun is a started observability stanza: stop shuts the endpoint
+// down, flush writes the final -obs-out snapshot (the SIGINT flush path),
+// colls are the installed flight-recorder collectors.
+type obsRun struct {
+	stop  func()
+	flush func() error
+	colls []*obs.Collector
 }
 
-// obsOutFlags registers -obs-out/-obs-interval and returns a starter for
-// the periodic JSONL snapshot writer over the given registries. The
-// returned stop func writes the final snapshot (the SIGINT flush path).
-func obsOutFlags(fs *flag.FlagSet) func(regs ...*obs.Registry) (func() error, error) {
+// obsFlags registers -metrics-addr, -obs-out and -obs-interval and
+// returns the one observability stanza of the long-running commands:
+// when traceN > 0, install (nil = nothing to trace) places flight
+// recorders, drawing one fresh collector retaining traceN trees per
+// cluster from newColl — clusters number their spans independently; then
+// the -metrics-addr endpoint (metrics, expvar, pprof) boots over h and
+// the periodic -obs-out JSONL writer over regs.
+func obsFlags(fs *flag.FlagSet) func(h http.Handler, regs []*obs.Registry, traceN int, install func(newColl func() *obs.Collector)) (obsRun, error) {
+	addr := fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /debug/vars and /debug/pprof/ on this address (empty = off)")
 	out := fs.String("obs-out", "", "append periodic metric snapshots to this JSONL file (final snapshot on exit)")
 	interval := fs.Duration("obs-interval", 0, "snapshot period for -obs-out (0 = final snapshot only)")
-	return func(regs ...*obs.Registry) (func() error, error) {
-		if *out == "" {
-			return func() error { return nil }, nil
+	return func(h http.Handler, regs []*obs.Registry, traceN int, install func(newColl func() *obs.Collector)) (obsRun, error) {
+		run := obsRun{stop: func() {}, flush: func() error { return nil }}
+		if traceN > 0 && install != nil {
+			install(func() *obs.Collector {
+				c := obs.NewCollector(traceN)
+				run.colls = append(run.colls, c)
+				return c
+			})
 		}
-		sw, err := obs.NewSnapshotWriter(*out, *interval, regs...)
-		if err != nil {
-			return nil, err
+		if *addr != "" {
+			srv := &http.Server{Addr: *addr, Handler: h}
+			errCh := make(chan error, 1)
+			go func() { errCh <- srv.ListenAndServe() }()
+			// Surface immediate bind failures instead of dying silently later.
+			select {
+			case err := <-errCh:
+				return obsRun{}, fmt.Errorf("metrics endpoint: %w", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			fmt.Fprintf(os.Stderr, "lintime: observability endpoint on http://%s (try `lintime stat -addr %s`)\n", *addr, *addr)
+			run.stop = func() { srv.Close() }
 		}
-		return sw.Close, nil
+		if *out != "" {
+			sw, err := obs.NewSnapshotWriter(*out, *interval, regs...)
+			if err != nil {
+				run.stop()
+				return obsRun{}, err
+			}
+			run.flush = sw.Close
+		}
+		return run, nil
 	}
 }

@@ -191,14 +191,14 @@ func TestRenderStatWireLine(t *testing.T) {
 		t.Fatalf("idle wire line rendered:\n%s", sb.String())
 	}
 
-	// Codec counts fold across shards.
+	// Connection counts fold across the router and its shards.
 	snap := statSnapshot(t, 41)
-	snap.Counters[`serve_connections_total{codec="json"}`] = 2
-	snap.Counters[`serve_connections_total{shard="0",codec="json"}`] = 1
-	snap.Counters[`serve_connections_total{shard="1",codec="binary"}`] = 4
+	snap.Counters["serve_connections_total"] = 2
+	snap.Counters[`serve_connections_total{shard="0"}`] = 1
+	snap.Counters[`serve_connections_total{shard="1"}`] = 4
 	sb.Reset()
 	renderStat(&sb, snap, snap, time.Second)
-	if !strings.Contains(sb.String(), "wire    conns json 3  binary 4\n") {
+	if !strings.Contains(sb.String(), "wire    conns 7\n") {
 		t.Fatalf("wire line missing or wrong:\n%s", sb.String())
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 	"lintime/internal/adt"
 	"lintime/internal/classify"
-	"lintime/internal/core"
+	"lintime/internal/harness"
 	"lintime/internal/lincheck"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
@@ -36,11 +36,19 @@ func main() {
 	report := classify.Classify(queue, classify.DefaultConfig())
 	fmt.Print(report)
 
-	// Build one Algorithm 1 replica per process and wire them to a
-	// simulated network with worst-case (maximum) delays.
-	nodes := core.NewReplicas(p.N, queue, report.Classes(), core.DefaultTimers(p))
+	// Build one Algorithm 1 replica per process — through the backend
+	// table, like every other consumer — and wire them to a simulated
+	// network with worst-case (maximum) delays.
+	alg1, err := harness.Lookup("")
+	if err != nil {
+		log.Fatal(err)
+	}
+	build, err := alg1.Builder(p, queue, "")
+	if err != nil {
+		log.Fatal(err)
+	}
 	eng, err := sim.NewEngine(p, sim.SpreadOffsets(p.N, p.Epsilon),
-		sim.UniformNetwork{D: p.D}, nodes)
+		sim.UniformNetwork{D: p.D}, build())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,8 +16,7 @@ import (
 	"time"
 
 	"lintime/internal/adt"
-	"lintime/internal/classify"
-	"lintime/internal/core"
+	"lintime/internal/harness"
 	"lintime/internal/rtnet"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
@@ -30,10 +29,15 @@ func main() {
 	fmt.Printf("live cluster: n=%d, d=%v ticks (%v), ε=%v, X=%v, 1 tick = %v\n\n",
 		p.N, p.D, time.Duration(p.D)*tick, p.Epsilon, p.X, tick)
 
-	queue := adt.NewQueue()
-	classes := classify.Classify(queue, classify.DefaultConfig()).Classes()
-	nodes := core.NewReplicas(p.N, queue, classes, core.DefaultTimers(p))
-	cluster, err := rtnet.NewCluster(rtnet.Params{Params: p}, tick, sim.SpreadOffsets(p.N, p.Epsilon), nodes, 1)
+	alg1, err := harness.Lookup("")
+	if err != nil {
+		log.Fatal(err)
+	}
+	build, err := alg1.Builder(p, adt.NewQueue(), "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	cluster, err := rtnet.NewCluster(rtnet.Params{Params: p}, tick, sim.SpreadOffsets(p.N, p.Epsilon), build(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,11 +50,11 @@ type Config struct {
 	// sim.TraceOps; the execution itself is identical at every level.
 	Trace sim.TraceLevel
 
-	// Tracer, when non-nil, receives span waypoints from the engine (an
-	// obs.Ring, or an obs.Collector for causal trees with latency
-	// attribution). The execution is identical with or without it; nil
-	// (the default) keeps the engine's zero-cost tracing-off path.
-	Tracer obs.Tracer
+	// Tracer, when non-nil, receives span waypoints from the engine and
+	// assembles causal trees with latency attribution. The execution is
+	// identical with or without it; nil (the default) keeps the engine's
+	// zero-cost tracing-off path.
+	Tracer *obs.Collector
 }
 
 // Workload is a closed-loop random workload: each process issues
@@ -281,9 +281,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	}
 	defer enginePool.Put(eng)
 	eng.SetTraceLevel(cfg.Trace)
-	if cfg.Tracer != nil {
-		eng.SetTracer(cfg.Tracer)
-	}
+	eng.SetTracer(cfg.Tracer)
 
 	rng := rand.New(rand.NewSource(wl.Seed))
 	picks, err := expandMix(dt, wl.Mix)

@@ -1,10 +1,10 @@
 // Causal, cross-process tracing with deterministic latency attribution.
 //
-// The Collector grows the per-process span ring (Ring) into a tree
-// store: every operation is a root span, quorum phases open child spans
-// under it, and message deliveries — batched or not — attach to whichever
-// span caused them, propagated through the substrates' handling context
-// and the wire protocols' trace-context field. A completed root
+// The Collector is the one span sink, a tree store: every operation is a
+// root span, quorum phases open child spans under it, and message
+// deliveries attach to whichever span caused them, propagated through
+// the engine's handling context and the wire protocol's trace-context
+// field. A completed root
 // decomposes its wall-clock (virtual-tick) latency into named terms that
 // sum exactly to the measured latency:
 //
@@ -161,13 +161,22 @@ func sortEvents(evs []SpanEvent) {
 	})
 }
 
-// Collector is the causal tracing sink: a CausalTracer that assembles
-// complete operation trees and retains the last capacity of them in a
-// ring — the flight recorder. Safe for concurrent use.
+// Collector is the span sink: it assembles complete operation trees and
+// retains the last capacity of them in a ring — the flight recorder. A
+// nil *Collector is how every layer spells "tracing off". Safe for
+// concurrent use: a live cluster records from its scheduler goroutine
+// while the serving layer reads.
+//
+// Attribution leans on the model's one-pending-operation-per-process
+// rule: OpStart makes span the process's current span, and the engine
+// stamps sends and timer registrations with CurrentSpan at the moment
+// they happen — so a delivery or timer fire is attributed to the
+// operation that caused it, even when it executes on another process or
+// after the span moved on.
 type Collector struct {
 	mu      sync.Mutex
 	live    map[int64]*Tree // open spans (roots and children), by span id
-	order   []int64         // live-root start order, for bounded eviction
+	order   []int64         // open roots in start order, for bounded eviction
 	index   map[int64]*Tree // retained completed spans, for late events
 	done    []*Tree         // completed-root ring, record order
 	next    int
@@ -192,13 +201,14 @@ func NewCollector(capacity int) *Collector {
 	}
 }
 
-// OpStart implements Tracer.
+// OpStart opens a local root span (no causal parent).
 func (c *Collector) OpStart(proc int32, span int64, op string, now int64) {
 	c.OpStartCtx(proc, span, -1, op, now)
 }
 
-// OpStartCtx implements CausalTracer: opens a root span, recording the
-// causal parent (a client-side span propagated over the wire, or -1).
+// OpStartCtx opens a root span, makes it the process's current span and
+// records the causal parent (a client-side span propagated over the
+// wire, or -1).
 func (c *Collector) OpStartCtx(proc int32, span, parent int64, op string, now int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,11 +218,12 @@ func (c *Collector) OpStartCtx(proc int32, span, parent int64, op string, now in
 	c.order = append(c.order, span)
 	c.cur[proc] = span
 	// Bound the open set: a span that never completes (crashed owner)
-	// must not pin memory forever.
+	// must not pin memory forever. OpEnd takes completed roots out of
+	// order, so only roots that are still open count against the bound.
 	for len(c.order) > len(c.done) {
 		victim := c.order[0]
 		c.order = c.order[1:]
-		if v, ok := c.live[victim]; ok && !v.done {
+		if v, ok := c.live[victim]; ok {
 			c.evictLive(v)
 			c.dropped++
 		}
@@ -227,17 +238,18 @@ func (c *Collector) evictLive(t *Tree) {
 	}
 }
 
-// Event implements Tracer: append a waypoint to its span, live or
-// recently completed (late peer deliveries land after the owner
-// responded). Events for unknown spans — span -1, or spans already
-// evicted — are dropped.
+// Event appends a waypoint to its span, live or recently completed (late
+// peer deliveries land after the owner responded). Events for unknown
+// spans — span -1, or spans already evicted — are dropped.
 func (c *Collector) Event(span int64, stage Stage, proc int32, now int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.append(SpanEvent{Span: span, Stage: stage, Proc: proc, Time: now})
 }
 
-// Deliver implements CausalTracer.
+// Deliver is Event(span, StageDeliver, proc, now) plus delivery
+// accounting: the send tick and the batch-window residency portion of
+// the delay (0 for unbatched deliveries).
 func (c *Collector) Deliver(span int64, proc int32, now, sent, residency int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -255,8 +267,8 @@ func (c *Collector) append(ev SpanEvent) {
 	t.Events = append(t.Events, ev)
 }
 
-// Child implements CausalTracer: opens a named child span under parent.
-// A child of an unknown parent is dropped.
+// Child opens a named child span (e.g. a quorum phase) under parent. A
+// child of an unknown parent is dropped.
 func (c *Collector) Child(proc int32, span, parent int64, name string, now int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -275,7 +287,7 @@ func (c *Collector) Child(proc int32, span, parent int64, name string, now int64
 	}
 }
 
-// ChildEnd implements CausalTracer. Closing a child of an
+// ChildEnd closes a child span. Closing a child of an
 // already-completed root (a quorum phase whose last ack straggled in
 // after the coordinator responded) still lands on the retained tree.
 func (c *Collector) ChildEnd(proc int32, span int64, now int64) {
@@ -294,8 +306,8 @@ func (c *Collector) ChildEnd(proc int32, span int64, now int64) {
 	t.done = true
 }
 
-// OpEnd implements Tracer: completes the root span and moves the tree
-// into the flight-recorder ring.
+// OpEnd completes the root span, clears the process's current span and
+// moves the tree into the flight-recorder ring.
 func (c *Collector) OpEnd(proc int32, span int64, now int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -311,6 +323,12 @@ func (c *Collector) OpEnd(proc int32, span int64, now int64) {
 	// peers after the owner responded (a mutator's broadcast outliving
 	// its X-wait) still attach to the completed tree.
 	delete(c.live, span)
+	for i, open := range c.order {
+		if open == span {
+			c.order = append(c.order[:i], c.order[i+1:]...)
+			break
+		}
+	}
 	c.index[span] = t
 	for _, child := range t.Children {
 		delete(c.live, child.Span)
@@ -332,7 +350,7 @@ func (c *Collector) OpEnd(proc int32, span int64, now int64) {
 	}
 }
 
-// CurrentSpan implements Tracer.
+// CurrentSpan returns the process's current span, or -1.
 func (c *Collector) CurrentSpan(proc int32) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -60,6 +61,10 @@ func TestCollectorLifecycle(t *testing.T) {
 	if got := c.Completed(); got != 1 {
 		t.Fatalf("Completed() = %d, want 1", got)
 	}
+	// An unrelated span interleaves: still open, it is no tree yet, and
+	// its waypoints must not leak into span 1's.
+	c.OpStart(1, 8, "read", 22)
+	c.Event(8, StageTimer, 1, 23)
 	trees := c.Trees()
 	if len(trees) != 1 {
 		t.Fatalf("Trees() returned %d trees, want 1", len(trees))
@@ -158,28 +163,65 @@ func TestCollectorRingWrapEvictsChildren(t *testing.T) {
 	}
 }
 
-// TestCollectorLiveBound pins open-set eviction: opening more roots
-// than the ring capacity evicts the oldest open root (and its
-// children) so a crashed owner cannot pin memory forever.
+// TestCollectorLiveBound pins open-set eviction: having more roots open
+// than the ring capacity evicts the oldest open root (and its children)
+// so a crashed owner cannot pin memory forever — and only open roots
+// count, so a slow operation survives any number of fast ones that
+// start and complete beside it.
 func TestCollectorLiveBound(t *testing.T) {
-	c := NewCollector(2)
-	c.OpStart(0, 1, "a", 0)
-	c.Child(0, -10, 1, "query", 1)
-	c.OpStart(1, 2, "b", 2)
-	c.OpStart(2, 3, "c", 4) // evicts span 1 and its child
-	if got := c.Dropped(); got != 1 {
-		t.Errorf("Dropped() = %d, want 1", got)
+	start := func(proc int32, span int64) func(*Collector) {
+		return func(c *Collector) { c.OpStart(proc, span, "op", 2*span) }
 	}
-	c.Event(1, StageDeliver, 0, 5) // span 1 gone: dropped silently
-	c.Event(-10, StageTimer, 0, 5) // its child too
-	c.OpEnd(0, 1, 6)               // completing an evicted span: no-op
-	if got := c.Completed(); got != 0 {
-		t.Errorf("Completed() = %d after evicted-span OpEnd, want 0", got)
+	end := func(proc int32, span int64) func(*Collector) {
+		return func(c *Collector) { c.OpEnd(proc, span, 2*span+100) }
 	}
-	c.OpEnd(1, 2, 7)
-	c.OpEnd(2, 3, 8)
-	if trees := c.Trees(); len(trees) != 2 {
-		t.Errorf("retained %d trees, want 2", len(trees))
+	for _, tc := range []struct {
+		name               string
+		steps              []func(*Collector)
+		completed, dropped int64
+		retained           []int64
+	}{
+		{"three open roots evict the oldest and its child",
+			[]func(*Collector){
+				start(0, 1),
+				func(c *Collector) { c.Child(0, -10, 1, "query", 3) },
+				start(1, 2),
+				start(2, 3), // evicts span 1 and its child
+				func(c *Collector) { c.Event(1, StageDeliver, 0, 5) },
+				func(c *Collector) { c.Event(-10, StageTimer, 0, 5) },
+				end(0, 1), // completing an evicted span: no-op
+				end(1, 2), end(2, 3),
+			}, 2, 1, []int64{2, 3}},
+		// The single drop is the capacity-2 ring overwriting completed
+		// span 2, not open span 1.
+		{"a slow root outlives fast ones completing beside it",
+			[]func(*Collector){
+				start(0, 1),
+				start(1, 2), end(1, 2),
+				start(1, 3), end(1, 3),
+				end(0, 1),
+			}, 3, 1, []int64{3, 1}},
+	} {
+		c := NewCollector(2)
+		for _, step := range tc.steps {
+			step(c)
+		}
+		if got := c.Completed(); got != tc.completed {
+			t.Errorf("%s: Completed() = %d, want %d", tc.name, got, tc.completed)
+		}
+		if got := c.Dropped(); got != tc.dropped {
+			t.Errorf("%s: Dropped() = %d, want %d", tc.name, got, tc.dropped)
+		}
+		var retained []int64
+		for _, tr := range c.Trees() {
+			retained = append(retained, tr.Span)
+			if _, ok := c.Attribute(tr.Span, "MOP", tr.Start, AttrParams{}); !ok {
+				t.Errorf("%s: retained span %d not attributable", tc.name, tr.Span)
+			}
+		}
+		if !reflect.DeepEqual(retained, tc.retained) {
+			t.Errorf("%s: retained spans = %v, want %v", tc.name, retained, tc.retained)
+		}
 	}
 }
 

@@ -9,68 +9,57 @@ import (
 	"time"
 )
 
-// TestRingWrapOrder pins the wrap-order contract Events documents: after
-// the ring wraps, the returned slice is record order — oldest retained
-// first — never the raw backing-array order, which would splice the
-// newest events in front of the oldest across the wrap boundary.
-func TestRingWrapOrder(t *testing.T) {
-	r := NewRing(4)
+// TestCollectorWrapOrder pins the wrap-order contract Trees documents:
+// after the ring wraps, the returned slice is completion order — oldest
+// retained first — never the raw backing-array order, which would splice
+// the newest trees in front of the oldest across the wrap boundary.
+func TestCollectorWrapOrder(t *testing.T) {
+	c := NewCollector(4)
 	for i := int64(0); i < 6; i++ {
-		r.Event(i, StageBroadcast, 0, i)
+		finish(c, 0, i, "op", 2*i, 2*i+1)
 	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
+	trees := c.Trees()
+	if len(trees) != 4 {
+		t.Fatalf("retained %d trees, want 4", len(trees))
 	}
-	for i, ev := range evs {
-		if want := int64(i + 2); ev.Time != want {
-			t.Fatalf("Events()[%d].Time = %d, want %d (record order): %+v",
-				i, ev.Time, want, evs)
+	for i, tr := range trees {
+		if want := int64(i + 2); tr.Span != want {
+			t.Fatalf("Trees()[%d].Span = %d, want %d (completion order)", i, tr.Span, want)
 		}
 	}
-	if got := r.Dropped(); got != 2 {
+	if got := c.Dropped(); got != 2 {
 		t.Errorf("Dropped() = %d, want 2", got)
 	}
 }
 
-// A span whose head was overwritten by the wrap must report
-// complete=false (its invoke is gone), and one whose respond has not
-// landed yet must too — only an intact invoke…respond lifecycle is
-// complete.
-func TestRingPartiallyEvictedSpan(t *testing.T) {
-	r := NewRing(4)
-	r.OpStart(0, 1, "enqueue", 0)
-	r.Event(1, StageBroadcast, 0, 1)
-	r.Event(1, StageDeliver, 0, 2)
-	r.OpEnd(0, 1, 3)
-	if evs, complete := r.SpanEvents(1); !complete || len(evs) != 4 {
-		t.Fatalf("intact span: complete=%v len=%d, want true 4", complete, len(evs))
+// A span whose root was evicted while open must never surface as a
+// whole operation: its remaining waypoints and its respond vanish, and
+// neither Trees nor Attribute reports it. A span whose respond has not
+// landed yet is withheld the same way — only an intact invoke…respond
+// lifecycle is complete.
+func TestCollectorPartiallyEvictedSpan(t *testing.T) {
+	c := NewCollector(1)
+	c.OpStart(0, 1, "enqueue", 0)
+	c.Event(1, StageBroadcast, 0, 1)
+	c.OpStart(1, 2, "peek", 2) // a second open root: evicts span 1's head
+	c.Event(1, StageDeliver, 0, 3)
+	c.OpEnd(0, 1, 4)
+	if _, ok := c.Attribute(1, "MOP", 0, AttrParams{}); ok {
+		t.Error("head-evicted span attributed as complete")
 	}
-	r.OpStart(1, 2, "peek", 4) // overwrites span 1's invoke
-	evs, complete := r.SpanEvents(1)
-	if complete {
-		t.Error("head-evicted span reported complete")
+	if _, ok := c.Attribute(2, "AOP", 2, AttrParams{}); ok {
+		t.Error("open span (no respond yet) attributed as complete")
 	}
-	if len(evs) != 3 || evs[0].Stage != StageBroadcast {
-		t.Errorf("head-evicted span events = %+v, want broadcast-first triple", evs)
+	if trees := c.Trees(); len(trees) != 0 {
+		t.Errorf("Trees() = %+v, want none: no lifecycle is complete", trees)
 	}
-	if got := r.Span(1); len(got) != 3 {
-		t.Errorf("Span(1) len = %d, want 3", len(got))
+	c.OpEnd(1, 2, 5)
+	trees := c.Trees()
+	if len(trees) != 1 || trees[0].Span != 2 || len(trees[0].Events) != 2 {
+		t.Fatalf("Trees() = %+v, want span 2 alone with invoke and respond", trees)
 	}
-	if _, complete := r.SpanEvents(2); complete {
-		t.Error("open span (no respond yet) reported complete")
-	}
-	if evs, complete := r.SpanEvents(99); complete || evs != nil {
-		t.Errorf("unknown span = (%v, %v), want (nil, false)", evs, complete)
-	}
-}
-
-func TestNopTracer(t *testing.T) {
-	Nop.OpStart(0, 1, "x", 0)
-	Nop.Event(1, StageBroadcast, 0, 1)
-	Nop.OpEnd(0, 1, 2)
-	if got := Nop.CurrentSpan(0); got != -1 {
-		t.Errorf("Nop.CurrentSpan = %d, want -1", got)
+	if _, ok := c.Attribute(99, "AOP", 0, AttrParams{}); ok {
+		t.Error("unknown span attributed")
 	}
 }
 

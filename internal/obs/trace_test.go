@@ -21,89 +21,3 @@ func TestStageString(t *testing.T) {
 		}
 	}
 }
-
-func TestIsNop(t *testing.T) {
-	if !obs.IsNop(nil) || !obs.IsNop(obs.Nop) {
-		t.Fatal("nil and Nop must both be nop")
-	}
-	if obs.IsNop(obs.NewRing(8)) {
-		t.Fatal("Ring reported as nop")
-	}
-}
-
-// TestRingLifecycle walks one span through the canonical stages and
-// asserts record order, current-span tracking, and span filtering.
-func TestRingLifecycle(t *testing.T) {
-	r := obs.NewRing(64)
-	if got := r.CurrentSpan(0); got != -1 {
-		t.Fatalf("CurrentSpan before any op: got %d, want -1", got)
-	}
-	r.OpStart(0, 7, "inc", 10)
-	if got := r.CurrentSpan(0); got != 7 {
-		t.Fatalf("CurrentSpan mid-op: got %d, want 7", got)
-	}
-	r.Event(7, obs.StageBroadcast, 0, 10)
-	r.Event(7, obs.StageDeliver, 1, 15)
-	r.Event(7, obs.StageTimer, 0, 20)
-	r.OpEnd(0, 7, 21)
-	if got := r.CurrentSpan(0); got != -1 {
-		t.Fatalf("CurrentSpan after OpEnd: got %d, want -1", got)
-	}
-
-	// An unrelated span interleaves; Span(7) must filter it out.
-	r.OpStart(1, 8, "read", 22)
-
-	evs := r.Span(7)
-	wantStages := []obs.Stage{obs.StageInvoke, obs.StageBroadcast, obs.StageDeliver, obs.StageTimer, obs.StageRespond}
-	if len(evs) != len(wantStages) {
-		t.Fatalf("span 7: got %d events, want %d: %+v", len(evs), len(wantStages), evs)
-	}
-	for i, ev := range evs {
-		if ev.Stage != wantStages[i] {
-			t.Fatalf("span 7 event %d: got stage %v, want %v", i, ev.Stage, wantStages[i])
-		}
-	}
-	if evs[0].Op != "inc" {
-		t.Fatalf("invoke event op: got %q, want inc", evs[0].Op)
-	}
-	if evs[2].Proc != 1 {
-		t.Fatalf("deliver proc: got %d, want 1", evs[2].Proc)
-	}
-	if evs[4].Time != 21 {
-		t.Fatalf("respond time: got %d, want 21", evs[4].Time)
-	}
-}
-
-// TestRingWrap fills past capacity and checks the ring keeps the newest
-// events in order and counts the overwritten ones.
-func TestRingWrap(t *testing.T) {
-	r := obs.NewRing(4)
-	for i := int64(0); i < 10; i++ {
-		r.Event(i, obs.StageDeliver, 0, i)
-	}
-	if got := r.Dropped(); got != 6 {
-		t.Fatalf("dropped: got %d, want 6", got)
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained: got %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := int64(6 + i); ev.Span != want {
-			t.Fatalf("retained[%d]: got span %d, want %d (oldest-first order)", i, ev.Span, want)
-		}
-	}
-}
-
-func TestRingDefaultCapacity(t *testing.T) {
-	r := obs.NewRing(0)
-	for i := int64(0); i < 4096; i++ {
-		r.Event(i, obs.StageDeliver, 0, i)
-	}
-	if got := r.Dropped(); got != 0 {
-		t.Fatalf("default capacity dropped events early: %d", got)
-	}
-	if got := len(r.Events()); got != 4096 {
-		t.Fatalf("default capacity: retained %d, want 4096", got)
-	}
-}

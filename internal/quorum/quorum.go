@@ -136,25 +136,19 @@ func (c Config) less(a, b Tag) bool {
 type retransmitTag struct{ seq int64 }
 
 // traceSource is the optional Context extension the engine's Context
-// implements: it exposes the installed tracer so the replica can record
-// its quorum phases as child spans of the operation. Asserting here —
+// implements: it exposes the span sink so the replica can record its
+// quorum phases as child spans of the operation. Asserting here —
 // instead of widening sim.Context — keeps the Node/Context contract
 // minimal and other backends tracer-oblivious.
-type traceSource interface{ Tracer() obs.Tracer }
+type traceSource interface{ Tracer() *obs.Collector }
 
-// tracerFor returns the causal tracer reachable through ctx, or nil when
-// tracing is off or the tracer records flat spans only.
-func tracerFor(ctx sim.Context) obs.CausalTracer {
-	ts, ok := ctx.(traceSource)
-	if !ok {
-		return nil
+// tracerFor returns the span sink reachable through ctx, or nil when
+// tracing is off.
+func tracerFor(ctx sim.Context) *obs.Collector {
+	if ts, ok := ctx.(traceSource); ok {
+		return ts.Tracer()
 	}
-	t := ts.Tracer()
-	if obs.IsNop(t) {
-		return nil
-	}
-	ct, _ := t.(obs.CausalTracer)
-	return ct
+	return nil
 }
 
 // phaseSpan derives the deterministic child-span id of one phase of one

@@ -78,9 +78,18 @@ type clockRun struct {
 	dropped []string // "span→proc" of every delivery dropped at a crashed process, sorted
 }
 
-func droppedIn(ring *obs.Ring) []string {
+// waypoints flattens the collector's completed trees into their events.
+func waypoints(c *obs.Collector) []obs.SpanEvent {
+	var out []obs.SpanEvent
+	for _, tr := range c.Trees() {
+		out = append(out, tr.Events...)
+	}
+	return out
+}
+
+func droppedIn(c *obs.Collector) []string {
 	var out []string
-	for _, ev := range ring.Events() {
+	for _, ev := range waypoints(c) {
 		if ev.Stage == obs.StageDropped {
 			out = append(out, fmt.Sprintf("%d→p%d", ev.Span, ev.Proc))
 		}
@@ -110,8 +119,8 @@ func (cc clockCase) virtual(t *testing.T) clockRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := obs.NewRing(4096)
-	eng.SetTracer(ring)
+	coll := obs.NewCollector(4096)
+	eng.SetTracer(coll)
 	if cc.crash >= 0 {
 		crashes := make([]simtime.Time, cc.p.N)
 		for i := range crashes {
@@ -136,7 +145,7 @@ func (cc clockCase) virtual(t *testing.T) clockRun {
 	for _, op := range tr.Ops {
 		rets[op.SeqID] = op.Ret
 	}
-	return clockRun{rets: rets, logs: logs, sig: eng.StepSignature(), dropped: droppedIn(ring)}
+	return clockRun{rets: rets, logs: logs, sig: eng.StepSignature(), dropped: droppedIn(coll)}
 }
 
 func (cc clockCase) wall(t *testing.T) clockRun {
@@ -147,8 +156,8 @@ func (cc clockCase) wall(t *testing.T) clockRun {
 		t.Fatal(err)
 	}
 	c.UseNetwork(cc.net)
-	ring := obs.NewRing(4096)
-	c.SetTracer(ring)
+	coll := obs.NewCollector(4096)
+	c.SetTracer(coll)
 	c.Start()
 	defer c.Stop()
 	until := func(at simtime.Time) { time.Sleep(time.Until(c.start.Add(time.Duration(at) * clocksTick))) }
@@ -183,7 +192,7 @@ func (cc clockCase) wall(t *testing.T) clockRun {
 	if at, proc := c.eng.Next(); at != simtime.Infinity {
 		t.Fatalf("the run is not quiet at the settle mark: p%d has an event scheduled", proc)
 	}
-	return clockRun{rets: rets, logs: logs, sig: c.eng.StepSignature(), dropped: droppedIn(ring)}
+	return clockRun{rets: rets, logs: logs, sig: c.eng.StepSignature(), dropped: droppedIn(coll)}
 }
 
 func (cc clockCase) run(t *testing.T) {

@@ -101,11 +101,11 @@ func TestCrashQuorumMajorityKeepsServing(t *testing.T) {
 // and trace.
 func TestCrashedInboxDrainsWithoutOverflow(t *testing.T) {
 	reg := obs.NewRegistry()
-	ring := obs.NewRing(4096)
+	coll := obs.NewCollector(4096)
 	c := newQuorumCluster(t, 3, 2)
 	m := NewMetrics(reg, rtParams(3))
 	c.SetMetrics(m)
-	c.SetTracer(ring)
+	c.SetTracer(coll)
 	c.Start()
 	defer c.Stop()
 
@@ -130,7 +130,7 @@ func TestCrashedInboxDrainsWithoutOverflow(t *testing.T) {
 		t.Errorf("post-crash drops = %d, want >= 32", got)
 	}
 	dropped := 0
-	for _, ev := range ring.Events() {
+	for _, ev := range waypoints(coll) {
 		if ev.Stage == obs.StageDropped {
 			dropped++
 			if ev.Proc != 2 {

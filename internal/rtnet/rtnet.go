@@ -191,9 +191,9 @@ func (c *Cluster) SetMetrics(m *Metrics) {
 	c.eng.SetMetrics(&m.EngineMetrics)
 }
 
-// SetTracer installs a span tracer (obs.Nop or nil disables tracing).
-// Must be called before Start.
-func (c *Cluster) SetTracer(t obs.Tracer) { c.eng.SetTracer(t) }
+// SetTracer installs the span sink (nil disables tracing). Must be
+// called before Start.
+func (c *Cluster) SetTracer(t *obs.Collector) { c.eng.SetTracer(t) }
 
 // NewCluster builds a real-time cluster. tick is the wall-clock duration
 // of one virtual tick; offsets must respect the skew bound ε.
@@ -458,8 +458,8 @@ func (c *Cluster) Invoke(proc sim.ProcID, op string, arg any) (<-chan Response, 
 
 // InvokeTraced is Invoke carrying a causal parent span: the client-side
 // span (propagated over the wire protocols) the new operation's root
-// span should point back to. Ignored unless the installed tracer is an
-// obs.CausalTracer; pass -1 for a local root.
+// span should point back to. Ignored while tracing is off; pass -1 for a
+// local root.
 func (c *Cluster) InvokeTraced(proc sim.ProcID, op string, arg any, parent int64) (<-chan Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -13,22 +13,27 @@ import (
 )
 
 // TestSpanLifecycleRealTime drives one mutator through a live cluster
-// with a ring tracer attached and checks the full lifecycle lands in
-// record order: the invoke opens the span, the replica broadcast fans
-// out, peers record deliveries, the stabilization timer fires, and the
-// response closes the span — the real-time half of the sim span test.
+// with a collector attached and checks the full lifecycle lands in its
+// tree: the invoke opens the span, the replica broadcast fans out, peers
+// record deliveries, the stabilization timer fires, and the response
+// closes the span — the real-time half of the sim span test.
 func TestSpanLifecycleRealTime(t *testing.T) {
 	p := rtParams(3)
-	ring := obs.NewRing(1024)
+	coll := obs.NewCollector(1024)
 	c, _ := newQueueCluster(t, 3)
-	c.SetTracer(ring)
+	c.SetTracer(coll)
 	c.Start()
 	defer c.Stop()
 
 	r := mustCall(t, c, 0, adt.OpEnqueue, 7)
 	time.Sleep(5 * time.Duration(p.D) * tick) // let replication settle
 
-	evs := ring.Span(r.Seq)
+	var evs []obs.SpanEvent
+	for _, tr := range coll.Trees() {
+		if tr.Span == r.Seq {
+			evs = tr.Events
+		}
+	}
 	if len(evs) < 4 {
 		t.Fatalf("span %d: got %d events %+v, want at least invoke/broadcast/deliver/respond", r.Seq, len(evs), evs)
 	}
@@ -52,9 +57,9 @@ func TestSpanLifecycleRealTime(t *testing.T) {
 		// end on its own opening stages.
 		t.Fatalf("last span event: %+v", last)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time < evs[i-1].Time {
-			t.Fatalf("span events went back in time: %+v then %+v", evs[i-1], evs[i])
+	for _, ev := range evs {
+		if ev.Stage == obs.StageDeliver && ev.Time < ev.Sent {
+			t.Fatalf("delivery landed before it was sent: %+v", ev)
 		}
 	}
 }

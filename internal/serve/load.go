@@ -117,9 +117,6 @@ type SummaryConfig struct {
 	// Pipeline echoes LoadConfig.Pipeline when above the default 1, so
 	// single-op-in-flight summaries (and their goldens) are unchanged.
 	Pipeline int `json:"pipeline,omitempty"`
-	// Codec names the wire codec of a TCP run ("json" or "binary");
-	// in-process and simulated runs omit it.
-	Codec string `json:"codec,omitempty"`
 	// Sharded-mode echo (absent in single-object runs).
 	Shards   int     `json:"shards,omitempty"`
 	KeyCount int     `json:"keys,omitempty"`

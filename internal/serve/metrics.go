@@ -23,7 +23,7 @@ type serveMetrics struct {
 	drainState *obs.Gauge
 	perClass   map[classify.Class]*obs.Hist
 	// terms[class][term] receives the per-term latency attribution of
-	// every completed operation when a causal tracer is installed
+	// every completed operation when a collector is installed
 	// (trace_term_ticks{class=...,term=...}); nil maps when tracing is off
 	// keep /metrics output unchanged.
 	terms map[classify.Class][]*obs.Hist
@@ -76,10 +76,7 @@ func (s *Server) wireMetrics() {
 	}
 	s.obsm = m
 
-	// Per-codec connection accounting: every TCP connection is negotiated
-	// onto exactly one codec at accept time.
-	s.fe.connsJSON = reg.Counter(name(`serve_connections_total{codec="json"}`))
-	s.fe.connsBinary = reg.Counter(name(`serve_connections_total{codec="binary"}`))
+	s.fe.connsTotal = reg.Counter(name("serve_connections_total"))
 
 	var rtLabels []string
 	if s.cfg.ShardLabel != "" {
@@ -140,20 +137,18 @@ func (s *Server) ObsHandler() http.Handler {
 	return obs.Handler(s.reg, obs.Default)
 }
 
-// SetTracer installs a span tracer on the underlying cluster. Must be
-// called before Start. Installing an *obs.Collector additionally turns
-// on latency attribution: every completed operation's per-term
-// decomposition streams into trace_term_ticks{class=...,term=...}
-// histograms on the server's registry, and TraceCollector exposes the
-// retained causal trees (the flight recorder).
-func (s *Server) SetTracer(t obs.Tracer) {
-	s.cluster.SetTracer(t)
-	coll, ok := t.(*obs.Collector)
-	if !ok {
-		s.traceColl = nil
+// SetTracer installs the span sink on the underlying cluster (nil turns
+// tracing off). Must be called before Start. With a collector installed
+// every completed operation's per-term latency decomposition streams
+// into trace_term_ticks{class=...,term=...} histograms on the server's
+// registry, and TraceCollector exposes the retained causal trees (the
+// flight recorder).
+func (s *Server) SetTracer(c *obs.Collector) {
+	s.cluster.SetTracer(c)
+	s.traceColl = c
+	if c == nil {
 		return
 	}
-	s.traceColl = coll
 	p := s.cfg.Params
 	s.attrP = obs.AttrParams{D: int64(p.D), U: int64(p.U), Epsilon: int64(p.Epsilon), X: int64(p.X)}
 	name := func(n string) string { return n }
@@ -176,6 +171,6 @@ func (s *Server) SetTracer(t obs.Tracer) {
 	}
 }
 
-// TraceCollector returns the installed causal collector, or nil when
-// tracing is off or the tracer is not an *obs.Collector.
+// TraceCollector returns the installed collector, or nil when tracing is
+// off.
 func (s *Server) TraceCollector() *obs.Collector { return s.traceColl }

@@ -8,14 +8,12 @@ import (
 	"lintime/internal/adt"
 )
 
-// TestMixedProtocolShardedLoad runs one JSON client and one binary
-// client, both pipelining keyed operations, against the same sharded
-// router concurrently — the deployment shape codec negotiation must keep
-// sound. After the drain, the per-object composition check (the same
-// verification `lintime load -check-objects` runs) must hold over the
-// interleaved history, and the router must have counted one connection
-// per codec. The soak variant of this shape runs under -race in CI's
-// wire-smoke job.
+// TestMixedProtocolShardedLoad runs two TCP clients, both pipelining
+// keyed operations, against the same sharded router concurrently. After
+// the drain, the per-object composition check (the same verification
+// `lintime load -check-objects` runs) must hold over the interleaved
+// history, and the router must have counted both connections. Runs under
+// -race in CI's wire-smoke job.
 func TestMixedProtocolShardedLoad(t *testing.T) {
 	cfg := ShardSetConfig{Config: testConfig(3), Shards: 2}
 	cfg.Seed = 11
@@ -40,8 +38,8 @@ func TestMixedProtocolShardedLoad(t *testing.T) {
 	if testing.Short() {
 		ops = 10
 	}
-	load := func(codec string, seed int64) (*Summary, error) {
-		c, err := DialCodec(ln.Addr().String(), codec)
+	load := func(seed int64) (*Summary, error) {
+		c, err := Dial(ln.Addr().String())
 		if err != nil {
 			return nil, err
 		}
@@ -52,27 +50,26 @@ func TestMixedProtocolShardedLoad(t *testing.T) {
 		})
 	}
 	type out struct {
-		codec string
-		sum   *Summary
-		err   error
+		seed int64
+		sum  *Summary
+		err  error
 	}
 	results := make(chan out, 2)
-	go func() {
-		sum, err := load(CodecJSON, 101)
-		results <- out{CodecJSON, sum, err}
-	}()
-	go func() {
-		sum, err := load(CodecBinary, 202)
-		results <- out{CodecBinary, sum, err}
-	}()
+	for _, seed := range []int64{101, 202} {
+		seed := seed
+		go func() {
+			sum, err := load(seed)
+			results <- out{seed, sum, err}
+		}()
+	}
 	total := 0
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.err != nil {
-			t.Fatalf("%s load: %v", r.codec, r.err)
+			t.Fatalf("load (seed %d): %v", r.seed, r.err)
 		}
 		if r.sum.TotalOps != 2*ops {
-			t.Errorf("%s load completed %d ops, want %d", r.codec, r.sum.TotalOps, 2*ops)
+			t.Errorf("load (seed %d) completed %d ops, want %d", r.seed, r.sum.TotalOps, 2*ops)
 		}
 		total += r.sum.TotalOps
 	}
@@ -87,10 +84,7 @@ func TestMixedProtocolShardedLoad(t *testing.T) {
 	if rep.Ops != total {
 		t.Errorf("checker saw %d ops, clients completed %d", rep.Ops, total)
 	}
-	if got := ss.fe.connsJSON.Value(); got != 1 {
-		t.Errorf("json connections = %d, want 1", got)
-	}
-	if got := ss.fe.connsBinary.Value(); got != 1 {
-		t.Errorf("binary connections = %d, want 1", got)
+	if got := ss.fe.connsTotal.Value(); got != 2 {
+		t.Errorf("connections = %d, want 2", got)
 	}
 }

@@ -1,31 +1,20 @@
-// TCP front end: codec negotiation plus the two wire protocols.
+// TCP front end and client of the wire protocol.
 //
-// Every connection speaks frames of a 4-byte big-endian body length
-// followed by one body, with bodies capped at maxFrame. Two codecs share
-// that framing:
-//
-//   - Legacy JSON (the default): each body is one JSON object. Requests
-//     carry a client-chosen id echoed in the response, so a client may
-//     pipeline any number of requests over one connection; the server
-//     answers each as its operation completes, not necessarily in order.
-//
-//     request:  {"id": 7, "op": "enqueue", "arg": 3}
-//     keyed:    {"id": 9, "key": "user:42", "op": "enqueue", "arg": 3}
-//     response: {"id": 7, "class": "MOP", "invoke": 812, "respond": 844}
-//     error:    {"id": 8, "error": "serve: type queue has no operation \"pop\""}
-//
-//   - Binary (negotiated): a connection that opens with the wire magic
-//     gets the compact frame codec of wire.go — a negotiated op table,
-//     varint headers, and tagged values. The server tells the codecs
-//     apart from the first byte alone: maxFrame keeps a JSON length
-//     header's first byte at 0x00, the magic starts with 'L'.
+// Every connection opens with the 5-byte LTW1 hello and then speaks the
+// binary frames of wire.go: a 4-byte big-endian body length followed by
+// one body, with bodies capped at maxFrame. Requests carry a
+// client-chosen id echoed in the response, so a client may pipeline any
+// number of requests over one connection; the server answers each as its
+// operation completes, not necessarily in order. A connection that opens
+// with anything else is refused: one protocol-fatal error frame (id −1)
+// naming the required hello, then close.
 //
 // The key field names the served object on a sharded deployment (see
 // shard.go): the router hashes it onto a shard cluster. Single-object
 // servers reject keyed requests and shard routers require the key, so a
 // client can never silently talk to the wrong topology. Sharded
-// responses echo the shard index that served them (omitted when zero —
-// and always, therefore, on single-object servers).
+// responses echo the shard index that served them (zero on
+// single-object servers).
 //
 // A frame body that would exceed maxFrame — in either direction — is
 // answered with a typed protocol error rather than silently dropped: an
@@ -34,17 +23,15 @@
 // the byte stream and is answered with a protocol-fatal error frame
 // (id −1) before the connection closes.
 //
-// Arguments and return values use the history interchange encoding of
+// Arguments and return values cover the history interchange kinds of
 // internal/histio (integers, strings, booleans, null, {p,c} edges and
-// {k,v} pairs); the binary codec's value encoding mirrors it one-to-one.
+// {k,v} pairs); the wire value encoding mirrors histio's JSON encoding
+// one-to-one, and the tests hold it to that reference.
 package serve
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -52,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"lintime/internal/classify"
-	"lintime/internal/histio"
 	"lintime/internal/obs"
 	"lintime/internal/rtnet"
 	"lintime/internal/simtime"
@@ -62,12 +48,8 @@ import (
 // maxFrame bounds a frame body; larger announcements are protocol errors.
 const maxFrame = 1 << 20
 
-// Codec names, as negotiated on connect and reported in metrics
-// (serve_connections_total{codec="..."}).
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-)
+// CodecBinary names the one wire protocol for DialCodec.
+const CodecBinary = "binary"
 
 // frameSizeError is the typed protocol violation for a frame body beyond
 // maxFrame, in either direction; its text is what the peer receives in
@@ -78,8 +60,7 @@ func (e *frameSizeError) Error() string {
 	return fmt.Sprintf("serve: protocol: frame of %d bytes exceeds the %d-byte limit", e.n, maxFrame)
 }
 
-// request is one decoded protocol request, independent of the codec that
-// carried it.
+// request is one decoded protocol request.
 type request struct {
 	id  int64
 	key string // served object (sharded mode); empty on single-object servers
@@ -113,85 +94,9 @@ type response struct {
 
 func errResponse(id int64, msg string) response { return response{id: id, err: msg} }
 
-type wireRequest struct {
-	ID  int64           `json:"id"`
-	Key string          `json:"key,omitempty"` // served object (sharded mode)
-	Op  string          `json:"op"`
-	Arg json.RawMessage `json:"arg,omitempty"`
-	// Trace is the optional trace context: the client-side span id the
-	// server records as the operation's causal parent. omitempty keeps
-	// untraced request bodies byte-identical to the pre-tracing protocol.
-	Trace int64 `json:"trace,omitempty"`
-}
-
-type wireResponse struct {
-	ID      int64           `json:"id"`
-	Ret     json.RawMessage `json:"ret,omitempty"`
-	Class   string          `json:"class,omitempty"`
-	Shard   int             `json:"shard,omitempty"` // shard that served a keyed request
-	Invoke  int64           `json:"invoke"`
-	Respond int64           `json:"respond"`
-	Err     string          `json:"error,omitempty"`
-}
-
-// frameBuf is a pooled JSON-encoding buffer: the length header and JSON
-// body are assembled in one reused []byte, so the steady-state write path
-// performs a single conn.Write with no per-frame allocation. Only the
-// write path pools: decoded requests hold json.RawMessage views into the
-// read buffer, which must therefore stay owned by the request.
-type frameBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var frameBufPool = sync.Pool{New: func() any {
-	fb := &frameBuf{}
-	fb.enc = json.NewEncoder(&fb.buf)
-	return fb
-}}
-
-func writeFrame(w io.Writer, v any) error {
-	fb := frameBufPool.Get().(*frameBuf)
-	defer frameBufPool.Put(fb)
-	fb.buf.Reset()
-	fb.buf.Write([]byte{0, 0, 0, 0}) // length header placeholder
-	if err := fb.enc.Encode(v); err != nil {
-		return err
-	}
-	frame := fb.buf.Bytes()
-	body := frame[4:]
-	if n := len(body); n > 0 && body[n-1] == '\n' {
-		// json.Encoder appends a newline json.Marshal would not emit.
-		body = body[:n-1]
-		frame = frame[:len(frame)-1]
-	}
-	if len(body) > maxFrame {
-		return &frameSizeError{n: len(body)}
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-	_, err := w.Write(frame)
-	return err
-}
-
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return &frameSizeError{n: int(n)}
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
-
 // frontend is the shared TCP front half of a Server (single object) and
 // a ShardSet router (many objects): listener bookkeeping, per-connection
-// reader goroutines, codec negotiation, per-request handler fan-out, and
+// reader goroutines, the hello exchange, per-request handler fan-out, and
 // the graceful teardown that flushes every accepted request's response
 // before its connection closes.
 //
@@ -206,9 +111,9 @@ type frontend struct {
 	draining func() bool
 	opNames  []string // negotiated op table; opcode = index
 
-	// Per-codec connection counters; nil until the owner wires metrics.
-	connsJSON   *obs.Counter
-	connsBinary *obs.Counter
+	// connsTotal counts accepted connections; nil until the owner wires
+	// metrics.
+	connsTotal *obs.Counter
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -247,27 +152,12 @@ func (f *frontend) serve(ln net.Listener) error {
 
 func (f *frontend) handleConn(conn net.Conn) {
 	defer f.connWG.Done()
-	// Codec negotiation by peeking the first four bytes: the wire magic
-	// opens a binary connection, anything else (including a JSON frame's
-	// length header, whose first byte maxFrame keeps at 0x00) stays on
-	// the legacy JSON codec.
-	br := bufio.NewReaderSize(conn, 16<<10)
-	peek, perr := br.Peek(len(wireMagic))
-	binaryConn := perr == nil && string(peek) == wireMagic
-	if binaryConn {
-		if f.connsBinary != nil {
-			f.connsBinary.Inc()
-		}
-	} else if f.connsJSON != nil {
-		f.connsJSON.Inc()
+	if f.connsTotal != nil {
+		f.connsTotal.Inc()
 	}
 	var reqs sync.WaitGroup
 	var wmu sync.Mutex // serializes response frames from concurrent requests
-	if binaryConn {
-		f.serveBinaryConn(conn, br, &reqs, &wmu)
-	} else {
-		f.serveJSONConn(conn, br, &reqs, &wmu)
-	}
+	f.serveBinaryConn(conn, bufio.NewReaderSize(conn, 16<<10), &reqs, &wmu)
 	// Flush every accepted request's response before the connection dies:
 	// requests that raced a drain get ErrDraining responses and finish
 	// quickly, so this converges as soon as reads stop.
@@ -278,77 +168,32 @@ func (f *frontend) handleConn(conn net.Conn) {
 	f.mu.Unlock()
 }
 
-// serveJSONConn is the legacy JSON read loop. An oversized request frame
-// is answered with a protocol-fatal error frame (id −1) before the
-// connection closes; other read errors just end the connection.
-func (f *frontend) serveJSONConn(conn net.Conn, br *bufio.Reader, reqs *sync.WaitGroup, wmu *sync.Mutex) {
-	for {
-		var wreq wireRequest
-		if err := readFrame(br, &wreq); err != nil {
-			var fse *frameSizeError
-			if errors.As(err, &fse) {
-				wmu.Lock()
-				_ = writeFrame(conn, wireResponse{ID: errProtoID, Err: fse.Error()})
-				wmu.Unlock()
-			}
-			return
-		}
-		reqs.Add(1)
-		go func(wreq wireRequest) {
-			defer reqs.Done()
-			var resp response
-			if arg, err := histio.DecodeValue(wreq.Arg); err != nil {
-				resp = errResponse(wreq.ID, err.Error())
-			} else {
-				resp = f.dispatch(request{id: wreq.ID, key: wreq.Key, op: wreq.Op, arg: arg, trace: wreq.Trace})
-			}
-			wmu.Lock()
-			defer wmu.Unlock()
-			// A write failure means the client went away; the operation
-			// itself already completed and is recorded server-side.
-			_ = writeJSONResponse(conn, resp)
-		}(wreq)
-	}
-}
-
-// writeJSONResponse encodes and writes one response frame. A response
-// body beyond maxFrame degrades to a typed error response carrying the
-// same id, so the client learns why its call failed instead of watching
-// the frame silently vanish.
-func writeJSONResponse(w io.Writer, resp response) error {
-	wr := wireResponse{ID: resp.id, Err: resp.err}
-	if resp.err == "" {
-		ret, err := histio.EncodeValue(resp.ret)
-		if err != nil {
-			wr = wireResponse{ID: resp.id, Err: err.Error()}
-		} else {
-			wr = wireResponse{ID: resp.id, Ret: ret, Class: resp.class.String(),
-				Shard: resp.shard, Invoke: resp.invoke, Respond: resp.respond}
-		}
-	}
-	err := writeFrame(w, wr)
-	var fse *frameSizeError
-	if errors.As(err, &fse) {
-		return writeFrame(w, wireResponse{ID: resp.id, Err: fse.Error()})
-	}
-	return err
-}
-
-// serveBinaryConn negotiates and runs the binary codec: consume the
-// client hello, answer with the op table, then dispatch request frames.
-// A malformed request body is answered per-request (length framing keeps
-// the stream in sync), but an oversized announcement is protocol-fatal:
-// error frame with id −1, then close.
+// serveBinaryConn runs one connection: consume the client hello, answer
+// with the op table, then dispatch request frames. A malformed request
+// body is answered per-request (length framing keeps the stream in
+// sync), but a wrong hello — another protocol, an unknown version — or an
+// oversized announcement is protocol-fatal: error frame with id −1, then
+// close.
 func (f *frontend) serveBinaryConn(conn net.Conn, br *bufio.Reader, reqs *sync.WaitGroup, wmu *sync.Mutex) {
-	var hello [len(wireMagic) + 1]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
+	refuse := func(msg string) {
+		wmu.Lock()
+		_ = writeBinaryError(conn, errProtoID, msg)
+		wmu.Unlock()
+	}
+	// The magic is judged on its own four bytes, so a peer that sent only
+	// another protocol's header is refused rather than waited on.
+	var magic [len(wireMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return
 	}
-	if v := hello[len(wireMagic)]; v != wireVersion {
-		wmu.Lock()
-		_ = writeBinaryError(conn, errProtoID,
-			fmt.Sprintf("serve: binary protocol version %d not supported (have %d)", v, wireVersion))
-		wmu.Unlock()
+	if string(magic[:]) != wireMagic {
+		refuse(fmt.Sprintf("serve: protocol: connection must open with the %s hello (version %d)", wireMagic, wireVersion))
+		return
+	}
+	if v, err := br.ReadByte(); err != nil {
+		return
+	} else if v != wireVersion {
+		refuse(fmt.Sprintf("serve: binary protocol version %d not supported (have %d)", v, wireVersion))
 		return
 	}
 	bp := frameOut()
@@ -368,9 +213,7 @@ func (f *frontend) serveBinaryConn(conn net.Conn, br *bufio.Reader, reqs *sync.W
 		}
 		n := binary.BigEndian.Uint32(hdr[:])
 		if n > maxFrame {
-			wmu.Lock()
-			_ = writeBinaryError(conn, errProtoID, (&frameSizeError{n: int(n)}).Error())
-			wmu.Unlock()
+			refuse((&frameSizeError{n: int(n)}).Error())
 			return
 		}
 		if uint32(cap(body)) < n {
@@ -482,13 +325,12 @@ type clientResp struct {
 
 // Client is a TCP client for the serving protocol. Safe for concurrent
 // use: calls are pipelined over the single connection and matched to
-// responses by id, on either codec.
+// responses by id.
 type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader
-	codec   string
-	opCodes map[string]uint64 // binary codec: negotiated op table
-	caps    byte              // binary codec: server capabilities from the hello
+	opCodes map[string]uint64 // negotiated op table
+	caps    byte              // server capabilities from the hello
 	traced  atomic.Bool
 	wmu     sync.Mutex
 	nextID  atomic.Int64
@@ -499,20 +341,8 @@ type Client struct {
 	closed  chan struct{}
 }
 
-// Dial connects to a serving-layer address on the legacy JSON codec.
-func Dial(addr string) (*Client, error) { return DialCodec(addr, CodecJSON) }
-
-// DialCodec connects on the chosen codec: CodecJSON (the default wire
-// format, also what an empty string selects) or CodecBinary (negotiates
-// the compact frame codec of wire.go on connect).
-func DialCodec(addr, codec string) (*Client, error) {
-	switch codec {
-	case "", CodecJSON:
-		codec = CodecJSON
-	case CodecBinary:
-	default:
-		return nil, fmt.Errorf("serve: unknown codec %q (have %s, %s)", codec, CodecJSON, CodecBinary)
-	}
+// Dial connects to a serving-layer address and exchanges hellos.
+func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -520,36 +350,37 @@ func DialCodec(addr, codec string) (*Client, error) {
 	c := &Client{
 		conn:    conn,
 		br:      bufio.NewReader(conn),
-		codec:   codec,
 		pending: map[int64]chan clientResp{},
 		closed:  make(chan struct{}),
 	}
-	if codec == CodecBinary {
-		if err := c.helloBinary(); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		go c.readLoopBinary()
-	} else {
-		go c.readLoopJSON()
+	if err := c.helloBinary(); err != nil {
+		conn.Close()
+		return nil, err
 	}
+	go c.readLoopBinary()
 	return c, nil
 }
 
-// Codec reports the negotiated codec name.
-func (c *Client) Codec() string { return c.codec }
+// DialCodec is Dial under the name the frozen bench/ module calls it by:
+// there is one protocol, so any codec but CodecBinary is refused. Goes
+// with ROADMAP item 9.
+func DialCodec(addr, codec string) (*Client, error) {
+	if codec != CodecBinary {
+		return nil, fmt.Errorf("serve: unknown codec %q (have %s)", codec, CodecBinary)
+	}
+	return Dial(addr)
+}
 
 // SetTraced toggles the client's trace context: when on, every request
 // carries the request id as its client-side span, so the server records
 // it as the operation's causal parent (an *obs.Collector on the server
 // then ties its whole replica-level tree back to this client call). Off
 // by default; untraced requests are byte-identical to the pre-tracing
-// protocol on both codecs.
+// protocol.
 func (c *Client) SetTraced(on bool) { c.traced.Store(on) }
 
-// ServerCaps reports the capability bits the server's binary hello
-// announced (wireCapTracing = trace-context support); 0 on the JSON
-// codec, whose trace field needs no negotiation.
+// ServerCaps reports the capability bits the server's hello announced
+// (wireCapTracing = trace-context support).
 func (c *Client) ServerCaps() byte { return c.caps }
 
 // helloBinary sends the magic + version and consumes the server's hello
@@ -605,28 +436,6 @@ func (c *Client) deliver(id int64, cr clientResp) {
 	c.mu.Unlock()
 	if ch != nil {
 		ch <- cr
-	}
-}
-
-func (c *Client) readLoopJSON() {
-	for {
-		var wr wireResponse
-		if err := readFrame(c.br, &wr); err != nil {
-			c.fail(err)
-			return
-		}
-		if wr.ID == errProtoID && wr.Err != "" {
-			// Protocol-fatal error frame: the server is closing the
-			// connection; surface its reason through every pending call.
-			c.fail(fmt.Errorf("serve: remote: %s", wr.Err))
-			return
-		}
-		cr := clientResp{resp: response{id: wr.ID, class: classFromString(wr.Class),
-			shard: wr.Shard, invoke: wr.Invoke, respond: wr.Respond, err: wr.Err}}
-		if wr.Err == "" {
-			cr.resp.ret, cr.decodeErr = histio.DecodeValue(wr.Ret)
-		}
-		c.deliver(wr.ID, cr)
 	}
 }
 
@@ -695,18 +504,7 @@ func (c *Client) call(key, op string, arg any) (rtnet.Response, error) {
 	c.mu.Lock()
 	c.pending[id] = ch
 	c.mu.Unlock()
-	var err error
-	if c.codec == CodecBinary {
-		err = c.writeBinaryRequest(id, key, op, arg, trace)
-	} else {
-		var raw json.RawMessage
-		if raw, err = histio.EncodeValue(arg); err == nil {
-			c.wmu.Lock()
-			err = writeFrame(c.conn, wireRequest{ID: id, Key: key, Op: op, Arg: raw, Trace: trace})
-			c.wmu.Unlock()
-		}
-	}
-	if err != nil {
+	if err := c.writeBinaryRequest(id, key, op, arg, trace); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -772,14 +570,3 @@ func (c *Client) writeBinaryRequest(id int64, key, op string, arg any, trace int
 
 // Close tears the connection down; in-flight Calls fail.
 func (c *Client) Close() error { return c.conn.Close() }
-
-func classFromString(s string) classify.Class {
-	switch s {
-	case classify.PureAccessor.String():
-		return classify.PureAccessor
-	case classify.PureMutator.String():
-		return classify.PureMutator
-	default:
-		return classify.Mixed
-	}
-}

@@ -6,7 +6,7 @@
 // per-class AOP/MOP/OOP and per-operation latency quantiles on demand;
 // /metrics streams its own live histograms), and exposes both an
 // in-process call path (tests, the load generator) and a length-prefixed
-// JSON protocol over TCP (see proto.go).
+// binary protocol over TCP (see proto.go and wire.go).
 //
 // Routing: requests are spread round-robin over the replicas, and a
 // per-replica worker serializes them so each process has at most one
@@ -111,8 +111,8 @@ type Server struct {
 	reg  *obs.Registry
 	obsm *serveMetrics
 
-	// traceColl is set when SetTracer installed an *obs.Collector: the
-	// worker loop then attributes every completed operation's latency into
+	// traceColl is the span sink SetTracer installed (nil = tracing off):
+	// the worker loop attributes every completed operation's latency into
 	// the per-class term histograms, and the flight recorder can dump the
 	// collector's retained trees.
 	traceColl *obs.Collector
@@ -242,8 +242,8 @@ func (s *Server) Call(op string, arg any) (rtnet.Response, error) {
 }
 
 // CallTraced is Call carrying a causal parent span — the client-side
-// span propagated through the wire protocols' trace context — recorded
-// as the operation's parent edge when a causal tracer is installed.
+// span propagated through the wire protocol's trace context — recorded
+// as the operation's parent edge when a collector is installed.
 func (s *Server) CallTraced(op string, arg any, parent int64) (rtnet.Response, error) {
 	if _, ok := spec.FindOp(s.dt, op); !ok {
 		return rtnet.Response{}, fmt.Errorf("serve: type %s has no operation %q", s.dt.Name(), op)

@@ -129,8 +129,7 @@ func NewShardSet(cfg ShardSetConfig) (*ShardSet, error) {
 			ss.reg.Counter(obs.WithLabel("router_requests_total", "shard", strconv.Itoa(i))))
 	}
 	ss.fe.init(ss.handleRequest, ss.isDraining, spec.OpNames(inner))
-	ss.fe.connsJSON = ss.reg.Counter(`serve_connections_total{codec="json"}`)
-	ss.fe.connsBinary = ss.reg.Counter(`serve_connections_total{codec="binary"}`)
+	ss.fe.connsTotal = ss.reg.Counter("serve_connections_total")
 	return ss, nil
 }
 
@@ -202,11 +201,11 @@ func (ss *ShardSet) Call(op string, arg any) (rtnet.Response, error) {
 	return rtnet.Response{}, fmt.Errorf("serve: sharded deployment (%d shards) needs an object key (use CallKey)", len(ss.shards))
 }
 
-// SetTracers installs one span tracer per shard cluster, built by make
-// (typically one obs.Collector each: shard clusters number their
-// processes and operations independently, so sharing one tracer would
-// collide span ids across shards). Must be called before Start.
-func (ss *ShardSet) SetTracers(make func(shard int) obs.Tracer) {
+// SetTracers installs one collector per shard cluster, built by make
+// (shard clusters number their processes and operations independently,
+// so sharing one collector would collide span ids across shards). Must
+// be called before Start.
+func (ss *ShardSet) SetTracers(make func(shard int) *obs.Collector) {
 	for i, s := range ss.shards {
 		s.SetTracer(make(i))
 	}
@@ -253,8 +252,8 @@ func keyedArg(key string, arg any) (any, error) {
 	return adt.KeyArg(key, arg)
 }
 
-// handleRequest is the router's wire dispatcher (codec-independent: the
-// front end hands it decoded requests from either protocol).
+// handleRequest is the router's wire dispatcher: the front end hands it
+// decoded requests.
 func (ss *ShardSet) handleRequest(req request) response {
 	if req.key == "" {
 		return errResponse(req.id,

@@ -1,15 +1,11 @@
-// Binary wire codec: the negotiated fast path of the serving protocol.
+// Wire codec: the frames of the serving protocol.
 //
-// A binary connection opens with a 5-byte client hello — the 4-byte magic
-// "LTW1" followed by the protocol version — which can never be confused
-// with the legacy JSON protocol: a JSON frame starts with its 4-byte
-// big-endian body length, and since bodies are capped at maxFrame (2^20)
-// the first byte on a JSON connection is always 0x00, while the magic
-// starts with 'L'. The server answers with a hello frame carrying the
-// negotiated op table (the served type's operation names in declaration
-// order); from then on every request names its operation by table index
-// instead of a string, and both sides exchange length-prefixed binary
-// frames:
+// A connection opens with a 5-byte client hello — the 4-byte magic
+// "LTW1" followed by the protocol version. The server answers with a
+// hello frame carrying the op table (the served type's operation names
+// in declaration order); from then on every request names its operation
+// by table index instead of a string, and both sides exchange
+// length-prefixed binary frames:
 //
 //	frame     := len(4, big-endian) body        body ≤ maxFrame
 //	hello     := 0x04 version opCount (nameLen name)* [caps]
@@ -28,11 +24,11 @@
 // it ignored trailing bytes, and parseHello accepts its absence, so both
 // directions interoperate with version-1 peers. Untraced requests set no
 // flag and append no varint: byte-identical to the original encoding.
-// An error frame with id −1 is protocol-fatal: the
-// sender closes the connection after writing it (see the oversized-frame
+// An error frame with id −1 is protocol-fatal: the sender closes the
+// connection after writing it (see the wrong-hello and oversized-frame
 // handling in proto.go). Values use a tagged compact encoding of the
-// histio interchange kinds — the JSON reference encoding is the oracle
-// the FuzzFrame target holds this codec to:
+// histio interchange kinds — histio's JSON encoding is the oracle the
+// FuzzFrame target holds this codec to:
 //
 //	value := 0x00                      nil
 //	       | 0x01 int(zigzag)          integer

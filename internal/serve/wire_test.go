@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"math"
 	"net"
@@ -186,9 +185,9 @@ func startTCP(t *testing.T, s *Server) string {
 	return ln.Addr().String()
 }
 
-// TestBinaryClientRoundTrip runs the negotiated binary codec end to end:
+// TestBinaryClientRoundTrip runs the wire protocol end to end:
 // hello/op-table handshake, pipelined calls, value fidelity, remote and
-// local error paths, and the per-codec connection counter.
+// local error paths, and the connection counter.
 func TestBinaryClientRoundTrip(t *testing.T) {
 	s := startServer(t, 3)
 	addr := startTCP(t, s)
@@ -197,9 +196,6 @@ func TestBinaryClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Codec(); got != CodecBinary {
-		t.Errorf("Codec() = %q", got)
-	}
 	if r, err := c.Call(adt.OpEnqueue, 42); err != nil || r.Ret != nil {
 		t.Fatalf("binary enqueue = (%v, %v)", r.Ret, err)
 	} else {
@@ -231,11 +227,8 @@ func TestBinaryClientRoundTrip(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.fe.connsBinary.Value(); got != 1 {
-		t.Errorf("binary connection counter = %d, want 1", got)
-	}
-	if got := s.fe.connsJSON.Value(); got != 0 {
-		t.Errorf("json connection counter = %d, want 0", got)
+	if got := s.fe.connsTotal.Value(); got != 1 {
+		t.Errorf("connection counter = %d, want 1", got)
 	}
 }
 
@@ -245,56 +238,50 @@ func TestDialCodecUnknown(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONRawFrames pins the JSON protocol at the byte level: a
-// hand-built legacy frame — no Client involved — must be accepted
-// unchanged by the negotiating server, and the response must be the
-// documented JSON shape.
-func TestLegacyJSONRawFrames(t *testing.T) {
-	s := startServer(t, 3)
-	addr := startTCP(t, s)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	body := []byte(`{"id":1,"op":"enqueue","arg":5}`)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := conn.Write(append(hdr[:], body...)); err != nil {
-		t.Fatal(err)
-	}
-	var resp wireResponse
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 1 || resp.Err != "" || resp.Class != "MOP" || resp.Respond <= resp.Invoke {
-		t.Errorf("legacy response = %+v", resp)
-	}
-	if got := s.fe.connsJSON.Value(); got != 1 {
-		t.Errorf("json connection counter = %d, want 1", got)
-	}
-}
-
-// TestBinaryVersionRejected pins the handshake failure path: an unknown
-// version gets a protocol-fatal error frame (id −1), surfaced as a dial
-// error, before the server closes the connection.
+// TestBinaryVersionRejected pins the handshake failure path: a
+// connection that does not open with the LTW1 hello at a known version —
+// a legacy JSON client, whose length header starts with 0x00, or an
+// unknown version — gets exactly one protocol-fatal error frame (id −1)
+// naming what the server requires, then EOF, and the server keeps
+// serving a well-formed client.
 func TestBinaryVersionRejected(t *testing.T) {
 	s := startServer(t, 2)
 	addr := startTCP(t, s)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(append([]byte(wireMagic), 99)); err != nil {
-		t.Fatal(err)
-	}
-	resp := readBinaryFrame(t, conn)
-	if resp.id != errProtoID || !strings.Contains(resp.err, "version 99") {
-		t.Errorf("version reject = %+v", resp)
-	}
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Errorf("connection after version reject: read err = %v, want EOF", err)
+	jsonHeader := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
+	for _, tc := range []struct {
+		name, want string
+		opening    []byte
+	}{
+		{"unknown version", "version 99", append([]byte(wireMagic), 99)},
+		{"legacy JSON frame header", wireMagic, jsonHeader(31)},
+		{"oversized legacy JSON header", wireMagic, jsonHeader(maxFrame + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second)) // a refusal, not a hang
+			if _, err := conn.Write(tc.opening); err != nil {
+				t.Fatal(err)
+			}
+			resp := readBinaryFrame(t, conn)
+			if resp.id != errProtoID || !strings.Contains(resp.err, tc.want) {
+				t.Errorf("refusal = %+v, want id %d naming %q", resp, errProtoID, tc.want)
+			}
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Errorf("connection after the refusal: read err = %v, want EOF", err)
+			}
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatalf("well-formed client after the refusal: %v", err)
+			}
+			defer c.Close()
+			if _, err := c.Call(adt.OpEnqueue, 1); err != nil {
+				t.Errorf("call after the refusal: %v", err)
+			}
+		})
 	}
 }
 
@@ -321,36 +308,10 @@ func readBinaryFrame(t *testing.T, r io.Reader) response {
 	return resp
 }
 
-// TestOversizedRequestJSON sends a legacy frame header announcing a body
-// beyond maxFrame: the server must answer with a typed protocol error
-// frame (id −1) and close, not silently drop the connection.
-func TestOversizedRequestJSON(t *testing.T) {
-	s := startServer(t, 2)
-	addr := startTCP(t, s)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	var resp wireResponse
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != errProtoID || !strings.Contains(resp.Err, "exceeds") {
-		t.Errorf("oversized request answer = %+v", resp)
-	}
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Errorf("connection after oversized request: read err = %v, want EOF", err)
-	}
-}
-
-// TestOversizedRequestBinary is the same regression on the binary codec,
-// after a successful hello exchange.
+// TestOversizedRequestBinary sends, after a successful hello exchange, a
+// frame header announcing a body beyond maxFrame: the server must answer
+// with a typed protocol error frame (id −1) and close, not silently drop
+// the connection.
 func TestOversizedRequestBinary(t *testing.T) {
 	s := startServer(t, 2)
 	addr := startTCP(t, s)
@@ -387,25 +348,12 @@ func TestOversizedRequestBinary(t *testing.T) {
 	}
 }
 
-// TestOversizedResponse drives the response writers of both codecs with
-// a result too large to frame: the client must receive a typed error
-// response carrying the same request id, and the connection stays alive
-// (only requests can poison the byte stream).
+// TestOversizedResponse drives the response writer with a result too
+// large to frame: the client must receive a typed error response
+// carrying the same request id, and the connection stays alive (only
+// requests can poison the byte stream).
 func TestOversizedResponse(t *testing.T) {
 	huge := strings.Repeat("x", maxFrame+16)
-	t.Run("json", func(t *testing.T) {
-		client, server := net.Pipe()
-		defer client.Close()
-		defer server.Close()
-		go writeJSONResponse(server, response{id: 31, ret: huge, invoke: 1, respond: 2})
-		var resp wireResponse
-		if err := readFrame(client, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.ID != 31 || !strings.Contains(resp.Err, "exceeds") {
-			t.Errorf("oversized response = %+v", resp)
-		}
-	})
 	t.Run("binary", func(t *testing.T) {
 		client, server := net.Pipe()
 		defer client.Close()
@@ -425,22 +373,19 @@ func TestOversizedClientRequest(t *testing.T) {
 	s := startServer(t, 2)
 	addr := startTCP(t, s)
 	huge := strings.Repeat("x", maxFrame+16)
-	for _, codec := range []string{CodecJSON, CodecBinary} {
-		codec := codec
-		t.Run(codec, func(t *testing.T) {
-			c, err := DialCodec(addr, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if _, err := c.Call(adt.OpEnqueue, huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
-				t.Fatalf("oversized client arg: err = %v", err)
-			}
-			if _, err := c.Call(adt.OpEnqueue, 1); err != nil {
-				t.Errorf("call after oversized failure: %v", err)
-			}
-		})
-	}
+	t.Run(CodecBinary, func(t *testing.T) {
+		c, err := DialCodec(addr, CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Call(adt.OpEnqueue, huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("oversized client arg: err = %v", err)
+		}
+		if _, err := c.Call(adt.OpEnqueue, 1); err != nil {
+			t.Errorf("call after oversized failure: %v", err)
+		}
+	})
 }
 
 var benchSink any
@@ -512,8 +457,8 @@ func TestWireBinaryAllocs(t *testing.T) {
 	}
 }
 
-// Codec micro-benchmarks: one request and one response frame through each
-// codec's full encode+decode path
+// Codec micro-benchmarks: one request and one response frame through the
+// full encode+decode path
 // (go test -run xxx -bench BenchmarkWire -benchmem ./internal/serve/).
 func BenchmarkWireBinaryRequest(b *testing.B) {
 	opNames := []string{"enqueue", "dequeue", "peek"}
@@ -525,57 +470,11 @@ func BenchmarkWireBinaryRequest(b *testing.B) {
 	}
 }
 
-func BenchmarkWireJSONRequest(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		raw, err := histio.EncodeValue(12345)
-		if err != nil {
-			b.Fatal(err)
-		}
-		body, err := json.Marshal(wireRequest{ID: int64(i), Key: "user:42", Op: "enqueue", Arg: raw})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var req wireRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			b.Fatal(err)
-		}
-		arg, err := histio.DecodeValue(req.Arg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = arg
-	}
-}
-
 func BenchmarkWireBinaryResponse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := binaryResponseRoundTrip(benchResponse); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkWireJSONResponse(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		raw, err := histio.EncodeValue("user:42")
-		if err != nil {
-			b.Fatal(err)
-		}
-		body, err := json.Marshal(wireResponse{ID: 7, Ret: raw, Class: "OOP", Shard: 3, Invoke: 812, Respond: 844})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var resp wireResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			b.Fatal(err)
-		}
-		ret, err := histio.DecodeValue(resp.Ret)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = ret
 	}
 }

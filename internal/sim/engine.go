@@ -230,19 +230,16 @@ type Engine struct {
 	stepSig  uint64 // running FNV-1a over (kind, proc) of processed events
 
 	// metrics, when non-nil, receives live engine counters; tracer, when
-	// enabled, receives span waypoints. Both default off: the hot loop
-	// pays one predictable nil/bool branch per event and allocates nothing
+	// non-nil, receives span waypoints. Both default off: the hot loop
+	// pays one predictable nil branch per event and allocates nothing
 	// (TestEngineEventsAllocateNothing).
 	metrics *EngineMetrics
-	tracer  obs.Tracer
-	tracing bool
-	// causal is tracer's CausalTracer extension when it has one; handling
-	// is the span of the event currently being dispatched (-1 outside a
-	// handler). While a handler for span S runs, sends and timer
+	tracer  *obs.Collector
+	// handling is the span of the event currently being dispatched (-1
+	// outside a handler). While a handler for span S runs, sends and timer
 	// registrations it makes inherit S — this is what attributes a quorum
 	// replica's ack to the coordinator's operation rather than to the
 	// replica's own (unrelated) pending span.
-	causal   obs.CausalTracer
 	handling int64
 
 	// OnRespond, if non-nil, is called after every operation response with
@@ -321,8 +318,7 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	}
 	e.started = false
 	e.stepSig = fnvOffset
-	e.OnRespond, e.metrics, e.handling = nil, nil, -1
-	e.SetTracer(nil)
+	e.OnRespond, e.metrics, e.tracer, e.handling = nil, nil, nil, -1
 	if e.MaxSteps == 0 {
 		e.MaxSteps = 10_000_000
 	}
@@ -382,18 +378,11 @@ func inc(c *obs.Counter) {
 // report into a previous owner's instruments.
 func (e *Engine) SetMetrics(m *EngineMetrics) { e.metrics = m }
 
-// SetTracer installs a span tracer (obs.Nop or nil disables, the
-// default). Cleared by Reset. Spans are keyed by operation SeqID;
-// deliveries and timer fires are attributed to the operation pending at
-// the sending/registering process when the message or timer was created.
-func (e *Engine) SetTracer(t obs.Tracer) {
-	e.tracer = t
-	e.tracing = !obs.IsNop(t)
-	e.causal = nil
-	if e.tracing {
-		e.causal, _ = t.(obs.CausalTracer)
-	}
-}
+// SetTracer installs the span sink (nil disables, the default). Cleared
+// by Reset. Spans are keyed by operation SeqID; deliveries and timer
+// fires are attributed to the operation pending at the
+// sending/registering process when the message or timer was created.
+func (e *Engine) SetTracer(t *obs.Collector) { e.tracer = t }
 
 // Params returns the engine's model parameters.
 func (e *Engine) Params() simtime.Params { return e.params }
@@ -438,8 +427,8 @@ func (e *Engine) InvokeAt(p ProcID, at simtime.Time, op string, arg any) int64 {
 
 // InvokeAtTraced is InvokeAt carrying a causal parent span: the
 // client-side span (propagated over the wire protocols) the new
-// operation's root span points back to. Ignored unless the installed
-// tracer is an obs.CausalTracer; -1 makes a local root.
+// operation's root span points back to. Ignored while tracing is off; -1
+// makes a local root.
 func (e *Engine) InvokeAtTraced(p ProcID, at simtime.Time, op string, arg any, parent int64) int64 {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: invocation at %v is in the past (now %v)", at, e.now))
@@ -459,7 +448,7 @@ func (e *Engine) setTimer(p ProcID, after simtime.Duration, tag any) TimerID {
 	e.timerSeq++
 	e.timers[id] = struct{}{}
 	span := int64(-1)
-	if e.tracing {
+	if e.tracer != nil {
 		span = e.spanFor(p)
 	}
 	e.push(event{time: e.now.Add(after * e.unit), kind: evTimer, proc: p, timerID: id, tag: tag, span: span})
@@ -516,7 +505,7 @@ func (e *Engine) send(from, to ProcID, payload any) {
 		return
 	}
 	span := int64(-1)
-	if e.tracing {
+	if e.tracer != nil {
 		span = e.spanFor(from)
 		e.tracer.Event(span, obs.StageBroadcast, int32(from), int64(e.tick))
 	}
@@ -535,7 +524,7 @@ func (e *Engine) respond(p ProcID, seqID int64, ret any) {
 	if o.index >= 0 {
 		e.trace.Ops[o.index] = o.rec
 	}
-	if e.tracing {
+	if e.tracer != nil {
 		e.tracer.OpEnd(int32(p), seqID, int64(e.tick))
 	}
 	if e.OnRespond != nil {
@@ -638,7 +627,7 @@ func (e *Engine) dispatch(ev *event, now simtime.Time) bool {
 			if e.metrics != nil {
 				inc(e.metrics.CrashDrops)
 			}
-			if e.tracing {
+			if e.tracer != nil {
 				e.tracer.Event(ev.span, obs.StageDropped, int32(ev.proc), int64(e.ticks(now)))
 			}
 		}
@@ -687,27 +676,19 @@ func (e *Engine) dispatch(ev *event, now simtime.Time) bool {
 			o.index = len(e.trace.Ops)
 			e.trace.Ops = append(e.trace.Ops, o.rec)
 		}
-		if e.tracing {
+		if e.tracer != nil {
 			e.handling = ev.inv.SeqID
-			if e.causal != nil {
-				e.causal.OpStartCtx(int32(ev.proc), ev.inv.SeqID, ev.span, ev.inv.Op, int64(e.tick))
-			} else {
-				e.tracer.OpStart(int32(ev.proc), ev.inv.SeqID, ev.inv.Op, int64(e.tick))
-			}
+			e.tracer.OpStartCtx(int32(ev.proc), ev.inv.SeqID, ev.span, ev.inv.Op, int64(e.tick))
 		}
 		e.nodes[ev.proc].OnInvoke(ctx, ev.inv)
 	case evDeliver:
-		if e.tracing {
+		if e.tracer != nil {
 			e.handling = ev.span
-			if e.causal != nil {
-				e.causal.Deliver(ev.span, int32(ev.proc), int64(e.tick), int64(ev.sent), 0)
-			} else {
-				e.tracer.Event(ev.span, obs.StageDeliver, int32(ev.proc), int64(e.tick))
-			}
+			e.tracer.Deliver(ev.span, int32(ev.proc), int64(e.tick), int64(ev.sent), 0)
 		}
 		e.nodes[ev.proc].OnMessage(ctx, ev.from, ev.payload)
 	case evTimer:
-		if e.tracing {
+		if e.tracer != nil {
 			e.handling = ev.span
 			e.tracer.Event(ev.span, obs.StageTimer, int32(ev.proc), int64(e.tick))
 		}

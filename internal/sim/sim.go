@@ -137,13 +137,8 @@ func (c *engineCtx) Respond(seqID int64, ret any) {
 	c.eng.respond(c.proc, seqID, ret)
 }
 
-// Tracer exposes the engine's installed tracer (obs.Nop when tracing is
-// off). Algorithms that record protocol-phase child spans (the quorum
-// backend) discover it by asserting their Context against a small
-// interface — the Context interface itself stays substrate-neutral.
-func (c *engineCtx) Tracer() obs.Tracer {
-	if c.eng.tracer == nil {
-		return obs.Nop
-	}
-	return c.eng.tracer
-}
+// Tracer exposes the engine's span sink (nil when tracing is off).
+// Algorithms that record protocol-phase child spans (the quorum backend)
+// discover it by asserting their Context against a small interface — the
+// Context interface itself stays substrate-neutral.
+func (c *engineCtx) Tracer() *obs.Collector { return c.eng.tracer }

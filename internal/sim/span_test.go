@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"lintime/internal/obs"
@@ -9,7 +10,7 @@ import (
 
 // spanNode exercises every lifecycle stage in one operation: the invoke
 // broadcasts an update to a peer and arms a stabilization timer longer
-// than the delivery bound, so the ring must record
+// than the delivery bound, so the collector must record
 // invoke → broadcast → deliver → timer → respond in that order.
 type spanNode struct {
 	peer  ProcID
@@ -26,19 +27,30 @@ func (n *spanNode) OnTimer(ctx Context, tag any) {
 	ctx.Respond(tag.(int64), "ok")
 }
 
+// spanEvents returns the waypoints of one completed span in canonical
+// order, or nil when the collector holds no complete tree for it.
+func spanEvents(c *obs.Collector, span int64) []obs.SpanEvent {
+	for _, tr := range c.Trees() {
+		if tr.Span == span {
+			return tr.Events
+		}
+	}
+	return nil
+}
+
 func TestSpanLifecycleOrder(t *testing.T) {
 	p := testParams(2)
-	ring := obs.NewRing(64)
+	coll := obs.NewCollector(64)
 	eng := newEngine(t, p, ZeroOffsets(2), UniformNetwork{D: p.D},
 		[]Node{&spanNode{peer: 1, delay: p.D + 50}, &spanNode{peer: 0, delay: p.D + 50}})
-	eng.SetTracer(ring)
+	eng.SetTracer(coll)
 	seq := eng.InvokeAt(0, 10, "inc", 1)
 	tr := eng.Run()
 	if err := tr.CheckComplete(); err != nil {
 		t.Fatal(err)
 	}
 
-	evs := ring.Span(seq)
+	evs := spanEvents(coll, seq)
 	wantStages := []obs.Stage{obs.StageInvoke, obs.StageBroadcast, obs.StageDeliver,
 		obs.StageTimer, obs.StageRespond}
 	if len(evs) != len(wantStages) {
@@ -69,34 +81,34 @@ func TestSpanLifecycleOrder(t *testing.T) {
 }
 
 // TestSpanAttributionAcrossOps runs two sequential operations and checks
-// events never leak across spans, and that an idle process's ring stays
-// consistent after the tracer is detached.
+// events never leak across spans, and that the collector stays
+// untouched after it is detached.
 func TestSpanAttributionAcrossOps(t *testing.T) {
 	p := testParams(2)
-	ring := obs.NewRing(64)
+	coll := obs.NewCollector(64)
 	eng := newEngine(t, p, ZeroOffsets(2), UniformNetwork{D: p.D},
 		[]Node{&spanNode{peer: 1, delay: p.D + 50}, &spanNode{peer: 0, delay: p.D + 50}})
-	eng.SetTracer(ring)
+	eng.SetTracer(coll)
 	s1 := eng.InvokeAt(0, 10, "a", nil)
 	s2 := eng.InvokeAt(0, 1000, "b", nil)
 	if tr := eng.Run(); tr.CheckComplete() != nil {
 		t.Fatal("incomplete trace")
 	}
-	if n1, n2 := len(ring.Span(s1)), len(ring.Span(s2)); n1 != 5 || n2 != 5 {
+	if n1, n2 := len(spanEvents(coll, s1)), len(spanEvents(coll, s2)); n1 != 5 || n2 != 5 {
 		t.Fatalf("span events: s1=%d s2=%d, want 5 each", n1, n2)
 	}
-	for _, ev := range ring.Span(s2) {
+	for _, ev := range spanEvents(coll, s2) {
 		if ev.Time < 1000 {
 			t.Fatalf("span %d has an event from before its invoke: %+v", s2, ev)
 		}
 	}
-	// Detaching (Nop) stops recording without disturbing retained events.
-	eng.SetTracer(obs.Nop)
-	before := len(ring.Events())
+	// Detaching (nil) stops recording without disturbing retained trees.
+	eng.SetTracer(nil)
+	before := coll.Trees()
 	eng.InvokeAt(0, eng.Now().Add(10), "c", nil)
 	eng.Run()
-	if got := len(ring.Events()); got != before {
-		t.Fatalf("ring grew after detach: %d -> %d", before, got)
+	if got := coll.Trees(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("collector changed after detach: %+v -> %+v", before, got)
 	}
 }
 
