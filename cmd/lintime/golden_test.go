@@ -82,6 +82,26 @@ func TestGoldenLowerbound(t *testing.T) {
 	checkGolden(t, "lowerbound-thm2", got)
 }
 
+// TestGoldenClassifyWitnesses pins the classification of every registered
+// type with its witnesses. The witnesses print reachable states'
+// fingerprints, so the golden also pins which states the bounded
+// exploration reaches, and in what order.
+func TestGoldenClassifyWitnesses(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return cmdClassify([]string{"-witnesses"})
+	})
+	checkGolden(t, "classify-witnesses", got)
+}
+
+// TestGoldenClassifyFigure11 pins the computed Figure 11 diagram over
+// every registered type.
+func TestGoldenClassifyFigure11(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return cmdClassify([]string{"-figure11"})
+	})
+	checkGolden(t, "classify-figure11", got)
+}
+
 // TestGoldenFuzz pins a small fuzzing campaign against a seeded mutant:
 // the campaign, the shrunk counterexample, and the rendered diagram are
 // all deterministic functions of (seed, budget).

@@ -494,7 +494,7 @@ type contextResult struct {
 	strongDone bool
 	strongBad  bool
 	branches   int
-	explored   int
+	treeOps    int // the strong sweep's tree.Ops(), not a search-state count
 }
 
 // Violation is one schedule that broke a checked property, addressed by
@@ -511,7 +511,7 @@ type Violation struct {
 type StrongViolation struct {
 	Context  int `json:"context"`
 	Branches int `json:"branches"`
-	Ops      int `json:"ops"`
+	Ops      int `json:"ops"` // the context tree's Tree.Ops()
 }
 
 // Verify exhausts the space and reports. The report is a pure function
@@ -591,7 +591,7 @@ func Verify(cfg Config) (*Report, error) {
 			}
 			if res.strongDone {
 				rep.StrongChecked++
-				rep.StrongExplored += res.explored
+				rep.StrongExplored += res.treeOps
 				if res.strongBad {
 					rep.StrongViolations++
 					strongViolTotal.Inc()
@@ -599,7 +599,7 @@ func Verify(cfg Config) (*Report, error) {
 						rep.StrongExamples = append(rep.StrongExamples, StrongViolation{
 							Context:  baseCtx + k,
 							Branches: res.branches,
-							Ops:      res.explored,
+							Ops:      res.treeOps,
 						})
 					}
 				}
@@ -670,7 +670,7 @@ func (s *Space) checkContext(runner *adversary.Runner, ctx int) (contextResult, 
 		res.strongDone = true
 		res.strongBad = !st.Strong
 		res.branches = tree.Branches()
-		res.explored = tree.Ops()
+		res.treeOps = tree.Ops()
 	}
 	return res, nil
 }

@@ -37,6 +37,9 @@ type Report struct {
 	ViolationsTotal int         `json:"violations_total"`
 	Violations      []Violation `json:"violations,omitempty"` // first few, with schedules
 
+	// The strong sweep. StrongExplored sums Tree.Ops() — the unified
+	// operations of each swept context's prefix tree, not the search
+	// states its check visited (the JSON name says so).
 	StrongChecked    int               `json:"strong_contexts_checked,omitempty"`
 	StrongExplored   int               `json:"strong_tree_ops,omitempty"`
 	StrongViolations int               `json:"strong_violations,omitempty"`

@@ -39,45 +39,39 @@ type ReachedState struct {
 
 // Explorer enumerates reachable states of a data type, deduplicated by
 // fingerprint, in breadth-first order so witness sequences are shortest.
+// It and its decision procedures step the specification through a
+// spec.Table, and an explored state's index in States is its table id.
 type Explorer struct {
 	dt     spec.DataType
 	cfg    Config
+	table  *spec.Table
 	states []ReachedState
-	seen   map[string]bool
 }
 
 // NewExplorer explores the reachable states of dt up to the bounds in cfg.
 func NewExplorer(dt spec.DataType, cfg Config) *Explorer {
-	e := &Explorer{dt: dt, cfg: cfg, seen: map[string]bool{}}
+	e := &Explorer{dt: dt, cfg: cfg, table: spec.NewTable(dt)}
 	e.explore()
 	return e
 }
 
 func (e *Explorer) explore() {
-	initial := e.dt.Initial()
-	e.states = append(e.states, ReachedState{State: initial})
-	e.seen[initial.Fingerprint()] = true
+	e.states = append(e.states, ReachedState{State: e.table.State(0)})
 	frontier := []int{0}
 	for depth := 0; depth < e.cfg.MaxDepth && len(frontier) > 0; depth++ {
 		var next []int
 		for _, idx := range frontier {
 			cur := e.states[idx]
-			for _, op := range e.dt.Ops() {
-				for _, arg := range op.Args {
-					if len(e.states) >= e.cfg.MaxStates {
-						return
-					}
-					ret, ns := cur.State.Apply(op.Name, arg)
-					fp := ns.Fingerprint()
-					if e.seen[fp] {
-						continue
-					}
-					e.seen[fp] = true
-					rho := make([]spec.Instance, len(cur.Rho)+1)
-					copy(rho, cur.Rho)
-					rho[len(cur.Rho)] = spec.Instance{Op: op.Name, Arg: arg, Ret: ret}
-					e.states = append(e.states, ReachedState{State: ns, Rho: rho})
-					next = append(next, len(e.states)-1)
+			for _, in := range e.allInstancesAt(int32(idx)) {
+				if len(e.states) >= e.cfg.MaxStates {
+					return
+				}
+				// allInstancesAt interned the successors in this order, so
+				// a new one's id is the next index.
+				if ns, _ := e.step(int32(idx), in); int(ns) == len(e.states) {
+					rho := append(append(make([]spec.Instance, 0, len(cur.Rho)+1), cur.Rho...), in)
+					e.states = append(e.states, ReachedState{State: e.table.State(ns), Rho: rho})
+					next = append(next, int(ns))
 				}
 			}
 		}
@@ -91,23 +85,31 @@ func (e *Explorer) States() []ReachedState { return e.states }
 // DataType returns the explored data type.
 func (e *Explorer) DataType() spec.DataType { return e.dt }
 
-// instancesAt returns all instances of op legal immediately after the
-// given state, one per sampled argument.
-func (e *Explorer) instancesAt(s spec.State, opName string) []spec.Instance {
+// step applies in's invocation in state s and returns the successor's id
+// and the response.
+func (e *Explorer) step(s int32, in spec.Instance) (int32, spec.Value) {
+	next, ret := e.table.Step(s, e.table.Kind(in.Op, in.Arg))
+	return next, e.table.Value(ret)
+}
+
+// instancesAt returns all instances of op legal immediately after state s,
+// one per sampled argument.
+func (e *Explorer) instancesAt(s int32, opName string) []spec.Instance {
 	op, ok := spec.FindOp(e.dt, opName)
 	if !ok {
 		return nil
 	}
 	out := make([]spec.Instance, 0, len(op.Args))
 	for _, arg := range op.Args {
-		ret, _ := s.Apply(opName, arg)
-		out = append(out, spec.Instance{Op: opName, Arg: arg, Ret: ret})
+		in := spec.Instance{Op: opName, Arg: arg}
+		_, in.Ret = e.step(s, in)
+		out = append(out, in)
 	}
 	return out
 }
 
 // allInstancesAt returns the legal next instances of every operation at s.
-func (e *Explorer) allInstancesAt(s spec.State) []spec.Instance {
+func (e *Explorer) allInstancesAt(s int32) []spec.Instance {
 	var out []spec.Instance
 	for _, op := range e.dt.Ops() {
 		out = append(out, e.instancesAt(s, op.Name)...)

@@ -12,21 +12,20 @@ import (
 // an accessor and a mutator; Theorem 4 then gives the d+min{ε,u,d/3}
 // lower bound.
 func (e *Explorer) IsPairFree(op string) (bool, Witness) {
-	for _, rs := range e.states {
-		insts := e.distinctInstancesAt(rs.State, op)
+	for id, rs := range e.states {
+		s := int32(id)
+		insts := e.distinctInstancesAt(s, op)
 		for i, op1 := range insts {
 			for j, op2 := range insts {
 				if j < i {
 					continue // unordered pairs; op1 == op2 allowed
 				}
-				_, after1 := rs.State.Apply(op1.Op, op1.Arg)
-				ret12, _ := after1.Apply(op2.Op, op2.Arg)
-				if spec.ValuesEqual(ret12, op2.Ret) {
+				after1, _ := e.step(s, op1)
+				if _, ret12 := e.step(after1, op2); spec.ValuesEqual(ret12, op2.Ret) {
 					continue // ρ.op1.op2 legal
 				}
-				_, after2 := rs.State.Apply(op2.Op, op2.Arg)
-				ret21, _ := after2.Apply(op1.Op, op1.Arg)
-				if spec.ValuesEqual(ret21, op1.Ret) {
+				after2, _ := e.step(s, op2)
+				if _, ret21 := e.step(after2, op1); spec.ValuesEqual(ret21, op1.Ret) {
 					continue // ρ.op2.op1 legal
 				}
 				return true, Witness{
@@ -55,18 +54,14 @@ func (d Discriminator) String() string { return fmt.Sprintf("(%s | %s)", d.A, d.
 // reached by two legal sequences (given directly as states): an argument
 // on which the responses differ.
 func (e *Explorer) FindDiscriminator(aop string, s1, s2 spec.State) (Discriminator, bool) {
-	op, ok := spec.FindOp(e.dt, aop)
-	if !ok {
-		return Discriminator{}, false
-	}
-	for _, arg := range op.Args {
-		r1, _ := s1.Apply(aop, arg)
-		r2, _ := s2.Apply(aop, arg)
-		if !spec.ValuesEqual(r1, r2) {
-			return Discriminator{
-				A: spec.Instance{Op: aop, Arg: arg, Ret: r1},
-				B: spec.Instance{Op: aop, Arg: arg, Ret: r2},
-			}, true
+	return e.discriminator(aop, e.table.Intern(s1), e.table.Intern(s2))
+}
+
+func (e *Explorer) discriminator(aop string, s1, s2 int32) (Discriminator, bool) {
+	a, b := e.instancesAt(s1, aop), e.instancesAt(s2, aop)
+	for i := range a {
+		if !spec.ValuesEqual(a[i].Ret, b[i].Ret) {
+			return Discriminator{A: a[i], B: b[i]}, true
 		}
 	}
 	return Discriminator{}, false
@@ -98,26 +93,27 @@ func (e *Explorer) Theorem5Applicable(op, aop string) (Theorem5Witness, bool) {
 	if !e.IsPureAccessor(aop) {
 		return Theorem5Witness{}, false
 	}
-	for _, rs := range e.states {
-		insts := e.distinctInstancesAt(rs.State, op)
+	for id, rs := range e.states {
+		s := int32(id)
+		insts := e.distinctInstancesAt(s, op)
 		for i, op0 := range insts {
 			for j, op1 := range insts {
 				if i == j {
 					continue
 				}
-				_, after0 := rs.State.Apply(op0.Op, op0.Arg) // ρ.op0
-				_, after1 := rs.State.Apply(op1.Op, op1.Arg) // ρ.op1
-				_, after10 := after1.Apply(op0.Op, op0.Arg)  // ρ.op1.op0
-				_, after01 := after0.Apply(op1.Op, op1.Arg)  // ρ.op0.op1
-				d0, ok0 := e.FindDiscriminator(aop, after0, after10)
+				after0, _ := e.step(s, op0)       // ρ.op0
+				after1, _ := e.step(s, op1)       // ρ.op1
+				after10, _ := e.step(after1, op0) // ρ.op1.op0
+				after01, _ := e.step(after0, op1) // ρ.op0.op1
+				d0, ok0 := e.discriminator(aop, after0, after10)
 				if !ok0 {
 					continue
 				}
-				d1, ok1 := e.FindDiscriminator(aop, after1, after01)
+				d1, ok1 := e.discriminator(aop, after1, after01)
 				if !ok1 {
 					continue
 				}
-				d2, ok2 := e.FindDiscriminator(aop, after01, after1)
+				d2, ok2 := e.discriminator(aop, after01, after1)
 				if !ok2 {
 					continue
 				}

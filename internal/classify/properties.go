@@ -11,15 +11,14 @@ import (
 // With state-machine specifications this holds iff op changes some
 // reachable state. The returned witness exhibits ρ and mop.
 func (e *Explorer) IsMutator(op string) (bool, Witness) {
-	for _, rs := range e.states {
-		before := rs.State.Fingerprint()
-		for _, mop := range e.instancesAt(rs.State, op) {
-			_, next := rs.State.Apply(mop.Op, mop.Arg)
-			if next.Fingerprint() != before {
+	for id, rs := range e.states {
+		s := int32(id)
+		for _, mop := range e.instancesAt(s, op) {
+			if next, _ := e.step(s, mop); next != s {
 				return true, Witness{
 					Rho:       rs.Rho,
 					Instances: []spec.Instance{mop},
-					Note:      fmt.Sprintf("state %q becomes %q", before, next.Fingerprint()),
+					Note:      fmt.Sprintf("state %q becomes %q", rs.State.Fingerprint(), e.table.State(next).Fingerprint()),
 				}
 			}
 		}
@@ -33,12 +32,12 @@ func (e *Explorer) IsMutator(op string) (bool, Witness) {
 // Equivalently, some other instance changes op's response. The witness
 // exhibits ρ, other and the two conflicting responses.
 func (e *Explorer) IsAccessor(op string) (bool, Witness) {
-	for _, rs := range e.states {
-		for _, other := range e.allInstancesAt(rs.State) {
-			_, afterOther := rs.State.Apply(other.Op, other.Arg)
-			for _, aop := range e.instancesAt(rs.State, op) {
-				retAfter, _ := afterOther.Apply(aop.Op, aop.Arg)
-				if !spec.ValuesEqual(retAfter, aop.Ret) {
+	for id, rs := range e.states {
+		s := int32(id)
+		for _, other := range e.allInstancesAt(s) {
+			afterOther, _ := e.step(s, other)
+			for _, aop := range e.instancesAt(s, op) {
+				if _, retAfter := e.step(afterOther, aop); !spec.ValuesEqual(retAfter, aop.Ret) {
 					return true, Witness{
 						Rho:       rs.Rho,
 						Instances: []spec.Instance{other, aop},
@@ -72,23 +71,23 @@ func (e *Explorer) IsPureMutator(op string) bool {
 // entire state. Returns holds=false with a counterexample if some
 // preceding instance leaks through mop.
 func (e *Explorer) IsOverwriter(op string) (bool, Witness) {
-	for _, rs := range e.states {
-		for _, other := range e.allInstancesAt(rs.State) {
-			_, afterOther := rs.State.Apply(other.Op, other.Arg)
-			for _, mop := range e.instancesAt(rs.State, op) {
+	for id, rs := range e.states {
+		s := int32(id)
+		for _, other := range e.allInstancesAt(s) {
+			afterOther, _ := e.step(s, other)
+			for _, mop := range e.instancesAt(s, op) {
 				// ρ.mop is legal by construction. ρ.other.mop is legal iff
 				// the response matches mop's recorded return value.
-				retAfter, nextAfter := afterOther.Apply(mop.Op, mop.Arg)
+				nextAfter, retAfter := e.step(afterOther, mop)
 				if !spec.ValuesEqual(retAfter, mop.Ret) {
 					continue // ρ.other.mop illegal: vacuously fine
 				}
-				_, nextDirect := rs.State.Apply(mop.Op, mop.Arg)
-				if nextDirect.Fingerprint() != nextAfter.Fingerprint() {
+				if nextDirect, _ := e.step(s, mop); nextDirect != nextAfter {
 					return false, Witness{
 						Rho:       rs.Rho,
 						Instances: []spec.Instance{other, mop},
 						Note: fmt.Sprintf("ρ.%s ≢ ρ.%s.%s (%q vs %q)",
-							mop, other, mop, nextDirect.Fingerprint(), nextAfter.Fingerprint()),
+							mop, other, mop, e.table.State(nextDirect).Fingerprint(), e.table.State(nextAfter).Fingerprint()),
 					}
 				}
 			}

@@ -11,8 +11,9 @@ import (
 // are both legal then ρ.op1.op2 and ρ.op2.op1 are both legal. Returns
 // holds=false with a counterexample if an ordering is illegal.
 func (e *Explorer) IsTransposable(op string) (bool, Witness) {
-	for _, rs := range e.states {
-		insts := e.distinctInstancesAt(rs.State, op)
+	for id, rs := range e.states {
+		s := int32(id)
+		insts := e.distinctInstancesAt(s, op)
 		for i, op1 := range insts {
 			for j, op2 := range insts {
 				if i == j {
@@ -20,9 +21,8 @@ func (e *Explorer) IsTransposable(op string) (bool, Witness) {
 				}
 				// ρ.op1 and ρ.op2 are legal by construction; check that
 				// op2 stays legal after op1.
-				_, after1 := rs.State.Apply(op1.Op, op1.Arg)
-				ret2, _ := after1.Apply(op2.Op, op2.Arg)
-				if !spec.ValuesEqual(ret2, op2.Ret) {
+				after1, _ := e.step(s, op1)
+				if _, ret2 := e.step(after1, op2); !spec.ValuesEqual(ret2, op2.Ret) {
 					return false, Witness{
 						Rho:       rs.Rho,
 						Instances: []spec.Instance{op1, op2},
@@ -38,18 +38,12 @@ func (e *Explorer) IsTransposable(op string) (bool, Witness) {
 
 // distinctInstancesAt returns the instances of op legal at s, deduplicated
 // as (arg, ret) pairs.
-func (e *Explorer) distinctInstancesAt(s spec.State, op string) []spec.Instance {
-	insts := e.instancesAt(s, op)
+func (e *Explorer) distinctInstancesAt(s int32, op string) []spec.Instance {
 	var out []spec.Instance
-	for _, in := range insts {
-		dup := false
-		for _, prev := range out {
-			if spec.ValuesEqual(prev.Arg, in.Arg) && spec.ValuesEqual(prev.Ret, in.Ret) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	seen := map[[2]int32]bool{}
+	for _, in := range e.instancesAt(s, op) {
+		if key := [2]int32{e.table.Kind(in.Op, in.Arg), e.table.InternValue(in.Ret)}; !seen[key] {
+			seen[key] = true
 			out = append(out, in)
 		}
 	}
@@ -102,8 +96,8 @@ func (e *Explorer) IsLastSensitive(op string, k int) (bool, Witness) {
 		return false, Witness{Note: "k must be at least 2"}
 	}
 	perms := permutations(k)
-	for _, rs := range e.states {
-		insts := e.distinctInstancesAt(rs.State, op)
+	for id, rs := range e.states {
+		insts := e.distinctInstancesAt(int32(id), op)
 		if len(insts) < k {
 			continue
 		}
@@ -112,7 +106,7 @@ func (e *Explorer) IsLastSensitive(op string, k int) (bool, Witness) {
 			for i, idx := range combo {
 				chosen[i] = insts[idx]
 			}
-			if e.lastSensitiveWitnessHolds(rs.State, chosen, perms) {
+			if e.lastSensitiveWitnessHolds(int32(id), chosen, perms) {
 				return true, Witness{
 					Rho:       rs.Rho,
 					Instances: chosen,
@@ -125,25 +119,20 @@ func (e *Explorer) IsLastSensitive(op string, k int) (bool, Witness) {
 }
 
 // lastSensitiveWitnessHolds checks that for the chosen instances at state
-// s, permutations with different last elements always produce different
-// state fingerprints.
-func (e *Explorer) lastSensitiveWitnessHolds(s spec.State, chosen []spec.Instance, perms [][]int) bool {
-	// fingerprint -> index of last instance that produced it
-	fpLast := map[string]int{}
+// s, permutations with different last elements always reach different
+// states.
+func (e *Explorer) lastSensitiveWitnessHolds(s int32, chosen []spec.Instance, perms [][]int) bool {
+	lastOf := map[int32]int{} // state reached → last instance of a permutation reaching it
 	for _, perm := range perms {
 		cur := s
 		for _, idx := range perm {
-			_, cur = cur.Apply(chosen[idx].Op, chosen[idx].Arg)
+			cur, _ = e.step(cur, chosen[idx])
 		}
-		fp := cur.Fingerprint()
 		last := perm[len(perm)-1]
-		if prev, ok := fpLast[fp]; ok {
-			if prev != last {
-				return false // same state from permutations with different lasts
-			}
-		} else {
-			fpLast[fp] = last
+		if prev, ok := lastOf[cur]; ok && prev != last {
+			return false // same state from permutations with different lasts
 		}
+		lastOf[cur] = last
 	}
 	return true
 }

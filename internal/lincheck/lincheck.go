@@ -11,17 +11,16 @@
 // (from chopped run fragments) may take effect with any legal response or
 // be dropped, per the standard completion rule.
 //
-// The search runs over integers. A Checker is bound to one data type and
-// keeps, across all the histories it checks, the states it has reached
-// (canonical fingerprint → dense id) and the transitions it has taken
-// ((state id, kind) → (next id, ret), a kind being a distinct (Name, Arg)),
-// so spec.State.Apply and Fingerprint run once per distinct pair. The
-// specification is a deterministic state machine with canonical
-// fingerprints, so the table memoises a pure function: it never changes a
-// verdict, a witness or an Explored count, only who computes it. Per
-// history, the taken set is a bitmap and the failed-state memo is keyed on
-// (bitmap, state id), with no string to build while the history fits one
-// 64-bit word.
+// The search runs over integers. A Checker compiles its data type once
+// into a spec.Table — interned states, operation kinds, return-value ids
+// and cached transitions — that it keeps across all the histories it
+// checks, so spec.State.Apply and Fingerprint run once per distinct
+// (state, kind) and a recorded return is checked by comparing two ids.
+// The table memoises a pure function: it never changes a verdict, a
+// witness or an Explored count, only who computes it. Per history, the
+// taken set is a bitmap and the failed-state memo is keyed on (bitmap,
+// state id), with no string to build while the history fits one 64-bit
+// word.
 //
 // Check, CheckTrace and CheckParallel build a Checker for one history; a
 // caller with many histories of one type (adversary.Runner) keeps one per
@@ -31,8 +30,6 @@ package lincheck
 import (
 	"cmp"
 	"encoding/binary"
-	"fmt"
-	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -101,48 +98,20 @@ func CheckTrace(dt spec.DataType, tr *sim.Trace) Result {
 	return NewChecker(dt).CheckTrace(tr)
 }
 
-// maxStates bounds the tables a Checker carries from one history to the
-// next: past it they are dropped before the next check and rebuilt on
-// demand.
-const maxStates = 1 << 16
-
-// Checker checks histories of one data type, keeping its interned states
-// and cached transitions across calls. It is single-threaded: pool it,
-// never share it.
+// Checker checks histories of one data type through a spec.Table it keeps
+// across calls. It is single-threaded: pool it, never share it.
 type Checker struct {
-	dt spec.DataType
-
-	// Tables that outlive a check.
-	states []spec.State     // state id → state; id 0 is dt.Initial()
-	ids    map[string]int32 // canonical fingerprint → state id
-	kinds  map[kindKey]int32
-	edges  map[uint64]edge // state id<<32 | kind → transition
+	table *spec.Table
 
 	// The compiled history and the search's scratch, reused between checks.
 	ops     []Op     // exploration order: by invocation time, ties by ID
-	kind    []int32  // kind[i] is the kind of ops[i]
+	kind    []int32  // kind[i] is the table kind of ops[i]
+	ret     []int32  // ret[i] is the table value id of ops[i].Ret, −1 if pending
 	taken   []uint64 // bitmap over ops: linearized on the current path
 	stack   []frame
 	memo    map[memoKey]struct{} // (taken set, state) known to be dead ends
 	keyBuf  []byte               // scratch for memoKey.rest
 	visited int
-}
-
-// kindKey identifies an invocation. arg is the operation's argument, or,
-// when that cannot be a map key (a slice, a map, a struct holding one),
-// its type and Go-syntax rendering as a formattedArg — a type of its own,
-// so it never equals a string argument.
-type kindKey struct {
-	name string
-	arg  spec.Value
-}
-
-type formattedArg string
-
-// edge is one cached transition of the sequential specification.
-type edge struct {
-	next int32
-	ret  spec.Value
 }
 
 // memoKey is a taken set and a state. rest holds the bitmap's words past
@@ -156,19 +125,7 @@ type memoKey struct {
 
 // NewChecker returns a Checker for histories of dt.
 func NewChecker(dt spec.DataType) *Checker {
-	c := &Checker{dt: dt, memo: map[memoKey]struct{}{}}
-	c.resetTables()
-	return c
-}
-
-// resetTables drops the cross-history tables, the states they hold
-// included, and starts over from the initial state.
-func (c *Checker) resetTables() {
-	c.states = nil
-	c.ids = map[string]int32{}
-	c.kinds = map[kindKey]int32{}
-	c.edges = map[uint64]edge{}
-	c.intern(c.dt.Initial())
+	return &Checker{table: spec.NewTable(dt), memo: map[memoKey]struct{}{}}
 }
 
 // Check decides whether the history is linearizable.
@@ -185,35 +142,29 @@ func (c *Checker) CheckTrace(tr *sim.Trace) Result {
 	return Result{Linearizable: ok, Linearization: lin, Explored: c.visited}
 }
 
-// compile puts c.ops in exploration order, resolves every op's kind and
-// readies the scratch for a search. It returns the number of completed
-// ops, which a linearization must contain.
+// compile puts c.ops in exploration order and resolves them. It returns
+// the number of completed ops, which a linearization must contain.
 func (c *Checker) compile() (completed int) {
-	if len(c.states) > maxStates || len(c.kinds) > maxStates || len(c.edges) > 8*maxStates {
-		c.resetTables()
-	}
+	c.table.Trim()
 	slices.SortFunc(c.ops, func(a, b Op) int {
-		if a.Invoke != b.Invoke {
-			return cmp.Compare(a.Invoke, b.Invoke)
-		}
-		return cmp.Compare(a.ID, b.ID)
+		return cmp.Or(cmp.Compare(a.Invoke, b.Invoke), cmp.Compare(a.ID, b.ID))
 	})
-	c.kind = c.kind[:0]
+	return c.resolve()
+}
+
+// resolve looks every op's kind and recorded return up in the table and
+// readies the scratch for a search. It returns compile's count.
+func (c *Checker) resolve() (completed int) {
+	c.kind, c.ret = c.kind[:0], c.ret[:0]
 	for i := range c.ops {
 		op := &c.ops[i]
+		ret := int32(-1)
 		if !op.Pending() {
 			completed++
+			ret = c.table.InternValue(op.Ret)
 		}
-		key := kindKey{op.Name, op.Arg}
-		if !mapKeyable(op.Arg) {
-			key.arg = formattedArg(fmt.Sprintf("%T %#v", op.Arg, op.Arg))
-		}
-		k, ok := c.kinds[key]
-		if !ok {
-			k = int32(len(c.kinds))
-			c.kinds[key] = k
-		}
-		c.kind = append(c.kind, k)
+		c.kind = append(c.kind, c.table.Kind(op.Name, op.Arg))
+		c.ret = append(c.ret, ret)
 	}
 	words := max(1, (len(c.ops)+63)/64)
 	c.taken = slices.Grow(c.taken[:0], words)[:words]
@@ -223,40 +174,15 @@ func (c *Checker) compile() (completed int) {
 	return completed
 }
 
-// mapKeyable reports whether v can be hashed without panicking. The usual
-// arguments are answered without reflection, which would make them escape.
-func mapKeyable(v spec.Value) bool {
-	switch v.(type) {
-	case nil, int, string, bool:
-		return true
-	}
-	return reflect.ValueOf(v).Comparable()
+// legal reports whether ops[i] may respond with ret: always when it is
+// pending, otherwise when ret is its recorded return.
+func (c *Checker) legal(i int, ret int32) bool {
+	return c.ret[i] < 0 || c.ret[i] == ret
 }
 
-// intern returns the id of the state, assigning the next one to a
-// fingerprint not met before.
-func (c *Checker) intern(st spec.State) int32 {
-	fp := st.Fingerprint()
-	id, ok := c.ids[fp]
-	if !ok {
-		id = int32(len(c.states))
-		c.states = append(c.states, st)
-		c.ids[fp] = id
-	}
-	return id
-}
-
-// step applies ops[i] in the given state: the only place the sequential
-// specification runs, once per distinct (state, kind).
-func (c *Checker) step(state int32, i int) edge {
-	key := uint64(state)<<32 | uint64(c.kind[i])
-	e, ok := c.edges[key]
-	if !ok {
-		ret, next := c.states[state].Apply(c.ops[i].Name, c.ops[i].Arg)
-		e = edge{next: c.intern(next), ret: ret}
-		c.edges[key] = e
-	}
-	return e
+// instance renders ops[i], linearized with response ret, for a witness.
+func (c *Checker) instance(i int, ret int32) spec.Instance {
+	return spec.Instance{Op: c.ops[i].Name, Arg: c.ops[i].Arg, Ret: c.table.Value(ret)}
 }
 
 func (c *Checker) isTaken(i int) bool { return c.taken[i>>6]>>(i&63)&1 != 0 }
@@ -295,10 +221,10 @@ type frame struct {
 	// minRespond is the earliest response among ops untaken at frame
 	// entry: any op invoked after it cannot be linearized next.
 	minRespond simtime.Time
-	viaRet     spec.Value
+	viaRet     int32
 }
 
-func (c *Checker) newFrame(state int32, left, via int, viaRet spec.Value) frame {
+func (c *Checker) newFrame(state int32, left, via int, viaRet int32) frame {
 	minRespond := simtime.Infinity
 	for i := range c.ops {
 		if r := c.ops[i].Respond; r < minRespond && !c.isTaken(i) {
@@ -318,7 +244,7 @@ func (c *Checker) search(state int32, left int) ([]spec.Instance, bool) {
 		// All completed ops linearized; pending ops may be dropped.
 		return nil, true
 	}
-	stack := append(c.stack[:0], c.newFrame(state, left, -1, nil))
+	stack := append(c.stack[:0], c.newFrame(state, left, -1, -1))
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		descended := false
@@ -335,12 +261,12 @@ func (c *Checker) search(state int32, left int) ([]spec.Instance, bool) {
 			if c.isTaken(i) {
 				continue
 			}
-			e := c.step(f.state, i)
+			next, ret := c.table.Step(f.state, c.kind[i])
+			if !c.legal(i, ret) {
+				continue // recorded response would be illegal here
+			}
 			left := int(f.left)
 			if !op.Pending() {
-				if !spec.ValuesEqual(e.ret, op.Ret) {
-					continue // recorded response would be illegal here
-				}
 				left--
 			}
 			c.visited++
@@ -348,18 +274,17 @@ func (c *Checker) search(state int32, left int) ([]spec.Instance, bool) {
 				// Success: the stack path plus this op is a witness.
 				lin := make([]spec.Instance, 0, len(stack))
 				for _, fr := range stack[1:] {
-					o := &c.ops[fr.via]
-					lin = append(lin, spec.Instance{Op: o.Name, Arg: o.Arg, Ret: fr.viaRet})
+					lin = append(lin, c.instance(int(fr.via), fr.viaRet))
 				}
 				c.stack = stack[:0]
-				return append(lin, spec.Instance{Op: op.Name, Arg: op.Arg, Ret: e.ret}), true
+				return append(lin, c.instance(i, ret)), true
 			}
 			c.take(i)
-			if c.knownFailed(e.next) {
+			if c.knownFailed(next) {
 				c.untake(i)
 				continue
 			}
-			stack = append(stack, c.newFrame(e.next, left, i, e.ret))
+			stack = append(stack, c.newFrame(next, left, i, ret))
 			descended = true
 			break
 		}
@@ -398,13 +323,12 @@ func CheckParallel(dt spec.DataType, history []Op, workers int) Result {
 	// The viable first steps, exactly as the sequential search would try
 	// them at its root frame.
 	var firsts []int
-	minRespond := root.newFrame(0, completed, -1, nil).minRespond
+	minRespond := root.newFrame(0, completed, -1, -1).minRespond
 	for i := range root.ops {
-		op := &root.ops[i]
-		if op.Invoke > minRespond {
+		if root.ops[i].Invoke > minRespond {
 			break
 		}
-		if op.Pending() || spec.ValuesEqual(root.step(0, i).ret, op.Ret) {
+		if _, ret := root.table.Step(0, root.kind[i]); root.legal(i, ret) {
 			firsts = append(firsts, i)
 		}
 	}
@@ -415,10 +339,11 @@ func CheckParallel(dt spec.DataType, history []Op, workers int) Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A search only reads the compiled history, so the workers
-			// share the root's; tables, bitmap and memo are their own.
+			// A search only reads the sorted history, so the workers share
+			// the root's; table, kinds, bitmap and memo are their own.
 			c := NewChecker(dt)
-			c.ops, c.kind, c.taken = root.ops, root.kind, make([]uint64, len(root.taken))
+			c.ops = root.ops
+			c.resolve()
 			for {
 				b := int(claimed.Add(1)) - 1
 				if b >= len(firsts) {
@@ -446,15 +371,14 @@ func (c *Checker) checkAfter(first, completed int) Result {
 	clear(c.taken)
 	clear(c.memo)
 	c.visited = 0
-	op := &c.ops[first]
-	e := c.step(0, first)
-	if !op.Pending() {
+	next, ret := c.table.Step(0, c.kind[first])
+	if !c.ops[first].Pending() {
 		completed--
 	}
 	c.take(first)
-	lin, ok := c.search(e.next, completed)
+	lin, ok := c.search(next, completed)
 	if ok {
-		lin = append([]spec.Instance{{Op: op.Name, Arg: op.Arg, Ret: e.ret}}, lin...)
+		lin = append([]spec.Instance{c.instance(first, ret)}, lin...)
 	}
 	return Result{Linearizable: ok, Linearization: lin, Explored: c.visited + 1}
 }

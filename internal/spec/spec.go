@@ -208,10 +208,16 @@ func FormatSeq(seq []Instance) string {
 	return strings.Join(parts, ".")
 }
 
-// SortValues orders a slice of values by their formatted representation;
-// useful for canonical fingerprints of set-like states.
+// CompareValues orders values by their formatted representation; values
+// that print alike compare equal.
+func CompareValues(a, b Value) int {
+	return strings.Compare(FormatValue(a), FormatValue(b))
+}
+
+// SortValues orders a slice of values as CompareValues does; useful for
+// canonical fingerprints of set-like states.
 func SortValues(vs []Value) {
 	sort.Slice(vs, func(i, j int) bool {
-		return FormatValue(vs[i]) < FormatValue(vs[j])
+		return CompareValues(vs[i], vs[j]) < 0
 	})
 }

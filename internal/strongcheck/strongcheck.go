@@ -5,44 +5,30 @@
 // prefix of G implies f(H) a prefix of f(G). Equivalently, linearization
 // points must be chosen online, without knowledge of the future.
 //
-// Two entry points, one search (Tree.Check's solve):
+// One search, two entry points:
 //
-//   - CheckStrong examines one history: it decides whether a linearization
-//     can be chosen consistently across all prefixes of that history's
-//     event sequence (a monotone chain L(H_0) ⊑ L(H_1) ⊑ … with each
-//     L(H_t) a valid linearization of the prefix H_t). For a single, fully
-//     known history this is provably equivalent in verdict to plain
-//     linearizability — a linearization respecting real-time order can
-//     always be realized by commit points inside each operation's
-//     interval, and vice versa — so CheckStrong ⇒ lincheck.Check by
-//     construction (the package tests pin the equivalence over the
-//     FuzzCheck corpus and against a brute-force commit-point reference).
-//     It is a one-branch tree handed to:
+//   - Tree.Check examines a prefix tree of histories — executions of one
+//     implementation that share observable prefixes and then diverge (the
+//     adversary's move). The linearization chosen for a shared prefix must
+//     extend into *every* branch: the classic queue counterexample — a
+//     completed enqueue and a concurrent read whose return reveals a
+//     different order in each branch — is linearizable branch by branch,
+//     yet Tree.Check rejects it.
+//   - CheckStrong is Tree.Check on a one-branch tree. On a single, fully
+//     known history its verdict is plain linearizability's (commit points
+//     inside each operation's interval realize any linearization that
+//     respects real-time order); the package tests pin that.
 //
-//   - Tree.Check examines a prefix tree of histories — several
-//     executions of one implementation that share observable prefixes and
-//     then diverge (the divergence is the adversary's move: a late message
-//     delivered earlier, an extra invocation). Here prefix preservation
-//     has bite: the linearization chosen for a shared prefix must extend
-//     into *every* branch. The classic queue counterexample — a completed
-//     enqueue and a concurrent read whose return reveals a different order
-//     in each branch — is linearizable branch by branch yet admits no
-//     consistent choice, and Tree.Check rejects it. This is the
-//     per-configuration analogue of the forward-simulation
-//     characterization of strong linearizability.
-//
-// Both return the verdict and the search cost only: no caller reads a
-// commit-point witness, so none is extracted.
-//
-// The search mirrors internal/lincheck's discipline: explicit work on a
-// recursion over tree nodes with a failed-state memo keyed by a compact
-// (node, committed-bitmap, state-fingerprint) byte key assembled in a
-// reused scratch buffer, so equivalent search states are explored once
-// and lookups do not allocate.
+// Both return the verdict and the search cost only, no witness. The
+// search runs over a spec.Table: a search state is a state id plus, per
+// operation, the id of the return it committed with (−1 while
+// uncommitted), and failures are memoized on (node, those ids) written in
+// binary into a reused buffer, so lookups do not allocate.
 package strongcheck
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"lintime/internal/lincheck"
 	"lintime/internal/simtime"
@@ -89,14 +75,8 @@ func eventSeq(ops []lincheck.Op) []event {
 			evs = append(evs, event{time: op.Respond, kind: evRespond, op: i, ret: op.Ret})
 		}
 	}
-	sort.SliceStable(evs, func(a, b int) bool {
-		if evs[a].time != evs[b].time {
-			return evs[a].time < evs[b].time
-		}
-		if evs[a].kind != evs[b].kind {
-			return evs[a].kind < evs[b].kind
-		}
-		return evs[a].op < evs[b].op
+	slices.SortFunc(evs, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.kind, b.kind), cmp.Compare(a.op, b.op))
 	})
 	return evs
 }

@@ -3,9 +3,11 @@ package strongcheck
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lintime/internal/lincheck"
+	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
 
@@ -17,40 +19,46 @@ import (
 // are unified by (process, operation, argument, invocation time), so a
 // single commit decision in a shared prefix constrains every branch
 // below it: exactly the prefix-preservation obligation of strong
-// linearizability.
+// linearizability. Arguments and return values are identified by
+// spec.ValueKey, never by how they print.
 type Tree struct {
-	ops      []treeOp
-	opIndex  map[string]int
+	// ops are the operations unified across branches. An op's response
+	// (time and return value) is branch-local and lives on respond events:
+	// an op invoked in a shared prefix may complete differently — or not at
+	// all — in different branches.
+	ops      []spec.Invocation
+	opIndex  map[opKey]int
 	root     *treeNode
 	nodes    int
 	branches int
 }
 
-// treeOp is an operation unified across branches. Its response (time and
-// return value) is branch-local and lives on respond events, because an
-// operation invoked in a shared prefix may complete differently — or not
-// at all — in different branches.
-type treeOp struct {
+// opKey identifies an operation across histories; occ counts the
+// identical invocations before it in its own history.
+type opKey struct {
 	proc   int
 	name   string
-	arg    spec.Value
-	argKey string
+	arg    any
+	invoke simtime.Time
+	occ    int
 }
 
+// treeNode is one event; node 0 is the root sentinel, which has none.
 type treeNode struct {
-	id       int
-	ev       event // zero-valued at the root sentinel
-	isRoot   bool
-	key      string // identity of ev among siblings
+	id   int
+	kind eventKind
+	op   int        // unified op
+	ret  spec.Value // a response's return value
+	// key renders kind, time and op ("i·time·op", "r·time·op·"): with ret's
+	// spec.ValueKey it is the event's identity among siblings, and with
+	// spec.CompareValues on ret it orders them.
+	key      string
 	children []*treeNode
 }
 
 // NewTree returns an empty prefix tree.
 func NewTree() *Tree {
-	t := &Tree{opIndex: map[string]int{}}
-	t.root = &treeNode{id: 0, isRoot: true}
-	t.nodes = 1
-	return t
+	return &Tree{opIndex: map[opKey]int{}, root: &treeNode{}, nodes: 1}
 }
 
 // Branches returns the number of histories added (= leaves, unless a
@@ -72,32 +80,31 @@ func (t *Tree) Ops() int { return len(t.ops) }
 // produced by replaying the same deterministic engine prefix share nodes
 // exactly as far as their observable events agree.
 func (t *Tree) Add(history []lincheck.Op) {
-	// Map each local op to a unified op index.
-	occ := map[string]int{}
+	occ := map[opKey]int{}
 	unified := make([]int, len(history))
 	for i, op := range history {
-		argKey := spec.FormatValue(op.Arg)
-		base := fmt.Sprintf("%d·%s·%s·%d", op.Proc, op.Name, argKey, op.Invoke)
-		key := fmt.Sprintf("%s·#%d", base, occ[base])
+		base := opKey{proc: op.Proc, name: op.Name, arg: spec.ValueKey(op.Arg), invoke: op.Invoke}
+		key := base
+		key.occ = occ[base]
 		occ[base]++
 		idx, ok := t.opIndex[key]
 		if !ok {
 			idx = len(t.ops)
 			t.opIndex[key] = idx
-			t.ops = append(t.ops, treeOp{proc: op.Proc, name: op.Name, arg: op.Arg, argKey: argKey})
+			t.ops = append(t.ops, spec.Invocation{Op: op.Name, Arg: op.Arg})
 		}
 		unified[i] = idx
 	}
-	// Build the event sequence over unified op indices and walk it into
-	// the trie.
-	local := eventSeq(history)
 	cur := t.root
-	for _, ev := range local {
-		ev.op = unified[ev.op]
-		key := eventKey(ev)
-		child := cur.findChild(key)
+	for _, ev := range eventSeq(history) {
+		op, format := unified[ev.op], "i·%d·%d"
+		if ev.kind == evRespond {
+			format = "r·%d·%d·"
+		}
+		key := fmt.Sprintf(format, ev.time, op)
+		child := cur.findChild(key, ev.ret)
 		if child == nil {
-			child = &treeNode{id: t.nodes, ev: ev, key: key}
+			child = &treeNode{id: t.nodes, kind: ev.kind, op: op, ret: ev.ret, key: key}
 			t.nodes++
 			cur.insertChild(child)
 		}
@@ -106,33 +113,28 @@ func (t *Tree) Add(history []lincheck.Op) {
 	t.branches++
 }
 
-// eventKey renders an event's identity: kind, time, unified op, and — for
-// responses — the return value. Two histories diverge at the first event
-// whose key differs, so a response that differs only in its return value
-// is a branch point.
-func eventKey(ev event) string {
-	if ev.kind == evInvoke {
-		return fmt.Sprintf("i·%d·%d", ev.time, ev.op)
-	}
-	return fmt.Sprintf("r·%d·%d·%s", ev.time, ev.op, spec.FormatValue(ev.ret))
-}
-
-func (n *treeNode) findChild(key string) *treeNode {
+func (n *treeNode) findChild(key string, ret spec.Value) *treeNode {
 	for _, c := range n.children {
-		if c.key == key {
+		if c.key == key && spec.ValueKey(c.ret) == spec.ValueKey(ret) {
 			return c
 		}
 	}
 	return nil
 }
 
-// insertChild keeps children in sorted key order so exploration (and
-// therefore the Explored count) is independent of insertion order.
+// insertChild keeps n's children ordered by key, then by return value as
+// spec.CompareValues orders them — the order of the events' printed text —
+// so exploration (and therefore the Explored count) does not depend on
+// insertion order. Returns that print alike keep insertion order.
 func (n *treeNode) insertChild(c *treeNode) {
-	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].key >= c.key })
-	n.children = append(n.children, nil)
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = c
+	i := sort.Search(len(n.children), func(i int) bool {
+		s := n.children[i]
+		if s.key != c.key {
+			return s.key > c.key
+		}
+		return spec.CompareValues(s.ret, c.ret) > 0
+	})
+	n.children = slices.Insert(n.children, i, c)
 }
 
 // Check decides whether the histories of the tree admit a
@@ -140,108 +142,91 @@ func (n *treeNode) insertChild(c *treeNode) {
 // that every branch's commit sequence is a legal linearization and
 // branches sharing a prefix share its commits. See the package comment.
 func (t *Tree) Check(dt spec.DataType) Result {
-	c := newTChecker(t)
-	init := dt.Initial()
-	ok := c.solve(t.root, init, init.Fingerprint())
+	c := newTChecker(t, spec.NewTable(dt))
+	ok := c.solve(t.root, 0)
 	return Result{Strong: ok, Explored: c.visited}
 }
 
-// tchecker is the DFS state of one tree check, mirroring lincheck's
-// checker: a failed-state memo with compact keys assembled in a reused
-// scratch buffer. The recursion is over tree nodes (bounded by the
-// longest branch plus the operation count), so an explicit stack is not
-// needed here.
+// tchecker is the DFS state of one tree check. The recursion is over tree
+// nodes (bounded by the longest branch plus the operation count), so an
+// explicit stack is not needed here.
 type tchecker struct {
-	tree    *Tree
-	taken   []bool
+	table   *spec.Table
+	kind    []int32 // table kind of each unified op
+	ret     []int32 // table value id of each response node's return
 	invoked []bool
-	// retOf holds the spec return produced when an op was committed. It is
-	// checked when the op's respond event is processed (the recorded
-	// return is branch-local, so the match cannot happen at commit time)
-	// and is part of the memo key for taken ops: two paths can reach the
-	// same (taken set, state) having assigned different returns, and only
-	// some assignments satisfy the responses below.
-	retOf   []spec.Value
+	// retOf holds the id of the return each op committed with, −1 while it
+	// is uncommitted. The op's respond event checks it (the recorded return
+	// is branch-local), and it is part of the memo key: paths reaching one
+	// state with different returns assigned face the responses below
+	// differently.
+	retOf   []int32
 	memo    map[string]struct{}
 	keyBuf  []byte
 	visited int
 }
 
-func newTChecker(t *Tree) *tchecker {
-	return &tchecker{
-		tree:    t,
-		taken:   make([]bool, len(t.ops)),
+func newTChecker(t *Tree, table *spec.Table) *tchecker {
+	c := &tchecker{
+		table:   table,
+		kind:    make([]int32, len(t.ops)),
+		ret:     make([]int32, t.nodes),
 		invoked: make([]bool, len(t.ops)),
-		retOf:   make([]spec.Value, len(t.ops)),
+		retOf:   make([]int32, len(t.ops)),
 		memo:    map[string]struct{}{},
-		keyBuf:  make([]byte, 0, 4+(len(t.ops)+7)/8+64),
 	}
-}
-
-// buildKey assembles the memo key for (node, taken set, pending return
-// assignment, state fingerprint) in the reused scratch buffer.
-func (c *tchecker) buildKey(n *treeNode, fp string) []byte {
-	buf := c.keyBuf[:0]
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.id))
-	nb := (len(c.taken) + 7) / 8
-	for i := 0; i < nb; i++ {
-		buf = append(buf, 0)
+	for i, op := range t.ops {
+		c.kind[i] = table.Kind(op.Op, op.Arg)
+		c.retOf[i] = -1
 	}
-	for i, t := range c.taken {
-		if t {
-			buf[4+i/8] |= 1 << (i % 8)
+	var walk func(n *treeNode)
+	walk = func(n *treeNode) {
+		c.ret[n.id] = table.InternValue(n.ret)
+		for _, child := range n.children {
+			walk(child)
 		}
 	}
-	for i, t := range c.taken {
-		if t {
-			buf = append(buf, spec.FormatValue(c.retOf[i])...)
-			buf = append(buf, '·')
-		}
+	walk(t.root)
+	return c
+}
+
+// memoKey renders (node, retOf, state) in binary into the reused scratch
+// buffer; indexing the memo by string(memoKey(…)) does not allocate.
+func (c *tchecker) memoKey(n *treeNode, st int32) []byte {
+	buf := binary.LittleEndian.AppendUint32(c.keyBuf[:0], uint32(n.id))
+	for _, r := range c.retOf {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
 	}
-	buf = append(buf, fp...)
-	c.keyBuf = buf[:0]
-	return buf
-}
-
-func (c *tchecker) knownFailed(n *treeNode, fp string) bool {
-	_, bad := c.memo[string(c.buildKey(n, fp))]
-	return bad
-}
-
-func (c *tchecker) markFailed(n *treeNode, fp string) {
-	c.memo[string(c.buildKey(n, fp))] = struct{}{}
+	c.keyBuf = binary.LittleEndian.AppendUint32(buf, uint32(st))
+	return c.keyBuf
 }
 
 // solve decides whether the subtree rooted at n can be completed from the
 // given state, with n's own event still unprocessed. Moves: process the
 // event and descend into all children (a response requires its op
 // committed with the branch's recorded return), or commit any invoked,
-// uncommitted op first. Failures are memoized on (node, taken, returns,
-// state).
-func (c *tchecker) solve(n *treeNode, st spec.State, fp string) bool {
+// uncommitted op first. Failures are memoized on (node, returns, state).
+func (c *tchecker) solve(n *treeNode, st int32) bool {
 	c.visited++
-	if c.knownFailed(n, fp) {
+	if _, bad := c.memo[string(c.memoKey(n, st))]; bad {
 		return false
 	}
-	if c.tryEvent(n, st, fp) {
+	if c.tryEvent(n, st) {
 		return true
 	}
-	for i := range c.tree.ops {
-		if c.taken[i] || !c.invoked[i] {
+	for i, r := range c.retOf {
+		if r >= 0 || !c.invoked[i] {
 			continue
 		}
-		op := c.tree.ops[i]
-		ret, next := st.Apply(op.name, op.arg)
-		c.taken[i] = true
+		next, ret := c.table.Step(st, c.kind[i])
 		c.retOf[i] = ret
-		ok := c.solve(n, next, next.Fingerprint())
-		c.taken[i] = false
-		c.retOf[i] = nil
+		ok := c.solve(n, next)
+		c.retOf[i] = -1
 		if ok {
 			return true
 		}
 	}
-	c.markFailed(n, fp)
+	c.memo[string(c.memoKey(n, st))] = struct{}{}
 	return false
 }
 
@@ -249,20 +234,17 @@ func (c *tchecker) solve(n *treeNode, st spec.State, fp string) bool {
 // subtree to succeed from the resulting search state. At the root
 // sentinel there is no event; a node without children is a completed
 // branch.
-func (c *tchecker) tryEvent(n *treeNode, st spec.State, fp string) bool {
-	if !n.isRoot {
-		switch n.ev.kind {
-		case evInvoke:
-			c.invoked[n.ev.op] = true
-			defer func() { c.invoked[n.ev.op] = false }()
-		case evRespond:
-			if !c.taken[n.ev.op] || !spec.ValuesEqual(c.retOf[n.ev.op], n.ev.ret) {
-				return false
-			}
-		}
+func (c *tchecker) tryEvent(n *treeNode, st int32) bool {
+	switch {
+	case n.id == 0:
+	case n.kind == evInvoke:
+		c.invoked[n.op] = true
+		defer func() { c.invoked[n.op] = false }()
+	case c.retOf[n.op] != c.ret[n.id]:
+		return false
 	}
 	for _, child := range n.children {
-		if !c.solve(child, st, fp) {
+		if !c.solve(child, st) {
 			return false
 		}
 	}
