@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -150,41 +151,22 @@ func cmdServe(args []string) error {
 	if *shards == 1 && sx != nil {
 		p.X = sx[0]
 	}
-	baseCfg := serve.Config{
-		Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick,
-		Offsets: *offsets, Seed: *seed, QueueDepth: *queueDepth, InboxDepth: *inboxDepth,
-	}
-
-	// The M=1 case stays on the single-object server: same wire behavior,
-	// same metrics names, same dry-run echo as before sharding existed.
-	if *shards == 1 {
-		s, err := serve.New(baseCfg)
-		if err != nil {
-			return err
-		}
-		if *dryRun {
-			return writeJSON(buildServeEcho(s, *addr, *tick))
-		}
-		ob, err := startObs(s.ObsHandler(), []*obs.Registry{s.Registry(), obs.Default}, *traceN,
-			func(newColl func() *obs.Collector) { s.SetTracer(newColl()) })
-		if err != nil {
-			return err
-		}
-		defer ob.stop()
-		return runServer(serverRun{
-			serve: s.Serve, drain: s.Drain, start: s.Start,
-			stats: func() any { return s.Stats() },
-			banner: fmt.Sprintf("lintime serve: %s cluster (n=%d d=%v u=%v ε=%v X=%v)",
-				dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X),
-			addr: *addr, tick: *tick, drainTimeout: *drainTimeout, flushObs: ob.flush,
-		})
-	}
-
-	ss, err := serve.NewShardSet(serve.ShardSetConfig{Config: baseCfg, Shards: *shards, ShardX: sx})
+	ss, err := serve.NewShardSet(serve.ShardSetConfig{
+		Config: serve.Config{
+			Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick,
+			Offsets: *offsets, Seed: *seed, QueueDepth: *queueDepth, InboxDepth: *inboxDepth,
+		},
+		Shards: *shards, ShardX: sx,
+	})
 	if err != nil {
 		return err
 	}
 	if *dryRun {
+		// The M = 1 echo is the single cluster's own, as it was before
+		// sharding existed.
+		if *shards == 1 {
+			return writeJSON(buildServeEcho(ss.Shard(0), *addr, *tick))
+		}
 		return writeJSON(buildShardSetEcho(ss, *addr, *tick))
 	}
 	ob, err := startObs(ss.ObsHandler(), append(ss.Registries(), obs.Default), *traceN,
@@ -193,63 +175,42 @@ func cmdServe(args []string) error {
 		return err
 	}
 	defer ob.stop()
-	return runServer(serverRun{
-		serve: ss.Serve, drain: ss.Drain, start: ss.Start,
-		stats: func() any { return ss.Stats() },
-		banner: fmt.Sprintf("lintime serve: %d×%s shards (n=%d d=%v u=%v ε=%v base X=%v)",
-			*shards, dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X),
-		addr: *addr, tick: *tick, drainTimeout: *drainTimeout, flushObs: ob.flush,
-	})
-}
 
-// serverRun abstracts the single-object server and the shard router for
-// the common listen/signal/drain/stats loop.
-type serverRun struct {
-	serve        func(net.Listener) error
-	drain        func(time.Duration) error
-	start        func()
-	stats        func() any
-	banner       string
-	addr         string
-	tick         time.Duration
-	drainTimeout time.Duration
-	// flushObs writes the final -obs-out snapshot; runs after the drain
-	// on both the SIGINT and the SIGTERM shutdown paths.
-	flushObs func() error
-}
-
-func runServer(r serverRun) error {
-	ln, err := net.Listen("tcp", r.addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	r.start()
-	fmt.Fprintf(os.Stderr, "%s on %s, tick %v\n", r.banner, ln.Addr(), r.tick)
-
+	ss.Start()
+	banner := fmt.Sprintf("%d×%s shards (n=%d d=%v u=%v ε=%v base X=%v)",
+		*shards, dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X)
+	if *shards == 1 {
+		banner = fmt.Sprintf("%s cluster (n=%d d=%v u=%v ε=%v X=%v)", dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X)
+	}
+	fmt.Fprintf(os.Stderr, "lintime serve: %s on %s, tick %v\n", banner, ln.Addr(), *tick)
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
 	errCh := make(chan error, 1)
-	go func() { errCh <- r.serve(ln) }()
+	go func() { errCh <- ss.Serve(ln) }()
 	var serveErr error
 	select {
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "lintime serve: %v — draining (pending operations complete, budget %v)\n",
-			sig, r.drainTimeout)
-		if err := r.drain(r.drainTimeout); err != nil {
-			serveErr = err
-		}
+			sig, *drainTimeout)
+		serveErr = ss.Drain(*drainTimeout)
 		<-errCh // Serve returns nil on a drain-initiated close
 	case serveErr = <-errCh:
 		// Listener failure: still shut the cluster down cleanly.
-		if err := r.drain(r.drainTimeout); err != nil && serveErr == nil {
+		if err := ss.Drain(*drainTimeout); err != nil && serveErr == nil {
 			serveErr = err
 		}
 	}
-	if err := writeJSON(r.stats()); err != nil && serveErr == nil {
+	if err := writeJSON(ss.Stats()); err != nil && serveErr == nil {
 		serveErr = err
 	}
-	if err := r.flushObs(); err != nil && serveErr == nil {
+	// The final -obs-out snapshot lands after the drain on both the SIGINT
+	// and the SIGTERM shutdown paths.
+	if err := ob.flush(); err != nil && serveErr == nil {
 		serveErr = err
 	}
 	return serveErr
@@ -406,9 +367,6 @@ func cmdLoad(args []string) error {
 	if err != nil {
 		return err
 	}
-	if backend.Bound == nil {
-		return fmt.Errorf("load: backend %s declares no latency bound to judge against", backend.Name)
-	}
 	mix, err := parseMix(*mixFlag)
 	if err != nil {
 		return err
@@ -417,53 +375,46 @@ func cmdLoad(args []string) error {
 	if err != nil {
 		return err
 	}
-	if len(crashes) > 0 && (*simMode || *addr != "" || *shards > 1) {
-		return fmt.Errorf("load: -crash injects into the in-process single-cluster run only (for virtual-time crash sweeps use lintime verify -backend quorum)")
-	}
-	if *shards < 1 {
-		return fmt.Errorf("load: -shards must be ≥ 1, got %d", *shards)
+	for _, rule := range []struct {
+		bad bool
+		msg string
+	}{
+		{backend.Bound == nil, fmt.Sprintf("load: backend %s declares no latency bound to judge against", backend.Name)},
+		{len(crashes) > 0 && (*simMode || *addr != "" || *shards > 1), "load: -crash injects into the in-process single-cluster run only (for virtual-time crash sweeps use lintime verify -backend quorum)"},
+		{*shards < 1, fmt.Sprintf("load: -shards must be ≥ 1, got %d", *shards)},
+		{*shards > 1 && *keyCount <= 0, "load: sharded runs need -keys (the number of named objects to spread across shards)"},
+		{*zipf != 0 && *zipf <= 1, "load: -zipf needs s > 1 (the Zipf law diverges at s ≤ 1); 0 means uniform"},
+		{*keyCount > 0 && *simMode, "load: -sim has no keyed mode (shard the virtual-time engine with separate runs)"},
+		{*traceN < 0, fmt.Sprintf("load: -trace must be ≥ 0, got %d", *traceN)},
+		{*traceN > 0 && *addr != "", "load: -trace records on the in-process cluster (the collector lives server-side; use `lintime serve -trace` for remote runs)"},
+		{*pipeline < 1, fmt.Sprintf("load: -pipeline must be ≥ 1, got %d", *pipeline)},
+		{*simMode && *pipeline > 1, "load: -sim has no pipelined mode (the virtual-time engine keeps one op pending per process)"},
+		{*simMode && *ops <= 0, "load: -sim needs -ops (virtual time has no wall-clock duration)"},
+	} {
+		if rule.bad {
+			return errors.New(rule.msg)
+		}
 	}
 	sx, err := parseShardX(*shardX, *shards)
 	if err != nil {
 		return err
 	}
-	if *shards > 1 && *keyCount <= 0 {
-		return fmt.Errorf("load: sharded runs need -keys (the number of named objects to spread across shards)")
-	}
-	if *zipf != 0 && *zipf <= 1 {
-		return fmt.Errorf("load: -zipf needs s > 1 (the Zipf law diverges at s ≤ 1); 0 means uniform")
-	}
-	if *keyCount > 0 && *simMode {
-		return fmt.Errorf("load: -sim has no keyed mode (shard the virtual-time engine with separate runs)")
-	}
-	if *traceN < 0 {
-		return fmt.Errorf("load: -trace must be ≥ 0, got %d", *traceN)
-	}
-	if *traceN > 0 && *addr != "" {
-		return fmt.Errorf("load: -trace records on the in-process cluster (the collector lives server-side; use `lintime serve -trace` for remote runs)")
-	}
-	if *pipeline < 1 {
-		return fmt.Errorf("load: -pipeline must be ≥ 1, got %d", *pipeline)
-	}
-	if *simMode && *pipeline > 1 {
-		return fmt.Errorf("load: -sim has no pipelined mode (the virtual-time engine keeps one op pending per process)")
+	if *shards == 1 && sx != nil {
+		p.X = sx[0]
 	}
 	keys := loadKeys(*keyCount)
-	// Client-side shard attribution for the summary: the in-process path
-	// replaces this with the deployment's exact parameters below.
-	shardParams := func() []simtime.Params {
-		if *shards <= 1 {
-			return nil
-		}
-		out := make([]simtime.Params, *shards)
-		for i := range out {
-			out[i] = p
+	// Per-shard attribution for the summary, the deployment's exact
+	// parameters: the base ones with each shard's X.
+	var shardParams []simtime.Params
+	if *shards > 1 {
+		shardParams = make([]simtime.Params, *shards)
+		for i := range shardParams {
+			shardParams[i] = p
 			if sx != nil {
-				out[i].X = sx[i]
+				shardParams[i].X = sx[i]
 			}
 		}
-		return out
-	}()
+	}
 
 	// SIGINT/SIGTERM ends the run gracefully: clients stop submitting,
 	// the cluster drains through the normal shutdown path, and the
@@ -479,15 +430,18 @@ func cmdLoad(args []string) error {
 		close(stopCh)
 	}()
 
+	loadCfg := serve.LoadConfig{
+		Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
+		Stop: stopCh, Keys: keys, Zipf: *zipf, ShardParams: shardParams, Backend: backend.Name,
+		Pipeline: *pipeline,
+	}
+
 	// ob.colls is the causal flight recorder: one collector per in-process
 	// cluster, merged at dump time.
 	var ob obsRun
 	var sum *serve.Summary
 	switch {
 	case *simMode:
-		if *ops <= 0 {
-			return fmt.Errorf("load: -sim needs -ops (virtual time has no wall-clock duration)")
-		}
 		hcfg := harness.Config{Params: p, TypeName: dt.Name(), Algorithm: backend.Name,
 			Network: harness.NetRandom, Offsets: *offsets, Seed: *seed,
 			Trace: sim.TraceOps}
@@ -518,16 +472,11 @@ func cmdLoad(args []string) error {
 			return err
 		}
 		defer ob.stop()
-		sum, err = serve.RunLoad(c, dt, p, *tick, serve.LoadConfig{
-			Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
-			Stop: stopCh, Keys: keys, Zipf: *zipf, ShardParams: shardParams, Backend: backend.Name,
-			Pipeline: *pipeline,
-		})
-		if err != nil {
+		if sum, err = serve.RunLoad(c, dt, p, *tick, loadCfg); err != nil {
 			return err
 		}
 		sum.Config.Mode = "tcp"
-	case *shards > 1:
+	default:
 		ss, err := serve.NewShardSet(serve.ShardSetConfig{
 			Config: serve.Config{Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick, Offsets: *offsets, Seed: *seed},
 			Shards: *shards, ShardX: sx,
@@ -541,11 +490,22 @@ func cmdLoad(args []string) error {
 		}
 		defer ob.stop()
 		ss.Start()
-		sum, err = serve.RunLoad(ss, dt, p, *tick, serve.LoadConfig{
-			Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
-			Stop: stopCh, Keys: keys, Zipf: *zipf, ShardParams: ss.ShardParams(), Backend: backend.Name,
-			Pipeline: *pipeline,
-		})
+		// Scheduled fault injection (one shard only): each entry crashes
+		// its process mid-run; the shard drops it from rotation and (on the
+		// quorum backend) the survivors keep serving. Timers that have not
+		// fired by the end of the run are stopped, not left to crash a
+		// cluster that is already draining.
+		timers := make([]*time.Timer, 0, len(crashes))
+		for _, c := range crashes {
+			timers = append(timers, time.AfterFunc(c.after, func() {
+				fmt.Fprintf(os.Stderr, "lintime load: crashing process %d (t=%v)\n", c.proc, c.after)
+				ss.Shard(0).Crash(c.proc)
+			}))
+		}
+		sum, err = serve.RunLoad(ss, dt, p, *tick, loadCfg)
+		for _, t := range timers {
+			t.Stop()
+		}
 		if drainErr := ss.Drain(*drainTimeout); drainErr != nil && err == nil {
 			err = drainErr
 		}
@@ -553,7 +513,7 @@ func cmdLoad(args []string) error {
 			return err
 		}
 		sum.Config.Mode = "inproc"
-		if *checkObjects {
+		if *checkObjects && *shards > 1 {
 			rep := ss.CheckPerObject(0)
 			fmt.Fprintf(os.Stderr, "lintime load: per-object check: %d objects, %d ops, %d routing violations, %d non-linearizable\n",
 				rep.Keys, rep.Ops, len(rep.RoutingViolations), len(rep.NonLinearizable))
@@ -562,47 +522,6 @@ func cmdLoad(args []string) error {
 					len(rep.RoutingViolations), rep.NonLinearizable)
 			}
 		}
-	default:
-		s, err := serve.New(serve.Config{
-			Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick, Offsets: *offsets, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		if ob, err = startObs(s.ObsHandler(), []*obs.Registry{s.Registry(), obs.Default}, *traceN,
-			func(newColl func() *obs.Collector) { s.SetTracer(newColl()) }); err != nil {
-			return err
-		}
-		defer ob.stop()
-		s.Start()
-		// Scheduled fault injection: each entry crashes its process
-		// mid-run; the router drops it from rotation and (on the quorum
-		// backend) the survivors keep serving. Timers that have not fired
-		// by the end of the run are stopped, not left to crash a cluster
-		// that is already draining.
-		timers := make([]*time.Timer, 0, len(crashes))
-		for _, c := range crashes {
-			c := c
-			timers = append(timers, time.AfterFunc(c.after, func() {
-				fmt.Fprintf(os.Stderr, "lintime load: crashing process %d (t=%v)\n", c.proc, c.after)
-				s.Crash(c.proc)
-			}))
-		}
-		sum, err = serve.RunLoad(s, dt, p, *tick, serve.LoadConfig{
-			Clients: *clients, Duration: *duration, OpsPerClient: *ops, Mix: mix, Seed: *seed,
-			Stop: stopCh, Keys: keys, Zipf: *zipf, Backend: backend.Name,
-			Pipeline: *pipeline,
-		})
-		for _, t := range timers {
-			t.Stop()
-		}
-		if drainErr := s.Drain(*drainTimeout); drainErr != nil && err == nil {
-			err = drainErr
-		}
-		if err != nil {
-			return err
-		}
-		sum.Config.Mode = "inproc"
 	}
 
 	b, err := json.MarshalIndent(sum, "", "  ")

@@ -52,6 +52,15 @@ func TestServerQuorumBackend(t *testing.T) {
 			t.Errorf("Formula(%v) = %v, want %v (class-independent 4d)", class, got, want)
 		}
 	}
+	// A deployment resolves the empty TypeName the same way, so its one
+	// shard serves what New serves.
+	ss, err := NewShardSet(ShardSetConfig{Config: quorumConfig(2)})
+	if err != nil {
+		t.Fatalf("NewShardSet on the quorum backend: %v", err)
+	}
+	if got := ss.Shard(0).Type().Name(); got != "register" {
+		t.Errorf("quorum deployment serves type %q, want register", got)
+	}
 	// Rejecting a non-register type is the config error, not a panic.
 	cfg := quorumConfig(2)
 	cfg.TypeName = "queue"
@@ -118,11 +127,17 @@ func TestServerAllCrashed(t *testing.T) {
 // as Unavailable, everything else completes within the 4d SLO. (The full
 // version is `lintime load -backend quorum -n 3 -duration 10s -crash 2@5s`.)
 func TestRunLoadQuorumCrashMidRun(t *testing.T) {
-	s := startQuorumServer(t, 3)
+	ss, err := NewShardSet(ShardSetConfig{Config: quorumConfig(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss.Start()
+	t.Cleanup(func() { ss.Drain(30 * time.Second) })
+	s := ss.Shard(0)
 	timer := time.AfterFunc(300*time.Millisecond, func() { s.Crash(2) })
 	defer timer.Stop()
 	p := s.Config().Params
-	sum, err := RunLoad(s, s.Type(), p, s.Config().Tick, LoadConfig{
+	sum, err := RunLoad(ss, s.Type(), p, s.Config().Tick, LoadConfig{
 		Clients:  4,
 		Duration: time.Second,
 		Seed:     11,
@@ -149,7 +164,7 @@ func TestRunLoadQuorumCrashMidRun(t *testing.T) {
 			t.Errorf("class %s p99 %d exceeds 4d + budget %d", name, rep.Latency.P99, rep.BudgetTicks)
 		}
 	}
-	if err := s.Drain(30 * time.Second); err != nil {
+	if err := ss.Drain(30 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 }

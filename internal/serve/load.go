@@ -16,16 +16,11 @@ import (
 	"lintime/internal/spec"
 )
 
-// Caller is anything that can execute one operation against a served
-// object: the in-process *Server, the TCP *Client, or a test fake.
+// Caller is a front end the load generator drives: the in-process
+// *ShardSet or the TCP *Client. A keyed run (LoadConfig.Keys non-empty)
+// goes through CallKey, an unkeyed one through Call.
 type Caller interface {
 	Call(op string, arg any) (rtnet.Response, error)
-}
-
-// KeyedCaller extends Caller with named-object calls — the in-process
-// *ShardSet and the TCP *Client against a shard router. A keyed load run
-// (LoadConfig.Keys non-empty) requires its target to implement it.
-type KeyedCaller interface {
 	CallKey(key, op string, arg any) (rtnet.Response, error)
 }
 
@@ -55,7 +50,7 @@ type LoadConfig struct {
 
 	// Keys, when non-empty, switches the run to keyed (multi-object)
 	// mode: each operation draws an object key and goes through the
-	// target's CallKey. The target must implement KeyedCaller.
+	// target's CallKey.
 	Keys []string
 	// Zipf skews the key draw: s > 1 selects keys with Zipfian
 	// popularity (rank-1 hottest), concentrating load on the hot key's
@@ -209,16 +204,10 @@ func RunLoad(target Caller, dt spec.DataType, p simtime.Params, tick time.Durati
 	if err != nil {
 		return nil, err
 	}
-	var keyed KeyedCaller
-	if len(cfg.Keys) > 0 {
-		var ok bool
-		if keyed, ok = target.(KeyedCaller); !ok {
-			return nil, fmt.Errorf("serve: keyed load needs a keyed target (shard set or router client), got %T", target)
-		}
-		for _, k := range cfg.Keys {
-			if k == "" {
-				return nil, fmt.Errorf("serve: keyed load: empty object key")
-			}
+	keyed := len(cfg.Keys) > 0
+	for _, k := range cfg.Keys {
+		if k == "" {
+			return nil, fmt.Errorf("serve: keyed load: empty object key")
 		}
 	}
 	classes := harness.ClassesFor(dt)
@@ -280,7 +269,7 @@ func RunLoad(target Caller, dt spec.DataType, p simtime.Params, tick time.Durati
 					info, _ := spec.FindOp(dt, op)
 					arg := info.Args[rng.Intn(len(info.Args))]
 					key := ""
-					if keyed != nil {
+					if keyed {
 						if zipf != nil {
 							key = cfg.Keys[int(zipf.Uint64())]
 						} else {
@@ -290,8 +279,8 @@ func RunLoad(target Caller, dt spec.DataType, p simtime.Params, tick time.Durati
 					cmu.Unlock()
 					var r rtnet.Response
 					var err error
-					if keyed != nil {
-						r, err = keyed.CallKey(key, op, arg)
+					if keyed {
+						r, err = target.CallKey(key, op, arg)
 					} else {
 						r, err = target.Call(op, arg)
 					}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"net/http"
 
 	"lintime/internal/classify"
 	"lintime/internal/obs"
@@ -10,10 +9,10 @@ import (
 	"lintime/internal/sim"
 )
 
-// serveMetrics is the serving layer's instrument set. Every server owns
-// a private registry (servers in one process — e.g. concurrent tests —
-// must not share instruments); the HTTP handler merges it with
-// obs.Default, where the harness and fuzzer publish.
+// serveMetrics is a shard's instrument set. Every shard owns a private
+// registry (servers in one process — e.g. concurrent tests — must not
+// share instruments); the router's HTTP handler merges it with its own
+// and obs.Default, where the harness and fuzzer publish.
 type serveMetrics struct {
 	calls    *obs.Counter
 	errors   *obs.Counter
@@ -44,9 +43,9 @@ func (s *Server) wireMetrics() {
 	reg := obs.NewRegistry()
 	s.reg = reg
 
-	// On a sharded deployment every shard's registry is merged into one
-	// endpoint; the shard label keeps the namespaces disjoint. Empty label
-	// (single-object mode) preserves the historical metric names exactly.
+	// Every shard's registry is merged into one endpoint; at M > 1 the
+	// shard label keeps the namespaces disjoint. The empty label (M = 1)
+	// preserves the historical metric names exactly.
 	name := func(n string) string { return n }
 	if s.cfg.ShardLabel != "" {
 		name = func(n string) string { return obs.WithLabel(n, "shard", s.cfg.ShardLabel) }
@@ -75,8 +74,6 @@ func (s *Server) wireMetrics() {
 		reg.Gauge(name("serve_latency_slo_ticks" + label)).Set(int64(s.Formula(class) + budget))
 	}
 	s.obsm = m
-
-	s.fe.connsTotal = reg.Counter(name("serve_connections_total"))
 
 	var rtLabels []string
 	if s.cfg.ShardLabel != "" {
@@ -129,13 +126,6 @@ func (m *serveMetrics) observeTerms(class classify.Class, a obs.Attribution) {
 
 // Registry returns the server's private metric registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// ObsHandler returns the observability HTTP handler for this server:
-// its registry merged with obs.Default (harness/fuzzer instruments),
-// serving /metrics, /metrics.json, /debug/vars and /debug/pprof/.
-func (s *Server) ObsHandler() http.Handler {
-	return obs.Handler(s.reg, obs.Default)
-}
 
 // SetTracer installs the span sink on the underlying cluster (nil turns
 // tracing off). Must be called before Start. With a collector installed

@@ -13,12 +13,13 @@ import (
 	"lintime/internal/obs"
 )
 
-// TestObsHandlerSeries drives a little traffic through a server and
-// scrapes its observability endpoint: every documented series must be
-// present, the per-class p99 must respect the SLO gauge, and the
-// drain-state gauge must walk 0 → 2.
+// TestObsHandlerSeries drives a little traffic through a single-object
+// deployment and scrapes its observability endpoint: every documented
+// series must be present under its historical unlabeled name, the
+// per-class p99 must respect the SLO gauge, and the drain-state gauge
+// must walk 0 → 2.
 func TestObsHandlerSeries(t *testing.T) {
-	s, err := New(testConfig(3))
+	s, err := NewShardSet(testShardConfig(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,13 @@
 // with anything else is refused: one protocol-fatal error frame (id −1)
 // naming the required hello, then close.
 //
-// The key field names the served object on a sharded deployment (see
-// shard.go): the router hashes it onto a shard cluster. Single-object
-// servers reject keyed requests and shard routers require the key, so a
-// client can never silently talk to the wrong topology. Sharded
-// responses echo the shard index that served them (zero on
-// single-object servers).
+// The front end is the ShardSet router (see shard.go), at any M. The key
+// field names the served object: a request carries one iff the
+// deployment has M > 1 shards, and the router hashes it onto a shard
+// cluster. A keyed request to an M = 1 deployment and an unkeyed one to
+// M > 1 are both refused, so a client can never silently talk to the
+// wrong topology. Responses echo the shard index that served them (zero
+// at M = 1).
 //
 // A frame body that would exceed maxFrame — in either direction — is
 // answered with a typed protocol error rather than silently dropped: an
@@ -38,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lintime/internal/adt"
 	"lintime/internal/classify"
 	"lintime/internal/obs"
 	"lintime/internal/rtnet"
@@ -63,7 +65,7 @@ func (e *frameSizeError) Error() string {
 // request is one decoded protocol request.
 type request struct {
 	id  int64
-	key string // served object (sharded mode); empty on single-object servers
+	key string // served object; empty iff the deployment has one shard
 	op  string
 	arg spec.Value
 	// trace is the client-side span id carried in the wire trace context;
@@ -94,11 +96,9 @@ type response struct {
 
 func errResponse(id int64, msg string) response { return response{id: id, err: msg} }
 
-// frontend is the shared TCP front half of a Server (single object) and
-// a ShardSet router (many objects): listener bookkeeping, per-connection
-// reader goroutines, the hello exchange, per-request handler fan-out, and
-// the graceful teardown that flushes every accepted request's response
-// before its connection closes.
+// frontend is the router's TCP bookkeeping: its listeners, its open
+// connections and the WaitGroup the graceful teardown waits on. The
+// router's Serve, handleConn and serveBinaryConn drive it.
 //
 // Teardown protocol: each connection handler owns a private request
 // WaitGroup, so every Add happens in the reader goroutine before the
@@ -107,13 +107,8 @@ func errResponse(id int64, msg string) response { return response{id: id, err: m
 // shuts reads down (CloseRead where the transport supports it), lets the
 // readers run dry, and waits on connWG; nothing in flight is dropped.
 type frontend struct {
-	dispatch func(request) response
-	draining func() bool
-	opNames  []string // negotiated op table; opcode = index
-
-	// connsTotal counts accepted connections; nil until the owner wires
-	// metrics.
-	connsTotal *obs.Counter
+	opNames    []string     // negotiated op table; opcode = index
+	connsTotal *obs.Counter // accepted connections
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -121,23 +116,17 @@ type frontend struct {
 	connWG    sync.WaitGroup
 }
 
-func (f *frontend) init(dispatch func(request) response, draining func() bool, opNames []string) {
-	f.dispatch = dispatch
-	f.draining = draining
-	f.opNames = opNames
-	f.conns = map[net.Conn]struct{}{}
-}
-
-// serve accepts connections on ln until the listener is closed (by a
-// drain, or externally). It returns nil on a drain-initiated close.
-func (f *frontend) serve(ln net.Listener) error {
+// Serve accepts router connections on ln until the listener is closed (by
+// a drain, or externally). It returns nil on a drain-initiated close.
+func (ss *ShardSet) Serve(ln net.Listener) error {
+	f := &ss.fe
 	f.mu.Lock()
 	f.listeners = append(f.listeners, ln)
 	f.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if f.draining() {
+			if ss.draining.Load() {
 				return nil
 			}
 			return err
@@ -146,18 +135,17 @@ func (f *frontend) serve(ln net.Listener) error {
 		f.conns[conn] = struct{}{}
 		f.mu.Unlock()
 		f.connWG.Add(1)
-		go f.handleConn(conn)
+		go ss.handleConn(conn)
 	}
 }
 
-func (f *frontend) handleConn(conn net.Conn) {
+func (ss *ShardSet) handleConn(conn net.Conn) {
+	f := &ss.fe
 	defer f.connWG.Done()
-	if f.connsTotal != nil {
-		f.connsTotal.Inc()
-	}
+	f.connsTotal.Inc()
 	var reqs sync.WaitGroup
 	var wmu sync.Mutex // serializes response frames from concurrent requests
-	f.serveBinaryConn(conn, bufio.NewReaderSize(conn, 16<<10), &reqs, &wmu)
+	ss.serveBinaryConn(conn, bufio.NewReaderSize(conn, 16<<10), &reqs, &wmu)
 	// Flush every accepted request's response before the connection dies:
 	// requests that raced a drain get ErrDraining responses and finish
 	// quickly, so this converges as soon as reads stop.
@@ -174,7 +162,7 @@ func (f *frontend) handleConn(conn net.Conn) {
 // sync), but a wrong hello — another protocol, an unknown version — or an
 // oversized announcement is protocol-fatal: error frame with id −1, then
 // close.
-func (f *frontend) serveBinaryConn(conn net.Conn, br *bufio.Reader, reqs *sync.WaitGroup, wmu *sync.Mutex) {
+func (ss *ShardSet) serveBinaryConn(conn net.Conn, br *bufio.Reader, reqs *sync.WaitGroup, wmu *sync.Mutex) {
 	refuse := func(msg string) {
 		wmu.Lock()
 		_ = writeBinaryError(conn, errProtoID, msg)
@@ -197,7 +185,7 @@ func (f *frontend) serveBinaryConn(conn net.Conn, br *bufio.Reader, reqs *sync.W
 		return
 	}
 	bp := frameOut()
-	*bp = appendHello(*bp, f.opNames)
+	*bp = appendHello(*bp, ss.fe.opNames)
 	wmu.Lock()
 	err := finishFrame(conn, *bp)
 	wmu.Unlock()
@@ -223,7 +211,7 @@ func (f *frontend) serveBinaryConn(conn net.Conn, br *bufio.Reader, reqs *sync.W
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
-		req, err := parseRequest(body, f.opNames)
+		req, err := parseRequest(body, ss.fe.opNames)
 		if err != nil {
 			wmu.Lock()
 			werr := writeBinaryError(conn, req.id, err.Error())
@@ -236,7 +224,7 @@ func (f *frontend) serveBinaryConn(conn net.Conn, br *bufio.Reader, reqs *sync.W
 		reqs.Add(1)
 		go func(req request) {
 			defer reqs.Done()
-			resp := f.dispatch(req)
+			resp := ss.handleRequest(req)
 			wmu.Lock()
 			defer wmu.Unlock()
 			_ = writeBinaryResponse(conn, resp)
@@ -297,22 +285,14 @@ func (f *frontend) shutdownConns() {
 	f.connWG.Wait()
 }
 
-// Serve accepts connections on ln until the listener is closed (by a
-// drain, or externally). It returns nil on a drain-initiated close.
-func (s *Server) Serve(ln net.Listener) error {
-	return s.fe.serve(ln)
-}
-
-func (s *Server) handleRequest(req request) response {
-	if req.key != "" {
-		return errResponse(req.id,
-			"serve: single-object server: request has an object key (connect to a shard router, or drop the key)")
-	}
-	r, err := s.CallTraced(req.op, req.arg, traceParent(req.trace))
+// handleRequest is the router's wire dispatcher: the front end hands it
+// decoded requests.
+func (ss *ShardSet) handleRequest(req request) response {
+	r, shard, err := ss.route(req.key, req.op, req.arg, traceParent(req.trace))
 	if err != nil {
 		return errResponse(req.id, err.Error())
 	}
-	return response{id: req.id, ret: r.Ret, class: r.Class,
+	return response{id: req.id, ret: r.Ret, class: r.Class, shard: shard,
 		invoke: int64(r.Invoke), respond: int64(r.Respond)}
 }
 
@@ -533,7 +513,7 @@ func (c *Client) call(key, op string, arg any) (rtnet.Response, error) {
 	}
 	recArg := any(arg)
 	if key != "" {
-		if ka, kerr := keyedArg(key, arg); kerr == nil {
+		if ka, kerr := adt.KeyArg(key, arg); kerr == nil {
 			recArg = ka
 		}
 	}

@@ -1,24 +1,26 @@
 // Package serve is the client-facing serving layer over the real-time
-// substrate: it boots an n-replica rtnet cluster running Algorithm 1,
-// routes invocations to replicas while preserving the model's
-// one-pending-operation-per-process rule, records every completed
-// operation once (Stats and the load summaries fold that record list into
-// per-class AOP/MOP/OOP and per-operation latency quantiles on demand;
-// /metrics streams its own live histograms), and exposes both an
-// in-process call path (tests, the load generator) and a length-prefixed
-// binary protocol over TCP (see proto.go and wire.go).
+// substrate. There is one serving topology: a ShardSet of M independent
+// n-replica rtnet clusters behind one router (shard.go), which is the only
+// front end — in process (Call, CallKey) and over TCP (proto.go, wire.go).
+// A single object is the M = 1 case, not a second deployment.
 //
-// Routing: requests are spread round-robin over the replicas, and a
+// A Server is one shard: it boots an n-replica cluster running the
+// chosen backend, routes invocations to replicas while preserving the
+// model's one-pending-operation-per-process rule, and records every
+// completed operation once (Stats and the load summaries fold that record
+// list into per-class AOP/MOP/OOP and per-operation latency quantiles on
+// demand; /metrics streams its own live histograms).
+//
+// Routing: requests are spread round-robin over the live replicas, and a
 // per-replica worker serializes them so each process has at most one
 // operation pending — exactly the client behavior the paper's model
 // assumes. Backpressure is the per-replica queue: when every replica has
 // QueueDepth requests waiting, Call blocks, which is the closed-loop
 // behavior the load generator expects.
 //
-// Shutdown is a graceful drain: listeners close first (no new
-// connections), then new calls are refused, then every in-flight
-// operation completes, then the cluster drains and its scheduler
-// exits, and finally open connections are torn down. Nothing is dropped.
+// Shutdown is a graceful drain within one time budget: new calls are
+// refused, every in-flight operation completes, then the cluster drains
+// and its scheduler exits. Nothing is dropped.
 package serve
 
 import (
@@ -63,13 +65,13 @@ type Config struct {
 	// through Call/Drain errors, never a silent stall.
 	InboxDepth int
 	// DataType, when non-nil, overrides TypeName with an explicit data
-	// type instance. The shard-set uses it to serve a keyed family
+	// type instance. A shard set of M > 1 uses it to serve a keyed family
 	// (adt.Keyed) that has no registry name.
 	DataType spec.DataType
 	// ShardLabel, when non-empty, is folded into every metric name as a
 	// shard="..." label so many shard clusters can merge onto one
-	// observability endpoint without collisions. Empty (single-object
-	// serving) keeps the historical unlabeled names.
+	// observability endpoint without collisions. Empty (M = 1) keeps the
+	// historical unlabeled names.
 	ShardLabel string
 }
 
@@ -85,7 +87,8 @@ type call struct {
 	out    chan result
 }
 
-// Server is a running serving layer over one rtnet cluster.
+// Server is one shard: a running serving layer over one rtnet cluster.
+// It has no listener; the ShardSet router is its front end.
 type Server struct {
 	cfg     Config
 	dt      spec.DataType
@@ -117,12 +120,9 @@ type Server struct {
 	// collector's retained trees.
 	traceColl *obs.Collector
 	attrP     obs.AttrParams
-
-	fe frontend // TCP front half (listeners, connections, teardown)
 }
 
-// New builds a server for the configuration. Call Start before Call or
-// Serve.
+// New builds one shard for the configuration. Call Start before Call.
 func New(cfg Config) (*Server, error) {
 	backend, err := lookupServable(cfg.Backend)
 	if err != nil {
@@ -177,15 +177,8 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.queues {
 		s.queues[i] = make(chan call, cfg.QueueDepth)
 	}
-	s.fe.init(s.handleRequest, s.isDraining, spec.OpNames(dt)) // a keyed family keeps its basis type's names
 	s.wireMetrics()
 	return s, nil
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // Type returns the served data type.
@@ -238,13 +231,13 @@ func (s *Server) Start() {
 // occupies one replica slot, so at most n operations are in flight at
 // once and each process has at most one pending operation.
 func (s *Server) Call(op string, arg any) (rtnet.Response, error) {
-	return s.CallTraced(op, arg, -1)
+	return s.callTraced(op, arg, -1)
 }
 
-// CallTraced is Call carrying a causal parent span — the client-side
+// callTraced is Call carrying a causal parent span — the client-side
 // span propagated through the wire protocol's trace context — recorded
 // as the operation's parent edge when a collector is installed.
-func (s *Server) CallTraced(op string, arg any, parent int64) (rtnet.Response, error) {
+func (s *Server) callTraced(op string, arg any, parent int64) (rtnet.Response, error) {
 	if _, ok := spec.FindOp(s.dt, op); !ok {
 		return rtnet.Response{}, fmt.Errorf("serve: type %s has no operation %q", s.dt.Name(), op)
 	}
@@ -326,27 +319,25 @@ func lookupServable(name string) (*harness.Backend, error) {
 	return b, nil
 }
 
-// Drain gracefully shuts the server down: close listeners, refuse new
-// calls, wait for every in-flight operation to respond, stop the routing
-// workers, drain and stop the cluster, then close remaining connections.
-// Idempotent; later calls return the first drain's result.
+// Drain gracefully shuts the shard down: refuse new calls, wait for every
+// in-flight operation to respond, stop the routing workers, then drain
+// and stop the cluster. All phases share the one timeout: the cluster
+// gets what the in-flight wait left over. Idempotent; later calls return
+// the first drain's result.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.drainOnce.Do(func() { s.drainErr = s.drain(timeout) })
 	return s.drainErr
 }
 
 func (s *Server) drain(timeout time.Duration) error {
-	// Refuse new work before closing listeners: Serve's accept loop
-	// distinguishes a drain-initiated close by observing the flag.
+	deadline := time.Now().Add(timeout)
 	s.mu.Lock()
 	started := s.started
 	s.draining = true
 	s.mu.Unlock()
 	s.obsm.drainState.Set(1)
 	defer s.obsm.drainState.Set(2)
-	s.fe.closeListeners()
 	if !started {
-		s.fe.shutdownConns()
 		return nil
 	}
 
@@ -358,21 +349,16 @@ func (s *Server) drain(timeout time.Duration) error {
 	var timedOut error
 	select {
 	case <-done:
-	case <-time.After(timeout):
-		timedOut = fmt.Errorf("serve: drain timed out after %v with operations in flight", timeout)
-	}
-	if timedOut == nil {
 		for _, q := range s.queues {
 			close(q)
 		}
 		s.workers.Wait()
+	case <-time.After(timeout):
+		timedOut = fmt.Errorf("serve: drain timed out after %v with operations in flight", timeout)
 	}
-	err := s.cluster.Drain(timeout)
-	// Every response write must land before its connection is torn down:
-	// shutdownConns stops reads first, then the per-connection handlers
-	// flush their pending responses (requests that raced the drain got
-	// fast ErrDraining answers) and close.
-	s.fe.shutdownConns()
+	// Past the deadline the cluster stops at once, failing whatever is
+	// still pending, so the calls above return instead of hanging.
+	err := s.cluster.Drain(time.Until(deadline))
 	if timedOut != nil {
 		return timedOut
 	}
@@ -422,7 +408,8 @@ type Quantiles struct {
 	Mean  int64 `json:"mean"`
 }
 
-// Stats is the JSON-ready latency accounting of a server or load run.
+// Stats is the JSON-ready latency accounting of a shard, a shard set or a
+// load run.
 type Stats struct {
 	Ops      int                  `json:"ops"`
 	PerClass map[string]Quantiles `json:"per_class"`

@@ -3,7 +3,6 @@ package serve
 import (
 	"math"
 	"math/rand"
-	"net"
 	"reflect"
 	"sort"
 	"sync"
@@ -184,67 +183,8 @@ func TestServerConcurrentCallsLinearizable(t *testing.T) {
 	}
 }
 
-func TestServerTCPRoundtrip(t *testing.T) {
-	s := startServer(t, 3)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if r, err := c.Call(adt.OpEnqueue, 42); err != nil || r.Ret != nil {
-		t.Fatalf("remote enqueue = (%v, %v)", r.Ret, err)
-	} else {
-		if r.Class != classify.PureMutator {
-			t.Errorf("remote class = %v, want MOP", r.Class)
-		}
-		if r.Latency() <= 0 {
-			t.Errorf("remote latency = %v, want > 0", r.Latency())
-		}
-	}
-	time.Sleep(5 * 40 * time.Millisecond)
-	if r, err := c.Call(adt.OpDequeue, nil); err != nil || !spec.ValuesEqual(r.Ret, 42) {
-		t.Errorf("remote dequeue = (%v, %v), want 42", r.Ret, err)
-	}
-	if _, err := c.Call("pop", nil); err == nil {
-		t.Error("remote unknown op should error")
-	}
-
-	// Pipelined concurrent calls over one connection.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Call(adt.OpEnqueue, i); err != nil {
-				t.Errorf("pipelined call %d: %v", i, err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if err := s.Drain(30 * time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	select {
-	case err := <-serveDone:
-		if err != nil {
-			t.Errorf("Serve returned %v after drain, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("Serve did not return after drain")
-	}
-}
-
 func TestRunLoadInProcess(t *testing.T) {
-	s := startServer(t, 3)
+	s := startShardSet(t, 3, 1)
 	sum, err := RunLoad(s, s.Type(), s.Config().Params, s.Config().Tick, LoadConfig{
 		Clients:      4,
 		OpsPerClient: 6,
@@ -287,7 +227,7 @@ func TestRunLoadInProcess(t *testing.T) {
 }
 
 func TestRunLoadValidation(t *testing.T) {
-	s := startServer(t, 2)
+	s := startShardSet(t, 2, 1)
 	p := s.Config().Params
 	if _, err := RunLoad(s, s.Type(), p, time.Millisecond, LoadConfig{Clients: 0, OpsPerClient: 1}); err == nil {
 		t.Error("zero clients should error")

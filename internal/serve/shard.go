@@ -1,17 +1,23 @@
-// Sharded multi-object serving: a keyspace of named objects hash-sharded
-// onto independent Algorithm 1 clusters behind one router front-end.
+// Sharded serving: a keyspace of named objects hash-sharded onto
+// independent clusters behind one router, the only front end of the
+// serving layer.
 //
 // Linearizability composes per object — a history over many objects is
 // linearizable iff each object's subhistory is (Herlihy & Wing's
 // locality theorem) — so horizontal scale comes for free as long as
 // every operation on an object is served by the same cluster. The
 // ShardSet enforces exactly that invariant: FNV-1a(key) mod M picks the
-// shard, each shard is a full n-replica Algorithm 1 cluster (its own
-// rtnet substrate, its own X tuning), and the router multiplexes client
+// shard, each shard is a full n-replica cluster (its own rtnet
+// substrate, its own X tuning), and the router multiplexes client
 // connections across shards. The per-object checker then *verifies* the
 // composition instead of assuming it: every recorded operation must sit
 // on its key's home shard, and every key's (single-shard, hence
 // single-timebase) history must linearize against the base type.
+//
+// A single object is the M = 1 case of the same argument. Its one shard
+// serves the base type itself on the master seed, under the unlabeled
+// metric names, so it runs exactly the cluster a standalone Server would.
+// The router's one key rule follows: a request names an object iff M > 1.
 //
 // What the composition boundary cannot give: an operation spanning two
 // objects on different shards (a cross-shard Bank transfer) has no
@@ -31,6 +37,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lintime/internal/adt"
@@ -43,9 +50,9 @@ import (
 	"lintime/internal/spec"
 )
 
-// ShardSetConfig describes a sharded deployment: the base cluster
-// configuration replicated per shard, the shard count, and optional
-// per-shard X overrides.
+// ShardSetConfig describes a deployment: the base cluster configuration
+// replicated per shard, the shard count, and optional per-shard X
+// overrides.
 type ShardSetConfig struct {
 	Config
 	// Shards is the number of independent clusters M (default 1).
@@ -57,19 +64,16 @@ type ShardSetConfig struct {
 	ShardX []simtime.Duration
 }
 
-// ShardSet is a running sharded deployment: M independent single-object
-// servers each serving one keyed family (adt.Keyed) of the base type,
-// plus the router front-end that spreads keys across them.
+// ShardSet is a running deployment: M independent shards (Servers) plus
+// the router that spreads keys across them and fronts them in process
+// and over TCP. At M > 1 each shard serves a keyed family (adt.Keyed) of
+// the base type; at M = 1 its one shard serves the base type.
 type ShardSet struct {
 	cfg    ShardSetConfig
 	inner  spec.DataType
 	shards []*Server
 
-	mu       sync.Mutex
-	started  bool
-	draining bool
-	inflight sync.WaitGroup
-
+	draining  atomic.Bool
 	drainOnce sync.Once
 	drainErr  error
 
@@ -85,9 +89,10 @@ type ShardSet struct {
 	misroute func(key string, shard int) int
 }
 
-// NewShardSet builds the sharded deployment. Shard i's cluster derives
+// NewShardSet builds the deployment. At M > 1 shard i's cluster derives
 // its seed from the master seed and i, so shards draw independent delay
-// and offset streams; its X comes from ShardX[i] when given.
+// and offset streams; its X comes from ShardX[i] when given. An empty
+// TypeName means the backend's own type, as in New.
 func NewShardSet(cfg ShardSetConfig) (*ShardSet, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -95,11 +100,15 @@ func NewShardSet(cfg ShardSetConfig) (*ShardSet, error) {
 	if len(cfg.ShardX) != 0 && len(cfg.ShardX) != cfg.Shards {
 		return nil, fmt.Errorf("serve: ShardX has %d entries for %d shards", len(cfg.ShardX), cfg.Shards)
 	}
-	if cfg.TypeName == "" {
-		cfg.TypeName = "queue"
-	}
 	if cfg.DataType != nil {
 		return nil, errors.New("serve: ShardSetConfig takes a TypeName, not an explicit DataType")
+	}
+	if cfg.TypeName == "" {
+		backend, err := lookupServable(cfg.Backend)
+		if err != nil {
+			return nil, err
+		}
+		cfg.TypeName = backend.DefaultType
 	}
 	inner, err := adt.Lookup(cfg.TypeName)
 	if err != nil {
@@ -114,9 +123,11 @@ func NewShardSet(cfg ShardSetConfig) (*ShardSet, error) {
 	ss.reg.Gauge("router_shards").Set(int64(cfg.Shards))
 	for i := 0; i < cfg.Shards; i++ {
 		scfg := cfg.Config
-		scfg.DataType = adt.NewKeyed(inner)
-		scfg.ShardLabel = strconv.Itoa(i)
-		scfg.Seed = harness.DeriveSeed(cfg.Seed, fmt.Sprintf("serve/shard/%d", i))
+		if cfg.Shards > 1 {
+			scfg.DataType = adt.NewKeyed(inner)
+			scfg.ShardLabel = strconv.Itoa(i)
+			scfg.Seed = harness.DeriveSeed(cfg.Seed, fmt.Sprintf("serve/shard/%d", i))
+		}
 		if len(cfg.ShardX) != 0 {
 			scfg.Params.X = cfg.ShardX[i]
 		}
@@ -128,8 +139,11 @@ func NewShardSet(cfg ShardSetConfig) (*ShardSet, error) {
 		ss.routed = append(ss.routed,
 			ss.reg.Counter(obs.WithLabel("router_requests_total", "shard", strconv.Itoa(i))))
 	}
-	ss.fe.init(ss.handleRequest, ss.isDraining, spec.OpNames(inner))
-	ss.fe.connsTotal = ss.reg.Counter("serve_connections_total")
+	ss.fe = frontend{
+		opNames:    spec.OpNames(inner),
+		connsTotal: ss.reg.Counter("serve_connections_total"),
+		conns:      map[net.Conn]struct{}{},
+	}
 	return ss, nil
 }
 
@@ -154,18 +168,9 @@ func ShardFor(key string, shards int) int {
 // Shards returns the shard count M.
 func (ss *ShardSet) Shards() int { return len(ss.shards) }
 
-// Shard returns shard i's underlying server (tests, stats).
+// Shard returns shard i's underlying server (tests, stats, crash
+// injection).
 func (ss *ShardSet) Shard(i int) *Server { return ss.shards[i] }
-
-// ShardParams returns each shard's resolved model parameters (per-shard
-// X included), indexed by shard.
-func (ss *ShardSet) ShardParams() []simtime.Params {
-	out := make([]simtime.Params, len(ss.shards))
-	for i, s := range ss.shards {
-		out[i] = s.Config().Params
-	}
-	return out
-}
 
 // Type returns the base (un-keyed) data type.
 func (ss *ShardSet) Type() spec.DataType { return ss.inner }
@@ -175,30 +180,9 @@ func (ss *ShardSet) Config() ShardSetConfig { return ss.cfg }
 
 // Start launches every shard cluster.
 func (ss *ShardSet) Start() {
-	ss.mu.Lock()
-	if ss.started {
-		ss.mu.Unlock()
-		return
-	}
-	ss.started = true
-	ss.mu.Unlock()
 	for _, s := range ss.shards {
 		s.Start()
 	}
-}
-
-func (ss *ShardSet) isDraining() bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.draining
-}
-
-// Call implements Caller by rejecting the unkeyed call: a sharded
-// deployment has no "the" object, and guessing a shard would silently
-// talk to the wrong one. It exists so a ShardSet satisfies the load
-// generator's Caller interface (keyed runs type-assert to KeyedCaller).
-func (ss *ShardSet) Call(op string, arg any) (rtnet.Response, error) {
-	return rtnet.Response{}, fmt.Errorf("serve: sharded deployment (%d shards) needs an object key (use CallKey)", len(ss.shards))
 }
 
 // SetTracers installs one collector per shard cluster, built by make
@@ -211,121 +195,94 @@ func (ss *ShardSet) SetTracers(make func(shard int) *obs.Collector) {
 	}
 }
 
+// Call executes one operation against the single object of an M = 1
+// deployment. At M > 1 there is no "the" object, and guessing a shard
+// would silently talk to the wrong one, so the call is refused.
+func (ss *ShardSet) Call(op string, arg any) (rtnet.Response, error) {
+	if len(ss.shards) > 1 {
+		return rtnet.Response{}, fmt.Errorf("serve: sharded deployment (%d shards) needs an object key (use CallKey)", len(ss.shards))
+	}
+	r, _, err := ss.route("", op, arg, -1)
+	return r, err
+}
+
 // CallKey executes one operation against the named object, routing it to
 // the key's home shard. Blocks until the response, like Server.Call.
 func (ss *ShardSet) CallKey(key, op string, arg any) (rtnet.Response, error) {
-	return ss.CallKeyTraced(key, op, arg, -1)
+	r, _, err := ss.route(key, op, arg, -1)
+	return r, err
 }
 
-// CallKeyTraced is CallKey carrying a causal parent span (the wire trace
-// context) down to the shard's cluster.
-func (ss *ShardSet) CallKeyTraced(key, op string, arg any, parent int64) (rtnet.Response, error) {
-	if key == "" {
-		return rtnet.Response{}, fmt.Errorf("serve: sharded call needs a non-empty object key")
-	}
-	ss.mu.Lock()
-	if !ss.started || ss.draining {
-		ss.mu.Unlock()
-		if !ss.started {
-			return rtnet.Response{}, errors.New("serve: shard set not started")
+// route is the router, in process and on the wire. It applies the one key
+// rule — a request names an object iff the deployment has more than one
+// shard — and hands the call, carrying its causal parent span, to its
+// shard, whose index it returns.
+func (ss *ShardSet) route(key, op string, arg any, parent int64) (rtnet.Response, int, error) {
+	if len(ss.shards) == 1 {
+		if key != "" {
+			return rtnet.Response{}, 0, errors.New(
+				"serve: single-object server: request has an object key (connect to a shard router, or drop the key)")
 		}
-		return rtnet.Response{}, ErrDraining
+		ss.routed[0].Inc()
+		r, err := ss.shards[0].callTraced(op, arg, parent)
+		return r, 0, err
 	}
-	ss.inflight.Add(1)
-	ss.mu.Unlock()
-	defer ss.inflight.Done()
+	if key == "" {
+		return rtnet.Response{}, 0, fmt.Errorf("serve: shard router (%d shards): request needs an object key", len(ss.shards))
+	}
 	shard := ss.ShardFor(key)
 	if ss.misroute != nil {
 		shard = ss.misroute(key, shard)
 	}
-	karg, err := keyedArg(key, arg)
+	karg, err := adt.KeyArg(key, arg)
 	if err != nil {
 		ss.routeErrs.Inc()
-		return rtnet.Response{}, err
+		return rtnet.Response{}, shard, err
 	}
 	ss.routed[shard].Inc()
-	return ss.shards[shard].CallTraced(op, karg, parent)
-}
-
-// keyedArg packs (key, base arg) into the keyed argument convention.
-func keyedArg(key string, arg any) (any, error) {
-	return adt.KeyArg(key, arg)
-}
-
-// handleRequest is the router's wire dispatcher: the front end hands it
-// decoded requests.
-func (ss *ShardSet) handleRequest(req request) response {
-	if req.key == "" {
-		return errResponse(req.id,
-			fmt.Sprintf("serve: shard router (%d shards): request needs an object key", len(ss.shards)))
-	}
-	r, err := ss.CallKeyTraced(req.key, req.op, req.arg, traceParent(req.trace))
-	if err != nil {
-		return errResponse(req.id, err.Error())
-	}
-	return response{id: req.id, ret: r.Ret, class: r.Class,
-		shard:  ss.ShardFor(req.key),
-		invoke: int64(r.Invoke), respond: int64(r.Respond)}
-}
-
-// Serve accepts router connections on ln until the listener closes.
-// Returns nil on a drain-initiated close.
-func (ss *ShardSet) Serve(ln net.Listener) error {
-	return ss.fe.serve(ln)
+	r, err := ss.shards[shard].callTraced(op, karg, parent)
+	return r, shard, err
 }
 
 // Drain gracefully shuts the whole deployment down: the router's
-// listeners close, new calls are refused, every in-flight operation on
-// every shard completes, all shard clusters drain in parallel, and only
-// then do open connections flush their pending responses and close.
-// Idempotent; later calls return the first drain's result.
+// listeners close, every shard drains in parallel — refusing new calls,
+// completing what is in flight, stopping its cluster — within the one
+// timeout, and only then do open connections flush their pending
+// responses and close. Idempotent; later calls return the first drain's
+// result.
 func (ss *ShardSet) Drain(timeout time.Duration) error {
 	ss.drainOnce.Do(func() { ss.drainErr = ss.drain(timeout) })
 	return ss.drainErr
 }
 
 func (ss *ShardSet) drain(timeout time.Duration) error {
-	ss.mu.Lock()
-	started := ss.started
-	ss.draining = true
-	ss.mu.Unlock()
+	// Flag the drain before closing listeners: Serve's accept loop tells
+	// a drain-initiated close from a failure by it.
+	ss.draining.Store(true)
 	ss.fe.closeListeners()
-	var err error
-	if started {
-		// Router-level in-flight calls must land on their shards before
-		// any shard begins refusing work: quiesce the router first, then
-		// drain the shards concurrently.
-		done := make(chan struct{})
+	// A call that slipped past the router as the drain began meets its
+	// shard's own refusal (ErrDraining), so the router needs no in-flight
+	// gate of its own, and the shards start at once and run concurrently
+	// on the same budget.
+	var wg sync.WaitGroup
+	errs := make([]error, len(ss.shards))
+	for i, s := range ss.shards {
+		wg.Add(1)
 		go func() {
-			ss.inflight.Wait()
-			close(done)
+			defer wg.Done()
+			errs[i] = s.Drain(timeout)
 		}()
-		select {
-		case <-done:
-		case <-time.After(timeout):
-			err = fmt.Errorf("serve: shard-set drain timed out after %v with calls in flight", timeout)
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(ss.shards))
-		for i, s := range ss.shards {
-			i, s := i, s
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = s.Drain(timeout)
-			}()
-		}
-		wg.Wait()
-		for i, derr := range errs {
-			if derr != nil && err == nil {
-				err = fmt.Errorf("serve: shard %d drain: %w", i, derr)
-			}
-		}
 	}
+	wg.Wait()
 	// Responses for requests that raced the drain flush before their
 	// connections close.
 	ss.fe.shutdownConns()
-	return err
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("serve: shard %d drain: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Stats aggregates latency accounting across all shards: the quantiles
@@ -349,9 +306,6 @@ func (ss *ShardSet) Stats() Stats {
 	return st
 }
 
-// ShardTrace returns shard i's recorded trace (keyed arguments).
-func (ss *ShardSet) ShardTrace(i int) *sim.Trace { return ss.shards[i].Trace() }
-
 // Registries returns every registry of the deployment — the router's
 // plus each shard's — for the merged observability endpoint.
 func (ss *ShardSet) Registries() []*obs.Registry {
@@ -363,7 +317,9 @@ func (ss *ShardSet) Registries() []*obs.Registry {
 }
 
 // ObsHandler returns the observability HTTP handler for the deployment:
-// router and shard registries merged with obs.Default.
+// router and shard registries merged with obs.Default (harness/fuzzer
+// instruments), serving /metrics, /metrics.json, /debug/vars and
+// /debug/pprof/.
 func (ss *ShardSet) ObsHandler() http.Handler {
 	return obs.Handler(append(ss.Registries(), obs.Default)...)
 }

@@ -3,12 +3,15 @@ package serve
 import (
 	"fmt"
 	"net"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lintime/internal/adt"
+	"lintime/internal/classify"
 	"lintime/internal/harness"
 	"lintime/internal/obs"
 	"lintime/internal/simtime"
@@ -109,9 +112,9 @@ func TestShardSetPerShardX(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Drain(time.Second)
-	for i, p := range ss.ShardParams() {
-		if p.X != cfg.ShardX[i] {
-			t.Errorf("shard %d X = %d, want %d", i, p.X, cfg.ShardX[i])
+	for i, x := range cfg.ShardX {
+		if got := ss.Shard(i).Config().Params.X; got != x {
+			t.Errorf("shard %d X = %d, want %d", i, got, x)
 		}
 	}
 	if _, err := NewShardSet(ShardSetConfig{
@@ -145,73 +148,105 @@ func TestShardSetMetricNamespacesDisjoint(t *testing.T) {
 	}
 }
 
-func TestShardRouterTCP(t *testing.T) {
-	ss := startShardSet(t, 3, 2)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- ss.Serve(ln) }()
+// TestRouterTCPRoundTrip drives the router over TCP at M = 1, where the
+// single object takes unkeyed calls, and at M = 2, where calls name their
+// object: remote class and latency, value fidelity, the keyed argument
+// echo, pipelined calls over one connection, and Serve returning nil
+// after the drain.
+func TestRouterTCPRoundTrip(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("M=%d", shards), func(t *testing.T) {
+			ss := startShardSet(t, 3, shards)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveDone := make(chan error, 1)
+			go func() { serveDone <- ss.Serve(ln) }()
+			c, err := Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			key := ""
+			if shards > 1 {
+				key = "a"
+			}
 
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if r, err := c.CallKey("a", adt.OpEnqueue, 42); err != nil {
-		t.Fatalf("remote keyed enqueue: %v", err)
-	} else if key, inner, ok := adt.SplitKeyArg(r.Arg); !ok || key != "a" || !spec.ValuesEqual(inner, 42) {
-		t.Errorf("response arg = %#v, want keyed (a, 42)", r.Arg)
-	}
-	time.Sleep(5 * 40 * time.Millisecond)
-	if r, err := c.CallKey("a", adt.OpDequeue, nil); err != nil || !spec.ValuesEqual(r.Ret, 42) {
-		t.Errorf("remote keyed dequeue = (%v, %v), want 42", r.Ret, err)
-	}
-	// The router refuses unkeyed requests rather than guessing a shard.
-	if _, err := c.Call(adt.OpPeek, nil); err == nil ||
-		!strings.Contains(err.Error(), "needs an object key") {
-		t.Errorf("unkeyed request to router = %v, want key-required error", err)
-	}
-	if _, err := c.CallKey("", adt.OpPeek, nil); err == nil {
-		t.Error("empty key should fail client-side")
-	}
+			r, err := c.call(key, adt.OpEnqueue, 42)
+			if err != nil || r.Ret != nil {
+				t.Fatalf("remote enqueue = (%v, %v)", r.Ret, err)
+			}
+			if r.Class != classify.PureMutator {
+				t.Errorf("remote class = %v, want MOP", r.Class)
+			}
+			if r.Latency() <= 0 {
+				t.Errorf("remote latency = %v, want > 0", r.Latency())
+			}
+			if k, inner, ok := adt.SplitKeyArg(r.Arg); key != "" && (!ok || k != key || !spec.ValuesEqual(inner, 42)) {
+				t.Errorf("response arg = %#v, want keyed (%s, 42)", r.Arg, key)
+			}
+			time.Sleep(5 * 40 * time.Millisecond)
+			if r, err := c.call(key, adt.OpDequeue, nil); err != nil || !spec.ValuesEqual(r.Ret, 42) {
+				t.Errorf("remote dequeue = (%v, %v), want 42", r.Ret, err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := c.call(key, adt.OpEnqueue, i); err != nil {
+						t.Errorf("pipelined call %d: %v", i, err)
+					}
+				}()
+			}
+			wg.Wait()
 
-	if err := ss.Drain(30 * time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	select {
-	case err := <-serveDone:
-		if err != nil {
-			t.Errorf("Serve returned %v after drain, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("Serve did not return after drain")
+			if err := ss.Drain(30 * time.Second); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			select {
+			case err := <-serveDone:
+				if err != nil {
+					t.Errorf("Serve returned %v after drain, want nil", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("Serve did not return after drain")
+			}
+		})
 	}
 }
 
-// TestSingleObjectRejectsKeyedRequest pins the topology guard on the
-// other side: a keyed request to a single-object server is an error, so
-// a client misconfigured with the wrong address fails loudly instead of
-// silently operating on the wrong object.
-func TestSingleObjectRejectsKeyedRequest(t *testing.T) {
-	s := startServer(t, 2)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve(ln)
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.CallKey("a", adt.OpEnqueue, 1); err == nil ||
-		!strings.Contains(err.Error(), "single-object server") {
-		t.Errorf("keyed request to single-object server = %v, want topology error", err)
-	}
-	if _, err := c.Call(adt.OpEnqueue, 1); err != nil {
-		t.Errorf("unkeyed request should still work: %v", err)
+// TestTopologyGuard pins the one key rule, on the wire and in process: a
+// request names an object iff the deployment has more than one shard, so
+// a client pointed at the wrong topology fails loudly instead of silently
+// operating on the wrong object. Both refusal texts are wire contract.
+func TestTopologyGuard(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		key    string
+		want   string
+	}{
+		{1, "a", "serve: single-object server: request has an object key (connect to a shard router, or drop the key)"},
+		{2, "", "serve: shard router (2 shards): request needs an object key"},
+	} {
+		t.Run(fmt.Sprintf("M=%d", tc.shards), func(t *testing.T) {
+			ss := startShardSet(t, 2, tc.shards)
+			c, err := Dial(startTCP(t, ss))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.call(tc.key, adt.OpEnqueue, 1); err == nil || err.Error() != "serve: remote: "+tc.want {
+				t.Errorf("remote: err = %v, want %q", err, tc.want)
+			}
+			if _, err := ss.CallKey(tc.key, adt.OpEnqueue, 1); err == nil || err.Error() != tc.want {
+				t.Errorf("in process: err = %v, want %q", err, tc.want)
+			}
+			if _, err := c.CallKey("", adt.OpPeek, nil); err == nil {
+				t.Error("an empty key should fail client-side")
+			}
+		})
 	}
 }
 
@@ -283,13 +318,90 @@ func TestShardDrainUnderLoad(t *testing.T) {
 	// got; a duplicated one would leave recorded < got.
 	recorded := 0
 	for i := 0; i < ss.Shards(); i++ {
-		recorded += len(ss.ShardTrace(i).Ops)
+		recorded += len(ss.Shard(i).Trace().Ops)
 	}
 	if recorded != got {
 		t.Errorf("server recorded %d ops, clients saw %d successful responses", recorded, got)
 	}
 	if rep := ss.CheckPerObject(0); !rep.OK() {
 		t.Errorf("per-object check after drain: %+v", rep)
+	}
+}
+
+// TestDrainKeepsOneBudget pins the drain deadline: with an operation in
+// flight that outlives the budget, Drain returns its timeout error within
+// the one budget it was given — the cluster gets what the in-flight wait
+// left over, not a fresh timeout per phase — at M = 1 and at M > 1.
+func TestDrainKeepsOneBudget(t *testing.T) {
+	const budget = 300 * time.Millisecond
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("M=%d", shards), func(t *testing.T) {
+			cfg := testShardConfig(2, shards)
+			cfg.Tick = time.Second // every operation outlives the budget
+			ss, err := NewShardSet(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss.Start()
+			key := ""
+			if shards > 1 {
+				key = "a"
+			}
+			called := make(chan error, 1)
+			go func() {
+				_, _, err := ss.route(key, adt.OpEnqueue, 1, -1)
+				called <- err
+			}()
+			inflight := ss.Shard(ss.ShardFor(key)).obsm.inflight
+			for inflight.Value() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			start := time.Now()
+			err = ss.Drain(budget)
+			if took := time.Since(start); took >= budget*3/2 {
+				t.Errorf("Drain(%v) returned after %v", budget, took)
+			}
+			if err == nil {
+				t.Error("Drain with an outliving operation in flight returned nil")
+			}
+			if err := <-called; err == nil {
+				t.Error("the outliving operation succeeded after its cluster stopped")
+			}
+		})
+	}
+}
+
+// TestMetricNamesPinned pins the series names, not values, that an M = 1
+// and an M = 4 deployment export besides obs.Default: the single object
+// keeps every historical unlabeled name next to the router's own, and
+// each shard of a larger deployment its shard-labelled ones. Dashboards
+// and `lintime stat` read these names, so a change must be deliberate.
+func TestMetricNamesPinned(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("M=%d", shards), func(t *testing.T) {
+			ss, err := NewShardSet(testShardConfig(3, shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := obs.TakeSnapshot(ss.Registries()...)
+			var names []string
+			for kind, series := range map[string]map[string]int64{"counter": snap.Counters, "gauge": snap.Gauges} {
+				for name := range series {
+					names = append(names, kind+" "+name)
+				}
+			}
+			for name := range snap.Hists {
+				names = append(names, "hist "+name)
+			}
+			sort.Strings(names)
+			want, err := os.ReadFile(fmt.Sprintf("testdata/metric-names-m%d.txt", shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(names, "\n") + "\n"; got != string(want) {
+				t.Errorf("series names differ from testdata/metric-names-m%d.txt; got:\n%s", shards, got)
+			}
+		})
 	}
 }
 
@@ -341,13 +453,17 @@ func TestRunLoadShardedZipf(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("obj-%d", i)
 	}
+	shardParams := make([]simtime.Params, ss.Shards())
+	for i := range shardParams {
+		shardParams[i] = ss.Shard(i).Config().Params
+	}
 	sum, err := RunLoad(ss, ss.Type(), ss.Config().Params, ss.Config().Tick, LoadConfig{
 		Clients:      4,
 		OpsPerClient: 8,
 		Seed:         11,
 		Keys:         keys,
 		Zipf:         1.5,
-		ShardParams:  ss.ShardParams(),
+		ShardParams:  shardParams,
 		Mix: []harness.OpPick{
 			{Op: adt.OpEnqueue, Weight: 2},
 			{Op: adt.OpDequeue, Weight: 1},
@@ -392,12 +508,14 @@ func TestRunLoadShardedZipf(t *testing.T) {
 	}
 }
 
+// TestRunLoadKeyedNeedsKeyedTarget: a keyed run needs a deployment of
+// named objects — the M = 1 router refuses the keys — and no empty key.
 func TestRunLoadKeyedNeedsKeyedTarget(t *testing.T) {
-	s := startServer(t, 2)
+	s := startShardSet(t, 2, 1)
 	if _, err := RunLoad(s, s.Type(), s.Config().Params, s.Config().Tick, LoadConfig{
 		Clients: 1, OpsPerClient: 1, Keys: []string{"a"},
-	}); err == nil || !strings.Contains(err.Error(), "keyed load") {
-		t.Errorf("keyed load against single-object server = %v, want keyed-target error", err)
+	}); err == nil || !strings.Contains(err.Error(), "single-object server") {
+		t.Errorf("keyed load against a single object = %v, want the topology error", err)
 	}
 	ss := startShardSet(t, 2, 2)
 	if _, err := RunLoad(ss, ss.Type(), ss.Config().Params, ss.Config().Tick, LoadConfig{
@@ -412,7 +530,7 @@ func TestRunLoadKeyedNeedsKeyedTarget(t *testing.T) {
 // for at least the configured duration and reports the window it
 // actually measured.
 func TestRunLoadMeasuredWindow(t *testing.T) {
-	s := startServer(t, 2)
+	s := startShardSet(t, 2, 1)
 	const want = 300 * time.Millisecond
 	startT := time.Now()
 	sum, err := RunLoad(s, s.Type(), s.Config().Params, s.Config().Tick, LoadConfig{

@@ -142,7 +142,7 @@ func TestSoakSharded(t *testing.T) {
 		}
 		runPhase(phase, dur)
 		for i := 0; i < shards; i++ {
-			cuts[i] = append(cuts[i], len(ss.ShardTrace(i).Ops))
+			cuts[i] = append(cuts[i], len(ss.Shard(i).Trace().Ops))
 		}
 		if t.Failed() {
 			break
@@ -155,7 +155,7 @@ func TestSoakSharded(t *testing.T) {
 
 	recorded := 0
 	for i := 0; i < shards; i++ {
-		recorded += len(ss.ShardTrace(i).Ops)
+		recorded += len(ss.Shard(i).Trace().Ops)
 	}
 	if got, want := int64(recorded), submitted.Load(); got != want {
 		t.Errorf("recorded %d ops fleet-wide, submitted %d: drain lost operations", got, want)
@@ -176,7 +176,7 @@ func TestSoakSharded(t *testing.T) {
 	inner := ss.Type()
 	checked := 0
 	for i := 0; i < shards; i++ {
-		tr := ss.ShardTrace(i)
+		tr := ss.Shard(i).Trace()
 		prev := 0
 		for k, cut := range cuts[i] {
 			segment := tr.Ops[prev:cut]
@@ -208,7 +208,7 @@ func TestSoakSharded(t *testing.T) {
 		recorded, shards, checked, func() []int {
 			out := make([]int, shards)
 			for i := range out {
-				out[i] = len(ss.ShardTrace(i).Ops)
+				out[i] = len(ss.Shard(i).Trace().Ops)
 			}
 			return out
 		}())

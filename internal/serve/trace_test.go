@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -12,28 +11,24 @@ import (
 )
 
 // TestServerTracingEndToEnd drives a traced client over TCP against a
-// server with the causal collector installed and checks the whole
-// tentpole contract on the real-time substrate: the server-side tree
-// carries the client-side span as its causal parent, the attribution
-// identity holds exactly (it is structural, so wall-clock jitter lands
-// in skew_adjust rather than breaking the sum), and the per-term
-// histograms stream onto the server's registry.
+// single-object deployment with the causal collector installed and
+// checks the whole contract on the real-time substrate: the server-side
+// tree carries the client-side span as its causal parent, the
+// attribution identity holds exactly (it is structural, so wall-clock
+// jitter lands in skew_adjust rather than breaking the sum), and the
+// per-term histograms stream onto the shard's registry.
 func TestServerTracingEndToEnd(t *testing.T) {
-	s, err := New(testConfig(3))
+	ss, err := NewShardSet(testShardConfig(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	coll := obs.NewCollector(64)
-	s.SetTracer(coll)
-	s.Start()
-	t.Cleanup(func() { s.Drain(30 * time.Second) })
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve(ln)
+	ss.SetTracers(func(int) *obs.Collector { return coll })
+	ss.Start()
+	t.Cleanup(func() { ss.Drain(30 * time.Second) })
+	s := ss.Shard(0)
 
-	c, err := Dial(ln.Addr().String())
+	c, err := Dial(startTCP(t, ss))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,14 +174,14 @@ func TestWireTruncatedInputs(t *testing.T) {
 	}
 }
 
-// startTCP serves s on a loopback listener and returns the address.
-func startTCP(t *testing.T, s *Server) string {
+// startTCP serves ss on a loopback listener and returns the address.
+func startTCP(t *testing.T, ss *ShardSet) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go s.Serve(ln)
+	go ss.Serve(ln)
 	return ln.Addr().String()
 }
 
@@ -189,8 +189,8 @@ func startTCP(t *testing.T, s *Server) string {
 // hello/op-table handshake, pipelined calls, value fidelity, remote and
 // local error paths, and the connection counter.
 func TestBinaryClientRoundTrip(t *testing.T) {
-	s := startServer(t, 3)
-	addr := startTCP(t, s)
+	ss := startShardSet(t, 3, 1)
+	addr := startTCP(t, ss)
 	c, err := DialCodec(addr, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestBinaryClientRoundTrip(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.fe.connsTotal.Value(); got != 1 {
+	if got := ss.fe.connsTotal.Value(); got != 1 {
 		t.Errorf("connection counter = %d, want 1", got)
 	}
 }
@@ -245,8 +245,7 @@ func TestDialCodecUnknown(t *testing.T) {
 // naming what the server requires, then EOF, and the server keeps
 // serving a well-formed client.
 func TestBinaryVersionRejected(t *testing.T) {
-	s := startServer(t, 2)
-	addr := startTCP(t, s)
+	addr := startTCP(t, startShardSet(t, 2, 1))
 	jsonHeader := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
 	for _, tc := range []struct {
 		name, want string
@@ -313,8 +312,7 @@ func readBinaryFrame(t *testing.T, r io.Reader) response {
 // with a typed protocol error frame (id −1) and close, not silently drop
 // the connection.
 func TestOversizedRequestBinary(t *testing.T) {
-	s := startServer(t, 2)
-	addr := startTCP(t, s)
+	addr := startTCP(t, startShardSet(t, 2, 1))
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -370,8 +368,7 @@ func TestOversizedResponse(t *testing.T) {
 // an argument too large to frame fails locally without poisoning the
 // connection, which stays usable for the next call.
 func TestOversizedClientRequest(t *testing.T) {
-	s := startServer(t, 2)
-	addr := startTCP(t, s)
+	addr := startTCP(t, startShardSet(t, 2, 1))
 	huge := strings.Repeat("x", maxFrame+16)
 	t.Run(CodecBinary, func(t *testing.T) {
 		c, err := DialCodec(addr, CodecBinary)
