@@ -31,10 +31,13 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-compare is the determinism smoke for the zero-allocation engine:
-# a short run of the engine benchmarks (they must still pass), then tables
-# and fuzz outputs re-generated at different parallelism levels and
-# compared byte for byte.
+# bench-compare is the determinism smoke for the zero-allocation engine
+# and the verifier's pooled kits: a short run of the engine benchmarks
+# (they must still pass), then tables, fuzz and verify outputs
+# re-generated at different parallelism levels and compared byte for
+# byte. Each worker reuses one node set, table and checker across
+# schedules, so state leaking from one schedule into the next shows as
+# output that depends on how schedules fall to workers.
 bench-compare:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn' -benchtime 10x -benchmem ./internal/sim/
 	$(GO) build -o /tmp/lintime-bench-compare ./cmd/lintime
@@ -44,6 +47,12 @@ bench-compare:
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 1 > /tmp/bench-compare-fuzz-p1.txt
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 8 > /tmp/bench-compare-fuzz-p8.txt
 	cmp /tmp/bench-compare-fuzz-p1.txt /tmp/bench-compare-fuzz-p8.txt
+	for args in "verify" "verify -mutant all" "verify -backend quorum -d 8 -u 6 -ops 2" \
+		"fuzz -backend sequencer -budget 300 -seed 1"; do \
+		/tmp/lintime-bench-compare $$args -parallel 1 > /tmp/bench-compare-p1.txt && \
+		/tmp/lintime-bench-compare $$args -parallel 4 > /tmp/bench-compare-p4.txt && \
+		cmp /tmp/bench-compare-p1.txt /tmp/bench-compare-p4.txt || { echo "bench-compare: lintime $$args differs"; exit 1; }; \
+	done
 	@echo "bench-compare: outputs byte-identical across parallelism levels"
 
 # stat-smoke boots a live load run with the observability endpoint on,

@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	eng, err := sim.NewEngine(p, sim.SpreadOffsets(p.N, p.Epsilon),
-		sim.UniformNetwork{D: p.D}, build())
+		sim.UniformNetwork{D: p.D}, build(queue))
 	if err != nil {
 		log.Fatal(err)
 	}

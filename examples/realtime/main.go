@@ -33,11 +33,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	build, err := alg1.Builder(p, adt.NewQueue(), "")
+	queue := adt.NewQueue()
+	build, err := alg1.Builder(p, queue, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster, err := rtnet.NewCluster(rtnet.Params{Params: p}, tick, sim.SpreadOffsets(p.N, p.Epsilon), build(), 1)
+	cluster, err := rtnet.NewCluster(rtnet.Params{Params: p}, tick, sim.SpreadOffsets(p.N, p.Epsilon), build(queue), 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -317,14 +317,8 @@ type Runner struct {
 	// feed the diagram renderer need sim.TraceFull.
 	Trace sim.TraceLevel
 
-	// engines recycles one engine per worker across schedules: the event
-	// queue's backing array, bookkeeping maps, and trace-capacity hints
-	// survive, so a steady-state schedule run allocates only its outcome.
-	engines sync.Pool
-	// checkers recycles one linearizability checker per worker the same
-	// way: a Checker is single-threaded, and the transitions of the data
-	// type it has cached serve every later history of this Runner.
-	checkers sync.Pool
+	// kits recycles one worker's apparatus across schedules (see kit).
+	kits sync.Pool
 
 	// The target is resolved against the harness table once, on first use:
 	// classification, the mutant lookup and the type check are paid per
@@ -332,8 +326,54 @@ type Runner struct {
 	resolveOnce sync.Once
 	resolveErr  error
 	backend     *harness.Backend
-	build       func() []sim.Node
+	build       func(states spec.DataType) []sim.Node
 	opNames     map[string]struct{} // the data type's operations, for validation
+}
+
+// kit is what one worker reuses from schedule to schedule: an engine
+// that keeps its event queue's backing array and trace-capacity hints; a
+// node set built once, which Engine.Reset and each node's Init return to
+// its constructed state; and a table whose compiled states the replicas
+// hold and the checker searches, so each transition of the data type is
+// computed once per kit. A schedule run then allocates little beyond its
+// outcome.
+type kit struct {
+	eng     *sim.Engine
+	checker *lincheck.Checker
+	table   *spec.Table
+	nodes   []sim.Node
+
+	plans     [][]PlannedOp      // the running schedule's invocation plans
+	cursor    []int              // per process: index of the planned op pending
+	onRespond func(sim.OpRecord) // invokeNext as a func value, made once
+}
+
+// take hands out a pooled kit, or a new one. The table is trimmed here
+// and only here, between runs, because a trim voids the compiled states
+// the nodes and the checker hold; a checker over a reset table is rebuilt,
+// and the nodes pick up fresh states at their next Init.
+func (r *Runner) take() *kit {
+	if k, ok := r.kits.Get().(*kit); ok {
+		if k.table.Trim() {
+			k.checker = lincheck.NewChecker(k.table.Compiled())
+		}
+		return k
+	}
+	k := &kit{table: spec.NewTable(r.DT), cursor: make([]int, r.Params.N)}
+	k.checker = lincheck.NewChecker(k.table.Compiled())
+	k.nodes = r.build(k.table.Compiled())
+	k.onRespond = k.invokeNext
+	return k
+}
+
+// invokeNext is the engine's OnRespond: it invokes the responding
+// process's next planned operation, Gap after the response.
+func (k *kit) invokeNext(rec sim.OpRecord) {
+	plan := k.plans[rec.Proc]
+	k.cursor[rec.Proc]++
+	if i := k.cursor[rec.Proc]; i < len(plan) {
+		k.eng.InvokeAt(rec.Proc, rec.RespondTime.Add(plan[i].Gap), plan[i].Op, plan[i].Arg)
+	}
 }
 
 func (r *Runner) resolve() error {
@@ -395,35 +435,32 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 	if s.HasFaults() && !r.backend.Faults {
 		return nil, fmt.Errorf("adversary: target %s assumes reliable processes and channels; crash/drop axes require a fault-tolerant backend", r.Target)
 	}
-	nodes := r.build()
-	var eng *sim.Engine
+	k := r.take()
+	defer r.kits.Put(k)
+	return r.runOn(k, s, net)
+}
+
+// runOn drives a validated schedule through one kit.
+func (r *Runner) runOn(k *kit, s Schedule, net sim.Network) (*Outcome, error) {
 	var err error
-	if pooled, ok := r.engines.Get().(*sim.Engine); ok {
-		eng = pooled
-		if err := eng.Reset(r.Params, s.Offsets, net, nodes); err != nil {
-			return nil, err
-		}
+	if k.eng == nil {
+		k.eng, err = sim.NewEngine(r.Params, s.Offsets, net, k.nodes)
 	} else {
-		eng, err = sim.NewEngine(r.Params, s.Offsets, net, nodes)
-		if err != nil {
-			return nil, err
-		}
+		err = k.eng.Reset(r.Params, s.Offsets, net, k.nodes)
 	}
-	defer r.engines.Put(eng)
+	if err != nil {
+		return nil, err
+	}
+	eng := k.eng
 	eng.SetTraceLevel(r.Trace)
 	if s.HasFaults() {
 		if err := eng.SetFaults(sim.FaultPlan{Crashes: s.Crashes, Drops: s.Drops}); err != nil {
 			return nil, err
 		}
 	}
-	cursor := make([]int, r.Params.N)
-	eng.OnRespond = func(rec sim.OpRecord) {
-		plan := s.Plans[rec.Proc]
-		cursor[rec.Proc]++
-		if i := cursor[rec.Proc]; i < len(plan) {
-			eng.InvokeAt(rec.Proc, rec.RespondTime.Add(plan[i].Gap), plan[i].Op, plan[i].Arg)
-		}
-	}
+	k.plans = s.Plans
+	clear(k.cursor)
+	eng.OnRespond = k.onRespond
 	for proc, plan := range s.Plans {
 		if len(plan) > 0 {
 			eng.InvokeAt(sim.ProcID(proc), simtime.Time(plan[0].Gap), plan[0].Op, plan[0].Arg)
@@ -440,14 +477,9 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 		sig = (sig ^ uint64(byte(m.From))) * fnvPrime
 		sig = (sig ^ uint64(byte(m.To))) * fnvPrime
 	}
-	checker, ok := r.checkers.Get().(*lincheck.Checker)
-	if !ok {
-		checker = lincheck.NewChecker(r.DT)
-	}
-	defer r.checkers.Put(checker)
 	out := &Outcome{
 		Trace: tr,
-		Check: checker.CheckTrace(tr),
+		Check: k.checker.CheckTrace(tr),
 		// Crash-aware completeness: an op pending at a crashed invoker is
 		// legitimate; at a live process it is a liveness violation. On
 		// fault-free runs this is exactly CheckComplete.
@@ -455,6 +487,6 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 		sig:        sig,
 		hasSig:     true,
 	}
-	out.Fingerprints = r.backend.Fingerprints(nodes)
+	out.Fingerprints = r.backend.Fingerprints(k.nodes)
 	return out, nil
 }

@@ -132,8 +132,8 @@ func TestRunnerResolvesTargetOnce(t *testing.T) {
 			return testing.AllocsPerRun(50, run)
 		}
 		// Under the race detector sync.Pool drops a quarter of its Puts at
-		// random and a run that rebuilds its engine or its checker costs
-		// more, so only the cheapest single run is comparable there.
+		// random and a run that rebuilds its kit costs more, so only the
+		// cheapest single run is comparable there.
 		best := math.Inf(1)
 		for i := 0; i < 20; i++ {
 			best = min(best, testing.AllocsPerRun(1, run))
@@ -146,22 +146,23 @@ func TestRunnerResolvesTargetOnce(t *testing.T) {
 	if mutated > correct {
 		t.Errorf("mutated target: %.0f allocs/run, correct target %.0f", mutated, correct)
 	}
-	// What one schedule allocates end to end — engine run, admissibility,
-	// pooled linearizability checker — at the floor PR 15 recorded:
-	// BenchmarkRunnerRun's 67 allocs/op is a rounded mean that includes
-	// the pools' refills after a collection; AllocsPerRun rounds down, to
-	// the 66 every run pays.
-	if correct > 66 {
-		t.Errorf("correct target: %.0f allocs/run, recorded floor 66", correct)
+	// What one schedule allocates end to end once its worker's kit is
+	// built: the outcome, its trace (four allocations at sim.TraceOps),
+	// its witness and fingerprints, the network boxed as an interface, and
+	// per operation a timer tag or a broadcast — 16 here. A kit rebuilt
+	// after a collection costs more; BenchmarkRunnerRun's mean includes
+	// that, AllocsPerRun rounds it away.
+	if correct > 16 {
+		t.Errorf("correct target: %.0f allocs/run, recorded floor 16", correct)
 	}
 }
 
-// TestRunnerConcurrentRun hands one Runner's pooled engines and checkers
-// between eight goroutines (run under -race in `make race`): a Checker is
-// single-threaded and carries tables from one history to the next, so a
-// hand-off that shared one, or a table poisoned by an earlier history
-// (the mutant target's are often not linearizable), would show as an
-// outcome differing from a fresh Runner's sequential one.
+// TestRunnerConcurrentRun hands one Runner's pooled kits between eight
+// goroutines (run under -race in `make race`): a kit's engine, nodes,
+// table and checker are single-threaded and carry state from one schedule
+// to the next, so a hand-off that shared one, or a table poisoned by an
+// earlier history (the mutant target's are often not linearizable), would
+// show as an outcome differing from a fresh Runner's sequential one.
 func TestRunnerConcurrentRun(t *testing.T) {
 	p := simtime.DefaultParams(3)
 	dt, err := adt.Lookup("queue")

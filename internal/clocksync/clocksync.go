@@ -68,7 +68,10 @@ func NewNodes(p simtime.Params) []sim.Node {
 func (n *Node) Done() bool { return n.done }
 
 // Init implements sim.Node.
-func (n *Node) Init(ctx sim.Context) {}
+func (n *Node) Init(ctx sim.Context) {
+	clear(n.estimates)
+	*n = Node{params: n.params, estimates: n.estimates}
+}
 
 // OnInvoke implements sim.Node: the "sync" invocation starts the round at
 // this process and responds once all estimates are in.

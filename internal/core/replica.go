@@ -112,6 +112,12 @@ type Replica struct {
 	queue   toExecuteQueue
 	history []spec.Instance // local execution history (§5.1 history variable)
 
+	// free holds drained queue entries for reuse and scratch is
+	// speculativeRead's fold list, so a replica in steady state — serving
+	// a live stream, or reused across runs — allocates neither again.
+	free    []*pendingOp
+	scratch []*pendingOp
+
 	// KeepHistory records every locally executed instance in order; the
 	// harness uses it to validate replica convergence. Off by default to
 	// keep long runs cheap (the paper notes the history variable can be
@@ -138,7 +144,9 @@ type Replica struct {
 // NewReplica builds one Algorithm 1 replica. Every process of the system
 // must get its own Replica instance constructed with identical arguments.
 func NewReplica(dt spec.DataType, classes map[string]classify.Class, timers Timers) *Replica {
-	return &Replica{dt: dt, classes: classes, timers: timers, state: dt.Initial()}
+	r := &Replica{dt: dt, classes: classes, timers: timers}
+	r.Init(nil)
+	return r
 }
 
 // NewReplicas builds n identically configured replicas as sim.Nodes.
@@ -166,8 +174,37 @@ func (r *Replica) classOf(op string) classify.Class {
 	return classify.Mixed
 }
 
-// Init implements sim.Node.
-func (r *Replica) Init(sim.Context) {}
+// Init implements sim.Node: the committed state returns to the initial
+// one and every queued entry to the free list.
+func (r *Replica) Init(sim.Context) {
+	r.state, r.history = r.dt.Initial(), nil
+	for _, e := range r.queue.items {
+		r.release(e)
+	}
+	clear(r.queue.items)
+	r.queue.items = r.queue.items[:0]
+}
+
+// entry returns a queue entry for the mutator, reusing a drained one when
+// the free list has any.
+func (r *Replica) entry(op string, arg spec.Value, ts Timestamp) *pendingOp {
+	var e *pendingOp
+	if n := len(r.free); n > 0 {
+		e, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		e = new(pendingOp)
+	}
+	*e = pendingOp{op: op, arg: arg, ts: ts, respondSeq: -1}
+	return e
+}
+
+// release returns an entry to the free list. No tag still in flight can
+// reach it: its execute timer has fired or been canceled, or — at Init —
+// the run that armed it is over.
+func (r *Replica) release(e *pendingOp) {
+	*e = pendingOp{}
+	r.free = append(r.free, e)
+}
 
 // OnInvoke implements sim.Node: Algorithm 1's InvokeAOP and InvokeOP
 // handlers.
@@ -181,7 +218,7 @@ func (r *Replica) OnInvoke(ctx sim.Context, inv sim.Invocation) {
 	case classify.PureMutator, classify.Mixed:
 		// InvokeOP (lines 10-15).
 		ts := Timestamp{Time: ctx.LocalTime(), Proc: ctx.ID()}
-		entry := &pendingOp{op: inv.Op, arg: inv.Arg, ts: ts, respondSeq: -1}
+		entry := r.entry(inv.Op, inv.Arg, ts)
 		if r.classOf(inv.Op) == classify.PureMutator {
 			// Pure mutators respond after X+ε, independent of execution.
 			// Their response cannot depend on the state (they are not
@@ -205,7 +242,7 @@ func (r *Replica) OnMessage(ctx sim.Context, from sim.ProcID, payload any) {
 	if !ok {
 		panic(fmt.Sprintf("core: unexpected message %T", payload))
 	}
-	r.addToQueue(ctx, &pendingOp{op: msg.Op, arg: msg.Arg, ts: msg.TS, respondSeq: -1})
+	r.addToQueue(ctx, r.entry(msg.Op, msg.Arg, msg.TS))
 }
 
 // OnTimer implements sim.Node, dispatching on the timer tag.
@@ -255,8 +292,10 @@ func (r *Replica) drainUpTo(ctx sim.Context, ts Timestamp) {
 		entry := r.queue.ExtractMin()
 		ctx.CancelTimer(entry.execTimer)
 		ret := r.executeLocally(entry.op, entry.arg)
-		if entry.respondSeq >= 0 {
-			ctx.Respond(entry.respondSeq, ret)
+		respondSeq := entry.respondSeq
+		r.release(entry)
+		if respondSeq >= 0 {
+			ctx.Respond(respondSeq, ret)
 		}
 	}
 }
@@ -267,7 +306,7 @@ func (r *Replica) drainUpTo(ctx sim.Context, ts Timestamp) {
 // immutable this costs one fold over the pending entries and leaves the
 // replica untouched.
 func (r *Replica) speculativeRead(ts Timestamp, op string, arg spec.Value) spec.Value {
-	pending := make([]*pendingOp, 0, len(r.queue.items))
+	pending := r.scratch[:0]
 	for _, e := range r.queue.items {
 		if e.ts.LessEq(ts) {
 			pending = append(pending, e)
@@ -283,6 +322,7 @@ func (r *Replica) speculativeRead(ts Timestamp, op string, arg spec.Value) spec.
 	for _, e := range pending {
 		_, view = view.Apply(e.op, e.arg)
 	}
+	r.scratch = pending[:0]
 	ret, _ := view.Apply(op, arg)
 	return ret
 }

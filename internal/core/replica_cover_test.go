@@ -33,7 +33,7 @@ func TestNewReplicasBuildsDistinctNodes(t *testing.T) {
 		if got, want := r.StateFingerprint(), dt.Initial().Fingerprint(); got != want {
 			t.Errorf("node %d initial fingerprint %q, want %q", i, got, want)
 		}
-		r.Init(nil) // Init is a no-op; it must tolerate any context
+		r.Init(nil) // Init reads no context; it must tolerate any
 	}
 }
 

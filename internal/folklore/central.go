@@ -62,7 +62,7 @@ func NewCentralNodes(n int, dt spec.DataType) []sim.Node {
 func (c *Central) StateFingerprint() string { return c.state.Fingerprint() }
 
 // Init implements sim.Node.
-func (c *Central) Init(sim.Context) {}
+func (c *Central) Init(sim.Context) { c.state = c.dt.Initial() }
 
 // OnInvoke implements sim.Node.
 func (c *Central) OnInvoke(ctx sim.Context, inv sim.Invocation) {

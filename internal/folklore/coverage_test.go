@@ -35,9 +35,10 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// TestNodeInterfaceStubs pins the inert sim.Node methods (Init and
-// OnTimer are deliberate no-ops in both folklore algorithms — neither
-// uses timers) and the defensive panics on protocol-violating messages.
+// TestNodeInterfaceStubs pins the inert sim.Node methods (OnTimer is a
+// deliberate no-op in both folklore algorithms — neither uses timers —
+// and Init needs no context) and the defensive panics on
+// protocol-violating messages.
 func TestNodeInterfaceStubs(t *testing.T) {
 	dt := adt.NewRegister(0)
 	c := NewCentral(dt)

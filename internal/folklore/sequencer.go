@@ -53,7 +53,10 @@ func NewSequencerNodes(n int, dt spec.DataType) []sim.Node {
 func (s *Sequencer) StateFingerprint() string { return s.state.Fingerprint() }
 
 // Init implements sim.Node.
-func (s *Sequencer) Init(sim.Context) {}
+func (s *Sequencer) Init(sim.Context) {
+	clear(s.outOfOrder)
+	s.state, s.nextSeq, s.nextApply, s.outOfOrder = s.dt.Initial(), 0, 0, s.outOfOrder[:0]
+}
 
 // OnInvoke implements sim.Node.
 func (s *Sequencer) OnInvoke(ctx sim.Context, inv sim.Invocation) {

@@ -37,7 +37,7 @@ type Mutant struct {
 
 // resolver checks (p, dt) against a protocol once and returns a
 // constructor of fresh replica sets; the zero Mutant is the control.
-type resolver func(simtime.Params, spec.DataType, Mutant) (func() []sim.Node, error)
+type resolver func(simtime.Params, spec.DataType, Mutant) (func(states spec.DataType) []sim.Node, error)
 
 // Backend is one row of the protocol table: everything the repo knows
 // about a replicated protocol apart from its state machine.
@@ -122,7 +122,7 @@ func paperTimers(t *core.Timers, p simtime.Params) { *t = core.PaperTimers(p) }
 // resolveCore builds Algorithm 1 replicas over a class map, with the
 // corrected timers edited first by the variant, then by the mutant.
 func resolveCore(classesOf func(spec.DataType) map[string]classify.Class, variant func(*core.Timers, simtime.Params)) resolver {
-	return func(p simtime.Params, dt spec.DataType, m Mutant) (func() []sim.Node, error) {
+	return func(p simtime.Params, dt spec.DataType, m Mutant) (func(spec.DataType) []sim.Node, error) {
 		classes, timers := classesOf(dt), core.DefaultTimers(p)
 		if variant != nil {
 			variant(&timers, p)
@@ -130,8 +130,8 @@ func resolveCore(classesOf func(spec.DataType) map[string]classify.Class, varian
 		if m.timers != nil {
 			m.timers(&timers, p)
 		}
-		return func() []sim.Node {
-			nodes := core.NewReplicas(p.N, dt, classes, timers)
+		return func(states spec.DataType) []sim.Node {
+			nodes := core.NewReplicas(p.N, states, classes, timers)
 			for _, n := range nodes {
 				n.(*core.Replica).LiteralAOPDrain = m.literalDrain
 			}
@@ -141,15 +141,15 @@ func resolveCore(classesOf func(spec.DataType) map[string]classify.Class, varian
 }
 
 func resolveFolklore(build func(int, spec.DataType) []sim.Node) resolver {
-	return func(p simtime.Params, dt spec.DataType, _ Mutant) (func() []sim.Node, error) {
-		return func() []sim.Node { return build(p.N, dt) }, nil
+	return func(p simtime.Params, _ spec.DataType, _ Mutant) (func(spec.DataType) []sim.Node, error) {
+		return func(states spec.DataType) []sim.Node { return build(p.N, states) }, nil
 	}
 }
 
 // resolveQuorum builds ABD replicas; the protocol serves exactly the
 // register type, whose initial value is what reading its initial state
 // returns.
-func resolveQuorum(p simtime.Params, dt spec.DataType, m Mutant) (func() []sim.Node, error) {
+func resolveQuorum(p simtime.Params, dt spec.DataType, m Mutant) (func(spec.DataType) []sim.Node, error) {
 	if dt.Name() != adt.NewRegister(0).Name() {
 		return nil, fmt.Errorf("harness: the quorum backend serves the register type, not %q", dt.Name())
 	}
@@ -159,7 +159,7 @@ func resolveQuorum(p simtime.Params, dt spec.DataType, m Mutant) (func() []sim.N
 		return nil, fmt.Errorf("harness: register initial read returned %T, want int", v)
 	}
 	cfg := quorumConfig(p, m)
-	return func() []sim.Node { return quorum.NewReplicas(p.N, initial, cfg) }, nil
+	return func(spec.DataType) []sim.Node { return quorum.NewReplicas(p.N, initial, cfg) }, nil
 }
 
 func quorumConfig(p simtime.Params, m Mutant) quorum.Config {
@@ -243,8 +243,12 @@ func (b *Backend) mutant(name string) (Mutant, error) {
 // Builder validates (p, dt, mutant) once and returns a constructor of
 // fresh replica sets, so a campaign of many schedules against one target
 // pays the classification, the mutant lookup and the type check once.
-// The constructor is safe for concurrent use.
-func (b *Backend) Builder(p simtime.Params, dt spec.DataType, mutant string) (func() []sim.Node, error) {
+// Classification, timers and the mutant come from dt; the constructor's
+// argument is the type whose states the replicas hold — dt itself, or in
+// the verifier a spec.Table's compiled view of it (Table.Compiled), whose
+// transitions are computed once per Table. The constructor is safe for
+// concurrent use.
+func (b *Backend) Builder(p simtime.Params, dt spec.DataType, mutant string) (func(states spec.DataType) []sim.Node, error) {
 	m, err := b.mutant(mutant)
 	if err != nil {
 		return nil, err

@@ -32,7 +32,7 @@ func build(b *harness.Backend, p simtime.Params, dt spec.DataType, mutant string
 	if err != nil {
 		return nil, err
 	}
-	return mk(), nil
+	return mk(dt), nil
 }
 
 func mustType(t *testing.T, name string) spec.DataType {

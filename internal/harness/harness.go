@@ -258,7 +258,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := build()
+	nodes := build(dt)
 	net, err := buildNetwork(cfg)
 	if err != nil {
 		return nil, err

@@ -205,7 +205,9 @@ func NewReplica(initial int, cfg Config) *Replica {
 	if cfg.Retransmit <= 0 {
 		panic("quorum: Config.Retransmit must be positive")
 	}
-	return &Replica{cfg: cfg, initial: initial, tag: Tag{TS: 0, Proc: -1}, val: initial}
+	r := &Replica{cfg: cfg, initial: initial}
+	r.Init(nil)
+	return r
 }
 
 // NewReplicas builds n identically configured replicas as sim.Nodes.
@@ -218,7 +220,9 @@ func NewReplicas(n int, initial int, cfg Config) []sim.Node {
 }
 
 // Init implements sim.Node.
-func (r *Replica) Init(sim.Context) {}
+func (r *Replica) Init(sim.Context) {
+	r.tag, r.val, r.cur, r.seq = Tag{TS: 0, Proc: -1}, r.initial, nil, 0
+}
 
 // quorumFor returns the distinct-replica count a phase must hear from
 // (including the initiator itself).

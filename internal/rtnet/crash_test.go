@@ -21,11 +21,12 @@ func quorumNodes(p simtime.Params) ([]sim.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	build, err := b.Builder(p, adt.NewRegister(0), "")
+	dt := adt.NewRegister(0)
+	build, err := b.Builder(p, dt, "")
 	if err != nil {
 		return nil, err
 	}
-	return build(), nil
+	return build(dt), nil
 }
 
 // newQuorumCluster builds an rtnet cluster running the ABD quorum

@@ -158,7 +158,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	cluster, err := rtnet.NewCluster(
 		rtnet.Params{Params: cfg.Params, InboxDepth: cfg.InboxDepth},
-		cfg.Tick, offsets, build(), harness.DeriveSeed(cfg.Seed, "serve/net"))
+		cfg.Tick, offsets, build(dt), harness.DeriveSeed(cfg.Seed, "serve/net"))
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,10 @@ type Invocation struct {
 // the system only via the Context methods, and must eventually call
 // ctx.Respond exactly once per invocation.
 type Node interface {
-	// Init runs once before any event is processed.
+	// Init runs once per run, before any event is processed, and returns
+	// the node to the state it was constructed in: a node set handed to
+	// Engine.Reset runs its next schedule exactly as a freshly built one
+	// would. Capacity a node keeps for reuse must not change its behaviour.
 	Init(ctx Context)
 	// OnInvoke handles an operation invocation by the local user.
 	OnInvoke(ctx Context, inv Invocation)

@@ -43,7 +43,9 @@ func (s bagState) Fingerprint() string { return fmt.Sprint("bag:", s.items) }
 // non-comparable arguments, restarting now and then from the initial
 // state so cached edges are taken again. Every Step must reach the state
 // Apply reaches (same fingerprint, same id as interning it) and answer a
-// value ValuesEqual to Apply's.
+// value ValuesEqual to Apply's. Alongside, a compiled state of a second
+// Table walks the same invocations through spec.State: its Apply must
+// answer what Apply answers and reach a state with Apply's fingerprint.
 func TestTableMatchesApply(t *testing.T) {
 	types := []spec.DataType{adt.NewKeyed(adt.NewQueue()), adt.NewKeyed(adt.NewRegister(0)), bag{}}
 	for _, name := range adt.Names() {
@@ -53,11 +55,15 @@ func TestTableMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, dt := range types {
 		tb := spec.NewTable(dt)
+		compiled := spec.NewTable(dt).Compiled()
+		if compiled.Name() != dt.Name() || len(compiled.Ops()) != len(dt.Ops()) {
+			t.Fatalf("%s: compiled type is %q with %d ops", dt.Name(), compiled.Name(), len(compiled.Ops()))
+		}
 		ops := dt.Ops()
-		id, st := int32(0), dt.Initial()
+		id, st, view := int32(0), dt.Initial(), compiled.Initial()
 		for step := 0; step < 3000; step++ {
 			if rng.Intn(12) == 0 {
-				id, st = 0, dt.Initial()
+				id, st, view = 0, dt.Initial(), compiled.Initial()
 			}
 			info := ops[rng.Intn(len(ops))]
 			arg := info.Args[rng.Intn(len(info.Args))]
@@ -72,7 +78,14 @@ func TestTableMatchesApply(t *testing.T) {
 			if got := tb.Value(ret); !spec.ValuesEqual(got, wantRet) {
 				t.Fatalf("%s step %d: %s(%v) returns %#v, Apply returns %#v", dt.Name(), step, info.Name, arg, got, wantRet)
 			}
-			id, st = next, wantNext
+			viewRet, viewNext := view.Apply(info.Name, arg)
+			if !spec.ValuesEqual(viewRet, wantRet) {
+				t.Fatalf("%s step %d: compiled %s(%v) returns %#v, Apply returns %#v", dt.Name(), step, info.Name, arg, viewRet, wantRet)
+			}
+			if got, want := viewNext.Fingerprint(), wantNext.Fingerprint(); got != want {
+				t.Fatalf("%s step %d: compiled %s(%v) reaches %q, Apply reaches %q", dt.Name(), step, info.Name, arg, got, want)
+			}
+			id, st, view = next, wantNext, viewNext
 		}
 	}
 }

@@ -52,6 +52,35 @@ func TestTableTrim(t *testing.T) {
 	}
 }
 
+// TestCompiledStateAfterReset: a compiled state applies a cached edge
+// without allocating, and one made before its Table was reset panics
+// instead of answering for whichever state its id now names.
+func TestCompiledStateAfterReset(t *testing.T) {
+	tb := NewTable(cell{})
+	s0 := tb.Compiled().Initial()
+	_, s1 := s0.Apply("set", 1)
+	if allocs := testing.AllocsPerRun(100, func() { s0.Apply("set", 1) }); allocs != 0 {
+		t.Errorf("Apply over a cached edge allocates %.0f times", allocs)
+	}
+	tb.reset()
+	if got := tb.Compiled().Initial().Fingerprint(); got != "cell:0" {
+		t.Fatalf("initial state after the reset is %q", got)
+	}
+	for name, use := range map[string]func(){
+		"Apply":       func() { s1.Apply("get", nil) },
+		"Fingerprint": func() { s1.Fingerprint() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a state from before the reset did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
 type boxed struct{ V any }
 
 // TestTableKinds: an argument that would panic as a map key gets a
