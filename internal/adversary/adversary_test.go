@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -198,6 +199,26 @@ func TestShrinkLocallyMinimal(t *testing.T) {
 				t.Errorf("dropping p%d op %d still violates (%s): shrink not minimal", proc, i, out.Violation())
 			}
 		}
+	}
+}
+
+// TestShrinkEntryContracts pins what both shrinkers do with a clean
+// schedule: Shrink hands it back unchanged after one run with no kind,
+// and ShrinkStrong refuses it.
+func TestShrinkEntryContracts(t *testing.T) {
+	p := simtime.DefaultParams(3)
+	r := &Runner{Params: p, DT: adt.NewQueue()}
+	clean := Schedule{
+		Offsets: make([]simtime.Duration, 3),
+		Delays:  []simtime.Duration{p.D, p.MinDelay()},
+		Plans:   [][]PlannedOp{{{Op: "enqueue", Arg: 1}}, {{Op: "peek", Gap: 2 * p.D}}, nil},
+	}
+	got, kind, runs, err := Shrink(r, clean)
+	if err != nil || kind != "" || runs != 1 || !reflect.DeepEqual(got, clean) {
+		t.Errorf("Shrink(clean) = %+v, kind %q, %d runs, err %v; want it unchanged, kind \"\", 1 run", got, kind, runs, err)
+	}
+	if _, _, _, _, err := ShrinkStrong(r, clean); err == nil || !strings.Contains(err.Error(), "non-violating schedule") {
+		t.Errorf("ShrinkStrong(clean) err = %v, want the non-violating schedule error", err)
 	}
 }
 

@@ -221,7 +221,7 @@ func Fuzz(opts Options) (*Report, error) {
 					Schedule: sl.sched,
 				}
 				if opts.Shrink {
-					shrunk, shrunkKind, runs, err := Shrink(runner, sl.sched, ShrinkOptions{})
+					shrunk, shrunkKind, runs, err := Shrink(runner, sl.sched)
 					if err != nil {
 						return nil, err
 					}

@@ -4,49 +4,60 @@ import (
 	"lintime/internal/simtime"
 )
 
-// ShrinkOptions bounds the shrinking search.
-type ShrinkOptions struct {
-	// MaxRuns caps the number of schedule executions (default 2000).
-	MaxRuns int
-}
-
 // Shrink reduces a violating schedule to a locally minimal counterexample
-// by delta debugging: it repeatedly tries simplifying edits — dropping
-// operations, normalizing delays to the extremes of [d-u, d], zeroing
-// clock offsets and invocation gaps, truncating the delay vector — and
-// keeps any edit under which the run still violates *some* checked
-// property (the violation kind may shift as the schedule shrinks, e.g.
-// from non-linearizable to diverged; the final kind is returned). Edits
-// are applied in a fixed order to a fixpoint, so the result is
-// deterministic. Returns the shrunk schedule, its violation kind, and
-// the number of executions spent.
-func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, error) {
-	maxRuns := opts.MaxRuns
-	if maxRuns == 0 {
-		maxRuns = 2000
-	}
-	runs := 0
-	// violates replays a candidate and reports its violation kind ("" if
-	// the candidate no longer fails). An execution error (which a pure
-	// simplification cannot cause) aborts the shrink.
-	violates := func(c Schedule) (string, error) {
-		runs++
-		out, err := r.Run(c)
-		if err != nil {
-			return "", err
+// by delta debugging (see shrink), keeping any edit under which the run
+// still violates *some* checked property: the violation kind may shift as
+// the schedule shrinks, e.g. from non-linearizable to diverged; the final
+// kind is returned. The result is deterministic. Returns the shrunk
+// schedule, its violation kind, and the number of executions spent (at
+// most about 2000). A schedule that does not violate comes back unchanged
+// after one run, with kind "".
+func Shrink(r *Runner, s Schedule) (Schedule, string, int, error) {
+	kind := ""
+	cur, runs, err := shrink(r, s, 2000, 1, func(_ Schedule, out *Outcome) (bool, int, error) {
+		k := out.Violation()
+		if k != "" {
+			kind = k
 		}
-		return out.Violation(), nil
-	}
-
-	cur := s.Clone()
-	kind, err := violates(cur)
+		return k != "", 0, nil
+	})
 	if err != nil {
 		return Schedule{}, "", runs, err
 	}
-	if kind == "" {
-		// Not actually violating (caller bug or a rule/explicit mismatch):
-		// return the input unchanged.
-		return cur, "", runs, nil
+	return cur, kind, runs, nil
+}
+
+// shrink is the delta-debugging loop behind Shrink and ShrinkStrong. It
+// repeatedly tries simplifying edits — dropping operations down to minOps,
+// normalizing delays to the extremes of [d-u, d], zeroing clock offsets
+// and invocation gaps, removing crashes and drops, truncating the delay
+// vector — and keeps any edit whose replay holds still accepts. Edits are
+// applied in a fixed order to a fixpoint, so the result is deterministic.
+// holds sees every replay of a candidate and returns whether it keeps the
+// candidate plus the executions it spent itself, which count against
+// maxRuns; its last accepting call is on the returned schedule. If s
+// itself is not accepted, it comes back unchanged. Returns the schedule
+// and the executions spent.
+func shrink(r *Runner, s Schedule, maxRuns, minOps int, holds func(Schedule, *Outcome) (bool, int, error)) (Schedule, int, error) {
+	runs := 0
+	// try replays a candidate and asks holds about it. An execution error
+	// (which a pure simplification cannot cause) aborts the shrink.
+	try := func(c Schedule) (bool, error) {
+		runs++
+		out, err := r.Run(c)
+		if err != nil {
+			return false, err
+		}
+		ok, spent, err := holds(c, out)
+		runs += spent
+		return ok, err
+	}
+
+	cur := s.Clone()
+	if ok, err := try(cur); err != nil {
+		return Schedule{}, runs, err
+	} else if !ok {
+		return cur, runs, nil
 	}
 
 	p := r.Params
@@ -58,15 +69,15 @@ func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, e
 		// and trailing noise go before the ops that seed the violation).
 		for proc := len(cur.Plans) - 1; proc >= 0 && runs < maxRuns; proc-- {
 			for i := len(cur.Plans[proc]) - 1; i >= 0 && runs < maxRuns; i-- {
-				if cur.NumOps() <= 1 {
+				if cur.NumOps() <= minOps {
 					break
 				}
 				cand := cur.Clone()
 				cand.Plans[proc] = append(cand.Plans[proc][:i:i], cand.Plans[proc][i+1:]...)
-				if k, err := violates(cand); err != nil {
-					return Schedule{}, "", runs, err
-				} else if k != "" {
-					cur, kind, improved = cand, k, true
+				if ok, err := try(cand); err != nil {
+					return Schedule{}, runs, err
+				} else if ok {
+					cur, improved = cand, true
 				}
 			}
 		}
@@ -79,10 +90,10 @@ func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, e
 				}
 				cand := cur.Clone()
 				cand.Delays[i] = v
-				if k, err := violates(cand); err != nil {
-					return Schedule{}, "", runs, err
-				} else if k != "" {
-					cur, kind, improved = cand, k, true
+				if ok, err := try(cand); err != nil {
+					return Schedule{}, runs, err
+				} else if ok {
+					cur, improved = cand, true
 					break
 				}
 			}
@@ -95,10 +106,10 @@ func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, e
 			}
 			cand := cur.Clone()
 			cand.Offsets[i] = 0
-			if k, err := violates(cand); err != nil {
-				return Schedule{}, "", runs, err
-			} else if k != "" {
-				cur, kind, improved = cand, k, true
+			if ok, err := try(cand); err != nil {
+				return Schedule{}, runs, err
+			} else if ok {
+				cur, improved = cand, true
 			}
 		}
 
@@ -110,10 +121,10 @@ func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, e
 				}
 				cand := cur.Clone()
 				cand.Plans[proc][i].Gap = 0
-				if k, err := violates(cand); err != nil {
-					return Schedule{}, "", runs, err
-				} else if k != "" {
-					cur, kind, improved = cand, k, true
+				if ok, err := try(cand); err != nil {
+					return Schedule{}, runs, err
+				} else if ok {
+					cur, improved = cand, true
 				}
 			}
 		}
@@ -130,10 +141,10 @@ func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, e
 				}
 				cand := cur.Clone()
 				cand.Crashes[i] = v
-				if k, err := violates(cand); err != nil {
-					return Schedule{}, "", runs, err
-				} else if k != "" {
-					cur, kind, improved = cand, k, true
+				if ok, err := try(cand); err != nil {
+					return Schedule{}, runs, err
+				} else if ok {
+					cur, improved = cand, true
 					break
 				}
 			}
@@ -143,10 +154,10 @@ func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, e
 		for i := len(cur.Drops) - 1; i >= 0 && runs < maxRuns; i-- {
 			cand := cur.Clone()
 			cand.Drops = append(cand.Drops[:i:i], cand.Drops[i+1:]...)
-			if k, err := violates(cand); err != nil {
-				return Schedule{}, "", runs, err
-			} else if k != "" {
-				cur, kind, improved = cand, k, true
+			if ok, err := try(cand); err != nil {
+				return Schedule{}, runs, err
+			} else if ok {
+				cur, improved = cand, true
 			}
 		}
 	}
@@ -160,8 +171,8 @@ func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, e
 		if n := len(out.Trace.Msgs); n < len(cur.Delays) {
 			cand := cur.Clone()
 			cand.Delays = cand.Delays[:n]
-			if k, err2 := violates(cand); err2 == nil && k != "" {
-				cur, kind = cand, k
+			if ok, err := try(cand); err == nil && ok {
+				cur = cand
 			}
 		}
 	}
@@ -171,5 +182,5 @@ func Shrink(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, string, int, e
 		cur.Crashes = nil
 	}
 
-	return cur, kind, runs, nil
+	return cur, runs, nil
 }

@@ -11,7 +11,6 @@ import (
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
-	"lintime/internal/strongcheck"
 )
 
 // Strong-hunt throughput counters on the process-wide registry.
@@ -115,7 +114,7 @@ func strongCorners(p simtime.Params, ops opset) []candidate {
 // The hunt generates admissible base schedules (reusing the boundary and
 // random strategies), replays each with every single message delay flipped
 // to the opposite admissible extreme, and keeps pairs whose runs are both
-// individually clean yet observably diverge; strongcheck's prefix-tree
+// individually clean yet observably diverge; lincheck's prefix-tree
 // check then decides whether some linearization choice survives both
 // futures. Deterministic like Fuzz: batches fan out through
 // harness.RunIndexed and fold in index order.
@@ -220,7 +219,7 @@ func StrongHunt(opts StrongOptions) (*StrongReport, error) {
 				TreeExplored: sl.explored,
 			}
 			if opts.Shrink {
-				shrunk, idx, delay, runs, err := ShrinkStrong(runner, sl.base, ShrinkOptions{})
+				shrunk, idx, delay, runs, err := ShrinkStrong(runner, sl.base)
 				if err != nil {
 					return nil, err
 				}
@@ -263,12 +262,12 @@ func findFork(r *Runner, base Schedule, baseOut *Outcome) (idx int, delay simtim
 				continue
 			}
 			pairs++
-			tree := strongcheck.NewTree()
+			tree := lincheck.NewTree()
 			tree.Add(lincheck.FromTrace(baseOut.Trace))
 			tree.Add(lincheck.FromTrace(out.Trace))
 			res := tree.Check(r.DT)
 			explored += res.Explored
-			if !res.Strong {
+			if !res.Linearizable {
 				return i, v, forks, pairs, explored, true, nil
 			}
 		}
@@ -294,125 +293,33 @@ func historiesEqual(a, b *sim.Trace) bool {
 	return true
 }
 
-// ShrinkStrong reduces a strong-violation base schedule by delta
-// debugging, like Shrink, under the predicate "some single-delay fork of
-// the candidate still refutes strong linearizability". The surviving fork
-// is re-located after every accepted edit (edits renumber messages, so a
-// fixed fork index would not survive); the scan order inside findFork
-// keeps the result deterministic. Returns the minimal base, its fork, and
-// the engine runs spent (base and fork replays both count).
-func ShrinkStrong(r *Runner, s Schedule, opts ShrinkOptions) (Schedule, int, simtime.Duration, int, error) {
-	maxRuns := opts.MaxRuns
-	if maxRuns == 0 {
-		maxRuns = 4000
-	}
-	runs := 0
-	// violates replays a candidate base and rescans its forks; ok reports
-	// whether the pair predicate still holds.
-	violates := func(c Schedule) (int, simtime.Duration, bool, error) {
-		out, err := r.Run(c)
-		runs++
-		if err != nil {
-			return 0, 0, false, err
-		}
+// ShrinkStrong reduces a strong-violation base schedule by the same delta
+// debugging as Shrink, under the predicate "the candidate runs clean and
+// some single-delay fork of it still refutes strong linearizability". The
+// surviving fork is re-located after every accepted edit (edits renumber
+// messages, so a fixed fork index would not survive); the scan order
+// inside findFork keeps the result deterministic. A fork needs at least a
+// mutator and an observer, so at least two operations stay. Returns the
+// minimal base, its fork, and the engine runs spent (base and fork
+// replays both count, capped near 4000).
+func ShrinkStrong(r *Runner, s Schedule) (Schedule, int, simtime.Duration, int, error) {
+	idx, delay, found := 0, simtime.Duration(0), false
+	cur, runs, err := shrink(r, s, 4000, 2, func(c Schedule, out *Outcome) (bool, int, error) {
 		if out.Violation() != "" {
-			return 0, 0, false, nil // a plain violation is Fuzz's prey, not ours
+			return false, 0, nil // a plain violation is Fuzz's prey, not ours
 		}
-		idx, delay, forks, _, _, found, err := findFork(r, c, out)
-		runs += forks
-		return idx, delay, found, err
-	}
-
-	cur := s.Clone()
-	idx, delay, ok, err := violates(cur)
+		i, d, forks, _, _, ok, err := findFork(r, c, out)
+		if ok {
+			idx, delay, found = i, d, true
+		}
+		return ok, forks, err
+	})
 	if err != nil {
 		return Schedule{}, 0, 0, runs, err
 	}
-	if !ok {
+	if !found {
 		return cur, 0, 0, runs, fmt.Errorf("adversary: ShrinkStrong called on a non-violating schedule")
 	}
-
-	p := r.Params
-	improved := true
-	for improved && runs < maxRuns {
-		improved = false
-
-		// Pass 1: drop operations, later ops first.
-		for proc := len(cur.Plans) - 1; proc >= 0 && runs < maxRuns; proc-- {
-			for i := len(cur.Plans[proc]) - 1; i >= 0 && runs < maxRuns; i-- {
-				if cur.NumOps() <= 2 {
-					break // a fork needs at least a mutator and an observer
-				}
-				cand := cur.Clone()
-				cand.Plans[proc] = append(cand.Plans[proc][:i:i], cand.Plans[proc][i+1:]...)
-				if fi, fd, ok, err := violates(cand); err != nil {
-					return Schedule{}, 0, 0, runs, err
-				} else if ok {
-					cur, idx, delay, improved = cand, fi, fd, true
-				}
-			}
-		}
-
-		// Pass 2: normalize every delay to d, then to d-u.
-		for i := 0; i < len(cur.Delays) && runs < maxRuns; i++ {
-			for _, v := range []simtime.Duration{p.D, p.MinDelay()} {
-				if cur.Delays[i] == v {
-					break
-				}
-				cand := cur.Clone()
-				cand.Delays[i] = v
-				if fi, fd, ok, err := violates(cand); err != nil {
-					return Schedule{}, 0, 0, runs, err
-				} else if ok {
-					cur, idx, delay, improved = cand, fi, fd, true
-					break
-				}
-			}
-		}
-
-		// Pass 3: zero clock offsets.
-		for i := 0; i < len(cur.Offsets) && runs < maxRuns; i++ {
-			if cur.Offsets[i] == 0 {
-				continue
-			}
-			cand := cur.Clone()
-			cand.Offsets[i] = 0
-			if fi, fd, ok, err := violates(cand); err != nil {
-				return Schedule{}, 0, 0, runs, err
-			} else if ok {
-				cur, idx, delay, improved = cand, fi, fd, true
-			}
-		}
-
-		// Pass 4: zero invocation gaps.
-		for proc := 0; proc < len(cur.Plans) && runs < maxRuns; proc++ {
-			for i := 0; i < len(cur.Plans[proc]) && runs < maxRuns; i++ {
-				if cur.Plans[proc][i].Gap == 0 {
-					continue
-				}
-				cand := cur.Clone()
-				cand.Plans[proc][i].Gap = 0
-				if fi, fd, ok, err := violates(cand); err != nil {
-					return Schedule{}, 0, 0, runs, err
-				} else if ok {
-					cur, idx, delay, improved = cand, fi, fd, true
-				}
-			}
-		}
-	}
-
-	// Final tidy: truncate the delay vector to the messages actually sent.
-	if out, err := r.Run(cur); err == nil {
-		runs++
-		if n := len(out.Trace.Msgs); n < len(cur.Delays) {
-			cand := cur.Clone()
-			cand.Delays = cand.Delays[:n]
-			if fi, fd, ok, err2 := violates(cand); err2 == nil && ok {
-				cur, idx, delay = cand, fi, fd
-			}
-		}
-	}
-
 	return cur, idx, delay, runs, nil
 }
 

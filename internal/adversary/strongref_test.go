@@ -10,7 +10,6 @@ import (
 	"lintime/internal/lincheck"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
-	"lintime/internal/strongcheck"
 )
 
 // This file holds a brute-force reference for the two-future strong
@@ -19,7 +18,7 @@ import (
 // have completions whose commit decisions inside the shared event prefix
 // coincide. The reference enumerates, per future, every legal commit
 // schedule (no memoization, no tree) and intersects the serialized
-// shared-prefix decisions — a different algorithm from strongcheck's
+// shared-prefix decisions — a different algorithm from lincheck's
 // simultaneous tree DFS, so agreement is meaningful.
 
 type refEvent struct {
@@ -137,7 +136,7 @@ func refStrongPair(dt spec.DataType, hA, hB []lincheck.Op) bool {
 // TestStrongForkBruteForce re-derives the hunt's headline counterexamples
 // with the brute-force pair reference: for both the paper's literal
 // accessor bound and the corrected Algorithm 1, the shrunk fork pair must
-// be refuted by the reference exactly as by strongcheck's tree search —
+// be refuted by the reference exactly as by lincheck's tree search —
 // and the degenerate pair (H, H) must of course be satisfiable.
 func TestStrongForkBruteForce(t *testing.T) {
 	p := simtime.DefaultParams(3)
@@ -177,10 +176,10 @@ func TestStrongForkBruteForce(t *testing.T) {
 			if refStrongPair(adt.NewQueue(), hA, hB) {
 				t.Errorf("brute force says the pair IS strongly linearizable — tree check disagrees")
 			}
-			tree := strongcheck.NewTree()
+			tree := lincheck.NewTree()
 			tree.Add(hA)
 			tree.Add(hB)
-			if tree.Check(adt.NewQueue()).Strong {
+			if tree.Check(adt.NewQueue()).Linearizable {
 				t.Errorf("tree check flipped to strong on replay")
 			}
 			// Degenerate control: a pair of identical futures is satisfiable.

@@ -66,7 +66,7 @@
 // Beyond per-run checks, the checker optionally performs a strong-
 // linearizability sweep: all distinct histories of one (plan, offsets)
 // context — the futures an adversary can force by resolving each
-// message delay either way — are folded into one strongcheck prefix
+// message delay either way — are folded into one lincheck prefix
 // tree. A context whose futures are individually linearizable but admit
 // no prefix-preserving linearization is exactly the
 // Chandra–Hadzilacos–Jayanti–Toueg phenomenon, quantified exhaustively.
@@ -87,7 +87,6 @@ import (
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
-	"lintime/internal/strongcheck"
 )
 
 // State-space counters on the process-wide registry.
@@ -119,7 +118,7 @@ type Config struct {
 	// space (fault-tolerant targets only). See the package doc for the weakened
 	// exhaustiveness claim of a drop-augmented space.
 	Drops []int64
-	// Strong folds each context's futures into a strongcheck tree and
+	// Strong folds each context's futures into a lincheck.Tree and
 	// counts contexts with no prefix-preserving linearization.
 	Strong bool
 	// StopEarly stops at the first chunk containing a violation.
@@ -662,13 +661,13 @@ func (s *Space) checkContext(runner *adversary.Runner, ctx int) (contextResult, 
 	// The strong sweep is meaningful only when every future is clean:
 	// a plain violation already condemns the context.
 	if s.cfg.Strong && res.violation == nil {
-		tree := strongcheck.NewTree()
+		tree := lincheck.NewTree()
 		for _, h := range histories {
 			tree.Add(h)
 		}
 		st := tree.Check(s.cfg.DT)
 		res.strongDone = true
-		res.strongBad = !st.Strong
+		res.strongBad = !st.Linearizable
 		res.branches = tree.Branches()
 		res.treeOps = tree.Ops()
 	}

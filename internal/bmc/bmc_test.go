@@ -12,7 +12,6 @@ import (
 	"lintime/internal/lincheck"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
-	"lintime/internal/strongcheck"
 )
 
 // TestSmokeSpaceShape pins the size of the CI smoke space. The numbers
@@ -60,7 +59,7 @@ func TestVerifyCorrectExhaustive(t *testing.T) {
 }
 
 // TestStrongExampleIsGenuine replays the first strong violation the
-// smoke sweep reports and re-verifies it through the public strongcheck
+// smoke sweep reports and re-verifies it through the public lincheck
 // API: every future of the context is individually linearizable, yet the
 // forest of futures admits no prefix-preserving linearization.
 func TestStrongExampleIsGenuine(t *testing.T) {
@@ -79,7 +78,7 @@ func TestStrongExampleIsGenuine(t *testing.T) {
 	ex := rep.StrongExamples[0]
 	r := &adversary.Runner{Params: cfg.Params, DT: cfg.DT, Trace: sim.TraceOps}
 	base, msgs := sp.context(ex.Context)
-	tree := strongcheck.NewTree()
+	tree := lincheck.NewTree()
 	seen := map[uint64]bool{}
 	for code := uint64(0); code < 1<<uint(msgs); code++ {
 		sched := base
@@ -100,7 +99,7 @@ func TestStrongExampleIsGenuine(t *testing.T) {
 	if tree.Branches() < 2 {
 		t.Fatalf("context has %d distinct futures; a strong violation needs at least 2", tree.Branches())
 	}
-	if tree.Check(cfg.DT).Strong {
+	if tree.Check(cfg.DT).Linearizable {
 		t.Fatalf("replayed forest is strongly linearizable — report disagrees")
 	}
 }

@@ -14,16 +14,16 @@ type stubCtx struct {
 	id sim.ProcID
 }
 
-func (c stubCtx) ID() sim.ProcID                                    { return c.id }
-func (c stubCtx) N() int                                            { return 2 }
-func (c stubCtx) Now() simtime.Time                                 { return 0 }
-func (c stubCtx) LocalTime() simtime.Time                           { return 0 }
-func (c stubCtx) SetTimer(simtime.Duration, any) sim.TimerID        { return 0 }
-func (c stubCtx) SetTimerAtLocal(simtime.Time, any) sim.TimerID     { return 0 }
-func (c stubCtx) CancelTimer(sim.TimerID)                           {}
-func (c stubCtx) Send(sim.ProcID, any)                              {}
-func (c stubCtx) Broadcast(any)                                     {}
-func (c stubCtx) Respond(int64, any)                                {}
+func (c stubCtx) ID() sim.ProcID                                { return c.id }
+func (c stubCtx) N() int                                        { return 2 }
+func (c stubCtx) Now() simtime.Time                             { return 0 }
+func (c stubCtx) LocalTime() simtime.Time                       { return 0 }
+func (c stubCtx) SetTimer(simtime.Duration, any) sim.TimerID    { return 0 }
+func (c stubCtx) SetTimerAtLocal(simtime.Time, any) sim.TimerID { return 0 }
+func (c stubCtx) CancelTimer(sim.TimerID)                       {}
+func (c stubCtx) Send(sim.ProcID, any)                          {}
+func (c stubCtx) Broadcast(any)                                 {}
+func (c stubCtx) Respond(int64, any)                            {}
 
 func mustPanic(t *testing.T, name string, fn func()) {
 	t.Helper()

@@ -25,6 +25,28 @@
 // Check, CheckTrace and CheckParallel build a Checker for one history; a
 // caller with many histories of one type (adversary.Runner) keeps one per
 // worker.
+//
+// The same Checker decides *strong* linearizability [Golab, Higham &
+// Woelfel 2011]: an implementation is strongly linearizable if a single
+// linearization function f can be chosen such that f(H) is a
+// linearization of every history H and f is prefix-preserving — H a
+// prefix of G implies f(H) a prefix of f(G). Equivalently, linearization
+// points must be chosen online, without knowledge of the future.
+// CheckTree (Tree.Check for one tree) examines a prefix tree of
+// histories — executions of one implementation that share observable
+// prefixes and then diverge (the adversary's move). The linearization
+// chosen for a shared prefix must extend into *every* branch: the classic
+// queue counterexample — a completed enqueue and a concurrent read whose
+// return reveals a different order in each branch — is linearizable
+// branch by branch, yet CheckTree rejects it. On a one-branch tree the
+// verdict is Check's (commit points inside each operation's interval
+// realize any linearization that respects real-time order); FuzzCheck
+// pins that. CheckTree returns the verdict and the search cost only, no
+// witness.
+//
+// The two searches stay separate: the Wing–Gong loop over a flat history,
+// and a depth-first search over tree nodes. Sending a single history
+// through a tree would build a node per event on the verifier's hot loop.
 package lincheck
 
 import (
@@ -41,10 +63,9 @@ import (
 
 // Op is one operation instance of a history with its real-time interval.
 // A pending operation has Respond == simtime.Infinity and its Ret is
-// ignored. Proc is informational for the plain checker (real-time order
-// alone decides linearizability) but load-bearing for the strong checker's
-// prefix trees, where events from different histories are identified by
-// (time, process, operation).
+// ignored. Proc is informational for Check (real-time order alone decides
+// linearizability) but load-bearing for a Tree, where events from
+// different histories are identified by (time, process, operation).
 type Op struct {
 	ID      int
 	Proc    int
@@ -104,19 +125,24 @@ type Checker struct {
 	table *spec.Table
 
 	// The compiled history and the search's scratch, reused between checks.
+	// CheckTree reuses kind, ret, memo, keyBuf and visited, indexing kind
+	// by unified op and ret by tree node.
 	ops     []Op     // exploration order: by invocation time, ties by ID
 	kind    []int32  // kind[i] is the table kind of ops[i]
 	ret     []int32  // ret[i] is the table value id of ops[i].Ret, −1 if pending
 	taken   []uint64 // bitmap over ops: linearized on the current path
 	stack   []frame
-	memo    map[memoKey]struct{} // (taken set, state) known to be dead ends
+	retOf   []int32              // CheckTree's per-op commitments
+	memo    map[memoKey]struct{} // search states known to be dead ends
 	keyBuf  []byte               // scratch for memoKey.rest
 	visited int
 }
 
-// memoKey is a taken set and a state. rest holds the bitmap's words past
-// the first and is empty — nothing to build, nothing to allocate — for the
-// histories of at most 64 operations the verification pipeline produces.
+// memoKey is a search position and a state. For Check the position is
+// the taken set: taken0 is its first word and rest holds the words past
+// it, empty — nothing to build, nothing to allocate — for the histories
+// of at most 64 operations the verification pipeline produces. For
+// CheckTree it is a node id in taken0 and the retOf vector in rest.
 type memoKey struct {
 	taken0 uint64
 	state  int32
