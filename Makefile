@@ -134,11 +134,12 @@ fuzz-native:
 # clients pipelining keyed ops against one sharded router under the race
 # detector, with per-object linearizability checks), the codec
 # round-trip, the hello-refusal (wrong version, legacy JSON client),
-# oversize and allocation-floor regressions, and the FuzzFrame
-# seed-corpus replay against the JSON value reference.
+# oversize and allocation-floor regressions (the codec's and the
+# in-process CallKey's), and the FuzzFrame seed-corpus replay against the
+# JSON value reference.
 wire-smoke:
 	$(GO) test -race -count=1 -run 'TestMixedProtocolShardedLoad|TestBinaryClientRoundTrip|TestBinaryVersionRejected|TestOversized' ./internal/serve/ -v
-	$(GO) test -count=1 -run 'FuzzFrame|TestWire' ./internal/serve/
+	$(GO) test -count=1 -run 'FuzzFrame|TestWire|TestCallKeyAllocs' ./internal/serve/
 	@echo "wire-smoke: two-client soak, codec regressions, and fuzz corpus OK"
 
 # crash-smoke is CI's crash-tolerance gate: the rtnet crash regressions

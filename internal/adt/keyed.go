@@ -2,8 +2,9 @@ package adt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"lintime/internal/spec"
 )
@@ -35,18 +36,24 @@ import (
 type Keyed struct {
 	inner     spec.DataType
 	sampleKey []string
-	initialFP string
+	innerInit spec.State // the base initial state every untouched object is in
+	initialFP string     // innerInit.Fingerprint()
+	initial   *keyedState
 }
 
 // NewKeyed wraps a base data type into its keyed family. The base type's
 // operation arguments must be nil or int (true for every registry type);
 // other argument shapes are rejected at call time by KeyArg.
 func NewKeyed(inner spec.DataType) *Keyed {
-	return &Keyed{
+	base := inner.Initial()
+	k := &Keyed{
 		inner:     inner,
 		sampleKey: []string{"a", "b"},
-		initialFP: inner.Initial().Fingerprint(),
+		innerInit: base,
+		initialFP: base.Fingerprint(),
 	}
+	k.initial = &keyedState{dt: k}
+	return k
 }
 
 // Name implements spec.DataType.
@@ -78,9 +85,7 @@ func (k *Keyed) Ops() []spec.OpInfo {
 }
 
 // Initial implements spec.DataType.
-func (k *Keyed) Initial() spec.State {
-	return keyedState{dt: k, objs: nil}
-}
+func (k *Keyed) Initial() spec.State { return k.initial }
 
 // KeyArg packs an object key and a base-type argument into one keyed
 // argument value: the bare key when the base argument is nil, KV{key, v}
@@ -113,58 +118,60 @@ func SplitKeyArg(arg spec.Value) (key string, inner spec.Value, ok bool) {
 	}
 }
 
-// keyedState is the immutable map key → base state. Keys whose substate
-// is (back at) the base initial state are elided, keeping Fingerprint
-// canonical: touching an object with accessors only leaves the state
-// behaviorally — and representationally — unchanged.
+// keyedState is the immutable map key → base state: a key-sorted slice,
+// copied on write, whose entries cache their object's fingerprint. Keys
+// whose substate is (back at) the base initial state are elided, keeping
+// Fingerprint canonical: touching an object with accessors only leaves the
+// state behaviorally — and representationally — unchanged. A *keyedState
+// is one pointer, so it boxes into a spec.State without allocating.
 type keyedState struct {
 	dt   *Keyed
-	objs map[string]spec.State
+	objs []keyedObj
 }
 
-func (s keyedState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
+type keyedObj struct {
+	key string
+	st  spec.State
+	fp  string // st.Fingerprint()
+}
+
+func (s *keyedState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	key, innerArg, ok := SplitKeyArg(arg)
 	if !ok {
 		return errValue(op, arg), s
 	}
-	obj, exists := s.objs[key]
-	if !exists {
-		obj = s.dt.inner.Initial()
+	i, exists := slices.BinarySearchFunc(s.objs, key, func(o keyedObj, key string) int {
+		return strings.Compare(o.key, key)
+	})
+	obj, fp := s.dt.innerInit, s.dt.initialFP
+	if exists {
+		obj, fp = s.objs[i].st, s.objs[i].fp
 	}
 	ret, next := obj.Apply(op, innerArg)
 	nextFP := next.Fingerprint()
-	if exists {
-		if nextFP == obj.Fingerprint() {
-			return ret, s
-		}
-	} else if nextFP == s.dt.initialFP {
+	if nextFP == fp {
 		return ret, s
 	}
-	objs := make(map[string]spec.State, len(s.objs)+1)
-	for k, v := range s.objs {
-		objs[k] = v
+	// Copy on write: the entries before the key, the key's new entry unless
+	// it is back at the initial state, and the entries after it.
+	objs := append(make([]keyedObj, 0, len(s.objs)+1), s.objs[:i]...)
+	if nextFP != s.dt.initialFP {
+		objs = append(objs, keyedObj{key: key, st: next, fp: nextFP})
 	}
-	if nextFP == s.dt.initialFP {
-		delete(objs, key)
-	} else {
-		objs[key] = next
+	if exists {
+		i++
 	}
-	return ret, keyedState{dt: s.dt, objs: objs}
+	return ret, &keyedState{dt: s.dt, objs: append(objs, s.objs[i:]...)}
 }
 
-func (s keyedState) Fingerprint() string {
-	keys := make([]string, 0, len(s.objs))
-	for k := range s.objs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+func (s *keyedState) Fingerprint() string {
 	buf := append(make([]byte, 0, 64), "keyed{"...)
-	for i, k := range keys {
+	for i, o := range s.objs {
 		if i > 0 {
 			buf = append(buf, ' ')
 		}
-		buf = append(strconv.AppendQuote(buf, k), '=')
-		buf = append(buf, s.objs[k].Fingerprint()...)
+		buf = append(strconv.AppendQuote(buf, o.key), '=')
+		buf = append(buf, o.fp...)
 	}
 	return string(append(buf, '}'))
 }

@@ -1,10 +1,111 @@
 package adt
 
 import (
+	"math/rand"
+	"sort"
+	"strconv"
 	"testing"
 
 	"lintime/internal/spec"
 )
+
+// refKeyedState is the map-based keyed state the copy-on-write slice
+// replaced, kept as the reference the slice must match step for step:
+// an immutable map key → base state, copied whole on every mutation, with
+// objects back at the base initial state elided.
+type refKeyedState struct {
+	dt   *Keyed
+	objs map[string]spec.State
+}
+
+func (s refKeyedState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
+	key, innerArg, ok := SplitKeyArg(arg)
+	if !ok {
+		return errValue(op, arg), s
+	}
+	obj, exists := s.objs[key]
+	if !exists {
+		obj = s.dt.inner.Initial()
+	}
+	ret, next := obj.Apply(op, innerArg)
+	nextFP := next.Fingerprint()
+	if exists {
+		if nextFP == obj.Fingerprint() {
+			return ret, s
+		}
+	} else if nextFP == s.dt.initialFP {
+		return ret, s
+	}
+	objs := make(map[string]spec.State, len(s.objs)+1)
+	for k, v := range s.objs {
+		objs[k] = v
+	}
+	if nextFP == s.dt.initialFP {
+		delete(objs, key)
+	} else {
+		objs[key] = next
+	}
+	return ret, refKeyedState{dt: s.dt, objs: objs}
+}
+
+func (s refKeyedState) Fingerprint() string {
+	keys := make([]string, 0, len(s.objs))
+	for k := range s.objs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	buf := append(make([]byte, 0, 64), "keyed{"...)
+	for i, k := range keys {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(strconv.AppendQuote(buf, k), '=')
+		buf = append(buf, s.objs[k].Fingerprint()...)
+	}
+	return string(append(buf, '}'))
+}
+
+// TestKeyedMatchesMapReference drives seeded random op sequences over
+// three keys through the copy-on-write state and the map reference side
+// by side: every step must return the same value and fingerprint, leave
+// the receiver's fingerprint unchanged, and store no object at the base
+// initial state.
+func TestKeyedMatchesMapReference(t *testing.T) {
+	keys := []string{"a", "b", `c"`}
+	for _, base := range []spec.DataType{NewQueue(), NewStack()} {
+		k := NewKeyed(base)
+		ops := base.Ops()
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			got, want := k.Initial(), spec.State(refKeyedState{dt: k})
+			for step := 0; step < 200; step++ {
+				op := ops[rng.Intn(len(ops))]
+				arg, err := KeyArg(keys[rng.Intn(len(keys))], op.Args[rng.Intn(len(op.Args))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := got.Fingerprint()
+				gotRet, gotNext := got.Apply(op.Name, arg)
+				wantRet, wantNext := want.Apply(op.Name, arg)
+				if fp := got.Fingerprint(); fp != before {
+					t.Fatalf("%s seed %d step %d: %s(%v) mutated its receiver: %q -> %q",
+						k.Name(), seed, step, op.Name, arg, before, fp)
+				}
+				got, want = gotNext, wantNext
+				if !spec.ValuesEqual(gotRet, wantRet) || got.Fingerprint() != want.Fingerprint() {
+					t.Fatalf("%s seed %d step %d: %s(%v) = (%v, %q), reference (%v, %q)",
+						k.Name(), seed, step, op.Name, arg, gotRet, got.Fingerprint(), wantRet, want.Fingerprint())
+				}
+				for _, o := range got.(*keyedState).objs {
+					if fp := o.st.Fingerprint(); fp == k.initialFP || fp != o.fp {
+						t.Fatalf("%s seed %d step %d: object %q at %q (cached %q, initial %q)",
+							k.Name(), seed, step, o.key, fp, o.fp, k.initialFP)
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestKeyedIndependentObjects(t *testing.T) {
 	k := NewKeyed(NewQueue())

@@ -284,7 +284,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	eng.SetTracer(cfg.Tracer)
 
 	rng := rand.New(rand.NewSource(wl.Seed))
-	picks, err := expandMix(dt, wl.Mix)
+	picks, err := ExpandMixOps(dt, wl.Mix)
 	if err != nil {
 		return nil, err
 	}
@@ -294,8 +294,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	}
 	invoke := func(proc sim.ProcID, at simtime.Time) {
 		op := picks[rng.Intn(len(picks))]
-		info, _ := spec.FindOp(dt, op)
-		eng.InvokeAt(proc, at, op, info.Args[rng.Intn(len(info.Args))])
+		eng.InvokeAt(proc, at, op.Name, op.Args[rng.Intn(len(op.Args))])
 	}
 	eng.OnRespond = func(rec sim.OpRecord) {
 		remaining[rec.Proc]--
@@ -333,28 +332,38 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 
 // ExpandMix resolves a workload mix into a weighted pick list: each
 // operation appears Weight times, so a uniform draw over the list realizes
-// the mix. An empty mix expands to one entry per declared operation. The
-// load generator in internal/serve shares this resolver with Run.
+// the mix. An empty mix expands to one entry per declared operation.
 func ExpandMix(dt spec.DataType, mix []OpPick) ([]string, error) {
-	return expandMix(dt, mix)
+	picks, err := ExpandMixOps(dt, mix)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(picks))
+	for i, op := range picks {
+		names[i] = op.Name
+	}
+	return names, nil
 }
 
-// expandMix resolves the workload mix into a weighted pick list.
-func expandMix(dt spec.DataType, mix []OpPick) ([]string, error) {
+// ExpandMixOps is ExpandMix keeping each pick's declared argument sample,
+// so a load generator draws an operation and then its argument without
+// looking the operation up again. The load generator in internal/serve
+// shares this resolver with Run.
+func ExpandMixOps(dt spec.DataType, mix []OpPick) ([]spec.OpInfo, error) {
 	if len(mix) == 0 {
-		names := spec.OpNames(dt)
-		return names, nil
+		return dt.Ops(), nil
 	}
-	var picks []string
+	var picks []spec.OpInfo
 	for _, m := range mix {
-		if _, ok := spec.FindOp(dt, m.Op); !ok {
+		info, ok := spec.FindOp(dt, m.Op)
+		if !ok {
 			return nil, fmt.Errorf("harness: type %s has no operation %q", dt.Name(), m.Op)
 		}
 		if m.Weight <= 0 {
 			return nil, fmt.Errorf("harness: weight for %q must be positive", m.Op)
 		}
 		for i := 0; i < m.Weight; i++ {
-			picks = append(picks, m.Op)
+			picks = append(picks, info)
 		}
 	}
 	return picks, nil

@@ -461,16 +461,25 @@ func (c *Cluster) Invoke(proc sim.ProcID, op string, arg any) (<-chan Response, 
 // span should point back to. Ignored while tracing is off; pass -1 for a
 // local root.
 func (c *Cluster) InvokeTraced(proc sim.ProcID, op string, arg any, parent int64) (<-chan Response, error) {
+	done := make(chan Response, 1)
+	if err := c.invoke(proc, op, arg, parent, done); err != nil {
+		return nil, err
+	}
+	return done, nil
+}
+
+// invoke submits an operation whose response goes to done, an empty
+// channel with room for it. On error done was never registered.
+func (c *Cluster) invoke(proc sim.ProcID, op string, arg any, parent int64, done chan Response) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.closedErr(proc); err != nil {
-		return nil, err
+		return err
 	}
 	now := c.elapsed()
 	if c.eng.Due(proc, now) >= c.depth {
-		return nil, c.overflow(proc)
+		return c.overflow(proc)
 	}
-	done := make(chan Response, 1)
 	c.pending[c.eng.InvokeAtTraced(proc, now, op, arg, parent)] = pendingCall{proc: proc, done: done}
 	// The caller holds mu, so it dispatches the invocation (and whatever
 	// else is due) itself, and wakes the scheduler only if a handler
@@ -478,7 +487,7 @@ func (c *Cluster) InvokeTraced(proc sim.ProcID, op string, arg any, parent int64
 	if !c.start.IsZero() && c.dispatchDue() < c.sleepUntil {
 		c.poke()
 	}
-	return done, nil
+	return nil
 }
 
 // closedErr says why proc takes no invocations, or nil if it does.
@@ -504,17 +513,25 @@ func (c *Cluster) Call(proc sim.ProcID, op string, arg any) (Response, error) {
 
 // CallTraced is Call carrying a causal parent span (see InvokeTraced).
 func (c *Cluster) CallTraced(proc sim.ProcID, op string, arg any, parent int64) (Response, error) {
-	ch, err := c.InvokeTraced(proc, op, arg, parent)
-	if err != nil {
+	done := replies.Get().(chan Response)
+	if err := c.invoke(proc, op, arg, parent, done); err != nil {
+		replies.Put(done)
 		return Response{}, err
 	}
-	if resp, ok := <-ch; ok {
+	if resp, ok := <-done; ok {
+		replies.Put(done)
 		return resp, nil
 	}
+	// Closed by halt or Crash: an abandoned call's channel is never reused.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Response{}, c.closedErr(proc)
 }
+
+// replies recycles CallTraced's reply channels. A channel that carried its
+// one response is empty and unregistered again; one that halt or Crash
+// closed is dropped.
+var replies = sync.Pool{New: func() any { return make(chan Response, 1) }}
 
 // Inspect runs f between two events of the process and waits for it,
 // establishing the happens-before edge needed to read node state safely

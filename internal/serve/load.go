@@ -200,7 +200,7 @@ func RunLoad(target Caller, dt spec.DataType, p simtime.Params, tick time.Durati
 	if err != nil {
 		return nil, err
 	}
-	picks, err := harness.ExpandMix(dt, cfg.Mix)
+	picks, err := harness.ExpandMixOps(dt, cfg.Mix)
 	if err != nil {
 		return nil, err
 	}
@@ -265,9 +265,8 @@ func RunLoad(target Caller, dt spec.DataType, p simtime.Params, tick time.Durati
 					}
 					n := issued
 					issued++
-					op := picks[rng.Intn(len(picks))]
-					info, _ := spec.FindOp(dt, op)
-					arg := info.Args[rng.Intn(len(info.Args))]
+					pick := picks[rng.Intn(len(picks))]
+					op, arg := pick.Name, pick.Args[rng.Intn(len(pick.Args))]
 					key := ""
 					if keyed {
 						if zipf != nil {

@@ -238,7 +238,9 @@ func (s *Server) Call(op string, arg any) (rtnet.Response, error) {
 // span propagated through the wire protocol's trace context — recorded
 // as the operation's parent edge when a collector is installed.
 func (s *Server) callTraced(op string, arg any, parent int64) (rtnet.Response, error) {
-	if _, ok := spec.FindOp(s.dt, op); !ok {
+	// The class table names every operation of the type (a keyed family
+	// shares its basis type's), so validating against it allocates nothing.
+	if _, ok := s.classes[op]; !ok {
 		return rtnet.Response{}, fmt.Errorf("serve: type %s has no operation %q", s.dt.Name(), op)
 	}
 	s.mu.Lock()
@@ -272,11 +274,17 @@ func (s *Server) callTraced(op string, arg any, parent int64) (rtnet.Response, e
 		return rtnet.Response{}, ErrAllCrashed
 	}
 	proc := live[int(s.next.Add(1)-1)%len(live)]
-	out := make(chan result, 1)
+	out := replies.Get().(chan result)
 	s.queues[proc] <- call{op: op, arg: arg, parent: parent, out: out}
 	r := <-out
+	replies.Put(out)
 	return r.resp, r.err
 }
+
+// replies recycles callTraced's reply channels: the worker sends exactly
+// once on each and the caller receives exactly once, so a channel is empty
+// and unreferenced again once its reply has been read.
+var replies = sync.Pool{New: func() any { return make(chan result, 1) }}
 
 // Crash fails replica i: it is removed from routing (later Calls skip
 // it) and its process is crashed on the substrate — timers canceled,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sort"
@@ -368,6 +369,46 @@ func TestDrainKeepsOneBudget(t *testing.T) {
 				t.Error("the outliving operation succeeded after its cluster stopped")
 			}
 		})
+	}
+}
+
+// TestCallKeyAllocs pins the in-process serving call's allocation floor:
+// one CallKey through the router, a shard's replica queue, rtnet and the
+// n = 5 Algorithm 1 replicas, counted over the whole process, so the
+// replicas' handlers and timers are included. The floor was ≈ 54 while op
+// validation re-derived the keyed type, keyed states copied a map on every
+// mutation and each hop made a fresh reply channel.
+func TestCallKeyAllocs(t *testing.T) {
+	cfg := testShardConfig(5, 4)
+	cfg.Tick = 50 * time.Microsecond
+	ss, err := NewShardSet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss.Start()
+	t.Cleanup(func() { ss.Drain(30 * time.Second) })
+	keys := []string{"a", "b", "c", "d"} // one per shard (TestShardForPinned)
+	ops := []struct {
+		op  string
+		arg any
+	}{{adt.OpEnqueue, 1}, {adt.OpPeek, nil}, {adt.OpDequeue, nil}}
+	i := 0
+	call := func() {
+		o := ops[i%len(ops)]
+		if _, err := ss.CallKey(keys[i%len(keys)], o.op, o.arg); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// The cheapest of a few batches: a batch that a GC cycle or a stray
+	// runtime allocation lands in reads high.
+	best := math.Inf(1)
+	for b := 0; b < 5; b++ {
+		best = min(best, testing.AllocsPerRun(24, call))
+	}
+	t.Logf("CallKey: %.1f allocs per call", best)
+	if best > 25 {
+		t.Errorf("CallKey: %.1f allocs per call, ceiling 25", best)
 	}
 }
 
