@@ -33,7 +33,7 @@ func benchTable(b *testing.B, number int) {
 	var mt *harness.MeasuredTable
 	var err error
 	for i := 0; i < b.N; i++ {
-		mt, err = harness.MeasureTable(number, p, 17)
+		mt, err = harness.MeasureTableParallel(number, p, 17, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func BenchmarkTradeoff(b *testing.B) {
 	var pts []harness.SweepPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = harness.SweepX(p, "queue", 8, 29)
+		pts, err = harness.SweepXParallel(p, "queue", 8, 29, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

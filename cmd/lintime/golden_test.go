@@ -315,6 +315,11 @@ func TestCmdFuzzErrors(t *testing.T) {
 	if err := cmdFuzz([]string{"-strategies", "bogus", "-budget", "1"}); err == nil {
 		t.Error("unknown strategy should error")
 	}
+	// The strong hunt's strategy order is fixed: -strategies is refused,
+	// not silently ignored.
+	if err := cmdFuzz([]string{"-strong", "-strategies", "random", "-n", "3", "-budget", "10"}); err == nil {
+		t.Error("-strategies under -strong should error")
+	}
 	// A backend without seeded mutants has no kill matrix: refused up
 	// front, before the control row's budget is spent.
 	err := cmdFuzz([]string{"-backend", "central", "-mutant", "all", "-budget", "50"})

@@ -583,10 +583,8 @@ func cmdFuzz(args []string) error {
 		if *mutant == "all" {
 			return fmt.Errorf("fuzz: -strong hunts one target at a time; pick a -mutant or none")
 		}
-		srep, err := adversary.StrongHunt(adversary.StrongOptions{
-			Params: p, DT: dt, Target: opts.Target, Seed: *seed, Budget: *budget,
-			Parallel: *parallel, StopEarly: true, Shrink: !*noShrink,
-		})
+		opts.StopEarly = true
+		srep, err := adversary.StrongHunt(opts)
 		if err != nil {
 			return err
 		}

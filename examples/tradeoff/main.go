@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("X tradeoff on a replicated queue: n=%d, d=%v, u=%v, ε=%v\n\n",
 		p.N, p.D, p.U, p.Epsilon)
 
-	points, err := harness.SweepX(p, "queue", 8, 7)
+	points, err := harness.SweepXParallel(p, "queue", 8, 7, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

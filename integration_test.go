@@ -121,7 +121,7 @@ func TestREADMEHeadlineNumbers(t *testing.T) {
 // computed, not transcribed" guarantee.
 func TestEveryTableRowBacksItsClaim(t *testing.T) {
 	p := simtime.DefaultParams(4)
-	mt, err := harness.MeasureTable(2, p, 99)
+	mt, err := harness.MeasureTableParallel(2, p, 99, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

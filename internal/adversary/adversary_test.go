@@ -167,6 +167,23 @@ func TestFuzzDeterministicAcrossParallelism(t *testing.T) {
 	if !strings.Contains(seq, "violation") {
 		t.Errorf("expected at least one violation in the report:\n%s", seq)
 	}
+	// The strong hunt folds through the same driver; its report must not
+	// depend on the width either.
+	for _, mutant := range []string{"", "aop-no-eps"} {
+		hunt := func(parallel int) *StrongReport {
+			rep, err := StrongHunt(Options{
+				Params: simtime.DefaultParams(3), DT: adt.NewQueue(), Target: Target{Mutant: mutant},
+				Seed: 7, Budget: 80, Parallel: parallel, StopEarly: true, Shrink: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		if seq, par := hunt(1), hunt(4); !reflect.DeepEqual(seq, par) {
+			t.Errorf("strong hunt %q differs between -parallel 1 and -parallel 4:\n%+v\n%+v", mutant, seq, par)
+		}
+	}
 }
 
 // TestShrinkLocallyMinimal verifies 1-minimality of a shrunk

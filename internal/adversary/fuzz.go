@@ -3,7 +3,6 @@ package adversary
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"lintime/internal/harness"
@@ -23,24 +22,28 @@ var (
 	mutantKills     = obs.Default.Counter("adversary_mutant_kills_total")
 )
 
-// batchSize is the number of schedules evaluated between feedback points.
-// The coverage pool and the stop-early decision are updated only at batch
-// boundaries, in index order, so the set of schedules a fuzz run evaluates
-// depends on (seed, budget, strategies) alone — never on parallelism.
+// batchSize is the number of schedules harness.RunChunks evaluates
+// between folds: the coverage pool and the stop-early decision change only
+// there, so the schedules a campaign evaluates depend on (seed, budget,
+// strategies) alone — never on parallelism.
 const batchSize = 64
 
 // poolCap bounds the coverage strategy's novelty pool (oldest evicted).
 const poolCap = 128
 
-// Options configures a fuzzing campaign.
+// Options configures a fuzzing campaign or a strong-linearizability hunt.
 type Options struct {
 	Params simtime.Params
 	DT     spec.DataType
 	Target Target
 	Seed   int64
-	Budget int // total schedules to evaluate (rounded up to a batch)
+	// Budget is the exact number of schedules to evaluate (base schedules
+	// for StrongHunt, each spawning up to 2·|delays| fork runs); a budget
+	// that is not a multiple of 64 ends on a short batch.
+	Budget int
 	// Strategies to interleave (round-robin by schedule index); nil
-	// selects all of Strategies().
+	// selects all of Strategies(). StrongHunt's order is fixed and
+	// refuses any.
 	Strategies []string
 	// Parallel is the worker count for batch evaluation (harness
 	// semantics: < 1 selects GOMAXPROCS).
@@ -74,8 +77,8 @@ type Report struct {
 }
 
 // Fuzz runs a campaign and returns its report. The report is a pure
-// function of Options (minus Parallel): batches fan out through
-// harness.RunIndexed with per-index derived seeds and fold results in
+// function of Options (minus Parallel): harness.RunChunks evaluates
+// batches of schedules with per-index derived seeds and folds them in
 // index order.
 func Fuzz(opts Options) (*Report, error) {
 	p := opts.Params
@@ -140,101 +143,77 @@ func Fuzz(opts Options) (*Report, error) {
 		sched    Schedule
 		outcome  *Outcome
 	}
-
-	for base := 0; base < opts.Budget; base += batchSize {
-		count := batchSize
-		if base+count > opts.Budget {
-			count = opts.Budget - base
-		}
-		// Snapshot the pool: workers read it concurrently while the fold
-		// below (after the batch barrier) is the only writer.
-		poolSnap := append([]Schedule(nil), pool...)
-		slots := make([]slot, count)
-		err := harness.RunIndexed(count, opts.Parallel, func(k int) error {
-			i := base + k
-			strat := enabled[i%len(enabled)]
-			ordinal := i / len(enabled)
-			var (
-				sched Schedule
-				out   *Outcome
-				err   error
-			)
-			switch strat {
-			case StratBoundary:
-				cand := boundary.candidateAt(p, ops, opts.Seed, ordinal)
-				sched, out, err = runner.RunRule(cand.offsets, cand.plans, cand.net)
-			case StratRandom:
-				cand := randomCandidate(p, ops, opts.Seed, "random", ordinal, faults)
+	eval := func(i int) (slot, error) {
+		strat := enabled[i%len(enabled)]
+		ordinal := i / len(enabled)
+		var (
+			sched Schedule
+			out   *Outcome
+			err   error
+		)
+		switch strat {
+		case StratBoundary:
+			cand := boundary.candidateAt(p, ops, opts.Seed, ordinal)
+			sched, out, err = runner.RunRule(cand.offsets, cand.plans, cand.net)
+		case StratRandom:
+			cand := randomCandidate(p, ops, opts.Seed, "random", ordinal, faults)
+			sched = cand.sched
+			out, err = runner.Run(sched)
+		case StratCoverage:
+			if len(pool) == 0 {
+				cand := randomCandidate(p, ops, opts.Seed, "coverage-seed", ordinal, faults)
 				sched = cand.sched
-				out, err = runner.Run(sched)
-			case StratCoverage:
-				if len(poolSnap) == 0 {
-					cand := randomCandidate(p, ops, opts.Seed, "coverage-seed", ordinal, faults)
-					sched = cand.sched
-				} else {
-					rng := rand.New(rand.NewSource(harness.DeriveSeed(opts.Seed, fmt.Sprintf("adversary/coverage/%d", ordinal))))
-					parent := poolSnap[rng.Intn(len(poolSnap))]
-					sched = mutateSchedule(parent, p, ops, rng, faults)
-				}
-				out, err = runner.Run(sched)
-			case StratFaultCorner:
-				if len(corners) == 0 { // degenerate n: no corners apply
-					cand := randomCandidate(p, ops, opts.Seed, "faultcorner-fill", ordinal, faults)
-					sched = cand.sched
-				} else {
-					sched = corners[ordinal%len(corners)].sched
-				}
-				out, err = runner.Run(sched)
+			} else {
+				rng := rand.New(rand.NewSource(harness.DeriveSeed(opts.Seed, fmt.Sprintf("adversary/coverage/%d", ordinal))))
+				parent := pool[rng.Intn(len(pool))]
+				sched = mutateSchedule(parent, p, ops, rng, faults)
 			}
+			out, err = runner.Run(sched)
+		case StratFaultCorner:
+			if len(corners) == 0 { // degenerate n: no corners apply
+				cand := randomCandidate(p, ops, opts.Seed, "faultcorner-fill", ordinal, faults)
+				sched = cand.sched
+			} else {
+				sched = corners[ordinal%len(corners)].sched
+			}
+			out, err = runner.Run(sched)
+		}
+		return slot{strategy: strat, sched: sched, outcome: out}, err
+	}
+	// fold updates the coverage pool, signature set and violations.
+	fold := func(i int, sl slot) (bool, error) {
+		rep.Schedules++
+		schedulesTotal.Inc()
+		rep.ByStrategy[sl.strategy]++
+		sig := sl.outcome.Signature()
+		if !seen[sig] {
+			seen[sig] = true
+			noveltyHits.Inc()
+			if len(pool) == poolCap {
+				pool = pool[1:]
+			}
+			pool = append(pool, sl.sched)
+		}
+		kind := sl.outcome.Violation()
+		if kind == "" {
+			return false, nil
+		}
+		violationsTotal.Inc()
+		v := Violation{Index: i, Strategy: sl.strategy, Kind: kind, Schedule: sl.sched}
+		if opts.Shrink {
+			shrunk, shrunkKind, runs, err := Shrink(runner, sl.sched)
 			if err != nil {
-				return err
+				return false, err
 			}
-			slots[k] = slot{strategy: strat, sched: sched, outcome: out}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			v.Shrunk = &shrunk
+			v.ShrunkKind = shrunkKind
+			v.Runs = runs
 		}
-		// Fold in index order: coverage pool, signature set, violations.
-		batchViolated := false
-		for k := 0; k < count; k++ {
-			sl := slots[k]
-			rep.Schedules++
-			schedulesTotal.Inc()
-			rep.ByStrategy[sl.strategy]++
-			sig := sl.outcome.Signature()
-			if !seen[sig] {
-				seen[sig] = true
-				noveltyHits.Inc()
-				if len(pool) == poolCap {
-					pool = pool[1:]
-				}
-				pool = append(pool, sl.sched)
-			}
-			if kind := sl.outcome.Violation(); kind != "" {
-				batchViolated = true
-				violationsTotal.Inc()
-				v := Violation{
-					Index:    base + k,
-					Strategy: sl.strategy,
-					Kind:     kind,
-					Schedule: sl.sched,
-				}
-				if opts.Shrink {
-					shrunk, shrunkKind, runs, err := Shrink(runner, sl.sched)
-					if err != nil {
-						return nil, err
-					}
-					v.Shrunk = &shrunk
-					v.ShrunkKind = shrunkKind
-					v.Runs = runs
-				}
-				rep.Violations = append(rep.Violations, v)
-			}
-		}
-		if opts.StopEarly && batchViolated {
-			break
-		}
+		rep.Violations = append(rep.Violations, v)
+		return opts.StopEarly, nil
+	}
+	if err := harness.RunChunks(opts.Budget, batchSize, opts.Parallel, eval, fold); err != nil {
+		return nil, err
 	}
 	rep.Signatures = len(seen)
 	return rep, nil
@@ -304,15 +283,5 @@ func (r *Report) SortedStrategies() []string {
 			names = append(names, s)
 		}
 	}
-	// Defensive: include any unknown keys deterministically.
-	extra := make([]string, 0)
-	for s := range r.ByStrategy {
-		switch s {
-		case StratBoundary, StratRandom, StratCoverage, StratFaultCorner:
-		default:
-			extra = append(extra, s)
-		}
-	}
-	sort.Strings(extra)
-	return append(names, extra...)
+	return names
 }

@@ -14,9 +14,9 @@
 // that reduces any violating schedule to a minimal counterexample and
 // renders it as a space-time diagram. The whole pipeline follows the
 // repository's determinism convention: every random stream is derived
-// from (master seed, stream id) via harness.DeriveSeed, batches fan out
-// through harness.RunIndexed, and results are folded in index order, so
-// output is byte-identical at every parallelism level.
+// from (master seed, stream id) via harness.DeriveSeed, and
+// harness.RunChunks evaluates batches in parallel and folds them in index
+// order, so output is byte-identical at every parallelism level.
 package adversary
 
 import (

@@ -20,25 +20,6 @@ var (
 	strongViolationsTotal = obs.Default.Counter("adversary_strong_violations_total")
 )
 
-// StrongOptions configures a strong-linearizability hunt.
-type StrongOptions struct {
-	Params simtime.Params
-	DT     spec.DataType
-	Target Target
-	Seed   int64
-	// Budget is the number of base schedules to examine (each base spawns
-	// up to 2·|delays| fork runs). Rounded up to a batch.
-	Budget int
-	// Parallel is the worker count for batch evaluation.
-	Parallel int
-	// StopEarly stops at the end of the first batch containing a fork
-	// violation.
-	StopEarly bool
-	// Shrink reduces each violating pair to a minimal base schedule that
-	// still admits a violating fork.
-	Shrink bool
-}
-
 // ForkViolation is a pair of admissible executions proving the target is
 // not strongly linearizable: the fork differs from the base in a single
 // message delay, both runs are clean (linearizable, complete, converged),
@@ -53,7 +34,7 @@ type ForkViolation struct {
 	ForkIndex int
 	ForkDelay simtime.Duration
 	// Shrunk, ShrunkForkIndex and ShrunkForkDelay describe the minimal
-	// pair (when StrongOptions.Shrink).
+	// pair (when Options.Shrink).
 	Shrunk          *Schedule
 	ShrunkForkIndex int
 	ShrunkForkDelay simtime.Duration
@@ -116,12 +97,18 @@ func strongCorners(p simtime.Params, ops opset) []candidate {
 // to the opposite admissible extreme, and keeps pairs whose runs are both
 // individually clean yet observably diverge; lincheck's prefix-tree
 // check then decides whether some linearization choice survives both
-// futures. Deterministic like Fuzz: batches fan out through
-// harness.RunIndexed and fold in index order.
-func StrongHunt(opts StrongOptions) (*StrongReport, error) {
+// futures. Deterministic like Fuzz: harness.RunChunks evaluates batches
+// of bases and folds them in index order. The strategy order is fixed
+// (the strong corners and boundary sweep interleaved with random), so
+// opts.Strategies must be empty; Shrink reduces each violating pair to a
+// minimal base that still admits a violating fork.
+func StrongHunt(opts Options) (*StrongReport, error) {
 	p := opts.Params
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if len(opts.Strategies) > 0 {
+		return nil, fmt.Errorf("adversary: the strong hunt's strategy order is fixed; got strategies %q", opts.Strategies)
 	}
 	if opts.Budget <= 0 {
 		opts.Budget = batchSize
@@ -146,93 +133,69 @@ func StrongHunt(opts StrongOptions) (*StrongReport, error) {
 		explored  int
 		violated  bool
 	}
-
-	for batchBase := 0; batchBase < opts.Budget; batchBase += batchSize {
-		count := batchSize
-		if batchBase+count > opts.Budget {
-			count = opts.Budget - batchBase
-		}
-		slots := make([]slot, count)
-		err := harness.RunIndexed(count, opts.Parallel, func(k int) error {
-			i := batchBase + k
-			strat := strategies[i%len(strategies)]
-			ordinal := i / len(strategies)
-			var (
-				base Schedule
-				out  *Outcome
-				err  error
-			)
-			switch strat {
-			case StratBoundary:
-				cand := candidate{}
-				if ordinal < len(corners) {
-					cand = corners[ordinal]
-				} else {
-					cand = boundary.candidateAt(p, ops, opts.Seed, ordinal-len(corners))
-				}
-				base, out, err = runner.RunRule(cand.offsets, cand.plans, cand.net)
-			case StratRandom:
-				cand := randomCandidate(p, ops, opts.Seed, "strong-random", ordinal, false)
-				base = cand.sched
-				out, err = runner.Run(base)
+	eval := func(i int) (slot, error) {
+		strat := strategies[i%len(strategies)]
+		ordinal := i / len(strategies)
+		var (
+			base Schedule
+			out  *Outcome
+			err  error
+		)
+		switch strat {
+		case StratBoundary:
+			cand := candidate{}
+			if ordinal < len(corners) {
+				cand = corners[ordinal]
+			} else {
+				cand = boundary.candidateAt(p, ops, opts.Seed, ordinal-len(corners))
 			}
+			base, out, err = runner.RunRule(cand.offsets, cand.plans, cand.net)
+		case StratRandom:
+			cand := randomCandidate(p, ops, opts.Seed, "strong-random", ordinal, false)
+			base = cand.sched
+			out, err = runner.Run(base)
+		}
+		sl := slot{strategy: strat, base: base}
+		if err != nil || out.Violation() != "" {
+			return sl, err
+		}
+		sl.forkIdx, sl.forkDelay, sl.forks, sl.pairs, sl.explored, sl.violated, err = findFork(runner, base, out)
+		return sl, err
+	}
+	fold := func(i int, sl slot) (bool, error) {
+		rep.Bases++
+		rep.Forks += sl.forks
+		rep.Pairs += sl.pairs
+		schedulesTotal.Inc()
+		strongForksTotal.Add(int64(sl.forks))
+		strongPairsTotal.Add(int64(sl.pairs))
+		if !sl.violated {
+			return false, nil
+		}
+		strongViolationsTotal.Inc()
+		v := ForkViolation{
+			Index:        i,
+			Strategy:     sl.strategy,
+			Base:         sl.base,
+			ForkIndex:    sl.forkIdx,
+			ForkDelay:    sl.forkDelay,
+			TreeExplored: sl.explored,
+		}
+		if opts.Shrink {
+			shrunk, idx, delay, runs, err := ShrinkStrong(runner, sl.base)
 			if err != nil {
-				return err
+				return false, err
 			}
-			sl := slot{strategy: strat, base: base}
-			if out.Violation() == "" {
-				idx, delay, forks, pairs, explored, found, err := findFork(runner, base, out)
-				if err != nil {
-					return err
-				}
-				sl.forks, sl.pairs, sl.explored = forks, pairs, explored
-				if found {
-					sl.violated, sl.forkIdx, sl.forkDelay = true, idx, delay
-				}
-			}
-			slots[k] = sl
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			v.Shrunk = &shrunk
+			v.ShrunkForkIndex = idx
+			v.ShrunkForkDelay = delay
+			v.Runs = runs
 		}
-		batchViolated := false
-		for k := 0; k < count; k++ {
-			sl := slots[k]
-			rep.Bases++
-			rep.Forks += sl.forks
-			rep.Pairs += sl.pairs
-			schedulesTotal.Inc()
-			strongForksTotal.Add(int64(sl.forks))
-			strongPairsTotal.Add(int64(sl.pairs))
-			if !sl.violated {
-				continue
-			}
-			batchViolated = true
-			strongViolationsTotal.Inc()
-			v := ForkViolation{
-				Index:        batchBase + k,
-				Strategy:     sl.strategy,
-				Base:         sl.base,
-				ForkIndex:    sl.forkIdx,
-				ForkDelay:    sl.forkDelay,
-				TreeExplored: sl.explored,
-			}
-			if opts.Shrink {
-				shrunk, idx, delay, runs, err := ShrinkStrong(runner, sl.base)
-				if err != nil {
-					return nil, err
-				}
-				v.Shrunk = &shrunk
-				v.ShrunkForkIndex = idx
-				v.ShrunkForkDelay = delay
-				v.Runs = runs
-			}
-			rep.Violations = append(rep.Violations, v)
-		}
-		if opts.StopEarly && batchViolated {
-			break
-		}
+		rep.Violations = append(rep.Violations, v)
+		return opts.StopEarly, nil
+	}
+	if err := harness.RunChunks(opts.Budget, batchSize, opts.Parallel, eval, fold); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

@@ -42,7 +42,7 @@ func TestRunnerRejectsInadmissibleDelay(t *testing.T) {
 // reveals a different order in each future. The hunt must find, and the
 // shrinker must preserve, such a pair.
 func TestStrongHuntFindsForkOnPaperTimers(t *testing.T) {
-	rep, err := StrongHunt(StrongOptions{
+	rep, err := StrongHunt(Options{
 		Params:    simtime.DefaultParams(3),
 		DT:        adt.NewQueue(),
 		Target:    Target{Mutant: "aop-no-eps"},
@@ -95,6 +95,18 @@ func TestStrongHuntFindsForkOnPaperTimers(t *testing.T) {
 	}
 }
 
+// TestStrongHuntRefusesStrategies: the hunt's strategy order is fixed, so
+// a requested strategy set would be silently ignored; it is refused.
+func TestStrongHuntRefusesStrategies(t *testing.T) {
+	_, err := StrongHunt(Options{
+		Params: simtime.DefaultParams(3), DT: adt.NewQueue(), Seed: 7, Budget: 10,
+		Strategies: []string{StratRandom},
+	})
+	if err == nil || !strings.Contains(err.Error(), "strategy order is fixed") {
+		t.Errorf("StrongHunt with Strategies = %v, want a fixed-order error", err)
+	}
+}
+
 // TestStrongHuntFindsForkOnCorrectedAlgorithm is the empirical
 // realization of the Chandra–Hadzilacos–Jayanti–Toueg impossibility on
 // this codebase: even the *corrected* Algorithm 1 — fully linearizable
@@ -110,7 +122,7 @@ func TestStrongHuntFindsForkOnCorrectedAlgorithm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep, err := StrongHunt(StrongOptions{
+	rep, err := StrongHunt(Options{
 		Params:    simtime.DefaultParams(3),
 		DT:        adt.NewQueue(),
 		Seed:      7,

@@ -146,7 +146,7 @@ func TestStrongForkBruteForce(t *testing.T) {
 			name = "corrected"
 		}
 		t.Run(name, func(t *testing.T) {
-			rep, err := StrongHunt(StrongOptions{
+			rep, err := StrongHunt(Options{
 				Params: p, DT: adt.NewQueue(), Target: Target{Mutant: mutant},
 				Seed: 7, Budget: 16, StopEarly: true, Shrink: true,
 			})

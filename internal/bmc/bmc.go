@@ -97,9 +97,9 @@ var (
 	strongViolTotal = obs.Default.Counter("bmc_strong_violations_total")
 )
 
-// chunkSize is the number of contexts evaluated between fold points; the
-// stop-early decision is taken only at chunk boundaries, in index order,
-// so results are independent of parallelism.
+// chunkSize is the number of contexts harness.RunChunks evaluates between
+// folds; the stop-early decision is taken only there, so results are
+// independent of parallelism.
 const chunkSize = 64
 
 // maxStoredViolations bounds the schedules embedded in a report.
@@ -514,8 +514,8 @@ type StrongViolation struct {
 }
 
 // Verify exhausts the space and reports. The report is a pure function
-// of the Config (minus Parallel): contexts fan out through
-// harness.RunIndexed and fold in index order.
+// of the Config (minus Parallel): harness.RunChunks evaluates chunks of
+// contexts and folds them in index order.
 func Verify(cfg Config) (*Report, error) {
 	space, err := NewSpace(cfg)
 	if err != nil {
@@ -545,69 +545,44 @@ func Verify(cfg Config) (*Report, error) {
 	seenSigs := map[uint64]bool{}
 	seenHists := map[uint64]bool{}
 
-	total := space.Contexts()
-	for baseCtx := 0; baseCtx < total; baseCtx += chunkSize {
-		count := chunkSize
-		if baseCtx+count > total {
-			count = total - baseCtx
+	eval := func(ctx int) (contextResult, error) { return space.checkContext(runner, ctx) }
+	fold := func(ctx int, res contextResult) (bool, error) {
+		contextsTotal.Inc()
+		rep.Runs += res.runs
+		runsTotal.Add(int64(res.runs))
+		for _, sig := range res.sigs {
+			seenSigs[sig] = true
 		}
-		results := make([]contextResult, count)
-		err := harness.RunIndexed(count, cfg.Parallel, func(k int) error {
-			res, err := space.checkContext(runner, baseCtx+k)
-			if err != nil {
-				return err
-			}
-			results[k] = res
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		for _, fp := range res.histFPs {
+			seenHists[fp] = true
 		}
-		chunkViolated := false
-		for k := 0; k < count; k++ {
-			res := results[k]
-			contextsTotal.Inc()
-			rep.Runs += res.runs
-			runsTotal.Add(int64(res.runs))
-			for _, sig := range res.sigs {
-				if !seenSigs[sig] {
-					seenSigs[sig] = true
-				}
-			}
-			for _, fp := range res.histFPs {
-				if !seenHists[fp] {
-					seenHists[fp] = true
-				}
-			}
-			if res.violation != nil {
-				chunkViolated = true
-				rep.OK = false
-				rep.ViolationsTotal++
-				violationsTotal.Inc()
-				if len(rep.Violations) < maxStoredViolations {
-					rep.Violations = append(rep.Violations, *res.violation)
-				}
-			}
-			if res.strongDone {
-				rep.StrongChecked++
-				rep.StrongExplored += res.treeOps
-				if res.strongBad {
-					rep.StrongViolations++
-					strongViolTotal.Inc()
-					if len(rep.StrongExamples) < maxStoredViolations {
-						rep.StrongExamples = append(rep.StrongExamples, StrongViolation{
-							Context:  baseCtx + k,
-							Branches: res.branches,
-							Ops:      res.treeOps,
-						})
-					}
+		if res.strongDone {
+			rep.StrongChecked++
+			rep.StrongExplored += res.treeOps
+			if res.strongBad {
+				rep.StrongViolations++
+				strongViolTotal.Inc()
+				if len(rep.StrongExamples) < maxStoredViolations {
+					rep.StrongExamples = append(rep.StrongExamples, StrongViolation{
+						Context: ctx, Branches: res.branches, Ops: res.treeOps,
+					})
 				}
 			}
 		}
-		if cfg.StopEarly && chunkViolated {
-			rep.Stopped = true
-			break
+		if res.violation == nil {
+			return false, nil
 		}
+		rep.OK = false
+		rep.ViolationsTotal++
+		violationsTotal.Inc()
+		if len(rep.Violations) < maxStoredViolations {
+			rep.Violations = append(rep.Violations, *res.violation)
+		}
+		rep.Stopped = cfg.StopEarly
+		return cfg.StopEarly, nil
+	}
+	if err := harness.RunChunks(space.Contexts(), chunkSize, cfg.Parallel, eval, fold); err != nil {
+		return nil, err
 	}
 	rep.Signatures = len(seenSigs)
 	rep.Histories = len(seenHists)

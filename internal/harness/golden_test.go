@@ -29,7 +29,7 @@ func TestMeasureTableGolden(t *testing.T) {
 		},
 	}
 	for num, rows := range want {
-		tab, err := MeasureTable(num, p, 21)
+		tab, err := MeasureTableParallel(num, p, 21, 1)
 		if err != nil {
 			t.Fatalf("table %d: %v", num, err)
 		}
@@ -62,11 +62,11 @@ func TestMeasureTableSeedStreamsIndependent(t *testing.T) {
 		t.Fatal("workload and config sub-seeds alias")
 	}
 	p := simtime.DefaultParams(4)
-	a, err := MeasureTable(2, p, 21)
+	a, err := MeasureTableParallel(2, p, 21, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureTable(2, p, 9000)
+	b, err := MeasureTableParallel(2, p, 9000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

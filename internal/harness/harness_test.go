@@ -195,7 +195,7 @@ func TestLatencyStats(t *testing.T) {
 
 func TestMeasureTableAll(t *testing.T) {
 	p := hp()
-	tables, err := MeasureAllTables(p, 21)
+	tables, err := MeasureAllTablesParallel(p, 21, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMeasureTableAll(t *testing.T) {
 }
 
 func TestMeasureTableUnknownNumber(t *testing.T) {
-	if _, err := MeasureTable(9, hp(), 1); err == nil {
+	if _, err := MeasureTableParallel(9, hp(), 1, 1); err == nil {
 		t.Error("table 9 should error")
 	}
 }
@@ -238,7 +238,7 @@ func TestMeasureOptimal(t *testing.T) {
 	// exactly ε (X=0), pure accessors exactly 2ε (corrected; X=d-ε),
 	// mixed ops d+ε regardless.
 	p := hp()
-	rows, err := MeasureOptimal("queue", p, 51)
+	rows, err := MeasureOptimalParallel("queue", p, 51, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +265,14 @@ func TestMeasureOptimal(t *testing.T) {
 }
 
 func TestMeasureOptimalUnknownType(t *testing.T) {
-	if _, err := MeasureOptimal("nope", hp(), 1); err == nil {
+	if _, err := MeasureOptimalParallel("nope", hp(), 1, 1); err == nil {
 		t.Error("unknown type should error")
 	}
 }
 
 func TestSweepX(t *testing.T) {
 	p := hp()
-	points, err := SweepX(p, "queue", 4, 31)
+	points, err := SweepXParallel(p, "queue", 4, 31, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +309,10 @@ func TestSweepX(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	if _, err := SweepX(hp(), "queue", 0, 1); err == nil {
+	if _, err := SweepXParallel(hp(), "queue", 0, 1, 1); err == nil {
 		t.Error("zero intervals should error")
 	}
-	if _, err := SweepX(hp(), "nope", 2, 1); err == nil {
+	if _, err := SweepXParallel(hp(), "nope", 2, 1, 1); err == nil {
 		t.Error("unknown type should error")
 	}
 }

@@ -85,18 +85,12 @@ var classRepresentatives = map[string]string{
 	"any op":         adt.OpDequeue,
 }
 
-// MeasureTable regenerates one of the paper's Tables 1-5 with measured
-// worst-case latencies from a deterministic workload battery: Algorithm 1
-// and the centralized baseline run the same closed-loop workload on the
-// table's data type under the worst-case network (uniform delay d).
-// MeasureTable runs sequentially; MeasureTableParallel fans the runs out.
-func MeasureTable(number int, p simtime.Params, seed int64) (*MeasuredTable, error) {
-	return MeasureTableParallel(number, p, seed, 1)
-}
-
-// MeasureTableParallel is MeasureTable with the algorithm and baseline
-// runs fanned across at most parallel workers. The master seed is split
-// into independent sub-seeds for the workload stream and the
+// MeasureTableParallel regenerates one of the paper's Tables 1-5 with
+// measured worst-case latencies from a deterministic workload battery:
+// Algorithm 1 and the centralized baseline run the same closed-loop
+// workload on the table's data type under the worst-case network (uniform
+// delay d), fanned across at most parallel workers. The master seed is
+// split into independent sub-seeds for the workload stream and the
 // network/offset configuration stream (they must not alias — a coupled
 // stream correlates operation gaps with message delays), so the output is
 // deterministic and identical for every parallelism level.
@@ -114,7 +108,7 @@ func MeasureTableParallel(number int, p simtime.Params, seed int64, parallel int
 			Network: NetUniform, Offsets: OffZero, Seed: cfgSeed, Trace: sim.TraceOps}, Workload: wl},
 		{Config: Config{Params: p, TypeName: typeName, Algorithm: AlgCentral,
 			Network: NetUniform, Offsets: OffZero, Seed: cfgSeed, Trace: sim.TraceOps}, Workload: wl},
-	}, Parallelism(parallel))
+	}, parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -165,17 +159,12 @@ func MeasureTableParallel(number int, p simtime.Params, seed int64, parallel int
 	return out, nil
 }
 
-// MeasureAllTables regenerates Tables 1-5 sequentially.
-func MeasureAllTables(p simtime.Params, seed int64) ([]*MeasuredTable, error) {
-	return MeasureAllTablesParallel(p, seed, 1)
-}
-
 // MeasureAllTablesParallel regenerates Tables 1-5 with the per-table
 // simulator runs fanned across at most parallel workers. Output is
-// bit-identical to the sequential MeasureAllTables.
+// bit-identical at every parallelism level.
 func MeasureAllTablesParallel(p simtime.Params, seed int64, parallel int) ([]*MeasuredTable, error) {
 	out := make([]*MeasuredTable, 5)
-	err := runIndexed(5, Parallelism(parallel), func(i int) error {
+	err := RunIndexed(5, parallel, func(i int) error {
 		t, err := MeasureTableParallel(i+1, p, seed, parallel)
 		if err != nil {
 			return err
@@ -203,16 +192,11 @@ type OptimalRow struct {
 	Formula bounds.Bound
 }
 
-// MeasureOptimal measures every operation of a data type at its per-class
-// optimal X: the whole workload battery runs once at X=0 (optimal for
-// pure mutators and mixed ops) and once at X=d-ε (optimal for pure
-// accessors), and each operation reports the run matching its class.
-func MeasureOptimal(typeName string, p simtime.Params, seed int64) ([]OptimalRow, error) {
-	return MeasureOptimalParallel(typeName, p, seed, 1)
-}
-
-// MeasureOptimalParallel is MeasureOptimal with the two workload runs
-// (X=0 and X=d-ε) fanned across workers.
+// MeasureOptimalParallel measures every operation of a data type at its
+// per-class optimal X: the whole workload battery runs once at X=0
+// (optimal for pure mutators and mixed ops) and once at X=d-ε (optimal
+// for pure accessors), the two runs fanned across workers, and each
+// operation reports the run matching its class.
 func MeasureOptimalParallel(typeName string, p simtime.Params, seed int64, parallel int) ([]OptimalRow, error) {
 	dt, err := adt.Lookup(typeName)
 	if err != nil {
@@ -231,7 +215,7 @@ func MeasureOptimalParallel(typeName string, p simtime.Params, seed int64, paral
 	results, err := RunJobs([]Job{
 		{Config: configAt(0), Workload: wl},
 		{Config: configAt(p.D - p.Epsilon), Workload: wl},
-	}, Parallelism(parallel))
+	}, parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -287,17 +271,13 @@ type SweepPoint struct {
 	AOPBound, MOPBound, OOPBound simtime.Duration
 }
 
-// SweepX measures the X tradeoff (§5.1.2): for points+1 values of
+// SweepXParallel measures the X tradeoff (§5.1.2): for points+1 values of
 // X across [0, d-ε], run the workload and record worst-case latencies per
-// operation class alongside the formulas d-X+ε, X+ε, d+ε.
-func SweepX(p simtime.Params, typeName string, points int, seed int64) ([]SweepPoint, error) {
-	return SweepXParallel(p, typeName, points, seed, 1)
-}
-
-// SweepXParallel is SweepX with the per-X simulator runs fanned across at
-// most parallel workers. Each sweep point draws its workload and config
-// streams from sub-seeds derived from (seed, point index), so the curve
-// is deterministic and identical at every parallelism level.
+// operation class alongside the formulas d-X+ε, X+ε, d+ε. The per-X
+// simulator runs fan out across at most parallel workers; each sweep
+// point draws its workload and config streams from sub-seeds derived from
+// (seed, point index), so the curve is deterministic and identical at
+// every parallelism level.
 func SweepXParallel(p simtime.Params, typeName string, points int, seed int64, parallel int) ([]SweepPoint, error) {
 	if points < 1 {
 		return nil, fmt.Errorf("harness: need at least 1 sweep interval")
@@ -309,7 +289,7 @@ func SweepXParallel(p simtime.Params, typeName string, points int, seed int64, p
 	classes := ClassesFor(dt)
 	out := make([]SweepPoint, points+1)
 	span := p.D - p.Epsilon
-	err = runIndexed(points+1, Parallelism(parallel), func(i int) error {
+	err = RunIndexed(points+1, parallel, func(i int) error {
 		q := p
 		q.X = span * simtime.Duration(i) / simtime.Duration(points)
 		runID := fmt.Sprintf("sweep/%d", i)

@@ -27,14 +27,15 @@ func Parallelism(n int) int {
 	return n
 }
 
-// runIndexed executes f(0..n-1) across at most parallel worker
-// goroutines and returns the lowest-index error (so failures are
-// deterministic regardless of scheduling). With parallel ≤ 1 it runs
-// inline in index order.
-func runIndexed(n, parallel int, f func(i int) error) error {
-	if parallel > n {
-		parallel = n
-	}
+// RunIndexed executes f(0..n-1) across at most parallel worker
+// goroutines (Parallelism semantics: < 1 selects GOMAXPROCS) and returns
+// the lowest-index error, so failures are deterministic regardless of
+// scheduling. With one worker it runs inline in index order and stops at
+// the first error. As long as f(i) depends only on i — derive per-index
+// seeds with DeriveSeed — results are identical at every parallelism
+// level.
+func RunIndexed(n, parallel int, f func(i int) error) error {
+	parallel = min(Parallelism(parallel), n)
 	if parallel <= 1 {
 		for i := 0; i < n; i++ {
 			if err := f(i); err != nil {
@@ -68,15 +69,40 @@ func runIndexed(n, parallel int, f func(i int) error) error {
 	return nil
 }
 
-// RunIndexed executes f(0..n-1) across at most parallel workers
-// (Parallelism semantics: < 1 selects GOMAXPROCS) and returns the
-// lowest-index error. It is the generic deterministic fan-out primitive
-// behind RunJobs, exported for subsystems (e.g. internal/adversary) that
-// run non-Config work items: as long as f(i) depends only on i — derive
-// per-index seeds with DeriveSeed — results are identical at every
-// parallelism level.
-func RunIndexed(n, parallel int, f func(i int) error) error {
-	return runIndexed(n, Parallelism(parallel), f)
+// RunChunks is the deterministic campaign driver behind the fuzzer, the
+// strong-linearizability hunt and the exhaustive bmc sweep. It evaluates
+// items 0..n-1 in consecutive chunks of chunk > 0 items (the last one may
+// be short); each chunk fans out through RunIndexed, then fold sees that
+// chunk's values in index order. fold runs only between chunks, so state
+// it writes (a coverage pool, a violation list) may be read by the next
+// chunk's eval without locking. A stop from fold ends the run after the
+// current chunk — the rest of that chunk is still folded — so which items
+// run depends on (n, chunk, fold) alone, never on parallelism. It returns
+// the chunk's lowest-index eval error or the first fold error.
+func RunChunks[T any](n, chunk, parallel int, eval func(i int) (T, error), fold func(i int, v T) (stop bool, err error)) error {
+	vals := make([]T, min(chunk, n))
+	for base := 0; base < n; base += chunk {
+		count := min(chunk, n-base)
+		if err := RunIndexed(count, parallel, func(k int) error {
+			v, err := eval(base + k)
+			vals[k] = v
+			return err
+		}); err != nil {
+			return err
+		}
+		stop := false
+		for k := 0; k < count; k++ {
+			s, err := fold(base+k, vals[k])
+			if err != nil {
+				return err
+			}
+			stop = stop || s
+		}
+		if stop {
+			return nil
+		}
+	}
+	return nil
 }
 
 // Job is one experiment of a batch: a configuration plus its workload.
@@ -94,7 +120,7 @@ type Job struct {
 // the batch result.
 func RunJobs(jobs []Job, parallel int) ([]*Result, error) {
 	out := make([]*Result, len(jobs))
-	err := runIndexed(len(jobs), Parallelism(parallel), func(i int) error {
+	err := RunIndexed(len(jobs), parallel, func(i int) error {
 		res, err := Run(jobs[i].Config, jobs[i].Workload)
 		if err != nil {
 			return err

@@ -43,7 +43,7 @@ func TestRunIndexedOrderAndErrors(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		var mu sync.Mutex
 		ran := map[int]bool{}
-		err := runIndexed(10, parallel, func(i int) error {
+		err := RunIndexed(10, parallel, func(i int) error {
 			mu.Lock()
 			ran[i] = true
 			mu.Unlock()
@@ -53,7 +53,7 @@ func TestRunIndexedOrderAndErrors(t *testing.T) {
 			t.Errorf("parallel=%d: ran %d indices, err %v", parallel, len(ran), err)
 		}
 		// Lowest-index error wins deterministically.
-		err = runIndexed(10, parallel, func(i int) error {
+		err = RunIndexed(10, parallel, func(i int) error {
 			if i >= 3 {
 				return fmt.Errorf("fail-%d", i)
 			}
@@ -127,7 +127,7 @@ func TestRunJobsPropagatesError(t *testing.T) {
 // renders byte-identically at every parallelism level.
 func TestMeasureAllTablesParallelIdentical(t *testing.T) {
 	p := simtime.DefaultParams(4)
-	ref, err := MeasureAllTables(p, 21)
+	ref, err := MeasureAllTablesParallel(p, 21, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestMeasureAllTablesParallelIdentical(t *testing.T) {
 // every parallelism level.
 func TestSweepXParallelIdentical(t *testing.T) {
 	p := simtime.DefaultParams(4)
-	ref, err := SweepX(p, "queue", 4, 31)
+	ref, err := SweepXParallel(p, "queue", 4, 31, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSweepXParallelIdentical(t *testing.T) {
 // measurement is parallelism-independent.
 func TestMeasureOptimalParallelIdentical(t *testing.T) {
 	p := simtime.DefaultParams(4)
-	ref, err := MeasureOptimal("queue", p, 51)
+	ref, err := MeasureOptimalParallel("queue", p, 51, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,5 +256,93 @@ func TestRunIndexed(t *testing.T) {
 	// Zero items is a no-op.
 	if err := RunIndexed(0, 4, func(int) error { return fmt.Errorf("never") }); err != nil {
 		t.Errorf("empty run: %v", err)
+	}
+}
+
+// TestRunChunks covers the campaign driver's contract at every width:
+// fold sees 0..n-1 in index order (short last chunk and n = 0
+// included), a stop folds the rest of its chunk and evaluates nothing
+// after it, the lowest-index eval error wins, and a fold error ends the
+// run.
+func TestRunChunks(t *testing.T) {
+	const chunk = 4
+	for _, parallel := range []int{1, 2, 8} {
+		for _, n := range []int{0, 3, 8, 10} {
+			var folded []int
+			err := RunChunks(n, chunk, parallel, func(i int) (int, error) {
+				return i * i, nil
+			}, func(i, v int) (bool, error) {
+				if v != i*i {
+					t.Errorf("parallel=%d n=%d: fold(%d) got %d", parallel, n, i, v)
+				}
+				folded = append(folded, i)
+				return false, nil
+			})
+			if err != nil {
+				t.Fatalf("parallel=%d n=%d: %v", parallel, n, err)
+			}
+			if len(folded) != n {
+				t.Fatalf("parallel=%d n=%d: folded %v", parallel, n, folded)
+			}
+			for i, v := range folded {
+				if v != i {
+					t.Fatalf("parallel=%d n=%d: fold order %v", parallel, n, folded)
+				}
+			}
+		}
+
+		// A stop at item 5 (chunk 4..7) folds 6 and 7, then ends the run.
+		var mu sync.Mutex
+		evaluated := map[int]bool{}
+		var folded []int
+		err := RunChunks(20, chunk, parallel, func(i int) (int, error) {
+			mu.Lock()
+			evaluated[i] = true
+			mu.Unlock()
+			return i, nil
+		}, func(i, _ int) (bool, error) {
+			folded = append(folded, i)
+			return i == 5, nil
+		})
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", parallel, err)
+		}
+		if len(folded) != 8 || folded[7] != 7 {
+			t.Errorf("parallel=%d: stop at 5 folded %v, want 0..7", parallel, folded)
+		}
+		if len(evaluated) != 8 || evaluated[8] {
+			t.Errorf("parallel=%d: evaluated %d items past the stopping chunk", parallel, len(evaluated)-8)
+		}
+
+		// The lowest-index eval error of the failing chunk wins, and
+		// nothing of that chunk is folded.
+		folded = folded[:0]
+		err = RunChunks(20, chunk, parallel, func(i int) (int, error) {
+			if i >= 6 {
+				return 0, fmt.Errorf("fail-%d", i)
+			}
+			return i, nil
+		}, func(i, _ int) (bool, error) {
+			folded = append(folded, i)
+			return false, nil
+		})
+		if err == nil || err.Error() != "fail-6" || len(folded) != 4 {
+			t.Errorf("parallel=%d: err = %v after folding %v, want fail-6 after 0..3", parallel, err, folded)
+		}
+
+		// A fold error ends the run at once.
+		folded = folded[:0]
+		err = RunChunks(20, chunk, parallel, func(i int) (int, error) {
+			return i, nil
+		}, func(i, _ int) (bool, error) {
+			folded = append(folded, i)
+			if i == 2 {
+				return false, fmt.Errorf("fold-%d", i)
+			}
+			return false, nil
+		})
+		if err == nil || err.Error() != "fold-2" || len(folded) != 3 {
+			t.Errorf("parallel=%d: err = %v after folding %v, want fold-2 after 0..2", parallel, err, folded)
+		}
 	}
 }
