@@ -51,7 +51,7 @@ bench-compare:
 	cmp /tmp/bench-compare-fuzz-p1.txt /tmp/bench-compare-fuzz-p8.txt
 	for args in "verify" "verify -mutant all" "verify -backend quorum -d 8 -u 6 -ops 2" \
 		"fuzz -backend sequencer -budget 300 -seed 1" "fuzz -strong -n 3 -seed 7 -budget 80" \
-		"fuzz -mutant aop-no-eps -budget 500 -seed 1"; do \
+		"fuzz -mutant aop-no-eps -budget 500 -seed 1" "fuzz -mutant all -budget 200 -seed 1"; do \
 		/tmp/lintime-bench-compare $$args -parallel 1 > /tmp/bench-compare-p1.txt && \
 		/tmp/lintime-bench-compare $$args -parallel 4 > /tmp/bench-compare-p4.txt && \
 		cmp /tmp/bench-compare-p1.txt /tmp/bench-compare-p4.txt || { echo "bench-compare: lintime $$args differs"; exit 1; }; \

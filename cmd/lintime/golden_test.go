@@ -180,6 +180,16 @@ func TestGoldenVerifyKillMatrix(t *testing.T) {
 	checkGolden(t, "verify-kill-matrix", got)
 }
 
+// TestGoldenVerifyKillMatrixJSON pins the -json shape of the exhaustive
+// kill matrix: one object per row, control first, with the verdict kind
+// and space omitted when empty.
+func TestGoldenVerifyKillMatrixJSON(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return cmdVerify([]string{"-mutant", "all", "-json"})
+	})
+	checkGolden(t, "verify-kill-matrix-json", got)
+}
+
 // TestGoldenVerifyQuorum pins the exhaustive sweep of the ABD quorum
 // backend over its two-op crash-augmented space: -backend quorum routes
 // the register type and the quorum message model automatically, and the
@@ -222,6 +232,16 @@ func TestGoldenVerifyStrongSequencer(t *testing.T) {
 		return cmdVerify([]string{"-backend", "sequencer", "-ops", "3"})
 	})
 	checkGolden(t, "verify-strong-sequencer", got)
+}
+
+// TestGoldenFuzzKillMatrix pins the core fuzzing kill matrix end to end:
+// the table, then each killed mutant's shrunk witness and its replayed
+// diagram.
+func TestGoldenFuzzKillMatrix(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return cmdFuzz([]string{"-mutant", "all", "-budget", "300", "-seed", "2"})
+	})
+	checkGolden(t, "fuzz-kill-matrix", got)
 }
 
 // TestGoldenFuzzQuorumKillMatrix pins the crash-tolerance fuzzing
@@ -352,8 +372,8 @@ func TestKillMatrixControlGate(t *testing.T) {
 	control := false
 	fuzzKillMatrix = func(adversary.Options) ([]adversary.KillEntry, error) {
 		return []adversary.KillEntry{
-			{Mutant: "correct", Killed: control, Kind: adversary.KindDiverged, Schedules: 1},
-			{Mutant: "mop-zero", Schedules: 64}, // survived
+			{Mutant: "correct", Killed: control, Kind: adversary.KindDiverged, Runs: 1},
+			{Mutant: "mop-zero", Runs: 64}, // survived
 		}, nil
 	}
 	verifyKillMatrix = func(bmc.Config) ([]bmc.KillEntry, error) {

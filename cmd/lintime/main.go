@@ -33,6 +33,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"lintime/internal/adt"
@@ -355,7 +356,12 @@ func cmdLowerbound(args []string) error {
 	thm := fs.Int("thm", 0, "theorem to run (2, 3, 4 or 5; 0 = all)")
 	budget := fs.Int64("budget", -1, "forced operation latency (default bound-1)")
 	k := fs.Int("k", 0, "Theorem 3's k (default n)")
-	typeName := fs.String("type", "queue", "data type for theorems 2 and 3 (stock scenarios: queue, stack, register, tree, log, deque, pqueue, counter, bank)")
+	theorems, types := []int{2, 3, 4, 5}, lowerbound.ScenarioTypes()
+	var stock []string
+	for _, theorem := range theorems {
+		stock = append(stock, fmt.Sprintf("theorem %d: %s", theorem, strings.Join(types[theorem], ", ")))
+	}
+	typeName := fs.String("type", "queue", "data type; with -thm 0, theorems without a stock scenario for it are skipped ("+strings.Join(stock, "; ")+")")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -407,7 +413,16 @@ func cmdLowerbound(args []string) error {
 	if *thm != 0 {
 		return run(*thm)
 	}
-	for _, theorem := range []int{2, 3, 4, 5} {
+	has := func(theorem int) bool { return slices.Contains(types[theorem], *typeName) }
+	if !slices.ContainsFunc(theorems, has) {
+		return fmt.Errorf("lowerbound: no theorem has a stock scenario for type %q", *typeName)
+	}
+	for _, theorem := range theorems {
+		if !has(theorem) {
+			fmt.Printf("Theorem %d skipped: no stock scenario for type %q (have %s)\n\n",
+				theorem, *typeName, strings.Join(types[theorem], ", "))
+			continue
+		}
 		if err := run(theorem); err != nil {
 			return err
 		}
@@ -534,6 +549,15 @@ func mutantFlag(fs *flag.FlagSet, matrix string) *string {
 // legitimately hold no counterexample for one.
 var fuzzKillMatrix, verifyKillMatrix = adversary.KillMatrix, bmc.KillMatrix
 
+// controlGate is the error a kill-matrix command ends on when the
+// matrix's control row (the correct protocol) was killed.
+func controlGate[W any](cmd string, entries []harness.KillEntry[W]) error {
+	if e := entries[0]; e.Killed {
+		return fmt.Errorf("%s: the control row (the correct protocol) was killed: %s", cmd, e.Kind)
+	}
+	return nil
+}
+
 func cmdFuzz(args []string) error {
 	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
 	getTarget := backendFlags(fs, paramFlags(fs))
@@ -603,9 +627,7 @@ func cmdFuzz(args []string) error {
 		if err := adversary.WriteKillMatrix(os.Stdout, runner, entries); err != nil {
 			return err
 		}
-		if e := entries[0]; e.Killed {
-			gate = fmt.Errorf("fuzz: the control row (the correct protocol) was killed: %s", e.Kind)
-		}
+		gate = controlGate("fuzz", entries)
 	default:
 		opts.StopEarly = *mutant != ""
 		rep, err := adversary.Fuzz(opts)
@@ -680,13 +702,9 @@ func cmdVerify(args []string) error {
 		} else {
 			fmt.Printf("exhaustive mutant kill matrix on %s (n=%d d=%v u=%v eps=%v X=%v, max %d ops):\n\n",
 				dt.Name(), p.N, p.D, p.U, p.Epsilon, p.X, *maxOps)
-			if err := bmc.WriteKillMatrix(os.Stdout, entries); err != nil {
-				return err
-			}
+			bmc.WriteKillMatrix(os.Stdout, entries)
 		}
-		if e := entries[0]; e.Killed {
-			gate = fmt.Errorf("verify: the control row (the correct protocol) was killed: %s", e.Kind)
-		}
+		gate = controlGate("verify", entries)
 	} else {
 		rep, err := bmc.Verify(cfg)
 		if err != nil {

@@ -47,6 +47,16 @@ func TestCmdLowerbound(t *testing.T) {
 	if err := cmdLowerbound([]string{"-thm", "3", "-type", "register", "-k", "3"}); err != nil {
 		t.Fatal(err)
 	}
+	// Every theorem with a stock scenario for the type runs; the rest are
+	// skipped, not fatal.
+	for _, args := range [][]string{{"-type", "stack"}, {"-type", "counter"}} {
+		if err := cmdLowerbound(args); err != nil {
+			t.Errorf("lowerbound %v: %v", args, err)
+		}
+	}
+	if err := cmdLowerbound([]string{"-type", "bogus"}); err == nil {
+		t.Error("a type no theorem has a scenario for should error")
+	}
 	if err := cmdLowerbound([]string{"-thm", "9"}); err == nil {
 		t.Error("unknown theorem should error")
 	}

@@ -47,10 +47,10 @@ func TestKillMatrix(t *testing.T) {
 			continue
 		}
 		if !e.Killed {
-			t.Errorf("mutant %s survived %d schedules", e.Mutant, e.Schedules)
+			t.Errorf("mutant %s survived %d schedules", e.Mutant, e.Runs)
 			continue
 		}
-		if e.Shrunk == nil {
+		if e.Witness.Shrunk == nil {
 			t.Errorf("mutant %s killed but not shrunk", e.Mutant)
 			continue
 		}
@@ -60,13 +60,13 @@ func TestKillMatrix(t *testing.T) {
 			DT:     opts.DT,
 			Target: Target{Mutant: e.Mutant},
 		}
-		out, err := r.Run(*e.Shrunk)
+		out, err := r.Run(*e.Witness.Shrunk)
 		if err != nil {
 			t.Errorf("mutant %s: replaying shrunk schedule: %v", e.Mutant, err)
 			continue
 		}
-		if got := out.Violation(); got != e.ShrunkKind {
-			t.Errorf("mutant %s: shrunk replay violation = %q, recorded %q", e.Mutant, got, e.ShrunkKind)
+		if got := out.Violation(); got != e.Witness.ShrunkKind {
+			t.Errorf("mutant %s: shrunk replay violation = %q, recorded %q", e.Mutant, got, e.Witness.ShrunkKind)
 		}
 	}
 }

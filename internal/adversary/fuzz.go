@@ -219,59 +219,28 @@ func Fuzz(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// KillEntry is one row of a mutant kill matrix.
-type KillEntry struct {
-	Mutant     string
-	Desc       string
-	Killed     bool
-	Kind       string // violation kind that killed it
-	Schedules  int    // schedules evaluated before the kill (or budget)
-	Shrunk     *Schedule
-	ShrunkKind string
-}
+// KillEntry is one row of the fuzzing kill matrix; a kill's witness is
+// the campaign's first violation (shrunk when Options.Shrink).
+type KillEntry = harness.KillEntry[*Violation]
 
-// KillMatrix fuzzes every seeded mutant of the target's backend (plus the
-// correct protocol as a control) with the given per-mutant budget and
-// reports which died. The control row comes first, has Mutant ==
-// "correct" and must never be killed.
+// KillMatrix fuzzes each harness.KillMatrix row of the target's backend
+// with the given per-row budget, stopping at the first violating batch; a
+// kill's Runs counts schedules up to the first violating one.
 func KillMatrix(opts Options) ([]KillEntry, error) {
-	backend, err := harness.Lookup(opts.Target.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := backend.MatrixRows()
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]KillEntry, 0, len(rows))
-	for _, m := range rows {
+	return harness.KillMatrix(opts.Target.Algorithm, mutantKills, func(m harness.Mutant) (KillEntry, error) {
 		o := opts
 		o.Target = Target{Algorithm: opts.Target.Algorithm, Mutant: m.Name}
 		o.StopEarly = true
 		rep, err := Fuzz(o)
 		if err != nil {
-			return nil, err
+			return KillEntry{}, err
 		}
-		e := KillEntry{
-			Mutant:    m.Name,
-			Desc:      m.Desc,
-			Killed:    len(rep.Violations) > 0,
-			Schedules: rep.Schedules,
+		if len(rep.Violations) == 0 {
+			return KillEntry{Runs: rep.Schedules}, nil
 		}
-		if e.Mutant == "" {
-			e.Mutant = "correct"
-		}
-		if e.Killed {
-			mutantKills.Inc()
-			v := rep.Violations[0]
-			e.Kind = v.Kind
-			e.Schedules = v.Index + 1
-			e.Shrunk = v.Shrunk
-			e.ShrunkKind = v.ShrunkKind
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
+		v := &rep.Violations[0]
+		return KillEntry{Killed: true, Kind: v.Kind, Runs: v.Index + 1, Witness: v}, nil
+	})
 }
 
 // SortedStrategies returns the strategy names of a report's counter map

@@ -43,12 +43,12 @@ func TestQuorumKillMatrix(t *testing.T) {
 			continue
 		}
 		if !e.Killed {
-			t.Errorf("mutant %q survived %d schedules", e.Mutant, e.Schedules)
+			t.Errorf("mutant %q survived %d schedules", e.Mutant, e.Runs)
 			continue
 		}
-		t.Logf("mutant %-18s killed after %4d schedules (%s)", e.Mutant, e.Schedules, e.Kind)
-		if e.Shrunk != nil {
-			t.Logf("  shrunk: %s", e.Shrunk)
+		t.Logf("mutant %-18s killed after %4d schedules (%s)", e.Mutant, e.Runs, e.Kind)
+		if e.Witness.Shrunk != nil {
+			t.Logf("  shrunk: %s", e.Witness.Shrunk)
 		}
 	}
 }

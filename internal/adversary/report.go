@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"lintime/internal/diagram"
+	"lintime/internal/harness"
 )
 
 // WriteReport renders a campaign report as deterministic plain text,
@@ -37,15 +38,16 @@ func WriteReport(w io.Writer, r *Runner, rep *Report) error {
 			minimal = *v.Shrunk
 		}
 		fmt.Fprint(w, minimal.String())
-		if err := writeDiagram(w, r, minimal); err != nil {
+		if err := WriteDiagram(w, r, minimal); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeDiagram replays a schedule and renders its space-time diagram.
-func writeDiagram(w io.Writer, r *Runner, s Schedule) error {
+// WriteDiagram replays a violating schedule and renders its violation
+// kind and space-time diagram.
+func WriteDiagram(w io.Writer, r *Runner, s Schedule) error {
 	out, err := r.Run(s)
 	if err != nil {
 		return err
@@ -55,37 +57,23 @@ func writeDiagram(w io.Writer, r *Runner, s Schedule) error {
 	return nil
 }
 
-// WriteKillMatrix renders a mutant kill matrix as deterministic text.
+// WriteKillMatrix renders a fuzzing kill matrix as deterministic text:
+// the table, then each shrunk witness with its replayed diagram.
 func WriteKillMatrix(w io.Writer, r *Runner, entries []KillEntry) error {
-	nameW := 14
+	harness.WriteKillMatrix(w, entries, harness.KillWording{
+		Runs: "schedules", Clean: "clean", Survived: "survived", VerdictWidth: 24})
 	for _, e := range entries {
-		if len(e.Mutant)+1 > nameW {
-			nameW = len(e.Mutant) + 1
-		}
-	}
-	fmt.Fprintf(w, "%-*s %-24s %-10s %s\n", nameW, "mutant", "verdict", "schedules", "description")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 84))
-	for _, e := range entries {
-		verdict := "survived"
-		if e.Killed {
-			verdict = "killed: " + e.Kind
-		} else if e.Mutant == "correct" {
-			verdict = "clean"
-		}
-		fmt.Fprintf(w, "%-*s %-24s %-10d %s\n", nameW, e.Mutant, verdict, e.Schedules, e.Desc)
-	}
-	for _, e := range entries {
-		if e.Shrunk == nil {
+		if e.Witness == nil || e.Witness.Shrunk == nil {
 			continue
 		}
-		fmt.Fprintf(w, "\n--- %s minimal counterexample (%s) ---\n", e.Mutant, e.ShrunkKind)
-		fmt.Fprint(w, e.Shrunk.String())
+		fmt.Fprintf(w, "\n--- %s minimal counterexample (%s) ---\n", e.Mutant, e.Witness.ShrunkKind)
+		fmt.Fprint(w, e.Witness.Shrunk.String())
 		target := Target{Algorithm: r.Target.Algorithm, Mutant: e.Mutant}
 		if e.Mutant == "correct" { // a killed control replays on the correct protocol
 			target.Mutant = ""
 		}
 		rr := &Runner{Params: r.Params, DT: r.DT, Target: target}
-		if err := writeDiagram(w, rr, *e.Shrunk); err != nil {
+		if err := WriteDiagram(w, rr, *e.Witness.Shrunk); err != nil {
 			return err
 		}
 	}

@@ -158,9 +158,7 @@ func TestKillMatrixSmoke(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := WriteKillMatrix(&b, entries); err != nil {
-		t.Fatal(err)
-	}
+	WriteKillMatrix(&b, entries)
 	for _, wantStr := range []string{"clean (exhaustive)", "killed: diverged", "survived full space"} {
 		if !strings.Contains(b.String(), wantStr) {
 			t.Errorf("kill matrix rendering missing %q:\n%s", wantStr, b.String())

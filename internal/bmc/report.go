@@ -3,10 +3,8 @@ package bmc
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"lintime/internal/adversary"
-	"lintime/internal/diagram"
 	"lintime/internal/harness"
 	"lintime/internal/obs"
 	"lintime/internal/sim"
@@ -81,27 +79,16 @@ func WriteReport(w io.Writer, r *adversary.Runner, rep *Report) error {
 		fmt.Fprintf(w, "\n--- violation %d: %s (context %d, delay code %d) ---\n",
 			vi+1, v.Kind, v.Context, v.DelayCode)
 		fmt.Fprint(w, v.Schedule.String())
-		out, err := r.Run(v.Schedule)
-		if err != nil {
+		if err := adversary.WriteDiagram(w, r, v.Schedule); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "replayed violation: %s\n", out.Violation())
-		fmt.Fprint(w, diagram.Render(out.Trace, diagram.Options{SuppressMessages: true, MaxRows: 40}))
 	}
 	return nil
 }
 
-// KillEntry is one row of the exhaustive mutant kill matrix.
-type KillEntry struct {
-	Mutant string `json:"mutant"`
-	Desc   string `json:"desc"`
-	Killed bool   `json:"killed"`
-	Kind   string `json:"kind,omitempty"`
-	Runs   int    `json:"runs"` // runs executed before the verdict
-	// Space names the certificate space when the verdict came from a
-	// targeted context rather than the shared sweep (quorum rows only).
-	Space string `json:"space,omitempty"`
-}
+// KillEntry is one row of the exhaustive kill matrix; the sweep attaches
+// no witness.
+type KillEntry = harness.KillEntry[struct{}]
 
 // KillMatrix sweeps every seeded mutant of the target's backend (and the
 // correct protocol as a control, first) over the same bounded space,
@@ -110,23 +97,9 @@ type KillEntry struct {
 // statement than a fuzzing miss. A mutant that provably cannot die in the
 // shared space runs its targeted certificate instead (quorumCertificates).
 func KillMatrix(cfg Config) ([]KillEntry, error) {
-	backend, err := harness.Lookup(cfg.Target.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := backend.MatrixRows()
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]KillEntry, 0, len(rows))
-	for _, m := range rows {
+	return harness.KillMatrix(cfg.Target.Algorithm, killsTotal, func(m harness.Mutant) (KillEntry, error) {
 		if cert, ok := quorumCertificates[m.Name]; ok {
-			e, err := runQuorumCert(cfg, m, cert)
-			if err != nil {
-				return nil, err
-			}
-			entries = append(entries, e)
-			continue
+			return runQuorumCert(cfg, m.Name, cert)
 		}
 		c := cfg
 		c.Target = adversary.Target{Algorithm: cfg.Target.Algorithm, Mutant: m.Name}
@@ -134,19 +107,13 @@ func KillMatrix(cfg Config) ([]KillEntry, error) {
 		c.Strong = false
 		rep, err := Verify(c)
 		if err != nil {
-			return nil, err
+			return KillEntry{}, err
 		}
-		e := KillEntry{Mutant: m.Name, Desc: m.Desc, Killed: !rep.OK, Runs: rep.Runs}
-		if e.Mutant == "" {
-			e.Mutant = "correct"
+		if rep.OK {
+			return KillEntry{Runs: rep.Runs}, nil
 		}
-		if e.Killed {
-			killsTotal.Inc()
-			e.Kind = rep.Violations[0].Kind
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
+		return KillEntry{Killed: true, Kind: rep.Violations[0].Kind, Runs: rep.Runs}, nil
+	})
 }
 
 // quorumCert pins a targeted kill certificate: one context of a small
@@ -236,11 +203,11 @@ var quorumCertificates = map[string]quorumCert{
 // Codes run in descending order — the minimum-delay interleavings, where
 // quorum counterexamples concentrate, come first — and stop at the first
 // violation.
-func runQuorumCert(cfg Config, m harness.Mutant, cert quorumCert) (KillEntry, error) {
+func runQuorumCert(cfg Config, mutant string, cert quorumCert) (KillEntry, error) {
 	p := simtime.Params{N: cert.n, D: cfg.Params.D, U: cfg.Params.U}
 	c := Config{
 		Params: p, DT: cfg.DT,
-		Target: adversary.Target{Algorithm: cfg.Target.Algorithm, Mutant: m.Name},
+		Target: adversary.Target{Algorithm: cfg.Target.Algorithm, Mutant: mutant},
 		MaxOps: cert.maxOps,
 		Drops:  cert.drops,
 	}
@@ -250,13 +217,13 @@ func runQuorumCert(cfg Config, m harness.Mutant, cert quorumCert) (KillEntry, er
 	}
 	ctx := sp.FindContext(func(sched adversary.Schedule) bool { return cert.match(p, sched) })
 	if ctx < 0 {
-		return KillEntry{}, fmt.Errorf("bmc: certificate context for mutant %q is not in its enumerated space", m.Name)
+		return KillEntry{}, fmt.Errorf("bmc: certificate context for mutant %q is not in its enumerated space", mutant)
 	}
 	runner := &adversary.Runner{
 		Params: p, DT: cfg.DT, Target: c.Target, Trace: sim.TraceOps,
 	}
 	base, msgs := sp.context(ctx)
-	e := KillEntry{Mutant: m.Name, Desc: m.Desc, Space: cert.space}
+	e := KillEntry{Space: cert.space}
 	for code := uint64(1)<<uint(msgs) - 1; ; code-- {
 		sched := base
 		sched.Delays = sp.delays(code, msgs)
@@ -266,46 +233,18 @@ func runQuorumCert(cfg Config, m harness.Mutant, cert quorumCert) (KillEntry, er
 		}
 		e.Runs++
 		if kind := out.Violation(); kind != "" {
-			e.Killed = true
-			e.Kind = kind
-			killsTotal.Inc()
-			break
+			e.Killed, e.Kind = true, kind
+			return e, nil
 		}
 		if code == 0 {
-			break
+			return e, nil
 		}
 	}
-	return e, nil
 }
 
 // WriteKillMatrix renders the exhaustive kill matrix as deterministic
 // text.
-func WriteKillMatrix(w io.Writer, entries []KillEntry) error {
-	nameW := 14
-	for _, e := range entries {
-		if len(e.Mutant)+1 > nameW {
-			nameW = len(e.Mutant) + 1
-		}
-	}
-	fmt.Fprintf(w, "%-*s %-26s %-10s %s\n", nameW, "mutant", "verdict", "runs", "description")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 84))
-	for _, e := range entries {
-		desc := e.Desc
-		if e.Space != "" {
-			desc += " [" + e.Space + "]"
-		}
-		fmt.Fprintf(w, "%-*s %-26s %-10d %s\n", nameW, e.Mutant, verdictOf(e), e.Runs, desc)
-	}
-	return nil
-}
-
-func verdictOf(e KillEntry) string {
-	switch {
-	case e.Killed:
-		return "killed: " + e.Kind
-	case e.Mutant == "correct":
-		return "clean (exhaustive)"
-	default:
-		return "survived full space"
-	}
+func WriteKillMatrix(w io.Writer, entries []KillEntry) {
+	harness.WriteKillMatrix(w, entries, harness.KillWording{
+		Runs: "runs", Clean: "clean (exhaustive)", Survived: "survived full space", VerdictWidth: 26})
 }

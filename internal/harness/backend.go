@@ -2,12 +2,14 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"lintime/internal/adt"
 	"lintime/internal/classify"
 	"lintime/internal/core"
 	"lintime/internal/folklore"
+	"lintime/internal/obs"
 	"lintime/internal/quorum"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
@@ -221,6 +223,85 @@ func (b *Backend) MatrixRows() ([]Mutant, error) {
 			strings.Join(backendNames(func(o *Backend) bool { return len(o.Mutants) > 0 }), ", "))
 	}
 	return append([]Mutant{{Desc: b.Desc + " (control)"}}, b.Mutants...), nil
+}
+
+// KillEntry is one row of a kill matrix: one search's verdict on one
+// MatrixRows row. W is what the search attaches to a kill (the fuzzer's
+// first violation; struct{} for the exhaustive sweep).
+type KillEntry[W any] struct {
+	Mutant string `json:"mutant"` // "correct" for the control row
+	Desc   string `json:"desc"`
+	Killed bool   `json:"killed"`
+	Kind   string `json:"kind,omitempty"` // violation kind that killed it
+	Runs   int    `json:"runs"`           // runs before the kill, or all the search spent
+	// Space names the certificate space when the verdict came from a
+	// targeted context rather than the search's shared space.
+	Space   string `json:"space,omitempty"`
+	Witness W      `json:"-"`
+}
+
+// KillMatrix runs hunt on each MatrixRows row of the algorithm's backend,
+// in order, and returns the rows. hunt supplies the verdict; KillMatrix
+// names the row ("correct" for the control), copies its description and
+// counts each kill on kills. A hunt error ends the matrix.
+func KillMatrix[W any](algorithm string, kills *obs.Counter, hunt func(Mutant) (KillEntry[W], error)) ([]KillEntry[W], error) {
+	backend, err := Lookup(algorithm)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := backend.MatrixRows()
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]KillEntry[W], 0, len(rows))
+	for _, m := range rows {
+		e, err := hunt(m)
+		if err != nil {
+			return nil, err
+		}
+		e.Mutant, e.Desc = m.Name, m.Desc
+		if e.Mutant == "" {
+			e.Mutant = "correct"
+		}
+		if e.Killed {
+			kills.Inc()
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
+}
+
+// KillWording is how one search's matrix names its run column and the
+// verdicts of rows it did not kill.
+type KillWording struct {
+	Runs         string // run column header
+	Clean        string // verdict of a surviving control
+	Survived     string // verdict of a surviving mutant
+	VerdictWidth int
+}
+
+// WriteKillMatrix renders a kill matrix as a deterministic text table,
+// one row per entry; a row's Space follows its description in brackets.
+func WriteKillMatrix[W any](w io.Writer, entries []KillEntry[W], words KillWording) {
+	nameW := 14
+	for _, e := range entries {
+		nameW = max(nameW, len(e.Mutant)+1)
+	}
+	fmt.Fprintf(w, "%-*s %-*s %-10s %s\n", nameW, "mutant", words.VerdictWidth, "verdict", words.Runs, "description")
+	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 84))
+	for _, e := range entries {
+		verdict, desc := words.Survived, e.Desc
+		switch {
+		case e.Killed:
+			verdict = "killed: " + e.Kind
+		case e.Mutant == "correct":
+			verdict = words.Clean
+		}
+		if e.Space != "" {
+			desc += " [" + e.Space + "]"
+		}
+		fmt.Fprintf(w, "%-*s %-*s %-10d %s\n", nameW, e.Mutant, words.VerdictWidth, verdict, e.Runs, desc)
+	}
 }
 
 // mutant resolves one of the backend's own seeded bugs; "" and "none"

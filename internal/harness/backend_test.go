@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"lintime/internal/bmc"
 	"lintime/internal/classify"
 	"lintime/internal/harness"
+	"lintime/internal/obs"
 	"lintime/internal/quorum"
 	"lintime/internal/serve"
 	"lintime/internal/sim"
@@ -231,5 +233,70 @@ func TestQuorumMutantConfigs(t *testing.T) {
 	}
 	if _, err := harness.QuorumConfig(p, "bogus"); err == nil {
 		t.Error("QuorumConfig(bogus) succeeded")
+	}
+}
+
+// TestKillMatrix pins the row loop both kill matrices share, with a fake
+// hunt: the control comes first and is named "correct", every row's
+// description comes from the backend table whatever the hunt returned,
+// the counter counts kills only, and a hunt error ends the matrix.
+func TestKillMatrix(t *testing.T) {
+	core := mustLookup(t, harness.AlgCore)
+	var hunted []string
+	var kills obs.Counter
+	// The fake kills every other row, starting with the first mutant, and
+	// fills the fields KillMatrix owns with junk it must overwrite.
+	hunt := func(m harness.Mutant) (harness.KillEntry[int], error) {
+		hunted = append(hunted, m.Name)
+		killed := len(hunted)%2 == 0
+		return harness.KillEntry[int]{Mutant: "junk", Desc: "junk", Killed: killed, Runs: len(hunted), Witness: 10 * len(hunted)}, nil
+	}
+	entries, err := harness.KillMatrix(harness.AlgCore, &kills, hunt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(core.Mutants)+1 || len(hunted) != len(entries) {
+		t.Fatalf("%d rows from %d hunts, want %d", len(entries), len(hunted), len(core.Mutants)+1)
+	}
+	if c := entries[0]; c.Mutant != "correct" || c.Desc != core.Desc+" (control)" || hunted[0] != "" {
+		t.Errorf("control row = %q %q (hunted %q), want \"correct\" %q (hunted the zero Mutant)",
+			c.Mutant, c.Desc, hunted[0], core.Desc+" (control)")
+	}
+	wantKills := 0
+	for i, m := range core.Mutants {
+		e := entries[i+1]
+		if e.Mutant != m.Name || e.Desc != m.Desc || hunted[i+1] != m.Name {
+			t.Errorf("row %d = %q %q (hunted %q), want %q %q", i+1, e.Mutant, e.Desc, hunted[i+1], m.Name, m.Desc)
+		}
+		if e.Runs != i+2 || e.Witness != 10*(i+2) {
+			t.Errorf("row %d: hunt's verdict not kept: runs %d witness %d", i+1, e.Runs, e.Witness)
+		}
+		if e.Killed {
+			wantKills++
+		}
+	}
+	if got := kills.Value(); got != int64(wantKills) || wantKills == 0 {
+		t.Errorf("counter = %d after %d kills", got, wantKills)
+	}
+
+	// A hunt error stops the loop at that row and is returned.
+	boom := errors.New("boom")
+	hunted = nil
+	_, err = harness.KillMatrix(harness.AlgCore, &kills, func(m harness.Mutant) (harness.KillEntry[int], error) {
+		hunted = append(hunted, m.Name)
+		if len(hunted) == 2 {
+			return harness.KillEntry[int]{}, boom
+		}
+		return harness.KillEntry[int]{}, nil
+	})
+	if !errors.Is(err, boom) || len(hunted) != 2 {
+		t.Errorf("hunt error: err %v after %d hunts, want boom after 2", err, len(hunted))
+	}
+
+	// A backend without seeded mutants has no matrix; nothing is hunted.
+	hunted = nil
+	_, err = harness.KillMatrix(harness.AlgSequencer, &kills, hunt)
+	if want := "harness: backend sequencer has no seeded mutants (core, quorum have)"; err == nil || err.Error() != want || hunted != nil {
+		t.Errorf("sequencer matrix = %v after %d hunts, want %q before any", err, len(hunted), want)
 	}
 }

@@ -34,16 +34,6 @@ func Thm2Scenarios() []Thm2Scenario {
 	}
 }
 
-// findThm2Scenario returns the stock scenario for a type.
-func findThm2Scenario(typeName string) (Thm2Scenario, error) {
-	for _, sc := range Thm2Scenarios() {
-		if sc.TypeName == typeName {
-			return sc, nil
-		}
-	}
-	return Thm2Scenario{}, fmt.Errorf("lowerbound: no Theorem 2 scenario for type %q", typeName)
-}
-
 // Thm3Scenario instantiates Theorem 3 for a concrete last-sensitive
 // mutator: k processes concurrently invoke distinct instances, and a
 // probe sequence executed afterwards at p0 reveals which instance was
@@ -251,26 +241,6 @@ func Thm5Scenarios() []Thm5Scenario {
 	}
 }
 
-// findThm5Scenario returns the stock scenario for a type.
-func findThm5Scenario(typeName string) (Thm5Scenario, error) {
-	for _, sc := range Thm5Scenarios() {
-		if sc.TypeName == typeName {
-			return sc, nil
-		}
-	}
-	return Thm5Scenario{}, fmt.Errorf("lowerbound: no Theorem 5 scenario for type %q", typeName)
-}
-
-// findThm4Scenario returns the stock scenario for a type.
-func findThm4Scenario(typeName string) (Thm4Scenario, error) {
-	for _, sc := range Thm4Scenarios() {
-		if sc.TypeName == typeName {
-			return sc, nil
-		}
-	}
-	return Thm4Scenario{}, fmt.Errorf("lowerbound: no Theorem 4 scenario for type %q", typeName)
-}
-
 // values derives the solo and complementary return values of a pair-free
 // scenario from the sequential specification and validates the pair-free
 // property itself.
@@ -288,12 +258,36 @@ func (sc Thm4Scenario) values(dt spec.DataType) (solo, other spec.Value, err err
 	return solo, other, nil
 }
 
-// findThm3Scenario returns the stock scenario for a type.
-func findThm3Scenario(typeName string) (Thm3Scenario, error) {
-	for _, sc := range Thm3Scenarios() {
-		if sc.TypeName == typeName {
+// scenario is what every theorem's stock scenario type shares.
+type scenario interface{ typeName() string }
+
+func (sc Thm2Scenario) typeName() string { return sc.TypeName }
+func (sc Thm3Scenario) typeName() string { return sc.TypeName }
+func (sc Thm4Scenario) typeName() string { return sc.TypeName }
+func (sc Thm5Scenario) typeName() string { return sc.TypeName }
+
+// findScenario returns Theorem thm's stock scenario for a type.
+func findScenario[S scenario](thm int, scenarios []S, typeName string) (S, error) {
+	for _, sc := range scenarios {
+		if sc.typeName() == typeName {
 			return sc, nil
 		}
 	}
-	return Thm3Scenario{}, fmt.Errorf("lowerbound: no Theorem 3 scenario for type %q", typeName)
+	var none S
+	return none, fmt.Errorf("lowerbound: no Theorem %d scenario for type %q", thm, typeName)
+}
+
+// ScenarioTypes maps each theorem (2-5) to the types that have a stock
+// scenario for it, in table order.
+func ScenarioTypes() map[int][]string {
+	return map[int][]string{2: typeNames(Thm2Scenarios()), 3: typeNames(Thm3Scenarios()),
+		4: typeNames(Thm4Scenarios()), 5: typeNames(Thm5Scenarios())}
+}
+
+func typeNames[S scenario](scenarios []S) []string {
+	out := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		out[i] = sc.typeName()
+	}
+	return out
 }

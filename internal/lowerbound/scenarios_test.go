@@ -167,7 +167,7 @@ func TestTheorem3TreeInstanceCap(t *testing.T) {
 	p := simtime.Params{N: 16, D: 2 * simtime.Quantum, U: simtime.Quantum,
 		Epsilon: simtime.OptimalEpsilon(16, simtime.Quantum)}
 	p.X = p.Epsilon
-	sc, err := findThm3Scenario("tree")
+	sc, err := findScenario(3, Thm3Scenarios(), "tree")
 	if err != nil {
 		t.Fatal(err)
 	}

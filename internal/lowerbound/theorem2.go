@@ -17,7 +17,7 @@ import (
 // a FIFO queue with peek as the accessor. See Theorem2For for other data
 // types.
 func Theorem2(p simtime.Params, budget simtime.Duration) (*Report, error) {
-	sc, err := findThm2Scenario("queue")
+	sc, err := findScenario(2, Thm2Scenarios(), "queue")
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +27,7 @@ func Theorem2(p simtime.Params, budget simtime.Duration) (*Report, error) {
 // Theorem2On runs the Theorem 2 construction on the named data type's
 // stock scenario.
 func Theorem2On(p simtime.Params, typeName string, budget simtime.Duration) (*Report, error) {
-	sc, err := findThm2Scenario(typeName)
+	sc, err := findScenario(2, Thm2Scenarios(), typeName)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ import (
 // |OP| ≥ (1 - 1/k)·u (Theorem 3) on a FIFO queue with enqueue. See
 // Theorem3For for other data types.
 func Theorem3(p simtime.Params, k int, budget simtime.Duration) (*Report, error) {
-	sc, err := findThm3Scenario("queue")
+	sc, err := findScenario(3, Thm3Scenarios(), "queue")
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +27,7 @@ func Theorem3(p simtime.Params, k int, budget simtime.Duration) (*Report, error)
 // Theorem3On runs the Theorem 3 construction on the named data type's
 // stock scenario.
 func Theorem3On(p simtime.Params, typeName string, k int, budget simtime.Duration) (*Report, error) {
-	sc, err := findThm3Scenario(typeName)
+	sc, err := findScenario(3, Thm3Scenarios(), typeName)
 	if err != nil {
 		return nil, err
 	}

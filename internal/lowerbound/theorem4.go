@@ -56,7 +56,7 @@ func fastOOPTimers(p simtime.Params, budget simtime.Duration) (core.Timers, erro
 // (Theorem 4) on a FIFO queue with dequeue. See Theorem4For for other
 // data types.
 func Theorem4(p simtime.Params, budget simtime.Duration) (*Report, error) {
-	sc, err := findThm4Scenario("queue")
+	sc, err := findScenario(4, Thm4Scenarios(), "queue")
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func Theorem4(p simtime.Params, budget simtime.Duration) (*Report, error) {
 // Theorem4On runs the Theorem 4 chain on the named data type's stock
 // scenario.
 func Theorem4On(p simtime.Params, typeName string, budget simtime.Duration) (*Report, error) {
-	sc, err := findThm4Scenario(typeName)
+	sc, err := findScenario(4, Thm4Scenarios(), typeName)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func theorem5Matrix(n int, d, m simtime.Duration) [][]simtime.Duration {
 // queue with enqueue and peek (the paper's own example pair). See
 // Theorem5For for other data types.
 func Theorem5(p simtime.Params, budgetOp, budgetAop simtime.Duration) (*Report, error) {
-	sc, err := findThm5Scenario("queue")
+	sc, err := findScenario(5, Thm5Scenarios(), "queue")
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func Theorem5(p simtime.Params, budgetOp, budgetAop simtime.Duration) (*Report, 
 // Theorem5On runs the Theorem 5 chain on the named data type's stock
 // scenario.
 func Theorem5On(p simtime.Params, typeName string, budgetOp, budgetAop simtime.Duration) (*Report, error) {
-	sc, err := findThm5Scenario(typeName)
+	sc, err := findScenario(5, Thm5Scenarios(), typeName)
 	if err != nil {
 		return nil, err
 	}
