@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/rtnet/ ./internal/serve/ ./internal/harness/ ./internal/lincheck/ ./internal/sim/ ./internal/adversary/ ./internal/obs/ ./internal/bmc/
+	$(GO) test -race -count=1 ./internal/rtnet/ ./internal/serve/ ./internal/harness/ ./internal/lincheck/ ./internal/sim/ ./internal/core/ ./internal/adversary/ ./internal/obs/ ./internal/bmc/
 
 bench:
 	$(GO) test -bench . -benchmem ./...
@@ -34,14 +34,14 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-compare is the determinism smoke for the zero-allocation engine
-# and the verifier's pooled kits: a short run of the engine benchmarks
-# (they must still pass), then tables, fuzz and verify outputs
+# and the verifier's pooled kits: a short run of the engine and runner
+# benchmarks (they must still pass), then tables, fuzz and verify outputs
 # re-generated at different parallelism levels and compared byte for
 # byte. Each worker reuses one node set, table and checker across
 # schedules, so state leaking from one schedule into the next shows as
 # output that depends on how schedules fall to workers.
 bench-compare:
-	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn' -benchtime 10x -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn|BenchmarkRunnerRun$$' -benchtime 10x -benchmem ./internal/sim/ ./internal/adversary/
 	$(GO) build -o /tmp/lintime-bench-compare ./cmd/lintime
 	/tmp/lintime-bench-compare tables -all -parallel 1 > /tmp/bench-compare-tables-p1.txt
 	/tmp/lintime-bench-compare tables -all -parallel 4 > /tmp/bench-compare-tables-p4.txt

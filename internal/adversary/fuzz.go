@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"lintime/internal/harness"
@@ -164,9 +163,10 @@ func Fuzz(opts Options) (*Report, error) {
 				cand := randomCandidate(p, ops, opts.Seed, "coverage-seed", ordinal, faults)
 				sched = cand.sched
 			} else {
-				rng := rand.New(rand.NewSource(harness.DeriveSeed(opts.Seed, fmt.Sprintf("adversary/coverage/%d", ordinal))))
+				rng := seededRand(harness.DeriveSeed(opts.Seed, fmt.Sprintf("adversary/coverage/%d", ordinal)))
 				parent := pool[rng.Intn(len(pool))]
 				sched = mutateSchedule(parent, p, ops, rng, faults)
+				rngPool.Put(rng)
 			}
 			out, err = runner.Run(sched)
 		case StratFaultCorner:

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -129,4 +130,67 @@ func TestApplyOncePerEdge(t *testing.T) {
 	}
 	t.Logf("%d Apply calls over %d edges and %d tables: %.2f per execution",
 		total, len(dt.applies), dt.initials, float64(total)/float64(rep.Schedules))
+}
+
+// TestEscapedTracesSurviveKitReuse pins the contract that lets replicas
+// send payloads they own: a trace handed to a caller stays valid after
+// its kit runs the next schedule. For every backend, the first outcome's
+// message payloads must read the same after a second schedule ran on the
+// same kit — a replica that recycled a payload it had already sent would
+// show here as a rewritten message.
+func TestEscapedTracesSurviveKitReuse(t *testing.T) {
+	p := simtime.DefaultParams(3)
+	for _, alg := range harness.Algorithms() {
+		dt := spec.DataType(adt.NewQueue())
+		if alg == harness.AlgQuorum {
+			dt = adt.NewRegister(0)
+		}
+		r := &Runner{Params: p, DT: dt, Target: Target{Algorithm: alg}, Trace: sim.TraceOps}
+		if err := r.resolve(); err != nil {
+			t.Fatal(err)
+		}
+		k := r.take()
+		var first *Outcome
+		var before []string
+		for i := 0; i < 2; i++ {
+			s := randomCandidate(p, opsFor(dt), 41, "escape", i, false).sched
+			out, err := r.runOn(k, s, sim.SequenceNetwork{Delays: s.Delays, Default: p.D})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", alg, i, err)
+			}
+			if i == 0 {
+				first = out
+				for _, m := range out.Trace.Msgs {
+					before = append(before, fmt.Sprintf("%+v", m.Payload))
+				}
+			}
+		}
+		if len(before) == 0 {
+			t.Fatalf("%s: the first schedule sent no message, so nothing escaped", alg)
+		}
+		for i, m := range first.Trace.Msgs {
+			if got := fmt.Sprintf("%+v", m.Payload); got != before[i] {
+				t.Errorf("%s: message %d payload %s after the kit's next run, was %s", alg, i, got, before[i])
+			}
+		}
+	}
+}
+
+// TestPooledRandMatchesNewSource pins what makes pooling candidate
+// generators invisible: a pooled generator reseeded to s draws exactly
+// the stream of rand.New(rand.NewSource(s)), whatever its previous seed
+// left behind — including a partly consumed Read buffer.
+func TestPooledRandMatchesNewSource(t *testing.T) {
+	buf := make([]byte, 3)
+	for seed := int64(0); seed < 64; seed++ {
+		s := harness.DeriveSeed(seed, "pooled")
+		pooled, fresh := seededRand(s), rand.New(rand.NewSource(s))
+		for i := 0; i < 1000; i++ {
+			if got, want := pooled.Int63(), fresh.Int63(); got != want {
+				t.Fatalf("seed %d draw %d: pooled %d, fresh %d", s, i, got, want)
+			}
+		}
+		pooled.Read(buf)
+		rngPool.Put(pooled)
+	}
 }

@@ -346,6 +346,9 @@ type kit struct {
 	plans     [][]PlannedOp      // the running schedule's invocation plans
 	cursor    []int              // per process: index of the planned op pending
 	onRespond func(sim.OpRecord) // invokeNext as a func value, made once
+	// seqNet is Run's network: the engine holds it by pointer, so a
+	// schedule's delay vector reaches the engine without boxing.
+	seqNet sim.SequenceNetwork
 }
 
 // take hands out a pooled kit, or a new one. The table is trimmed here
@@ -398,7 +401,7 @@ func (r *Runner) hasOp(op string) bool {
 // Run drives the schedule's explicit delay assignment through the target
 // and checks the trace. The schedule must be valid.
 func (r *Runner) Run(s Schedule) (*Outcome, error) {
-	return r.runWith(s, sim.SequenceNetwork{Delays: s.Delays, Default: r.Params.D})
+	return r.runWith(s, nil)
 }
 
 // RunRule drives a rule-based candidate (offsets + plans + an arbitrary
@@ -425,6 +428,8 @@ func (r *Runner) RunRule(offsets []simtime.Duration, plans [][]PlannedOp, net si
 	return s, out, nil
 }
 
+// runWith drives a schedule through a pooled kit, on net or — when net is
+// nil — on the schedule's own delay vector.
 func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 	if err := r.resolve(); err != nil {
 		return nil, err
@@ -437,6 +442,10 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 	}
 	k := r.take()
 	defer r.kits.Put(k)
+	if net == nil {
+		k.seqNet = sim.SequenceNetwork{Delays: s.Delays, Default: r.Params.D}
+		net = &k.seqNet
+	}
 	return r.runOn(k, s, net)
 }
 

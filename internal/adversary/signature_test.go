@@ -147,13 +147,15 @@ func TestRunnerResolvesTargetOnce(t *testing.T) {
 		t.Errorf("mutated target: %.0f allocs/run, correct target %.0f", mutated, correct)
 	}
 	// What one schedule allocates end to end once its worker's kit is
-	// built: the outcome, its trace (four allocations at sim.TraceOps),
-	// its witness and fingerprints, the network boxed as an interface, and
-	// per operation a timer tag or a broadcast — 16 here. A kit rebuilt
-	// after a collection costs more; BenchmarkRunnerRun's mean includes
-	// that, AllocsPerRun rounds it away.
-	if correct > 16 {
-		t.Errorf("correct target: %.0f allocs/run, recorded floor 16", correct)
+	// built: the outcome, its trace (four allocations at sim.TraceOps: the
+	// Trace, its offsets, Msgs and Ops), the checker's witness and the
+	// fingerprint slice — 7 here. The engine's events, the replicas'
+	// timer tags and the delay network allocate nothing per schedule, and
+	// broadcast payloads one chunk per 64. A kit rebuilt after a
+	// collection costs more; BenchmarkRunnerRun's mean includes that,
+	// AllocsPerRun rounds it away.
+	if correct > 7 {
+		t.Errorf("correct target: %.0f allocs/run, recorded floor 7", correct)
 	}
 }
 

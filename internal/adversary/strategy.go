@@ -3,6 +3,7 @@ package adversary
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"lintime/internal/classify"
 	"lintime/internal/harness"
@@ -412,7 +413,8 @@ func (b *boundarySource) candidateAt(p simtime.Params, ops opset, seed int64, i 
 	if j >= product {
 		// Wrapped around: jitter the invocation times to visit nearby
 		// corners of the same pattern combination.
-		rng := rand.New(rand.NewSource(harness.DeriveSeed(seed, fmt.Sprintf("adversary/boundary/%d", i))))
+		rng := seededRand(harness.DeriveSeed(seed, fmt.Sprintf("adversary/boundary/%d", i)))
+		defer rngPool.Put(rng)
 		for proc := range cand.plans {
 			for oi := range cand.plans[proc] {
 				if gap := &cand.plans[proc][oi].Gap; *gap < 4*p.D { // leave probes alone
@@ -579,11 +581,27 @@ func randomFaults(s *Schedule, p simtime.Params, rng *rand.Rand) {
 	}
 }
 
+// rngPool recycles candidate generators. A math/rand source is a 4.9 kB
+// table, and every candidate draws from its own seed.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRand returns a pooled generator reseeded to seed; hand it back
+// with rngPool.Put once no draw is left. Reseeding restarts the stream
+// exactly where rand.New(rand.NewSource(seed)) starts
+// (TestPooledRandMatchesNewSource), so candidates are what fresh
+// generators would make.
+func seededRand(seed int64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
 // randomCandidate returns the i-th biased-random candidate: offsets and
 // delays biased toward the admissible extremes, short plans with gaps
 // clustered around the algorithm's critical constants.
 func randomCandidate(p simtime.Params, ops opset, seed int64, stream string, i int, faults bool) candidate {
-	rng := rand.New(rand.NewSource(harness.DeriveSeed(seed, fmt.Sprintf("adversary/%s/%d", stream, i))))
+	rng := seededRand(harness.DeriveSeed(seed, fmt.Sprintf("adversary/%s/%d", stream, i)))
+	defer rngPool.Put(rng)
 	offsets := make([]simtime.Duration, p.N)
 	for pi := range offsets {
 		switch rng.Intn(10) {

@@ -11,6 +11,8 @@ import (
 
 // MutatorMsg is the broadcast sent for every mutator invocation
 // (Algorithm 1 line 15): the operation, its argument, and its timestamp.
+// Replicas send it as a *MutatorMsg the sender owns and never rewrites,
+// so a trace's message payloads stay valid after the run.
 type MutatorMsg struct {
 	Op  string
 	Arg spec.Value
@@ -79,17 +81,26 @@ func PaperTimers(p simtime.Params) Timers {
 	}
 }
 
-// timer tags used by the replica.
-type aopRespondTag struct {
+// respondRec is the operation a pure accessor's or pure mutator's respond
+// timer answers. A process has at most one operation pending (the engine
+// panics on a second), so each replica keeps one and the respond tags
+// point at it.
+type respondRec struct {
 	seqID int64
 	op    string
 	arg   spec.Value
-	ts    Timestamp
+	ts    Timestamp  // accessors: the back-dated timestamp
+	ret   spec.Value // mutators: the state-independent response
+}
+
+// Timer tags used by the replica. Each is a single pointer, so handing
+// one to SetTimer as an any allocates nothing.
+type aopRespondTag struct {
+	rec *respondRec
 }
 
 type mopRespondTag struct {
-	seqID int64
-	ret   spec.Value
+	rec *respondRec
 }
 
 type addSelfTag struct {
@@ -117,6 +128,13 @@ type Replica struct {
 	// a live stream, or reused across runs — allocates neither again.
 	free    []*pendingOp
 	scratch []*pendingOp
+
+	// respond is the pending pure operation's record, and msgs the unused
+	// tail of the chunk broadcasts are carved from. A chunk is never
+	// reused — Init keeps the tail — so a payload that escaped into a
+	// trace is never rewritten.
+	respond respondRec
+	msgs    []MutatorMsg
 
 	// KeepHistory records every locally executed instance in order; the
 	// harness uses it to validate replica convergence. Off by default to
@@ -198,6 +216,19 @@ func (r *Replica) entry(op string, arg spec.Value, ts Timestamp) *pendingOp {
 	return e
 }
 
+// msgChunk is how many broadcasts one allocation serves.
+const msgChunk = 64
+
+// mutatorMsg returns a fresh broadcast for the mutator, carved from the
+// current chunk.
+func (r *Replica) mutatorMsg(op string, arg spec.Value, ts Timestamp) *MutatorMsg {
+	if len(r.msgs) == cap(r.msgs) {
+		r.msgs = make([]MutatorMsg, 0, msgChunk)
+	}
+	r.msgs = append(r.msgs, MutatorMsg{Op: op, Arg: arg, TS: ts})
+	return &r.msgs[len(r.msgs)-1]
+}
+
 // release returns an entry to the free list. No tag still in flight can
 // reach it: its execute timer has fired or been canceled, or — at Init —
 // the run that armed it is over.
@@ -214,7 +245,8 @@ func (r *Replica) OnInvoke(ctx sim.Context, inv sim.Invocation) {
 		// InvokeAOP (lines 1-2): respond after d-X with timestamp
 		// back-dated by X.
 		ts := Timestamp{Time: ctx.LocalTime().Add(-r.timers.AOPBackdate), Proc: ctx.ID()}
-		ctx.SetTimer(r.timers.AOPRespond, aopRespondTag{seqID: inv.SeqID, op: inv.Op, arg: inv.Arg, ts: ts})
+		r.respond = respondRec{seqID: inv.SeqID, op: inv.Op, arg: inv.Arg, ts: ts}
+		ctx.SetTimer(r.timers.AOPRespond, aopRespondTag{rec: &r.respond})
 	case classify.PureMutator, classify.Mixed:
 		// InvokeOP (lines 10-15).
 		ts := Timestamp{Time: ctx.LocalTime(), Proc: ctx.ID()}
@@ -224,21 +256,22 @@ func (r *Replica) OnInvoke(ctx sim.Context, inv sim.Invocation) {
 			// Their response cannot depend on the state (they are not
 			// accessors), so it is computable from the initial state.
 			ack := spec.Response(r.dt.Initial(), inv.Op, inv.Arg)
-			ctx.SetTimer(r.timers.MOPRespond, mopRespondTag{seqID: inv.SeqID, ret: ack})
+			r.respond = respondRec{seqID: inv.SeqID, ret: ack}
+			ctx.SetTimer(r.timers.MOPRespond, mopRespondTag{rec: &r.respond})
 		} else {
 			entry.respondSeq = inv.SeqID // OOP responds on execution
 		}
 		// Simulate the minimum message delay to ourselves before queueing
 		// (line 14), then notify everyone else (line 15).
 		ctx.SetTimer(r.timers.AddSelf, addSelfTag{entry: entry})
-		ctx.Broadcast(MutatorMsg{Op: inv.Op, Arg: inv.Arg, TS: ts})
+		ctx.Broadcast(r.mutatorMsg(inv.Op, inv.Arg, ts))
 	}
 }
 
 // OnMessage implements sim.Node: receipt of a mutator announcement adds it
 // to the execute queue (line 18 "or Receive").
 func (r *Replica) OnMessage(ctx sim.Context, from sim.ProcID, payload any) {
-	msg, ok := payload.(MutatorMsg)
+	msg, ok := payload.(*MutatorMsg)
 	if !ok {
 		panic(fmt.Sprintf("core: unexpected message %T", payload))
 	}
@@ -251,17 +284,18 @@ func (r *Replica) OnTimer(ctx sim.Context, tag any) {
 	case aopRespondTag:
 		// Lines 3-9: apply every queued mutator with timestamp ≤ the
 		// accessor's, then execute the accessor and respond.
+		rec := v.rec
 		var ret spec.Value
 		if r.LiteralAOPDrain {
-			r.drainUpTo(ctx, v.ts)
-			ret = r.executeLocally(v.op, v.arg)
+			r.drainUpTo(ctx, rec.ts)
+			ret = r.executeLocally(rec.op, rec.arg)
 		} else {
-			ret = r.speculativeRead(v.ts, v.op, v.arg)
+			ret = r.speculativeRead(rec.ts, rec.op, rec.arg)
 		}
-		ctx.Respond(v.seqID, ret)
+		ctx.Respond(rec.seqID, ret)
 	case mopRespondTag:
 		// Lines 16-17: pure mutators respond independently of execution.
-		ctx.Respond(v.seqID, v.ret)
+		ctx.Respond(v.rec.seqID, v.rec.ret)
 	case addSelfTag:
 		// Lines 18-20, self-delay path.
 		r.addToQueue(ctx, v.entry)

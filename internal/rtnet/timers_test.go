@@ -9,7 +9,7 @@ import (
 )
 
 // timerCount returns the number of registered timers that have neither
-// fired nor been canceled; the engine's table must drain as timers fire.
+// fired nor been canceled; the count must drain as timers fire.
 func (c *Cluster) timerCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -34,8 +34,8 @@ func (tn *timerNode) OnTimer(ctx sim.Context, tag any) {
 }
 
 // TestTimerMapDrainsAfterFire is the regression test for the timer leak:
-// fired timers must leave the engine's timer table, including zero-delay
-// timers that are due the instant they are registered.
+// fired timers must leave the engine's live-timer count, including
+// zero-delay timers that are due the instant they are registered.
 func TestTimerMapDrainsAfterFire(t *testing.T) {
 	p := simtime.Params{N: 2, D: 40, U: 20, Epsilon: 10, X: 10}
 	nodes := []sim.Node{&timerNode{delay: 0}, &timerNode{delay: 5}}
@@ -63,7 +63,7 @@ func TestTimerMapDrainsAfterFire(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for c.timerCount() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("timer map did not drain: %d live entries", c.timerCount())
+			t.Fatalf("timers did not drain: %d still armed", c.timerCount())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -152,7 +152,7 @@ func (n *churnNode) OnTimer(ctx sim.Context, _ any) {
 
 // TestBookkeepingConstantOverUptime: a live cluster has no end, so
 // nothing the core keeps may grow with the number of operations served.
-// After 20 000 operations the schedule, the timer table, the trace and
+// After 20 000 operations the schedule, the live timers, the trace and
 // the pending set are as empty as after the first.
 func TestBookkeepingConstantOverUptime(t *testing.T) {
 	if testing.Short() {

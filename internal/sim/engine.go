@@ -16,13 +16,19 @@ const (
 	evTimer
 )
 
-// event is one scheduled occurrence in the simulation. Events are value
-// types stored inline in the engine's queue: scheduling an event never
-// heap-allocates and popping one never chases a pointer.
+// event is the body of one scheduled occurrence. Bodies live in the
+// queue's slab and never move while queued: the heap orders only their
+// keys, so scheduling an event copies it nowhere and popping one copies
+// 24 bytes, not the body.
 type event struct {
-	time simtime.Time
-	seq  int64 // tie-break: FIFO among simultaneous events
 	kind eventKind
+	// armed is set while a timer is registered and neither fired nor
+	// canceled.
+	armed bool
+	// gen is the slot's generation: bumped each time the slot is handed
+	// out and kept when the body is cleared, so a TimerID naming an
+	// earlier occupant of the slot no longer matches.
+	gen  uint32
 	proc ProcID
 
 	// evInvoke
@@ -31,9 +37,8 @@ type event struct {
 	from     ProcID
 	payload  any
 	msgIndex int // index into trace.Msgs (-1 when message records are off)
-	// evTimer
-	timerID TimerID
-	tag     any
+	// evTimer: the value handed back to OnTimer
+	tag any
 
 	// span is the tracing span (operation SeqID) the event is attributed
 	// to: the sender's pending operation for deliveries, the registering
@@ -53,73 +58,122 @@ type event struct {
 // fires must be enqueued before the timer's drain runs, or replicas
 // execute mutators in different orders (the u+ε wait of Algorithm 1 is
 // tight at this boundary when d ≤ 2u+ε).
-func (k eventKind) rank() int {
+func (k eventKind) rank() uint8 {
 	switch k {
 	case evDeliver:
 		return 0
 	case evTimer:
-		return 1
+		return timerRank
 	default:
 		return 2
 	}
 }
 
-// eventBefore is the engine's total event order: (time, kind rank, seq).
-// The property test in engine_order_test.go pins it against a
-// container/heap oracle.
-func eventBefore(a, b *event) bool {
+// timerRank is evTimer's rank: a key with it names a timer's body.
+const timerRank = 1
+
+// eventKey is what the heap orders: 24 pointer-free bytes, so sifting
+// copies little and the collector never scans the heap's array. slot
+// names the event's body in the slab.
+type eventKey struct {
+	time simtime.Time
+	seq  int64 // tie-break: FIFO among simultaneous events of one rank
+	slot int32
+	rank uint8
+}
+
+// before is the engine's total event order: (time, kind rank, seq). The
+// property test in engine_order_test.go pins it against a container/heap
+// oracle.
+func (a *eventKey) before(b *eventKey) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
-	if ra, rb := a.kind.rank(), b.kind.rank(); ra != rb {
-		return ra < rb
+	if a.rank != b.rank {
+		return a.rank < b.rank
 	}
 	return a.seq < b.seq
 }
 
-// eventQueue is a value-typed 4-ary min-heap over eventBefore: no
-// per-event allocation, no interface boxing, and half the depth of a
-// binary heap (a 4-ary sift does up to three more comparisons per level
-// over half as many cache lines, which wins on the engine's pop-heavy
-// usage). The backing array is retained across Engine.Reset, so a reused
-// engine schedules events with zero steady-state allocation.
+// eventQueue is a 4-ary min-heap of event keys over a slab of event
+// bodies with a free list. A 4-ary heap has half the depth of a binary
+// one (a sift does up to three more comparisons per level over half as
+// many cache lines, which wins on the engine's pop-heavy usage). Keys,
+// slab and free list are retained across reset, so a reused engine
+// schedules events with zero steady-state allocation.
 type eventQueue struct {
-	items []event
+	keys []eventKey
+	slab []event
+	free []int32 // slab slots not holding a queued or dispatching event
 }
 
-func (q *eventQueue) len() int { return len(q.items) }
+func (q *eventQueue) len() int { return len(q.keys) }
 
-// peek returns the minimum event without removing it. The pointer is
-// valid only until the next push or pop.
-func (q *eventQueue) peek() *event { return &q.items[0] }
+// peek returns the minimum key without removing it. The pointer is valid
+// only until the next push or pop.
+func (q *eventQueue) peek() *eventKey { return &q.keys[0] }
 
-// reset empties the queue, retaining capacity. Slots are zeroed so stale
-// payload references do not pin memory.
+// body returns the event a key's slot holds. The pointer is valid only
+// until the next push, which may grow the slab.
+func (q *eventQueue) body(slot int32) *event { return &q.slab[slot] }
+
+// reset empties the queue, retaining capacity. Every slot returns to the
+// free list cleared but for its generation, so a TimerID from before the
+// reset cancels nothing after it.
 func (q *eventQueue) reset() {
-	clear(q.items)
-	q.items = q.items[:0]
-}
-
-func (q *eventQueue) push(ev event) {
-	q.items = append(q.items, ev)
-	// Sift up.
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !eventBefore(&q.items[i], &q.items[parent]) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
+	q.keys = q.keys[:0]
+	q.free = q.free[:0]
+	for i := len(q.slab) - 1; i >= 0; i-- {
+		q.release(int32(i))
 	}
 }
 
-func (q *eventQueue) pop() event {
-	top := q.items[0]
-	n := len(q.items) - 1
-	q.items[0] = q.items[n]
-	q.items[n] = event{} // release payload references
-	q.items = q.items[:n]
+// release clears a popped event's body, dropping its payload references,
+// and returns its slot to the free list.
+func (q *eventQueue) release(slot int32) {
+	ev := &q.slab[slot]
+	*ev = event{gen: ev.gen}
+	q.free = append(q.free, slot)
+}
+
+// push queues an event of the given kind at (time, seq) and returns its
+// slot and cleared body for the caller to fill.
+func (q *eventQueue) push(time simtime.Time, seq int64, kind eventKind) (int32, *event) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot, q.free = q.free[n-1], q.free[:n-1]
+	} else {
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, event{})
+	}
+	ev := &q.slab[slot]
+	// Generation 0 is never handed out, so the zero TimerID names no
+	// timer.
+	if ev.gen++; ev.gen == 0 {
+		ev.gen = 1
+	}
+	ev.kind = kind
+	q.keys = append(q.keys, eventKey{time: time, seq: seq, slot: slot, rank: kind.rank()})
+	// Sift up.
+	i := len(q.keys) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !q.keys[i].before(&q.keys[parent]) {
+			break
+		}
+		q.keys[i], q.keys[parent] = q.keys[parent], q.keys[i]
+		i = parent
+	}
+	return slot, ev
+}
+
+// pop removes and returns the minimum key. Its body stays in the slab
+// until the caller releases the slot.
+func (q *eventQueue) pop() eventKey {
+	top := q.keys[0]
+	n := len(q.keys) - 1
+	q.keys[0] = q.keys[n]
+	q.keys = q.keys[:n]
 	// Sift down.
 	i := 0
 	for {
@@ -133,17 +187,35 @@ func (q *eventQueue) pop() event {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if eventBefore(&q.items[c], &q.items[min]) {
+			if q.keys[c].before(&q.keys[min]) {
 				min = c
 			}
 		}
-		if !eventBefore(&q.items[min], &q.items[i]) {
+		if !q.keys[min].before(&q.keys[i]) {
 			break
 		}
-		q.items[i], q.items[min] = q.items[min], q.items[i]
+		q.keys[i], q.keys[min] = q.keys[min], q.keys[i]
 		i = min
 	}
 	return top
+}
+
+// handle names the timer in slot by the slot's current generation.
+func (q *eventQueue) handle(slot int32) TimerID {
+	return TimerID{slot: slot, gen: q.slab[slot].gen}
+}
+
+// timer returns the body a TimerID names while that timer is still armed,
+// or nil: for the zero TimerID, a fired or canceled timer, and a handle
+// whose slot has since been handed to another event.
+func (q *eventQueue) timer(id TimerID) *event {
+	if id.gen == 0 || int(id.slot) >= len(q.slab) {
+		return nil
+	}
+	if ev := &q.slab[id.slot]; ev.gen == id.gen && ev.armed {
+		return ev
+	}
+	return nil
 }
 
 // TraceLevel selects how much of a run the engine records. Every level
@@ -202,9 +274,9 @@ type openOp struct {
 // a metric sees is converted back to ticks.
 //
 // An Engine may be reused across runs via Reset, which retains the event
-// queue's backing array, the bookkeeping slices, and trace-capacity hints
-// — the allocation profile of a reused engine is a handful of slice
-// headers per run instead of a heap node per event.
+// queue's keys, slab and free list, the bookkeeping slices, and
+// trace-capacity hints — the allocation profile of a reused engine is a
+// handful of slice headers per run instead of a heap node per event.
 type Engine struct {
 	params  simtime.Params
 	offsets []simtime.Duration
@@ -219,11 +291,10 @@ type Engine struct {
 	seq      int64
 	opSeq    int64
 	msgCount int64
-	timerSeq int64
-	timers   map[TimerID]struct{} // registered and neither fired nor canceled
-	ops      []openOp             // per process
-	crashes  []simtime.Time       // per-proc crash instants on the timeline (empty = no faults)
-	drops    map[int64]bool       // send ordinals lost in transit
+	timers   int            // registered and neither fired nor canceled
+	ops      []openOp       // per process
+	crashes  []simtime.Time // per-proc crash instants on the timeline (empty = no faults)
+	drops    map[int64]bool // send ordinals lost in transit
 	trace    *Trace
 	started  bool
 	level    TraceLevel
@@ -255,7 +326,7 @@ type Engine struct {
 // NewEngine builds an engine. offsets must have one entry per node and
 // respect the skew bound ε; net provides message delays.
 func NewEngine(params simtime.Params, offsets []simtime.Duration, net Network, nodes []Node) (*Engine, error) {
-	eng := &Engine{timers: map[TimerID]struct{}{}}
+	eng := &Engine{}
 	if err := eng.Reset(params, offsets, net, nodes); err != nil {
 		return nil, err
 	}
@@ -263,7 +334,8 @@ func NewEngine(params simtime.Params, offsets []simtime.Duration, net Network, n
 }
 
 // Reset rearms the engine for a fresh run with the given configuration,
-// retaining the event queue's backing array, the bookkeeping slices, the
+// retaining the event queue's keys, slab and free list (so timer handles
+// from the previous run stay stale), the bookkeeping slices, the
 // per-process contexts, and capacity hints for the trace slices (which
 // are preallocated to the previous run's sizes). The trace returned by
 // the previous run is NOT recycled — it remains valid after Reset, so
@@ -298,8 +370,7 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 		e.ctxs[p] = engineCtx{eng: e, proc: ProcID(p)}
 		e.ops[p] = openOp{}
 	}
-	e.seq, e.timerSeq, e.opSeq, e.msgCount = 0, 0, 0, 0
-	clear(e.timers)
+	e.seq, e.opSeq, e.msgCount, e.timers = 0, 0, 0, 0
 	e.crashes = e.crashes[:0]
 	clear(e.drops)
 	// Preallocate the fresh trace to the previous run's high-water sizes:
@@ -406,16 +477,17 @@ func (e *Engine) QueueLen() int { return e.queue.len() }
 
 // Timers returns the number of timers registered and neither fired nor
 // canceled.
-func (e *Engine) Timers() int { return len(e.timers) }
+func (e *Engine) Timers() int { return e.timers }
 
-// push schedules an event.
-func (e *Engine) push(ev event) {
-	ev.seq = e.seq
+// push schedules an event of the given kind at instant at of the timeline
+// and returns its slot and body for the caller to fill.
+func (e *Engine) push(at simtime.Time, kind eventKind) (int32, *event) {
+	slot, ev := e.queue.push(at, e.seq, kind)
 	e.seq++
-	e.queue.push(ev)
 	if e.metrics != nil && e.metrics.QueueMax != nil {
 		e.metrics.QueueMax.Observe(int64(e.queue.len()))
 	}
+	return slot, ev
 }
 
 // InvokeAt schedules an operation invocation at process p at the given
@@ -435,7 +507,8 @@ func (e *Engine) InvokeAtTraced(p ProcID, at simtime.Time, op string, arg any, p
 	}
 	seqID := e.opSeq
 	e.opSeq++
-	e.push(event{time: at, kind: evInvoke, proc: p, inv: Invocation{SeqID: seqID, Op: op, Arg: arg}, span: parent})
+	_, ev := e.push(at, evInvoke)
+	ev.proc, ev.inv, ev.span = p, Invocation{SeqID: seqID, Op: op, Arg: arg}, parent
 	return seqID
 }
 
@@ -444,26 +517,35 @@ func (e *Engine) InvokeAtTraced(p ProcID, at simtime.Time, op string, arg any, p
 // any): the stabilization waits of Algorithm 1 are set while handling
 // that operation's invoke or its messages.
 func (e *Engine) setTimer(p ProcID, after simtime.Duration, tag any) TimerID {
-	id := TimerID(e.timerSeq)
-	e.timerSeq++
-	e.timers[id] = struct{}{}
 	span := int64(-1)
 	if e.tracer != nil {
 		span = e.spanFor(p)
 	}
-	e.push(event{time: e.now.Add(after * e.unit), kind: evTimer, proc: p, timerID: id, tag: tag, span: span})
-	return id
+	slot, ev := e.push(e.now.Add(after*e.unit), evTimer)
+	ev.proc, ev.tag, ev.span, ev.armed = p, tag, span, true
+	e.timers++
+	return e.queue.handle(slot)
 }
 
 // cancelTimer disarms a timer; its event is skipped when it surfaces.
-// Canceling a timer that already fired or was already canceled finds no
-// entry and leaves none.
-func (e *Engine) cancelTimer(id TimerID) { delete(e.timers, id) }
+// Canceling a timer that already fired or was already canceled finds
+// nothing armed under the handle and changes nothing.
+func (e *Engine) cancelTimer(id TimerID) {
+	if ev := e.queue.timer(id); ev != nil {
+		e.disarm(ev)
+	}
+}
 
-// armed reports whether a queued timer event is still to fire.
-func (e *Engine) armed(ev *event) bool {
-	_, ok := e.timers[ev.timerID]
-	return ok
+// disarm clears an armed timer's bit and takes it off the count.
+func (e *Engine) disarm(ev *event) {
+	ev.armed = false
+	e.timers--
+}
+
+// live reports whether a key's event is still to be dispatched: anything
+// but a disarmed timer.
+func (e *Engine) live(k *eventKey) bool {
+	return k.rank != timerRank || e.queue.body(k.slot).armed
 }
 
 // spanFor resolves the span a send or timer registration should be
@@ -509,8 +591,8 @@ func (e *Engine) send(from, to ProcID, payload any) {
 		span = e.spanFor(from)
 		e.tracer.Event(span, obs.StageBroadcast, int32(from), int64(e.tick))
 	}
-	e.push(event{time: e.now.Add(delay * e.unit), kind: evDeliver, proc: to, from: from, payload: payload,
-		msgIndex: msgIndex, span: span, sent: e.tick})
+	_, ev := e.push(e.now.Add(delay*e.unit), evDeliver)
+	ev.proc, ev.from, ev.payload, ev.msgIndex, ev.span, ev.sent = to, from, payload, msgIndex, span, e.tick
 }
 
 // respond records the response for a pending invocation.
@@ -552,8 +634,7 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 	e.begin()
 	steps := 0
 	for e.queue.len() > 0 && e.queue.peek().time <= limit {
-		ev := e.queue.pop()
-		if e.dispatch(&ev, ev.time) {
+		if k := e.queue.pop(); e.dispatch(k, k.time) {
 			if steps++; steps > e.MaxSteps {
 				panic(fmt.Sprintf("sim: exceeded MaxSteps=%d (runaway algorithm?)", e.MaxSteps))
 			}
@@ -568,11 +649,10 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 // Next never wakes for one.
 func (e *Engine) Next() (simtime.Time, ProcID) {
 	for e.queue.len() > 0 {
-		ev := e.queue.peek()
-		if ev.kind != evTimer || e.armed(ev) {
-			return ev.time, ev.proc
+		if k := e.queue.peek(); e.live(k) {
+			return k.time, e.queue.body(k.slot).proc
 		}
-		e.queue.pop()
+		e.queue.release(e.queue.pop().slot)
 	}
 	return simtime.Infinity, -1
 }
@@ -585,33 +665,36 @@ func (e *Engine) Next() (simtime.Time, ProcID) {
 // order as under RunUntil, whatever instant they are dispatched at.
 func (e *Engine) Step(now simtime.Time) bool {
 	e.begin()
-	ev := e.queue.pop()
-	return e.dispatch(&ev, now)
+	return e.dispatch(e.queue.pop(), now)
 }
 
 // Due returns how many events are scheduled for process p at or before
 // now and not yet processed (canceled timers excluded): the backlog a
-// wall clock has fallen behind by. It scans the queue, which on a live
-// cluster holds a few events per operation in flight.
+// wall clock has fallen behind by. It scans the queue's keys, which on a
+// live cluster number a few per operation in flight.
 func (e *Engine) Due(p ProcID, now simtime.Time) int {
 	n := 0
-	for i := range e.queue.items {
-		if ev := &e.queue.items[i]; ev.proc == p && ev.time <= now && (ev.kind != evTimer || e.armed(ev)) {
+	for i := range e.queue.keys {
+		if k := &e.queue.keys[i]; k.time <= now && e.queue.body(k.slot).proc == p && e.live(k) {
 			n++
 		}
 	}
 	return n
 }
 
-// dispatch hands one popped event to its node at instant now and reports
-// whether the node took a step (canceled timers and events at a crashed
-// process take none).
-func (e *Engine) dispatch(ev *event, now simtime.Time) bool {
+// dispatch hands one popped event to its node at instant now, releases
+// its slot, and reports whether the node took a step (canceled timers and
+// events at a crashed process take none). The body pointer is not read
+// once the node's handler is called: a push from the handler may grow
+// the slab.
+func (e *Engine) dispatch(k eventKey, now simtime.Time) bool {
+	defer e.queue.release(k.slot)
+	ev := e.queue.body(k.slot)
 	if ev.kind == evTimer {
-		if !e.armed(ev) {
+		if !ev.armed {
 			return false
 		}
-		delete(e.timers, ev.timerID)
+		e.disarm(ev)
 	}
 	if e.crashedAt(ev.proc, now) {
 		// Crash-stop: the process takes no step. A suppressed delivery is
@@ -669,7 +752,7 @@ func (e *Engine) dispatch(ev *event, now simtime.Time) bool {
 			SeqID:       ev.inv.SeqID,
 			Op:          ev.inv.Op,
 			Arg:         ev.inv.Arg,
-			InvokeTime:  e.ticks(ev.time),
+			InvokeTime:  e.ticks(k.time),
 			RespondTime: simtime.Infinity,
 		}}
 		if e.level <= TraceOff {

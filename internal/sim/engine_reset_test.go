@@ -35,7 +35,7 @@ func pingConfig() (simtime.Params, []simtime.Duration, Network, func() []Node) {
 
 // TestResetNoStateLeak runs a workload, resets, reruns, and requires the
 // second trace to be byte-identical to a fresh engine's — plus empty
-// bookkeeping (queue, timer maps, pending ops) at every boundary.
+// bookkeeping (queue, armed timers, pending ops) at every boundary.
 func TestResetNoStateLeak(t *testing.T) {
 	p, offs, net, mkNodes := pingConfig()
 
@@ -72,7 +72,7 @@ func TestResetNoStateLeak(t *testing.T) {
 			len(got.Steps), len(got.Msgs), len(got.Ops))
 	}
 	if reused.Timers() != 0 {
-		t.Fatalf("timer table has %d stale entries after Reset", reused.Timers())
+		t.Fatalf("%d timers still armed after Reset", reused.Timers())
 	}
 	if reused.OnRespond != nil {
 		t.Fatal("OnRespond survived Reset")

@@ -108,9 +108,11 @@ func (e *Engine) Crash(p ProcID) {
 		e.trace.Crashes = append(e.trace.Crashes, simtime.Infinity)
 	}
 	e.crashes[p], e.trace.Crashes[p] = e.now, e.tick
-	for i := range e.queue.items {
-		if ev := &e.queue.items[i]; ev.kind == evTimer && ev.proc == p {
-			e.cancelTimer(ev.timerID)
+	for i := range e.queue.keys {
+		if k := &e.queue.keys[i]; k.rank == timerRank {
+			if ev := e.queue.body(k.slot); ev.proc == p && ev.armed {
+				e.disarm(ev)
+			}
 		}
 	}
 	e.countCrashes(1)

@@ -23,8 +23,15 @@ import (
 // ProcID identifies a process, 0 ≤ ProcID < n.
 type ProcID int
 
-// TimerID identifies a pending timer so it can be canceled.
-type TimerID int64
+// TimerID identifies a pending timer so it can be canceled: the engine
+// slot its event occupies and that slot's generation when the timer was
+// set. A handle outlives its timer harmlessly — once the timer fired or
+// was canceled, or its slot went to another event, canceling it is a
+// no-op. The zero TimerID names no timer.
+type TimerID struct {
+	slot int32
+	gen  uint32
+}
 
 // Invocation is an operation invocation delivered to a node. SeqID is
 // unique across the run and must be echoed in the matching Respond call.
