@@ -87,14 +87,14 @@ func BenchmarkTable5(b *testing.B) { benchTable(b, 5) }
 func BenchmarkTheorem2(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		rep, err := lowerbound.Theorem2(p, p.U/4-1)
+		rep, err := lowerbound.Theorem2(p, "queue", p.U/4-1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !rep.ViolationFound {
 			b.Fatal("Theorem 2: expected violation below the bound")
 		}
-		rep, err = lowerbound.Theorem2(p, p.U/4)
+		rep, err = lowerbound.Theorem2(p, "queue", p.U/4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,14 +111,14 @@ func BenchmarkTheorem3(b *testing.B) {
 	p := benchParams()
 	bound := p.U - p.U/simtime.Duration(p.N)
 	for i := 0; i < b.N; i++ {
-		rep, err := lowerbound.Theorem3(p, p.N, bound-1)
+		rep, err := lowerbound.Theorem3(p, "queue", p.N, bound-1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !rep.ViolationFound {
 			b.Fatal("Theorem 3: expected violation below the bound")
 		}
-		rep, err = lowerbound.Theorem3(p, p.N, bound)
+		rep, err = lowerbound.Theorem3(p, "queue", p.N, bound)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,16 +132,16 @@ func BenchmarkTheorem3(b *testing.B) {
 // BenchmarkTheorem4 runs the pair-free shift-and-chop chain.
 func BenchmarkTheorem4(b *testing.B) {
 	p := benchParams()
-	m := lowerbound.MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	for i := 0; i < b.N; i++ {
-		rep, err := lowerbound.Theorem4(p, p.D+m-1)
+		rep, err := lowerbound.Theorem4(p, "queue", p.D+m-1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !rep.ViolationFound {
 			b.Fatal("Theorem 4: expected violation below the bound")
 		}
-		rep, err = lowerbound.Theorem4(p, p.D+m)
+		rep, err = lowerbound.Theorem4(p, "queue", p.D+m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,16 +155,16 @@ func BenchmarkTheorem4(b *testing.B) {
 // BenchmarkTheorem5 runs the discriminated mutator+accessor sum chain.
 func BenchmarkTheorem5(b *testing.B) {
 	p := benchParams()
-	m := lowerbound.MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	for i := 0; i < b.N; i++ {
-		rep, err := lowerbound.Theorem5(p, p.D-2*m, 3*m-1)
+		rep, err := lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m-1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !rep.ViolationFound {
 			b.Fatal("Theorem 5: expected violation below the bound")
 		}
-		rep, err = lowerbound.Theorem5(p, p.D-2*m, 3*m)
+		rep, err = lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,11 +6,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"lintime/internal/adversary"
 	"lintime/internal/bmc"
+	"lintime/internal/bounds"
+	"lintime/internal/lowerbound"
+	"lintime/internal/simtime"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -80,6 +85,66 @@ func TestGoldenLowerbound(t *testing.T) {
 		return cmdLowerbound([]string{"-thm", "2", "-n", "3"})
 	})
 	checkGolden(t, "lowerbound-thm2", got)
+}
+
+// TestGoldenLowerboundAll pins every stock (theorem, type) construction
+// twice — at the default budget (bound-1) and at the bound itself — plus
+// Theorems 4 and 5 in the 2m ≤ u regime where the written proof does not
+// apply, and Theorem 3 at k = 2.
+func TestGoldenLowerboundAll(t *testing.T) {
+	var out strings.Builder
+	run := func(args ...string) {
+		out.WriteString("$ lintime lowerbound " + strings.Join(args, " ") + "\n")
+		out.WriteString(captureStdout(t, func() error { return cmdLowerbound(args) }))
+	}
+	types := lowerbound.ScenarioTypes()
+	for _, set := range []struct {
+		params   []string
+		theorems []int
+	}{
+		{nil, []int{2, 3, 4, 5}},
+		{[]string{"-k", "2"}, []int{3}},
+		{[]string{"-d", "300", "-u", "100", "-eps", "10"}, []int{4, 5}},
+	} {
+		params := set.params
+		for _, thm := range set.theorems {
+			bound := lowerboundBound(t, thm, params)
+			for _, typeName := range types[thm] {
+				args := append(slices.Clone(params), "-thm", strconv.Itoa(thm), "-type", typeName)
+				run(args...)
+				run(append(args, "-budget", strconv.FormatInt(int64(bound), 10))...)
+			}
+		}
+	}
+	checkGolden(t, "lowerbound-all", out.String())
+}
+
+// lowerboundBound is Theorem thm's bound under the lowerbound command's
+// parameter flags.
+func lowerboundBound(t *testing.T, thm int, args []string) simtime.Duration {
+	t.Helper()
+	fs := flag.NewFlagSet("bound", flag.ContinueOnError)
+	getParams := paramFlags(fs)
+	k := fs.Int("k", 0, "")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	p, err := getParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *k == 0 {
+		*k = p.N
+	}
+	switch thm {
+	case 2:
+		return bounds.QuarterU(p).Value
+	case 3:
+		return bounds.LastSensitive(p, *k).Value
+	case 4:
+		return bounds.PairFree(p).Value
+	}
+	return bounds.SumDiscriminated(p).Value
 }
 
 // TestGoldenClassifyWitnesses pins the classification of every registered

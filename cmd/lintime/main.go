@@ -372,35 +372,27 @@ func cmdLowerbound(args []string) error {
 	if *k == 0 {
 		*k = p.N
 	}
-	m := lowerbound.MinPairFree(p)
+	// budgetOr is the -budget flag, defaulting to one tick below bound.
+	budgetOr := func(bound bounds.Bound) simtime.Duration {
+		if *budget < 0 {
+			return bound.Value - 1
+		}
+		return simtime.Duration(*budget)
+	}
 	run := func(theorem int) error {
 		var rep *lowerbound.Report
 		var err error
 		switch theorem {
 		case 2:
-			b := simtime.Duration(*budget)
-			if *budget < 0 {
-				b = p.U/4 - 1
-			}
-			rep, err = lowerbound.Theorem2On(p, *typeName, b)
+			rep, err = lowerbound.Theorem2(p, *typeName, budgetOr(bounds.QuarterU(p)))
 		case 3:
-			b := simtime.Duration(*budget)
-			if *budget < 0 {
-				b = p.U - p.U/simtime.Duration(*k) - 1
-			}
-			rep, err = lowerbound.Theorem3On(p, *typeName, *k, b)
+			rep, err = lowerbound.Theorem3(p, *typeName, *k, budgetOr(bounds.LastSensitive(p, *k)))
 		case 4:
-			b := simtime.Duration(*budget)
-			if *budget < 0 {
-				b = p.D + m - 1
-			}
-			rep, err = lowerbound.Theorem4On(p, *typeName, b)
+			rep, err = lowerbound.Theorem4(p, *typeName, budgetOr(bounds.PairFree(p)))
 		case 5:
-			b := simtime.Duration(*budget)
-			if *budget < 0 {
-				b = p.D + m - 1
-			}
-			rep, err = lowerbound.Theorem5On(p, *typeName, p.D-2*m, b-(p.D-2*m))
+			// The mutator takes d-2m of the sum, the accessor the rest.
+			opBudget := p.D - 2*bounds.MinPairFree(p)
+			rep, err = lowerbound.Theorem5(p, *typeName, opBudget, budgetOr(bounds.SumDiscriminated(p))-opBudget)
 		default:
 			return fmt.Errorf("no theorem %d (have 2-5)", theorem)
 		}

@@ -47,6 +47,15 @@ func TestCmdLowerbound(t *testing.T) {
 	if err := cmdLowerbound([]string{"-thm", "3", "-type", "register", "-k", "3"}); err != nil {
 		t.Fatal(err)
 	}
+	// Budgets far above the bound report instead of panicking.
+	for _, args := range [][]string{
+		{"-thm", "3", "-budget", "200000"},
+		{"-d", "300", "-u", "120", "-eps", "60", "-thm", "3", "-k", "2", "-budget", "8064"},
+	} {
+		if err := cmdLowerbound(args); err != nil {
+			t.Errorf("lowerbound %v: %v", args, err)
+		}
+	}
 	// Every theorem with a stock scenario for the type runs; the rest are
 	// skipped, not fatal.
 	for _, args := range [][]string{{"-type", "stack"}, {"-type", "counter"}} {

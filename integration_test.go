@@ -146,16 +146,16 @@ func TestEveryTableRowBacksItsClaim(t *testing.T) {
 // canonical configuration as a single integration sweep.
 func TestAllTheoremsAtCanonicalConfig(t *testing.T) {
 	p := simtime.DefaultParams(5)
-	m := lowerbound.MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	kd := simtime.Duration(p.N)
 	runs := []struct {
 		name string
 		f    func() (*lowerbound.Report, error)
 	}{
-		{"thm2", func() (*lowerbound.Report, error) { return lowerbound.Theorem2(p, p.U/4-1) }},
-		{"thm3", func() (*lowerbound.Report, error) { return lowerbound.Theorem3(p, p.N, p.U-p.U/kd-1) }},
-		{"thm4", func() (*lowerbound.Report, error) { return lowerbound.Theorem4(p, p.D+m-1) }},
-		{"thm5", func() (*lowerbound.Report, error) { return lowerbound.Theorem5(p, p.D-2*m, 3*m-1) }},
+		{"thm2", func() (*lowerbound.Report, error) { return lowerbound.Theorem2(p, "queue", p.U/4-1) }},
+		{"thm3", func() (*lowerbound.Report, error) { return lowerbound.Theorem3(p, "queue", p.N, p.U-p.U/kd-1) }},
+		{"thm4", func() (*lowerbound.Report, error) { return lowerbound.Theorem4(p, "queue", p.D+m-1) }},
+		{"thm5", func() (*lowerbound.Report, error) { return lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m-1) }},
 	}
 	for _, r := range runs {
 		rep, err := r.f()

@@ -85,10 +85,3 @@ func intsFingerprint(prefix string, items []int) string {
 	}
 	return string(buf)
 }
-
-// copyInts clones an int slice.
-func copyInts(xs []int) []int {
-	out := make([]int, len(xs))
-	copy(out, xs)
-	return out
-}

@@ -57,10 +57,15 @@ func LastSensitive(p simtime.Params, k int) Bound {
 	return Bound{Expr: fmt.Sprintf("(1-1/%d)u", k), Value: p.U - p.U/kd, Source: "Thm 3"}
 }
 
+// MinPairFree is m = min{ε, u, d/3}, the additive term of Theorems 4
+// and 5.
+func MinPairFree(p simtime.Params) simtime.Duration {
+	return simtime.Min(p.Epsilon, simtime.Min(p.U, p.D/3))
+}
+
 // PairFree is the mixed-operation bound d+min{ε,u,d/3} (Theorem 4).
 func PairFree(p simtime.Params) Bound {
-	m := simtime.Min(p.Epsilon, simtime.Min(p.U, p.D/3))
-	return Bound{Expr: "d+min{ε,u,d/3}", Value: p.D + m, Source: "Thm 4"}
+	return Bound{Expr: "d+min{ε,u,d/3}", Value: p.D + MinPairFree(p), Source: "Thm 4"}
 }
 
 // SumDiscriminated is the mutator+accessor sum bound d+min{ε,u,d/3}

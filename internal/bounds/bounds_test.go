@@ -45,6 +45,21 @@ func TestFormulaValues(t *testing.T) {
 	}
 }
 
+func TestMinPairFree(t *testing.T) {
+	p := simtime.Params{N: 3, D: 300, U: 40, Epsilon: 30}
+	if got := MinPairFree(p); got != 30 {
+		t.Errorf("m = %v, want ε = 30", got)
+	}
+	p.Epsilon = 500
+	if got := MinPairFree(p); got != 40 {
+		t.Errorf("m = %v, want u = 40", got)
+	}
+	p.U = 500
+	if got := MinPairFree(p); got != 100 {
+		t.Errorf("m = %v, want d/3 = 100", got)
+	}
+}
+
 func TestPairFreeMinSelection(t *testing.T) {
 	p := tp()
 	p.Epsilon = 500

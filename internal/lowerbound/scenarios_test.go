@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lintime/internal/adt"
+	"lintime/internal/bounds"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
@@ -26,14 +27,14 @@ func TestTheorem2AcrossTypes(t *testing.T) {
 	for _, sc := range Thm2Scenarios() {
 		sc := sc
 		t.Run(sc.TypeName, func(t *testing.T) {
-			rep, err := Theorem2For(p, sc, p.U/4-1)
+			rep, err := Theorem2(p, sc.TypeName, p.U/4-1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !rep.ViolationFound {
 				t.Errorf("below bound: expected violation:\n%s", rep)
 			}
-			rep, err = Theorem2For(p, sc, p.U/4)
+			rep, err = Theorem2(p, sc.TypeName, p.U/4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,14 +56,14 @@ func TestTheorem3AcrossTypes(t *testing.T) {
 	for _, sc := range Thm3Scenarios() {
 		sc := sc
 		t.Run(sc.TypeName, func(t *testing.T) {
-			rep, err := Theorem3For(p, sc, k, bound-1)
+			rep, err := Theorem3(p, sc.TypeName, k, bound-1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !rep.ViolationFound {
 				t.Errorf("below bound: expected violation:\n%s", rep)
 			}
-			rep, err = Theorem3For(p, sc, k, bound)
+			rep, err = Theorem3(p, sc.TypeName, k, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,18 +80,18 @@ func TestTheorem3AcrossTypes(t *testing.T) {
 // breaking at it.
 func TestTheorem4AcrossTypes(t *testing.T) {
 	p := lbParams()
-	m := MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	for _, sc := range Thm4Scenarios() {
 		sc := sc
 		t.Run(sc.TypeName, func(t *testing.T) {
-			rep, err := Theorem4For(p, sc, p.D+m-1)
+			rep, err := Theorem4(p, sc.TypeName, p.D+m-1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !rep.ViolationFound {
 				t.Errorf("below bound: expected contradiction:\n%s", rep)
 			}
-			rep, err = Theorem4For(p, sc, p.D+m)
+			rep, err = Theorem4(p, sc.TypeName, p.D+m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,18 +107,18 @@ func TestTheorem4AcrossTypes(t *testing.T) {
 // insert+depth row) and (pushback, front) on the deque.
 func TestTheorem5AcrossTypes(t *testing.T) {
 	p := lbParams()
-	m := MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	for _, sc := range Thm5Scenarios() {
 		sc := sc
 		t.Run(sc.TypeName, func(t *testing.T) {
-			rep, err := Theorem5For(p, sc, p.D-2*m, 3*m-1)
+			rep, err := Theorem5(p, sc.TypeName, p.D-2*m, 3*m-1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !rep.ViolationFound {
 				t.Errorf("below bound: expected violation:\n%s", rep)
 			}
-			rep, err = Theorem5For(p, sc, p.D-2*m, 3*m)
+			rep, err = Theorem5(p, sc.TypeName, p.D-2*m, 3*m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,13 +131,13 @@ func TestTheorem5AcrossTypes(t *testing.T) {
 
 func TestTheorem5OnUnknownType(t *testing.T) {
 	p := lbParams()
-	if _, err := Theorem5On(p, "register", 100, 100); err == nil {
+	if _, err := Theorem5(p, "register", 100, 100); err == nil {
 		t.Error("types without a Theorem 5 scenario should error")
 	}
 }
 
 func TestTheorem4OnUnknownType(t *testing.T) {
-	if _, err := Theorem4On(lbParams(), "register", lbParams().D); err == nil {
+	if _, err := Theorem4(lbParams(), "register", lbParams().D); err == nil {
 		t.Error("types without a pair-free scenario should error")
 	}
 }
@@ -151,13 +152,13 @@ func TestThm4ScenarioValuesValidatePairFreeness(t *testing.T) {
 }
 
 func TestTheorem2OnUnknownType(t *testing.T) {
-	if _, err := Theorem2On(lbParams(), "maxregister", 1); err == nil {
+	if _, err := Theorem2(lbParams(), "maxregister", 1); err == nil {
 		t.Error("types without a stock scenario should error")
 	}
 }
 
 func TestTheorem3OnUnknownType(t *testing.T) {
-	if _, err := Theorem3On(lbParams(), "set", 2, 1); err == nil {
+	if _, err := Theorem3(lbParams(), "set", 2, 1); err == nil {
 		t.Error("types without a stock scenario should error")
 	}
 }
@@ -167,11 +168,7 @@ func TestTheorem3TreeInstanceCap(t *testing.T) {
 	p := simtime.Params{N: 16, D: 2 * simtime.Quantum, U: simtime.Quantum,
 		Epsilon: simtime.OptimalEpsilon(16, simtime.Quantum)}
 	p.X = p.Epsilon
-	sc, err := findScenario(3, Thm3Scenarios(), "tree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Theorem3For(p, sc, 16, 1); err == nil {
+	if _, err := Theorem3(p, "tree", 16, 1); err == nil {
 		t.Error("k beyond the scenario's instance supply should error")
 	}
 }
@@ -180,7 +177,7 @@ func TestTheorem3OnRegisterMatchesCorollary1(t *testing.T) {
 	// Corollary 1 names |Write| ≥ (1-1/n)u explicitly.
 	p := lbParams()
 	kd := simtime.Duration(p.N)
-	rep, err := Theorem3On(p, "register", p.N, p.U-p.U/kd-1)
+	rep, err := Theorem3(p, "register", p.N, p.U-p.U/kd-1)
 	if err != nil {
 		t.Fatal(err)
 	}

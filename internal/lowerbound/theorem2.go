@@ -3,39 +3,15 @@ package lowerbound
 import (
 	"fmt"
 
-	"lintime/internal/adt"
-	"lintime/internal/classify"
+	"lintime/internal/bounds"
 	"lintime/internal/core"
-	"lintime/internal/lincheck"
-	"lintime/internal/shift"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
 
 // Theorem2 mechanizes the pure-accessor bound |AOP| ≥ u/4 (Theorem 2) on
-// a FIFO queue with peek as the accessor. See Theorem2For for other data
-// types.
-func Theorem2(p simtime.Params, budget simtime.Duration) (*Report, error) {
-	sc, err := findScenario(2, Thm2Scenarios(), "queue")
-	if err != nil {
-		return nil, err
-	}
-	return Theorem2For(p, sc, budget)
-}
-
-// Theorem2On runs the Theorem 2 construction on the named data type's
-// stock scenario.
-func Theorem2On(p simtime.Params, typeName string, budget simtime.Duration) (*Report, error) {
-	sc, err := findScenario(2, Thm2Scenarios(), typeName)
-	if err != nil {
-		return nil, err
-	}
-	return Theorem2For(p, sc, budget)
-}
-
-// Theorem2For mechanizes Theorem 2 for an arbitrary pure-accessor
-// scenario.
+// the named data type's stock scenario (Thm2Scenarios).
 //
 // Construction (following the proof): all delays are d - u/2 and clocks
 // agree. Processes p0 and p1 execute alternating non-overlapping AOP
@@ -53,7 +29,11 @@ func Theorem2On(p simtime.Params, typeName string, budget simtime.Duration) (*Re
 // stays concurrent with the flip (any algorithm with |AOP| < u/4 is
 // subject to the theorem; slow mutators keep the *unshifted* run
 // linearizable, isolating the shift as the killer).
-func Theorem2For(p simtime.Params, sc Thm2Scenario, budget simtime.Duration) (*Report, error) {
+func Theorem2(p simtime.Params, typeName string, budget simtime.Duration) (*Report, error) {
+	sc, err := findScenario(2, Thm2Scenarios(), typeName)
+	if err != nil {
+		return nil, err
+	}
 	if p.N < 3 {
 		return nil, fmt.Errorf("lowerbound: Theorem 2 needs n ≥ 3, got %d", p.N)
 	}
@@ -63,15 +43,8 @@ func Theorem2For(p simtime.Params, sc Thm2Scenario, budget simtime.Duration) (*R
 	if p.Epsilon < p.U/2 {
 		return nil, fmt.Errorf("lowerbound: need ε ≥ u/2 (ε = %v, u/2 = %v)", p.Epsilon, p.U/2)
 	}
-	rep := &Report{Theorem: "Theorem 2", DataType: sc.TypeName, Op: sc.AOP,
-		Budget: budget, Bound: p.U / 4}
-
-	dt, err := adt.Lookup(sc.TypeName)
-	if err != nil {
-		return nil, err
-	}
-	oldValue := spec.Response(dt.Initial(), sc.AOP, sc.AOPArg)
-	classes := classify.Classify(dt, classify.DefaultConfig()).Classes()
+	quarter := bounds.QuarterU(p).Value
+	rep := &Report{Theorem: "Theorem 2", DataType: sc.TypeName, Op: sc.AOP, Budget: budget, Bound: quarter}
 	timers := core.Timers{
 		AOPRespond:  budget,
 		AOPBackdate: 0,
@@ -79,79 +52,60 @@ func Theorem2For(p simtime.Params, sc Thm2Scenario, budget simtime.Duration) (*R
 		AddSelf:     p.D - p.U,
 		ExecuteWait: p.U + p.Epsilon,
 	}
-	nodes := core.NewReplicas(p.N, dt, classes, timers)
-	net := sim.NewPairwiseNetwork(p.N, p.D-p.U/2)
-	eng, err := sim.NewEngine(p, sim.ZeroOffsets(p.N), net, nodes)
+	kt, err := newKit(p, rep, timers, sim.NewPairwiseNetwork(p.N, p.D-p.U/2))
 	if err != nil {
 		return nil, err
 	}
+	oldValue := spec.Response(kt.dt.Initial(), sc.AOP, sc.AOPArg)
 
 	// Alternating accessors at p0/p1; one mutator at p2.
-	quarter := p.U / 4
 	step := simtime.Max(quarter, budget+1) // keep same-process instances non-overlapping
 	start := simtime.Time(quarter)
 	count := int((p.D+p.U)/step) + 4
-	var aopSeqs []int64
-	for i := 0; i < count; i++ {
-		proc := sim.ProcID(i % 2)
-		seq := eng.InvokeAt(proc, start.Add(simtime.Duration(i)*step), sc.AOP, sc.AOPArg)
-		aopSeqs = append(aopSeqs, seq)
+	calls := make([]call, count, count+1)
+	for i := range calls {
+		calls[i] = call{sim.ProcID(i % 2), start.Add(simtime.Duration(i) * step), spec.Invocation{Op: sc.AOP, Arg: sc.AOPArg}}
 	}
-	eng.InvokeAt(2, start.Add(step), sc.Mut, sc.MutArg)
-	tr := eng.Run()
-	if err := tr.CheckComplete(); err != nil {
+	tr, aops, err := kt.execute(nil, append(calls, call{2, start.Add(step), spec.Invocation{Op: sc.Mut, Arg: sc.MutArg}}))
+	if err != nil {
 		return nil, err
 	}
-	if err := tr.CheckAdmissible(); err != nil {
-		return nil, err
-	}
+	aops = aops[:count]
 	rep.logf("R1: %d alternating %s instances at p0/p1 every %v; %s(%s) at p2; all delays d-u/2 = %v",
 		count, sc.AOP, step, sc.Mut, spec.FormatValue(sc.MutArg), p.D-p.U/2)
 
 	// Locate j: the last accessor returning the old value, and verify the
 	// flip is monotone (old* then new*), as the proof requires.
 	j := -1
-	for i, seq := range aopSeqs {
-		if spec.ValuesEqual(opBySeq(tr, seq).Ret, oldValue) {
+	for i, rec := range aops {
+		if spec.ValuesEqual(rec.Ret, oldValue) {
 			j = i
 		}
 	}
-	if j < 0 || j+1 >= len(aopSeqs) {
-		return nil, fmt.Errorf("lowerbound: accessor flip not captured (j = %d of %d)", j, len(aopSeqs))
+	if j < 0 || j+1 >= count {
+		return nil, fmt.Errorf("lowerbound: accessor flip not captured (j = %d of %d)", j, count)
 	}
-	for i, seq := range aopSeqs {
-		isOld := spec.ValuesEqual(opBySeq(tr, seq).Ret, oldValue)
-		if (i <= j) != isOld {
+	for i, rec := range aops {
+		if (i <= j) != spec.ValuesEqual(rec.Ret, oldValue) {
 			return nil, fmt.Errorf("lowerbound: non-monotone flip at instance %d", i)
 		}
 	}
-	jProc := opBySeq(tr, aopSeqs[j]).Proc
+	jProc := aops[j].Proc
 	rep.logf("flip at j = %d (last old-value %s, at p%d; old value %s)",
 		j, sc.AOP, jProc, spec.FormatValue(oldValue))
 
 	// Shift the last old-value process later by u/4 and the other peeker
 	// earlier.
-	x := make([]simtime.Duration, p.N)
-	x[jProc] = quarter
+	x := single(p.N, jProc, quarter)
 	x[1-jProc] = -quarter
-	shifted, err := shift.Shift(tr, x)
+	shifted, err := shiftRun(tr, x)
 	if err != nil {
 		return nil, err
 	}
-	if err := shifted.CheckAdmissible(); err != nil {
-		return nil, fmt.Errorf("lowerbound: shifted run inadmissible (construction bug): %w", err)
-	}
 	rep.logf("R2 = shift(R1, x) with x[p%d] = +u/4, x[p%d] = -u/4: admissible (skew u/2 = %v ≤ ε = %v)",
 		jProc, 1-jProc, p.U/2, p.Epsilon)
-
-	res := lincheck.CheckTrace(dt, shifted)
-	rep.ViolationFound = !res.Linearizable
-	if rep.ViolationFound {
-		rep.logf("R2 is NOT linearizable: %s %d (new value) responds before %s %d (old value) is invoked",
-			sc.AOP, j+1, sc.AOP, j)
-	} else {
-		rep.logf("R2 remains linearizable: budget %v ≥ u/4 = %v keeps the instances overlapping", budget, p.U/4)
-	}
-	rep.logf("history: %s", formatOps(shifted.CompletedOps()))
+	kt.judge(shifted,
+		fmt.Sprintf("R2 is NOT linearizable: %s %d (new value) responds before %s %d (old value) is invoked", sc.AOP, j+1, sc.AOP, j),
+		fmt.Sprintf("R2 remains linearizable: budget %v ≥ u/4 = %v keeps the instances overlapping", budget, quarter))
 	return rep, nil
 }

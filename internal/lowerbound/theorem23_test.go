@@ -15,7 +15,7 @@ func lbParams() simtime.Params {
 func TestTheorem2ViolationBelowBound(t *testing.T) {
 	p := lbParams()
 	bound := p.U / 4
-	rep, err := Theorem2(p, bound-1)
+	rep, err := Theorem2(p, "queue", bound-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestTheorem2ViolationBelowBound(t *testing.T) {
 
 func TestTheorem2NoViolationAtBound(t *testing.T) {
 	p := lbParams()
-	rep, err := Theorem2(p, p.U/4)
+	rep, err := Theorem2(p, "queue", p.U/4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTheorem2NoViolationAtBound(t *testing.T) {
 
 func TestTheorem2VeryFastAccessor(t *testing.T) {
 	p := lbParams()
-	rep, err := Theorem2(p, 1)
+	rep, err := Theorem2(p, "queue", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,18 +52,18 @@ func TestTheorem2VeryFastAccessor(t *testing.T) {
 func TestTheorem2ParameterValidation(t *testing.T) {
 	p := lbParams()
 	p.N = 2
-	if _, err := Theorem2(p, 1); err == nil {
+	if _, err := Theorem2(p, "queue", 1); err == nil {
 		t.Error("n < 3 should error")
 	}
 	p = lbParams()
 	p.U = 10082 // not divisible by 4
-	if _, err := Theorem2(p, 1); err == nil {
+	if _, err := Theorem2(p, "queue", 1); err == nil {
 		t.Error("u not divisible by 4 should error")
 	}
 	p = lbParams()
 	p.Epsilon = p.U/2 - 1
 	p.X = 0
-	if _, err := Theorem2(p, 1); err == nil {
+	if _, err := Theorem2(p, "queue", 1); err == nil {
 		t.Error("ε < u/2 should error")
 	}
 }
@@ -73,7 +73,7 @@ func TestTheorem3ViolationBelowBound(t *testing.T) {
 	for _, k := range []int{2, 3, 5} {
 		kd := simtime.Duration(k)
 		bound := p.U - p.U/kd
-		rep, err := Theorem3(p, k, bound-1)
+		rep, err := Theorem3(p, "queue", k, bound-1)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -90,7 +90,7 @@ func TestTheorem3NoViolationAtBound(t *testing.T) {
 	p := lbParams()
 	for _, k := range []int{2, 5} {
 		kd := simtime.Duration(k)
-		rep, err := Theorem3(p, k, p.U-p.U/kd)
+		rep, err := Theorem3(p, "queue", k, p.U-p.U/kd)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -104,14 +104,14 @@ func TestTheorem3GrowingBoundWithK(t *testing.T) {
 	// The bound grows with k: a budget violating k=5 may satisfy k=2.
 	p := lbParams()
 	budget := p.U/2 + p.U/8 // between u/2 (k=2) and 4u/5 (k=5)
-	rep2, err := Theorem3(p, 2, budget)
+	rep2, err := Theorem3(p, "queue", 2, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.ViolationFound {
 		t.Errorf("budget %v ≥ u/2 should satisfy k=2:\n%s", budget, rep2)
 	}
-	rep5, err := Theorem3(p, 5, budget)
+	rep5, err := Theorem3(p, "queue", 5, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,30 +122,41 @@ func TestTheorem3GrowingBoundWithK(t *testing.T) {
 
 func TestTheorem3ParameterValidation(t *testing.T) {
 	p := lbParams()
-	if _, err := Theorem3(p, 1, 10); err == nil {
+	if _, err := Theorem3(p, "queue", 1, 10); err == nil {
 		t.Error("k < 2 should error")
 	}
-	if _, err := Theorem3(p, p.N+1, 10); err == nil {
+	if _, err := Theorem3(p, "queue", p.N+1, 10); err == nil {
 		t.Error("k > n should error")
 	}
 	p.U = 10082
-	if _, err := Theorem3(p, 5, 10); err == nil {
+	if _, err := Theorem3(p, "queue", 5, 10); err == nil {
 		t.Error("u not divisible by 2k should error")
 	}
 }
 
-func TestMinPairFree(t *testing.T) {
-	p := simtime.Params{N: 3, D: 300, U: 40, Epsilon: 30}
-	if got := MinPairFree(p); got != 30 {
-		t.Errorf("m = %v, want ε = 30", got)
-	}
-	p.Epsilon = 500
-	if got := MinPairFree(p); got != 40 {
-		t.Errorf("m = %v, want u = 40", got)
-	}
-	p.U = 500
-	if got := MinPairFree(p); got != 100 {
-		t.Errorf("m = %v, want d/3 = 100", got)
+// TestOversizedBudgetsReport: a budget far above the bound slows the
+// forced mutators past the constructions' fixed spacing. Each run then
+// spaces p0's invocations by the budget instead of invoking one while
+// another is pending, and reports that the budget respects the bound.
+func TestOversizedBudgetsReport(t *testing.T) {
+	small := simtime.Params{N: 5, D: 300, U: 120, Epsilon: 60, X: 60}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Report, error)
+	}{
+		{"thm3 k=n", func() (*Report, error) { return Theorem3(lbParams(), "queue", lbParams().N, 200000) }},
+		{"thm3 k=2 small", func() (*Report, error) { return Theorem3(small, "queue", 2, 8064) }},
+		{"thm3 tree", func() (*Report, error) { return Theorem3(lbParams(), "tree", 3, 80000) }},
+		{"thm5 treefw", func() (*Report, error) { return Theorem5(lbParams(), "treefw", 100000, 10) }},
+	} {
+		rep, err := tc.run()
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if rep.ViolationFound {
+			t.Errorf("%s: budget above the bound reported a violation:\n%s", tc.name, rep)
+		}
 	}
 }
 

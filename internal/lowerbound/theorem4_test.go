@@ -3,13 +3,14 @@ package lowerbound
 import (
 	"testing"
 
+	"lintime/internal/bounds"
 	"lintime/internal/simtime"
 )
 
 func TestTheorem4ViolationBelowBound(t *testing.T) {
 	p := lbParams() // m = min(ε, u, d/3) = d/3 = 6720
-	m := MinPairFree(p)
-	rep, err := Theorem4(p, p.D+m-1)
+	m := bounds.MinPairFree(p)
+	rep, err := Theorem4(p, "queue", p.D+m-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +24,8 @@ func TestTheorem4ViolationBelowBound(t *testing.T) {
 
 func TestTheorem4NoViolationAtBound(t *testing.T) {
 	p := lbParams()
-	m := MinPairFree(p)
-	rep, err := Theorem4(p, p.D+m)
+	m := bounds.MinPairFree(p)
+	rep, err := Theorem4(p, "queue", p.D+m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,18 +39,18 @@ func TestTheorem4EpsilonLimited(t *testing.T) {
 	// proof's single-invalid-delay claim in Step 5 holds.
 	p := simtime.Params{N: 5, D: 4 * simtime.Quantum, U: simtime.Quantum,
 		Epsilon: simtime.OptimalEpsilon(5, simtime.Quantum), X: 0}
-	m := MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	if m != p.Epsilon {
 		t.Fatalf("expected ε-limited configuration, m = %v", m)
 	}
-	rep, err := Theorem4(p, p.D+m-1)
+	rep, err := Theorem4(p, "queue", p.D+m-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.ViolationFound {
 		t.Errorf("ε-limited: budget d+m-1 should violate:\n%s", rep)
 	}
-	rep, err = Theorem4(p, p.D+m)
+	rep, err = Theorem4(p, "queue", p.D+m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestTheorem4ProofGapWhenShiftStaysAdmissible(t *testing.T) {
 	// fabricate one.
 	p := simtime.Params{N: 3, D: 3 * simtime.Quantum, U: simtime.Quantum,
 		Epsilon: simtime.Quantum / 4, X: 0} // m = ε = u/4, 2m = u/2 ≤ u
-	m := MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	if 2*m > p.U {
 		t.Fatal("test config must have 2m ≤ u")
 	}
-	rep, err := Theorem4(p, p.D+m-1)
+	rep, err := Theorem4(p, "queue", p.D+m-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestTheorem4ProofGapWhenShiftStaysAdmissible(t *testing.T) {
 func TestTheorem4ULimited(t *testing.T) {
 	// Configuration where m = u < min(ε, d/3).
 	p := simtime.Params{N: 3, D: 3 * simtime.Quantum, U: simtime.Quantum / 4, Epsilon: simtime.Quantum / 2, X: 0}
-	m := MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	if m != p.U {
 		t.Fatalf("expected u-limited configuration, m = %v", m)
 	}
-	rep, err := Theorem4(p, p.D+m-1)
+	rep, err := Theorem4(p, "queue", p.D+m-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestTheorem4ULimited(t *testing.T) {
 
 func TestTheorem4BudgetBelowSelfDelay(t *testing.T) {
 	p := lbParams()
-	if _, err := Theorem4(p, p.D-p.U-1); err == nil {
+	if _, err := Theorem4(p, "queue", p.D-p.U-1); err == nil {
 		t.Error("budget below d-u should error (our algorithm family cannot go faster)")
 	}
 }
@@ -104,7 +105,7 @@ func TestTheorem4BudgetBelowSelfDelay(t *testing.T) {
 func TestTheorem4NeedsThreeProcesses(t *testing.T) {
 	p := lbParams()
 	p.N = 2
-	if _, err := Theorem4(p, p.D); err == nil {
+	if _, err := Theorem4(p, "queue", p.D); err == nil {
 		t.Error("n < 3 should error")
 	}
 }

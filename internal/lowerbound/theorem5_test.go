@@ -3,15 +3,16 @@ package lowerbound
 import (
 	"testing"
 
+	"lintime/internal/bounds"
 	"lintime/internal/simtime"
 )
 
 func TestTheorem5ViolationBelowBound(t *testing.T) {
 	p := lbParams() // m = d/3? m = min(ε=0.8u, u, d/3): d=2Q, u=Q: d/3 < 0.8u? 2Q/3 < 0.8Q ✓ m = 2Q/3... Quantum divisible by 3 ✓
-	m := MinPairFree(p)
+	m := bounds.MinPairFree(p)
 	budgetOp := p.D - 2*m
 	budgetAop := 3*m - 1 // sum = d+m-1
-	rep, err := Theorem5(p, budgetOp, budgetAop)
+	rep, err := Theorem5(p, "queue", budgetOp, budgetAop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +26,8 @@ func TestTheorem5ViolationBelowBound(t *testing.T) {
 
 func TestTheorem5NoViolationAtBound(t *testing.T) {
 	p := lbParams()
-	m := MinPairFree(p)
-	rep, err := Theorem5(p, p.D-2*m, 3*m) // sum = d+m exactly
+	m := bounds.MinPairFree(p)
+	rep, err := Theorem5(p, "queue", p.D-2*m, 3*m) // sum = d+m exactly
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +40,8 @@ func TestTheorem5OtherSplit(t *testing.T) {
 	// A different budget split below the bound still yields the
 	// contradiction as long as the chop boundaries work out.
 	p := lbParams()
-	m := MinPairFree(p)
-	rep, err := Theorem5(p, p.D-2*m-100, 3*m+99) // sum = d+m-1
+	m := bounds.MinPairFree(p)
+	rep, err := Theorem5(p, "queue", p.D-2*m-100, 3*m+99) // sum = d+m-1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,11 @@ func TestTheorem5OtherSplit(t *testing.T) {
 func TestTheorem5ParameterValidation(t *testing.T) {
 	p := lbParams()
 	p.N = 2
-	if _, err := Theorem5(p, 100, 100); err == nil {
+	if _, err := Theorem5(p, "queue", 100, 100); err == nil {
 		t.Error("n < 3 should error")
 	}
 	p = lbParams()
-	if _, err := Theorem5(p, 0, 100); err == nil {
+	if _, err := Theorem5(p, "queue", 0, 100); err == nil {
 		t.Error("zero op budget should error")
 	}
 }
@@ -66,8 +67,8 @@ func TestTheorem5ProofGapWhenShiftStaysAdmissible(t *testing.T) {
 	// admissible and the construction reports no violation.
 	p := simtime.Params{N: 3, D: 3 * simtime.Quantum, U: simtime.Quantum,
 		Epsilon: simtime.Quantum / 4, X: 0} // m = ε = u/4
-	m := MinPairFree(p)
-	rep, err := Theorem5(p, p.D-2*m, 3*m-1)
+	m := bounds.MinPairFree(p)
+	rep, err := Theorem5(p, "queue", p.D-2*m, 3*m-1)
 	if err != nil {
 		t.Fatal(err)
 	}

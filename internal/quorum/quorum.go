@@ -386,12 +386,6 @@ func (r *Replica) maybeComplete(ctx sim.Context) {
 	}
 }
 
-// StoredTag returns the replica's stored tag (for tests).
-func (r *Replica) StoredTag() Tag { return r.tag }
-
-// StoredValue returns the replica's stored value (for tests).
-func (r *Replica) StoredValue() spec.Value { return r.val }
-
 func popcount(x uint64) int {
 	n := 0
 	for ; x != 0; x &= x - 1 {

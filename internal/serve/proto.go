@@ -310,7 +310,6 @@ type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	opCodes map[string]uint64 // negotiated op table
-	caps    byte              // server capabilities from the hello
 	traced  atomic.Bool
 	wmu     sync.Mutex
 	nextID  atomic.Int64
@@ -359,10 +358,6 @@ func DialCodec(addr, codec string) (*Client, error) {
 // protocol.
 func (c *Client) SetTraced(on bool) { c.traced.Store(on) }
 
-// ServerCaps reports the capability bits the server's hello announced
-// (wireCapTracing = trace-context support).
-func (c *Client) ServerCaps() byte { return c.caps }
-
 // helloBinary sends the magic + version and consumes the server's hello
 // frame carrying the negotiated op table.
 func (c *Client) helloBinary() error {
@@ -389,11 +384,10 @@ func (c *Client) helloBinary() error {
 		}
 		return fmt.Errorf("serve: remote: %s", resp.err)
 	}
-	names, caps, err := parseHello(body)
+	names, _, err := parseHello(body)
 	if err != nil {
 		return err
 	}
-	c.caps = caps
 	c.opCodes = make(map[string]uint64, len(names))
 	for i, name := range names {
 		c.opCodes[name] = uint64(i)

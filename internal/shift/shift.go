@@ -48,6 +48,21 @@ func Shift(tr *sim.Trace, x []simtime.Duration) (*sim.Trace, error) {
 	return out, nil
 }
 
+// Matrix returns the delay matrix of shift(R, x⃗) given R's matrix m:
+// δ_ij - x_i + x_j, Theorem 1(2) applied to every ordered pair.
+func Matrix(m [][]simtime.Duration, x []simtime.Duration) [][]simtime.Duration {
+	out := make([][]simtime.Duration, len(m))
+	for i := range m {
+		out[i] = make([]simtime.Duration, len(m[i]))
+		for j := range m[i] {
+			if i != j {
+				out[i][j] = m[i][j] - x[i] + x[j]
+			}
+		}
+	}
+	return out
+}
+
 // DelayMatrix extracts the pair-wise uniform delay matrix of a trace. Any
 // ordered pair that carried no message gets the default delay def. It
 // errors if some pair's delays are not uniform.

@@ -1,6 +1,7 @@
 package shift
 
 import (
+	"reflect"
 	"testing"
 
 	"lintime/internal/adt"
@@ -65,6 +66,29 @@ func TestShiftTheorem1Arithmetic(t *testing.T) {
 		if shifted.Ops[k].Latency() != tr.Ops[k].Latency() {
 			t.Errorf("op %d latency changed", k)
 		}
+	}
+}
+
+// TestMatrixMatchesShiftedDelays: Matrix predicts the delays a shifted
+// run actually carries.
+func TestMatrixMatchesShiftedDelays(t *testing.T) {
+	p := testParams(3)
+	tr := recordedRun(t, p, sim.NewPairwiseNetwork(3, p.D).Set(0, 1, p.D-p.U).Set(2, 0, p.D-p.U/2))
+	x := []simtime.Duration{p.U / 4, -p.U / 2, 0}
+	shifted, err := Shift(tr, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := DelayMatrix(tr, p.D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := DelayMatrix(shifted, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Matrix(before, x); !reflect.DeepEqual(got, after) {
+		t.Errorf("Matrix = %v, shifted run carries %v", got, after)
 	}
 }
 
