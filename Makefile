@@ -163,8 +163,9 @@ crash-smoke:
 # the n=2, 3-op smoke space for the corrected algorithm (must be clean,
 # with the four known linearizable-but-not-strongly-linearizable contexts
 # reported by the strong sweep), the exhaustive mutant kill matrix over
-# the same space, and the pinned goldens for both reports plus the
-# strong-linearizability fork hunt.
+# the same space, and the pinned goldens for both reports, the kill
+# matrix on every registered data type and the strong-linearizability
+# fork hunt.
 verify-smoke:
 	$(GO) run ./cmd/lintime verify
 	$(GO) run ./cmd/lintime verify -mutant all

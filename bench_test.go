@@ -87,14 +87,14 @@ func BenchmarkTable5(b *testing.B) { benchTable(b, 5) }
 func BenchmarkTheorem2(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		rep, err := lowerbound.Theorem2(p, "queue", p.U/4-1)
+		rep, err := lowerbound.Theorem2(p, "queue", "peek", p.U/4-1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !rep.ViolationFound {
 			b.Fatal("Theorem 2: expected violation below the bound")
 		}
-		rep, err = lowerbound.Theorem2(p, "queue", p.U/4)
+		rep, err = lowerbound.Theorem2(p, "queue", "peek", p.U/4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,14 +134,14 @@ func BenchmarkTheorem4(b *testing.B) {
 	p := benchParams()
 	m := bounds.MinPairFree(p)
 	for i := 0; i < b.N; i++ {
-		rep, err := lowerbound.Theorem4(p, "queue", p.D+m-1)
+		rep, err := lowerbound.Theorem4(p, "queue", "dequeue", p.D+m-1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !rep.ViolationFound {
 			b.Fatal("Theorem 4: expected violation below the bound")
 		}
-		rep, err = lowerbound.Theorem4(p, "queue", p.D+m)
+		rep, err = lowerbound.Theorem4(p, "queue", "dequeue", p.D+m)
 		if err != nil {
 			b.Fatal(err)
 		}

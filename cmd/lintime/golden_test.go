@@ -11,9 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	"lintime/internal/adt"
 	"lintime/internal/adversary"
 	"lintime/internal/bmc"
 	"lintime/internal/bounds"
+	"lintime/internal/classify"
 	"lintime/internal/lowerbound"
 	"lintime/internal/simtime"
 )
@@ -87,10 +89,11 @@ func TestGoldenLowerbound(t *testing.T) {
 	checkGolden(t, "lowerbound-thm2", got)
 }
 
-// TestGoldenLowerboundAll pins every stock (theorem, type) construction
-// twice — at the default budget (bound-1) and at the bound itself — plus
-// Theorems 4 and 5 in the 2m ≤ u regime where the written proof does not
-// apply, and Theorem 3 at k = 2.
+// TestGoldenLowerboundAll pins every construction — Theorems 2 and 4 on
+// each op of every type in their class, Theorems 3 and 5 on each stock
+// scenario — twice: at the default budget (bound-1) and at the bound
+// itself. It adds Theorems 4 and 5 in the 2m ≤ u regime where the
+// written proof does not apply, and Theorem 3 at k = 2.
 func TestGoldenLowerboundAll(t *testing.T) {
 	var out strings.Builder
 	run := func(args ...string) {
@@ -98,6 +101,18 @@ func TestGoldenLowerboundAll(t *testing.T) {
 		out.WriteString(captureStdout(t, func() error { return cmdLowerbound(args) }))
 	}
 	types := lowerbound.ScenarioTypes()
+	for _, name := range adt.Names() {
+		dt, err := adt.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := classify.Classify(dt, classify.DefaultConfig())
+		for _, thm := range []int{2, 4} {
+			if len(lowerbound.Ops(thm, rep)) > 0 {
+				types[thm] = append(types[thm], name)
+			}
+		}
+	}
 	for _, set := range []struct {
 		params   []string
 		theorems []int
@@ -243,6 +258,19 @@ func TestGoldenVerifyKillMatrix(t *testing.T) {
 		return cmdVerify([]string{"-mutant", "all"})
 	})
 	checkGolden(t, "verify-kill-matrix", got)
+}
+
+// TestGoldenVerifyKillMatrixTypes pins the exhaustive kill matrix on
+// every registered data type: which mutants a type's algebra lets
+// survive the smoke space is part of the record.
+func TestGoldenVerifyKillMatrixTypes(t *testing.T) {
+	var out strings.Builder
+	for _, name := range adt.Names() {
+		args := []string{"-type", name, "-mutant", "all"}
+		out.WriteString("$ lintime verify " + strings.Join(args, " ") + "\n")
+		out.WriteString(captureStdout(t, func() error { return cmdVerify(args) }))
+	}
+	checkGolden(t, "verify-kill-matrix-types", out.String())
 }
 
 // TestGoldenVerifyKillMatrixJSON pins the -json shape of the exhaustive

@@ -316,6 +316,9 @@ func cmdClassify(args []string) error {
 		fmt.Print(classify.Figure11(reports))
 		return nil
 	}
+	// printed and executed count, by theorem, the derived lower bounds and
+	// those that lintime lowerbound runs a construction for.
+	var printed, executed [5]int
 	for _, name := range names {
 		dt, err := adt.Lookup(name)
 		if err != nil {
@@ -327,6 +330,13 @@ func cmdClassify(args []string) error {
 		for _, row := range bounds.GenericTable(p, rep) {
 			fmt.Printf("    %-10s %-4s lower: %-34s upper: %s\n",
 				row.Op, row.Class, row.Lower, row.Upper)
+			var thm int
+			if _, err := fmt.Sscanf(row.Lower.Source, "Thm %d", &thm); err == nil {
+				printed[thm]++
+				if slices.Contains(lowerbound.Ops(thm, rep), row.Op) {
+					executed[thm]++
+				}
+			}
 		}
 		if *witnesses {
 			fmt.Println("  witnesses:")
@@ -347,6 +357,9 @@ func cmdClassify(args []string) error {
 		}
 		fmt.Println()
 	}
+	fmt.Printf("lower bounds executed by lintime lowerbound: %d of %d (Thm 2 %d/%d, Thm 3 %d/%d, Thm 4 %d/%d)\n",
+		executed[2]+executed[3]+executed[4], printed[2]+printed[3]+printed[4],
+		executed[2], printed[2], executed[3], printed[3], executed[4], printed[4])
 	return nil
 }
 
@@ -355,13 +368,11 @@ func cmdLowerbound(args []string) error {
 	getParams := paramFlags(fs)
 	thm := fs.Int("thm", 0, "theorem to run (2, 3, 4 or 5; 0 = all)")
 	budget := fs.Int64("budget", -1, "forced operation latency (default bound-1)")
-	k := fs.Int("k", 0, "Theorem 3's k (default n)")
-	theorems, types := []int{2, 3, 4, 5}, lowerbound.ScenarioTypes()
-	var stock []string
-	for _, theorem := range theorems {
-		stock = append(stock, fmt.Sprintf("theorem %d: %s", theorem, strings.Join(types[theorem], ", ")))
-	}
-	typeName := fs.String("type", "queue", "data type; with -thm 0, theorems without a stock scenario for it are skipped ("+strings.Join(stock, "; ")+")")
+	k := fs.Int("k", 0, "Theorem 3's k (default n; only with -thm 3 or 0)")
+	theorems, stock := []int{2, 3, 4, 5}, lowerbound.ScenarioTypes()
+	typeName := fs.String("type", "queue", fmt.Sprintf("data type; with -thm 0, theorems that run on none of its ops are skipped "+
+		"(theorem 2: each %s; theorem 3: %s; theorem 4: each %s; theorem 5: %s)",
+		lowerbound.Class(2), strings.Join(stock[3], ", "), lowerbound.Class(4), strings.Join(stock[5], ", ")))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -369,9 +380,23 @@ func cmdLowerbound(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *thm != 0 {
+		if !slices.Contains(theorems, *thm) {
+			return fmt.Errorf("no theorem %d (have 2-5)", *thm)
+		}
+		if *k != 0 && *thm != 3 {
+			return fmt.Errorf("lowerbound: -k is Theorem 3's k; -thm %d does not take it", *thm)
+		}
+		theorems = []int{*thm}
+	}
 	if *k == 0 {
 		*k = p.N
 	}
+	dt, err := adt.Lookup(*typeName)
+	if err != nil {
+		return err
+	}
+	cls := classify.Classify(dt, classify.DefaultConfig())
 	// budgetOr is the -budget flag, defaulting to one tick below bound.
 	budgetOr := func(bound bounds.Bound) simtime.Duration {
 		if *budget < 0 {
@@ -379,44 +404,33 @@ func cmdLowerbound(args []string) error {
 		}
 		return simtime.Duration(*budget)
 	}
-	run := func(theorem int) error {
-		var rep *lowerbound.Report
-		var err error
+	run := func(theorem int, op string) (*lowerbound.Report, error) {
 		switch theorem {
 		case 2:
-			rep, err = lowerbound.Theorem2(p, *typeName, budgetOr(bounds.QuarterU(p)))
+			return lowerbound.Theorem2(p, *typeName, op, budgetOr(bounds.QuarterU(p)))
 		case 3:
-			rep, err = lowerbound.Theorem3(p, *typeName, *k, budgetOr(bounds.LastSensitive(p, *k)))
+			return lowerbound.Theorem3(p, *typeName, *k, budgetOr(bounds.LastSensitive(p, *k)))
 		case 4:
-			rep, err = lowerbound.Theorem4(p, *typeName, budgetOr(bounds.PairFree(p)))
-		case 5:
-			// The mutator takes d-2m of the sum, the accessor the rest.
-			opBudget := p.D - 2*bounds.MinPairFree(p)
-			rep, err = lowerbound.Theorem5(p, *typeName, opBudget, budgetOr(bounds.SumDiscriminated(p))-opBudget)
-		default:
-			return fmt.Errorf("no theorem %d (have 2-5)", theorem)
+			return lowerbound.Theorem4(p, *typeName, op, budgetOr(bounds.PairFree(p)))
 		}
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep)
-		return nil
-	}
-	if *thm != 0 {
-		return run(*thm)
-	}
-	has := func(theorem int) bool { return slices.Contains(types[theorem], *typeName) }
-	if !slices.ContainsFunc(theorems, has) {
-		return fmt.Errorf("lowerbound: no theorem has a stock scenario for type %q", *typeName)
+		// The mutator takes d-2m of the sum, the accessor the rest.
+		opBudget := p.D - 2*bounds.MinPairFree(p)
+		return lowerbound.Theorem5(p, *typeName, opBudget, budgetOr(bounds.SumDiscriminated(p))-opBudget)
 	}
 	for _, theorem := range theorems {
-		if !has(theorem) {
-			fmt.Printf("Theorem %d skipped: no stock scenario for type %q (have %s)\n\n",
-				theorem, *typeName, strings.Join(types[theorem], ", "))
-			continue
+		ops := lowerbound.Ops(theorem, cls)
+		if len(ops) == 0 {
+			if *thm != 0 {
+				return fmt.Errorf("lowerbound: Theorem %d runs on no op of type %q", theorem, *typeName)
+			}
+			fmt.Printf("Theorem %d skipped: it runs on no op of type %q\n\n", theorem, *typeName)
 		}
-		if err := run(theorem); err != nil {
-			return err
+		for _, op := range ops {
+			rep, err := run(theorem, op)
+			if err != nil {
+				return err
+			}
+			fmt.Println(rep)
 		}
 	}
 	return nil

@@ -56,18 +56,27 @@ func TestCmdLowerbound(t *testing.T) {
 			t.Errorf("lowerbound %v: %v", args, err)
 		}
 	}
-	// Every theorem with a stock scenario for the type runs; the rest are
-	// skipped, not fatal.
-	for _, args := range [][]string{{"-type", "stack"}, {"-type", "counter"}} {
+	// Every theorem that runs on the type runs; the rest are skipped, not
+	// fatal. Theorems 2 and 4 run on dict's witnesses although it has no
+	// stock scenario.
+	for _, args := range [][]string{{"-type", "stack"}, {"-type", "counter"}, {"-type", "dict"}} {
 		if err := cmdLowerbound(args); err != nil {
 			t.Errorf("lowerbound %v: %v", args, err)
 		}
 	}
-	if err := cmdLowerbound([]string{"-type", "bogus"}); err == nil {
-		t.Error("a type no theorem has a scenario for should error")
-	}
-	if err := cmdLowerbound([]string{"-thm", "9"}); err == nil {
-		t.Error("unknown theorem should error")
+	for _, args := range [][]string{
+		{"-type", "bogus"},
+		{"-thm", "9"},
+		{"-thm", "4", "-type", "register"}, // no pair-free op
+		{"-thm", "3", "-type", "set"},      // no stock scenario
+		// -k is Theorem 3's alone.
+		{"-thm", "2", "-k", "3"},
+		{"-thm", "4", "-k", "3"},
+		{"-thm", "5", "-k", "3"},
+	} {
+		if err := cmdLowerbound(args); err == nil {
+			t.Errorf("lowerbound %v should error", args)
+		}
 	}
 }
 

@@ -26,8 +26,8 @@ func main() {
 	fmt.Printf("model: n=%d, d=%v, u=%v, ε=%v; m = min{ε,u,d/3} = %v\n\n", p.N, p.D, p.U, p.Epsilon, m)
 
 	fmt.Println("=== Theorem 2: pure accessors need u/4 ===")
-	show(lowerbound.Theorem2(p, "queue", p.U/4-1))
-	show(lowerbound.Theorem2(p, "queue", p.U/4))
+	show(lowerbound.Theorem2(p, "queue", "peek", p.U/4-1))
+	show(lowerbound.Theorem2(p, "queue", "peek", p.U/4))
 
 	fmt.Println("=== Theorem 3: last-sensitive mutators need (1-1/k)u ===")
 	kd := simtime.Duration(p.N)
@@ -35,8 +35,8 @@ func main() {
 	show(lowerbound.Theorem3(p, "queue", p.N, p.U-p.U/kd))
 
 	fmt.Println("=== Theorem 4: pair-free operations need d+m ===")
-	show(lowerbound.Theorem4(p, "queue", p.D+m-1))
-	show(lowerbound.Theorem4(p, "queue", p.D+m))
+	show(lowerbound.Theorem4(p, "queue", "dequeue", p.D+m-1))
+	show(lowerbound.Theorem4(p, "queue", "dequeue", p.D+m))
 
 	fmt.Println("=== Theorem 5: discriminated mutator+accessor sums need d+m ===")
 	show(lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m-1))

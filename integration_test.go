@@ -152,9 +152,9 @@ func TestAllTheoremsAtCanonicalConfig(t *testing.T) {
 		name string
 		f    func() (*lowerbound.Report, error)
 	}{
-		{"thm2", func() (*lowerbound.Report, error) { return lowerbound.Theorem2(p, "queue", p.U/4-1) }},
+		{"thm2", func() (*lowerbound.Report, error) { return lowerbound.Theorem2(p, "queue", "peek", p.U/4-1) }},
 		{"thm3", func() (*lowerbound.Report, error) { return lowerbound.Theorem3(p, "queue", p.N, p.U-p.U/kd-1) }},
-		{"thm4", func() (*lowerbound.Report, error) { return lowerbound.Theorem4(p, "queue", p.D+m-1) }},
+		{"thm4", func() (*lowerbound.Report, error) { return lowerbound.Theorem4(p, "queue", "dequeue", p.D+m-1) }},
 		{"thm5", func() (*lowerbound.Report, error) { return lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m-1) }},
 	}
 	for _, r := range runs {

@@ -18,7 +18,9 @@
 // a pending operation linearizability allows, earliestLearn is the
 // message-chain bound on when p1 can first hear of p0, and judge records
 // the checker's verdict. Each theorem file is then only its run schedule
-// and the order in which its proof applies these moves.
+// and the order in which its proof applies these moves. Theorems 2 and 4
+// take their scenario from classify's witness for the op, Theorems 3 and
+// 5 from the stock tables in scenarios.go.
 package lowerbound
 
 import (
@@ -92,10 +94,10 @@ type call struct {
 
 // prefix places ρ's invocations at p0, step apart from time 0. The slice
 // is exactly full, so appending the construction's own calls copies it.
-func prefix(rho []spec.Invocation, step simtime.Duration) []call {
+func prefix(rho []spec.Instance, step simtime.Duration) []call {
 	calls := make([]call, len(rho))
-	for i, inv := range rho {
-		calls[i] = call{0, simtime.Time(simtime.Duration(i) * step), inv}
+	for i, in := range rho {
+		calls[i] = call{0, simtime.Time(simtime.Duration(i) * step), spec.Invocation{Op: in.Op, Arg: in.Arg}}
 	}
 	return calls
 }
@@ -126,12 +128,12 @@ func delays(n int, d, m simtime.Duration, fast func(from, to int) bool) *sim.Pai
 // on the report's data type with forced timers, over one delay network —
 // and the report the construction writes.
 type kit struct {
-	p       simtime.Params
-	dt      spec.DataType
-	classes map[string]classify.Class
-	timers  core.Timers
-	net     *sim.PairwiseNetwork
-	rep     *Report
+	p      simtime.Params
+	dt     spec.DataType
+	cls    classify.Report
+	timers core.Timers
+	net    *sim.PairwiseNetwork
+	rep    *Report
 }
 
 func newKit(p simtime.Params, rep *Report, timers core.Timers, net *sim.PairwiseNetwork) (*kit, error) {
@@ -142,8 +144,23 @@ func newKit(p simtime.Params, rep *Report, timers core.Timers, net *sim.Pairwise
 	if err := net.Validate(p); err != nil {
 		return nil, err
 	}
-	classes := classify.Classify(dt, classify.DefaultConfig()).Classes()
-	return &kit{p: p, dt: dt, classes: classes, timers: timers, net: net, rep: rep}, nil
+	cls := classify.Classify(dt, classify.DefaultConfig())
+	return &kit{p: p, dt: dt, cls: cls, timers: timers, net: net, rep: rep}, nil
+}
+
+// scenario is classify's witness that the report's op is in Theorem
+// thm's class: the scenario the construction runs.
+func (k *kit) scenario(thm int) (classify.Witness, error) {
+	o, ok := k.cls.Find(k.rep.Op)
+	if !ok {
+		return classify.Witness{}, fmt.Errorf("lowerbound: type %s has no op %q", k.rep.DataType, k.rep.Op)
+	}
+	w, in := witness(thm, o)
+	if !in {
+		return w, fmt.Errorf("lowerbound: classify gives %s.%s (%v) no Theorem %d bound: it is not a %s",
+			k.rep.DataType, o.Op, o.Class, thm, Class(thm))
+	}
+	return w, nil
 }
 
 // execute runs the calls on fresh replicas from the given clock offsets
@@ -153,7 +170,7 @@ func (k *kit) execute(offsets []simtime.Duration, calls []call) (*sim.Trace, []s
 	if offsets == nil {
 		offsets = sim.ZeroOffsets(k.p.N)
 	}
-	eng, err := sim.NewEngine(k.p, offsets, k.net, core.NewReplicas(k.p.N, k.dt, k.classes, k.timers))
+	eng, err := sim.NewEngine(k.p, offsets, k.net, core.NewReplicas(k.p.N, k.dt, k.cls.Classes(), k.timers))
 	if err != nil {
 		return nil, nil, err
 	}

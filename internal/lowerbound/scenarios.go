@@ -4,34 +4,37 @@ import (
 	"fmt"
 
 	"lintime/internal/adt"
+	"lintime/internal/classify"
 	"lintime/internal/spec"
 )
 
-// Thm2Scenario instantiates Theorem 2 for a concrete pure accessor: the
-// construction alternates AOP instances at p0/p1 around one mutator
-// instance whose effect flips the accessor's return value. The paper
-// derives the specific bounds of Tables 1-4 from Theorem 2 by exactly
-// this specialization.
-type Thm2Scenario struct {
-	TypeName string
-	AOP      string
-	AOPArg   spec.Value
-	Mut      string
-	MutArg   spec.Value
+// Class names the operation class Theorem thm (2 or 4) runs on.
+func Class(thm int) string { return map[int]string{2: "pure accessor", 4: "pair-free op"}[thm] }
+
+// witness is classify's witness that o is in Theorem thm's class, and
+// whether it is. Theorems 2 and 4 run on every op in their class, with
+// the witness as their scenario.
+func witness(thm int, o classify.OpReport) (classify.Witness, bool) {
+	if thm == 2 {
+		return o.AccessorWitness, o.Class == classify.PureAccessor
+	}
+	return o.PairFreeWitness, thm == 4 && o.PairFree
 }
 
-// Thm2Scenarios are the stock Theorem 2 specializations: one per pure
-// accessor in Tables 1-4, plus extras.
-func Thm2Scenarios() []Thm2Scenario {
-	return []Thm2Scenario{
-		{TypeName: "queue", AOP: adt.OpPeek, Mut: adt.OpEnqueue, MutArg: 7},
-		{TypeName: "stack", AOP: adt.OpPeek, Mut: adt.OpPush, MutArg: 7},
-		{TypeName: "register", AOP: adt.OpRead, Mut: adt.OpWrite, MutArg: 3},
-		{TypeName: "tree", AOP: adt.OpDepth, AOPArg: 1, Mut: adt.OpInsert, MutArg: adt.Edge{P: 0, C: 1}},
-		{TypeName: "pqueue", AOP: adt.OpPQMin, Mut: adt.OpPQInsert, MutArg: 4},
-		{TypeName: "counter", AOP: adt.OpReadCtr, Mut: adt.OpInc},
-		{TypeName: "bank", AOP: adt.OpBalance, Mut: adt.OpDeposit, MutArg: 5},
+// Ops lists, in the type's op order, the ops of a classified type that
+// Theorem thm runs on: for Theorems 2 and 4 each op that classify puts in
+// the theorem's class, for Theorems 3 and 5 the mutator of the type's
+// stock scenario.
+func Ops(thm int, rep classify.Report) []string {
+	sc3, _ := findScenario(3, Thm3Scenarios(), rep.Type)
+	sc5, _ := findScenario(5, Thm5Scenarios(), rep.Type)
+	var ops []string
+	for _, o := range rep.Ops {
+		if _, in := witness(thm, o); in || thm == 3 && o.Op == sc3.Op || thm == 5 && o.Op == sc5.Op {
+			ops = append(ops, o.Op)
+		}
 	}
+	return ops
 }
 
 // Thm3Scenario instantiates Theorem 3 for a concrete last-sensitive
@@ -46,7 +49,7 @@ type Thm3Scenario struct {
 	Args func(k int) []spec.Value
 	// Rho builds an optional prefix executed sequentially by p0 before
 	// the concurrent phase (nil for none).
-	Rho func(k int) []spec.Invocation
+	Rho func(k int) []spec.Instance
 	// Probes is the post-quiescence revealing sequence (invoked at p0).
 	Probes func(k int) []spec.Invocation
 	// LastIndex maps the probe responses to the index (into Args) of the
@@ -165,44 +168,14 @@ var treeChain = []int{1, 3, 5, 7, 9, 11, 13}
 
 // treeRho builds the prefix instance sequence for the tree scenario with
 // k parents (chain of k-1 nodes under the root).
-func treeRho(k int) []spec.Invocation {
-	var out []spec.Invocation
+func treeRho(k int) []spec.Instance {
+	var out []spec.Instance
 	prev := 0
 	for i := 0; i < k-1; i++ {
-		out = append(out, spec.Invocation{Op: adt.OpInsert, Arg: adt.Edge{P: prev, C: treeChain[i]}})
+		out = append(out, spec.Instance{Op: adt.OpInsert, Arg: adt.Edge{P: prev, C: treeChain[i]}})
 		prev = treeChain[i]
 	}
 	return out
-}
-
-// Thm4Scenario instantiates Theorem 4 for a concrete pair-free operation:
-// after the prefix ρ (executed by p0), a solo instance of Op returns
-// SoloRet, while a second instance immediately following returns the
-// distinct OtherRet — and neither order of the two "solo-valued"
-// instances is legal (the pair-free property).
-type Thm4Scenario struct {
-	TypeName string
-	Op       string
-	OpArg    spec.Value
-	Rho      []spec.Invocation
-}
-
-// Thm4Scenarios are the stock pair-free specializations: Corollary 2's
-// rmw, dequeue and pop, plus the newer types.
-func Thm4Scenarios() []Thm4Scenario {
-	return []Thm4Scenario{
-		{TypeName: "queue", Op: adt.OpDequeue,
-			Rho: []spec.Invocation{{Op: adt.OpEnqueue, Arg: 5}}},
-		{TypeName: "stack", Op: adt.OpPop,
-			Rho: []spec.Invocation{{Op: adt.OpPush, Arg: 5}}},
-		{TypeName: "rmwregister", Op: adt.OpRMW, OpArg: 1},
-		{TypeName: "bank", Op: adt.OpWithdraw, OpArg: 5,
-			Rho: []spec.Invocation{{Op: adt.OpDeposit, Arg: 5}}},
-		{TypeName: "pqueue", Op: adt.OpPQExtract,
-			Rho: []spec.Invocation{{Op: adt.OpPQInsert, Arg: 3}}},
-		{TypeName: "deque", Op: adt.OpPopFront,
-			Rho: []spec.Invocation{{Op: adt.OpPushBack, Arg: 5}}},
-	}
 }
 
 // Thm5Scenario instantiates Theorem 5 for a concrete (transposable
@@ -211,7 +184,7 @@ func Thm4Scenarios() []Thm4Scenario {
 // discriminates the orders per the theorem's hypotheses.
 type Thm5Scenario struct {
 	TypeName string
-	Rho      []spec.Invocation
+	Rho      []spec.Instance
 	Op       string
 	Op0Arg   spec.Value
 	Op1Arg   spec.Value
@@ -227,7 +200,7 @@ func Thm5Scenarios() []Thm5Scenario {
 		{TypeName: "queue", Op: adt.OpEnqueue, Op0Arg: 1, Op1Arg: 2, AOP: adt.OpPeek},
 		{
 			TypeName: "treefw",
-			Rho: []spec.Invocation{
+			Rho: []spec.Instance{
 				{Op: adt.OpInsert, Arg: adt.Edge{P: 0, C: 1}},
 				{Op: adt.OpInsert, Arg: adt.Edge{P: 1, C: 3}},
 			},
@@ -241,29 +214,10 @@ func Thm5Scenarios() []Thm5Scenario {
 	}
 }
 
-// values derives the solo and complementary return values of a pair-free
-// scenario from the sequential specification and validates the pair-free
-// property itself.
-func (sc Thm4Scenario) values(dt spec.DataType) (solo, other spec.Value, err error) {
-	state := dt.Initial()
-	for _, inv := range sc.Rho {
-		_, state = state.Apply(inv.Op, inv.Arg)
-	}
-	solo, afterOne := state.Apply(sc.Op, sc.OpArg)
-	other, _ = afterOne.Apply(sc.Op, sc.OpArg)
-	if spec.ValuesEqual(solo, other) {
-		return nil, nil, fmt.Errorf("lowerbound: %s.%s is not pair-free after ρ (both return %v)",
-			sc.TypeName, sc.Op, solo)
-	}
-	return solo, other, nil
-}
-
 // scenario is what every theorem's stock scenario type shares.
 type scenario interface{ typeName() string }
 
-func (sc Thm2Scenario) typeName() string { return sc.TypeName }
 func (sc Thm3Scenario) typeName() string { return sc.TypeName }
-func (sc Thm4Scenario) typeName() string { return sc.TypeName }
 func (sc Thm5Scenario) typeName() string { return sc.TypeName }
 
 // findScenario returns Theorem thm's stock scenario for a type.
@@ -277,11 +231,10 @@ func findScenario[S scenario](thm int, scenarios []S, typeName string) (S, error
 	return none, fmt.Errorf("lowerbound: no Theorem %d scenario for type %q", thm, typeName)
 }
 
-// ScenarioTypes maps each theorem (2-5) to the types that have a stock
-// scenario for it, in table order.
+// ScenarioTypes maps Theorems 3 and 5 to the types that have a stock
+// scenario for them, in table order.
 func ScenarioTypes() map[int][]string {
-	return map[int][]string{2: typeNames(Thm2Scenarios()), 3: typeNames(Thm3Scenarios()),
-		4: typeNames(Thm4Scenarios()), 5: typeNames(Thm5Scenarios())}
+	return map[int][]string{3: typeNames(Thm3Scenarios()), 5: typeNames(Thm5Scenarios())}
 }
 
 func typeNames[S scenario](scenarios []S) []string {

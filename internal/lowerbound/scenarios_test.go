@@ -1,48 +1,66 @@
 package lowerbound
 
 import (
+	"strings"
 	"testing"
 
 	"lintime/internal/adt"
 	"lintime/internal/bounds"
+	"lintime/internal/classify"
 	"lintime/internal/simtime"
-	"lintime/internal/spec"
 )
 
-// adtLookup is a test helper for fetching data types.
-func adtLookup(t *testing.T, name string) (spec.DataType, error) {
-	t.Helper()
-	dt, err := adt.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dt, err
-}
-
-// TestTheorem2AcrossTypes validates the specialization claim: the same
-// u/4 construction works for every pure accessor in the stock scenarios,
-// with the violation appearing below the bound and vanishing at it.
-func TestTheorem2AcrossTypes(t *testing.T) {
-	p := lbParams()
-	for _, sc := range Thm2Scenarios() {
-		sc := sc
-		t.Run(sc.TypeName, func(t *testing.T) {
-			rep, err := Theorem2(p, sc.TypeName, p.U/4-1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.ViolationFound {
-				t.Errorf("below bound: expected violation:\n%s", rep)
-			}
-			rep, err = Theorem2(p, sc.TypeName, p.U/4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.ViolationFound {
-				t.Errorf("at bound: unexpected violation:\n%s", rep)
+// acrossTypes runs a construction on every op of every registered type
+// that classify puts in Theorem thm's class, and checks that it finds a
+// violation one tick below the bound and none at the bound. It also pins
+// how many ops that is, so that coverage cannot shrink unnoticed.
+func acrossTypes(t *testing.T, thm, want int, bound simtime.Duration,
+	theorem func(typeName, op string, budget simtime.Duration) (*Report, error)) {
+	ran := 0
+	for _, name := range adt.Names() {
+		dt, err := adt.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := Ops(thm, classify.Classify(dt, classify.DefaultConfig()))
+		if len(ops) == 0 {
+			continue
+		}
+		ran += len(ops)
+		t.Run(name, func(t *testing.T) {
+			for _, op := range ops {
+				t.Run(op, func(t *testing.T) {
+					rep, err := theorem(name, op, bound-1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.ViolationFound {
+						t.Errorf("below bound: expected violation:\n%s", rep)
+					}
+					rep, err = theorem(name, op, bound)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep.ViolationFound {
+						t.Errorf("at bound: unexpected violation:\n%s", rep)
+					}
+				})
 			}
 		})
 	}
+	if ran != want {
+		t.Errorf("Theorem %d ran on %d ops, want %d", thm, ran, want)
+	}
+}
+
+// TestTheorem2AcrossTypes validates the specialization claim: the same
+// u/4 construction works for all 19 pure accessors classify finds, built
+// from classify's own witnesses.
+func TestTheorem2AcrossTypes(t *testing.T) {
+	p := lbParams()
+	acrossTypes(t, 2, 19, p.U/4, func(typeName, op string, budget simtime.Duration) (*Report, error) {
+		return Theorem2(p, typeName, op, budget)
+	})
 }
 
 // TestTheorem3AcrossTypes validates Corollary 1 and beyond: write, push,
@@ -74,32 +92,15 @@ func TestTheorem3AcrossTypes(t *testing.T) {
 	}
 }
 
-// TestTheorem4AcrossTypes validates Corollary 2 and beyond: rmw, dequeue,
-// pop, withdraw, extractmin and popfront are all pair-free and subject to
-// the d+m bound, with the proof chain completing below the bound and
+// TestTheorem4AcrossTypes validates Corollary 2 and beyond: all 8 ops
+// classify finds pair-free (among them rmw, dequeue and pop) are subject
+// to the d+m bound, with the proof chain completing below the bound and
 // breaking at it.
 func TestTheorem4AcrossTypes(t *testing.T) {
 	p := lbParams()
-	m := bounds.MinPairFree(p)
-	for _, sc := range Thm4Scenarios() {
-		sc := sc
-		t.Run(sc.TypeName, func(t *testing.T) {
-			rep, err := Theorem4(p, sc.TypeName, p.D+m-1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.ViolationFound {
-				t.Errorf("below bound: expected contradiction:\n%s", rep)
-			}
-			rep, err = Theorem4(p, sc.TypeName, p.D+m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.ViolationFound {
-				t.Errorf("at bound: unexpected contradiction:\n%s", rep)
-			}
-		})
-	}
+	acrossTypes(t, 4, 8, p.D+bounds.MinPairFree(p), func(typeName, op string, budget simtime.Duration) (*Report, error) {
+		return Theorem4(p, typeName, op, budget)
+	})
 }
 
 // TestTheorem5AcrossTypes: (enqueue, peek) on the queue — the paper's
@@ -137,23 +138,30 @@ func TestTheorem5OnUnknownType(t *testing.T) {
 }
 
 func TestTheorem4OnUnknownType(t *testing.T) {
-	if _, err := Theorem4(lbParams(), "register", lbParams().D); err == nil {
-		t.Error("types without a pair-free scenario should error")
+	for _, args := range [][2]string{{"bogus", "dequeue"}, {"queue", "bogus"}} {
+		if _, err := Theorem4(lbParams(), args[0], args[1], lbParams().D); err == nil {
+			t.Errorf("Theorem 4 on %s.%s should error", args[0], args[1])
+		}
 	}
 }
 
-func TestThm4ScenarioValuesValidatePairFreeness(t *testing.T) {
-	dt, _ := adtLookup(t, "queue")
-	// A scenario whose op is not pair-free after ρ must be rejected.
-	bad := Thm4Scenario{TypeName: "queue", Op: "peek"}
-	if _, _, err := bad.values(dt); err == nil {
-		t.Error("peek is not pair-free; values() should reject it")
+// TestTheoremsRejectOpsOutsideTheirClass: Theorems 2 and 4 run only on an
+// op that classify puts in their class, and the error names its class.
+func TestTheoremsRejectOpsOutsideTheirClass(t *testing.T) {
+	p := lbParams()
+	if _, err := Theorem4(p, "queue", "peek", p.D); err == nil || !strings.Contains(err.Error(), "(AOP)") {
+		t.Errorf("peek is not pair-free; Theorem 4 should reject it naming its class, got %v", err)
+	}
+	if _, err := Theorem2(p, "queue", "enqueue", 1); err == nil || !strings.Contains(err.Error(), "(MOP)") {
+		t.Errorf("enqueue is not a pure accessor; Theorem 2 should reject it naming its class, got %v", err)
 	}
 }
 
 func TestTheorem2OnUnknownType(t *testing.T) {
-	if _, err := Theorem2(lbParams(), "maxregister", 1); err == nil {
-		t.Error("types without a stock scenario should error")
+	for _, args := range [][2]string{{"bogus", "peek"}, {"queue", "bogus"}} {
+		if _, err := Theorem2(lbParams(), args[0], args[1], 1); err == nil {
+			t.Errorf("Theorem 2 on %s.%s should error", args[0], args[1])
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 )
 
 // Theorem2 mechanizes the pure-accessor bound |AOP| ≥ u/4 (Theorem 2) on
-// the named data type's stock scenario (Thm2Scenarios).
+// a pure accessor of the named type, from classify's witness: a mutator
+// instance after which the accessor's response changes.
 //
 // Construction (following the proof): all delays are d - u/2 and clocks
 // agree. Processes p0 and p1 execute alternating non-overlapping AOP
@@ -29,11 +30,7 @@ import (
 // stays concurrent with the flip (any algorithm with |AOP| < u/4 is
 // subject to the theorem; slow mutators keep the *unshifted* run
 // linearizable, isolating the shift as the killer).
-func Theorem2(p simtime.Params, typeName string, budget simtime.Duration) (*Report, error) {
-	sc, err := findScenario(2, Thm2Scenarios(), typeName)
-	if err != nil {
-		return nil, err
-	}
+func Theorem2(p simtime.Params, typeName, opName string, budget simtime.Duration) (*Report, error) {
 	if p.N < 3 {
 		return nil, fmt.Errorf("lowerbound: Theorem 2 needs n ≥ 3, got %d", p.N)
 	}
@@ -44,7 +41,7 @@ func Theorem2(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 		return nil, fmt.Errorf("lowerbound: need ε ≥ u/2 (ε = %v, u/2 = %v)", p.Epsilon, p.U/2)
 	}
 	quarter := bounds.QuarterU(p).Value
-	rep := &Report{Theorem: "Theorem 2", DataType: sc.TypeName, Op: sc.AOP, Budget: budget, Bound: quarter}
+	rep := &Report{Theorem: "Theorem 2", DataType: typeName, Op: opName, Budget: budget, Bound: quarter}
 	timers := core.Timers{
 		AOPRespond:  budget,
 		AOPBackdate: 0,
@@ -56,7 +53,14 @@ func Theorem2(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	oldValue := spec.Response(kt.dt.Initial(), sc.AOP, sc.AOPArg)
+	w, err := kt.scenario(2)
+	if err != nil {
+		return nil, err
+	}
+	if len(w.Rho) > 0 {
+		return nil, fmt.Errorf("lowerbound: %s.%s's witness needs ρ = %s; Theorem 2 runs from the initial state", typeName, opName, spec.FormatSeq(w.Rho))
+	}
+	mut, aop := w.Instances[0], w.Instances[1] // aop.Ret is the old value, before mut
 
 	// Alternating accessors at p0/p1; one mutator at p2.
 	step := simtime.Max(quarter, budget+1) // keep same-process instances non-overlapping
@@ -64,21 +68,21 @@ func Theorem2(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 	count := int((p.D+p.U)/step) + 4
 	calls := make([]call, count, count+1)
 	for i := range calls {
-		calls[i] = call{sim.ProcID(i % 2), start.Add(simtime.Duration(i) * step), spec.Invocation{Op: sc.AOP, Arg: sc.AOPArg}}
+		calls[i] = call{sim.ProcID(i % 2), start.Add(simtime.Duration(i) * step), spec.Invocation{Op: opName, Arg: aop.Arg}}
 	}
-	tr, aops, err := kt.execute(nil, append(calls, call{2, start.Add(step), spec.Invocation{Op: sc.Mut, Arg: sc.MutArg}}))
+	tr, aops, err := kt.execute(nil, append(calls, call{2, start.Add(step), spec.Invocation{Op: mut.Op, Arg: mut.Arg}}))
 	if err != nil {
 		return nil, err
 	}
 	aops = aops[:count]
 	rep.logf("R1: %d alternating %s instances at p0/p1 every %v; %s(%s) at p2; all delays d-u/2 = %v",
-		count, sc.AOP, step, sc.Mut, spec.FormatValue(sc.MutArg), p.D-p.U/2)
+		count, opName, step, mut.Op, spec.FormatValue(mut.Arg), p.D-p.U/2)
 
 	// Locate j: the last accessor returning the old value, and verify the
 	// flip is monotone (old* then new*), as the proof requires.
 	j := -1
 	for i, rec := range aops {
-		if spec.ValuesEqual(rec.Ret, oldValue) {
+		if spec.ValuesEqual(rec.Ret, aop.Ret) {
 			j = i
 		}
 	}
@@ -86,13 +90,13 @@ func Theorem2(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 		return nil, fmt.Errorf("lowerbound: accessor flip not captured (j = %d of %d)", j, count)
 	}
 	for i, rec := range aops {
-		if (i <= j) != spec.ValuesEqual(rec.Ret, oldValue) {
+		if (i <= j) != spec.ValuesEqual(rec.Ret, aop.Ret) {
 			return nil, fmt.Errorf("lowerbound: non-monotone flip at instance %d", i)
 		}
 	}
 	jProc := aops[j].Proc
 	rep.logf("flip at j = %d (last old-value %s, at p%d; old value %s)",
-		j, sc.AOP, jProc, spec.FormatValue(oldValue))
+		j, opName, jProc, spec.FormatValue(aop.Ret))
 
 	// Shift the last old-value process later by u/4 and the other peeker
 	// earlier.
@@ -105,7 +109,7 @@ func Theorem2(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 	rep.logf("R2 = shift(R1, x) with x[p%d] = +u/4, x[p%d] = -u/4: admissible (skew u/2 = %v ≤ ε = %v)",
 		jProc, 1-jProc, p.U/2, p.Epsilon)
 	kt.judge(shifted,
-		fmt.Sprintf("R2 is NOT linearizable: %s %d (new value) responds before %s %d (old value) is invoked", sc.AOP, j+1, sc.AOP, j),
+		fmt.Sprintf("R2 is NOT linearizable: %s %d (new value) responds before %s %d (old value) is invoked", opName, j+1, opName, j),
 		fmt.Sprintf("R2 remains linearizable: budget %v ≥ u/4 = %v keeps the instances overlapping", budget, quarter))
 	return rep, nil
 }

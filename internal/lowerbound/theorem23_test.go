@@ -15,7 +15,7 @@ func lbParams() simtime.Params {
 func TestTheorem2ViolationBelowBound(t *testing.T) {
 	p := lbParams()
 	bound := p.U / 4
-	rep, err := Theorem2(p, "queue", bound-1)
+	rep, err := Theorem2(p, "queue", "peek", bound-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestTheorem2ViolationBelowBound(t *testing.T) {
 
 func TestTheorem2NoViolationAtBound(t *testing.T) {
 	p := lbParams()
-	rep, err := Theorem2(p, "queue", p.U/4)
+	rep, err := Theorem2(p, "queue", "peek", p.U/4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTheorem2NoViolationAtBound(t *testing.T) {
 
 func TestTheorem2VeryFastAccessor(t *testing.T) {
 	p := lbParams()
-	rep, err := Theorem2(p, "queue", 1)
+	rep, err := Theorem2(p, "queue", "peek", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,18 +52,18 @@ func TestTheorem2VeryFastAccessor(t *testing.T) {
 func TestTheorem2ParameterValidation(t *testing.T) {
 	p := lbParams()
 	p.N = 2
-	if _, err := Theorem2(p, "queue", 1); err == nil {
+	if _, err := Theorem2(p, "queue", "peek", 1); err == nil {
 		t.Error("n < 3 should error")
 	}
 	p = lbParams()
 	p.U = 10082 // not divisible by 4
-	if _, err := Theorem2(p, "queue", 1); err == nil {
+	if _, err := Theorem2(p, "queue", "peek", 1); err == nil {
 		t.Error("u not divisible by 4 should error")
 	}
 	p = lbParams()
 	p.Epsilon = p.U/2 - 1
 	p.X = 0
-	if _, err := Theorem2(p, "queue", 1); err == nil {
+	if _, err := Theorem2(p, "queue", "peek", 1); err == nil {
 		t.Error("ε < u/2 should error")
 	}
 }

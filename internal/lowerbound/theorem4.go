@@ -12,9 +12,10 @@ import (
 )
 
 // Theorem4 mechanizes the pair-free bound |OP| ≥ d + min{ε, u, d/3}
-// (Theorem 4) on the named data type's stock scenario (Thm4Scenarios),
-// executing the proof's run chain: R1 (solo Op by p0 after ρ), R2 (adding
-// a concurrent Op at p1), shift-and-chop to make both start together
+// (Theorem 4) on a pair-free op of the named type, from classify's
+// witness: a prefix ρ after which two instances of op cannot follow each
+// other. It executes the proof's run chain: R1 (solo Op by p0 after ρ), R2
+// (adding a concurrent Op at p1), shift-and-chop to make both start together
 // (R3), shift-and-chop again to make p0's start later (R4), and the final
 // indistinguishability argument against the solo run R5 of p1.
 //
@@ -26,11 +27,7 @@ import (
 // The report's ViolationFound is true when every link of the chain
 // (admissibility, chop validity, appendability, indistinguishability,
 // and the two lincheck verdicts) holds.
-func Theorem4(p simtime.Params, typeName string, budget simtime.Duration) (*Report, error) {
-	sc, err := findScenario(4, Thm4Scenarios(), typeName)
-	if err != nil {
-		return nil, err
-	}
+func Theorem4(p simtime.Params, typeName, opName string, budget simtime.Duration) (*Report, error) {
 	if p.N < 3 {
 		return nil, fmt.Errorf("lowerbound: Theorem 4 demo needs n ≥ 3, got %d", p.N)
 	}
@@ -38,7 +35,7 @@ func Theorem4(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 	if m <= 0 {
 		return nil, fmt.Errorf("lowerbound: need m = min{ε,u,d/3} > 0")
 	}
-	rep := &Report{Theorem: "Theorem 4", DataType: sc.TypeName, Op: sc.Op, Budget: budget, Bound: bounds.PairFree(p).Value}
+	rep := &Report{Theorem: "Theorem 4", DataType: typeName, Op: opName, Budget: budget, Bound: bounds.PairFree(p).Value}
 	if budget < p.D-p.U {
 		return nil, fmt.Errorf("lowerbound: OOP budget %v below the d-u self-delay %v", budget, p.D-p.U)
 	}
@@ -50,19 +47,24 @@ func Theorem4(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	solo, other, err := sc.values(kt.dt)
+	w, err := kt.scenario(4)
 	if err != nil {
 		return nil, err
+	}
+	op := spec.Invocation{Op: opName, Arg: w.Instances[0].Arg}
+	solo, afterOne := spec.Replay(kt.dt.Initial(), w.Rho).Apply(op.Op, op.Arg)
+	other := spec.Response(afterOne, op.Op, op.Arg)
+	if spec.ValuesEqual(solo, other) {
+		return nil, fmt.Errorf("lowerbound: %s.%s is not pair-free after ρ (both return %v)", typeName, opName, solo)
 	}
 	// Clock offsets C1 = (0, -m, 0, ...), C2 = 0 and C0 = (-m, 0, ...).
 	c1, c0 := single(p.N, 1, -m), single(p.N, 0, -m)
 	// ρ executed by p0 starting at time 0; the pair-free instances start
 	// at t, far past ρ's quiescence.
 	gap := p.D + p.U + p.Epsilon
-	t := simtime.Time(simtime.Duration(len(sc.Rho)+3) * gap)
+	t := simtime.Time(simtime.Duration(len(w.Rho)+3) * gap)
 	rhoCut := t.Add(-1)
-	rho := prefix(sc.Rho, gap)
-	op := spec.Invocation{Op: sc.Op, Arg: sc.OpArg}
+	rho := prefix(w.Rho, gap)
 
 	// --- Step 1: R1 — solo Op by p0. ---
 	_, r1, err := kt.execute(c1, append(rho, call{0, t, op}))
@@ -72,9 +74,9 @@ func Theorem4(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 	op0 := r1[len(rho)]
 	if !spec.ValuesEqual(op0.Ret, solo) {
 		return rep.stop("R1: solo %s returned %v, not the solo value %v — chain broken",
-			sc.Op, op0.Ret, spec.FormatValue(solo))
+			opName, op0.Ret, spec.FormatValue(solo))
 	}
-	rep.logf("R1: op0 = %s@p0[%v] returns %v with latency %v", sc.Op, t, spec.FormatValue(solo), op0.Latency())
+	rep.logf("R1: op0 = %s@p0[%v] returns %v with latency %v", opName, t, spec.FormatValue(solo), op0.Latency())
 
 	// --- Step 2: R2 — add Op at p1 at t+m. ---
 	r2, recs, err := kt.execute(c1, append(rho, call{0, t, op}, call{1, t.Add(m), op}))
@@ -89,7 +91,7 @@ func Theorem4(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 			op1.Ret, spec.FormatValue(other))
 	}
 	rep.logf("R2: op0 returns %v, op1' = %s@p1[%v] returns %v (Claim 4 holds)",
-		spec.FormatValue(solo), sc.Op, t.Add(m), spec.FormatValue(other))
+		spec.FormatValue(solo), opName, t.Add(m), spec.FormatValue(other))
 
 	// --- Step 3: shift p1 earlier by m and chop the invalid delay: delays
 	// from p1 grow by m (p1→p0 becomes d+m), delays into p1 shrink. ---
@@ -97,11 +99,11 @@ func Theorem4(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 	if s2 == nil {
 		return rep.or(err)
 	}
-	op1Rec, ok := completed(s2, 1, sc.Op)
+	op1Rec, ok := completed(s2, 1, opName)
 	if !ok {
 		return rep.stop("S2'': op1' did not survive the chop complete — budget %v does not beat the bound", budget)
 	}
-	op0Rec, _ := findOp(s2, 0, sc.Op)
+	op0Rec, _ := findOp(s2, 0, opName)
 	rep.logf("S2'' = chop(shift(S2, (0,-m,0)), d-m): op1' complete (%v), op0 pending=%v", op1Rec.Ret, op0Rec.Pending())
 
 	// --- Step 4: append to a ρ-run with clocks C2 = 0; linearizability
@@ -133,11 +135,11 @@ func Theorem4(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 		// generality that this mechanization surfaces.
 		return rep.or(err)
 	}
-	op0Rec4, ok := completed(s3, 0, sc.Op)
+	op0Rec4, ok := completed(s3, 0, opName)
 	if !ok {
 		return rep.stop("S3'': op0 did not survive the chop complete — budget %v does not beat the bound", budget)
 	}
-	op1Rec4, _ := findOp(s3, 1, sc.Op)
+	op1Rec4, _ := findOp(s3, 1, opName)
 	if !op1Rec4.Pending() {
 		return rep.stop("S3'': op1 unexpectedly complete — chain broken")
 	}
@@ -183,7 +185,7 @@ func Theorem4(p simtime.Params, typeName string, budget simtime.Duration) (*Repo
 		return nil, err
 	}
 	if soloVal := r5[len(rho)].Ret; !spec.ValuesEqual(soloVal, solo) {
-		return rep.stop("R5: solo %s at p1 returned %v, not %v — chain broken", sc.Op, soloVal, spec.FormatValue(solo))
+		return rep.stop("R5: solo %s at p1 returned %v, not %v — chain broken", opName, soloVal, spec.FormatValue(solo))
 	}
 	rep.logf("R5: p1 running solo returns %v; R4's p1 is indistinguishable from R5 through its response",
 		spec.FormatValue(solo))

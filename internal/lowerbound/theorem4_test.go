@@ -10,7 +10,7 @@ import (
 func TestTheorem4ViolationBelowBound(t *testing.T) {
 	p := lbParams() // m = min(ε, u, d/3) = d/3 = 6720
 	m := bounds.MinPairFree(p)
-	rep, err := Theorem4(p, "queue", p.D+m-1)
+	rep, err := Theorem4(p, "queue", "dequeue", p.D+m-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestTheorem4ViolationBelowBound(t *testing.T) {
 func TestTheorem4NoViolationAtBound(t *testing.T) {
 	p := lbParams()
 	m := bounds.MinPairFree(p)
-	rep, err := Theorem4(p, "queue", p.D+m)
+	rep, err := Theorem4(p, "queue", "dequeue", p.D+m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +43,14 @@ func TestTheorem4EpsilonLimited(t *testing.T) {
 	if m != p.Epsilon {
 		t.Fatalf("expected ε-limited configuration, m = %v", m)
 	}
-	rep, err := Theorem4(p, "queue", p.D+m-1)
+	rep, err := Theorem4(p, "queue", "dequeue", p.D+m-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.ViolationFound {
 		t.Errorf("ε-limited: budget d+m-1 should violate:\n%s", rep)
 	}
-	rep, err = Theorem4(p, "queue", p.D+m)
+	rep, err = Theorem4(p, "queue", "dequeue", p.D+m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTheorem4ProofGapWhenShiftStaysAdmissible(t *testing.T) {
 	if 2*m > p.U {
 		t.Fatal("test config must have 2m ≤ u")
 	}
-	rep, err := Theorem4(p, "queue", p.D+m-1)
+	rep, err := Theorem4(p, "queue", "dequeue", p.D+m-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTheorem4ULimited(t *testing.T) {
 	if m != p.U {
 		t.Fatalf("expected u-limited configuration, m = %v", m)
 	}
-	rep, err := Theorem4(p, "queue", p.D+m-1)
+	rep, err := Theorem4(p, "queue", "dequeue", p.D+m-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTheorem4ULimited(t *testing.T) {
 
 func TestTheorem4BudgetBelowSelfDelay(t *testing.T) {
 	p := lbParams()
-	if _, err := Theorem4(p, "queue", p.D-p.U-1); err == nil {
+	if _, err := Theorem4(p, "queue", "dequeue", p.D-p.U-1); err == nil {
 		t.Error("budget below d-u should error (our algorithm family cannot go faster)")
 	}
 }
@@ -105,7 +105,7 @@ func TestTheorem4BudgetBelowSelfDelay(t *testing.T) {
 func TestTheorem4NeedsThreeProcesses(t *testing.T) {
 	p := lbParams()
 	p.N = 2
-	if _, err := Theorem4(p, "queue", p.D); err == nil {
+	if _, err := Theorem4(p, "queue", "dequeue", p.D); err == nil {
 		t.Error("n < 3 should error")
 	}
 }
