@@ -165,7 +165,8 @@ crash-smoke:
 # reported by the strong sweep), the exhaustive mutant kill matrix over
 # the same space, and the pinned goldens for both reports, the kill
 # matrix on every registered data type and the strong-linearizability
-# fork hunt.
+# fork hunt. TestGoldenVerifyTimers also checks that a target's Timers
+# value reproduces each timers-only core mutant's sweep and fuzz reports.
 verify-smoke:
 	$(GO) run ./cmd/lintime verify
 	$(GO) run ./cmd/lintime verify -mutant all

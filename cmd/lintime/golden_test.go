@@ -16,6 +16,8 @@ import (
 	"lintime/internal/bmc"
 	"lintime/internal/bounds"
 	"lintime/internal/classify"
+	"lintime/internal/core"
+	"lintime/internal/harness"
 	"lintime/internal/lowerbound"
 	"lintime/internal/simtime"
 )
@@ -283,6 +285,85 @@ func TestGoldenVerifyKillMatrixJSON(t *testing.T) {
 	checkGolden(t, "verify-kill-matrix-json", got)
 }
 
+// TestGoldenVerifyTimers pins core mutants as data: a target that names
+// no mutant but carries a timers-only mutant's Timers value gets that
+// mutant's reports byte for byte (all but the target's name), both from
+// the exhaustive n=2 / 3-op sweep as the kill matrix runs it and from a
+// `-budget 200 -seed 1` fuzz campaign. A backend without Algorithm 1
+// timers refuses the value.
+func TestGoldenVerifyTimers(t *testing.T) {
+	queue, err := adt.Lookup("queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func(p simtime.Params, target adversary.Target) (string, error) {
+		rep, err := bmc.Verify(bmc.Config{Params: p, DT: queue, Target: target, MaxOps: 3, StopEarly: true})
+		if err != nil {
+			return "", err
+		}
+		rep.Target = ""
+		b, err := json.Marshal(rep)
+		return string(b), err
+	}
+	fuzz := func(p simtime.Params, target adversary.Target) (string, error) {
+		rep, err := adversary.Fuzz(adversary.Options{Params: p, DT: queue, Target: target,
+			Seed: 1, Budget: 200, StopEarly: true, Shrink: true})
+		if err != nil {
+			return "", err
+		}
+		rep.Target = adversary.Target{}
+		b, err := json.Marshal(rep)
+		return string(b), err
+	}
+	with := func(edit func(*core.Timers, simtime.Params)) func(simtime.Params) core.Timers {
+		return func(p simtime.Params) core.Timers {
+			v := core.DefaultTimers(p)
+			edit(&v, p)
+			return v
+		}
+	}
+	mutants := []struct {
+		name   string
+		timers func(simtime.Params) core.Timers
+	}{
+		{"aop-no-eps", core.PaperTimers},
+		{"exec-no-eps", with(func(v *core.Timers, p simtime.Params) { v.ExecuteWait = p.U })},
+		{"addself-zero", with(func(v *core.Timers, _ simtime.Params) { v.AddSelf = 0 })},
+		{"mop-zero", with(func(v *core.Timers, _ simtime.Params) { v.MOPRespond = 0 })},
+	}
+	for _, m := range mutants {
+		for _, search := range []struct {
+			name string
+			p    simtime.Params
+			run  func(simtime.Params, adversary.Target) (string, error)
+		}{{"verify", simtime.DefaultParams(2), verify}, {"fuzz", simtime.DefaultParams(5), fuzz}} {
+			v := m.timers(search.p)
+			named, err := search.run(search.p, adversary.Target{Mutant: m.name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := search.run(search.p, adversary.Target{Timers: &v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if named != data {
+				t.Errorf("%s: Timers %+v reports differently from mutant %s:\n--- timers ---\n%s\n--- mutant ---\n%s",
+					search.name, v, m.name, data, named)
+			}
+		}
+	}
+	v := core.DefaultTimers(simtime.DefaultParams(2))
+	for _, alg := range []string{harness.AlgQuorum, harness.AlgCentral} {
+		target := adversary.Target{Algorithm: alg, Timers: &v}
+		if _, err := verify(simtime.DefaultParams(2), target); err == nil || !strings.Contains(err.Error(), "timers") {
+			t.Errorf("verify on %s with a timers value: err %v, want the timers refusal", alg, err)
+		}
+		if _, err := fuzz(simtime.DefaultParams(2), target); err == nil || !strings.Contains(err.Error(), "timers") {
+			t.Errorf("fuzz on %s with a timers value: err %v, want the timers refusal", alg, err)
+		}
+	}
+}
+
 // TestGoldenVerifyQuorum pins the exhaustive sweep of the ABD quorum
 // backend over its two-op crash-augmented space: -backend quorum routes
 // the register type and the quorum message model automatically, and the
@@ -315,9 +396,9 @@ func TestGoldenVerifyQuorumKillMatrix(t *testing.T) {
 	checkGolden(t, "verify-quorum-kill-matrix", got)
 }
 
-// TestGoldenVerifyStrongSequencer pins the ROADMAP 5d headline: the
-// total-order-broadcast sequencer is strongly linearizable over its
-// whole n=2 three-op space — 984 contexts swept, none without a
+// TestGoldenVerifyStrongSequencer pins the strong-linearizability
+// headline: the total-order-broadcast sequencer is strongly linearizable
+// over its whole n=2 three-op space — 984 contexts swept, none without a
 // prefix-preserving linearization — where Algorithm 1 and the ABD
 // register both fail the same sweep.
 func TestGoldenVerifyStrongSequencer(t *testing.T) {

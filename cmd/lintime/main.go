@@ -126,8 +126,8 @@ commands:
               completeness, convergence, and strong linearizability;
               -mutant all re-proves the kill matrix exhaustively; -json
               emits the machine-readable report
-  serve       boot an n-replica real-time cluster behind a length-prefixed
-              JSON protocol over TCP; SIGINT drains gracefully (pending
+  serve       boot an n-replica real-time cluster behind the LTW1 binary
+              protocol over TCP; SIGINT drains gracefully (pending
               operations complete) and prints latency statistics
   load        drive a closed-loop load against a served cluster (in-process
               by default, -addr for a remote server, -sim for the

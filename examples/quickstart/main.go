@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	build, err := alg1.Builder(p, queue, "")
+	build, err := alg1.Builder(p, queue, "", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	queue := adt.NewQueue()
-	build, err := alg1.Builder(p, queue, "")
+	build, err := alg1.Builder(p, queue, "", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

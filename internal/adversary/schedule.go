@@ -20,11 +20,13 @@
 package adversary
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"strings"
 	"sync"
 
+	"lintime/internal/core"
 	"lintime/internal/harness"
 	"lintime/internal/lincheck"
 	"lintime/internal/sim"
@@ -36,11 +38,14 @@ import (
 // first op of a plan Gap is the absolute invocation time; for every later
 // op it is the wait between the previous response and the next
 // invocation, so plans always respect the model's one-pending-op-per-
-// process constraint.
+// process constraint. At, when set (nonzero), pins the op to an absolute
+// instant instead, scheduled up front as by sim.Engine.InvokeAt: the op
+// before it must have responded by then (the engine panics otherwise).
 type PlannedOp struct {
 	Op  string
 	Arg spec.Value
 	Gap simtime.Duration
+	At  simtime.Time `json:",omitempty"`
 }
 
 // Schedule is one fully explicit admissible adversary: clock offsets per
@@ -131,8 +136,8 @@ func (s Schedule) validate(p simtime.Params, dtName string, hasOp func(string) b
 	}
 	for proc, plan := range s.Plans {
 		for i, op := range plan {
-			if op.Gap < 0 {
-				return fmt.Errorf("adversary: p%d op %d has negative gap %v", proc, i, op.Gap)
+			if op.Gap < 0 || op.At < 0 {
+				return fmt.Errorf("adversary: p%d op %d has negative gap %v or instant %v", proc, i, op.Gap, op.At)
 			}
 			if !hasOp(op.Op) {
 				return fmt.Errorf("adversary: type %s has no operation %q", dtName, op.Op)
@@ -161,8 +166,9 @@ func (s Schedule) validate(p simtime.Params, dtName string, hasOp func(string) b
 	return nil
 }
 
-// String renders the schedule compactly; '@' marks the absolute start of
-// a plan's first op, '@+' the gap after the previous response.
+// String renders the schedule compactly; '@' marks an absolute start (a
+// plan's first op, or an op with At set), '@+' the gap after the previous
+// response.
 func (s Schedule) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "offsets %v\n", s.Offsets)
@@ -185,12 +191,12 @@ func (s Schedule) String() string {
 		}
 		fmt.Fprintf(&b, "p%d:", proc)
 		for i, op := range plan {
-			sep := " "
-			at := fmt.Sprintf("@+%v", op.Gap)
+			sep, at := " | ", fmt.Sprintf("@+%v", op.Gap)
 			if i == 0 {
-				at = fmt.Sprintf("@%v", op.Gap)
-			} else {
-				sep = " | "
+				sep, at = " ", fmt.Sprintf("@%v", op.Gap)
+			}
+			if op.At != 0 {
+				at = fmt.Sprintf("@%v", op.At)
 			}
 			fmt.Fprintf(&b, "%s%s(%s)%s", sep, op.Op, spec.FormatValue(op.Arg), at)
 		}
@@ -286,22 +292,26 @@ func signatureFromTrace(tr *sim.Trace) uint64 {
 }
 
 // Target selects the implementation under test: a backend of the harness
-// table plus, optionally, one of that backend's seeded mutants.
+// table plus, optionally, one of that backend's seeded mutants and the
+// timers an Algorithm 1 backend runs with.
 type Target struct {
 	Algorithm string // harness backend name ("" = harness.AlgCore)
 	Mutant    string // "" = the correct protocol
+	// Timers replaces an Algorithm 1 backend's (and its mutant's) timers;
+	// nil keeps the row's own. Other backends refuse a value.
+	Timers *core.Timers
 }
 
 // String renders the target for reports.
 func (t Target) String() string {
-	alg := t.Algorithm
-	if alg == "" {
-		alg = harness.AlgCore
+	s := cmp.Or(t.Algorithm, harness.AlgCore)
+	if t.Mutant != "" {
+		s += "+" + t.Mutant
 	}
-	if t.Mutant == "" {
-		return alg
+	if t.Timers != nil {
+		s += fmt.Sprintf("%+v", *t.Timers)
 	}
-	return alg + "+" + t.Mutant
+	return s
 }
 
 // Runner executes schedules against one target and checks the traces.
@@ -370,11 +380,12 @@ func (r *Runner) take() *kit {
 }
 
 // invokeNext is the engine's OnRespond: it invokes the responding
-// process's next planned operation, Gap after the response.
+// process's next planned operation, Gap after the response, unless that
+// op was scheduled up front at its At.
 func (k *kit) invokeNext(rec sim.OpRecord) {
 	plan := k.plans[rec.Proc]
 	k.cursor[rec.Proc]++
-	if i := k.cursor[rec.Proc]; i < len(plan) {
+	if i := k.cursor[rec.Proc]; i < len(plan) && plan[i].At == 0 {
 		k.eng.InvokeAt(rec.Proc, rec.RespondTime.Add(plan[i].Gap), plan[i].Op, plan[i].Arg)
 	}
 }
@@ -386,7 +397,7 @@ func (r *Runner) resolve() error {
 			r.opNames[info.Name] = struct{}{}
 		}
 		if r.backend, r.resolveErr = harness.Lookup(r.Target.Algorithm); r.resolveErr == nil {
-			r.build, r.resolveErr = r.backend.Builder(r.Params, r.DT, r.Target.Mutant)
+			r.build, r.resolveErr = r.backend.Builder(r.Params, r.DT, r.Target.Mutant, r.Target.Timers)
 		}
 	})
 	return r.resolveErr
@@ -470,9 +481,16 @@ func (r *Runner) runOn(k *kit, s Schedule, net sim.Network) (*Outcome, error) {
 	k.plans = s.Plans
 	clear(k.cursor)
 	eng.OnRespond = k.onRespond
+	// Every op with a fixed instant is scheduled now, process by process,
+	// so simultaneous invocations tie in (process, plan) order.
 	for proc, plan := range s.Plans {
-		if len(plan) > 0 {
-			eng.InvokeAt(sim.ProcID(proc), simtime.Time(plan[0].Gap), plan[0].Op, plan[0].Arg)
+		for i, op := range plan {
+			switch {
+			case op.At != 0:
+				eng.InvokeAt(sim.ProcID(proc), op.At, op.Op, op.Arg)
+			case i == 0:
+				eng.InvokeAt(sim.ProcID(proc), simtime.Time(op.Gap), op.Op, op.Arg)
+			}
 		}
 	}
 	tr := eng.Run()

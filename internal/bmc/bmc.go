@@ -187,7 +187,7 @@ func NewSpace(cfg Config) (*Space, error) {
 		return nil, err
 	}
 	// Resolving the builder checks the mutant and the data type up front.
-	if _, err := backend.Builder(p, cfg.DT, cfg.Target.Mutant); err != nil {
+	if _, err := backend.Builder(p, cfg.DT, cfg.Target.Mutant, cfg.Target.Timers); err != nil {
 		return nil, err
 	}
 	if len(cfg.Drops) > 0 && !backend.Faults {

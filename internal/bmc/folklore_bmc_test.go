@@ -10,7 +10,7 @@ import (
 )
 
 // TestFolkloreStronglyLinearizable is the exhaustive strong-
-// linearizability sweep over both folklore baselines (ROADMAP item 5d).
+// linearizability sweep over both folklore baselines.
 // The checker decides an observation-level property: one prefix-
 // preserving linearization over the client-visible event tree of each
 // context's futures. Both backends fix every operation's linearization

@@ -32,14 +32,15 @@ const (
 // do not exercise — a dropped +ε at ε = 0 — is genuinely correct there.)
 type Mutant struct {
 	Name, Desc   string
-	timers       func(*core.Timers, simtime.Params) // core: the wait it breaks
-	literalDrain bool                               // core: the paper's literal accessor drain
-	weaken       func(*quorum.Config)               // quorum: the knob it loosens
+	timers       func(simtime.Params) core.Timers // core: the timers it runs with
+	literalDrain bool                             // core: the paper's literal accessor drain
+	weaken       func(*quorum.Config)             // quorum: the knob it loosens
 }
 
 // resolver checks (p, dt) against a protocol once and returns a
 // constructor of fresh replica sets; the zero Mutant is the control.
-type resolver func(simtime.Params, spec.DataType, Mutant) (func(states spec.DataType) []sim.Node, error)
+// Algorithm 1 rows build with the given timers; the others ignore them.
+type resolver func(simtime.Params, spec.DataType, Mutant, core.Timers) (func(states spec.DataType) []sim.Node, error)
 
 // Backend is one row of the protocol table: everything the repo knows
 // about a replicated protocol apart from its state machine.
@@ -57,7 +58,8 @@ type Backend struct {
 	// Bound is the worst-case latency of an operation of the class, in
 	// ticks; nil means not servable (no formula to judge latencies against).
 	Bound   func(simtime.Params, classify.Class) simtime.Duration
-	Mutants []Mutant // the seeded bugs, in kill-matrix row order
+	Mutants []Mutant                         // the seeded bugs, in kill-matrix row order
+	timers  func(simtime.Params) core.Timers // Algorithm 1 rows: the default, declared as a mutant's
 	resolve resolver
 }
 
@@ -65,21 +67,21 @@ var backends = []Backend{
 	{Name: AlgCore, Desc: "corrected Algorithm 1", DefaultType: "queue", Converges: true, Bound: CoreBound,
 		Mutants: []Mutant{
 			{Name: "aop-no-eps", Desc: "pure-accessor wait d-X without the +ε correction (paper's literal bound; EXPERIMENTS.md Finding 1)",
-				timers: paperTimers},
+				timers: core.PaperTimers},
 			{Name: "literal-drain", Desc: "paper's d-X wait plus the literal drain that permanently commits the accessor's view (replicas diverge)",
-				timers: paperTimers, literalDrain: true},
+				timers: core.PaperTimers, literalDrain: true},
 			{Name: "exec-no-eps", Desc: "execute stabilization wait u instead of u+ε (skewed concurrent mutators commit in different orders)",
-				timers: func(t *core.Timers, p simtime.Params) { t.ExecuteWait = p.U }},
+				timers: func(p simtime.Params) core.Timers { t := core.DefaultTimers(p); t.ExecuteWait = p.U; return t }},
 			{Name: "addself-zero", Desc: "d-u self-delay removed (a mixed op executes before a completed remote mutator arrives)",
-				timers: func(t *core.Timers, _ simtime.Params) { t.AddSelf = 0 }},
+				timers: func(p simtime.Params) core.Timers { t := core.DefaultTimers(p); t.AddSelf = 0; return t }},
 			{Name: "mop-zero", Desc: "pure mutators respond immediately instead of after X+ε (a later op on a lagging clock gets a smaller timestamp)",
-				timers: func(t *core.Timers, _ simtime.Params) { t.MOPRespond = 0 }},
+				timers: func(p simtime.Params) core.Timers { t := core.DefaultTimers(p); t.MOPRespond = 0; return t }},
 		},
-		resolve: resolveCore(ClassesFor, nil)},
+		timers: core.DefaultTimers, resolve: resolveCore(ClassesFor)},
 	{Name: AlgCorePaper, Desc: "Algorithm 1 with the paper's literal timers", DefaultType: "queue", Converges: true,
-		resolve: resolveCore(ClassesFor, paperTimers)},
+		timers: core.PaperTimers, resolve: resolveCore(ClassesFor)},
 	{Name: AlgCoreAllOOP, Desc: "Algorithm 1 with every operation classed mixed", DefaultType: "queue", Converges: true,
-		resolve: resolveCore(func(spec.DataType) map[string]classify.Class { return nil }, nil)},
+		timers: core.DefaultTimers, resolve: resolveCore(func(spec.DataType) map[string]classify.Class { return nil })},
 	{Name: AlgCentral, Desc: "folklore centralized server", DefaultType: "queue", ClockFree: true,
 		resolve: resolveFolklore(folklore.NewCentralNodes)},
 	{Name: AlgSequencer, Desc: "folklore sequencer total-order broadcast", DefaultType: "queue", ClockFree: true,
@@ -117,21 +119,10 @@ func CoreBound(p simtime.Params, class classify.Class) simtime.Duration {
 // the class. (The protocol reads no clocks, so ε and X never appear.)
 func QuorumBound(p simtime.Params, _ classify.Class) simtime.Duration { return 4 * p.D }
 
-// paperTimers reinstates Algorithm 1's literal durations: the one value
-// behind both the core-paper ablation and the aop-no-eps mutant.
-func paperTimers(t *core.Timers, p simtime.Params) { *t = core.PaperTimers(p) }
-
-// resolveCore builds Algorithm 1 replicas over a class map, with the
-// corrected timers edited first by the variant, then by the mutant.
-func resolveCore(classesOf func(spec.DataType) map[string]classify.Class, variant func(*core.Timers, simtime.Params)) resolver {
-	return func(p simtime.Params, dt spec.DataType, m Mutant) (func(spec.DataType) []sim.Node, error) {
-		classes, timers := classesOf(dt), core.DefaultTimers(p)
-		if variant != nil {
-			variant(&timers, p)
-		}
-		if m.timers != nil {
-			m.timers(&timers, p)
-		}
+// resolveCore builds Algorithm 1 replicas over a class map.
+func resolveCore(classesOf func(spec.DataType) map[string]classify.Class) resolver {
+	return func(p simtime.Params, dt spec.DataType, m Mutant, timers core.Timers) (func(spec.DataType) []sim.Node, error) {
+		classes := classesOf(dt)
 		return func(states spec.DataType) []sim.Node {
 			nodes := core.NewReplicas(p.N, states, classes, timers)
 			for _, n := range nodes {
@@ -143,7 +134,7 @@ func resolveCore(classesOf func(spec.DataType) map[string]classify.Class, varian
 }
 
 func resolveFolklore(build func(int, spec.DataType) []sim.Node) resolver {
-	return func(p simtime.Params, _ spec.DataType, _ Mutant) (func(spec.DataType) []sim.Node, error) {
+	return func(p simtime.Params, _ spec.DataType, _ Mutant, _ core.Timers) (func(spec.DataType) []sim.Node, error) {
 		return func(states spec.DataType) []sim.Node { return build(p.N, states) }, nil
 	}
 }
@@ -151,7 +142,7 @@ func resolveFolklore(build func(int, spec.DataType) []sim.Node) resolver {
 // resolveQuorum builds ABD replicas; the protocol serves exactly the
 // register type, whose initial value is what reading its initial state
 // returns.
-func resolveQuorum(p simtime.Params, dt spec.DataType, m Mutant) (func(spec.DataType) []sim.Node, error) {
+func resolveQuorum(p simtime.Params, dt spec.DataType, m Mutant, _ core.Timers) (func(spec.DataType) []sim.Node, error) {
 	if dt.Name() != adt.NewRegister(0).Name() {
 		return nil, fmt.Errorf("harness: the quorum backend serves the register type, not %q", dt.Name())
 	}
@@ -324,17 +315,29 @@ func (b *Backend) mutant(name string) (Mutant, error) {
 // Builder validates (p, dt, mutant) once and returns a constructor of
 // fresh replica sets, so a campaign of many schedules against one target
 // pays the classification, the mutant lookup and the type check once.
-// Classification, timers and the mutant come from dt; the constructor's
-// argument is the type whose states the replicas hold — dt itself, or in
-// the verifier a spec.Table's compiled view of it (Table.Compiled), whose
-// transitions are computed once per Table. The constructor is safe for
-// concurrent use.
-func (b *Backend) Builder(p simtime.Params, dt spec.DataType, mutant string) (func(states spec.DataType) []sim.Node, error) {
+// Classification comes from dt; the constructor's argument is the type
+// whose states the replicas hold — dt itself, or in the verifier a
+// spec.Table's compiled view of it (Table.Compiled), whose transitions
+// are computed once per Table. The constructor is safe for concurrent
+// use. An Algorithm 1 row runs with timers when non-nil, else with the
+// mutant's, else with its own; other rows refuse a timers value.
+func (b *Backend) Builder(p simtime.Params, dt spec.DataType, mutant string, timers *core.Timers) (func(states spec.DataType) []sim.Node, error) {
 	m, err := b.mutant(mutant)
 	if err != nil {
 		return nil, err
 	}
-	return b.resolve(p, dt, m)
+	var t core.Timers
+	switch {
+	case b.timers == nil && timers != nil:
+		return nil, fmt.Errorf("harness: backend %s runs no Algorithm 1 timers to set", b.Name)
+	case timers != nil:
+		t = *timers
+	case m.timers != nil:
+		t = m.timers(p)
+	case b.timers != nil:
+		t = b.timers(p)
+	}
+	return b.resolve(p, dt, m, t)
 }
 
 // Fingerprints returns the built nodes' object states, or nil where the

@@ -30,7 +30,7 @@ func mustLookup(t *testing.T, name string) *harness.Backend {
 
 // build resolves and constructs one replica set.
 func build(b *harness.Backend, p simtime.Params, dt spec.DataType, mutant string) ([]sim.Node, error) {
-	mk, err := b.Builder(p, dt, mutant)
+	mk, err := b.Builder(p, dt, mutant, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func TestBackendTable(t *testing.T) {
 			t.Errorf("%s: %d fingerprints, want %d", name, len(fps), p.N)
 		}
 		for _, alias := range []string{"", "none"} {
-			if _, err := b.Builder(p, dt, alias); err != nil {
+			if _, err := b.Builder(p, dt, alias, nil); err != nil {
 				t.Errorf("%s: mutant %q should select the correct protocol: %v", name, alias, err)
 			}
 		}

@@ -254,7 +254,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	build, err := backend.Builder(cfg.Params, dt, "")
+	build, err := backend.Builder(cfg.Params, dt, "", nil)
 	if err != nil {
 		return nil, err
 	}

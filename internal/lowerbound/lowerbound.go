@@ -12,8 +12,10 @@
 // the construction yields a linearizable run, matching the tightness of
 // the argument.
 //
-// The four constructions share one kit: execute runs the hypothetical
-// algorithm on calls placed at absolute instants, shiftChop is the
+// The four constructions share one kit: run drives the hypothetical
+// algorithm — the forced timers as an adversary.Target's Timers — through
+// the verifier's own Runner on calls pinned to absolute instants,
+// shiftChop is the
 // shift-and-chop step of Section 4.1, forced decides which completion of
 // a pending operation linearizability allows, earliestLearn is the
 // message-chain bound on when p1 can first hear of p0, and judge records
@@ -27,6 +29,7 @@ import (
 	"fmt"
 
 	"lintime/internal/adt"
+	"lintime/internal/adversary"
 	"lintime/internal/classify"
 	"lintime/internal/core"
 	"lintime/internal/lincheck"
@@ -85,21 +88,20 @@ func (r *Report) String() string {
 	return s
 }
 
-// call is one invocation at an absolute real-time instant.
-type call struct {
-	proc sim.ProcID
-	at   simtime.Time
-	inv  spec.Invocation
+// at is a call pinned to the absolute instant t.
+func at(t simtime.Time, op string, arg spec.Value) adversary.PlannedOp {
+	return adversary.PlannedOp{Op: op, Arg: arg, At: t}
 }
 
-// prefix places ρ's invocations at p0, step apart from time 0. The slice
-// is exactly full, so appending the construction's own calls copies it.
-func prefix(rho []spec.Instance, step simtime.Duration) []call {
-	calls := make([]call, len(rho))
+// rhoPlan places ρ's invocations step apart from time 0: p0's plan
+// before the construction's own calls. The slice is exactly full, so
+// appending those calls copies it.
+func rhoPlan(rho []spec.Instance, step simtime.Duration) []adversary.PlannedOp {
+	plan := make([]adversary.PlannedOp, len(rho))
 	for i, in := range rho {
-		calls[i] = call{0, simtime.Time(simtime.Duration(i) * step), spec.Invocation{Op: in.Op, Arg: in.Arg}}
+		plan[i] = at(simtime.Time(simtime.Duration(i)*step), in.Op, in.Arg)
 	}
-	return calls
+	return plan
 }
 
 // single is the n-vector that is v at proc and 0 elsewhere: a clock
@@ -131,8 +133,8 @@ type kit struct {
 	p      simtime.Params
 	dt     spec.DataType
 	cls    classify.Report
-	timers core.Timers
 	net    *sim.PairwiseNetwork
+	runner *adversary.Runner
 	rep    *Report
 }
 
@@ -144,8 +146,8 @@ func newKit(p simtime.Params, rep *Report, timers core.Timers, net *sim.Pairwise
 	if err := net.Validate(p); err != nil {
 		return nil, err
 	}
-	cls := classify.Classify(dt, classify.DefaultConfig())
-	return &kit{p: p, dt: dt, cls: cls, timers: timers, net: net, rep: rep}, nil
+	runner := &adversary.Runner{Params: p, DT: dt, Target: adversary.Target{Timers: &timers}}
+	return &kit{p: p, dt: dt, cls: classify.Classify(dt, classify.DefaultConfig()), net: net, runner: runner, rep: rep}, nil
 }
 
 // scenario is classify's witness that the report's op is in Theorem
@@ -163,32 +165,24 @@ func (k *kit) scenario(thm int) (classify.Witness, error) {
 	return w, nil
 }
 
-// execute runs the calls on fresh replicas from the given clock offsets
-// (nil: synchronized clocks) and returns the trace, which it checks is
-// complete and admissible, and the calls' records in call order.
-func (k *kit) execute(offsets []simtime.Duration, calls []call) (*sim.Trace, []sim.OpRecord, error) {
+// run drives plans — process p's is plans[p]; processes past the last
+// run nothing — through the kit's runner on its network, from the given
+// clock offsets (nil: synchronized clocks), and returns the trace, which
+// the runner checks is admissible and run checks is complete.
+func (k *kit) run(offsets []simtime.Duration, plans ...[]adversary.PlannedOp) (*sim.Trace, error) {
 	if offsets == nil {
 		offsets = sim.ZeroOffsets(k.p.N)
 	}
-	eng, err := sim.NewEngine(k.p, offsets, k.net, core.NewReplicas(k.p.N, k.dt, k.cls.Classes(), k.timers))
+	all := make([][]adversary.PlannedOp, k.p.N)
+	copy(all, plans)
+	_, out, err := k.runner.RunRule(offsets, all, k.net)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for _, c := range calls {
-		eng.InvokeAt(c.proc, c.at, c.inv.Op, c.inv.Arg)
+	if out.Incomplete {
+		return nil, out.Trace.CheckComplete()
 	}
-	tr := eng.Run()
-	if err := tr.CheckComplete(); err != nil {
-		return nil, nil, err
-	}
-	if err := tr.CheckAdmissible(); err != nil {
-		return nil, nil, err
-	}
-	recs := make([]sim.OpRecord, len(calls))
-	for _, rec := range tr.Ops {
-		recs[rec.SeqID] = rec // a fresh engine numbers the calls 0, 1, …
-	}
-	return tr, recs, nil
+	return out.Trace, nil
 }
 
 // shiftRun is the Theorem 1 shift of a whole run, which the construction

@@ -2,7 +2,9 @@ package lowerbound
 
 import (
 	"fmt"
+	"slices"
 
+	"lintime/internal/adversary"
 	"lintime/internal/bounds"
 	"lintime/internal/core"
 	"lintime/internal/sim"
@@ -66,15 +68,15 @@ func Theorem2(p simtime.Params, typeName, opName string, budget simtime.Duration
 	step := simtime.Max(quarter, budget+1) // keep same-process instances non-overlapping
 	start := simtime.Time(quarter)
 	count := int((p.D+p.U)/step) + 4
-	calls := make([]call, count, count+1)
-	for i := range calls {
-		calls[i] = call{sim.ProcID(i % 2), start.Add(simtime.Duration(i) * step), spec.Invocation{Op: opName, Arg: aop.Arg}}
+	plans := [][]adversary.PlannedOp{2: {at(start.Add(step), mut.Op, mut.Arg)}}
+	for i := 0; i < count; i++ {
+		plans[i%2] = append(plans[i%2], at(start.Add(simtime.Duration(i)*step), opName, aop.Arg))
 	}
-	tr, aops, err := kt.execute(nil, append(calls, call{2, start.Add(step), spec.Invocation{Op: mut.Op, Arg: mut.Arg}}))
+	tr, err := kt.run(nil, plans...)
 	if err != nil {
 		return nil, err
 	}
-	aops = aops[:count]
+	aops := slices.DeleteFunc(slices.Clone(tr.Ops), func(rec sim.OpRecord) bool { return rec.Proc == 2 }) // in invocation order
 	rep.logf("R1: %d alternating %s instances at p0/p1 every %v; %s(%s) at p2; all delays d-u/2 = %v",
 		count, opName, step, mut.Op, spec.FormatValue(mut.Arg), p.D-p.U/2)
 

@@ -3,6 +3,7 @@ package lowerbound
 import (
 	"fmt"
 
+	"lintime/internal/adversary"
 	"lintime/internal/bounds"
 	"lintime/internal/core"
 	"lintime/internal/sim"
@@ -57,25 +58,26 @@ func Theorem3(p simtime.Params, typeName string, k int, budget simtime.Duration)
 	// (forced to the budget) has responded.
 	gap := p.D + p.U + p.Epsilon + 10
 	settle := simtime.Max(3*gap, budget+1) // quiescence margin after a phase
-	var calls []call
+	plans := make([][]adversary.PlannedOp, k)
 	t := simtime.Time(0)
 	if sc.Rho != nil {
-		calls = prefix(sc.Rho(k), simtime.Max(gap, budget+1))
-		t = calls[len(calls)-1].at.Add(settle)
+		plans[0] = rhoPlan(sc.Rho(k), simtime.Max(gap, budget+1))
+		t = plans[0][len(plans[0])-1].At.Add(settle)
 	}
-	for i := 0; i < k; i++ {
-		calls = append(calls, call{sim.ProcID(i), t, spec.Invocation{Op: sc.Op, Arg: args[i]}})
+	for i := range plans {
+		plans[i] = append(plans[i], at(t, sc.Op, args[i]))
 	}
 	probes := sc.Probes(k)
 	for i, inv := range probes {
-		calls = append(calls, call{0, t.Add(settle + simtime.Duration(i)*gap), inv})
+		plans[0] = append(plans[0], at(t.Add(settle+simtime.Duration(i)*gap), inv.Op, inv.Arg))
 	}
-	tr, recs, err := kt.execute(nil, calls)
+	tr, err := kt.run(nil, plans...)
 	if err != nil {
 		return nil, err
 	}
+	p0 := tr.OpsOf(0)
 	probeRets := make([]spec.Value, len(probes))
-	for i, rec := range recs[len(recs)-len(probes):] {
+	for i, rec := range p0[len(p0)-len(probes):] {
 		probeRets[i] = rec.Ret
 	}
 	z, err := sc.LastIndex(args, probeRets)

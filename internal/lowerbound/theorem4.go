@@ -3,6 +3,7 @@ package lowerbound
 import (
 	"fmt"
 
+	"lintime/internal/adversary"
 	"lintime/internal/bounds"
 	"lintime/internal/core"
 	"lintime/internal/shift"
@@ -64,14 +65,15 @@ func Theorem4(p simtime.Params, typeName, opName string, budget simtime.Duration
 	gap := p.D + p.U + p.Epsilon
 	t := simtime.Time(simtime.Duration(len(w.Rho)+3) * gap)
 	rhoCut := t.Add(-1)
-	rho := prefix(w.Rho, gap)
+	rho := rhoPlan(w.Rho, gap)
+	op0At := at(t, op.Op, op.Arg)
 
 	// --- Step 1: R1 — solo Op by p0. ---
-	_, r1, err := kt.execute(c1, append(rho, call{0, t, op}))
+	r1, err := kt.run(c1, append(rho, op0At))
 	if err != nil {
 		return nil, err
 	}
-	op0 := r1[len(rho)]
+	op0 := r1.OpsOf(0)[len(rho)]
 	if !spec.ValuesEqual(op0.Ret, solo) {
 		return rep.stop("R1: solo %s returned %v, not the solo value %v — chain broken",
 			opName, op0.Ret, spec.FormatValue(solo))
@@ -79,14 +81,14 @@ func Theorem4(p simtime.Params, typeName, opName string, budget simtime.Duration
 	rep.logf("R1: op0 = %s@p0[%v] returns %v with latency %v", opName, t, spec.FormatValue(solo), op0.Latency())
 
 	// --- Step 2: R2 — add Op at p1 at t+m. ---
-	r2, recs, err := kt.execute(c1, append(rho, call{0, t, op}, call{1, t.Add(m), op}))
+	r2, err := kt.run(c1, append(rho, op0At), []adversary.PlannedOp{at(t.Add(m), op.Op, op.Arg)})
 	if err != nil {
 		return nil, err
 	}
-	if op0 := recs[len(rho)]; !spec.ValuesEqual(op0.Ret, solo) {
+	if op0 := r2.OpsOf(0)[len(rho)]; !spec.ValuesEqual(op0.Ret, solo) {
 		return rep.stop("R2: Claim 4 fails — op0 returned %v; p0 learned of op1 within d+m (budget ≥ bound)", op0.Ret)
 	}
-	if op1 := recs[len(rho)+1]; !spec.ValuesEqual(op1.Ret, other) {
+	if op1 := r2.OpsOf(1)[0]; !spec.ValuesEqual(op1.Ret, other) {
 		return rep.stop("R2: op1 returned %v, not the pair-free complement %v — chain broken",
 			op1.Ret, spec.FormatValue(other))
 	}
@@ -109,7 +111,7 @@ func Theorem4(p simtime.Params, typeName, opName string, budget simtime.Duration
 	// --- Step 4: append to a ρ-run with clocks C2 = 0; linearizability
 	// forces the pending op0 to the solo value (as in R1): the
 	// complementary value admits no linearization. ---
-	prefix2, _, err := kt.execute(nil, rho)
+	prefix2, err := kt.run(nil, rho)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +150,7 @@ func Theorem4(p simtime.Params, typeName, opName string, budget simtime.Duration
 	// --- Step 6: append to a ρ-run with clocks C0 → R4, whose
 	// linearizability forces op1 to the complement (op0 = solo is
 	// already fixed; a second solo value is impossible). ---
-	prefix0, _, err := kt.execute(c0, rho)
+	prefix0, err := kt.run(c0, rho)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +182,11 @@ func Theorem4(p simtime.Params, typeName, opName string, budget simtime.Duration
 			return nil, fmt.Errorf("lowerbound: fragment leaks op0 to p1 at %v (construction bug)", msg.RecvTime)
 		}
 	}
-	_, r5, err := kt.execute(c0, append(rho, call{1, op1Invoke, op}))
+	r5, err := kt.run(c0, rho, []adversary.PlannedOp{at(op1Invoke, op.Op, op.Arg)})
 	if err != nil {
 		return nil, err
 	}
-	if soloVal := r5[len(rho)].Ret; !spec.ValuesEqual(soloVal, solo) {
+	if soloVal := r5.OpsOf(1)[0].Ret; !spec.ValuesEqual(soloVal, solo) {
 		return rep.stop("R5: solo %s at p1 returned %v, not %v — chain broken", opName, soloVal, spec.FormatValue(solo))
 	}
 	rep.logf("R5: p1 running solo returns %v; R4's p1 is indistinguishable from R5 through its response",

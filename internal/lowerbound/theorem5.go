@@ -3,6 +3,7 @@ package lowerbound
 import (
 	"fmt"
 
+	"lintime/internal/adversary"
 	"lintime/internal/bounds"
 	"lintime/internal/core"
 	"lintime/internal/lincheck"
@@ -58,19 +59,18 @@ func Theorem5(p simtime.Params, typeName string, budgetOp, budgetAop simtime.Dur
 	gap := simtime.Max(p.D+p.U+p.Epsilon, budgetOp+1)
 	t := simtime.Time(simtime.Duration(len(sc.Rho)+1) * gap)
 	tMax := t.Add(budgetOp)
-	rho := prefix(sc.Rho, gap)
-	aop := spec.Invocation{Op: sc.AOP, Arg: sc.AOPArg}
-	op1, aop1, aop2 := call{1, t, spec.Invocation{Op: sc.Op, Arg: sc.Op1Arg}}, call{1, tMax, aop}, call{2, tMax.Add(m), aop}
+	rho := rhoPlan(sc.Rho, gap)
+	p1Plan := []adversary.PlannedOp{at(t, sc.Op, sc.Op1Arg), at(tMax, sc.AOP, sc.AOPArg)}
+	p2Plan := []adversary.PlannedOp{at(tMax.Add(m), sc.AOP, sc.AOPArg)}
 
 	// --- R1: the full concurrent scenario. ---
-	r1, recs, err := kt.execute(nil, append(rho, call{0, t, spec.Invocation{Op: sc.Op, Arg: sc.Op0Arg}}, op1, call{0, tMax, aop}, aop1, aop2))
+	r1, err := kt.run(nil, append(rho, at(t, sc.Op, sc.Op0Arg), at(tMax, sc.AOP, sc.AOPArg)), p1Plan, p2Plan)
 	if err != nil {
 		return nil, err
 	}
-	recs = recs[len(rho):]
 	rep.logf("R1: %s(%s)@p0 and %s(%s)@p1 at %v; %s at p0/p1 (%v) and p2 (%v): values %v/%v/%v",
 		sc.Op, spec.FormatValue(sc.Op0Arg), sc.Op, spec.FormatValue(sc.Op1Arg), t,
-		sc.AOP, tMax, tMax.Add(m), recs[2].Ret, recs[3].Ret, recs[4].Ret)
+		sc.AOP, tMax, tMax.Add(m), r1.OpsOf(0)[len(rho)+1].Ret, r1.OpsOf(1)[1].Ret, r1.OpsOf(2)[0].Ret)
 	if !lincheck.CheckTrace(kt.dt, r1).Linearizable {
 		rep.ViolationFound = true
 		return rep.stop("R1 itself is not linearizable — the too-fast algorithm already fails without shifting")
@@ -113,18 +113,18 @@ func Theorem5(p simtime.Params, typeName string, budgetOp, budgetAop simtime.Dur
 	}
 
 	// --- Control run: p1's world without p0's operations. ---
-	_, ctl, err := kt.execute(nil, append(rho, op1, aop1, aop2))
+	ctl, err := kt.run(nil, rho, p1Plan, p2Plan)
 	if err != nil {
 		return nil, err
 	}
-	ctlVal := ctl[len(rho)+1].Ret
+	ctlVal := ctl.OpsOf(1)[1].Ret
 	rep.logf("control (no p0): aop1 returns %v; R2's p1 is indistinguishable through its response", ctlVal)
 
 	// --- Re-attach ρ (executed under the shifted offsets), complete aop1
 	// with its physical value, and check. ---
 	r2 := completePending(s1, 1, ctlVal, budgetAop)
 	if len(rho) > 0 {
-		pre, _, err := kt.execute(single(p.N, 0, -m), rho)
+		pre, err := kt.run(single(p.N, 0, -m), rho)
 		if err != nil {
 			return nil, err
 		}

@@ -69,5 +69,6 @@ type SpanEvent struct {
 
 // Tracer is the name the frozen bench/ module spells the span sink by.
 // There is one sink, *Collector, and nil means tracing is off; the alias
-// goes with ROADMAP item 9.
+// goes with the benchmark's re-baseline (ROADMAP, "Re-baseline the
+// repository benchmark").
 type Tracer = *Collector

@@ -22,7 +22,7 @@ func quorumNodes(p simtime.Params) ([]sim.Node, error) {
 		return nil, err
 	}
 	dt := adt.NewRegister(0)
-	build, err := b.Builder(p, dt, "")
+	build, err := b.Builder(p, dt, "", nil)
 	if err != nil {
 		return nil, err
 	}

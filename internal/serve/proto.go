@@ -342,7 +342,8 @@ func Dial(addr string) (*Client, error) {
 
 // DialCodec is Dial under the name the frozen bench/ module calls it by:
 // there is one protocol, so any codec but CodecBinary is refused. Goes
-// with ROADMAP item 9.
+// with the benchmark's re-baseline (ROADMAP, "Re-baseline the repository
+// benchmark").
 func DialCodec(addr, codec string) (*Client, error) {
 	if codec != CodecBinary {
 		return nil, fmt.Errorf("serve: unknown codec %q (have %s)", codec, CodecBinary)

@@ -152,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	build, err := backend.Builder(cfg.Params, dt, "")
+	build, err := backend.Builder(cfg.Params, dt, "", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // Package shift mechanizes the proof machinery of Sections 2.4 and 4.1 of
-// the paper: the classic shifting transformation (Theorem 1), extraction
-// and validation of pair-wise uniform delay matrices, shortest-path
+// the paper: the classic shifting transformation (Theorem 1), validation
+// of pair-wise uniform delay matrices, shortest-path
 // computation over delays, the chop operation that repairs a single
 // invalid delay by truncating timed views, and appending run fragments.
 //
@@ -61,35 +61,6 @@ func Matrix(m [][]simtime.Duration, x []simtime.Duration) [][]simtime.Duration {
 		}
 	}
 	return out
-}
-
-// DelayMatrix extracts the pair-wise uniform delay matrix of a trace. Any
-// ordered pair that carried no message gets the default delay def. It
-// errors if some pair's delays are not uniform.
-func DelayMatrix(tr *sim.Trace, def simtime.Duration) ([][]simtime.Duration, error) {
-	n := len(tr.Offsets)
-	m := make([][]simtime.Duration, n)
-	seen := make([][]bool, n)
-	for i := range m {
-		m[i] = make([]simtime.Duration, n)
-		seen[i] = make([]bool, n)
-		for j := range m[i] {
-			m[i][j] = def
-		}
-	}
-	for _, msg := range tr.Msgs {
-		if !msg.Received() {
-			continue
-		}
-		d := msg.Delay()
-		if seen[msg.From][msg.To] && m[msg.From][msg.To] != d {
-			return nil, fmt.Errorf("shift: non-uniform delays p%d→p%d: %v and %v",
-				msg.From, msg.To, m[msg.From][msg.To], d)
-		}
-		m[msg.From][msg.To] = d
-		seen[msg.From][msg.To] = true
-	}
-	return m, nil
 }
 
 // InvalidPairs returns the ordered process pairs whose matrix delay falls

@@ -1,6 +1,7 @@
 package shift
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,6 +12,36 @@ import (
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 )
+
+// DelayMatrix extracts the pair-wise uniform delay matrix of a trace, the
+// oracle these tests read delays back with. Any ordered pair that carried
+// no message gets the default delay def. It errors if some pair's delays
+// are not uniform.
+func DelayMatrix(tr *sim.Trace, def simtime.Duration) ([][]simtime.Duration, error) {
+	n := len(tr.Offsets)
+	m := make([][]simtime.Duration, n)
+	seen := make([][]bool, n)
+	for i := range m {
+		m[i] = make([]simtime.Duration, n)
+		seen[i] = make([]bool, n)
+		for j := range m[i] {
+			m[i][j] = def
+		}
+	}
+	for _, msg := range tr.Msgs {
+		if !msg.Received() {
+			continue
+		}
+		d := msg.Delay()
+		if seen[msg.From][msg.To] && m[msg.From][msg.To] != d {
+			return nil, fmt.Errorf("shift: non-uniform delays p%d→p%d: %v and %v",
+				msg.From, msg.To, m[msg.From][msg.To], d)
+		}
+		m[msg.From][msg.To] = d
+		seen[msg.From][msg.To] = true
+	}
+	return m, nil
+}
 
 func testParams(n int) simtime.Params {
 	return simtime.Params{N: n, D: 100, U: 40, Epsilon: 30, X: 20}
