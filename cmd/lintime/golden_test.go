@@ -364,6 +364,43 @@ func TestGoldenVerifyTimers(t *testing.T) {
 	}
 }
 
+// TestGoldenVerifyCorePaper: the core-paper ablation row is model-checked
+// like any other. It builds the same replicas as core's aop-no-eps mutant
+// (TestBackendTable), so the two sweeps of the n=2 / 3-op smoke space
+// report identically but for the target's name.
+func TestGoldenVerifyCorePaper(t *testing.T) {
+	queue, err := adt.Lookup("queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(target adversary.Target) string {
+		rep, err := bmc.Verify(bmc.Smoke(queue, target))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Target = ""
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	paper := report(adversary.Target{Algorithm: harness.AlgCorePaper})
+	mutant := report(adversary.Target{Algorithm: harness.AlgCore, Mutant: "aop-no-eps"})
+	if paper != mutant {
+		t.Errorf("core-paper reports differently from core+aop-no-eps:\n--- core-paper ---\n%s\n--- aop-no-eps ---\n%s", paper, mutant)
+	}
+}
+
+// TestGoldenVerifyCoreAllOOP pins the exhaustive n=2 / 3-op sweep of the
+// core-alloop ablation, Algorithm 1 with every operation classed mixed.
+func TestGoldenVerifyCoreAllOOP(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return cmdVerify([]string{"-backend", "core-alloop", "-n", "2", "-ops", "3"})
+	})
+	checkGolden(t, "verify-core-alloop", got)
+}
+
 // TestGoldenVerifyQuorum pins the exhaustive sweep of the ABD quorum
 // backend over its two-op crash-augmented space: -backend quorum routes
 // the register type and the quorum message model automatically, and the
@@ -526,9 +563,6 @@ func TestCmdFuzzErrors(t *testing.T) {
 func TestCmdVerifyErrors(t *testing.T) {
 	if err := cmdVerify([]string{"-mutant", "bogus"}); err == nil {
 		t.Error("unknown mutant should error")
-	}
-	if err := cmdVerify([]string{"-backend", "core-paper"}); err == nil {
-		t.Error("a backend without a message-count model should error")
 	}
 	err := cmdVerify([]string{"-backend", "sequencer", "-mutant", "all"})
 	if want := "harness: backend sequencer has no seeded mutants (core, quorum have)"; err == nil || err.Error() != want {

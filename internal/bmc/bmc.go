@@ -12,19 +12,32 @@
 //
 //   - Plans: every distribution of 1..MaxOps operations over the n
 //     processes, each slot drawing any declared operation. The first
-//     operation of a plan starts at a time from {0, w}, where w is the
-//     midpoint of the accessor timestamp window [max(0, X-ε), X) — the
-//     instant Algorithm 1's backdating makes interesting; later
-//     operations follow the previous response after a gap from {0, 5d}
-//     (immediately, or as a post-quiescence probe that reads committed
-//     state). Arguments spread deterministically across slots so
-//     reorderings stay observable.
+//     operation of a plan starts at 0 or at one of the backend's own
+//     start instants (harness.Backend.Starts: for Algorithm 1 the
+//     midpoint of the accessor timestamp window, where backdating makes
+//     an accessor interesting); later operations follow the previous
+//     response after a gap from {0, 5d} (immediately, or as a
+//     post-quiescence probe that reads committed state). Arguments spread
+//     deterministically across slots so reorderings stay observable.
 //   - Offsets: every clock-offset assignment in {0, ε}^n with at least
 //     one process at zero (shifting every local clock uniformly is
-//     behaviorally identical, so those points are skipped).
+//     behaviorally identical, so those points are skipped). A clock-free
+//     backend collapses the axis to all-zero.
 //   - Delays: every per-message delay vector in {d-u, d}^M, the extremes
 //     of the admissible interval, where M is the number of messages the
-//     plan generates ((n-1) broadcasts per mutator or mixed op).
+//     plan sends.
+//
+// A fault-tolerant backend opens a fourth axis: every minority subset of
+// processes crashed from time zero. An operation invoked at a crashed
+// process is suppressed and sends nothing.
+//
+// M is measured, not modeled. NewSpace runs each operation alone, at each
+// live process under each crash placement, with every delay d; a plan's M
+// is the sum of its operations' solo counts, so the space's size is known
+// before the sweep. A run that sends another count is still checked, and
+// counted in Report.Miscounted; if it sent more, its context's delay axis
+// widens to cover every send (sweepCodes), so the sweep stays exhaustive
+// whatever the protocol does.
 //
 // Delay quantization to the interval endpoints is the one lossy axis:
 // an interior delay can realize an arrival order that no extremal vector
@@ -32,34 +45,11 @@
 // through adversary.Runner, so the canonical admissibility predicate —
 // not a private copy — gates exactly what the checker may explore.
 //
-// The space is target-aware. Each backend brings its own message-count
-// model (sizing the delay axis) and its own irrelevant axes, which
-// collapse instead of multiplying the space:
-//
-//   - core (Algorithm 1): non-accessor ops broadcast n-1 announcements;
-//     accessors send nothing. Offsets enumerate {0, ε}^n.
-//   - central: a remote invocation costs a request and a reply (2); a
-//     server-local one costs nothing. The protocol never reads a clock,
-//     so the offset axis collapses to all-zero.
-//   - sequencer: a sequencer-local invocation broadcasts n-1 ordered
-//     messages; a remote one adds the hop to the sequencer (n). Clock-
-//     free, so offsets collapse.
-//   - quorum (ABD): every operation runs two phases of (n-1) requests
-//     plus one ack per live recipient (reads drop to one phase under the
-//     skip-writeback mutant); an op invoked at a crashed process is
-//     suppressed and costs nothing. Clock-free, so offsets collapse —
-//     and a fourth axis opens instead: every minority subset of
-//     processes crashed from time zero. First-op start times quantize to
-//     the protocol's own interesting instants ({0, (d-u)/2, 2(d-u)+d}:
-//     inside the window where a bogusly fast write has responded but no
-//     message can have arrived, and just past the latest first-attempt
-//     propagate arrival).
-//
 // A space may also be drop-augmented (Config.Drops): a fixed set of send
 // ordinals is lost in every schedule. Lost sends still consume delay-
-// vector slots, but the retransmissions they provoke exceed the modeled
+// vector slots, but the retransmissions they provoke exceed the measured
 // message count and run at the default delay d — so a drop-augmented
-// space is exhaustive over the first modeled ordinals only. It exists
+// space is exhaustive over the first measured ordinals only. It exists
 // for targeted kill certificates (skip-writeback needs real message
 // loss), not for cleanliness sweeps.
 //
@@ -79,11 +69,9 @@ import (
 	"strconv"
 
 	"lintime/internal/adversary"
-	"lintime/internal/classify"
 	"lintime/internal/harness"
 	"lintime/internal/lincheck"
 	"lintime/internal/obs"
-	"lintime/internal/quorum"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
@@ -109,8 +97,8 @@ const maxStoredViolations = 4
 type Config struct {
 	Params simtime.Params
 	DT     spec.DataType
-	// Target selects a backend of the harness table that has a message-
-	// count model here (see opMsgs), plus optionally one of its mutants.
+	// Target selects a backend of the harness table, plus optionally one
+	// of its mutants.
 	Target adversary.Target
 	// MaxOps caps the total planned operations per schedule (default 2).
 	MaxOps int
@@ -141,8 +129,9 @@ func Smoke(dt spec.DataType, target adversary.Target) Config {
 
 // planSlot is one enumerated operation choice.
 type planSlot struct {
-	op  spec.OpInfo
-	gap simtime.Duration
+	op   spec.OpInfo
+	kind int // op's index in the data type's Ops, keying its measured sends
+	gap  simtime.Duration
 }
 
 // plan is one enumerated invocation plan.
@@ -151,21 +140,19 @@ type plan struct {
 	ops   int
 }
 
-// placement is one enumerated crash assignment: the processes in mask
-// crash at time zero. The zero placement (mask 0, nil crashes) is the
-// fault-free run present in every space.
+// placement is one enumerated crash assignment: some processes crash at
+// time zero. The zero placement (nil crashes) is the fault-free run
+// present in every space.
 type placement struct {
-	mask    uint64
 	crashes []simtime.Time // per-process crash times; nil = fault-free
-	crashed int
+	sends   [][]int        // per process, per op kind: messages the op sends alone
 }
 
 // Space is the enumerated schedule space of one Config.
 type Space struct {
 	cfg        Config
 	backend    *harness.Backend
-	classes    map[string]classify.Class
-	qcfg       quorum.Config // read by the quorum message model only
+	runner     *adversary.Runner
 	plans      []plan
 	offsets    [][]simtime.Duration
 	placements []placement
@@ -186,24 +173,23 @@ func NewSpace(cfg Config) (*Space, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolving the builder checks the mutant and the data type up front.
-	if _, err := backend.Builder(p, cfg.DT, cfg.Target.Mutant, cfg.Target.Timers); err != nil {
-		return nil, err
-	}
 	if len(cfg.Drops) > 0 && !backend.Faults {
 		return nil, fmt.Errorf("bmc: drop augmentation needs a fault-tolerant target (have %s)", cfg.Target)
 	}
-	s := &Space{cfg: cfg, backend: backend, classes: harness.ClassesFor(cfg.DT)}
-	s.qcfg, _ = harness.QuorumConfig(p, cfg.Target.Mutant) // the mutant was checked above
-	if s.startTimes() == nil {
-		return nil, fmt.Errorf("bmc: no message-count model for backend %q", backend.Name)
-	}
+	s := &Space{cfg: cfg, backend: backend, runner: &adversary.Runner{
+		Params: p, DT: cfg.DT, Target: cfg.Target, Trace: sim.TraceOps,
+	}}
 	if s.cfg.MaxOps <= 0 {
 		s.cfg.MaxOps = 2
 	}
 	s.enumeratePlans()
 	s.enumerateOffsets()
 	s.enumeratePlacements()
+	// The first solo run also resolves the target: an unknown mutant, a
+	// type the backend cannot serve or a refused timers value ends here.
+	if err := s.measureSends(); err != nil {
+		return nil, err
+	}
 	for _, pl := range s.plans {
 		for _, pc := range s.placements {
 			s.runs += len(s.offsets) << s.planMsgs(pl, pc)
@@ -212,103 +198,63 @@ func NewSpace(cfg Config) (*Space, error) {
 	return s, nil
 }
 
-// opMsgs is bmc's own message-count model of each protocol, keyed by
-// backend name: the messages one operation contributes when invoked at
-// proc with `crashed` processes down from time zero. See the package doc
-// for each model's derivation.
-func (s *Space) opMsgs(proc int, opName string, crashed int) int {
+// measureSends runs every operation alone at every process under
+// every crash placement — invoked at time zero, every delay d, nothing
+// dropped — and records how many messages it sends: that operation's
+// share of a plan's message count. An operation at a crashed process is
+// suppressed by the engine and measures 0.
+func (s *Space) measureSends() error {
 	n := s.cfg.Params.N
-	switch s.backend.Name {
-	case harness.AlgCore:
-		if s.classes[opName] == classify.PureAccessor {
-			return 0
+	ops := s.cfg.DT.Ops()
+	for i := range s.placements {
+		pc := &s.placements[i]
+		pc.sends = make([][]int, n)
+		for proc := range pc.sends {
+			pc.sends[proc] = make([]int, len(ops))
+			for k, op := range ops {
+				plans := make([][]adversary.PlannedOp, n)
+				plans[proc] = []adversary.PlannedOp{{Op: op.Name, Arg: op.Args[0]}}
+				out, err := s.runner.Run(adversary.Schedule{
+					Offsets: make([]simtime.Duration, n), Plans: plans, Crashes: pc.crashes,
+				})
+				if err != nil {
+					return err
+				}
+				pc.sends[proc][k] = len(out.Trace.Msgs)
+			}
 		}
-		return n - 1
-	case harness.AlgCentral:
-		if proc == 0 {
-			return 0 // server-local: applied on the spot, no messages
-		}
-		return 2 // request to the server + reply
-	case harness.AlgSequencer:
-		if proc == 0 {
-			return n - 1 // sequencer-local: stamped locally, Ordered broadcast
-		}
-		return n // hop to the sequencer + Ordered broadcast
-	case harness.AlgQuorum:
-		// Per phase: n-1 requests broadcast (sends to crashed replicas
-		// still occupy trace slots — delivery, not transit, is what a
-		// crash suppresses) plus one ack per live recipient. Quorums are
-		// reached within the 2d round trip, under the 3d retransmission
-		// period, so drop-free runs never exceed this count.
-		phases := 2
-		if s.qcfg.SkipWriteBack && opName == quorum.OpRead {
-			phases = 1
-		}
-		return phases * ((n - 1) + (n - 1 - crashed))
 	}
-	panic(fmt.Sprintf("bmc: no message model for target %q", s.backend.Name))
+	return nil
 }
 
-// planMsgs is the modeled message count of one plan under one crash
-// placement. Operations invoked at a crashed process are suppressed by
-// the engine (no invocation record, no messages) and contribute nothing.
+// planMsgs is the measured message count of one plan under one crash
+// placement: the sum of its operations' solo counts.
 func (s *Space) planMsgs(pl plan, pc placement) int {
 	msgs := 0
 	for proc, seq := range pl.procs {
-		if pc.mask&(1<<uint(proc)) != 0 {
-			continue
-		}
 		for _, sl := range seq {
-			msgs += s.opMsgs(proc, sl.op.Name, pc.crashed)
+			msgs += pc.sends[proc][sl.kind]
 		}
 	}
 	return msgs
-}
-
-// windowStart is the midpoint of the accessor timestamp window: an op
-// invoked here (on a fast clock) backdates into the thick of concurrent
-// time-zero mutators.
-func windowStart(p simtime.Params) simtime.Duration {
-	return simtime.Max(0, p.X-p.Epsilon) + simtime.Min(p.X, p.Epsilon)/2
 }
 
 // probeGap is the post-quiescence gap: an op this long after the
 // previous response observes fully committed replica state.
 func probeGap(p simtime.Params) simtime.Duration { return 5 * p.D }
 
-// startTimes returns the first-op start instants the plan axis
-// enumerates, deduplicated ascending, or nil for a backend bmc has no
-// model of. Clock-driven targets (core) use the accessor-window midpoint;
-// clock-free targets use instants defined by the message bounds
-// themselves: (d-u)/2 sits before any time-zero message can have arrived,
-// and 2(d-u)+d (quorum only) lands just past the latest arrival of a
-// minimum-delay write's propagate phase.
-func (s *Space) startTimes() []simtime.Duration {
+func (s *Space) enumeratePlans() {
 	p := s.cfg.Params
-	var raw []simtime.Duration
-	switch s.backend.Name {
-	case harness.AlgCore:
-		raw = []simtime.Duration{0, windowStart(p)}
-	case harness.AlgCentral, harness.AlgSequencer:
-		raw = []simtime.Duration{0, p.MinDelay() / 2}
-	case harness.AlgQuorum:
-		raw = []simtime.Duration{0, p.MinDelay() / 2, 2*p.MinDelay() + p.D}
-	default:
-		return nil
-	}
+	ops := s.cfg.DT.Ops()
+	// First-op start instants: 0 and the backend's own, deduplicated
+	// ascending.
+	raw := append([]simtime.Duration{0}, s.backend.Starts(p)...)
 	starts := raw[:1]
 	for _, t := range raw[1:] {
 		if t > starts[len(starts)-1] {
 			starts = append(starts, t)
 		}
 	}
-	return starts
-}
-
-func (s *Space) enumeratePlans() {
-	p := s.cfg.Params
-	ops := s.cfg.DT.Ops()
-	starts := s.startTimes()
 	gaps := []simtime.Duration{0, probeGap(p)}
 
 	procs := make([][]planSlot, p.N)
@@ -333,9 +279,9 @@ func (s *Space) enumeratePlans() {
 		if len(procs[proc]) == 0 {
 			choices = starts
 		}
-		for _, op := range ops {
+		for k, op := range ops {
 			for _, g := range choices {
-				procs[proc] = append(procs[proc], planSlot{op: op, gap: g})
+				procs[proc] = append(procs[proc], planSlot{op: op, kind: k, gap: g})
 				recSlots(proc, count-1, remaining)
 				procs[proc] = procs[proc][:len(procs[proc])-1]
 			}
@@ -398,7 +344,7 @@ func (s *Space) enumeratePlacements() {
 					crashes[i] = simtime.Infinity
 				}
 			}
-			s.placements = append(s.placements, placement{mask: mask, crashes: crashes, crashed: size})
+			s.placements = append(s.placements, placement{crashes: crashes})
 		}
 	}
 }
@@ -487,6 +433,7 @@ func (s *Space) FindContext(match func(sched adversary.Schedule) bool) int {
 // contextResult is the fold input of one context.
 type contextResult struct {
 	runs       int
+	miscounted int      // runs whose message count was not the context's
 	sigs       []uint64 // in first-seen order
 	histFPs    []uint64 // distinct history fingerprints, first-seen order
 	violation  *Violation
@@ -521,9 +468,6 @@ func Verify(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner := &adversary.Runner{
-		Params: cfg.Params, DT: cfg.DT, Target: cfg.Target, Trace: sim.TraceOps,
-	}
 	rep := &Report{
 		Target:         cfg.Target.String(),
 		Params:         cfg.Params,
@@ -545,10 +489,11 @@ func Verify(cfg Config) (*Report, error) {
 	seenSigs := map[uint64]bool{}
 	seenHists := map[uint64]bool{}
 
-	eval := func(ctx int) (contextResult, error) { return space.checkContext(runner, ctx) }
+	eval := func(ctx int) (contextResult, error) { return space.checkContext(space.runner, ctx) }
 	fold := func(ctx int, res contextResult) (bool, error) {
 		contextsTotal.Inc()
 		rep.Runs += res.runs
+		rep.Miscounted += res.miscounted
 		runsTotal.Add(int64(res.runs))
 		for _, sig := range res.sigs {
 			seenSigs[sig] = true
@@ -597,26 +542,26 @@ func (s *Space) checkContext(runner *adversary.Runner, ctx int) (contextResult, 
 	sigSeen := map[uint64]bool{}
 	histSeen := map[uint64]bool{}
 	var histories [][]lincheck.Op
-	for code := uint64(0); code < 1<<uint(msgs); code++ {
+	var err error
+	res.miscounted, err = sweepCodes(msgs, func(code uint64, width int) (int, error) {
 		sched := base
-		sched.Delays = s.delays(code, msgs)
+		sched.Delays = s.delays(code, width)
 		out, err := runner.Run(sched)
 		if err != nil {
-			return res, err
+			return 0, err
 		}
-		got := len(out.Trace.Msgs)
-		if len(s.cfg.Drops) == 0 {
-			if got != msgs {
-				return res, fmt.Errorf("bmc: context %d sent %d messages, model says %d — delay axis not exhaustive", ctx, got, msgs)
-			}
-		} else if got < msgs-len(s.cfg.Drops) {
+		sent := len(out.Trace.Msgs)
+		if len(s.cfg.Drops) > 0 {
 			// Drop-augmented spaces bend the count both ways: a dropped
 			// request suppresses the ack it would have provoked (at most
 			// one missing message per drop), while retransmissions add
-			// messages beyond the modeled count (those run at the default
-			// delay d). Anything below the floor still means the model is
-			// wrong.
-			return res, fmt.Errorf("bmc: context %d sent %d messages, model floor is %d", ctx, got, msgs-len(s.cfg.Drops))
+			// messages beyond the measured count, which run at the
+			// default delay d rather than widening the axis. Anything
+			// below the floor means the space is not what it claims.
+			if floor := msgs - len(s.cfg.Drops); sent < floor {
+				return 0, fmt.Errorf("bmc: context %d sent %d messages, floor is %d", ctx, sent, floor)
+			}
+			sent = msgs
 		}
 		res.runs++
 		if sig := out.Signature(); !sigSeen[sig] {
@@ -632,6 +577,10 @@ func (s *Space) checkContext(runner *adversary.Runner, ctx int) (contextResult, 
 			res.histFPs = append(res.histFPs, fp)
 			histories = append(histories, history)
 		}
+		return sent, nil
+	})
+	if err != nil {
+		return res, err
 	}
 	// The strong sweep is meaningful only when every future is clean:
 	// a plain violation already condemns the context.
@@ -647,6 +596,30 @@ func (s *Space) checkContext(runner *adversary.Runner, ctx int) (contextResult, 
 		res.treeOps = tree.Ops()
 	}
 	return res, nil
+}
+
+// sweepCodes runs the delay codes of one context whose plan sends width
+// messages by its measured count: every code below 2^width in ascending
+// order, where a run that sends more than width messages widens the sweep
+// to its count. A run reads only the delay bits of its own sends, and a
+// send past the vector's end gets d, bit 0, so each combination of the
+// bits some run reads is reached; codes that differ only past a run's
+// last send repeat that run. run gets the code and the current width and
+// returns the number of messages the run sent. sweepCodes returns how
+// many runs sent a count other than the context's width.
+func sweepCodes(width int, run func(code uint64, width int) (sent int, err error)) (miscounted int, err error) {
+	want := width
+	for code := uint64(0); code < 1<<uint(width); code++ {
+		sent, err := run(code, width)
+		if err != nil {
+			return miscounted, err
+		}
+		if sent != want {
+			miscounted++
+		}
+		width = max(width, sent)
+	}
+	return miscounted, nil
 }
 
 // historyFingerprint hashes a completed history's observable content.

@@ -275,10 +275,9 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
-// TestRejectsUnmodeledTarget: each accepted backend has an explicit
-// message-count model; anything else must be refused rather than
-// silently under-enumerated. Folklore targets carry no mutant registry,
-// and drop augmentation is a quorum-only axis.
+// TestRejectsUnmodeledTarget: a space is built only for a target the
+// backend table resolves. An unknown backend is refused, folklore targets
+// carry no mutant registry, and drop augmentation is a quorum-only axis.
 func TestRejectsUnmodeledTarget(t *testing.T) {
 	if _, err := NewSpace(Config{
 		Params: simtime.DefaultParams(2),

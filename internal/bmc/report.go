@@ -7,7 +7,6 @@ import (
 	"lintime/internal/adversary"
 	"lintime/internal/harness"
 	"lintime/internal/obs"
-	"lintime/internal/sim"
 	"lintime/internal/simtime"
 )
 
@@ -25,8 +24,9 @@ type Report struct {
 	CrashPlacements int     `json:"crash_placements,omitempty"`
 	Drops           []int64 `json:"drops,omitempty"` // drop augmentation, if any
 	Contexts        int     `json:"contexts"`
-	TotalRuns       int     `json:"total_runs"` // size of the space
-	Runs            int     `json:"runs"`       // runs executed (== TotalRuns unless stopped early)
+	TotalRuns       int     `json:"total_runs"`           // size of the space
+	Runs            int     `json:"runs"`                 // runs executed (== TotalRuns unless stopped early or miscounted)
+	Miscounted      int     `json:"miscounted,omitempty"` // runs that sent other than their plan's measured count; more widens the sweep
 	Signatures      int     `json:"distinct_signatures"`
 	Histories       int     `json:"distinct_histories"`
 	OK              bool    `json:"ok"`
@@ -62,6 +62,9 @@ func WriteReport(w io.Writer, r *adversary.Runner, rep *Report) error {
 		executed += " (stopped early)"
 	}
 	fmt.Fprintf(w, "executed    %s\n", executed)
+	if rep.Miscounted > 0 {
+		fmt.Fprintf(w, "miscounted  %d runs sent other than their plan's measured message count\n", rep.Miscounted)
+	}
 	fmt.Fprintf(w, "states      %d distinct event orderings, %d distinct histories\n", rep.Signatures, rep.Histories)
 	fmt.Fprintf(w, "violations  %d\n", rep.ViolationsTotal)
 	if rep.StrongChecked > 0 {
@@ -219,15 +222,12 @@ func runQuorumCert(cfg Config, mutant string, cert quorumCert) (KillEntry, error
 	if ctx < 0 {
 		return KillEntry{}, fmt.Errorf("bmc: certificate context for mutant %q is not in its enumerated space", mutant)
 	}
-	runner := &adversary.Runner{
-		Params: p, DT: cfg.DT, Target: c.Target, Trace: sim.TraceOps,
-	}
 	base, msgs := sp.context(ctx)
 	e := KillEntry{Space: cert.space}
 	for code := uint64(1)<<uint(msgs) - 1; ; code-- {
 		sched := base
 		sched.Delays = sp.delays(code, msgs)
-		out, err := runner.Run(sched)
+		out, err := sp.runner.Run(sched)
 		if err != nil {
 			return KillEntry{}, err
 		}

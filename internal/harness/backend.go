@@ -58,8 +58,9 @@ type Backend struct {
 	// Bound is the worst-case latency of an operation of the class, in
 	// ticks; nil means not servable (no formula to judge latencies against).
 	Bound   func(simtime.Params, classify.Class) simtime.Duration
-	Mutants []Mutant                         // the seeded bugs, in kill-matrix row order
-	timers  func(simtime.Params) core.Timers // Algorithm 1 rows: the default, declared as a mutant's
+	Mutants []Mutant                                // the seeded bugs, in kill-matrix row order
+	Starts  func(simtime.Params) []simtime.Duration // first-op instants besides 0 that bmc's plan axis enumerates
+	timers  func(simtime.Params) core.Timers        // Algorithm 1 rows: the default, declared as a mutant's
 	resolve resolver
 }
 
@@ -77,17 +78,17 @@ var backends = []Backend{
 			{Name: "mop-zero", Desc: "pure mutators respond immediately instead of after X+ε (a later op on a lagging clock gets a smaller timestamp)",
 				timers: func(p simtime.Params) core.Timers { t := core.DefaultTimers(p); t.MOPRespond = 0; return t }},
 		},
-		timers: core.DefaultTimers, resolve: resolveCore(ClassesFor)},
+		Starts: windowStart, timers: core.DefaultTimers, resolve: resolveCore(ClassesFor)},
 	{Name: AlgCorePaper, Desc: "Algorithm 1 with the paper's literal timers", DefaultType: "queue", Converges: true,
-		timers: core.PaperTimers, resolve: resolveCore(ClassesFor)},
+		Starts: windowStart, timers: core.PaperTimers, resolve: resolveCore(ClassesFor)},
 	{Name: AlgCoreAllOOP, Desc: "Algorithm 1 with every operation classed mixed", DefaultType: "queue", Converges: true,
-		timers: core.DefaultTimers, resolve: resolveCore(func(spec.DataType) map[string]classify.Class { return nil })},
+		Starts: windowStart, timers: core.DefaultTimers, resolve: resolveCore(func(spec.DataType) map[string]classify.Class { return nil })},
 	{Name: AlgCentral, Desc: "folklore centralized server", DefaultType: "queue", ClockFree: true,
-		resolve: resolveFolklore(folklore.NewCentralNodes)},
+		Starts: beforeArrival, resolve: resolveFolklore(folklore.NewCentralNodes)},
 	{Name: AlgSequencer, Desc: "folklore sequencer total-order broadcast", DefaultType: "queue", ClockFree: true,
-		resolve: resolveFolklore(folklore.NewSequencerNodes)},
+		Starts: beforeArrival, resolve: resolveFolklore(folklore.NewSequencerNodes)},
 	{Name: AlgQuorum, Desc: "correct ABD quorum register", DefaultType: "register",
-		Faults: true, ClockFree: true, NoStrongSweep: true, Bound: QuorumBound,
+		Faults: true, ClockFree: true, NoStrongSweep: true, Bound: QuorumBound, Starts: quorumStarts,
 		Mutants: []Mutant{
 			{Name: "crash-threshold", Desc: "every phase waits for 1 ack: tolerates crash counts over the minority threshold, at the cost of quorum intersection",
 				weaken: func(c *quorum.Config) { c.ReadQuorum, c.WriteQuorum = 1, 1 }},
@@ -118,6 +119,27 @@ func CoreBound(p simtime.Params, class classify.Class) simtime.Duration {
 // a propagate phase, each one majority round trip bounded by 2d, whatever
 // the class. (The protocol reads no clocks, so ε and X never appear.)
 func QuorumBound(p simtime.Params, _ classify.Class) simtime.Duration { return 4 * p.D }
+
+// windowStart is the midpoint of Algorithm 1's accessor timestamp window
+// [max(0, X-ε), X): an op invoked there (on a fast clock) backdates into
+// the thick of concurrent time-zero mutators.
+func windowStart(p simtime.Params) []simtime.Duration {
+	return []simtime.Duration{simtime.Max(0, p.X-p.Epsilon) + simtime.Min(p.X, p.Epsilon)/2}
+}
+
+// beforeArrival is (d-u)/2: a clock-free protocol's op invoked there runs
+// before any time-zero message can have arrived.
+func beforeArrival(p simtime.Params) []simtime.Duration {
+	return []simtime.Duration{p.MinDelay() / 2}
+}
+
+// quorumStarts adds 2(d-u)+d to beforeArrival: just past the latest
+// arrival of a minimum-delay write's propagate phase. (d-u)/2 sits inside
+// the window where a bogusly fast write has responded but no message can
+// have arrived.
+func quorumStarts(p simtime.Params) []simtime.Duration {
+	return append(beforeArrival(p), 2*p.MinDelay()+p.D)
+}
 
 // resolveCore builds Algorithm 1 replicas over a class map.
 func resolveCore(classesOf func(spec.DataType) map[string]classify.Class) resolver {
@@ -161,15 +183,6 @@ func quorumConfig(p simtime.Params, m Mutant) quorum.Config {
 		m.weaken(&cfg)
 	}
 	return cfg
-}
-
-// QuorumConfig returns the protocol configuration the quorum backend
-// builds the named mutant with — the one fact bmc's message-count model
-// needs about a mutant (skip-writeback halves a read's phases).
-func QuorumConfig(p simtime.Params, mutant string) (quorum.Config, error) {
-	b, _ := Lookup(AlgQuorum)
-	m, err := b.mutant(mutant)
-	return quorumConfig(p, m), err
 }
 
 // Lookup resolves a backend by name; the empty name selects the first

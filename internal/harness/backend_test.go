@@ -76,6 +76,10 @@ func TestBackendTable(t *testing.T) {
 		if fps := b.Fingerprints(nodes); b.Converges && len(fps) != p.N {
 			t.Errorf("%s: %d fingerprints, want %d", name, len(fps), p.N)
 		}
+		// The model checker's plan axis starts first ops at these.
+		if b.Starts == nil || len(b.Starts(p)) == 0 {
+			t.Errorf("%s: declares no first-op start instants", name)
+		}
 		for _, alias := range []string{"", "none"} {
 			if _, err := b.Builder(p, dt, alias, nil); err != nil {
 				t.Errorf("%s: mutant %q should select the correct protocol: %v", name, alias, err)

@@ -181,9 +181,9 @@ func TestRetransmitRecoversFromLoss(t *testing.T) {
 	}
 }
 
-// TestLossFreeRunsNeverRetransmit pins the determinism contract the bmc
-// message-count model relies on: without faults every phase completes
-// before its 3d timer.
+// TestLossFreeRunsNeverRetransmit pins that without faults every phase
+// completes before its 3d timer, so a loss-free operation sends the same
+// messages however its delays fall: the count bmc measures from a solo run.
 func TestLossFreeRunsNeverRetransmit(t *testing.T) {
 	p := params(5)
 	eng := newEngine(t, p, sim.UniformNetwork{D: p.D}, DefaultConfig(p))
