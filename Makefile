@@ -37,9 +37,11 @@ bench-check:
 # and the verifier's pooled kits: a short run of the engine and runner
 # benchmarks (they must still pass), then tables, fuzz and verify outputs
 # re-generated at different parallelism levels and compared byte for
-# byte. Each worker reuses one node set, table and checker across
-# schedules, so state leaking from one schedule into the next shows as
-# output that depends on how schedules fall to workers.
+# byte. Each command's exit status is pinned too: 1 for the aop-no-eps
+# fuzz (a single-target run that reports a violation), 0 for the rest. A
+# worker reuses one node set, table and checker across schedules, so
+# state leaking from one schedule into the next shows as output that
+# depends on how schedules fall to workers.
 bench-compare:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn|BenchmarkRunnerRun$$' -benchtime 10x -benchmem ./internal/sim/ ./internal/adversary/
 	$(GO) build -o /tmp/lintime-bench-compare ./cmd/lintime
@@ -49,12 +51,14 @@ bench-compare:
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 1 > /tmp/bench-compare-fuzz-p1.txt
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 8 > /tmp/bench-compare-fuzz-p8.txt
 	cmp /tmp/bench-compare-fuzz-p1.txt /tmp/bench-compare-fuzz-p8.txt
-	for args in "verify" "verify -mutant all" "verify -backend quorum -d 8 -u 6 -ops 2" \
-		"fuzz -backend sequencer -budget 300 -seed 1" "fuzz -strong -n 3 -seed 7 -budget 80" \
-		"fuzz -mutant aop-no-eps -budget 500 -seed 1" "fuzz -mutant all -budget 200 -seed 1"; do \
-		/tmp/lintime-bench-compare $$args -parallel 1 > /tmp/bench-compare-p1.txt && \
-		/tmp/lintime-bench-compare $$args -parallel 4 > /tmp/bench-compare-p4.txt && \
-		cmp /tmp/bench-compare-p1.txt /tmp/bench-compare-p4.txt || { echo "bench-compare: lintime $$args differs"; exit 1; }; \
+	for entry in "0 verify" "0 verify -mutant all" "0 verify -backend quorum -d 8 -u 6 -ops 2" \
+		"0 fuzz -backend sequencer -budget 300 -seed 1" "0 fuzz -strong -n 3 -seed 7 -budget 80" \
+		"1 fuzz -mutant aop-no-eps -budget 500 -seed 1" "0 fuzz -mutant all -budget 200 -seed 1"; do \
+		want=$${entry%% *}; args=$${entry#* }; \
+		/tmp/lintime-bench-compare $$args -parallel 1 > /tmp/bench-compare-p1.txt; s1=$$?; \
+		/tmp/lintime-bench-compare $$args -parallel 4 > /tmp/bench-compare-p4.txt; s4=$$?; \
+		[ $$s1 = $$want ] && [ $$s4 = $$want ] && cmp /tmp/bench-compare-p1.txt /tmp/bench-compare-p4.txt || \
+			{ echo "bench-compare: lintime $$args: exit $$s1 at -parallel 1, $$s4 at 4 (want $$want), or outputs differ"; exit 1; }; \
 	done
 	@echo "bench-compare: outputs byte-identical across parallelism levels"
 
@@ -91,7 +95,8 @@ trace-smoke:
 
 # fuzz-smoke runs a deterministic adversarial-schedule campaign: the full
 # mutant kill matrix (the command exits nonzero when the control row is
-# flagged) plus a clean sweep of the corrected algorithm.
+# flagged) plus a sweep of the corrected algorithm, which exits nonzero
+# on any violation.
 fuzz-smoke:
 	$(GO) run ./cmd/lintime fuzz -budget 200 -seed 1 -mutant all
 	$(GO) run ./cmd/lintime fuzz -budget 500 -seed 1
@@ -160,9 +165,10 @@ crash-smoke:
 	@echo "crash-smoke: crash regressions, exhaustive quorum sweep, kill matrices, and crashed-minority load OK"
 
 # verify-smoke is CI's bounded-model-check gate: an exhaustive sweep of
-# the n=2, 3-op smoke space for the corrected algorithm (must be clean,
-# with the four known linearizable-but-not-strongly-linearizable contexts
-# reported by the strong sweep), the exhaustive mutant kill matrix over
+# the n=2, 3-op smoke space for the corrected algorithm (the command
+# exits nonzero unless it is clean; the strong sweep reports the four
+# known linearizable-but-not-strongly-linearizable contexts without
+# failing), the exhaustive mutant kill matrix over
 # the same space, and the pinned goldens for both reports, the kill
 # matrix on every registered data type and the strong-linearizability
 # fork hunt. TestGoldenVerifyTimers also checks that a target's Timers

@@ -157,14 +157,14 @@ func BenchmarkTheorem5(b *testing.B) {
 	p := benchParams()
 	m := bounds.MinPairFree(p)
 	for i := 0; i < b.N; i++ {
-		rep, err := lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m-1)
+		rep, err := lowerbound.Theorem5(p, "queue", "enqueue", "peek", p.D-2*m, 3*m-1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !rep.ViolationFound {
 			b.Fatal("Theorem 5: expected violation below the bound")
 		}
-		rep, err = lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m)
+		rep, err = lowerbound.Theorem5(p, "queue", "enqueue", "peek", p.D-2*m, 3*m)
 		if err != nil {
 			b.Fatal(err)
 		}

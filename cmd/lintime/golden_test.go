@@ -49,6 +49,27 @@ func captureStdout(t *testing.T, f func() error) string {
 	return out
 }
 
+// captureViolating is captureStdout for a single-target fuzz or verify
+// whose report holds violations: the command must fail, saying so.
+func captureViolating(t *testing.T, f func() error) string {
+	t.Helper()
+	var err error
+	out := captureStdout(t, func() error { err = f(); return nil })
+	if err == nil || !strings.Contains(err.Error(), " violations (the first is ") {
+		t.Fatalf("want the command to fail on its violations, got %v\noutput:\n%s", err, out)
+	}
+	return out
+}
+
+// TestSingleTargetVerdictIsExitStatus: a single-target verify or fuzz
+// fails when its report holds a violation, a -mutant run included, and
+// succeeds on a clean sweep of the correct algorithm.
+func TestSingleTargetVerdictIsExitStatus(t *testing.T) {
+	captureViolating(t, func() error { return cmdVerify([]string{"-mutant", "mop-zero"}) })
+	captureViolating(t, func() error { return cmdFuzz([]string{"-mutant", "exec-no-eps", "-budget", "50"}) })
+	captureStdout(t, func() error { return cmdVerify(nil) })
+}
+
 // checkGolden compares output against testdata/<name>.golden, rewriting
 // it under -update.
 func checkGolden(t *testing.T, name, got string) {
@@ -92,24 +113,25 @@ func TestGoldenLowerbound(t *testing.T) {
 }
 
 // TestGoldenLowerboundAll pins every construction — Theorems 2 and 4 on
-// each op of every type in their class, Theorems 3 and 5 on each stock
-// scenario — twice: at the default budget (bound-1) and at the bound
-// itself. It adds Theorems 4 and 5 in the 2m ≤ u regime where the
-// written proof does not apply, and Theorem 3 at k = 2.
+// each op of every type in their class, Theorem 5 on each pair classify
+// accepts, Theorem 3 on each stock scenario — twice: at the default
+// budget (bound-1) and at the bound itself. It adds Theorems 4 and 5 in
+// the 2m ≤ u regime where the written proof does not apply, and Theorem
+// 3 at k = 2.
 func TestGoldenLowerboundAll(t *testing.T) {
 	var out strings.Builder
 	run := func(args ...string) {
 		out.WriteString("$ lintime lowerbound " + strings.Join(args, " ") + "\n")
 		out.WriteString(captureStdout(t, func() error { return cmdLowerbound(args) }))
 	}
-	types := lowerbound.ScenarioTypes()
+	types := map[int][]string{3: lowerbound.ScenarioTypes()}
 	for _, name := range adt.Names() {
 		dt, err := adt.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep := classify.Classify(dt, classify.DefaultConfig())
-		for _, thm := range []int{2, 4} {
+		for _, thm := range []int{2, 4, 5} {
 			if len(lowerbound.Ops(thm, rep)) > 0 {
 				types[thm] = append(types[thm], name)
 			}
@@ -189,14 +211,14 @@ func TestGoldenClassifyFigure11(t *testing.T) {
 // all deterministic functions of (seed, budget).
 func TestGoldenFuzz(t *testing.T) {
 	args := []string{"-budget", "100", "-seed", "7", "-mutant", "aop-no-eps"}
-	got := captureStdout(t, func() error {
+	got := captureViolating(t, func() error {
 		return cmdFuzz(args)
 	})
 	checkGolden(t, "fuzz-aop-no-eps", got)
 
 	// The same campaign must be byte-identical at every parallelism level.
 	for _, par := range []string{"1", "4"} {
-		out := captureStdout(t, func() error {
+		out := captureViolating(t, func() error {
 			return cmdFuzz(append([]string{"-parallel", par}, args...))
 		})
 		if out != got {

@@ -126,6 +126,9 @@ commands:
               completeness, convergence, and strong linearizability;
               -mutant all re-proves the kill matrix exhaustively; -json
               emits the machine-readable report
+              fuzz and verify on one target (-mutant M too) exit 1 on a
+              non-linearizable, incomplete or diverged run, -mutant all when
+              its control row dies; strong findings are only reported
   serve       boot an n-replica real-time cluster behind the LTW1 binary
               protocol over TCP; SIGINT drains gracefully (pending
               operations complete) and prints latency statistics
@@ -319,6 +322,8 @@ func cmdClassify(args []string) error {
 	// printed and executed count, by theorem, the derived lower bounds and
 	// those that lintime lowerbound runs a construction for.
 	var printed, executed [5]int
+	// pairs counts (mutator, pure accessor) pairs, sums Theorem 5's runs.
+	var pairs, sums int
 	for _, name := range names {
 		dt, err := adt.Lookup(name)
 		if err != nil {
@@ -338,6 +343,9 @@ func cmdClassify(args []string) error {
 				}
 			}
 		}
+		// The Theorem 5 pairs lintime lowerbound runs on, with witnesses.
+		thm5 := classify.NewExplorer(dt, classify.DefaultConfig()).Theorem5Pairs()
+		sums += len(thm5)
 		if *witnesses {
 			fmt.Println("  witnesses:")
 			for _, op := range rep.Ops {
@@ -354,12 +362,24 @@ func cmdClassify(args []string) error {
 					fmt.Printf("    %s is %d-last-sensitive: %s\n", op.Op, op.LastSensitiveK, op.LastWitness)
 				}
 			}
+			for _, w := range thm5 {
+				fmt.Printf("    %s is a Thm 5 pair:     %s\n", w.Pair(), w)
+			}
 		}
 		fmt.Println()
+		for _, op := range rep.Ops {
+			for _, aop := range rep.Ops {
+				if op.Mutator && aop.Class == classify.PureAccessor {
+					pairs++
+				}
+			}
+		}
 	}
 	fmt.Printf("lower bounds executed by lintime lowerbound: %d of %d (Thm 2 %d/%d, Thm 3 %d/%d, Thm 4 %d/%d)\n",
 		executed[2]+executed[3]+executed[4], printed[2]+printed[3]+printed[4],
 		executed[2], printed[2], executed[3], printed[3], executed[4], printed[4])
+	fmt.Printf("Thm 5 sum bounds executed by lintime lowerbound: %d of %d (mutator, pure accessor) pairs\n",
+		sums, pairs)
 	return nil
 }
 
@@ -369,10 +389,10 @@ func cmdLowerbound(args []string) error {
 	thm := fs.Int("thm", 0, "theorem to run (2, 3, 4 or 5; 0 = all)")
 	budget := fs.Int64("budget", -1, "forced operation latency (default bound-1)")
 	k := fs.Int("k", 0, "Theorem 3's k (default n; only with -thm 3 or 0)")
-	theorems, stock := []int{2, 3, 4, 5}, lowerbound.ScenarioTypes()
+	theorems := []int{2, 3, 4, 5}
 	typeName := fs.String("type", "queue", fmt.Sprintf("data type; with -thm 0, theorems that run on none of its ops are skipped "+
-		"(theorem 2: each %s; theorem 3: %s; theorem 4: each %s; theorem 5: %s)",
-		lowerbound.Class(2), strings.Join(stock[3], ", "), lowerbound.Class(4), strings.Join(stock[5], ", ")))
+		"(theorem 2: each %s; theorem 3: %s; theorem 4: each %s; theorem 5: each %s)",
+		lowerbound.Class(2), strings.Join(lowerbound.ScenarioTypes(), ", "), lowerbound.Class(4), lowerbound.Class(5)))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -415,7 +435,8 @@ func cmdLowerbound(args []string) error {
 		}
 		// The mutator takes d-2m of the sum, the accessor the rest.
 		opBudget := p.D - 2*bounds.MinPairFree(p)
-		return lowerbound.Theorem5(p, *typeName, opBudget, budgetOr(bounds.SumDiscriminated(p))-opBudget)
+		mutator, accessor, _ := strings.Cut(op, "+")
+		return lowerbound.Theorem5(p, *typeName, mutator, accessor, opBudget, budgetOr(bounds.SumDiscriminated(p))-opBudget)
 	}
 	for _, theorem := range theorems {
 		ops := lowerbound.Ops(theorem, cls)
@@ -643,6 +664,9 @@ func cmdFuzz(args []string) error {
 		if err := adversary.WriteReport(os.Stdout, runner, rep); err != nil {
 			return err
 		}
+		if n := len(rep.Violations); n > 0 {
+			gate = fmt.Errorf("fuzz: %d violations (the first is %s)", n, rep.Violations[0].Kind)
+		}
 	}
 	if err := ob.flush(); err != nil {
 		return err
@@ -725,6 +749,9 @@ func cmdVerify(args []string) error {
 			if err := bmc.WriteReport(os.Stdout, runner, rep); err != nil {
 				return err
 			}
+		}
+		if !rep.OK {
+			gate = fmt.Errorf("verify: %d violations (the first is %s)", rep.ViolationsTotal, rep.Violations[0].Kind)
 		}
 	}
 	if err := ob.flush(); err != nil {

@@ -39,8 +39,8 @@ func main() {
 	show(lowerbound.Theorem4(p, "queue", "dequeue", p.D+m))
 
 	fmt.Println("=== Theorem 5: discriminated mutator+accessor sums need d+m ===")
-	show(lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m-1))
-	show(lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m))
+	show(lowerbound.Theorem5(p, "queue", "enqueue", "peek", p.D-2*m, 3*m-1))
+	show(lowerbound.Theorem5(p, "queue", "enqueue", "peek", p.D-2*m, 3*m))
 }
 
 func show(rep *lowerbound.Report, err error) {

@@ -155,7 +155,9 @@ func TestAllTheoremsAtCanonicalConfig(t *testing.T) {
 		{"thm2", func() (*lowerbound.Report, error) { return lowerbound.Theorem2(p, "queue", "peek", p.U/4-1) }},
 		{"thm3", func() (*lowerbound.Report, error) { return lowerbound.Theorem3(p, "queue", p.N, p.U-p.U/kd-1) }},
 		{"thm4", func() (*lowerbound.Report, error) { return lowerbound.Theorem4(p, "queue", "dequeue", p.D+m-1) }},
-		{"thm5", func() (*lowerbound.Report, error) { return lowerbound.Theorem5(p, "queue", p.D-2*m, 3*m-1) }},
+		{"thm5", func() (*lowerbound.Report, error) {
+			return lowerbound.Theorem5(p, "queue", "enqueue", "peek", p.D-2*m, 3*m-1)
+		}},
 	}
 	for _, r := range runs {
 		rep, err := r.f()

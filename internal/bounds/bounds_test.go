@@ -245,3 +245,58 @@ func TestUpperFromClass(t *testing.T) {
 		t.Error("paper accessor upper wrong")
 	}
 }
+
+// TestTableSumRowsMatchTheorem5 pins every mutator+accessor sum row of
+// Tables 1-4 against classify's Theorem 5 predicate, on each data type
+// the row covers. A row prints the Thm 5 bound exactly when some variant
+// accepts its pair, except delete+depth: the paper claims it, neither
+// tree variant has the discriminators, and the row's note says so.
+func TestTableSumRowsMatchTheorem5(t *testing.T) {
+	p := tp()
+	accepts := map[string]map[string]bool{ // row → type → accepted
+		"write+read":   {"register": false, "rmwregister": false},
+		"enqueue+peek": {"queue": true},
+		"push+peek":    {"stack": false},
+		"insert+depth": {"tree": false, "treefw": true},
+		"delete+depth": {"tree": false, "treefw": false},
+	}
+	rows := 0
+	for _, table := range AllTables(p)[:4] {
+		for _, row := range table.Rows {
+			op, aop, sum := strings.Cut(row.Operation, "+")
+			if !sum {
+				continue
+			}
+			rows++
+			types, ok := accepts[row.Operation]
+			if !ok {
+				t.Errorf("table %d row %s: no Theorem 5 expectation", table.Number, row.Operation)
+				continue
+			}
+			accepted := false
+			for name, want := range types {
+				dt, err := adt.Lookup(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, got := classify.NewExplorer(dt, classify.DefaultConfig()).Theorem5Applicable(op, aop)
+				if got != want {
+					t.Errorf("%s %s: Theorem 5 applies = %v, want %v", name, row.Operation, got, want)
+				}
+				accepted = accepted || got
+			}
+			claimed := row.NewLower.Defined() && row.NewLower.Source == "Thm 5"
+			if row.Operation == "delete+depth" {
+				if !claimed || !strings.Contains(row.Note, "paper claims") {
+					t.Errorf("delete+depth must print the paper's Thm 5 claim and say in its note that it is the paper's: %+v", row)
+				}
+			} else if claimed != accepted {
+				t.Errorf("table %d row %s prints a Thm 5 bound = %v, but classify accepts the pair = %v",
+					table.Number, row.Operation, claimed, accepted)
+			}
+		}
+	}
+	if rows != len(accepts) {
+		t.Errorf("Tables 1-4 have %d sum rows, want %d", rows, len(accepts))
+	}
+}

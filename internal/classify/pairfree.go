@@ -77,20 +77,32 @@ type Theorem5Witness struct {
 	Disc0 Discriminator
 	// Disc1 discriminates ρ.op1 from ρ.op0.op1.
 	Disc1 Discriminator
-	// Disc2 discriminates ρ.op0.op1 from ρ.op1.
+	// Disc2 discriminates ρ.op0.op1 from ρ.op1.op0: the accessor tells
+	// the two orders of the instances apart.
 	Disc2 Discriminator
+}
+
+// Pair names the witnessed pair as OP+AOP, the way the paper's tables
+// name a sum row.
+func (w Theorem5Witness) Pair() string { return w.Op0.Op + "+" + w.Disc1.A.Op }
+
+// String renders the witness.
+func (w Theorem5Witness) String() string {
+	return fmt.Sprintf("ρ=%s; op0=%s, op1=%s; discriminators %s %s %s",
+		spec.FormatSeq(w.Rho), w.Op0, w.Op1, w.Disc0, w.Disc1, w.Disc2)
 }
 
 // Theorem5Applicable searches for a Theorem 5 witness for the pair
 // (op, aop): op must be transposable, aop a pure accessor, and there must
 // exist ρ, op0, op1 with the three discriminators. The paper's example is
 // (enqueue, peek) on a queue; (push, peek) on a stack has no witness
-// because peek depends only on the last push.
+// because peek depends only on the last push, nor has a pair whose
+// instances commute, since no accessor can tell their orders apart.
 func (e *Explorer) Theorem5Applicable(op, aop string) (Theorem5Witness, bool) {
-	if trans, _ := e.IsTransposable(op); !trans {
+	if !e.IsPureAccessor(aop) {
 		return Theorem5Witness{}, false
 	}
-	if !e.IsPureAccessor(aop) {
+	if trans, _ := e.IsTransposable(op); !trans {
 		return Theorem5Witness{}, false
 	}
 	for id, rs := range e.states {
@@ -113,7 +125,7 @@ func (e *Explorer) Theorem5Applicable(op, aop string) (Theorem5Witness, bool) {
 				if !ok1 {
 					continue
 				}
-				d2, ok2 := e.discriminator(aop, after01, after1)
+				d2, ok2 := e.discriminator(aop, after01, after10)
 				if !ok2 {
 					continue
 				}
@@ -129,4 +141,18 @@ func (e *Explorer) Theorem5Applicable(op, aop string) (Theorem5Witness, bool) {
 		}
 	}
 	return Theorem5Witness{}, false
+}
+
+// Theorem5Pairs returns a witness for every (op, aop) pair of the data
+// type that satisfies Theorem 5, in op order.
+func (e *Explorer) Theorem5Pairs() []Theorem5Witness {
+	var out []Theorem5Witness
+	for _, op := range e.dt.Ops() {
+		for _, aop := range e.dt.Ops() {
+			if w, ok := e.Theorem5Applicable(op.Name, aop.Name); ok {
+				out = append(out, w)
+			}
+		}
+	}
+	return out
 }

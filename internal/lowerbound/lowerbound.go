@@ -21,8 +21,9 @@
 // message-chain bound on when p1 can first hear of p0, and judge records
 // the checker's verdict. Each theorem file is then only its run schedule
 // and the order in which its proof applies these moves. Theorems 2 and 4
-// take their scenario from classify's witness for the op, Theorems 3 and
-// 5 from the stock tables in scenarios.go.
+// take their scenario from classify's witness for the op, Theorem 5 from
+// its witness for the pair, and Theorem 3 from the stock table in
+// scenarios.go.
 package lowerbound
 
 import (
@@ -132,7 +133,6 @@ func delays(n int, d, m simtime.Duration, fast func(from, to int) bool) *sim.Pai
 type kit struct {
 	p      simtime.Params
 	dt     spec.DataType
-	cls    classify.Report
 	net    *sim.PairwiseNetwork
 	runner *adversary.Runner
 	rep    *Report
@@ -147,13 +147,13 @@ func newKit(p simtime.Params, rep *Report, timers core.Timers, net *sim.Pairwise
 		return nil, err
 	}
 	runner := &adversary.Runner{Params: p, DT: dt, Target: adversary.Target{Timers: &timers}}
-	return &kit{p: p, dt: dt, cls: classify.Classify(dt, classify.DefaultConfig()), net: net, runner: runner, rep: rep}, nil
+	return &kit{p: p, dt: dt, net: net, runner: runner, rep: rep}, nil
 }
 
 // scenario is classify's witness that the report's op is in Theorem
 // thm's class: the scenario the construction runs.
 func (k *kit) scenario(thm int) (classify.Witness, error) {
-	o, ok := k.cls.Find(k.rep.Op)
+	o, ok := classify.Classify(k.dt, classify.DefaultConfig()).Find(k.rep.Op)
 	if !ok {
 		return classify.Witness{}, fmt.Errorf("lowerbound: type %s has no op %q", k.rep.DataType, k.rep.Op)
 	}

@@ -8,8 +8,10 @@ import (
 	"lintime/internal/spec"
 )
 
-// Class names the operation class Theorem thm (2 or 4) runs on.
-func Class(thm int) string { return map[int]string{2: "pure accessor", 4: "pair-free op"}[thm] }
+// Class names what Theorem thm (2, 4 or 5) runs on.
+func Class(thm int) string {
+	return map[int]string{2: "pure accessor", 4: "pair-free op", 5: "(mutator, accessor) pair with discriminators"}[thm]
+}
 
 // witness is classify's witness that o is in Theorem thm's class, and
 // whether it is. Theorems 2 and 4 run on every op in their class, with
@@ -21,16 +23,26 @@ func witness(thm int, o classify.OpReport) (classify.Witness, bool) {
 	return o.PairFreeWitness, thm == 4 && o.PairFree
 }
 
-// Ops lists, in the type's op order, the ops of a classified type that
-// Theorem thm runs on: for Theorems 2 and 4 each op that classify puts in
-// the theorem's class, for Theorems 3 and 5 the mutator of the type's
-// stock scenario.
+// Ops lists, in the type's op order, what Theorem thm runs on in a
+// classified type, named as the theorem's reports name it: for Theorems
+// 2 and 4 each op that classify puts in the theorem's class, for Theorem
+// 3 the mutator of the type's stock scenario, and for Theorem 5 each pair
+// that classify accepts, as op+aop.
 func Ops(thm int, rep classify.Report) []string {
-	sc3, _ := findScenario(3, Thm3Scenarios(), rep.Type)
-	sc5, _ := findScenario(5, Thm5Scenarios(), rep.Type)
 	var ops []string
+	if thm == 5 {
+		dt, err := adt.Lookup(rep.Type)
+		if err != nil {
+			return nil
+		}
+		for _, w := range classify.NewExplorer(dt, classify.DefaultConfig()).Theorem5Pairs() {
+			ops = append(ops, w.Pair())
+		}
+		return ops
+	}
+	sc3, _ := thm3Scenario(rep.Type)
 	for _, o := range rep.Ops {
-		if _, in := witness(thm, o); in || thm == 3 && o.Op == sc3.Op || thm == 5 && o.Op == sc5.Op {
+		if _, in := witness(thm, o); in || thm == 3 && o.Op == sc3.Op {
 			ops = append(ops, o.Op)
 		}
 	}
@@ -178,69 +190,22 @@ func treeRho(k int) []spec.Instance {
 	return out
 }
 
-// Thm5Scenario instantiates Theorem 5 for a concrete (transposable
-// mutator, discriminating pure accessor) pair: two distinct mutator
-// instances legal after ρ, and an accessor argument whose response
-// discriminates the orders per the theorem's hypotheses.
-type Thm5Scenario struct {
-	TypeName string
-	Rho      []spec.Instance
-	Op       string
-	Op0Arg   spec.Value
-	Op1Arg   spec.Value
-	AOP      string
-	AOPArg   spec.Value
-}
-
-// Thm5Scenarios are the stock Theorem 5 specializations: the paper's
-// (enqueue, peek) example, the first-wins tree's (insert, depth) from
-// Table 4, and the deque's (pushback, front).
-func Thm5Scenarios() []Thm5Scenario {
-	return []Thm5Scenario{
-		{TypeName: "queue", Op: adt.OpEnqueue, Op0Arg: 1, Op1Arg: 2, AOP: adt.OpPeek},
-		{
-			TypeName: "treefw",
-			Rho: []spec.Instance{
-				{Op: adt.OpInsert, Arg: adt.Edge{P: 0, C: 1}},
-				{Op: adt.OpInsert, Arg: adt.Edge{P: 1, C: 3}},
-			},
-			Op:     adt.OpInsert,
-			Op0Arg: adt.Edge{P: 1, C: 2}, // first-wins: winner fixes depth(2)
-			Op1Arg: adt.Edge{P: 3, C: 2},
-			AOP:    adt.OpDepth,
-			AOPArg: 2,
-		},
-		{TypeName: "deque", Op: adt.OpPushBack, Op0Arg: 1, Op1Arg: 2, AOP: adt.OpFront},
-	}
-}
-
-// scenario is what every theorem's stock scenario type shares.
-type scenario interface{ typeName() string }
-
-func (sc Thm3Scenario) typeName() string { return sc.TypeName }
-func (sc Thm5Scenario) typeName() string { return sc.TypeName }
-
-// findScenario returns Theorem thm's stock scenario for a type.
-func findScenario[S scenario](thm int, scenarios []S, typeName string) (S, error) {
-	for _, sc := range scenarios {
-		if sc.typeName() == typeName {
+// thm3Scenario returns Theorem 3's stock scenario for a type.
+func thm3Scenario(typeName string) (Thm3Scenario, error) {
+	for _, sc := range Thm3Scenarios() {
+		if sc.TypeName == typeName {
 			return sc, nil
 		}
 	}
-	var none S
-	return none, fmt.Errorf("lowerbound: no Theorem %d scenario for type %q", thm, typeName)
+	return Thm3Scenario{}, fmt.Errorf("lowerbound: no Theorem 3 scenario for type %q", typeName)
 }
 
-// ScenarioTypes maps Theorems 3 and 5 to the types that have a stock
-// scenario for them, in table order.
-func ScenarioTypes() map[int][]string {
-	return map[int][]string{3: typeNames(Thm3Scenarios()), 5: typeNames(Thm5Scenarios())}
-}
-
-func typeNames[S scenario](scenarios []S) []string {
-	out := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		out[i] = sc.typeName()
+// ScenarioTypes lists the types that have a stock Theorem 3 scenario, in
+// table order.
+func ScenarioTypes() []string {
+	var out []string
+	for _, sc := range Thm3Scenarios() {
+		out = append(out, sc.TypeName)
 	}
 	return out
 }

@@ -103,37 +103,29 @@ func TestTheorem4AcrossTypes(t *testing.T) {
 	})
 }
 
-// TestTheorem5AcrossTypes: (enqueue, peek) on the queue — the paper's
-// example — plus (insert, depth) on the first-wins tree (Table 4's
-// insert+depth row) and (pushback, front) on the deque.
+// TestTheorem5AcrossTypes validates every Theorem 5 bound classify
+// prints: the construction, built from the witness of each of the 5 pairs
+// classify accepts, flips at the sum bound d+m.
 func TestTheorem5AcrossTypes(t *testing.T) {
 	p := lbParams()
 	m := bounds.MinPairFree(p)
-	for _, sc := range Thm5Scenarios() {
-		sc := sc
-		t.Run(sc.TypeName, func(t *testing.T) {
-			rep, err := Theorem5(p, sc.TypeName, p.D-2*m, 3*m-1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.ViolationFound {
-				t.Errorf("below bound: expected violation:\n%s", rep)
-			}
-			rep, err = Theorem5(p, sc.TypeName, p.D-2*m, 3*m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.ViolationFound {
-				t.Errorf("at bound: unexpected violation:\n%s", rep)
-			}
-		})
-	}
+	acrossTypes(t, 5, 5, p.D+m, func(typeName, pair string, budget simtime.Duration) (*Report, error) {
+		op, aop, _ := strings.Cut(pair, "+")
+		return Theorem5(p, typeName, op, aop, p.D-2*m, budget-(p.D-2*m))
+	})
 }
 
+// TestTheorem5OnUnknownType: an unknown type, and a pair outside Theorem
+// 5's hypotheses, are refused; the error names the pair.
 func TestTheorem5OnUnknownType(t *testing.T) {
-	p := lbParams()
-	if _, err := Theorem5(p, "register", 100, 100); err == nil {
-		t.Error("types without a Theorem 5 scenario should error")
+	for _, args := range [][3]string{{"register", "write", "read"}, {"stack", "push", "peek"}, {"queue", "bogus", "peek"}} {
+		_, err := Theorem5(lbParams(), args[0], args[1], args[2], 100, 100)
+		if pair := args[0] + "." + args[1] + "+" + args[2]; err == nil || !strings.Contains(err.Error(), pair) {
+			t.Errorf("Theorem 5 on %s: want an error naming the pair, got %v", pair, err)
+		}
+	}
+	if _, err := Theorem5(lbParams(), "bogus", "enqueue", "peek", 100, 100); err == nil {
+		t.Error("Theorem 5 on an unknown type should error")
 	}
 }
 

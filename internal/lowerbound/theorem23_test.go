@@ -147,7 +147,7 @@ func TestOversizedBudgetsReport(t *testing.T) {
 		{"thm3 k=n", func() (*Report, error) { return Theorem3(lbParams(), "queue", lbParams().N, 200000) }},
 		{"thm3 k=2 small", func() (*Report, error) { return Theorem3(small, "queue", 2, 8064) }},
 		{"thm3 tree", func() (*Report, error) { return Theorem3(lbParams(), "tree", 3, 80000) }},
-		{"thm5 treefw", func() (*Report, error) { return Theorem5(lbParams(), "treefw", 100000, 10) }},
+		{"thm5 treefw", func() (*Report, error) { return Theorem5(lbParams(), "treefw", "insert", "depth", 100000, 10) }},
 	} {
 		rep, err := tc.run()
 		if err != nil {

@@ -26,7 +26,7 @@ import (
 // is invoked — forcing op_z to linearize before it, contradicting the
 // probes that reveal op_z last.
 func Theorem3(p simtime.Params, typeName string, k int, budget simtime.Duration) (*Report, error) {
-	sc, err := findScenario(3, Thm3Scenarios(), typeName)
+	sc, err := thm3Scenario(typeName)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@ package lowerbound
 import (
 	"fmt"
 
+	"lintime/internal/adt"
 	"lintime/internal/adversary"
 	"lintime/internal/bounds"
+	"lintime/internal/classify"
 	"lintime/internal/core"
 	"lintime/internal/lincheck"
 	"lintime/internal/shift"
@@ -14,25 +16,37 @@ import (
 )
 
 // Theorem5 mechanizes the transposable-mutator + discriminating-accessor
-// sum bound |OP| + |AOP| ≥ d + min{ε, u, d/3} (Theorem 5) on the named
-// data type's stock scenario (Thm5Scenarios; the queue's is the paper's
-// own example pair, enqueue and peek).
+// sum bound |OP| + |AOP| ≥ d + min{ε, u, d/3} (Theorem 5) on a pair
+// (op, aop) of the named type, from classify's witness: a prefix ρ, two
+// instances op0 and op1 of op legal after it, and aop's discriminators.
+// The paper's own example is (enqueue, peek) on the queue.
 //
-// Construction: p0 and p1 concurrently invoke the two mutator instances
-// after ρ; accessors at p0, p1 and (m later) p2 observe the order. Our
-// Algorithm 1 linearizes p0's instance first (timestamp order), so we run
-// the proof's symmetric case: shift p0 later by m, chop the now-invalid
-// p0→p1 delay, and complete p1's chopped accessor with its physical value
-// from the control run in which p0 never invokes — p1 cannot distinguish
-// the two within its response time. The completed history pits the
-// discriminators against each other: p1's accessor says op1 came first
-// while p0's and p2's say op0 did — no linearization exists when the
-// budget sum is below d+m.
-func Theorem5(p simtime.Params, typeName string, budgetOp, budgetAop simtime.Duration) (*Report, error) {
-	sc, err := findScenario(5, Thm5Scenarios(), typeName)
+// Construction: p0 and p1 concurrently invoke op0 and op1 after ρ;
+// accessors at p0, p1 and (m later) p2 observe the order. Our Algorithm 1
+// linearizes p0's instance first (timestamp order), so we run the proof's
+// symmetric case: shift p0 later by m, chop the now-invalid p0→p1 delay,
+// and complete p1's chopped accessor with its physical value from the
+// control run in which p0 never invokes — p1 cannot distinguish the two
+// within its response time. p1's accessor (Disc1's argument) then says
+// op1 came first, p0's and p2's (Disc2's) that op0 did: no linearization
+// exists when the budget sum is below d+m. Swapping op0 and op1 gives the
+// proof's other case.
+func Theorem5(p simtime.Params, typeName, opName, aopName string, budgetOp, budgetAop simtime.Duration) (*Report, error) {
+	dt, err := adt.Lookup(typeName)
 	if err != nil {
 		return nil, err
 	}
+	w, ok := classify.NewExplorer(dt, classify.DefaultConfig()).Theorem5Applicable(opName, aopName)
+	if !ok {
+		return nil, fmt.Errorf("lowerbound: classify gives %s.%s+%s no Theorem 5 bound: it is not a %s",
+			typeName, opName, aopName, Class(5))
+	}
+	return theorem5(p, typeName, w, budgetOp, budgetAop)
+}
+
+// theorem5 runs the construction on a witness, in the order it names.
+func theorem5(p simtime.Params, typeName string, w classify.Theorem5Witness, budgetOp, budgetAop simtime.Duration) (*Report, error) {
+	opName, aopName := w.Op0.Op, w.Disc1.A.Op
 	if p.N < 3 {
 		return nil, fmt.Errorf("lowerbound: Theorem 5 demo needs n ≥ 3, got %d", p.N)
 	}
@@ -41,7 +55,7 @@ func Theorem5(p simtime.Params, typeName string, budgetOp, budgetAop simtime.Dur
 		return nil, fmt.Errorf("lowerbound: need m = min{ε,u,d/3} > 0")
 	}
 	budget := budgetOp + budgetAop
-	rep := &Report{Theorem: "Theorem 5", DataType: sc.TypeName, Op: sc.Op + "+" + sc.AOP,
+	rep := &Report{Theorem: "Theorem 5", DataType: typeName, Op: opName + "+" + aopName,
 		Budget: budget, Bound: bounds.SumDiscriminated(p).Value}
 	if budgetAop < 1 || budgetOp < 1 {
 		return nil, fmt.Errorf("lowerbound: budgets must be positive")
@@ -55,22 +69,24 @@ func Theorem5(p simtime.Params, typeName string, budgetOp, budgetAop simtime.Dur
 	if err != nil {
 		return nil, err
 	}
+	op0, op1 := spec.Invocation{Op: opName, Arg: w.Op0.Arg}, spec.Invocation{Op: opName, Arg: w.Op1.Arg}
+	aop1, order := spec.Invocation{Op: aopName, Arg: w.Disc1.A.Arg}, spec.Invocation{Op: aopName, Arg: w.Disc2.A.Arg}
 	// ρ's mutators (forced to budgetOp) run one at a time at p0.
 	gap := simtime.Max(p.D+p.U+p.Epsilon, budgetOp+1)
-	t := simtime.Time(simtime.Duration(len(sc.Rho)+1) * gap)
+	t := simtime.Time(simtime.Duration(len(w.Rho)+1) * gap)
 	tMax := t.Add(budgetOp)
-	rho := rhoPlan(sc.Rho, gap)
-	p1Plan := []adversary.PlannedOp{at(t, sc.Op, sc.Op1Arg), at(tMax, sc.AOP, sc.AOPArg)}
-	p2Plan := []adversary.PlannedOp{at(tMax.Add(m), sc.AOP, sc.AOPArg)}
+	rho := rhoPlan(w.Rho, gap)
+	p1Plan := []adversary.PlannedOp{at(t, op1.Op, op1.Arg), at(tMax, aop1.Op, aop1.Arg)}
+	p2Plan := []adversary.PlannedOp{at(tMax.Add(m), order.Op, order.Arg)}
 
 	// --- R1: the full concurrent scenario. ---
-	r1, err := kt.run(nil, append(rho, at(t, sc.Op, sc.Op0Arg), at(tMax, sc.AOP, sc.AOPArg)), p1Plan, p2Plan)
+	r1, err := kt.run(nil, append(rho, at(t, op0.Op, op0.Arg), at(tMax, order.Op, order.Arg)), p1Plan, p2Plan)
 	if err != nil {
 		return nil, err
 	}
-	rep.logf("R1: %s(%s)@p0 and %s(%s)@p1 at %v; %s at p0/p1 (%v) and p2 (%v): values %v/%v/%v",
-		sc.Op, spec.FormatValue(sc.Op0Arg), sc.Op, spec.FormatValue(sc.Op1Arg), t,
-		sc.AOP, tMax, tMax.Add(m), r1.OpsOf(0)[len(rho)+1].Ret, r1.OpsOf(1)[1].Ret, r1.OpsOf(2)[0].Ret)
+	rep.logf("R1: %v@p0 and %v@p1 at %v; %v at p0 (%v) and p2 (%v), %v at p1: values %v/%v/%v",
+		op0, op1, t, order, tMax, tMax.Add(m), aop1,
+		r1.OpsOf(0)[len(rho)+1].Ret, r1.OpsOf(2)[0].Ret, r1.OpsOf(1)[1].Ret)
 	if !lincheck.CheckTrace(kt.dt, r1).Linearizable {
 		rep.ViolationFound = true
 		return rep.stop("R1 itself is not linearizable — the too-fast algorithm already fails without shifting")
@@ -86,18 +102,18 @@ func Theorem5(p simtime.Params, typeName string, budgetOp, budgetAop simtime.Dur
 	}
 	// Claim 8 (mirrored): op0, op1, aop0, aop2 survive complete; aop1 is
 	// chopped pending.
-	op0Rec, op0OK := completed(s1, 0, sc.Op)
-	_, op1OK := completed(s1, 1, sc.Op)
-	aop0Rec, aop0OK := completed(s1, 0, sc.AOP)
-	aop2Rec, aop2OK := completed(s1, 2, sc.AOP)
+	op0Rec, op0OK := completed(s1, 0, opName)
+	_, op1OK := completed(s1, 1, opName)
+	aop0Rec, aop0OK := completed(s1, 0, aopName)
+	aop2Rec, aop2OK := completed(s1, 2, aopName)
 	if !op0OK || !op1OK || !aop0OK || !aop2OK {
 		return rep.stop("chop removed a required operation (op0=%v op1=%v aop0=%v aop2=%v) — budget does not beat the bound",
 			op0OK, op1OK, aop0OK, aop2OK)
 	}
-	if _, ok := completed(s1, 1, sc.AOP); ok {
+	if _, ok := completed(s1, 1, aopName); ok {
 		return rep.stop("aop1 survived the chop complete — budget does not beat the bound")
 	}
-	if _, ok := findOp(s1, 1, sc.AOP); !ok {
+	if _, ok := findOp(s1, 1, aopName); !ok {
 		return rep.stop("aop1 was dropped entirely by the chop — budget does not beat the bound")
 	}
 	rep.logf("S1'' = chop(shift(S1, (+m,0,0)), d-m): op0 (%v), op1, aop0=%v, aop2=%v complete; aop1 pending",
@@ -133,7 +149,7 @@ func Theorem5(p simtime.Params, typeName string, budgetOp, budgetAop simtime.Dur
 		}
 	}
 	kt.judge(r2,
-		fmt.Sprintf("R2 is NOT linearizable: the discriminators disagree on which %s came first", sc.Op),
+		fmt.Sprintf("R2 is NOT linearizable: the discriminators disagree on which %s came first", opName),
 		fmt.Sprintf("R2 remains linearizable: budget sum %v ≥ d+m = %v", budget, rep.Bound))
 	return rep, nil
 }
