@@ -45,8 +45,8 @@ bench-check:
 bench-compare:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn|BenchmarkRunnerRun$$' -benchtime 10x -benchmem ./internal/sim/ ./internal/adversary/
 	$(GO) build -o /tmp/lintime-bench-compare ./cmd/lintime
-	/tmp/lintime-bench-compare tables -all -parallel 1 > /tmp/bench-compare-tables-p1.txt
-	/tmp/lintime-bench-compare tables -all -parallel 4 > /tmp/bench-compare-tables-p4.txt
+	/tmp/lintime-bench-compare tables -measured -parallel 1 > /tmp/bench-compare-tables-p1.txt
+	/tmp/lintime-bench-compare tables -measured -parallel 4 > /tmp/bench-compare-tables-p4.txt
 	cmp /tmp/bench-compare-tables-p1.txt /tmp/bench-compare-tables-p4.txt
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 1 > /tmp/bench-compare-fuzz-p1.txt
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 8 > /tmp/bench-compare-fuzz-p8.txt

@@ -39,15 +39,15 @@ func benchTable(b *testing.B, number int) {
 		}
 	}
 	for _, row := range mt.Rows {
-		if row.MeasuredMax >= 0 && row.ExpectedAtX.Defined() && row.MeasuredMax != row.ExpectedAtX.Value {
+		if row.Measured.Max >= 0 && row.Measured.AtX.Defined() && row.Measured.Max != row.Measured.AtX.Value {
 			b.Fatalf("table %d row %s: measured %v != expected %v",
-				number, row.Operation, row.MeasuredMax, row.ExpectedAtX.Value)
+				number, row.Operation, row.Measured.Max, row.Measured.AtX.Value)
 		}
-		if row.BaselineMax > 2*2*p.D { // sums of two ops: ≤ 2·2d
-			b.Fatalf("table %d row %s: baseline %v exceeds twice 2d", number, row.Operation, row.BaselineMax)
+		if row.Measured.Baseline > 2*2*p.D { // sums of two ops: ≤ 2·2d
+			b.Fatalf("table %d row %s: baseline %v exceeds twice 2d", number, row.Operation, row.Measured.Baseline)
 		}
-		if row.MeasuredMax >= 0 {
-			b.ReportMetric(float64(row.MeasuredMax), "vticks_"+metricName(row.Operation))
+		if row.Measured.Max >= 0 {
+			b.ReportMetric(float64(row.Measured.Max), "vticks_"+metricName(row.Operation))
 		}
 	}
 }
@@ -427,7 +427,7 @@ func BenchmarkBoundsTables(b *testing.B) {
 // formed (a smoke test compiled into the bench package).
 func ExampleTable() {
 	p := simtime.Params{N: 5, D: 300, U: 120, Epsilon: 96, X: 96}
-	t := bounds.Table5(p)
+	t, _ := bounds.Evaluate(5, p)
 	fmt.Println(t.Number)
 	// Output: 5
 }

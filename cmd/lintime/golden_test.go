@@ -94,13 +94,11 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenTables pins the closed-form Table 1 output: pure formula
-// evaluation, no randomness.
+// TestGoldenTables pins the five static tables: pure formula
+// evaluation over the classifier's findings, no randomness.
 func TestGoldenTables(t *testing.T) {
-	got := captureStdout(t, func() error {
-		return cmdTables([]string{"-table", "1"})
-	})
-	checkGolden(t, "tables-1", got)
+	got := captureStdout(t, func() error { return cmdTables(nil) })
+	checkGolden(t, "tables", got)
 }
 
 // TestGoldenLowerbound pins the mechanized Theorem 2 construction, which

@@ -1,8 +1,7 @@
 // Command lintime reproduces the paper's results from the command line:
 //
-//	lintime tables              reprint Tables 1-5 (closed-form bounds)
-//	lintime tables -measured    regenerate the tables with measured columns
-//	lintime tables -all         regenerate all five measured tables
+//	lintime tables              Tables 1-5, computed from the classifier
+//	lintime tables -measured    the tables with measured columns added
 //	lintime tables -optimal     measure each op at its per-class optimal X
 //	lintime classify            computed operation classifications
 //	lintime classify -figure11  the computed class diagram (Figure 11)
@@ -101,9 +100,10 @@ func usage() {
 
 commands:
   tables      print the paper's Tables 1-5 evaluated for the model
-              parameters; -measured adds worst-case latencies measured in
-              the simulator and the centralized baseline; -all regenerates
-              every measured table, fanned across -parallel workers
+              parameters, each lower bound computed from the classifier;
+              -measured adds worst-case latencies measured in the
+              simulator and the centralized baseline, fanned across
+              -parallel workers
   classify    print the computed algebraic classification of each data
               type's operations and the bounds derived from it
   lowerbound  execute the mechanized Theorem 2/3/4/5 constructions at a
@@ -186,7 +186,6 @@ func cmdTables(args []string) error {
 	getParams := paramFlags(fs)
 	table := fs.Int("table", 0, "print only this table (1-5)")
 	measured := fs.Bool("measured", false, "run the simulator and add measured columns")
-	all := fs.Bool("all", false, "regenerate all five tables with measured columns")
 	optimal := fs.Bool("optimal", false, "measure each operation at its per-class optimal X (the paper's table entries)")
 	seed := fs.Int64("seed", 1, "workload seed")
 	parallel := parallelFlag(fs)
@@ -212,29 +211,28 @@ func cmdTables(args []string) error {
 		}
 		return stopProfile()
 	}
-	if *all {
-		tables, err := harness.MeasureAllTablesParallel(p, *seed, *parallel)
-		if err != nil {
-			return err
+	var tables []*harness.MeasuredTable
+	switch {
+	case *measured && *table == 0:
+		tables, err = harness.MeasureAllTablesParallel(p, *seed, *parallel)
+	case *measured:
+		var mt *harness.MeasuredTable
+		mt, err = harness.MeasureTableParallel(*table, p, *seed, *parallel)
+		tables = append(tables, mt)
+	case *table == 0:
+		for _, t := range bounds.AllTables(p) {
+			tables = append(tables, &t)
 		}
-		for _, mt := range tables {
-			fmt.Println(mt)
-		}
-		return stopProfile()
+	default:
+		var t bounds.Table
+		t, err = bounds.Evaluate(*table, p)
+		tables = append(tables, &t)
 	}
-	for no := 1; no <= 5; no++ {
-		if *table != 0 && no != *table {
-			continue
-		}
-		if *measured {
-			mt, err := harness.MeasureTableParallel(no, p, *seed, *parallel)
-			if err != nil {
-				return err
-			}
-			fmt.Println(mt)
-		} else {
-			fmt.Println(bounds.AllTables(p)[no-1])
-		}
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
+		fmt.Println(t)
 	}
 	return stopProfile()
 }

@@ -106,7 +106,7 @@ func TestREADMEHeadlineNumbers(t *testing.T) {
 		{"d-X+ε", bounds.UpperAOP(p).Value, 20160},
 		{"d+ε", bounds.UpperOOP(p).Value, 28224},
 		{"d+2ε", bounds.UpperSum(p).Value, 36288},
-		{"2d", bounds.Folklore(p).Value, 40320},
+		{"2d", 2 * p.D, 40320},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -133,11 +133,11 @@ func TestEveryTableRowBacksItsClaim(t *testing.T) {
 			continue // sum rows
 		}
 		derived := bounds.FromClassification(p, opRep, p.N)
-		if derived.Expr != row.NewLower.Expr && row.NewLower.Defined() {
+		if derived.Expr != row.NewLower.Expr {
 			t.Errorf("%s: derived lower %q != table lower %q", row.Operation, derived.Expr, row.NewLower.Expr)
 		}
-		if row.MeasuredMax >= 0 && row.MeasuredMax != row.ExpectedAtX.Value {
-			t.Errorf("%s: measured %v != formula %v", row.Operation, row.MeasuredMax, row.ExpectedAtX.Value)
+		if row.Measured.Max >= 0 && row.Measured.Max != row.Measured.AtX.Value {
+			t.Errorf("%s: measured %v != formula %v", row.Operation, row.Measured.Max, row.Measured.AtX.Value)
 		}
 	}
 }

@@ -95,8 +95,8 @@ var pinnedFingerprints = map[string]string{
 	"rmwregister": "rmw:0 | rmw:1 | rmw:2 | rmw:3 | rmw:4 | rmw:6 | rmw:9 | rmw:14 | rmw:-120 | rmw:-240",
 	"set":         "set: | set:0 | set:0,1 | set:0,1,2 | set:0,1,2,3 | set:1,2,3 | set:2,3 | set:3 | set: | set:-120 | set:",
 	"stack":       "stack: | stack:0 | stack:0,1 | stack:0,1,2 | stack:0,1,2,3 | stack:0,1,2 | stack:0,1,2,-120",
-	"tree":        "tree: | tree:1<0 | tree:1<0,3<1 | tree:1<0,2<0,3<1 | tree:1<0,2<1,3<1 | tree:1<0,2<3,3<1 | tree:1<0,3<1 | tree:1<0",
-	"treefw":      "fwtree: | fwtree:1<0 | fwtree:1<0,3<1 | fwtree:1<0,2<0,3<1 | fwtree:1<0,3<1 | fwtree:1<0",
+	"tree":        "tree: | tree:1<0 | tree:1<0,3<1 | tree:1<0,3<1,5<3 | tree:1<0,2<0,3<1,5<3 | tree:1<0,2<1,3<1,5<3 | tree:1<0,2<3,3<1,5<3 | tree:1<0,2<5,3<1,5<3 | tree:1<0,3<1,5<3",
+	"treefw":      "fwtree: | fwtree:1<0 | fwtree:1<0,3<1 | fwtree:1<0,3<1,5<3 | fwtree:1<0,2<0,3<1,5<3 | fwtree:1<0,3<1,5<3",
 }
 
 const pinnedKeyedQuoting = "keyed{\"q\\\"uote\"=stack:7 \"é\\n\"=stack:-3}"

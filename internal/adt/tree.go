@@ -61,13 +61,14 @@ func (t *Tree) Ops() []spec.OpInfo {
 func (t *Tree) Initial() spec.State { return treeState{parent: map[int]int{}} }
 
 // treeOps is shared by the move-insert and first-wins tree variants. The
-// insert samples include three different parents (0, 1, 3) for the common
-// child 2, which lets the classifier find last-sensitive witnesses with
-// k = 3 under move semantics.
+// insert samples include four different parents (0, 1, 3, 5) for the
+// common child 2, which lets the classifier find last-sensitive witnesses
+// with k = 4 = classify.MaxKSearched under move semantics.
 func treeOps() []spec.OpInfo {
 	return []spec.OpInfo{
 		{Name: OpInsert, Args: []spec.Value{
-			Edge{P: 0, C: 1}, Edge{P: 1, C: 3}, Edge{P: 0, C: 2}, Edge{P: 1, C: 2}, Edge{P: 3, C: 2},
+			Edge{P: 0, C: 1}, Edge{P: 1, C: 3}, Edge{P: 3, C: 5},
+			Edge{P: 0, C: 2}, Edge{P: 1, C: 2}, Edge{P: 3, C: 2}, Edge{P: 5, C: 2},
 		}},
 		{Name: OpDelete, Args: []spec.Value{1, 2, 3}},
 		{Name: OpDepth, Args: []spec.Value{0, 1, 2, 3}},

@@ -46,9 +46,10 @@ func QuarterU(p simtime.Params) Bound {
 	return Bound{Expr: "u/4", Value: p.U / 4, Source: "Thm 2"}
 }
 
-// HalfU is the classic two-instance mutator bound u/2 ([3], [13]).
-func HalfU(p simtime.Params, source string) Bound {
-	return Bound{Expr: "u/2", Value: p.U / 2, Source: source}
+// HalfU is the classic two-instance mutator bound u/2 ([3], [13]); the
+// table that prints it cites the source.
+func HalfU(p simtime.Params) Bound {
+	return Bound{Expr: "u/2", Value: p.U / 2}
 }
 
 // LastSensitive is the k-instance mutator bound (1-1/k)u (Theorem 3).
@@ -76,23 +77,17 @@ func SumDiscriminated(p simtime.Params) Bound {
 	return b
 }
 
-// JustD is the classic interference bound d ([13], [15]).
-func JustD(p simtime.Params, source string) Bound {
-	return Bound{Expr: "d", Value: p.D, Source: source}
+// JustD is the classic interference bound d ([13], [15]); the table that
+// prints it cites the source.
+func JustD(p simtime.Params) Bound {
+	return Bound{Expr: "d", Value: p.D}
 }
 
-// Upper bounds of Algorithm 1 (Section 5 / Lemma 4). The per-operation
-// optimum chooses X per row, as the paper's tables do: X=0 makes pure
-// mutators cost ε; X=d-ε makes the paper's pure accessors cost ε.
+// Upper bounds of Algorithm 1 (Section 5 / Lemma 4).
 
 // UpperMOP is the pure-mutator upper bound X+ε.
 func UpperMOP(p simtime.Params) Bound {
 	return Bound{Expr: "X+ε", Value: p.X + p.Epsilon, Source: "Alg 1"}
-}
-
-// UpperMOPBest is the pure-mutator bound at the optimal X=0.
-func UpperMOPBest(p simtime.Params) Bound {
-	return Bound{Expr: "ε (X=0)", Value: p.Epsilon, Source: "Alg 1"}
 }
 
 // UpperAOPPaper is the paper's claimed pure-accessor bound d-X.
@@ -103,16 +98,6 @@ func UpperAOPPaper(p simtime.Params) Bound {
 // UpperAOP is this implementation's corrected pure-accessor bound d-X+ε.
 func UpperAOP(p simtime.Params) Bound {
 	return Bound{Expr: "d-X+ε", Value: p.D - p.X + p.Epsilon, Source: "Alg 1 (corrected)"}
-}
-
-// UpperAOPBestPaper is the paper's accessor bound at X=d-ε.
-func UpperAOPBestPaper(p simtime.Params) Bound {
-	return Bound{Expr: "ε (X=d-ε)", Value: p.Epsilon, Source: "Alg 1 (paper)"}
-}
-
-// UpperAOPBest is the corrected accessor bound at X=d-ε.
-func UpperAOPBest(p simtime.Params) Bound {
-	return Bound{Expr: "2ε (X=d-ε)", Value: 2 * p.Epsilon, Source: "Alg 1 (corrected)"}
 }
 
 // UpperOOP is the mixed-operation bound d+ε.
@@ -130,11 +115,6 @@ func UpperSum(p simtime.Params) Bound {
 	return Bound{Expr: "d+2ε", Value: p.D + 2*p.Epsilon, Source: "Alg 1 (corrected)"}
 }
 
-// Folklore is the baseline bound 2d.
-func Folklore(p simtime.Params) Bound {
-	return Bound{Expr: "2d", Value: 2 * p.D, Source: "folklore"}
-}
-
 // FromClassification derives the lower bound for one operation from its
 // computed algebraic properties, applying the strongest applicable
 // theorem:
@@ -143,18 +123,17 @@ func Folklore(p simtime.Params) Bound {
 //	last-sensitive, k wit.     → (1-1/k)u           (Theorem 3)
 //	pure accessor              → u/4                (Theorem 2)
 //
-// kCap (usually n) caps the k used for Theorem 3 when the witness search
-// found at least that many instances; analytically, operations with
-// unbounded instance sets (writes, enqueues, pushes) are (1-1/n)u.
+// kCap (usually n) caps the k used for Theorem 3, whose construction
+// puts each instance at its own process. A search that reached its own
+// cap extends to kCap: analytically, operations with unbounded instance
+// sets (writes, enqueues, pushes) are (1-1/n)u.
 func FromClassification(p simtime.Params, rep classify.OpReport, kCap int) Bound {
 	if rep.PairFree {
 		return PairFree(p)
 	}
 	if rep.LastSensitiveK >= 2 {
 		k := rep.LastSensitiveK
-		if k >= classify.MaxKSearched && kCap > k {
-			// The search is capped; data types with unbounded distinct
-			// instances extend to any k ≤ n.
+		if k > kCap || k >= classify.MaxKSearched {
 			k = kCap
 		}
 		return LastSensitive(p, k)
@@ -176,6 +155,23 @@ func UpperFromClass(p simtime.Params, class classify.Class) Bound {
 	default:
 		return UpperOOP(p)
 	}
+}
+
+// UpperBest gives Algorithm 1's upper bound for a class (the paper's
+// claimed one if paper) at the X that minimizes it, as the paper's Tables
+// 1-4 choose X per row: X=0 makes a pure mutator cost ε, X=d-ε makes a
+// pure accessor cost ε as claimed or 2ε corrected; a mixed op costs d+ε
+// at every X.
+func UpperBest(p simtime.Params, class classify.Class, paper bool) Bound {
+	switch {
+	case class == classify.PureMutator:
+		return Bound{Expr: "ε (X=0)", Value: p.Epsilon, Source: "Alg 1"}
+	case class == classify.PureAccessor && paper:
+		return Bound{Expr: "ε (X=d-ε)", Value: p.Epsilon, Source: "Alg 1 (paper)"}
+	case class == classify.PureAccessor:
+		return Bound{Expr: "2ε (X=d-ε)", Value: 2 * p.Epsilon, Source: "Alg 1 (corrected)"}
+	}
+	return UpperOOP(p)
 }
 
 // UpperFromClassPaper gives the paper's claimed upper bound for a class.

@@ -40,9 +40,9 @@ func TestMeasureTableGolden(t *testing.T) {
 				continue
 			}
 			seen[r.Operation] = true
-			if r.MeasuredMax != exp[0] || r.BaselineMax != exp[1] {
+			if r.Measured.Max != exp[0] || r.Measured.Baseline != exp[1] {
 				t.Errorf("table %d %s: measured=%v baseline=%v, want %v/%v",
-					num, r.Operation, r.MeasuredMax, r.BaselineMax, exp[0], exp[1])
+					num, r.Operation, r.Measured.Max, r.Measured.Baseline, exp[0], exp[1])
 			}
 		}
 		for op := range rows {
@@ -71,9 +71,9 @@ func TestMeasureTableSeedStreamsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Rows {
-		if a.Rows[i].MeasuredMax != b.Rows[i].MeasuredMax {
+		if a.Rows[i].Measured.Max != b.Rows[i].Measured.Max {
 			t.Errorf("row %s: measured max is seed-dependent under uniform network (%v vs %v)",
-				a.Rows[i].Operation, a.Rows[i].MeasuredMax, b.Rows[i].MeasuredMax)
+				a.Rows[i].Operation, a.Rows[i].Measured.Max, b.Rows[i].Measured.Max)
 		}
 	}
 }

@@ -207,20 +207,20 @@ func TestMeasureTableAll(t *testing.T) {
 			t.Errorf("table %d renders empty", tab.Number)
 		}
 		for _, row := range tab.Rows {
-			if row.MeasuredMax < 0 {
+			if row.Measured.Max < 0 {
 				continue // sum rows of unmeasured ops
 			}
-			if !row.ExpectedAtX.Defined() {
+			if !row.Measured.AtX.Defined() {
 				t.Errorf("table %d row %s has measurement but no expectation", tab.Number, row.Operation)
 				continue
 			}
-			if row.MeasuredMax != row.ExpectedAtX.Value {
+			if row.Measured.Max != row.Measured.AtX.Value {
 				t.Errorf("table %d row %s: measured %v != expected %v",
-					tab.Number, row.Operation, row.MeasuredMax, row.ExpectedAtX.Value)
+					tab.Number, row.Operation, row.Measured.Max, row.Measured.AtX.Value)
 			}
-			if row.BaselineMax >= 0 && !strings.Contains(row.Operation, "+") {
-				if row.BaselineMax > 2*p.D {
-					t.Errorf("table %d row %s: baseline %v exceeds 2d", tab.Number, row.Operation, row.BaselineMax)
+			if row.Measured.Baseline >= 0 && !strings.Contains(row.Operation, "+") {
+				if row.Measured.Baseline > 2*p.D {
+					t.Errorf("table %d row %s: baseline %v exceeds 2d", tab.Number, row.Operation, row.Measured.Baseline)
 				}
 			}
 		}

@@ -11,95 +11,25 @@ import (
 	"lintime/internal/simtime"
 )
 
-// MeasuredRow extends a bounds table row with measured worst-case
-// latencies: Algorithm 1 (corrected timers) at the configured X, and the
-// centralized folklore baseline.
-type MeasuredRow struct {
-	bounds.Row
-	// ExpectedAtX is the class upper bound at the configured X (the
-	// quantity the measurement must match exactly).
-	ExpectedAtX bounds.Bound
-	// MeasuredMax is Algorithm 1's observed worst-case latency.
-	MeasuredMax simtime.Duration
-	// BaselineMax is the centralized baseline's observed worst-case.
-	BaselineMax simtime.Duration
-}
-
-// MeasuredTable is one of the paper's tables with measured columns.
-type MeasuredTable struct {
-	Number   int
-	Title    string
-	Params   simtime.Params
-	TypeName string
-	Rows     []MeasuredRow
-}
-
-// String renders the measured table.
-func (t *MeasuredTable) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table %d (measured): %s  [type=%s n=%d d=%v u=%v ε=%v X=%v]\n",
-		t.Number, t.Title, t.TypeName, t.Params.N, t.Params.D, t.Params.U, t.Params.Epsilon, t.Params.X)
-	fmt.Fprintf(&b, "  %-14s | %-20s | %-28s | %-20s | %-10s | %-10s\n",
-		"operation", "previous lower", "new lower", "upper @X", "measured", "baseline")
-	fmt.Fprintf(&b, "  %s\n", strings.Repeat("-", 118))
-	for _, r := range t.Rows {
-		measured := "—"
-		if r.MeasuredMax >= 0 {
-			measured = r.MeasuredMax.String()
-		}
-		baseline := "—"
-		if r.BaselineMax >= 0 {
-			baseline = r.BaselineMax.String()
-		}
-		fmt.Fprintf(&b, "  %-14s | %-20s | %-28s | %-20s | %-10s | %-10s\n",
-			r.Operation, r.PrevLower, r.NewLower, r.ExpectedAtX, measured, baseline)
-		if r.Note != "" {
-			fmt.Fprintf(&b, "  %-14s   note: %s\n", "", r.Note)
-		}
-	}
-	return b.String()
-}
-
-// tableType maps table numbers to the data type they measure.
-func tableType(number int) (string, error) {
-	switch number {
-	case 1:
-		return "rmwregister", nil
-	case 2, 5:
-		return "queue", nil
-	case 3:
-		return "stack", nil
-	case 4:
-		return "tree", nil
-	default:
-		return "", fmt.Errorf("harness: no table %d (have 1-5)", number)
-	}
-}
-
-// classRepresentatives maps Table 5's class rows to queue operations.
-var classRepresentatives = map[string]string{
-	"pure accessor":  adt.OpPeek,
-	"last-sens. MOP": adt.OpEnqueue,
-	"pair-free op":   adt.OpDequeue,
-	"MOP+AOP sum":    adt.OpEnqueue + "+" + adt.OpPeek,
-	"any op":         adt.OpDequeue,
-}
+// MeasuredTable is one of the paper's tables with its measured columns
+// filled.
+type MeasuredTable = bounds.Table
 
 // MeasureTableParallel regenerates one of the paper's Tables 1-5 with
 // measured worst-case latencies from a deterministic workload battery:
 // Algorithm 1 and the centralized baseline run the same closed-loop
-// workload on the table's data type under the worst-case network (uniform
-// delay d), fanned across at most parallel workers. The master seed is
-// split into independent sub-seeds for the workload stream and the
+// workload on the table's first data type under the worst-case network
+// (uniform delay d), fanned across at most parallel workers. The master
+// seed is split into independent sub-seeds for the workload stream and the
 // network/offset configuration stream (they must not alias — a coupled
 // stream correlates operation gaps with message delays), so the output is
 // deterministic and identical for every parallelism level.
 func MeasureTableParallel(number int, p simtime.Params, seed int64, parallel int) (*MeasuredTable, error) {
-	typeName, err := tableType(number)
+	t, err := bounds.Evaluate(number, p)
 	if err != nil {
 		return nil, err
 	}
-	static := bounds.AllTables(p)[number-1]
+	typeName := t.Types[0]
 	wl := Workload{OpsPerProc: 12, MaxGap: p.D / 2, Seed: DeriveSeed(seed, "table/workload")}
 	cfgSeed := DeriveSeed(seed, "table/config")
 
@@ -119,44 +49,30 @@ func MeasureTableParallel(number int, p simtime.Params, seed int64, parallel int
 
 	dt, _ := adt.Lookup(typeName)
 	classes := ClassesFor(dt)
-	maxOf := func(res *Result, op string) simtime.Duration {
-		if st, ok := res.Stats[op]; ok {
-			return st.Max
+	// maxOf sums the worst cases of ops (a sum row has two); -1 if the run
+	// never completed one of them.
+	maxOf := func(res *Result, ops []string) simtime.Duration {
+		var sum simtime.Duration
+		for _, op := range ops {
+			st, ok := res.Stats[op]
+			if !ok {
+				return -1
+			}
+			sum += st.Max
 		}
-		return -1
+		return sum
 	}
-	out := &MeasuredTable{Number: number, Title: static.Title, Params: p, TypeName: typeName}
-	for _, row := range static.Rows {
-		mr := MeasuredRow{Row: row, MeasuredMax: -1, BaselineMax: -1}
-		opName := row.Operation
-		if number == 5 {
-			opName = classRepresentatives[row.Operation]
+	for i := range t.Rows {
+		ops := strings.Split(t.Rows[i].Op, "+")
+		m := &bounds.Measured{Max: maxOf(coreRes, ops), Baseline: maxOf(baseRes, ops)}
+		m.AtX = bounds.UpperFromClass(p, classes[ops[0]])
+		if len(ops) == 2 {
+			m.AtX = bounds.Bound{Expr: "sum", Value: m.AtX.Value + bounds.UpperFromClass(p, classes[ops[1]]).Value,
+				Source: "Alg 1 (corrected)"}
 		}
-		if parts := strings.Split(opName, "+"); len(parts) == 2 {
-			// Sum rows: add the component worst cases.
-			a, b := maxOf(coreRes, parts[0]), maxOf(coreRes, parts[1])
-			ba, bb := maxOf(baseRes, parts[0]), maxOf(baseRes, parts[1])
-			if a >= 0 && b >= 0 {
-				mr.MeasuredMax = a + b
-			}
-			if ba >= 0 && bb >= 0 {
-				mr.BaselineMax = ba + bb
-			}
-			ca, cb := classes[parts[0]], classes[parts[1]]
-			mr.ExpectedAtX = bounds.Bound{
-				Expr: "sum",
-				Value: bounds.UpperFromClass(p, ca).Value +
-					bounds.UpperFromClass(p, cb).Value,
-				Source: "Alg 1 (corrected)",
-			}
-		} else if opName != "" {
-			mr.MeasuredMax = maxOf(coreRes, opName)
-			mr.BaselineMax = maxOf(baseRes, opName)
-			mr.ExpectedAtX = bounds.UpperFromClass(p, classes[opName])
-		}
-		out.Rows = append(out.Rows, mr)
+		t.Rows[i].Measured = m
 	}
-	return out, nil
+	return &t, nil
 }
 
 // MeasureAllTablesParallel regenerates Tables 1-5 with the per-table

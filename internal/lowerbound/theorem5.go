@@ -8,6 +8,7 @@ import (
 	"lintime/internal/bounds"
 	"lintime/internal/classify"
 	"lintime/internal/core"
+	"lintime/internal/harness"
 	"lintime/internal/lincheck"
 	"lintime/internal/shift"
 	"lintime/internal/sim"
@@ -68,6 +69,13 @@ func theorem5(p simtime.Params, typeName string, w classify.Theorem5Witness, bud
 	kt, err := newKit(p, rep, timers, delays(p.N, p.D, m, func(_, j int) bool { return j <= 1 }))
 	if err != nil {
 		return nil, err
+	}
+	// The forced timers bound only a pure mutator and a pure accessor; any
+	// other op outlives its budget and its process invokes again while it
+	// is pending.
+	if c := harness.ClassesFor(kt.dt); c[opName] != classify.PureMutator || c[aopName] != classify.PureAccessor {
+		return nil, fmt.Errorf("lowerbound: Theorem 5 runs on a pure mutator and a pure accessor, but %s.%s is %v+%v",
+			typeName, rep.Op, c[opName], c[aopName])
 	}
 	op0, op1 := spec.Invocation{Op: opName, Arg: w.Op0.Arg}, spec.Invocation{Op: opName, Arg: w.Op1.Arg}
 	aop1, order := spec.Invocation{Op: aopName, Arg: w.Disc1.A.Arg}, spec.Invocation{Op: aopName, Arg: w.Disc2.A.Arg}

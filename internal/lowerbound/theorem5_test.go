@@ -1,6 +1,7 @@
 package lowerbound
 
 import (
+	"strings"
 	"testing"
 
 	"lintime/internal/adt"
@@ -194,6 +195,24 @@ func TestTheorem5ParameterValidation(t *testing.T) {
 	p = lbParams()
 	if _, err := Theorem5(p, "queue", "enqueue", "peek", 0, 100); err == nil {
 		t.Error("zero op budget should error")
+	}
+}
+
+// TestTheorem5RefusesMixedOp: the construction forces Algorithm 1's
+// pure-mutator and pure-accessor timers, so a witness whose op is mixed
+// (bank's withdraw) is refused with an error naming the pair, not run
+// into a process that invokes while its previous op is pending.
+func TestTheorem5RefusesMixedOp(t *testing.T) {
+	p := lbParams()
+	m := bounds.MinPairFree(p)
+	w := classify.Theorem5Witness{
+		Rho: []spec.Instance{{Op: adt.OpDeposit, Arg: 5}},
+		Op0: spec.Instance{Op: adt.OpWithdraw, Arg: 1}, Op1: spec.Instance{Op: adt.OpWithdraw, Arg: 2},
+		Disc1: classify.Discriminator{A: spec.Instance{Op: adt.OpBalance}, B: spec.Instance{Op: adt.OpBalance}},
+	}
+	_, err := theorem5(p, "bank", w, p.D-2*m, 3*m-1)
+	if err == nil || !strings.Contains(err.Error(), "bank.withdraw+balance") {
+		t.Fatalf("want an error naming bank.withdraw+balance, got %v", err)
 	}
 }
 
