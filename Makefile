@@ -39,9 +39,11 @@ bench-check:
 # re-generated at different parallelism levels and compared byte for
 # byte. Each command's exit status is pinned too: 1 for the aop-no-eps
 # fuzz (a single-target run that reports a violation), 0 for the rest. A
-# worker reuses one node set, table and checker across schedules, so
-# state leaking from one schedule into the next shows as output that
-# depends on how schedules fall to workers.
+# worker reuses one node set, table and checker, and each run's trace,
+# outcome and buffers, across schedules, so state leaking from one
+# schedule into the next shows as output that depends on how schedules
+# fall to workers. The n=3 sweep is the one the verify-virtual benchmark
+# workload runs.
 bench-compare:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn|BenchmarkRunnerRun$$' -benchtime 10x -benchmem ./internal/sim/ ./internal/adversary/
 	$(GO) build -o /tmp/lintime-bench-compare ./cmd/lintime
@@ -51,7 +53,7 @@ bench-compare:
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 1 > /tmp/bench-compare-fuzz-p1.txt
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 8 > /tmp/bench-compare-fuzz-p8.txt
 	cmp /tmp/bench-compare-fuzz-p1.txt /tmp/bench-compare-fuzz-p8.txt
-	for entry in "0 verify" "0 verify -mutant all" "0 verify -backend quorum -d 8 -u 6 -ops 2" \
+	for entry in "0 verify" "0 verify -n 3 -ops 3" "0 verify -mutant all" "0 verify -backend quorum -d 8 -u 6 -ops 2" \
 		"0 fuzz -backend sequencer -budget 300 -seed 1" "0 fuzz -strong -n 3 -seed 7 -budget 80" \
 		"1 fuzz -mutant aop-no-eps -budget 500 -seed 1" "0 fuzz -mutant all -budget 200 -seed 1"; do \
 		want=$${entry%% *}; args=$${entry#* }; \

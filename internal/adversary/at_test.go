@@ -110,6 +110,16 @@ func TestShrinkKeepsAt(t *testing.T) {
 	}
 }
 
+// runOwned runs s on kit k and keeps a copy of the outcome, as Run does
+// on a pooled kit.
+func (r *Runner) runOwned(k *kit, s Schedule, net sim.Network) (out *Outcome, err error) {
+	err = r.runOn(k, s, net, func(o *Outcome) error {
+		out = o.clone()
+		return nil
+	})
+	return out, err
+}
+
 // TestOutcomesOwnTheirTraces pins what the lower-bound constructions rely
 // on when they keep several runs of one Runner alive at once: an
 // outcome's trace is unchanged after its kit runs the next schedule.
@@ -125,7 +135,7 @@ func TestOutcomesOwnTheirTraces(t *testing.T) {
 		t.Helper()
 		s := Schedule{Offsets: make([]simtime.Duration, p.N), Plans: [][]PlannedOp{
 			{{Op: "enqueue", Arg: arg}, {Op: "dequeue", At: at}}, {{Op: "peek", At: at}}, nil}}
-		out, err := r.runOn(k, s, net)
+		out, err := r.runOwned(k, s, net)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -137,69 +137,71 @@ func Fuzz(opts Options) (*Report, error) {
 	seen := map[uint64]bool{}
 	var pool []Schedule // coverage novelty pool, index order
 
+	// A slot keeps what fold reads of a run, so the run's outcome can stay
+	// borrowed.
 	type slot struct {
 		strategy string
 		sched    Schedule
-		outcome  *Outcome
+		sig      uint64
+		kind     string
 	}
 	eval := func(i int) (slot, error) {
-		strat := enabled[i%len(enabled)]
+		sl := slot{strategy: enabled[i%len(enabled)]}
 		ordinal := i / len(enabled)
-		var (
-			sched Schedule
-			out   *Outcome
-			err   error
-		)
-		switch strat {
+		keep := func(out *Outcome) error {
+			sl.sig, sl.kind = out.Signature(), out.Violation()
+			return nil
+		}
+		var err error
+		switch sl.strategy {
 		case StratBoundary:
 			cand := boundary.candidateAt(p, ops, opts.Seed, ordinal)
-			sched, out, err = runner.RunRule(cand.offsets, cand.plans, cand.net)
+			s := Schedule{Offsets: cand.offsets, Plans: cand.plans}
+			err = runner.visit(s, cand.net, func(out *Outcome) error {
+				sl.sched = runner.concretize(s, out.Trace)
+				return keep(out)
+			})
 		case StratRandom:
-			cand := randomCandidate(p, ops, opts.Seed, "random", ordinal, faults)
-			sched = cand.sched
-			out, err = runner.Run(sched)
+			sl.sched = randomCandidate(p, ops, opts.Seed, "random", ordinal, faults).sched
 		case StratCoverage:
 			if len(pool) == 0 {
-				cand := randomCandidate(p, ops, opts.Seed, "coverage-seed", ordinal, faults)
-				sched = cand.sched
+				sl.sched = randomCandidate(p, ops, opts.Seed, "coverage-seed", ordinal, faults).sched
 			} else {
-				rng := seededRand(harness.DeriveSeed(opts.Seed, fmt.Sprintf("adversary/coverage/%d", ordinal)))
+				rng := seededRand(labelSeed(opts.Seed, "coverage", ordinal))
 				parent := pool[rng.Intn(len(pool))]
-				sched = mutateSchedule(parent, p, ops, rng, faults)
+				sl.sched = mutateSchedule(parent, p, ops, rng, faults)
 				rngPool.Put(rng)
 			}
-			out, err = runner.Run(sched)
 		case StratFaultCorner:
 			if len(corners) == 0 { // degenerate n: no corners apply
-				cand := randomCandidate(p, ops, opts.Seed, "faultcorner-fill", ordinal, faults)
-				sched = cand.sched
+				sl.sched = randomCandidate(p, ops, opts.Seed, "faultcorner-fill", ordinal, faults).sched
 			} else {
-				sched = corners[ordinal%len(corners)].sched
+				sl.sched = corners[ordinal%len(corners)].sched
 			}
-			out, err = runner.Run(sched)
 		}
-		return slot{strategy: strat, sched: sched, outcome: out}, err
+		if sl.strategy != StratBoundary {
+			err = runner.Visit(sl.sched, keep)
+		}
+		return sl, err
 	}
 	// fold updates the coverage pool, signature set and violations.
 	fold := func(i int, sl slot) (bool, error) {
 		rep.Schedules++
 		schedulesTotal.Inc()
 		rep.ByStrategy[sl.strategy]++
-		sig := sl.outcome.Signature()
-		if !seen[sig] {
-			seen[sig] = true
+		if !seen[sl.sig] {
+			seen[sl.sig] = true
 			noveltyHits.Inc()
 			if len(pool) == poolCap {
 				pool = pool[1:]
 			}
 			pool = append(pool, sl.sched)
 		}
-		kind := sl.outcome.Violation()
-		if kind == "" {
+		if sl.kind == "" {
 			return false, nil
 		}
 		violationsTotal.Inc()
-		v := Violation{Index: i, Strategy: sl.strategy, Kind: kind, Schedule: sl.sched}
+		v := Violation{Index: i, Strategy: sl.strategy, Kind: sl.kind, Schedule: sl.sched}
 		if opts.Shrink {
 			shrunk, shrunkKind, runs, err := Shrink(runner, sl.sched)
 			if err != nil {

@@ -46,7 +46,7 @@ func TestReusedNodeSetsMatchFresh(t *testing.T) {
 		k := r.take()
 		var sigs []uint64
 		for i, s := range []Schedule{a, b, a} {
-			got, err := r.runOn(k, s, sim.SequenceNetwork{Delays: s.Delays, Default: p.D})
+			got, err := r.runOwned(k, s, sim.SequenceNetwork{Delays: s.Delays, Default: p.D})
 			if err != nil {
 				t.Fatalf("%s run %d: %v", alg, i, err)
 			}
@@ -154,7 +154,7 @@ func TestEscapedTracesSurviveKitReuse(t *testing.T) {
 		var before []string
 		for i := 0; i < 2; i++ {
 			s := randomCandidate(p, opsFor(dt), 41, "escape", i, false).sched
-			out, err := r.runOn(k, s, sim.SequenceNetwork{Delays: s.Delays, Default: p.D})
+			out, err := r.runOwned(k, s, sim.SequenceNetwork{Delays: s.Delays, Default: p.D})
 			if err != nil {
 				t.Fatalf("%s run %d: %v", alg, i, err)
 			}
@@ -192,5 +192,32 @@ func TestPooledRandMatchesNewSource(t *testing.T) {
 		}
 		pooled.Read(buf)
 		rngPool.Put(pooled)
+	}
+}
+
+// TestBoundaryViolationsReplay pins that a campaign's stored violations
+// own their schedules although every run is borrowed: each violation of
+// a boundary-only campaign (schedules concretized from a rule's run)
+// still replays to its kind after the kits ran every later schedule.
+func TestBoundaryViolationsReplay(t *testing.T) {
+	p := simtime.DefaultParams(3)
+	opts := Options{Params: p, DT: adt.NewQueue(), Target: Target{Mutant: "exec-no-eps"}, Seed: 1, Budget: 256,
+		Parallel: 2, Strategies: []string{StratBoundary}}
+	rep, err := Fuzz(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) < 2 || rep.Violations[0].Index == opts.Budget-1 {
+		t.Fatalf("%d violations: the campaign must store several, with runs after them", len(rep.Violations))
+	}
+	r := &Runner{Params: p, DT: opts.DT, Target: opts.Target}
+	for _, v := range rep.Violations {
+		out, err := r.Run(v.Schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Violation(); got != v.Kind {
+			t.Errorf("violation at schedule %d replays to %q, want %q:\n%s", v.Index, got, v.Kind, v.Schedule)
+		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 
@@ -213,6 +214,8 @@ const (
 )
 
 // Outcome is the checked result of driving one schedule through a target.
+// Runner.Visit lends its kit's own outcome; Run returns a copy that owns
+// its trace, witness and fingerprints.
 type Outcome struct {
 	Trace        *sim.Trace
 	Check        lincheck.Result
@@ -221,6 +224,16 @@ type Outcome struct {
 
 	sig    uint64 // event-ordering signature, cached by the Runner
 	hasSig bool
+}
+
+// clone returns a copy of a borrowed outcome that owns its trace, witness
+// and fingerprints.
+func (o *Outcome) clone() *Outcome {
+	out := *o
+	out.Trace = o.Trace.Clone()
+	out.Check.Linearization = slices.Clone(o.Check.Linearization)
+	out.Fingerprints = slices.Clone(o.Fingerprints)
+	return &out
 }
 
 // Converged reports whether all replicas ended in the same state (always
@@ -345,8 +358,8 @@ type Runner struct {
 // node set built once, which Engine.Reset and each node's Init return to
 // its constructed state; and a table whose compiled states the replicas
 // hold and the checker searches, so each transition of the data type is
-// computed once per kit. A schedule run then allocates little beyond its
-// outcome.
+// computed once per kit. The kit also owns each run's outcome, trace and
+// fingerprints, so a borrowed run (Visit) allocates nothing.
 type kit struct {
 	eng     *sim.Engine
 	checker *lincheck.Checker
@@ -359,6 +372,11 @@ type kit struct {
 	// seqNet is Run's network: the engine holds it by pointer, so a
 	// schedule's delay vector reaches the engine without boxing.
 	seqNet sim.SequenceNetwork
+
+	// out and fps are the running schedule's outcome and fingerprints,
+	// lent to Visit's callback and reused by the next schedule.
+	out Outcome
+	fps []string
 }
 
 // take hands out a pooled kit, or a new one. The table is trimmed here
@@ -409,10 +427,18 @@ func (r *Runner) hasOp(op string) bool {
 	return ok
 }
 
-// Run drives the schedule's explicit delay assignment through the target
-// and checks the trace. The schedule must be valid.
+// Visit drives the schedule's explicit delay assignment through the
+// target, checks the trace and hands the outcome to f. The outcome is
+// borrowed: it, its trace, witness and fingerprints belong to the
+// worker's kit, which reuses them for its next schedule, so f may read
+// them only until it returns. The schedule must be valid.
+func (r *Runner) Visit(s Schedule, f func(*Outcome) error) error {
+	return r.visit(s, nil, f)
+}
+
+// Run is Visit returning an owned copy of the outcome.
 func (r *Runner) Run(s Schedule) (*Outcome, error) {
-	return r.runWith(s, nil)
+	return r.own(s, nil)
 }
 
 // RunRule drives a rule-based candidate (offsets + plans + an arbitrary
@@ -422,12 +448,17 @@ func (r *Runner) Run(s Schedule) (*Outcome, error) {
 // coverage mutator operate on.
 func (r *Runner) RunRule(offsets []simtime.Duration, plans [][]PlannedOp, net sim.Network) (Schedule, *Outcome, error) {
 	s := Schedule{Offsets: offsets, Plans: plans}
-	out, err := r.runWith(s, net)
+	out, err := r.own(s, net)
 	if err != nil {
 		return Schedule{}, nil, err
 	}
-	s.Delays = make([]simtime.Duration, len(out.Trace.Msgs))
-	for i, m := range out.Trace.Msgs {
+	return r.concretize(s, out.Trace), out, nil
+}
+
+// concretize returns s with the delays its run on a rule's network took.
+func (r *Runner) concretize(s Schedule, tr *sim.Trace) Schedule {
+	s.Delays = make([]simtime.Duration, len(tr.Msgs))
+	for i, m := range tr.Msgs {
 		if !m.Received() {
 			// A transit-dropped message has no delay; its vector slot is
 			// never consulted on replay, so pin the placeholder d.
@@ -436,20 +467,30 @@ func (r *Runner) RunRule(offsets []simtime.Duration, plans [][]PlannedOp, net si
 		}
 		s.Delays[i] = m.Delay()
 	}
-	return s, out, nil
+	return s
 }
 
-// runWith drives a schedule through a pooled kit, on net or — when net is
-// nil — on the schedule's own delay vector.
-func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
+// own is visit keeping a copy of the outcome.
+func (r *Runner) own(s Schedule, net sim.Network) (out *Outcome, err error) {
+	err = r.visit(s, net, func(o *Outcome) error {
+		out = o.clone()
+		return nil
+	})
+	return out, err
+}
+
+// visit drives a schedule through a pooled kit, on net or — when net is
+// nil — on the schedule's own delay vector, and hands f the borrowed
+// outcome.
+func (r *Runner) visit(s Schedule, net sim.Network, f func(*Outcome) error) error {
 	if err := r.resolve(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.validate(r.Params, r.DT.Name(), r.hasOp); err != nil {
-		return nil, err
+		return err
 	}
 	if s.HasFaults() && !r.backend.Faults {
-		return nil, fmt.Errorf("adversary: target %s assumes reliable processes and channels; crash/drop axes require a fault-tolerant backend", r.Target)
+		return fmt.Errorf("adversary: target %s assumes reliable processes and channels; crash/drop axes require a fault-tolerant backend", r.Target)
 	}
 	k := r.take()
 	defer r.kits.Put(k)
@@ -457,11 +498,12 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 		k.seqNet = sim.SequenceNetwork{Delays: s.Delays, Default: r.Params.D}
 		net = &k.seqNet
 	}
-	return r.runOn(k, s, net)
+	return r.runOn(k, s, net, f)
 }
 
-// runOn drives a validated schedule through one kit.
-func (r *Runner) runOn(k *kit, s Schedule, net sim.Network) (*Outcome, error) {
+// runOn drives a validated schedule through one kit and hands f the
+// kit's outcome; the kit recycles the run's trace once f returns.
+func (r *Runner) runOn(k *kit, s Schedule, net sim.Network, f func(*Outcome) error) error {
 	var err error
 	if k.eng == nil {
 		k.eng, err = sim.NewEngine(r.Params, s.Offsets, net, k.nodes)
@@ -469,13 +511,14 @@ func (r *Runner) runOn(k *kit, s Schedule, net sim.Network) (*Outcome, error) {
 		err = k.eng.Reset(r.Params, s.Offsets, net, k.nodes)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	eng := k.eng
+	defer eng.Recycle()
 	eng.SetTraceLevel(r.Trace)
 	if s.HasFaults() {
 		if err := eng.SetFaults(sim.FaultPlan{Crashes: s.Crashes, Drops: s.Drops}); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	k.plans = s.Plans
@@ -495,7 +538,7 @@ func (r *Runner) runOn(k *kit, s Schedule, net sim.Network) (*Outcome, error) {
 	}
 	tr := eng.Run()
 	if err := tr.CheckAdmissible(); err != nil {
-		return nil, fmt.Errorf("adversary: generated inadmissible run: %w", err)
+		return fmt.Errorf("adversary: generated inadmissible run: %w", err)
 	}
 	// Continue the engine's incremental step hash over the message records,
 	// reproducing signatureFromTrace byte for byte without needing Steps.
@@ -504,9 +547,11 @@ func (r *Runner) runOn(k *kit, s Schedule, net sim.Network) (*Outcome, error) {
 		sig = (sig ^ uint64(byte(m.From))) * fnvPrime
 		sig = (sig ^ uint64(byte(m.To))) * fnvPrime
 	}
-	out := &Outcome{
-		Trace: tr,
-		Check: k.checker.CheckTrace(tr),
+	k.fps = r.backend.AppendFingerprints(k.fps[:0], k.nodes)
+	k.out = Outcome{
+		Trace:        tr,
+		Check:        k.checker.CheckTrace(tr),
+		Fingerprints: k.fps,
 		// Crash-aware completeness: an op pending at a crashed invoker is
 		// legitimate; at a live process it is a liveness violation. On
 		// fault-free runs this is exactly CheckComplete.
@@ -514,6 +559,5 @@ func (r *Runner) runOn(k *kit, s Schedule, net sim.Network) (*Outcome, error) {
 		sig:        sig,
 		hasSig:     true,
 	}
-	out.Fingerprints = r.backend.Fingerprints(k.nodes)
-	return out, nil
+	return f(&k.out)
 }

@@ -121,10 +121,21 @@ func TestRunnerResolvesTargetOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := randomCandidate(p, opsFor(dt), 1, "bench", 0, false).sched
-	allocs := func(target Target) float64 {
+	var sig uint64
+	visit := func(out *Outcome) error {
+		sig = out.Signature()
+		return nil
+	}
+	allocs := func(target Target, borrow bool) float64 {
 		r := &Runner{Params: p, DT: dt, Target: target, Trace: sim.TraceOps}
 		run := func() {
-			if _, err := r.Run(sched); err != nil {
+			var err error
+			if borrow {
+				err = r.Visit(sched, visit)
+			} else {
+				_, err = r.Run(sched)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,20 +153,26 @@ func TestRunnerResolvesTargetOnce(t *testing.T) {
 	}
 	// exec-no-eps leaves this schedule's event count unchanged, so the
 	// two runs differ only in what resolving the target costs.
-	correct, mutated := allocs(Target{}), allocs(Target{Mutant: "exec-no-eps"})
+	correct, mutated := allocs(Target{}, false), allocs(Target{Mutant: "exec-no-eps"}, false)
 	if mutated > correct {
 		t.Errorf("mutated target: %.0f allocs/run, correct target %.0f", mutated, correct)
 	}
 	// What one schedule allocates end to end once its worker's kit is
-	// built: the outcome, its trace (four allocations at sim.TraceOps: the
-	// Trace, its offsets, Msgs and Ops), the checker's witness and the
-	// fingerprint slice — 7 here. The engine's events, the replicas'
-	// timer tags and the delay network allocate nothing per schedule, and
-	// broadcast payloads one chunk per 64. A kit rebuilt after a
-	// collection costs more; BenchmarkRunnerRun's mean includes that,
-	// AllocsPerRun rounds it away.
+	// built: Run's copy of the outcome, of its trace (four allocations at
+	// sim.TraceOps: the Trace, its offsets, Msgs and Ops), of the
+	// checker's witness and of the fingerprint slice — 7 here. The
+	// engine's events, the replicas' timer tags and the delay network
+	// allocate nothing per schedule, and broadcast payloads one chunk per
+	// 64. A kit rebuilt after a collection costs more;
+	// BenchmarkRunnerRun's mean includes that, AllocsPerRun rounds it
+	// away.
 	if correct > 7 {
 		t.Errorf("correct target: %.0f allocs/run, recorded floor 7", correct)
+	}
+	// Visit lends the kit's own outcome, trace, witness and fingerprints,
+	// which the kit reuses: nothing is left to allocate.
+	if borrowed := allocs(Target{}, true); borrowed != 0 || sig == 0 {
+		t.Errorf("correct target: %.0f allocs per borrowed run (signature %#x), want 0", borrowed, sig)
 	}
 }
 

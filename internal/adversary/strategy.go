@@ -1,8 +1,8 @@
 package adversary
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"lintime/internal/classify"
@@ -413,7 +413,7 @@ func (b *boundarySource) candidateAt(p simtime.Params, ops opset, seed int64, i 
 	if j >= product {
 		// Wrapped around: jitter the invocation times to visit nearby
 		// corners of the same pattern combination.
-		rng := seededRand(harness.DeriveSeed(seed, fmt.Sprintf("adversary/boundary/%d", i)))
+		rng := seededRand(labelSeed(seed, "boundary", i))
 		defer rngPool.Put(rng)
 		for proc := range cand.plans {
 			for oi := range cand.plans[proc] {
@@ -596,11 +596,20 @@ func seededRand(seed int64) *rand.Rand {
 	return rng
 }
 
+// labelSeed is harness.DeriveSeed(seed, "adversary/<stream>/<i>"): the
+// same label bytes, put together on the stack instead of formatted, since
+// every candidate derives one.
+func labelSeed(seed int64, stream string, i int) int64 {
+	var buf [64]byte
+	label := append(append(append(buf[:0], "adversary/"...), stream...), '/')
+	return harness.DeriveSeed(seed, strconv.AppendInt(label, int64(i), 10))
+}
+
 // randomCandidate returns the i-th biased-random candidate: offsets and
 // delays biased toward the admissible extremes, short plans with gaps
 // clustered around the algorithm's critical constants.
 func randomCandidate(p simtime.Params, ops opset, seed int64, stream string, i int, faults bool) candidate {
-	rng := seededRand(harness.DeriveSeed(seed, fmt.Sprintf("adversary/%s/%d", stream, i)))
+	rng := seededRand(labelSeed(seed, stream, i))
 	defer rngPool.Put(rng)
 	offsets := make([]simtime.Duration, p.N)
 	for pi := range offsets {

@@ -64,8 +64,8 @@ package bmc
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"lintime/internal/adversary"
@@ -405,16 +405,20 @@ func (s *Space) Schedule(i int, code uint64) adversary.Schedule {
 }
 
 func (s *Space) delays(code uint64, msgs int) []simtime.Duration {
+	return s.appendDelays(nil, code, msgs)
+}
+
+// appendDelays appends delay vector code, msgs entries long, to dst.
+func (s *Space) appendDelays(dst []simtime.Duration, code uint64, msgs int) []simtime.Duration {
 	p := s.cfg.Params
-	delays := make([]simtime.Duration, msgs)
 	for j := 0; j < msgs; j++ {
 		if code&(1<<uint(j)) != 0 {
-			delays[j] = p.MinDelay()
+			dst = append(dst, p.MinDelay())
 		} else {
-			delays[j] = p.D
+			dst = append(dst, p.D)
 		}
 	}
-	return delays
+	return dst
 }
 
 // FindContext returns the index of the first context matching the
@@ -535,49 +539,56 @@ func Verify(cfg Config) (*Report, error) {
 }
 
 // checkContext runs every delay vector of one context and, when
-// configured, the strong-linearizability sweep over its futures.
+// configured, the strong-linearizability sweep over its futures. Its runs
+// are borrowed (adversary.Runner.Visit), and the delay vector and history
+// are buffers reused from run to run: a stored violation clones the
+// vector, and a history is copied only when its fingerprint is new.
 func (s *Space) checkContext(runner *adversary.Runner, ctx int) (contextResult, error) {
 	base, msgs := s.context(ctx)
 	var res contextResult
 	sigSeen := map[uint64]bool{}
 	histSeen := map[uint64]bool{}
 	var histories [][]lincheck.Op
+	var delays []simtime.Duration
+	var history []lincheck.Op
 	var err error
-	res.miscounted, err = sweepCodes(msgs, func(code uint64, width int) (int, error) {
+	res.miscounted, err = sweepCodes(msgs, func(code uint64, width int) (sent int, err error) {
 		sched := base
-		sched.Delays = s.delays(code, width)
-		out, err := runner.Run(sched)
-		if err != nil {
-			return 0, err
-		}
-		sent := len(out.Trace.Msgs)
-		if len(s.cfg.Drops) > 0 {
-			// Drop-augmented spaces bend the count both ways: a dropped
-			// request suppresses the ack it would have provoked (at most
-			// one missing message per drop), while retransmissions add
-			// messages beyond the measured count, which run at the
-			// default delay d rather than widening the axis. Anything
-			// below the floor means the space is not what it claims.
-			if floor := msgs - len(s.cfg.Drops); sent < floor {
-				return 0, fmt.Errorf("bmc: context %d sent %d messages, floor is %d", ctx, sent, floor)
+		delays = s.appendDelays(delays[:0], code, width)
+		sched.Delays = delays
+		err = runner.Visit(sched, func(out *adversary.Outcome) error {
+			sent = len(out.Trace.Msgs)
+			if len(s.cfg.Drops) > 0 {
+				// Drop-augmented spaces bend the count both ways: a
+				// dropped request suppresses the ack it would have
+				// provoked (at most one missing message per drop), while
+				// retransmissions add messages beyond the measured count,
+				// which run at the default delay d rather than widening
+				// the axis. Anything below the floor means the space is
+				// not what it claims.
+				if floor := msgs - len(s.cfg.Drops); sent < floor {
+					return fmt.Errorf("bmc: context %d sent %d messages, floor is %d", ctx, sent, floor)
+				}
+				sent = msgs
 			}
-			sent = msgs
-		}
-		res.runs++
-		if sig := out.Signature(); !sigSeen[sig] {
-			sigSeen[sig] = true
-			res.sigs = append(res.sigs, sig)
-		}
-		if kind := out.Violation(); kind != "" && res.violation == nil {
-			res.violation = &Violation{Context: ctx, DelayCode: code, Kind: kind, Schedule: sched}
-		}
-		history := lincheck.FromTrace(out.Trace)
-		if fp := historyFingerprint(history); !histSeen[fp] {
-			histSeen[fp] = true
-			res.histFPs = append(res.histFPs, fp)
-			histories = append(histories, history)
-		}
-		return sent, nil
+			res.runs++
+			if sig := out.Signature(); !sigSeen[sig] {
+				sigSeen[sig] = true
+				res.sigs = append(res.sigs, sig)
+			}
+			if kind := out.Violation(); kind != "" && res.violation == nil {
+				sched.Delays = slices.Clone(delays)
+				res.violation = &Violation{Context: ctx, DelayCode: code, Kind: kind, Schedule: sched}
+			}
+			history = lincheck.AppendTrace(history[:0], out.Trace)
+			if fp := historyFingerprint(history); !histSeen[fp] {
+				histSeen[fp] = true
+				res.histFPs = append(res.histFPs, fp)
+				histories = append(histories, slices.Clone(history))
+			}
+			return nil
+		})
+		return sent, err
 	})
 	if err != nil {
 		return res, err
@@ -624,9 +635,11 @@ func sweepCodes(width int, run func(code uint64, width int) (sent int, err error
 
 // historyFingerprint hashes a completed history's observable content.
 // The bytes hashed are "proc·name·arg·invoke·respond·ret;" per operation
-// (values as spec.FormatValue renders them) under 64-bit FNV-1a.
+// (values as spec.FormatValue renders them) under 64-bit FNV-1a. They are
+// put together on the stack unless the history outgrows the array.
 func historyFingerprint(history []lincheck.Op) uint64 {
-	buf := make([]byte, 0, 256)
+	var arr [512]byte
+	buf := arr[:0]
 	for _, op := range history {
 		buf = strconv.AppendInt(buf, int64(op.Proc), 10)
 		buf = append(append(buf, "·"...), op.Name...)
@@ -636,7 +649,9 @@ func historyFingerprint(history []lincheck.Op) uint64 {
 		buf = append(append(buf, "·"...), spec.FormatValue(op.Ret)...)
 		buf = append(buf, ';')
 	}
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for _, b := range buf {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
 }

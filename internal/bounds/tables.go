@@ -124,14 +124,14 @@ func Evaluate(number int, p simtime.Params) (Table, error) {
 		return Table{}, fmt.Errorf("bounds: no table %d (have 1-%d)", number, len(claims))
 	}
 	c := claims[number-1]
-	es := make([]*classify.Explorer, len(c.types))
+	es := make([]*classify.Shared, len(c.types))
 	reps := make([]classify.Report, len(c.types))
 	for i, name := range c.types {
 		dt, err := adt.Lookup(name)
 		if err != nil {
 			return Table{}, err
 		}
-		es[i] = classify.NewExplorer(dt, classify.DefaultConfig())
+		es[i] = classify.For(dt)
 		reps[i] = es[i].Report()
 	}
 	t := Table{Number: number, Title: c.title, Types: c.types, Params: p}

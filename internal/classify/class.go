@@ -3,6 +3,7 @@ package classify
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"lintime/internal/spec"
 )
@@ -100,6 +101,53 @@ const MaxKSearched = 4
 func Classify(dt spec.DataType, cfg Config) Report {
 	e := NewExplorer(dt, cfg)
 	return e.Report()
+}
+
+// Shared is one data type's exploration at DefaultConfig, made once per
+// process and type name (For) and shared by every caller: the bound
+// tables, the harness's class lookups and the replicas they configure.
+// It is safe for concurrent use; its Report and Classes are shared and
+// must be treated as read-only.
+type Shared struct {
+	once    sync.Once
+	report  Report
+	classes map[string]Class
+
+	mu sync.Mutex // e's transition table is single-threaded
+	e  *Explorer
+}
+
+// shared maps a type name to its *Shared.
+var shared sync.Map
+
+// For returns dt's shared exploration, exploring it on the first call for
+// its type name.
+func For(dt spec.DataType) *Shared {
+	v, ok := shared.Load(dt.Name())
+	if !ok {
+		v, _ = shared.LoadOrStore(dt.Name(), &Shared{})
+	}
+	s := v.(*Shared)
+	s.once.Do(func() {
+		s.e = NewExplorer(dt, DefaultConfig())
+		s.report = s.e.Report()
+		s.classes = s.report.Classes()
+	})
+	return s
+}
+
+// Report returns the type's classification report.
+func (s *Shared) Report() Report { return s.report }
+
+// Classes returns the type's op→class map.
+func (s *Shared) Classes() map[string]Class { return s.classes }
+
+// Theorem5Applicable is Explorer.Theorem5Applicable on the shared
+// exploration.
+func (s *Shared) Theorem5Applicable(op, aop string) (Theorem5Witness, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.e.Theorem5Applicable(op, aop)
 }
 
 // Report computes the full classification report from an existing

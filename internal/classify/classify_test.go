@@ -1,6 +1,8 @@
 package classify
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"lintime/internal/adt"
@@ -378,5 +380,36 @@ func TestMutatorWitnessesAreValid(t *testing.T) {
 				t.Errorf("%s.%s mutator witness does not change state: %v", typeName, op.Name, w)
 			}
 		}
+	}
+}
+
+// TestForSharesOneExploration: concurrent callers of For get one Shared
+// per type name, whose report and Theorem 5 verdicts are a fresh
+// Explorer's.
+func TestForSharesOneExploration(t *testing.T) {
+	dt := adt.NewQueue()
+	fresh := NewExplorer(dt, DefaultConfig())
+	wantRep := fresh.Report()
+	wantW, wantOK := fresh.Theorem5Applicable(adt.OpEnqueue, adt.OpPeek)
+	got := make([]*Shared, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = For(adt.NewQueue())
+			if w, ok := got[i].Theorem5Applicable(adt.OpEnqueue, adt.OpPeek); ok != wantOK || !reflect.DeepEqual(w, wantW) {
+				t.Errorf("shared Theorem5Applicable = %v %v, fresh %v %v", w, ok, wantW, wantOK)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, s := range got {
+		if s != got[0] {
+			t.Fatal("For made two explorations of one type")
+		}
+	}
+	if !reflect.DeepEqual(got[0].Report(), wantRep) || !reflect.DeepEqual(got[0].Classes(), wantRep.Classes()) {
+		t.Errorf("shared report differs from a fresh exploration's")
 	}
 }

@@ -353,15 +353,15 @@ func (b *Backend) Builder(p simtime.Params, dt spec.DataType, mutant string, tim
 	return b.resolve(p, dt, m, t)
 }
 
-// Fingerprints returns the built nodes' object states, or nil where the
-// protocol has no convergence property to check.
-func (b *Backend) Fingerprints(nodes []sim.Node) []string {
+// AppendFingerprints appends the built nodes' object states to fps, or
+// returns fps unchanged where the protocol has no convergence property to
+// check.
+func (b *Backend) AppendFingerprints(fps []string, nodes []sim.Node) []string {
 	if !b.Converges {
-		return nil
+		return fps
 	}
-	fps := make([]string, len(nodes))
-	for i, n := range nodes {
-		fps[i] = n.(interface{ StateFingerprint() string }).StateFingerprint()
+	for _, n := range nodes {
+		fps = append(fps, n.(interface{ StateFingerprint() string }).StateFingerprint())
 	}
 	return fps
 }

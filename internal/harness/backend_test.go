@@ -73,7 +73,7 @@ func TestBackendTable(t *testing.T) {
 		if err != nil || len(nodes) != p.N {
 			t.Errorf("%s: Build = %d nodes, %v; want %d", name, len(nodes), err, p.N)
 		}
-		if fps := b.Fingerprints(nodes); b.Converges && len(fps) != p.N {
+		if fps := b.AppendFingerprints(nil, nodes); b.Converges && len(fps) != p.N {
 			t.Errorf("%s: %d fingerprints, want %d", name, len(fps), p.N)
 		}
 		// The model checker's plan axis starts first ops at these.

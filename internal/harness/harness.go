@@ -165,15 +165,9 @@ func (r *Result) String() string {
 	return s
 }
 
-// classesCache avoids re-running the classifier per experiment. Guarded
-// by classesMu: experiments run concurrently under the worker pool.
-var (
-	classesMu    sync.Mutex
-	classesCache = map[string]map[string]classify.Class{}
-)
-
-// ClassesFor returns (cached) operation classes for a data type. Safe for
-// concurrent use; the returned map must be treated as read-only.
+// ClassesFor returns the operation classes of a data type, classified
+// once per process (classify.For). Safe for concurrent use; the returned
+// map must be treated as read-only.
 //
 // A keyed family is classified by its basis type: the wrapper keeps every
 // operation's name and algebraic class (a lifted mutator still mutates
@@ -182,14 +176,7 @@ func ClassesFor(dt spec.DataType) map[string]classify.Class {
 	if k, ok := dt.(*adt.Keyed); ok {
 		dt = k.Basis()
 	}
-	classesMu.Lock()
-	defer classesMu.Unlock()
-	if c, ok := classesCache[dt.Name()]; ok {
-		return c
-	}
-	c := classify.Classify(dt, classify.DefaultConfig()).Classes()
-	classesCache[dt.Name()] = c
-	return c
+	return classify.For(dt).Classes()
 }
 
 // buildNetwork constructs the delay model.
@@ -325,7 +312,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		}
 		st.add(op.Latency())
 	}
-	res.Fingerprints = backend.Fingerprints(nodes)
+	res.Fingerprints = backend.AppendFingerprints(nil, nodes)
 	runsTotal.Inc()
 	return res, nil
 }

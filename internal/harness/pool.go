@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sync"
 )
@@ -11,12 +10,21 @@ import (
 // (workload choices, network delays, clock offsets, each sweep point, …)
 // takes its own runID, so streams never alias each other and a run's
 // output depends only on (master seed, runID) — never on which worker
-// goroutine executes it or in what order.
-func DeriveSeed(master int64, runID string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(runID))
-	return master ^ int64(h.Sum64())
+// goroutine executes it or in what order. A runID built per run may come
+// as bytes, so a caller can format it into a reused buffer.
+func DeriveSeed[ID string | []byte](master int64, runID ID) int64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(runID); i++ {
+		h = (h ^ uint64(runID[i])) * fnvPrime
+	}
+	return master ^ int64(h)
 }
+
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // Parallelism resolves a requested worker count: values below 1 select
 // GOMAXPROCS.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -23,6 +24,12 @@ func TestDeriveSeedIndependentStreams(t *testing.T) {
 		}
 		if again := DeriveSeed(master, id); again != s {
 			t.Errorf("DeriveSeed(%d, %q) not deterministic: %d vs %d", master, id, s, again)
+		}
+		// The seed is master ⊕ FNV-1a(runID), whichever form the ID takes.
+		h := fnv.New64a()
+		h.Write([]byte(id))
+		if bytes := DeriveSeed(master, []byte(id)); s != master^int64(h.Sum64()) || bytes != s {
+			t.Errorf("DeriveSeed(%d, %q) = %d, as bytes %d; FNV-1a gives %d", master, id, s, bytes, master^int64(h.Sum64()))
 		}
 	}
 	if DeriveSeed(1, "x") == DeriveSeed(2, "x") {

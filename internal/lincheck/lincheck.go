@@ -82,10 +82,12 @@ func (o Op) Pending() bool { return o.Respond == simtime.Infinity }
 // FromTrace extracts the checker's history from a simulation trace,
 // including pending invocations.
 func FromTrace(tr *sim.Trace) []Op {
-	return appendTrace(make([]Op, 0, len(tr.Ops)), tr)
+	return AppendTrace(make([]Op, 0, len(tr.Ops)), tr)
 }
 
-func appendTrace(ops []Op, tr *sim.Trace) []Op {
+// AppendTrace appends the trace's history, as FromTrace extracts it, to
+// ops: callers that fingerprint many histories reuse one buffer.
+func AppendTrace(ops []Op, tr *sim.Trace) []Op {
 	for i, rec := range tr.Ops {
 		ops = append(ops, Op{
 			ID:      i,
@@ -104,6 +106,9 @@ func appendTrace(ops []Op, tr *sim.Trace) []Op {
 type Result struct {
 	Linearizable bool
 	// Linearization is a witness permutation when Linearizable is true.
+	// A Checker's methods write it into a buffer the Checker reuses, so it
+	// is valid until that Checker's next check; the package functions
+	// (Check, CheckParallel, ...) return witnesses of their own.
 	Linearization []spec.Instance
 	// Explored counts visited search states, as a cost metric.
 	Explored int
@@ -123,6 +128,7 @@ func CheckTrace(dt spec.DataType, tr *sim.Trace) Result {
 // across calls. It is single-threaded: pool it, never share it.
 type Checker struct {
 	table *spec.Table
+	lin   []spec.Instance // the last witness (Result.Linearization)
 
 	// The compiled history and the search's scratch, reused between checks.
 	// CheckTree reuses kind, ret, memo, keyBuf and visited, indexing kind
@@ -163,7 +169,7 @@ func (c *Checker) Check(history []Op) Result {
 
 // CheckTrace is Check over the trace's operations, pending ones included.
 func (c *Checker) CheckTrace(tr *sim.Trace) Result {
-	c.ops = appendTrace(c.ops[:0], tr)
+	c.ops = AppendTrace(c.ops[:0], tr)
 	lin, ok := c.search(0, c.compile())
 	return Result{Linearizable: ok, Linearization: lin, Explored: c.visited}
 }
@@ -298,12 +304,13 @@ func (c *Checker) search(state int32, left int) ([]spec.Instance, bool) {
 			c.visited++
 			if left == 0 {
 				// Success: the stack path plus this op is a witness.
-				lin := make([]spec.Instance, 0, len(stack))
+				lin := c.lin[:0]
 				for _, fr := range stack[1:] {
 					lin = append(lin, c.instance(int(fr.via), fr.viaRet))
 				}
 				c.stack = stack[:0]
-				return append(lin, c.instance(i, ret)), true
+				c.lin = append(lin, c.instance(i, ret))
+				return c.lin, true
 			}
 			c.take(i)
 			if c.knownFailed(next) {
@@ -392,7 +399,8 @@ func CheckParallel(dt spec.DataType, history []Op, workers int) Result {
 }
 
 // checkAfter searches the compiled history with ops[first] linearized
-// first, from a clean memo; completed is compile's count.
+// first, from a clean memo; completed is compile's count. The witness is
+// a copy: a worker reuses its Checker across branches.
 func (c *Checker) checkAfter(first, completed int) Result {
 	clear(c.taken)
 	clear(c.memo)

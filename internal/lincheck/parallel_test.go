@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"lintime/internal/adt"
+	"lintime/internal/sim"
 	"lintime/internal/simtime"
+	"lintime/internal/spec"
 )
 
 // randomHistory builds an overlapping history by running legal sequences
@@ -53,6 +55,47 @@ func TestCheckParallelMatchesCheck(t *testing.T) {
 				t.Errorf("seed %d workers %d: %+v, want %+v", seed, workers, par, want)
 			}
 		}
+	}
+}
+
+// TestParallelWitnessesAreOwned pins that the parallel checks return
+// witnesses of their own although each worker reuses one Checker across
+// root branches: on a history every branch of which succeeds (eight
+// concurrent enqueues, so branch b's witness starts with enqueue b), the
+// witness of the lowest branch is the sequential one and still legal
+// after later calls, and a worker's first branch keeps its witness while
+// the same Checker searches the next.
+func TestParallelWitnessesAreOwned(t *testing.T) {
+	dt := adt.NewQueue()
+	var h []Op
+	for i := 0; i < 8; i++ {
+		h = append(h, Op{ID: i, Proc: i, Name: adt.OpEnqueue, Arg: i, Invoke: simtime.Time(i), Respond: 20})
+	}
+	tr := &sim.Trace{}
+	for _, op := range h {
+		tr.Ops = append(tr.Ops, sim.OpRecord{Proc: sim.ProcID(op.Proc), Op: op.Name, Arg: op.Arg,
+			InvokeTime: op.Invoke, RespondTime: op.Respond})
+	}
+	want := Check(dt, h).Linearization
+	results := []Result{CheckParallel(dt, h, 2), CheckTraceParallel(dt, tr, 2)}
+	CheckParallel(dt, h, 2)
+	CheckTraceParallel(dt, tr, 2)
+	for i, res := range results {
+		if !res.Linearizable || !reflect.DeepEqual(res.Linearization, want) || !spec.Legal(dt, res.Linearization) {
+			t.Errorf("call %d: witness %v after later calls, want %v", i, res.Linearization, want)
+		}
+	}
+
+	c := NewChecker(dt)
+	c.ops = append(c.ops, h...)
+	completed := c.compile()
+	first := c.checkAfter(0, completed)
+	kept := append([]spec.Instance(nil), first.Linearization...)
+	if second := c.checkAfter(1, completed); reflect.DeepEqual(second.Linearization, kept) {
+		t.Fatalf("branches 0 and 1 found the same witness %v", kept)
+	}
+	if !reflect.DeepEqual(first.Linearization, kept) {
+		t.Errorf("branch 0's witness became %v when the Checker searched branch 1, was %v", first.Linearization, kept)
 	}
 }
 

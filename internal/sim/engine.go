@@ -276,7 +276,8 @@ type openOp struct {
 // An Engine may be reused across runs via Reset, which retains the event
 // queue's keys, slab and free list, the bookkeeping slices, and
 // trace-capacity hints — the allocation profile of a reused engine is a
-// handful of slice headers per run instead of a heap node per event.
+// handful of slice headers per run instead of a heap node per event, and
+// nothing at all when the caller Recycles each trace it is done with.
 type Engine struct {
 	params  simtime.Params
 	offsets []simtime.Duration
@@ -297,6 +298,7 @@ type Engine struct {
 	drops    map[int64]bool // send ordinals lost in transit
 	trace    *Trace
 	started  bool
+	recycle  bool // Recycle was called: Reset reuses trace
 	level    TraceLevel
 	stepSig  uint64 // running FNV-1a over (kind, proc) of processed events
 
@@ -338,10 +340,11 @@ func NewEngine(params simtime.Params, offsets []simtime.Duration, net Network, n
 // from the previous run stay stale), the bookkeeping slices, the
 // per-process contexts, and capacity hints for the trace slices (which
 // are preallocated to the previous run's sizes). The trace returned by
-// the previous run is NOT recycled — it remains valid after Reset, so
-// results that escaped to callers are never corrupted by engine reuse.
-// OnRespond is cleared and the timeline returns to one step per tick;
-// MaxSteps and the trace level are retained.
+// the previous run is recycled only after Recycle: otherwise it remains
+// valid after Reset, so results that escaped to callers are never
+// corrupted by engine reuse. OnRespond is cleared and the timeline
+// returns to one step per tick; MaxSteps and the trace level are
+// retained.
 func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Network, nodes []Node) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -373,19 +376,26 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	e.seq, e.opSeq, e.msgCount, e.timers = 0, 0, 0, 0
 	e.crashes = e.crashes[:0]
 	clear(e.drops)
-	// Preallocate the fresh trace to the previous run's high-water sizes:
-	// steady-state reuse pays one exact-size allocation per slice instead
-	// of a geometric regrowth chain.
-	var stepsHint, msgsHint, opsHint int
-	if e.trace != nil {
-		stepsHint, msgsHint, opsHint = len(e.trace.Steps), len(e.trace.Msgs), len(e.trace.Ops)
-	}
-	e.trace = &Trace{
-		Params:  params,
-		Offsets: append([]simtime.Duration(nil), offsets...),
-		Steps:   make([]StepRecord, 0, stepsHint),
-		Msgs:    make([]MsgRecord, 0, msgsHint),
-		Ops:     make([]OpRecord, 0, opsHint),
+	if tr := e.trace; e.recycle {
+		// Nothing references the last trace: truncate and reuse it.
+		*tr = Trace{Params: params, Offsets: append(tr.Offsets[:0], offsets...),
+			Steps: tr.Steps[:0], Msgs: tr.Msgs[:0], Ops: tr.Ops[:0]}
+		e.recycle = false
+	} else {
+		// Preallocate the fresh trace to the previous run's high-water
+		// sizes: steady-state reuse pays one exact-size allocation per
+		// slice instead of a geometric regrowth chain.
+		var stepsHint, msgsHint, opsHint int
+		if tr != nil {
+			stepsHint, msgsHint, opsHint = len(tr.Steps), len(tr.Msgs), len(tr.Ops)
+		}
+		e.trace = &Trace{
+			Params:  params,
+			Offsets: append([]simtime.Duration(nil), offsets...),
+			Steps:   make([]StepRecord, 0, stepsHint),
+			Msgs:    make([]MsgRecord, 0, msgsHint),
+			Ops:     make([]OpRecord, 0, opsHint),
+		}
 	}
 	e.started = false
 	e.stepSig = fnvOffset
@@ -395,6 +405,12 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	}
 	return nil
 }
+
+// Recycle declares that nothing references the last run's trace any
+// more: the next Reset truncates its slices and hands the same trace out
+// again instead of allocating one. Callers that let traces escape (the
+// wall clock, harness.Run) never call it.
+func (e *Engine) Recycle() { e.recycle = e.trace != nil }
 
 // SetTraceLevel selects how much of the run is recorded (default
 // TraceFull). Must be called before the first event is processed.

@@ -241,10 +241,11 @@ func TestSetTraceLevelAfterStartPanics(t *testing.T) {
 // a run costs a fixed handful of allocations (the fresh trace Reset hands
 // out) however many events it processes — send, deliver, trace append and
 // queue push/pop allocate nothing per event, with metrics and tracing off.
+// A run whose caller Recycles the trace it is done with allocates nothing.
 func TestEngineEventsAllocateNothing(t *testing.T) {
 	p := simtime.Params{N: 8, D: 100, U: 40, Epsilon: 30, X: 20}
 	offs, net := ZeroOffsets(p.N), UniformNetwork{D: p.D}
-	perRun := func(hops int) float64 {
+	perRun := func(hops int, recycle bool) float64 {
 		nodes := make([]Node, p.N)
 		for j := range nodes {
 			nodes[j] = &pingChain{hops: hops}
@@ -261,6 +262,9 @@ func TestEngineEventsAllocateNothing(t *testing.T) {
 			if err := eng.Run().CheckComplete(); err != nil {
 				t.Fatal(err)
 			}
+			if recycle {
+				eng.Recycle()
+			}
 		}
 		// A garbage collection that falls inside a run (and, under -race,
 		// the detector's bookkeeping) allocates now and then: the cheapest
@@ -272,7 +276,7 @@ func TestEngineEventsAllocateNothing(t *testing.T) {
 		}
 		return best
 	}
-	short, long := perRun(250), perRun(1000)
+	short, long := perRun(250, false), perRun(1000, false)
 	if long != short {
 		t.Errorf("%.0f allocs for a 1000-event run, %.0f for a 250-event one: %.4f per event, want 0",
 			long, short, (long-short)/750)
@@ -280,5 +284,45 @@ func TestEngineEventsAllocateNothing(t *testing.T) {
 	// The fixed part: the Trace, its offsets copy and its three slices.
 	if short > 5 {
 		t.Errorf("%.0f allocs per reused-engine run, recorded 5", short)
+	}
+	if recycled := perRun(1000, true); recycled != 0 {
+		t.Errorf("%.0f allocs per reused-engine run after Recycle, want 0", recycled)
+	}
+}
+
+// TestRecycleReusesOnlyWhenAsked pins the two Reset paths: without
+// Recycle a finished trace survives the engine's next run untouched (the
+// wall clock and harness.Run hand traces out), and after Recycle the next
+// run is recorded into the same trace, which then holds that run alone.
+func TestRecycleReusesOnlyWhenAsked(t *testing.T) {
+	p := simtime.Params{N: 3, D: 100, U: 40, Epsilon: 30, X: 20}
+	offs, net := ZeroOffsets(p.N), UniformNetwork{D: p.D}
+	nodes := []Node{&pingChain{hops: 5}, &pingChain{hops: 5}, &pingChain{hops: 5}}
+	eng, err := NewEngine(p, offs, net, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(at simtime.Time) *Trace {
+		t.Helper()
+		if err := eng.Reset(p, offs, net, nodes); err != nil {
+			t.Fatal(err)
+		}
+		eng.InvokeAt(0, at, "ring", nil)
+		return eng.Run()
+	}
+	first := run(0)
+	kept := first.Clone()
+	second := run(7)
+	if second == first || !reflect.DeepEqual(first.Clone(), kept) {
+		t.Fatalf("a trace changed under a Reset that was not asked to recycle it")
+	}
+	want := second.Clone()
+	eng.Recycle()
+	third := run(7)
+	if third != second {
+		t.Fatalf("Reset after Recycle allocated a new trace")
+	}
+	if !reflect.DeepEqual(third.Clone(), want) {
+		t.Errorf("a recycled trace records\n%+v\nwant the run alone\n%+v", third.Ops, want.Ops)
 	}
 }

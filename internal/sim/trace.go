@@ -90,7 +90,8 @@ func (m MsgRecord) Delay() simtime.Duration { return m.RecvTime.Sub(m.SendTime) 
 // (the sorting accessors sort copies), so a completed trace may be read
 // from any number of goroutines concurrently — the parallel experiment
 // runner in internal/harness relies on this. Mutating transformations
-// (shift, chop) operate on Clone()s.
+// (shift, chop) operate on Clone()s. The one exception is a trace its
+// engine was told to Recycle: the engine's next Reset rewrites it.
 type Trace struct {
 	Params  simtime.Params
 	Offsets []simtime.Duration
