@@ -46,7 +46,6 @@ type serveEcho struct {
 	Offsets     string            `json:"offsets"`
 	OffsetTicks []int64           `json:"offset_ticks"`
 	Seed        int64             `json:"seed"`
-	QueueDepth  int               `json:"queue_depth"`
 	InboxDepth  int               `json:"inbox_depth"`
 	Classes     map[string]string `json:"classes"`
 	// FormulaTicks maps each class to its Algorithm 1 worst-case latency
@@ -84,7 +83,7 @@ func buildServeEcho(s *serve.Server, addr string, tick time.Duration) serveEcho 
 		Type: cfg.TypeName, Backend: backend, Addr: addr,
 		N: p.N, D: int64(p.D), U: int64(p.U), Epsilon: int64(p.Epsilon), X: int64(p.X),
 		TickNS: tick.Nanoseconds(), Offsets: cfg.Offsets, OffsetTicks: offsetTicks,
-		Seed: cfg.Seed, QueueDepth: cfg.QueueDepth, InboxDepth: inboxDepth, Classes: classes,
+		Seed: cfg.Seed, InboxDepth: inboxDepth, Classes: classes,
 		FormulaTicks: formulas, BudgetTicks: int64(serve.JitterBudget(tick)),
 	}
 }
@@ -123,7 +122,6 @@ func cmdServe(args []string) error {
 	tick := fs.Duration("tick", time.Millisecond, "wall-clock duration of one virtual tick")
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets (zero, spread, alternating, random)")
 	seed := fs.Int64("seed", 1, "master seed (delay draws, offset assignment)")
-	queueDepth := fs.Int("queue-depth", 64, "per-replica request queue bound (backpressure)")
 	inboxDepth := fs.Int("inbox-depth", rtnet.DefaultInboxDepth, "per-process rtnet inbox bound (overflow is a typed cluster failure)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight operations")
 	shards := fs.Int("shards", 1, "shard count: >1 serves named objects hash-routed across independent clusters")
@@ -154,7 +152,7 @@ func cmdServe(args []string) error {
 	ss, err := serve.NewShardSet(serve.ShardSetConfig{
 		Config: serve.Config{
 			Params: p, Backend: backend.Name, TypeName: dt.Name(), Tick: *tick,
-			Offsets: *offsets, Seed: *seed, QueueDepth: *queueDepth, InboxDepth: *inboxDepth,
+			Offsets: *offsets, Seed: *seed, InboxDepth: *inboxDepth,
 		},
 		Shards: *shards, ShardX: sx,
 	})

@@ -453,23 +453,18 @@ func (c *Cluster) Drain(timeout time.Duration) error {
 // invocation was not submitted: the process has crashed (ErrCrashed), or
 // the cluster has stopped (ErrStopped) or failed.
 func (c *Cluster) Invoke(proc sim.ProcID, op string, arg any) (<-chan Response, error) {
-	return c.InvokeTraced(proc, op, arg, -1)
-}
-
-// InvokeTraced is Invoke carrying a causal parent span: the client-side
-// span (propagated over the wire protocols) the new operation's root
-// span should point back to. Ignored while tracing is off; pass -1 for a
-// local root.
-func (c *Cluster) InvokeTraced(proc sim.ProcID, op string, arg any, parent int64) (<-chan Response, error) {
 	done := make(chan Response, 1)
-	if err := c.invoke(proc, op, arg, parent, done); err != nil {
+	if err := c.invoke(proc, op, arg, -1, done); err != nil {
 		return nil, err
 	}
 	return done, nil
 }
 
 // invoke submits an operation whose response goes to done, an empty
-// channel with room for it. On error done was never registered.
+// channel with room for it. parent is the causal parent span: the
+// client-side span (propagated over the wire protocol) the new
+// operation's root span should point back to; it is ignored while tracing
+// is off, and -1 makes a local root. On error done was never registered.
 func (c *Cluster) invoke(proc sim.ProcID, op string, arg any, parent int64, done chan Response) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -511,7 +506,7 @@ func (c *Cluster) Call(proc sim.ProcID, op string, arg any) (Response, error) {
 	return c.CallTraced(proc, op, arg, -1)
 }
 
-// CallTraced is Call carrying a causal parent span (see InvokeTraced).
+// CallTraced is Call carrying a causal parent span (see invoke).
 func (c *Cluster) CallTraced(proc sim.ProcID, op string, arg any, parent int64) (Response, error) {
 	done := replies.Get().(chan Response)
 	if err := c.invoke(proc, op, arg, parent, done); err != nil {

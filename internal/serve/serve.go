@@ -11,12 +11,13 @@
 // list into per-class AOP/MOP/OOP and per-operation latency quantiles on
 // demand; /metrics streams its own live histograms).
 //
-// Routing: requests are spread round-robin over the live replicas, and a
-// per-replica worker serializes them so each process has at most one
-// operation pending — exactly the client behavior the paper's model
-// assumes. Backpressure is the per-replica queue: when every replica has
-// QueueDepth requests waiting, Call blocks, which is the closed-loop
-// behavior the load generator expects.
+// Routing: requests are spread round-robin over the live replicas, and
+// each replica's one-token slot lets one caller at a time invoke through
+// it, so each process has at most one operation pending — exactly the
+// client behavior the paper's model assumes. The caller invokes and waits
+// on its own goroutine; callers routed to a busy replica block on its slot
+// and take it in arrival order, which is the closed-loop backpressure the
+// load generator expects.
 //
 // Shutdown is a graceful drain within one time budget: new calls are
 // refused, every in-flight operation completes, then the cluster drains
@@ -57,9 +58,6 @@ type Config struct {
 	Tick     time.Duration // wall-clock duration of one virtual tick (default 1ms)
 	Offsets  string        // harness offset assignment name (default zero)
 	Seed     int64         // master seed; sub-streams are derived per use
-	// QueueDepth bounds each replica's request queue (default 64); a full
-	// queue blocks Call, giving closed-loop backpressure.
-	QueueDepth int
 	// InboxDepth bounds each rtnet process inbox (default
 	// rtnet.DefaultInboxDepth). An overflow is a cluster failure surfaced
 	// through Call/Drain errors, never a silent stall.
@@ -75,18 +73,6 @@ type Config struct {
 	ShardLabel string
 }
 
-type result struct {
-	resp rtnet.Response
-	err  error
-}
-
-type call struct {
-	op     string
-	arg    any
-	parent int64 // causal parent span (wire trace context), -1 for none
-	out    chan result
-}
-
 // Server is one shard: a running serving layer over one rtnet cluster.
 // It has no listener; the ShardSet router is its front end.
 type Server struct {
@@ -97,10 +83,11 @@ type Server struct {
 	cluster *rtnet.Cluster
 	bound   func(simtime.Params, classify.Class) simtime.Duration
 
-	queues  []chan call
-	dead    []atomic.Bool // replicas removed from routing by Crash
-	next    atomic.Int64
-	workers sync.WaitGroup
+	// slots holds one token channel of capacity 1 per replica: a caller
+	// holds the token while its operation is pending at that process.
+	slots []chan struct{}
+	dead  []atomic.Bool // replicas removed from routing by Crash
+	next  atomic.Int64
 
 	mu       sync.Mutex
 	started  bool
@@ -115,7 +102,7 @@ type Server struct {
 	obsm *serveMetrics
 
 	// traceColl is the span sink SetTracer installed (nil = tracing off):
-	// the worker loop attributes every completed operation's latency into
+	// callTraced attributes every completed operation's latency into
 	// the per-class term histograms, and the flight recorder can dump the
 	// collector's retained trees.
 	traceColl *obs.Collector
@@ -133,9 +120,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Millisecond
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
 	}
 	dt := cfg.DataType
 	if dt == nil {
@@ -170,12 +154,12 @@ func New(cfg Config) (*Server, error) {
 		offsets: offsets,
 		cluster: cluster,
 		bound:   backend.Bound,
-		queues:  make([]chan call, cfg.Params.N),
+		slots:   make([]chan struct{}, cfg.Params.N),
 		dead:    make([]atomic.Bool, cfg.Params.N),
 		rec:     &recorder{},
 	}
-	for i := range s.queues {
-		s.queues[i] = make(chan call, cfg.QueueDepth)
+	for i := range s.slots {
+		s.slots[i] = make(chan struct{}, 1)
 	}
 	s.wireMetrics()
 	return s, nil
@@ -190,7 +174,8 @@ func (s *Server) Classes() map[string]classify.Class { return s.classes }
 // Config returns the server configuration (with defaults resolved).
 func (s *Server) Config() Config { return s.cfg }
 
-// Start launches the cluster and the per-replica routing workers.
+// Start launches the cluster. The shard runs no goroutine of its own:
+// every call runs on its caller's.
 func (s *Server) Start() {
 	s.mu.Lock()
 	if s.started {
@@ -200,30 +185,6 @@ func (s *Server) Start() {
 	s.started = true
 	s.mu.Unlock()
 	s.cluster.Start()
-	for i := range s.queues {
-		proc := sim.ProcID(i)
-		q := s.queues[i]
-		s.workers.Add(1)
-		go func() {
-			defer s.workers.Done()
-			for c := range q {
-				resp, err := s.cluster.CallTraced(proc, c.op, c.arg, c.parent)
-				if err == nil {
-					s.rec.record(resp)
-					s.obsm.observe(resp.Class, int64(resp.Latency()))
-					if s.traceColl != nil {
-						if a, ok := s.traceColl.Attribute(resp.Seq, resp.Class.String(),
-							int64(resp.Invoke), s.attrP); ok {
-							s.obsm.observeTerms(resp.Class, a)
-						}
-					}
-				} else {
-					s.obsm.errors.Inc()
-				}
-				c.out <- result{resp: resp, err: err}
-			}
-		}()
-	}
 }
 
 // Call executes one operation against the served object and blocks until
@@ -274,17 +235,24 @@ func (s *Server) callTraced(op string, arg any, parent int64) (rtnet.Response, e
 		return rtnet.Response{}, ErrAllCrashed
 	}
 	proc := live[int(s.next.Add(1)-1)%len(live)]
-	out := replies.Get().(chan result)
-	s.queues[proc] <- call{op: op, arg: arg, parent: parent, out: out}
-	r := <-out
-	replies.Put(out)
-	return r.resp, r.err
+	slot := s.slots[proc]
+	slot <- struct{}{}
+	defer func() { <-slot }()
+	resp, err := s.cluster.CallTraced(sim.ProcID(proc), op, arg, parent)
+	if err != nil {
+		s.obsm.errors.Inc()
+		return resp, err
+	}
+	s.rec.record(resp)
+	s.obsm.observe(resp.Class, int64(resp.Latency()))
+	if s.traceColl != nil {
+		if a, ok := s.traceColl.Attribute(resp.Seq, resp.Class.String(),
+			int64(resp.Invoke), s.attrP); ok {
+			s.obsm.observeTerms(resp.Class, a)
+		}
+	}
+	return resp, nil
 }
-
-// replies recycles callTraced's reply channels: the worker sends exactly
-// once on each and the caller receives exactly once, so a channel is empty
-// and unreferenced again once its reply has been read.
-var replies = sync.Pool{New: func() any { return make(chan result, 1) }}
 
 // Crash fails replica i: it is removed from routing (later Calls skip
 // it) and its process is crashed on the substrate — timers canceled,
@@ -328,10 +296,9 @@ func lookupServable(name string) (*harness.Backend, error) {
 }
 
 // Drain gracefully shuts the shard down: refuse new calls, wait for every
-// in-flight operation to respond, stop the routing workers, then drain
-// and stop the cluster. All phases share the one timeout: the cluster
-// gets what the in-flight wait left over. Idempotent; later calls return
-// the first drain's result.
+// in-flight operation to respond, then drain and stop the cluster. Both
+// phases share the one timeout: the cluster gets what the in-flight wait
+// left over. Idempotent; later calls return the first drain's result.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.drainOnce.Do(func() { s.drainErr = s.drain(timeout) })
 	return s.drainErr
@@ -357,10 +324,6 @@ func (s *Server) drain(timeout time.Duration) error {
 	var timedOut error
 	select {
 	case <-done:
-		for _, q := range s.queues {
-			close(q)
-		}
-		s.workers.Wait()
 	case <-time.After(timeout):
 		timedOut = fmt.Errorf("serve: drain timed out after %v with operations in flight", timeout)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -109,6 +110,40 @@ func TestServerDrainRefusesNewCalls(t *testing.T) {
 	// Idempotent.
 	if err := s.Drain(time.Second); err != nil {
 		t.Errorf("second drain: %v", err)
+	}
+}
+
+// TestDrainTimeoutLeavesNoGoroutines pins that a drain which runs out of
+// budget with an operation in flight still leaves nothing of the shard
+// running: the cluster stops, the call fails, and the goroutine count
+// returns to where it stood before New.
+func TestDrainTimeoutLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := testConfig(3)
+	cfg.Tick = time.Second // the call outlives the drain budget
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	called := make(chan error, 1)
+	go func() {
+		_, err := s.Call(adt.OpEnqueue, 1)
+		called <- err
+	}()
+	for s.obsm.inflight.Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Drain(100 * time.Millisecond); err == nil {
+		t.Fatal("Drain with an outliving operation in flight returned nil")
+	}
+	<-called
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before New, %d after the timed-out drain", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

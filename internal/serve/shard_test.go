@@ -373,7 +373,7 @@ func TestDrainKeepsOneBudget(t *testing.T) {
 }
 
 // TestCallKeyAllocs pins the in-process serving call's allocation floor:
-// one CallKey through the router, a shard's replica queue, rtnet and the
+// one CallKey through the router, a shard's replica slot, rtnet and the
 // n = 5 Algorithm 1 replicas, counted over the whole process, so the
 // replicas' handlers and timers are included. The floor was ≈ 54 while op
 // validation re-derived the keyed type, keyed states copied a map on every
@@ -407,8 +407,8 @@ func TestCallKeyAllocs(t *testing.T) {
 		best = min(best, testing.AllocsPerRun(24, call))
 	}
 	t.Logf("CallKey: %.1f allocs per call", best)
-	if best > 25 {
-		t.Errorf("CallKey: %.1f allocs per call, ceiling 25", best)
+	if best > 20 {
+		t.Errorf("CallKey: %.1f allocs per call, ceiling 20", best)
 	}
 }
 

@@ -44,7 +44,7 @@ func soakDuration() time.Duration {
 //   - nothing leaks: goroutine count returns to its pre-soak level.
 //
 // Run it under -race (make soak-smoke / make soak): the closed-loop
-// clients, the per-replica routing workers, the recorder and the drain
+// clients, the per-replica slots, the recorder and the drain
 // path all interleave here, which is exactly where a shared-state race
 // would surface.
 //
@@ -203,7 +203,7 @@ func TestSoakClosedLoop(t *testing.T) {
 	t.Logf("soak: %d ops in %d phases over %v, per-class stats: %+v",
 		len(tr.Ops), len(cuts), total, s.Stats().PerClass)
 
-	// Goroutine-leak check: node loops, routing workers and timer
+	// Goroutine-leak check: node loops, the scheduler and timer
 	// callbacks must all be gone. Allow the runtime a moment to reap.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
